@@ -92,17 +92,6 @@ class TetrisStats:
         return -(-self.max_cache_tuples // page_capacity)
 
 
-#: historical location — the reflection wrapper now lives in ``curves``
-#: so the batch kernels can unwrap it without importing this module
-_FlippedCurve = FlippedCurve
-
-#: historical alias — the Tetris cache now lives in the backend-native
-#: :class:`repro.kernels.SortRunBuffer`; a pure-backend entry is still a
-#: ``[tetris_key, arrival_order]`` pair (the point and payload live in
-#: the scan's arrival registry)
-_CacheEntry = list  # [int, int]
-
-
 class TetrisScan:
     """Iterator over ``(point, payload)`` pairs in ``A_j`` sort order.
 

@@ -57,15 +57,6 @@ class ExternalMergeSort(Operator):
         Rows per temp page (same as the base table for comparability).
     merge_degree:
         Fan-in ``m`` of each merge pass (the paper analyses ``m = 2``).
-    run_rows:
-        DPG-style run formation: sort each in-memory run as cache-sized
-        partial runs of this many rows, consolidated by hierarchical
-        pairwise merges (:func:`repro.kernels.merge_sorted_keys`)
-        instead of one monolithic argsort over the whole run.  Each
-        merge step streams two sorted key arrays, so the working set per
-        step stays cache-resident.  ``None`` keeps the single argsort;
-        the output is byte-identical either way (stable merges preserve
-        the earlier chunk's tie win, exactly like a stable full sort).
     """
 
     def __init__(
@@ -78,14 +69,11 @@ class ExternalMergeSort(Operator):
         merge_degree: int = 2,
         descending: bool = False,
         retry_policy: RetryPolicy | None = None,
-        run_rows: int | None = None,
     ) -> None:
         if memory_pages < 1:
             raise ValueError("work memory must be at least one page")
         if merge_degree < 2:
             raise ValueError("merge degree must be at least 2")
-        if run_rows is not None and run_rows < 2:
-            raise ValueError("partial runs must hold at least two rows")
         self.child = child
         self.key = key
         self.disk = disk
@@ -94,7 +82,6 @@ class ExternalMergeSort(Operator):
         self.merge_degree = merge_degree
         self.descending = descending
         self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
-        self.run_rows = run_rows
         self.stats = SortStats()
         self._live_temp_pages = 0
 
@@ -144,9 +131,6 @@ class ExternalMergeSort(Operator):
                 self._drop_run(run)
 
     # ------------------------------------------------------------------
-    def _sort_key(self, row: Row) -> Any:
-        return self.key(row)
-
     def _sorted_rows(self, rows: list[Row]) -> list[Row]:
         """Sort one in-memory run: batch key extraction + one argsort.
 
@@ -156,46 +140,10 @@ class ExternalMergeSort(Operator):
         batches its key computation — the baselines stay comparable.
         """
         keys = [self.key(row) for row in rows]
-        backend = kernels.get_backend()
-        run_rows = self.run_rows
-        if run_rows is None or len(rows) <= run_rows:
-            permutation = backend.argsort_keys(keys, reverse=self.descending)
-            return [rows[index] for index in permutation]
-        # DPG run formation: argsort cache-sized chunks, then reduce the
-        # sorted (keys, row-index) runs by adjacent pairwise merges.
-        # Adjacent pairing keeps earlier chunks on the tie-winning side
-        # of merge_sorted_keys, so the final permutation equals the
-        # stable full argsort exactly.
-        runs: list[tuple[list[Any], list[int]]] = []
-        for start in range(0, len(rows), run_rows):
-            chunk_keys = keys[start : start + run_rows]
-            chunk_perm = backend.argsort_keys(chunk_keys, reverse=self.descending)
-            runs.append(
-                (
-                    [chunk_keys[index] for index in chunk_perm],
-                    [start + index for index in chunk_perm],
-                )
-            )
-        while len(runs) > 1:
-            merged_runs: list[tuple[list[Any], list[int]]] = []
-            for pair in range(0, len(runs) - 1, 2):
-                keys_a, rows_a = runs[pair]
-                keys_b, rows_b = runs[pair + 1]
-                combined_keys = keys_a + keys_b
-                combined_rows = rows_a + rows_b
-                merge = backend.merge_sorted_keys(
-                    keys_a, keys_b, reverse=self.descending
-                )
-                merged_runs.append(
-                    (
-                        [combined_keys[index] for index in merge],
-                        [combined_rows[index] for index in merge],
-                    )
-                )
-            if len(runs) % 2:
-                merged_runs.append(runs[-1])
-            runs = merged_runs
-        return [rows[index] for index in runs[0][1]]
+        permutation = kernels.get_backend().argsort_keys(
+            keys, reverse=self.descending
+        )
+        return [rows[index] for index in permutation]
 
     def _merge(self, runs: list[HeapFile]) -> Iterator[Row]:
         readers = [self._read_run(run) for run in runs]

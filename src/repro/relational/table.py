@@ -19,7 +19,7 @@ from ..core.tetris import TetrisScan
 from ..core.ubtree import UBTree
 from ..core.zorder import ZSpace
 from ..storage.buffer import BufferPool
-from ..storage.disk import DiskParameters, SimulatedDisk
+from ..storage.disk import DiskParameters, SimulatedDisk, disk_layers
 from ..storage.faults import FaultPlan, FaultyDisk
 from ..storage.heap import HeapFile
 from ..storage.replica import ReplicatedDisk
@@ -147,11 +147,9 @@ class Database:
     @property
     def replicated_disk(self) -> ReplicatedDisk | None:
         """The replica layer of the disk stack, if one was configured."""
-        disk: SimulatedDisk | None = self.disk
-        while disk is not None:
-            if isinstance(disk, ReplicatedDisk):
-                return disk
-            disk = getattr(disk, "inner", None)
+        for layer in disk_layers(self.disk):
+            if isinstance(layer, ReplicatedDisk):
+                return layer
         return None
 
     def capture_replicas(self) -> int:

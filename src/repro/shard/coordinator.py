@@ -58,7 +58,7 @@ from ..relational.operators.join import MergeJoin, MergeSemiJoin
 from ..relational.schema import Schema
 from ..relational.table import Database, Row, UBTable
 from ..telemetry import JoinEvent
-from ..storage.disk import DiskParameters
+from ..storage.disk import DiskParameters, disk_layers
 from ..storage.errors import (
     CorruptPageError,
     StorageError,
@@ -152,16 +152,16 @@ class Shard:
 
 
 @dataclass(frozen=True)
-class ShardedScanResult:
-    """A merged sorted scan plus its degradation ledger.
+class _ShardedResult:
+    """The degradation ledger every scattered operation returns.
 
     ``failed_ranges`` lists encoded shard-dimension intervals whose rows
-    are missing (``allow_partial`` scans only) — a non-empty list is the
+    are missing (``allow_partial`` runs only) — a non-empty list is the
     explicit partial-result flag the coordinator's contract promises in
-    place of silently wrong rows.
+    place of silently wrong rows.  ``simulated_elapsed`` models the
+    shards working in parallel: the max over ``per_shard_elapsed``.
     """
 
-    rows: list[SortedTuple]
     degradations: tuple[ShardDegradationEvent, ...]
     failed_ranges: tuple[tuple[int, int], ...]
     per_shard_rows: tuple[int, ...]
@@ -175,8 +175,15 @@ class ShardedScanResult:
 
     @property
     def degraded(self) -> bool:
-        """True when any downgrade rung fired during the scan."""
+        """True when any downgrade rung fired."""
         return bool(self.degradations)
+
+
+@dataclass(frozen=True)
+class ShardedScanResult(_ShardedResult):
+    """A merged sorted scan plus its degradation ledger."""
+
+    rows: list[SortedTuple]
 
 
 class ShardedDatabase:
@@ -274,22 +281,21 @@ class ShardedDatabase:
         factory = self._row_factory(source)
         total = 0
         for shard in self.shards:
-            counts = []
             for copy in shard.copies:
                 copy.table.bulk_load(
                     self._rows_for_slab(factory(), shard.slab), fill=fill
                 )
-                counts.append(len(copy.table))
-            if len(set(counts)) > 1:
-                raise ValueError(
-                    f"shard {shard.index} copies diverged during load: "
-                    f"{counts} rows (source is not deterministic)"
-                )
-            self.rows_loaded[shard.index] = counts[0]
-            total += counts[0]
+            total += self._settle_row_count(
+                shard, " during load (source is not deterministic)"
+            )
         if invariants.enabled():
             invariants.validate_sharded_database(self)
         return total
+
+    def _copies(self) -> Iterator[ShardCopy]:
+        """Every copy of every shard, in shard-major order."""
+        for shard in self.shards:
+            yield from shard.copies
 
     def _row_factory(self, source: RowSource) -> Callable[[], Iterable[Row]]:
         if callable(source):
@@ -318,10 +324,10 @@ class ShardedDatabase:
         if self.txn is not None:
             return self.txn.atomic_insert(rows).rows
         for shard in self.shards:
+            shard_rows = list(self._rows_for_slab(rows, shard.slab))
+            if not shard_rows:
+                continue
             for copy in shard.copies:
-                shard_rows = list(self._rows_for_slab(rows, shard.slab))
-                if not shard_rows:
-                    continue
                 wal = copy.db.wal
                 if wal is None:
                     for row in shard_rows:
@@ -351,22 +357,19 @@ class ShardedDatabase:
             raise RuntimeError(
                 "a transaction coordinator is already attached"
             )
-        for shard in self.shards:
-            for copy in shard.copies:
-                if copy.db.wal is None:
-                    raise RuntimeError(
-                        "two-phase commit requires wal=True on every "
-                        f"shard copy (shard {shard.index} copy "
-                        f"{copy.copy_index} has none)"
-                    )
+        for copy in self._copies():
+            if copy.db.wal is None:
+                raise RuntimeError(
+                    "two-phase commit requires wal=True on every "
+                    f"shard copy (shard {copy.shard_index} copy "
+                    f"{copy.copy_index} has none)"
+                )
         self.txn = coordinator
 
     def participant_ids(self) -> tuple[Pid, ...]:
         """Every (shard, copy) pair, in shard-major order."""
         return tuple(
-            (shard.index, copy.copy_index)
-            for shard in self.shards
-            for copy in shard.copies
+            (copy.shard_index, copy.copy_index) for copy in self._copies()
         )
 
     def participant_name(self, pid: Pid) -> str:
@@ -476,16 +479,17 @@ class ShardedDatabase:
         bookkeeping; this re-reads every copy, re-checks cross-copy
         convergence and keeps the coordinator's ledger honest.
         """
-        total = 0
-        for shard in self.shards:
-            counts = [len(copy.table) for copy in shard.copies]
-            if len(set(counts)) > 1:
-                raise ValueError(
-                    f"shard {shard.index} copies diverged: {counts} rows"
-                )
-            self.rows_loaded[shard.index] = counts[0]
-            total += counts[0]
-        return total
+        return sum(self._settle_row_count(shard) for shard in self.shards)
+
+    def _settle_row_count(self, shard: Shard, when: str = "") -> int:
+        """Record ``shard``'s row count once every copy agrees on it."""
+        counts = [len(copy.table) for copy in shard.copies]
+        if len(set(counts)) > 1:
+            raise ValueError(
+                f"shard {shard.index} copies diverged{when}: {counts} rows"
+            )
+        self.rows_loaded[shard.index] = counts[0]
+        return counts[0]
 
     def recover(self) -> "TxnRecoveryReport | tuple[RecoveryReport, ...]":
         """Crash recovery across every shard log.
@@ -507,10 +511,7 @@ class ShardedDatabase:
     # deterministic crash hooks (the crash-schedule explorer's surface)
     # ------------------------------------------------------------------
     def _base_disk(self, pid: Pid) -> "SimulatedDisk":
-        disk = self._participant(pid).db.disk
-        while hasattr(disk, "inner"):
-            disk = disk.inner
-        return disk
+        return disk_layers(self._participant(pid).db.disk)[-1]
 
     def wal_append_count(self, pid: Pid) -> int:
         return self._participant_wal(pid).append_count
@@ -529,20 +530,18 @@ class ShardedDatabase:
     # ------------------------------------------------------------------
     def arm_faults(self) -> None:
         """Arm every copy built with a data-disk or log-device plan."""
-        for shard in self.shards:
-            for copy in shard.copies:
-                data_faulted = isinstance(copy.db.disk, FaultyDisk)
-                log_faulted = copy.db.wal is not None and isinstance(
-                    copy.db.wal.device, FaultyDisk
-                )
-                if data_faulted or log_faulted:
-                    copy.db.arm_faults()
+        for copy in self._copies():
+            data_faulted = isinstance(copy.db.disk, FaultyDisk)
+            log_faulted = copy.db.wal is not None and isinstance(
+                copy.db.wal.device, FaultyDisk
+            )
+            if data_faulted or log_faulted:
+                copy.db.arm_faults()
 
     def disarm_faults(self) -> None:
         """Stop all injection; delegation becomes pure again."""
-        for shard in self.shards:
-            for copy in shard.copies:
-                copy.db.disarm_faults()
+        for copy in self._copies():
+            copy.db.disarm_faults()
 
     def kill_copy(
         self, shard: int, copy: int, *, after_rows: int | None = None
@@ -552,17 +551,15 @@ class ShardedDatabase:
 
     def health(self) -> tuple[tuple[str, ...], ...]:
         """Per-shard copy states: ``ok``, ``quarantined`` or ``dead``."""
-        states: list[tuple[str, ...]] = []
-        for shard in self.shards:
-            states.append(
-                tuple(
-                    "dead"
-                    if not copy.alive
-                    else ("ok" if copy.healthy else "quarantined")
-                    for copy in shard.copies
-                )
+        return tuple(
+            tuple(
+                "dead"
+                if not copy.alive
+                else ("ok" if copy.healthy else "quarantined")
+                for copy in shard.copies
             )
-        return tuple(states)
+            for shard in self.shards
+        )
 
     def clock_total(self) -> float:
         """Summed simulated seconds across every copy's devices.
@@ -572,11 +569,10 @@ class ShardedDatabase:
         internals (R014).
         """
         total = 0.0
-        for shard in self.shards:
-            for copy in shard.copies:
-                total += copy.db.disk.clock
-                if copy.db.wal is not None:
-                    total += copy.db.wal.device.clock
+        for copy in self._copies():
+            total += copy.db.disk.clock
+            if copy.db.wal is not None:
+                total += copy.db.wal.device.clock
         return total
 
     def fault_totals(self) -> dict[str, int]:
@@ -594,19 +590,16 @@ class ShardedDatabase:
             "lifted": 0,
             "log_injected": 0,
         }
-        for shard in self.shards:
-            for copy in shard.copies:
-                faults = copy.db.disk.stats.faults
-                totals["injected"] += faults.total_injected
-                totals["retries"] += faults.retries
-                totals["quarantined"] += faults.quarantined_pages
-                totals["repaired"] += faults.repaired_pages
-                totals["lifted"] += faults.quarantine_lifted
-                wal = copy.db.wal
-                if wal is not None and isinstance(wal.device, FaultyDisk):
-                    totals["log_injected"] += (
-                        wal.device.stats.faults.total_injected
-                    )
+        for copy in self._copies():
+            faults = copy.db.disk.stats.faults
+            totals["injected"] += faults.total_injected
+            totals["retries"] += faults.retries
+            totals["quarantined"] += faults.quarantined_pages
+            totals["repaired"] += faults.repaired_pages
+            totals["lifted"] += faults.quarantine_lifted
+            wal = copy.db.wal
+            if wal is not None and isinstance(wal.device, FaultyDisk):
+                totals["log_injected"] += wal.device.stats.faults.total_injected
         return totals
 
     @property
@@ -615,9 +608,8 @@ class ShardedDatabase:
 
     def reset_measurement(self) -> None:
         """Drop every copy's caches between experiments."""
-        for shard in self.shards:
-            for copy in shard.copies:
-                copy.db.reset_measurement()
+        for copy in self._copies():
+            copy.db.reset_measurement()
 
     # ------------------------------------------------------------------
     # the scattered, merged, failure-laddered sorted scan
@@ -655,8 +647,9 @@ class ShardedDatabase:
                 if shard_box.is_empty:
                     streams.append([])
                     continue
-                streams.append(
-                    self._scan_shard(
+                failed_before = len(failed_ranges)
+                stream = list(
+                    self._stream_shard(
                         shard,
                         shard_box,
                         sort_attr,
@@ -668,6 +661,11 @@ class ShardedDatabase:
                         failed_ranges,
                     )
                 )
+                if len(failed_ranges) > failed_before:
+                    # abandoned mid-scan: the flagged range covers the
+                    # whole shard, so the prefix it served is dropped too
+                    stream = []
+                streams.append(stream)
         except ShardFailedError:
             _emit_degradations(tuple(events))
             raise
@@ -714,8 +712,8 @@ class ShardedDatabase:
         for point, _ in rows:
             checker.observe(point)
 
-    # -- one shard, down the ladder ------------------------------------
-    def _scan_shard(
+    # -- one shard, streamed down the ladder ----------------------------
+    def _stream_shard(
         self,
         shard: Shard,
         shard_box: QueryBox,
@@ -726,7 +724,24 @@ class ShardedDatabase:
         max_degradations: int,
         events: list[ShardDegradationEvent],
         failed_ranges: list[tuple[int, int]],
-    ) -> KeyedStream:
+        predicate: Callable[[Row], bool] | None = None,
+    ) -> Iterator[tuple[int, SortedTuple]]:
+        """Stream one shard's tuples, climbing the ladder between pulls.
+
+        The one ladder driver, drained whole by :meth:`sorted_scan` and
+        pulled row by row by pipelined consumers (co-partitioned join
+        legs): rows are yielded as the sweep produces them, and the
+        repair/retry/failover ladder runs *inside* the generator, so the
+        consumer never sees a :class:`StorageError` — resume after
+        failover continues from the exact residual range, with no
+        re-emission.  On an abandoned shard (``allow_partial=True``) the
+        stream simply ends early with the shard's key range recorded in
+        ``failed_ranges``; rows already yielded were consumed, so the
+        caller must treat the *whole* range as missing and flag its
+        result partial.  Without ``allow_partial`` the terminal rung
+        raises :class:`~repro.shard.errors.ShardFailedError` through the
+        generator.
+        """
         emitted: KeyedStream = []
         retry_budgets: dict[int, Iterator[float]] = {}
         rungs = 0
@@ -749,103 +764,34 @@ class ShardedDatabase:
                     fallback_copy=copy.copy_index,
                 )
             )
-        while True:
-            if copy is None:
-                return self._lose_shard(
-                    shard,
-                    shard_box,
-                    "no available copy",
-                    "StorageError",
-                    allow_partial,
-                    events,
-                    failed_ranges,
-                )
-            try:
-                self._drain_copy(
-                    copy, shard_box, sort_attr, descending, strategy, emitted
-                )
-                return emitted
-            except StorageError as exc:
-                rungs += 1
-                if rungs > max_degradations:
-                    copy.healthy = False
-                    return self._lose_shard(
-                        shard,
-                        shard_box,
-                        f"degradation budget exhausted ({max_degradations})",
-                        type(exc).__name__,
-                        allow_partial,
-                        events,
-                        failed_ranges,
-                    )
-                copy = self._climb_ladder(
-                    shard, copy, exc, retry_budgets, events
-                )
 
-    # -- one shard, streamed down the same ladder ----------------------
-    def _stream_shard(
-        self,
-        shard: Shard,
-        shard_box: QueryBox,
-        sort_attr: str | Sequence[str],
-        descending: bool,
-        strategy: str,
-        allow_partial: bool,
-        max_degradations: int,
-        events: list[ShardDegradationEvent],
-        failed_ranges: list[tuple[int, int]],
-        predicate: Callable[[Row], bool] | None = None,
-    ) -> Iterator[tuple[int, SortedTuple]]:
-        """Stream one shard's tuples, climbing the ladder between pulls.
-
-        The generator sibling of :meth:`_scan_shard`, feeding pipelined
-        consumers (co-partitioned join legs): rows are yielded as the
-        sweep produces them, and the repair/retry/failover ladder runs
-        *inside* the generator, so the consumer never sees a
-        :class:`StorageError` — resume after failover continues from the
-        exact residual range, with no re-emission.  On an abandoned
-        shard (``allow_partial=True``) the stream simply ends early with
-        the shard's key range recorded in ``failed_ranges``; rows
-        already yielded were consumed, so the caller must treat the
-        *whole* range as missing and flag its result partial.  Without
-        ``allow_partial`` the terminal rung raises
-        :class:`~repro.shard.errors.ShardFailedError` through the
-        generator.
-        """
-        emitted: KeyedStream = []
-        retry_budgets: dict[int, Iterator[float]] = {}
-        rungs = 0
-        copy = self._next_copy(shard)
-        if copy is not None and copy is not shard.copies[0]:
-            primary = shard.copies[0]
+        def lose_shard(message: str, error_type: str) -> None:
+            """Terminal rung: flag the shard's whole range, or raise."""
             events.append(
                 ShardDegradationEvent(
                     shard=shard.index,
-                    copy=primary.copy_index,
-                    action="failover",
-                    error_type=(
-                        "ShardCopyKilledError"
-                        if not primary.alive
-                        else "StorageError"
-                    ),
-                    error="primary copy unavailable at scan start",
-                    fallback_copy=copy.copy_index,
+                    copy=-1,
+                    action="abandoned" if allow_partial else "failed",
+                    error_type=error_type,
+                    error=message,
                 )
             )
+            if not allow_partial:
+                raise ShardFailedError(
+                    f"shard {shard.index} lost every copy: {message}",
+                    shard.index,
+                    tuple(events),
+                )
+            failed_ranges.append(
+                (shard_box.lo[self.shard_dim], shard_box.hi[self.shard_dim])
+            )
+
         while True:
             if copy is None:
-                self._lose_shard(
-                    shard,
-                    shard_box,
-                    "no available copy",
-                    "StorageError",
-                    allow_partial,
-                    events,
-                    failed_ranges,
-                )
+                lose_shard("no available copy", "StorageError")
                 return
             try:
-                yield from self._drain_copy_iter(
+                yield from self._stream_copy(
                     copy,
                     shard_box,
                     sort_attr,
@@ -859,14 +805,9 @@ class ShardedDatabase:
                 rungs += 1
                 if rungs > max_degradations:
                     copy.healthy = False
-                    self._lose_shard(
-                        shard,
-                        shard_box,
+                    lose_shard(
                         f"degradation budget exhausted ({max_degradations})",
                         type(exc).__name__,
-                        allow_partial,
-                        events,
-                        failed_ranges,
                     )
                     return
                 copy = self._climb_ladder(
@@ -883,6 +824,19 @@ class ShardedDatabase:
     ) -> ShardCopy | None:
         """One rung: repair, retry, or failover.  Returns the next copy
         to drain (``None`` when the shard is lost)."""
+
+        def log_rung(action: str, **detail: Any) -> None:
+            events.append(
+                ShardDegradationEvent(
+                    shard=shard.index,
+                    copy=copy.copy_index,
+                    action=action,
+                    error_type=type(exc).__name__,
+                    error=str(exc),
+                    **detail,
+                )
+            )
+
         quarantined = (
             copy.db.buffer.quarantined_pages if copy.available else frozenset()
         )
@@ -891,16 +845,7 @@ class ShardedDatabase:
             if peer is not None:
                 healed = self._repair_from_peer(copy, peer, quarantined)
                 if healed:
-                    events.append(
-                        ShardDegradationEvent(
-                            shard=shard.index,
-                            copy=copy.copy_index,
-                            action="repaired",
-                            error_type=type(exc).__name__,
-                            error=str(exc),
-                            repaired_pages=tuple(healed),
-                        )
-                    )
+                    log_rung("repaired", repaired_pages=tuple(healed))
                     return copy
         if copy.available and isinstance(exc, (TransientIOError, CorruptPageError)):
             budget = retry_budgets.setdefault(
@@ -909,68 +854,13 @@ class ShardedDatabase:
             delay = next(budget, None)
             if delay is not None:
                 copy.db.disk.advance_clock(delay)
-                events.append(
-                    ShardDegradationEvent(
-                        shard=shard.index,
-                        copy=copy.copy_index,
-                        action="retry",
-                        error_type=type(exc).__name__,
-                        error=str(exc),
-                    )
-                )
+                log_rung("retry")
                 return copy
         copy.healthy = False
         fallback = self._next_copy(shard)
         if fallback is not None:
-            events.append(
-                ShardDegradationEvent(
-                    shard=shard.index,
-                    copy=copy.copy_index,
-                    action="failover",
-                    error_type=type(exc).__name__,
-                    error=str(exc),
-                    fallback_copy=fallback.copy_index,
-                )
-            )
+            log_rung("failover", fallback_copy=fallback.copy_index)
         return fallback
-
-    def _lose_shard(
-        self,
-        shard: Shard,
-        shard_box: QueryBox,
-        message: str,
-        error_type: str,
-        allow_partial: bool,
-        events: list[ShardDegradationEvent],
-        failed_ranges: list[tuple[int, int]],
-    ) -> KeyedStream:
-        lost = (shard_box.lo[self.shard_dim], shard_box.hi[self.shard_dim])
-        if allow_partial:
-            events.append(
-                ShardDegradationEvent(
-                    shard=shard.index,
-                    copy=-1,
-                    action="abandoned",
-                    error_type=error_type,
-                    error=message,
-                )
-            )
-            failed_ranges.append(lost)
-            return []
-        events.append(
-            ShardDegradationEvent(
-                shard=shard.index,
-                copy=-1,
-                action="failed",
-                error_type=error_type,
-                error=message,
-            )
-        )
-        raise ShardFailedError(
-            f"shard {shard.index} lost every copy: {message}",
-            shard.index,
-            tuple(events),
-        )
 
     def _next_copy(self, shard: Shard) -> ShardCopy | None:
         available = shard.available_copies()
@@ -983,21 +873,7 @@ class ShardedDatabase:
         return None
 
     # -- drain one copy from the residual range ------------------------
-    def _drain_copy(
-        self,
-        copy: ShardCopy,
-        shard_box: QueryBox,
-        sort_attr: str | Sequence[str],
-        descending: bool,
-        strategy: str,
-        emitted: KeyedStream,
-    ) -> None:
-        for _ in self._drain_copy_iter(
-            copy, shard_box, sort_attr, descending, strategy, emitted
-        ):
-            pass
-
-    def _drain_copy_iter(
+    def _stream_copy(
         self,
         copy: ShardCopy,
         shard_box: QueryBox,
@@ -1130,7 +1006,7 @@ class _LegClock:
 
 
 @dataclass(frozen=True)
-class ShardedJoinResult:
+class ShardedJoinResult(_ShardedResult):
     """A co-partitioned join's concatenated output plus its ledgers.
 
     ``rows`` are combined output rows in serial join order (see
@@ -1140,26 +1016,11 @@ class ShardedJoinResult:
     only), so output is never silently truncated mid-shard.
     ``join_events`` holds one :class:`~repro.telemetry.JoinEvent` per
     *surviving* leg; failed legs are covered by ``degradations``.
-    ``simulated_elapsed`` models the legs running in parallel: the max
-    over per-leg summed service time.
+    ``per_shard_elapsed`` is per-leg summed service time.
     """
 
     rows: list[Row]
-    degradations: tuple[ShardDegradationEvent, ...]
-    failed_ranges: tuple[tuple[int, int], ...]
-    per_shard_rows: tuple[int, ...]
-    per_shard_elapsed: tuple[float, ...]
-    simulated_elapsed: float
     join_events: tuple[JoinEvent, ...]
-
-    @property
-    def partial(self) -> bool:
-        """True when at least one shard pair's output is missing."""
-        return bool(self.failed_ranges)
-
-    @property
-    def degraded(self) -> bool:
-        return bool(self.degradations)
 
 
 class CoPartitionedJoin:
@@ -1245,6 +1106,28 @@ class CoPartitionedJoin:
         rows: list[Row] = []
         per_shard_rows: list[int] = []
         per_shard_elapsed: list[float] = []
+
+        def side_rows(
+            side: ShardedDatabase,
+            shard: Shard,
+            slab_box: QueryBox,
+            predicate: Callable[[Row], bool] | None,
+        ) -> Iterator[Row]:
+            """One side of a leg: the shard's rows in join-key order."""
+            for _, (_, row) in side._stream_shard(
+                shard,
+                slab_box,
+                side.shard_attr,
+                False,
+                strategy,
+                allow_partial,
+                max_degradations,
+                events,
+                failed_ranges,
+                predicate,
+            ):
+                yield row
+
         try:
             for index, slab in enumerate(self.slabs):
                 left_shard = self.left.shards[index]
@@ -1264,35 +1147,11 @@ class CoPartitionedJoin:
                 leg_clock = _LegClock(copies)
                 clock_before = leg_clock.clock
                 failed_before = len(failed_ranges)
-                left_rows = (
-                    pair[1][1]
-                    for pair in self.left._stream_shard(
-                        left_shard,
-                        slab_left,
-                        self.left.shard_attr,
-                        False,
-                        strategy,
-                        allow_partial,
-                        max_degradations,
-                        events,
-                        failed_ranges,
-                        left_predicate,
-                    )
+                left_rows = side_rows(
+                    self.left, left_shard, slab_left, left_predicate
                 )
-                right_rows = (
-                    pair[1][1]
-                    for pair in self.right._stream_shard(
-                        right_shard,
-                        slab_right,
-                        self.right.shard_attr,
-                        False,
-                        strategy,
-                        allow_partial,
-                        max_degradations,
-                        events,
-                        failed_ranges,
-                        right_predicate,
-                    )
+                right_rows = side_rows(
+                    self.right, right_shard, slab_right, right_predicate
                 )
                 leg: MergeJoin | MergeSemiJoin
                 if self.kind == "inner":

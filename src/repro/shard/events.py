@@ -23,10 +23,6 @@ __all__ = [
     "unregister_shard_observer",
 ]
 
-#: Downgrade actions, from mildest to terminal.
-_ACTIONS = ("retry", "repaired", "failover", "abandoned", "failed")
-
-
 @dataclass(frozen=True)
 class ShardDegradationEvent(TelemetryEvent):
     """One rung of the shard failure ladder.

@@ -36,14 +36,14 @@ from typing import TYPE_CHECKING, Any, Callable, Protocol
 from .. import invariants
 from ..invariants.sanitizer import guarded_by, note_access, tracked_lock
 from .disk import SimulatedDisk
-from .errors import (
-    CorruptPageError,
-    QuarantinedPageError,
-    TransientIOError,
-    ensure_page_integrity,
-)
+from .errors import CorruptPageError, QuarantinedPageError, TransientIOError
 from .page import Page
-from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
+from .retry import (
+    DEFAULT_RETRY_POLICY,
+    RetryPolicy,
+    charge_backoff,
+    verify_or_repair,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from .scheduler import IOScheduler
@@ -270,12 +270,10 @@ class BufferPool:
         page = scheduler.claim(page_id)
         self._frames.move_to_end(page_id)
         try:
-            ensure_page_integrity(page, context=f"prefetched read of page {page_id}")
+            verify_or_repair(
+                self.disk, page, context=f"prefetched read of page {page_id}"
+            )
         except CorruptPageError:
-            if self.disk.repair_page(page_id):
-                self.hits += 1
-                self._validate()
-                return page
             self._quarantine(page_id, immediately=True)
             self.rejected += 1
             self._validate()
@@ -312,27 +310,17 @@ class BufferPool:
         """Resident page ids from least- to most-recently used."""
         return list(self._frames)
 
-    def _read_source(
-        self, page_id: int, *, sequential: bool, category: str, charge: bool
-    ) -> Page:
-        """One demand read — through the scheduler's queues when armed."""
-        if self.scheduler is not None:
-            return self.scheduler.read(
-                page_id, sequential=sequential, category=category, charge=charge
-            )
-        return self.disk.read(
-            page_id, sequential=sequential, category=category, charge=charge
-        )
-
     def _fetch(
         self, page_id: int, *, sequential: bool, category: str, charge: bool
     ) -> Page:
         """One miss: read with retries, verify integrity, track failures."""
+        # a demand read goes through the scheduler's queues when armed
+        source = self.scheduler if self.scheduler is not None else self.disk
         delays = self.retry_policy.delays()
         while True:
             self.disk_fetches += 1
             try:
-                page = self._read_source(
+                page = source.read(
                     page_id, sequential=sequential, category=category, charge=charge
                 )
             except TransientIOError:
@@ -342,18 +330,13 @@ class BufferPool:
                     self._validate()
                     raise
                 self.retry_attempts += 1
-                faults = self.disk.stats.faults
-                faults.retries += 1
-                faults.retry_delay += delay
-                self.disk.advance_clock(delay)
+                charge_backoff(self.disk, delay)
                 continue
             try:
-                ensure_page_integrity(page, context=f"buffered read of page {page_id}")
+                verify_or_repair(
+                    self.disk, page, context=f"buffered read of page {page_id}"
+                )
             except CorruptPageError:
-                if self.disk.repair_page(page_id):
-                    # the primary was healed in place and re-sealed; the
-                    # fetched object is the healed page
-                    return page
                 # the bits will not heal: no retry, straight to quarantine
                 self._quarantine(page_id, immediately=True)
                 self._validate()

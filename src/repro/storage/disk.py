@@ -246,3 +246,87 @@ class SimulatedDisk:
             return self._pages[page_id]
         except KeyError:
             raise MissingPageError(f"no page at address {page_id}") from None
+
+
+class _DelegatingDisk(SimulatedDisk):
+    """One wrapper layer of a disk stack (fault injection, replication).
+
+    It *is* a ``SimulatedDisk`` to every consumer's type signature, but
+    all allocation, clock, statistics and I/O state live in ``inner``.
+    ``params`` and ``stats`` are the inner disk's own objects, so the
+    cost model and accounting are shared, not mirrored, and the
+    inherited clock/snapshot methods stay correct.  Everything below is
+    a pass-through; a subclass overrides only what its layer changes.
+    """
+
+    def __init__(
+        self, inner: SimulatedDisk | None, params: DiskParameters | None
+    ) -> None:
+        # deliberately no super().__init__(): see the class docstring
+        self.inner = inner if inner is not None else SimulatedDisk(params)
+        self.params = self.inner.params
+        self.stats = self.inner.stats
+
+    @property
+    def wal(self) -> "WriteAheadLog | None":  # type: ignore[override]
+        """WAL registration proxies to the base disk (shared stack)."""
+        return self.inner.wal
+
+    @wal.setter
+    def wal(self, value: "WriteAheadLog | None") -> None:
+        self.inner.wal = value
+
+    @property
+    def allocated_pages(self) -> int:
+        return self.inner.allocated_pages
+
+    def allocate(self, capacity: int) -> Page:
+        return self.inner.allocate(capacity)
+
+    def allocate_extent(self, count: int, capacity: int) -> list[Page]:
+        return self.inner.allocate_extent(count, capacity)
+
+    def free(self, page_id: int) -> None:
+        self.inner.free(page_id)
+
+    def page_exists(self, page_id: int) -> bool:
+        return self.inner.page_exists(page_id)
+
+    def peek(self, page_id: int) -> Page:
+        return self.inner.peek(page_id)
+
+    def iter_pages(self) -> Iterator[Page]:
+        return self.inner.iter_pages()
+
+    def repair_page(self, page_id: int) -> bool:
+        return self.inner.repair_page(page_id)
+
+    def read(
+        self,
+        page_id: int,
+        *,
+        sequential: bool = False,
+        category: str = "data",
+        charge: bool = True,
+    ) -> Page:
+        return self.inner.read(
+            page_id, sequential=sequential, category=category, charge=charge
+        )
+
+    def write(
+        self,
+        page: Page,
+        *,
+        sequential: bool = False,
+        category: str = "data",
+    ) -> None:
+        self.inner.write(page, sequential=sequential, category=category)
+
+
+def disk_layers(disk: SimulatedDisk) -> list[SimulatedDisk]:
+    """Every layer of a disk stack: outermost wrapper first, base device last."""
+    layers = [disk]
+    while isinstance(disk, _DelegatingDisk):
+        disk = disk.inner
+        layers.append(disk)
+    return layers

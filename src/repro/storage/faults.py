@@ -47,7 +47,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
-from .disk import DiskParameters, SimulatedDisk
+from .disk import DiskParameters, SimulatedDisk, _DelegatingDisk
 from .errors import TransientIOError
 from .page import Page
 
@@ -180,19 +180,16 @@ def armed_disk_count() -> int:
     return len(_ARMED)
 
 
-class FaultyDisk(SimulatedDisk):
+class FaultyDisk(_DelegatingDisk):
     """A :class:`SimulatedDisk` wrapper that injects plan-scheduled faults.
 
-    Interface-compatible with the wrapped disk — it *is* a
-    ``SimulatedDisk`` to every consumer's type signature, but all
-    allocation, clock, statistics and I/O state live in ``inner``
-    (``params`` and ``stats`` are the inner disk's own objects, so the
-    cost model and accounting are shared, not mirrored).  Faults fire
-    only while the wrapper is :meth:`armed <arm>` *and* the plan is
-    non-empty; otherwise ``read``/``write`` delegate directly, so an
-    idle wrapper is observationally identical to the bare disk (the
-    fault-free parity tests assert bit-identical streams, stats and
-    page-access order).
+    Interface-compatible with the wrapped disk (all state lives in
+    ``inner``; unaccounted ``peek`` and ``repair_page`` pass straight
+    through and are never faulted).  Faults fire only while the wrapper
+    is :meth:`armed <arm>` *and* the plan is non-empty; otherwise
+    ``read``/``write`` delegate directly, so an idle wrapper is
+    observationally identical to the bare disk (the fault-free parity
+    tests assert bit-identical streams, stats and page-access order).
 
     Access counts tick only while armed, so a run's fault schedule is a
     pure function of the work done *after* :meth:`arm` — loading the
@@ -206,12 +203,7 @@ class FaultyDisk(SimulatedDisk):
         *,
         params: DiskParameters | None = None,
     ) -> None:
-        # deliberately no super().__init__(): all disk state lives in
-        # ``inner``; sharing its params/stats objects keeps inherited
-        # clock/snapshot methods correct without mirroring anything
-        self.inner = inner if inner is not None else SimulatedDisk(params)
-        self.params = self.inner.params
-        self.stats = self.inner.stats
+        super().__init__(inner, params)
         self.plan = plan if plan is not None else FaultPlan()
         self.armed = False
         self._read_counts: dict[int, int] = {}
@@ -240,46 +232,6 @@ class FaultyDisk(SimulatedDisk):
             yield self
         finally:
             self.disarm()
-
-    # ------------------------------------------------------------------
-    # delegation (state lives in ``inner``; clock/snapshot are inherited
-    # and correct because params/stats are the inner disk's objects)
-    # ------------------------------------------------------------------
-    @property
-    def wal(self):  # type: ignore[override]
-        """WAL registration proxies to the wrapped disk (shared stack)."""
-        return self.inner.wal
-
-    @wal.setter
-    def wal(self, value) -> None:
-        self.inner.wal = value
-
-    @property
-    def allocated_pages(self) -> int:
-        return self.inner.allocated_pages
-
-    def allocate(self, capacity: int) -> Page:
-        return self.inner.allocate(capacity)
-
-    def allocate_extent(self, count: int, capacity: int) -> list[Page]:
-        return self.inner.allocate_extent(count, capacity)
-
-    def free(self, page_id: int) -> None:
-        self.inner.free(page_id)
-
-    def page_exists(self, page_id: int) -> bool:
-        return self.inner.page_exists(page_id)
-
-    def peek(self, page_id: int) -> Page:
-        """Unaccounted access — never faulted (test/setup use only)."""
-        return self.inner.peek(page_id)
-
-    def iter_pages(self) -> Iterator[Page]:
-        return self.inner.iter_pages()
-
-    def repair_page(self, page_id: int) -> bool:
-        """Repair delegates past the fault layer (repairs are not faulted)."""
-        return self.inner.repair_page(page_id)
 
     # ------------------------------------------------------------------
     # faulted I/O

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from .disk import SimulatedDisk
-from .errors import CorruptPageError, ensure_page_integrity
 from .page import Page
 from .retry import DEFAULT_RETRY_POLICY, RetryPolicy, read_page_resilient
 from .wal import active_wal
@@ -139,15 +138,6 @@ class HeapFile:
         for page in self.scan_pages(category=category):
             yield from page.records
 
-    def upcoming_page_ids(self, position: int, count: int) -> list[int]:
-        """The next ``count`` page ids a scan cursor at ``position`` reads.
-
-        Index-free projection straight off the page directory — a heap
-        scan's access pattern is perfectly predictable, which is what a
-        sweep-ahead prefetcher feeds on.
-        """
-        return [page.page_id for page in self._pages[position : position + count]]
-
     def scan_pages(self, *, category: str = "data") -> Iterator[Page]:
         """Yield pages in physical order, priced as a sequential scan.
 
@@ -158,63 +148,32 @@ class HeapFile:
         :class:`~repro.storage.scheduler.IOScheduler` attached (and
         prefetching enabled), the scan keeps a window of async reads in
         flight ahead of its cursor so transfers overlap across the
-        striped device queues.
+        striped device queues.  The cursor's own read claims the page's
+        in-flight transfer, so a corrupt prefetched page degrades
+        exactly like a corrupt demand-fetched one, and a transient fault
+        on the async attempt leaves the page to the normal retry loop.
         """
         scheduler = self.scheduler
-        if scheduler is not None and scheduler.prefetch_depth > 0:
-            yield from self._scan_pages_prefetched(scheduler, category)
-            return
         source = scheduler if scheduler is not None else self.disk
-        for page in self._pages:
-            fetched, _ = read_page_resilient(
-                source,
-                page.page_id,
-                policy=self.retry_policy,
-                sequential=True,
-                category=category,
-            )
-            yield fetched
-
-    def _scan_pages_prefetched(
-        self, scheduler: "IOScheduler", category: str
-    ) -> Iterator[Page]:
-        """The sweep-ahead variant of :meth:`scan_pages`.
-
-        A corrupt prefetched page degrades exactly like a corrupt
-        demand-fetched one: integrity is verified at claim time and the
-        replica stack gets one chance to repair the primary in place
-        before the error propagates.  A transient fault on the async
-        attempt leaves the page to the demand path's normal retry loop.
-        """
         outstanding: set[int] = set()
         next_submit = 1
         try:
             for position, page in enumerate(self._pages):
-                page_id = page.page_id
-                if page_id in outstanding:
-                    outstanding.discard(page_id)
-                    fetched = scheduler.claim(page_id)
-                    try:
-                        ensure_page_integrity(
-                            fetched, context=f"prefetched read of page {page_id}"
-                        )
-                    except CorruptPageError:
-                        if not self.disk.repair_page(page_id):
-                            raise
-                else:
-                    fetched, _ = read_page_resilient(
-                        scheduler,
-                        page_id,
-                        policy=self.retry_policy,
-                        sequential=True,
-                        category=category,
-                    )
+                outstanding.discard(page.page_id)
+                fetched, _ = read_page_resilient(
+                    source,
+                    page.page_id,
+                    policy=self.retry_policy,
+                    sequential=True,
+                    category=category,
+                )
                 # top up *after* the cursor's own read so submission
                 # order stays strictly sequential (page 0 first) and the
                 # disk's prefetch-window amortization is undisturbed
                 next_submit = max(next_submit, position + 1)
                 while (
-                    len(outstanding) < scheduler.prefetch_depth
+                    scheduler is not None
+                    and len(outstanding) < scheduler.prefetch_depth
                     and next_submit < len(self._pages)
                 ):
                     ahead = self._pages[next_submit].page_id
@@ -226,8 +185,9 @@ class HeapFile:
                         outstanding.add(ahead)
                 yield fetched
         finally:
-            for page_id in outstanding:
-                scheduler.cancel(page_id)
+            if scheduler is not None:
+                for page_id in outstanding:
+                    scheduler.cancel(page_id)
 
     def drop(self) -> None:
         """Free all pages (used for temporary sort runs after merging)."""

@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterator
 
 from .. import invariants
-from .disk import DiskParameters, SimulatedDisk
+from .disk import DiskParameters, SimulatedDisk, _DelegatingDisk
 from .page import Page
 
 __all__ = [
@@ -62,15 +61,15 @@ class ReplicaCopy:
         )
 
 
-class ReplicatedDisk(SimulatedDisk):
+class ReplicatedDisk(_DelegatingDisk):
     """A :class:`SimulatedDisk` wrapper mirroring writes onto k replicas.
 
-    Interface-compatible with the wrapped disk: ``params`` and ``stats``
-    are the inner disk's own objects, so clock and accounting are shared.
-    Every acknowledged write of a record-bearing page snapshots its
-    content into ``copies`` replica slots and charges ``copies * t_tau``
-    of mirror transfer time (replica writes ride the same positioning as
-    the primary, as on a RAID-1 pair).
+    Interface-compatible with the wrapped disk (all state lives in
+    ``inner``; reads pass straight through).  Every acknowledged write
+    of a record-bearing page snapshots its content into ``copies``
+    replica slots and charges ``copies * t_tau`` of mirror transfer time
+    (replica writes ride the same positioning as the primary, as on a
+    RAID-1 pair).
     """
 
     def __init__(
@@ -82,63 +81,13 @@ class ReplicatedDisk(SimulatedDisk):
     ) -> None:
         if copies < 1:
             raise ValueError("a ReplicatedDisk needs at least one replica copy")
-        # deliberately no super().__init__(): all disk state lives in
-        # ``inner``; sharing its params/stats keeps the inherited
-        # clock/snapshot methods correct without mirroring anything
-        self.inner = inner if inner is not None else SimulatedDisk(params)
-        self.params = self.inner.params
-        self.stats = self.inner.stats
+        super().__init__(inner, params)
         self.copies = copies
         self._replicas: dict[int, list[ReplicaCopy]] = {}
-
-    # ------------------------------------------------------------------
-    # WAL registration proxies through to the base disk
-    # ------------------------------------------------------------------
-    @property
-    def wal(self):  # type: ignore[override]
-        return self.inner.wal
-
-    @wal.setter
-    def wal(self, value) -> None:
-        self.inner.wal = value
-
-    # ------------------------------------------------------------------
-    # delegation
-    # ------------------------------------------------------------------
-    @property
-    def allocated_pages(self) -> int:
-        return self.inner.allocated_pages
-
-    def allocate(self, capacity: int) -> Page:
-        return self.inner.allocate(capacity)
-
-    def allocate_extent(self, count: int, capacity: int) -> list[Page]:
-        return self.inner.allocate_extent(count, capacity)
 
     def free(self, page_id: int) -> None:
         self._replicas.pop(page_id, None)
         self.inner.free(page_id)
-
-    def page_exists(self, page_id: int) -> bool:
-        return self.inner.page_exists(page_id)
-
-    def peek(self, page_id: int) -> Page:
-        return self.inner.peek(page_id)
-
-    def iter_pages(self) -> Iterator[Page]:
-        return self.inner.iter_pages()
-
-    def read(
-        self,
-        page_id: int,
-        *,
-        sequential: bool = False,
-        category: str = "data",
-        charge: bool = True,
-    ) -> Page:
-        return self.inner.read(
-            page_id, sequential=sequential, category=category, charge=charge
-        )
 
     # ------------------------------------------------------------------
     # the replicated write path

@@ -8,10 +8,12 @@ chaos run replays with bit-identical "response times".
 
 Reprolint rule R006 requires every retry loop in the engine to route
 through a :class:`RetryPolicy` (its ``delays()`` schedule) instead of
-hand-rolling attempt counting; :func:`read_page_resilient` is the shared
-loop used by the heap scan and the external sort, and
-:meth:`repro.storage.buffer.BufferPool.get` inlines the same shape to
-couple it with per-page quarantine accounting.
+hand-rolling attempt counting.  Each rung of the page-read ladder lives
+here exactly once: :func:`charge_backoff` prices one delay,
+:func:`verify_or_repair` decides whether a fetched page counts, and
+:func:`read_page_resilient` is the loop over both used by the heap scan,
+the external sort and log recovery.  The buffer pool keeps its own loop
+(per-attempt quarantine accounting) *around* the same two helpers.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ __all__ = [
     "DEFAULT_RETRY_POLICY",
     "NO_RETRY",
     "RetryPolicy",
+    "charge_backoff",
     "read_page_resilient",
+    "verify_or_repair",
 ]
 
 
@@ -71,6 +75,34 @@ DEFAULT_RETRY_POLICY = RetryPolicy()
 NO_RETRY = RetryPolicy(max_retries=0)
 
 
+def charge_backoff(disk: "SimulatedDisk | IOScheduler", delay: float) -> None:
+    """Wait out one backoff ``delay`` on the simulated clock."""
+    faults = disk.stats.faults
+    faults.retries += 1
+    faults.retry_delay += delay
+    disk.advance_clock(delay)
+
+
+def verify_or_repair(
+    disk: "SimulatedDisk | IOScheduler", page: "Page", *, context: str
+) -> None:
+    """Accept a fetched ``page``, or heal it, or raise.
+
+    A page that carries a checksum is verified; on a mismatch the disk
+    stack gets its one chance to repair the primary in place from a
+    replica (corruption is never retried — the bits will not heal).  The
+    fetched object *is* the healed page afterwards: pages are shared
+    in-memory objects on the simulated disk.  Without a successful
+    repair the :class:`~repro.storage.errors.CorruptPageError`
+    propagates.
+    """
+    try:
+        ensure_page_integrity(page, context=context)
+    except CorruptPageError:
+        if not disk.repair_page(page.page_id):
+            raise
+
+
 def read_page_resilient(
     disk: "SimulatedDisk | IOScheduler",
     page_id: int,
@@ -88,12 +120,8 @@ def read_page_resilient(
     (claiming an in-flight prefetch of the page if one exists).
 
     Returns ``(page, retries_used)``.  Backoff delays are charged to the
-    simulated clock and recorded in ``disk.stats.faults``; a page that
-    carries a checksum is verified before it is returned
-    (:class:`~repro.storage.errors.CorruptPageError` on mismatch —
-    corruption is never retried, the bits will not heal, but a disk
-    stack with replicas gets one chance to repair the primary in place
-    before the error propagates).
+    simulated clock and recorded in ``disk.stats.faults``; the page is
+    returned only once :func:`verify_or_repair` accepts it.
     """
     delays = policy.delays()
     retries = 0
@@ -106,18 +134,8 @@ def read_page_resilient(
             delay = next(delays, None)
             if delay is None:
                 raise
-            faults = disk.stats.faults
-            faults.retries += 1
-            faults.retry_delay += delay
-            disk.advance_clock(delay)
+            charge_backoff(disk, delay)
             retries += 1
             continue
-        try:
-            ensure_page_integrity(page, context=f"read of page {page_id}")
-        except CorruptPageError:
-            if not disk.repair_page(page_id):
-                raise
-            # the primary was healed from a replica and re-sealed; the
-            # already-fetched page object is the healed one (pages are
-            # shared in-memory objects on the simulated disk)
+        verify_or_repair(disk, page, context=f"read of page {page_id}")
         return page, retries

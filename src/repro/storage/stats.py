@@ -23,21 +23,14 @@ class CategoryStats:
     unpriced_reads: int = 0
 
     def copy(self) -> "CategoryStats":
-        return CategoryStats(
-            pages_read=self.pages_read,
-            pages_written=self.pages_written,
-            read_seeks=self.read_seeks,
-            write_seeks=self.write_seeks,
-            unpriced_reads=self.unpriced_reads,
-        )
+        return replace(self)
 
     def __sub__(self, other: "CategoryStats") -> "CategoryStats":
         return CategoryStats(
-            pages_read=self.pages_read - other.pages_read,
-            pages_written=self.pages_written - other.pages_written,
-            read_seeks=self.read_seeks - other.read_seeks,
-            write_seeks=self.write_seeks - other.write_seeks,
-            unpriced_reads=self.unpriced_reads - other.unpriced_reads,
+            **{
+                f.name: getattr(self, f.name) - getattr(other, f.name)
+                for f in fields(self)
+            }
         )
 
 

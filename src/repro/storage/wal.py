@@ -58,10 +58,10 @@ from typing import Any, Callable, Iterator
 from .. import invariants
 from ..telemetry import ObserverRegistry, TelemetryEvent
 from .disk import DiskParameters, SimulatedDisk
-from .errors import LogDeviceError, SimulatedCrashError, TransientIOError
+from .errors import LogDeviceError, SimulatedCrashError
 from .faults import CORRUPT, FaultPlan, FaultyDisk
 from .page import Page
-from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
+from .retry import DEFAULT_RETRY_POLICY, RetryPolicy, read_page_resilient
 
 __all__ = [
     "AppendOnlyLog",
@@ -400,26 +400,19 @@ class AppendOnlyLog:
     def _scan_device(self) -> None:
         """One sequential, priced scan of the log device (recovery read).
 
-        Transient read faults on a faulted log device are retried on the
-        policy's backoff schedule, charged to the device clock.
+        The shared resilient read: transient faults on a faulted log
+        device are retried on the policy's backoff schedule, charged to
+        the device clock.  Its integrity check is a no-op here — a
+        verified force never leaves a sealed checksum on a log page.
         """
         for log_page in self._log_pages:
-            delays = self.retry_policy.delays()
-            while True:
-                try:
-                    self.device.read(
-                        log_page.page_id, sequential=True, category="wal"
-                    )
-                except TransientIOError:
-                    delay = next(delays, None)
-                    if delay is None:
-                        raise
-                    faults = self.device.stats.faults
-                    faults.retries += 1
-                    faults.retry_delay += delay
-                    self.device.advance_clock(delay)
-                    continue
-                break
+            read_page_resilient(
+                self.device,
+                log_page.page_id,
+                policy=self.retry_policy,
+                sequential=True,
+                category="wal",
+            )
 
 
 class WriteAheadLog(AppendOnlyLog):
@@ -481,26 +474,8 @@ class WriteAheadLog(AppendOnlyLog):
     # ------------------------------------------------------------------
     # the append path (force time is mirrored onto the data disk clock)
     # ------------------------------------------------------------------
-    def _append(
-        self,
-        kind: str,
-        txn: int,
-        *,
-        page_id: int | None = None,
-        records: tuple | None = None,
-        payload: tuple | None = None,
-        checksum: int | None = None,
-        label: str | None = None,
-    ) -> WALRecord:
-        record, delta = self._append_record(
-            kind,
-            txn,
-            page_id=page_id,
-            records=records,
-            payload=payload,
-            checksum=checksum,
-            label=label,
-        )
+    def _append(self, kind: str, txn: int, **fields: Any) -> WALRecord:
+        record, delta = self._append_record(kind, txn, **fields)
         # the engine waits for the force, so the device time is mirrored
         # onto the data disk's clock
         self.disk.advance_clock(delta)
@@ -535,18 +510,13 @@ class WriteAheadLog(AppendOnlyLog):
         batch = self._require_batch()
         self._append(COMMIT, batch.txn_id)
         self._active = None
-        for page_id in batch.frees:
-            self.disk.free(page_id)
-        self._validate()
+        self._apply_frees(batch)
 
     def abort(self) -> None:
         """Roll the batch back: restore before-images, free allocations."""
         batch = self._require_batch()
         self._active = None
         self._rollback_batch(batch)
-        self._append(ABORT, batch.txn_id)
-        self.disk.stats.faults.wal_rollbacks += 1
-        self._validate()
 
     # ------------------------------------------------------------------
     # two-phase participation (the coordinator lives in repro.txn)
@@ -577,9 +547,7 @@ class WriteAheadLog(AppendOnlyLog):
             raise RuntimeError(f"no prepared batch for gid {gid!r}")
         self._append(COMMIT, batch.txn_id)
         del self._prepared[gid]
-        for page_id in batch.frees:
-            self.disk.free(page_id)
-        self._validate()
+        self._apply_frees(batch)
 
     def abort_prepared(self, gid: str) -> None:
         """Apply the coordinator's abort verdict: roll the batch back."""
@@ -588,9 +556,6 @@ class WriteAheadLog(AppendOnlyLog):
             raise RuntimeError(f"no prepared batch for gid {gid!r}")
         del self._prepared[gid]
         self._rollback_batch(batch)
-        self._append(ABORT, batch.txn_id)
-        self.disk.stats.faults.wal_rollbacks += 1
-        self._validate()
 
     @contextmanager
     def batch(self, label: str = "batch") -> Iterator[int]:
@@ -617,8 +582,15 @@ class WriteAheadLog(AppendOnlyLog):
             raise RuntimeError("no active WAL batch")
         return self._active
 
+    def _apply_frees(self, batch: _Batch) -> None:
+        """A commit record is durable: apply the batch's deferred frees."""
+        for page_id in batch.frees:
+            self.disk.free(page_id)
+        self._validate()
+
     def _rollback_batch(self, batch: _Batch) -> None:
-        """Restore a batch's before-images and free its allocations."""
+        """Restore a batch's before-images, free its allocations and log
+        the abort."""
         allocated = set(batch.allocated)
         for page_id, (records, payload, checksum) in batch.touched.items():
             if page_id in allocated or not self.disk.page_exists(page_id):
@@ -630,6 +602,9 @@ class WriteAheadLog(AppendOnlyLog):
             page.stored_checksum = checksum
         for page_id in batch.allocated:
             self.disk.free(page_id)
+        self._append(ABORT, batch.txn_id)
+        self.disk.stats.faults.wal_rollbacks += 1
+        self._validate()
 
     # ------------------------------------------------------------------
     # journaling primitives (engine code calls these inside a batch)

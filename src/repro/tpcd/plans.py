@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 from ..core.query_space import IntersectionSpace, QuerySpace
 from ..invariants import require_instance
 from ..planner.pushdown import DEFAULT_COVER_BUDGET, KeyCover, pushdown_space
+from ..storage.disk import SimulatedDisk
 from ..storage.prefetch import DualCursorPrefetcher
 from ..relational.operators import (
     Count,
@@ -209,6 +210,22 @@ def sort_memory_pages(table_pages: int) -> int:
     return max(8, table_pages // 32)
 
 
+def _external_sort(
+    db: Database,
+    table: HeapTable | IOTTable,
+    child: Operator,
+    key: Callable[[tuple], Any],
+) -> ExternalMergeSort:
+    """The classic rival: sort ``child`` with work memory scaled to ``table``."""
+    return ExternalMergeSort(
+        child,
+        key=key,
+        disk=db.disk,
+        memory_pages=sort_memory_pages(table.page_count),
+        page_capacity=table.page_capacity,
+    )
+
+
 # ----------------------------------------------------------------------
 # Q3: sorted, restricted access to LINEITEM (Table 5-1 / Figure 5-5)
 # ----------------------------------------------------------------------
@@ -243,12 +260,8 @@ def q3_lineitem_access(
         return operator, operator
     if method == "fts-sort":
         table = require_instance(table, HeapTable, "Q3 access method 'fts-sort'")
-        sort = ExternalMergeSort(
-            FullTableScan(table, predicate=passes),
-            key=sort_key,
-            disk=db.disk,
-            memory_pages=sort_memory_pages(table.page_count),
-            page_capacity=table.page_capacity,
+        sort = _external_sort(
+            db, table, FullTableScan(table, predicate=passes), sort_key
         )
         return sort, sort
     if method == "iot-orderkey":
@@ -257,15 +270,76 @@ def q3_lineitem_access(
     if method == "iot-shipdate":
         table = require_instance(table, IOTTable, "Q3 access method 'iot-shipdate'")
         scan = IOTScan(table, leading_lo=after + dt.timedelta(days=1))
-        sort = ExternalMergeSort(
-            scan,
-            key=sort_key,
-            disk=db.disk,
-            memory_pages=sort_memory_pages(table.page_count),
-            page_capacity=table.page_capacity,
-        )
+        sort = _external_sort(db, table, scan, sort_key)
         return sort, sort
     raise ValueError(f"unknown Q3 access method {method!r}")
+
+
+#: joined rows are customer ++ order ++ lineitem
+_CUSTOMER_WIDTH = 2
+_CUSTOMER_ORDER_WIDTH = _CUSTOMER_WIDTH + 5
+
+
+def _q3_customer_order_tetris(
+    customer: UBTable, order: UBTable, params: Q3Params
+) -> MergeJoin:
+    """Figure 5-3's lower half: restricted sorted reads merged on CUSTKEY."""
+    customer_stream = TetrisOperator(
+        customer,
+        {"c_mktsegment": (params.segment, params.segment)},
+        "c_custkey",
+        predicate=lambda row: row[C_MKTSEGMENT] == params.segment,
+    )
+    order_stream = TetrisOperator(
+        order,
+        {
+            "o_orderdate": (
+                params.orderdate_from,
+                params.orderdate_before - dt.timedelta(days=1),
+            )
+        },
+        "o_custkey",
+        predicate=lambda row: params.order_qualifies(row[O_ORDERDATE]),
+    )
+    return MergeJoin(
+        customer_stream,
+        order_stream,
+        left_key=lambda row: row[C_CUSTKEY],
+        right_key=lambda row: row[O_CUSTKEY],
+    )
+
+
+def _customer_order_orderkey(row: tuple) -> Any:
+    return row[_CUSTOMER_WIDTH + O_ORDERKEY]
+
+
+def _q3_tail(
+    customer_order_by_orderkey: Iterable[tuple],
+    lineitem_plan: Iterable[tuple],
+    disk: SimulatedDisk | None = None,
+) -> Operator:
+    """Merge join on ORDERKEY → revenue per order → final ordering."""
+    joined = MergeJoin(
+        customer_order_by_orderkey,
+        lineitem_plan,
+        left_key=_customer_order_orderkey,
+        right_key=lambda row: row[L_ORDERKEY],
+        disk=disk,
+    )
+    grouped = SortedGroupBy(
+        joined,
+        key=lambda row: (
+            row[_CUSTOMER_ORDER_WIDTH + L_ORDERKEY],
+            row[_CUSTOMER_WIDTH + O_ORDERDATE],
+            row[_CUSTOMER_WIDTH + O_SHIPPRIORITY],
+        ),
+        aggregates=[
+            Sum(lambda row: revenue_numerator(row[_CUSTOMER_ORDER_WIDTH:]))
+        ],
+    )
+    return InMemorySort(
+        grouped, key=lambda row: (-row[3], row[1].toordinal(), row[0])
+    )
 
 
 def q3_full_plan(
@@ -285,32 +359,11 @@ def q3_full_plan(
     """
     params = params or Q3Params()
 
+    customer_order: Operator
     if use_tetris:
         customer = require_instance(customer, UBTable, "Tetris Q3 plan")
         order = require_instance(order, UBTable, "Tetris Q3 plan")
-        customer_stream: Iterable[tuple] = TetrisOperator(
-            customer,
-            {"c_mktsegment": (params.segment, params.segment)},
-            "c_custkey",
-            predicate=lambda row: row[C_MKTSEGMENT] == params.segment,
-        )
-        order_stream: Iterable[tuple] = TetrisOperator(
-            order,
-            {
-                "o_orderdate": (
-                    params.orderdate_from,
-                    params.orderdate_before - dt.timedelta(days=1),
-                )
-            },
-            "o_custkey",
-            predicate=lambda row: params.order_qualifies(row[O_ORDERDATE]),
-        )
-        customer_order = MergeJoin(
-            customer_stream,
-            order_stream,
-            left_key=lambda row: row[C_CUSTKEY],
-            right_key=lambda row: row[O_CUSTKEY],
-        )
+        customer_order = _q3_customer_order_tetris(customer, order, params)
     else:
         customer = require_instance(customer, HeapTable, "standard Q3 plan")
         order = require_instance(order, HeapTable, "standard Q3 plan")
@@ -328,34 +381,24 @@ def q3_full_plan(
             probe_key=lambda row: row[O_CUSTKEY],
         )
 
-    customer_width = 2  # joined rows are customer ++ order
-    by_orderkey = InMemorySort(
-        customer_order, key=lambda row: row[customer_width + O_ORDERKEY]
-    )
-    joined = MergeJoin(
-        by_orderkey,
-        lineitem_plan,
-        left_key=lambda row: row[customer_width + O_ORDERKEY],
-        right_key=lambda row: row[L_ORDERKEY],
-    )
-    co_width = customer_width + 5
-    grouped = SortedGroupBy(
-        joined,
-        key=lambda row: (
-            row[co_width + L_ORDERKEY],
-            row[customer_width + O_ORDERDATE],
-            row[customer_width + O_SHIPPRIORITY],
-        ),
-        aggregates=[Sum(lambda row: revenue_numerator(row[co_width:]))],
-    )
-    return InMemorySort(
-        grouped, key=lambda row: (-row[3], row[1].toordinal(), row[0])
-    )
+    by_orderkey = InMemorySort(customer_order, key=_customer_order_orderkey)
+    return _q3_tail(by_orderkey, lineitem_plan)
 
 
 # ----------------------------------------------------------------------
 # Q4: sorted, restricted access to ORDER (Table 5-2 / Figure 5-9)
 # ----------------------------------------------------------------------
+def _q4_order_tetris(order_ub: UBTable, params: Q4Params) -> TetrisOperator:
+    """Date-restricted ORDER in ORDERKEY order, as a live Tetris sweep."""
+    lo, hi = params.orderdate_from, params.orderdate_until
+    return TetrisOperator(
+        order_ub,
+        {"o_orderdate": (lo, hi - dt.timedelta(days=1))},
+        "o_orderkey",
+        predicate=lambda row: lo <= row[O_ORDERDATE] < hi,
+    )
+
+
 def q4_order_access(
     method: str,
     db: Database,
@@ -373,21 +416,12 @@ def q4_order_access(
 
     if method == "tetris":
         table = require_instance(table, UBTable, "Q4 access method 'tetris'")
-        operator = TetrisOperator(
-            table,
-            {"o_orderdate": (lo, hi - dt.timedelta(days=1))},
-            "o_orderkey",
-            predicate=passes,
-        )
+        operator = _q4_order_tetris(table, params)
         return operator, operator
     if method == "fts-sort":
         table = require_instance(table, HeapTable, "Q4 access method 'fts-sort'")
-        sort = ExternalMergeSort(
-            FullTableScan(table, predicate=passes),
-            key=sort_key,
-            disk=db.disk,
-            memory_pages=sort_memory_pages(table.page_count),
-            page_capacity=table.page_capacity,
+        sort = _external_sort(
+            db, table, FullTableScan(table, predicate=passes), sort_key
         )
         return sort, sort
     if method == "iot-orderkey":
@@ -396,13 +430,7 @@ def q4_order_access(
     if method == "iot-orderdate":
         table = require_instance(table, IOTTable, "Q4 access method 'iot-orderdate'")
         scan = IOTScan(table, leading_lo=lo, leading_hi=hi - dt.timedelta(days=1))
-        sort = ExternalMergeSort(
-            scan,
-            key=sort_key,
-            disk=db.disk,
-            memory_pages=sort_memory_pages(table.page_count),
-            page_capacity=table.page_capacity,
-        )
+        sort = _external_sort(db, table, scan, sort_key)
         return sort, sort
     raise ValueError(f"unknown Q4 access method {method!r}")
 
@@ -419,24 +447,43 @@ def q4_full_plan(
     query space ``COMMITDATE < RECEIPTDATE`` — the non-rectangular
     extension the paper describes but had not implemented.
     """
-    params = params or Q4Params()
-    triangle: QuerySpace = IntersectionSpace(
+    return _q4_tail(order_plan, _q4_late_lineitems(lineitem_ub))
+
+
+def _q4_late_lineitems(
+    lineitem_ub: UBTable, pushdown: QuerySpace | None = None
+) -> TetrisOperator:
+    """LINEITEM in ORDERKEY order through the ``COMMITDATE < RECEIPTDATE``
+    triangle."""
+    triangle = IntersectionSpace(
         [
             lineitem_ub.build_query_box(None),
             lineitem_ub.comparison_space("l_commitdate", "<", "l_receiptdate"),
         ]
     )
-    lineitem_stream = TetrisOperator(
+    return TetrisOperator(
         lineitem_ub,
         triangle,
         "l_orderkey",
         predicate=lambda row: row[L_COMMITDATE] < row[L_RECEIPTDATE],
+        pushdown=pushdown,
     )
+
+
+def _q4_tail(
+    order_plan: Iterable[tuple],
+    lineitem_stream: TetrisOperator,
+    disk: SimulatedDisk | None = None,
+    prefetch: DualCursorPrefetcher | None = None,
+) -> Operator:
+    """Semi-join on ORDERKEY → sort by priority → count per priority."""
     semijoined = MergeSemiJoin(
         order_plan,
         lineitem_stream,
         left_key=lambda row: row[O_ORDERKEY],
         right_key=lambda row: row[L_ORDERKEY],
+        disk=disk,
+        prefetch=prefetch,
     )
     by_priority = InMemorySort(semijoined, key=lambda row: row[O_ORDERPRIORITY])
     return SortedGroupBy(
@@ -449,14 +496,6 @@ def q4_full_plan(
 # ----------------------------------------------------------------------
 # pipelined join plans: pushdown covers and join-aware prefetch
 # ----------------------------------------------------------------------
-def _q4_triangle(lineitem_ub: UBTable) -> QuerySpace:
-    return IntersectionSpace(
-        [
-            lineitem_ub.build_query_box(None),
-            lineitem_ub.comparison_space("l_commitdate", "<", "l_receiptdate"),
-        ]
-    )
-
 
 @dataclass
 class PushdownJoinPlan:
@@ -516,35 +555,11 @@ def q3_pushdown_plan(
     customer = require_instance(customer, UBTable, "Q3 pushdown plan")
     order = require_instance(order, UBTable, "Q3 pushdown plan")
     after = params.shipdate_after
-
-    customer_stream = TetrisOperator(
-        customer,
-        {"c_mktsegment": (params.segment, params.segment)},
-        "c_custkey",
-        predicate=lambda row: row[C_MKTSEGMENT] == params.segment,
-    )
-    order_stream = TetrisOperator(
-        order,
-        {
-            "o_orderdate": (
-                params.orderdate_from,
-                params.orderdate_before - dt.timedelta(days=1),
-            )
-        },
-        "o_custkey",
-        predicate=lambda row: params.order_qualifies(row[O_ORDERDATE]),
-    )
-    customer_width = 2
     customer_order = sorted(
-        MergeJoin(
-            customer_stream,
-            order_stream,
-            left_key=lambda row: row[C_CUSTKEY],
-            right_key=lambda row: row[O_CUSTKEY],
-        ),
-        key=lambda row: row[customer_width + O_ORDERKEY],
+        _q3_customer_order_tetris(customer, order, params),
+        key=_customer_order_orderkey,
     )
-    keys = [row[customer_width + O_ORDERKEY] for row in customer_order]
+    keys = [_customer_order_orderkey(row) for row in customer_order]
     cover_space, cover = pushdown_space(
         lineitem_ub, "l_orderkey", keys, budget=budget
     )
@@ -555,28 +570,11 @@ def q3_pushdown_plan(
         predicate=lambda row: row[L_SHIPDATE] > after,
         pushdown=cover_space,
     )
-    joined = MergeJoin(
-        customer_order,
-        probe,
-        left_key=lambda row: row[customer_width + O_ORDERKEY],
-        right_key=lambda row: row[L_ORDERKEY],
-        disk=db.disk,
-    )
-    co_width = customer_width + 5
-    grouped = SortedGroupBy(
-        joined,
-        key=lambda row: (
-            row[co_width + L_ORDERKEY],
-            row[customer_width + O_ORDERDATE],
-            row[customer_width + O_SHIPPRIORITY],
-        ),
-        aggregates=[Sum(lambda row: revenue_numerator(row[co_width:]))],
-    )
-    plan = InMemorySort(
-        grouped, key=lambda row: (-row[3], row[1].toordinal(), row[0])
-    )
     return PushdownJoinPlan(
-        plan=plan, probe=probe, cover=cover, build_rows=len(customer_order)
+        plan=_q3_tail(customer_order, probe, db.disk),
+        probe=probe,
+        cover=cover,
+        build_rows=len(customer_order),
     )
 
 
@@ -597,41 +595,18 @@ def q4_pipelined_plan(
     read-ahead for whichever side the semi-join's cursor demands next —
     the two sweeps overlap instead of serializing.
     """
-    params = params or Q4Params()
-    lo, hi = params.orderdate_from, params.orderdate_until
-    order_stream = TetrisOperator(
-        order_ub,
-        {"o_orderdate": (lo, hi - dt.timedelta(days=1))},
-        "o_orderkey",
-        predicate=lambda row: lo <= row[O_ORDERDATE] < hi,
-    )
-    lineitem_stream = TetrisOperator(
-        lineitem_ub,
-        _q4_triangle(lineitem_ub),
-        "l_orderkey",
-        predicate=lambda row: row[L_COMMITDATE] < row[L_RECEIPTDATE],
-    )
+    order_stream = _q4_order_tetris(order_ub, params or Q4Params())
+    lineitem_stream = _q4_late_lineitems(lineitem_ub)
     dual = (
         DualCursorPrefetcher.for_operators(order_stream, lineitem_stream)
         if prefetch
         else None
     )
-    semijoined = MergeSemiJoin(
-        order_stream,
-        lineitem_stream,
-        left_key=lambda row: row[O_ORDERKEY],
-        right_key=lambda row: row[L_ORDERKEY],
-        disk=db.disk,
-        prefetch=dual,
-    )
-    by_priority = InMemorySort(semijoined, key=lambda row: row[O_ORDERPRIORITY])
-    plan = SortedGroupBy(
-        by_priority,
-        key=lambda row: (row[O_ORDERPRIORITY],),
-        aggregates=[Count()],
-    )
     return PipelinedJoinPlan(
-        plan=plan, left=order_stream, right=lineitem_stream, prefetch=dual
+        plan=_q4_tail(order_stream, lineitem_stream, db.disk, dual),
+        left=order_stream,
+        right=lineitem_stream,
+        prefetch=dual,
     )
 
 
@@ -651,42 +626,17 @@ def q4_pushdown_plan(
     Result is bit-identical to :func:`q4_full_plan` over the Tetris
     ORDER access: the semi-join discards any over-approximated keys.
     """
-    params = params or Q4Params()
-    lo, hi = params.orderdate_from, params.orderdate_until
-    order_rows = list(
-        TetrisOperator(
-            order_ub,
-            {"o_orderdate": (lo, hi - dt.timedelta(days=1))},
-            "o_orderkey",
-            predicate=lambda row: lo <= row[O_ORDERDATE] < hi,
-        )
-    )
+    order_rows = list(_q4_order_tetris(order_ub, params or Q4Params()))
     keys = [row[O_ORDERKEY] for row in order_rows]
     cover_space, cover = pushdown_space(
         lineitem_ub, "l_orderkey", keys, budget=budget
     )
-    probe = TetrisOperator(
-        lineitem_ub,
-        _q4_triangle(lineitem_ub),
-        "l_orderkey",
-        predicate=lambda row: row[L_COMMITDATE] < row[L_RECEIPTDATE],
-        pushdown=cover_space,
-    )
-    semijoined = MergeSemiJoin(
-        order_rows,
-        probe,
-        left_key=lambda row: row[O_ORDERKEY],
-        right_key=lambda row: row[L_ORDERKEY],
-        disk=db.disk,
-    )
-    by_priority = InMemorySort(semijoined, key=lambda row: row[O_ORDERPRIORITY])
-    plan = SortedGroupBy(
-        by_priority,
-        key=lambda row: (row[O_ORDERPRIORITY],),
-        aggregates=[Count()],
-    )
+    probe = _q4_late_lineitems(lineitem_ub, cover_space)
     return PushdownJoinPlan(
-        plan=plan, probe=probe, cover=cover, build_rows=len(order_rows)
+        plan=_q4_tail(order_rows, probe, db.disk),
+        probe=probe,
+        cover=cover,
+        build_rows=len(order_rows),
     )
 
 
@@ -705,36 +655,25 @@ def q6_restriction_plan(
     def passes(row: tuple) -> bool:
         return q6_matches(row, params)
 
+    bounds: dict[str, tuple[Any, Any]] = {
+        "l_shipdate": (
+            params.shipdate_from,
+            params.shipdate_until - dt.timedelta(days=1),
+        ),
+        "l_discount": (params.discount - 1, params.discount + 1),
+        "l_quantity": (None, params.quantity_below - 1),
+    }
     if method == "tetris":
         table = require_instance(table, UBTable, "Q6 access method 'tetris'")
-        return UBRangeScan(
-            table,
-            {
-                "l_shipdate": (
-                    params.shipdate_from,
-                    params.shipdate_until - dt.timedelta(days=1),
-                ),
-                "l_discount": (params.discount - 1, params.discount + 1),
-                "l_quantity": (None, params.quantity_below - 1),
-            },
-            predicate=passes,
-        )
+        return UBRangeScan(table, bounds, predicate=passes)
     if method == "fts":
         table = require_instance(table, HeapTable, "Q6 access method 'fts'")
         return FullTableScan(table, predicate=passes)
     if method.startswith("iot-"):
         table = require_instance(table, IOTTable, f"Q6 access method {method!r}")
-        leading = table.key_attrs[0]
-        bounds = {
-            "l_shipdate": (
-                params.shipdate_from,
-                params.shipdate_until - dt.timedelta(days=1),
-            ),
-            "l_discount": (params.discount - 1, params.discount + 1),
-            "l_quantity": (None, params.quantity_below - 1),
-        }[leading]
+        leading_lo, leading_hi = bounds[table.key_attrs[0]]
         return IOTScan(
-            table, leading_lo=bounds[0], leading_hi=bounds[1], predicate=passes
+            table, leading_lo=leading_lo, leading_hi=leading_hi, predicate=passes
         )
     raise ValueError(f"unknown Q6 access method {method!r}")
 

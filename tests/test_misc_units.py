@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from repro.btree.bptree import BPlusTree
 from repro.core import Curve, QueryBox, UBTree, ZSpace, tetris_sorted
-from repro.core.tetris import TetrisStats, _FlippedCurve
+from repro.core.curves import FlippedCurve
+from repro.core.tetris import TetrisStats
 from repro.relational.schema import DateEncoder, DecimalEncoder
 from repro.storage import BufferPool, SimulatedDisk
 from repro.storage.stats import CategoryStats, IOStats
@@ -68,20 +69,20 @@ class TestSplitIndex:
 class TestFlippedCurve:
     def test_roundtrip(self):
         base = Curve.tetris_curve([3, 3], 0)
-        flipped = _FlippedCurve(base, frozenset({0}))
+        flipped = FlippedCurve(base, frozenset({0}))
         for x in range(8):
             for y in range(8):
                 assert flipped.decode(flipped.encode((x, y))) == (x, y)
 
     def test_reverses_sort_dimension(self):
         base = Curve.tetris_curve([3, 3], 0)
-        flipped = _FlippedCurve(base, frozenset({0}))
+        flipped = FlippedCurve(base, frozenset({0}))
         # larger x -> smaller flipped address (holding y fixed)
         assert flipped.encode((7, 3)) < flipped.encode((0, 3))
 
     def test_next_in_box_matches_brute_force(self):
         base = Curve.tetris_curve([3, 3], 1)
-        flipped = _FlippedCurve(base, frozenset({1}))
+        flipped = FlippedCurve(base, frozenset({1}))
         lo, hi = (1, 2), (6, 5)
         for address in range(0, 64, 3):
             got = flipped.next_in_box(address, lo, hi)

@@ -422,6 +422,25 @@ class TestR006SwallowedExceptions:
         )
         assert found == []
 
+    def test_retry_loop_charging_the_shared_backoff_passes(self):
+        """``charge_backoff`` is the engine's one way to price a delay, so
+        a loop that waits through it is policy-driven even when the
+        schedule reaches it as a plain iterator."""
+        found = lint(
+            """
+            def load(store, page_id, schedule):
+                while True:
+                    try:
+                        return store.read(page_id)
+                    except TransientIOError:
+                        delay = next(schedule, None)
+                        if delay is None:
+                            raise
+                        charge_backoff(store, delay)
+            """
+        )
+        assert found == []
+
     def test_transient_error_outside_loop_passes(self):
         """A one-shot catch is not a retry loop; nothing to police."""
         found = lint(

@@ -10,13 +10,23 @@ equalities, not tolerances.
 import pytest
 
 from repro.storage import (
-    BufferPool,
+    DEFAULT_RETRY_POLICY,
+    ICDE99_ANALYSIS,
     NO_RETRY,
+    BufferPool,
+    CorruptPageError,
+    FaultPlan,
+    FaultyDisk,
+    HeapFile,
+    IOScheduler,
+    QuarantinedPageError,
+    ReplicatedDisk,
     RetryPolicy,
     SimulatedDisk,
     TransientIOError,
     read_page_resilient,
 )
+from repro.storage.faults import CORRUPT, TRANSIENT
 
 
 class FlakyDisk(SimulatedDisk):
@@ -173,3 +183,185 @@ class TestExactCharges:
             read_page_resilient(disk, 1, policy=self.POLICY)
             clocks.append(disk.clock)
         assert clocks[0] == clocks[1]
+
+
+# ----------------------------------------------------------------------
+# ladder parity: one fault, four read entry points, one answer
+# ----------------------------------------------------------------------
+TARGET = 1  # second page of a two-page heap, so a depth-1 scan prefetches it
+TRUE_RECORDS = [(10,), (11,)]
+
+#: scenario -> (fault kind, how many reads it hits, replica copies)
+SCENARIOS = {
+    "transient-once": (TRANSIENT, 1, 0),
+    "transient-exhausted": (TRANSIENT, 3, 0),
+    "corrupt-replicated": (CORRUPT, 1, 2),
+    "corrupt-unreplicated": (CORRUPT, 1, 0),
+}
+
+
+class LadderWorld:
+    """heap -> [replicas] -> fault layer -> one queue with depth-1 prefetch.
+
+    A transient fault can only meet a reader that waits for the page, so
+    in a prefetched world the async attempt absorbs one extra transient
+    first (that is how the page falls back to the demand path); a corrupt
+    read rides the async transfer and is met at claim time.
+    """
+
+    def __init__(self, scenario, *, prefetched, armed):
+        kind, hits, copies = SCENARIOS[scenario]
+        if kind == TRANSIENT and prefetched:
+            hits += 1
+        base = SimulatedDisk()
+        inner = ReplicatedDisk(base, copies) if copies else base
+        plan = FaultPlan(
+            scripted_reads=tuple((TARGET, access, kind) for access in range(hits))
+        )
+        self.disk = FaultyDisk(inner, plan)
+        self.scheduler = IOScheduler(self.disk, 1, prefetch_depth=1)
+        self.heap = HeapFile(self.disk, 2, scheduler=self.scheduler)
+        self.heap.load([(0,), (1,)] + TRUE_RECORDS)
+        assert self.heap.page_ids == [0, TARGET]
+        if copies:
+            inner.capture_all()
+        self.pool = BufferPool(self.disk, 4, scheduler=self.scheduler)
+        if armed:
+            self.disk.arm()
+
+
+def _serve_resilient(world):
+    return lambda: read_page_resilient(
+        world.disk, TARGET, policy=DEFAULT_RETRY_POLICY
+    )[0]
+
+
+def _serve_pool_miss(world):
+    return lambda: world.pool.get(TARGET)
+
+
+def _serve_pool_claim(world):
+    world.pool.prefetch(TARGET)
+    return lambda: world.pool.get(TARGET)
+
+
+def _serve_heap_prefetched(world):
+    scan = world.heap.scan_pages()
+    next(scan)  # serves page 0 and submits the async read of TARGET
+    return lambda: next(scan)
+
+
+#: entry point -> (set-up returning the call that serves TARGET, prefetched?)
+ENTRY_POINTS = {
+    "read_page_resilient": (_serve_resilient, False),
+    "pool-demand-miss": (_serve_pool_miss, False),
+    "pool-prefetch-claim": (_serve_pool_claim, True),
+    "heap-scan-prefetched": (_serve_heap_prefetched, True),
+}
+
+LADDER_FIELDS = ("retries", "retry_delay", "repair_reads", "repaired_pages")
+
+
+def climb(entry, scenario, *, armed=True):
+    """Serve TARGET once; returns (world, outcome, fault deltas, seconds)."""
+    serve, prefetched = ENTRY_POINTS[entry]
+    world = LadderWorld(scenario, prefetched=prefetched, armed=armed)
+    call = serve(world)
+    before = world.disk.stats.faults.copy()
+    started = world.disk.clock
+    try:
+        page = call()
+    except (TransientIOError, CorruptPageError) as exc:
+        outcome = type(exc).__name__
+    else:
+        assert page.page_id == TARGET
+        assert page.records == TRUE_RECORDS  # true content, healed if need be
+        outcome = "ok"
+    delta = world.disk.stats.faults - before
+    deltas = {name: getattr(delta, name) for name in LADDER_FIELDS}
+    return world, outcome, deltas, world.disk.clock - started
+
+
+class TestLadderParity:
+    FAILED_ATTEMPT = ICDE99_ANALYSIS.t_pi + ICDE99_ANALYSIS.t_tau
+    HEAL = 2 * ICDE99_ANALYSIS.random_cost(1)  # one replica read + write-back
+
+    #: scenario -> (outcome, ladder fault deltas, ladder seconds)
+    EXPECTED = {
+        "transient-once": (
+            "ok",
+            {"retries": 1, "retry_delay": 0.002, "repair_reads": 0, "repaired_pages": 0},
+            FAILED_ATTEMPT + 0.002,
+        ),
+        "transient-exhausted": (
+            "TransientIOError",
+            {"retries": 2, "retry_delay": 0.002 + 0.004, "repair_reads": 0, "repaired_pages": 0},
+            3 * FAILED_ATTEMPT + 0.002 + 0.004,
+        ),
+        "corrupt-replicated": (
+            "ok",
+            {"retries": 0, "retry_delay": 0.0, "repair_reads": 1, "repaired_pages": 1},
+            HEAL,
+        ),
+        "corrupt-unreplicated": (
+            "CorruptPageError",
+            {"retries": 0, "retry_delay": 0.0, "repair_reads": 0, "repaired_pages": 0},
+            0.0,
+        ),
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_same_fault_same_ladder(self, entry, scenario):
+        """Outcome, fault counters and the ladder's simulated-clock charge
+        do not depend on which read entry point met the fault.
+
+        The charge is what serving the page cost beyond the one transfer
+        the fault-free twin pays (random, sequential or a claim's wait —
+        that part is the entry point's own); an exhausted retry schedule
+        never got its transfer, so there the whole cost is the ladder's.
+        """
+        expected_outcome, expected_deltas, expected_charge = self.EXPECTED[scenario]
+        _, outcome, deltas, seconds = climb(entry, scenario)
+        assert outcome == expected_outcome
+        assert deltas == pytest.approx(expected_deltas, abs=1e-12)
+        if scenario != "transient-exhausted":
+            _, clean, _, transfer = climb(entry, scenario, armed=False)
+            assert clean == "ok"
+            seconds -= transfer
+        assert seconds == pytest.approx(expected_charge, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "entry, scenario, quarantined, failures, retry_attempts, rejected",
+        [
+            ("pool-demand-miss", "transient-once", False, 1, 1, 0),
+            ("pool-prefetch-claim", "transient-once", False, 1, 1, 0),
+            # the third failure reaches the quarantine threshold
+            ("pool-demand-miss", "transient-exhausted", True, 3, 2, 0),
+            ("pool-prefetch-claim", "transient-exhausted", True, 3, 2, 0),
+            ("pool-demand-miss", "corrupt-replicated", False, 0, 0, 0),
+            ("pool-prefetch-claim", "corrupt-replicated", False, 0, 0, 0),
+            # unrepairable corruption: straight to quarantine; a claim that
+            # ends there was neither hit nor miss, so it counts as rejected
+            ("pool-demand-miss", "corrupt-unreplicated", True, 3, 0, 0),
+            ("pool-prefetch-claim", "corrupt-unreplicated", True, 3, 0, 1),
+        ],
+    )
+    def test_pool_quarantine_bookkeeping(
+        self, entry, scenario, quarantined, failures, retry_attempts, rejected
+    ):
+        """What the pool adds *around* the shared ladder, per scenario."""
+        world, _, _, _ = climb(entry, scenario)
+        pool = world.pool
+        assert pool.is_quarantined(TARGET) is quarantined
+        assert pool.failure_count(TARGET) == failures
+        assert pool.retry_attempts == retry_attempts
+        assert pool.rejected == rejected
+        assert world.disk.stats.faults.quarantined_pages == int(quarantined)
+        assert (TARGET in pool) is (not quarantined)
+        assert pool.prefetch_pending == frozenset()
+        # every issued prefetch was claimed, or cancelled by its own fault
+        assert pool.prefetch_issued == pool.prefetch_claimed + pool.prefetch_cancelled
+        if quarantined:
+            with pytest.raises(QuarantinedPageError):
+                pool.get(TARGET)

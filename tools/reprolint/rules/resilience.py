@@ -22,7 +22,13 @@ __all__ = ["SwallowedErrorRule"]
 
 #: names whose presence in a function marks its retry loop as policy-driven
 RETRY_POLICY_MARKERS = frozenset(
-    {"RetryPolicy", "DEFAULT_RETRY_POLICY", "NO_RETRY", "read_page_resilient"}
+    {
+        "RetryPolicy",
+        "DEFAULT_RETRY_POLICY",
+        "NO_RETRY",
+        "read_page_resilient",
+        "charge_backoff",
+    }
 )
 
 
