@@ -11,15 +11,8 @@ import pytest
 
 from repro import kernels
 from repro.storage import FaultPlan, FaultyDisk, SimulatedDisk
-from tools.chaos import (
-    DEFAULT_SEEDS,
-    QUERY,
-    ChaosOutcome,
-    build_world,
-    run_schedule,
-)
-
-BACKENDS = kernels.available_backends()
+from sweep_contract import BACKENDS, sweep_contract
+from tools.chaos import QUERY, build_world
 
 
 def q6_scan(db, design, access_order):
@@ -83,43 +76,13 @@ class TestFaultFreeParity:
 
 
 # ----------------------------------------------------------------------
-# tentpole: seeded chaos sweep
+# tentpole: seeded chaos sweeps on the four-instance world
 # ----------------------------------------------------------------------
-class TestChaosSweep:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("seed", DEFAULT_SEEDS)
-    def test_schedule_honours_contract(self, seed, backend):
-        """run_schedule raises ChaosViolation on any silent wrong answer;
-        reaching an outcome at all *is* the contract check."""
-        outcome = run_schedule(seed, backend=backend)
-        assert isinstance(outcome, ChaosOutcome)
-        assert outcome.status in ("clean", "degraded", "failed")
-        if outcome.status == "failed":
-            assert outcome.error  # typed failure is always explained
-        if outcome.status == "degraded":
-            assert outcome.degradations
+class TestChaosSweep(sweep_contract("read")):
+    """The read sweep: nothing beyond the shared contract."""
 
-    def test_pinned_seeds_cover_all_statuses(self):
-        """The CI seeds stay a meaningful sweep: all three outcomes occur."""
-        statuses = {
-            run_schedule(seed).status for seed in DEFAULT_SEEDS
-        }
-        assert statuses == {"clean", "degraded", "failed"}
 
-    def test_schedule_replays_exactly(self):
-        first = run_schedule(17)
-        second = run_schedule(17)
-        assert first == second  # includes the full fault_log
-
-    def test_outcomes_identical_across_backends(self):
-        if len(BACKENDS) < 2:
-            pytest.skip("only one kernel backend available")
-        for seed in DEFAULT_SEEDS:
-            outcomes = [
-                run_schedule(seed, backend=backend) for backend in BACKENDS
-            ]
-            reference = outcomes[0]
-            for outcome in outcomes[1:]:
-                assert outcome.status == reference.status
-                assert outcome.rows == reference.rows
-                assert outcome.fault_log == reference.fault_log
+class TestPrefetchSweep(sweep_contract("prefetch")):
+    """The prefetch identity sweep: each schedule yields a (demand,
+    prefetch) outcome pair, and reaching it means the seven identity
+    checks inside the run all passed."""

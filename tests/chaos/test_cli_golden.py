@@ -49,3 +49,23 @@ def test_cli_output_is_pinned(name, capsys):
     if invariants.enabled() and checks_variant.exists():
         golden = checks_variant
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, complaint",
+    [
+        (["--write", "--replicas", "2"], "--replicas does not apply to the write"),
+        (["--txn", "--copies", "3"], "--copies does not apply to the txn"),
+        (["--copies", "3"], "--copies does not apply to the read"),
+        (["--join", "--shards", "4"], "mutually exclusive"),
+        (["--rows", "0"], "--rows must be at least 1"),
+    ],
+)
+def test_cli_usage_errors(argv, complaint, capsys):
+    """A flag the selected sweep does not take — and a size of zero,
+    which used to fall back to the default without a word — is a usage
+    error, not a silently different run."""
+    with pytest.raises(SystemExit) as exit_info:
+        chaos_main(argv)
+    assert exit_info.value.code == 2
+    assert complaint in capsys.readouterr().err

@@ -12,15 +12,13 @@ backend and pin the structural claims on top.
 
 import pytest
 
-from repro import kernels
-from tools.chaos import DEFAULT_TXN_SEEDS, run_txn_schedule
+from sweep_contract import BACKENDS, pinned, sweep_contract
+from tools.chaos import SWEEPS
 from tools.crashgrid import (
     WORKLOADS,
     measure_commit_overhead,
     run_crash_grid,
 )
-
-BACKENDS = kernels.available_backends()
 
 
 class TestCrashGrid:
@@ -73,15 +71,14 @@ class TestCrashGrid:
         assert bench["txn_load_seconds"] > bench["raw_load_seconds"]
 
 
-class TestTxnChaosSweep:
+class TestTxnChaosSweep(sweep_contract("txn")):
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("seed", DEFAULT_TXN_SEEDS)
+    @pytest.mark.parametrize("seed", SWEEPS["txn"].seeds)
     def test_schedule_converges(self, seed, backend):
         """Every pinned seed must inject real log faults, crash, and
         recover onto a decision-log-consistent state (verified inside
         the run)."""
-        outcome = run_txn_schedule(seed, backend=backend)
-        assert outcome.status in ("clean", "recovered")
+        outcome = pinned("txn", seed, backend)[-1]
         assert outcome.faults_injected > 0, "seed stopped injecting"
 
     def test_pinned_seeds_cover_all_verdict_paths(self):
@@ -89,8 +86,8 @@ class TestTxnChaosSweep:
         drives in-doubt participants forward — together the sweep walks
         every recovery verdict path."""
         outcomes = {
-            seed: run_txn_schedule(seed, backend=BACKENDS[0])
-            for seed in DEFAULT_TXN_SEEDS
+            seed: pinned("txn", seed, BACKENDS[0])[-1]
+            for seed in SWEEPS["txn"].seeds
         }
         assert all(o.status == "recovered" for o in outcomes.values())
         # seed 85's crash lands on a shard WAL's own commit record:

@@ -9,17 +9,8 @@ flagged partial when no replica is left — and :mod:`tools.chaos` raises
 at all *is* the contract check.
 """
 
-import pytest
-
-from repro import kernels
-from tools.chaos import (
-    DEFAULT_JOIN_SEEDS,
-    ChaosOutcome,
-    join_scenario,
-    run_join_schedule,
-)
-
-BACKENDS = kernels.available_backends()
+from sweep_contract import DEFAULT_BACKEND, pinned, sweep_contract
+from tools.chaos import SWEEPS, join_scenario
 
 #: the graded outcome each pinned seed must reproduce on every backend
 EXPECTED_STATUS = {
@@ -34,7 +25,7 @@ EXPECTED_STATUS = {
 
 class TestScenarioGrid:
     def test_pinned_seeds_span_the_grid(self):
-        cells = {join_scenario(seed) for seed in DEFAULT_JOIN_SEEDS}
+        cells = {join_scenario(seed) for seed in SWEEPS["join"].seeds}
         scenarios = {(scenario, fault) for scenario, fault, _ in cells}
         kinds = {kind for _, _, kind in cells}
         assert ("failover", "kill") in scenarios
@@ -49,47 +40,30 @@ class TestScenarioGrid:
         assert join_scenario(13) == join_scenario(13)
 
 
-class TestJoinSweep:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("seed", DEFAULT_JOIN_SEEDS)
-    def test_schedule_honours_contract(self, seed, backend):
-        outcome = run_join_schedule(seed, backend=backend)
-        assert isinstance(outcome, ChaosOutcome)
-        assert outcome.status == EXPECTED_STATUS[seed]
-        if outcome.status == "failed":
-            assert outcome.error  # typed failure is always explained
-            assert outcome.degradations
-        if outcome.status in ("degraded", "partial"):
-            assert outcome.degradations
+def outcome_of(seed):
+    return pinned("join", seed, DEFAULT_BACKEND)[-1]
+
+
+class TestJoinSweep(sweep_contract("join")):
+    def test_pinned_seeds_land_on_their_graded_outcomes(self):
+        statuses = {seed: outcome_of(seed).status for seed in SWEEPS["join"].seeds}
+        assert statuses == EXPECTED_STATUS
+
+    def test_typed_failure_carries_its_trail(self):
+        assert outcome_of(2).degradations
 
     def test_slow_schedule_actually_injected(self):
-        outcome = run_join_schedule(7)
+        outcome = outcome_of(7)
         assert outcome.status == "clean"
         assert outcome.faults_injected > 0  # latency fired, join survived
 
     def test_repair_schedule_heals_from_the_peer(self):
-        outcome = run_join_schedule(13)
+        outcome = outcome_of(13)
         assert outcome.status == "degraded"
         assert outcome.repaired > 0
         assert outcome.lifted > 0
 
     def test_partial_outcome_flags_the_lost_rows(self):
-        outcome = run_join_schedule(29)
+        outcome = outcome_of(29)
         assert outcome.status == "partial"
         assert outcome.rows > 0  # the surviving legs still produced output
-
-    def test_schedule_replays_exactly(self):
-        assert run_join_schedule(13) == run_join_schedule(13)
-
-    def test_outcomes_identical_across_backends(self):
-        if len(BACKENDS) < 2:
-            pytest.skip("only one kernel backend available")
-        for seed in DEFAULT_JOIN_SEEDS:
-            outcomes = [
-                run_join_schedule(seed, backend=backend) for backend in BACKENDS
-            ]
-            assert all(
-                outcome.status == outcomes[0].status
-                and outcome.rows == outcomes[0].rows
-                for outcome in outcomes
-            )

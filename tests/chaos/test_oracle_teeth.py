@@ -21,15 +21,7 @@ from repro.shard import CoPartitionedJoin, ShardedDatabase
 from repro.storage.faults import armed_disk_count
 from repro.txn import TransactionCoordinator
 from repro.txn.coordinator import TxnRecoveryReport
-from tools.chaos import (
-    ChaosViolation,
-    run_join_schedule,
-    run_prefetch_schedule,
-    run_schedule,
-    run_shard_schedule,
-    run_txn_schedule,
-    run_write_schedule,
-)
+from tools.chaos import ChaosViolation, run_schedule
 from tools.crashgrid import CrashGridViolation, run_crash_grid
 
 BACKEND = kernels.available_backends()[0]
@@ -72,7 +64,7 @@ class TestOracleTeeth:
     def test_read_sweep_catches_a_dropped_row(self, monkeypatch):
         _sabotage_armed_query(monkeypatch, lambda design, rows: rows[:-1])
         with pytest.raises(ChaosViolation, match="wrong multiset"):
-            run_schedule(23, backend=BACKEND)
+            run_schedule("read", 23, backend=BACKEND)
 
     def test_prefetch_sweep_catches_worlds_that_disagree(self, monkeypatch):
         """Swap two rows that tie on the sort key in the prefetch world
@@ -94,12 +86,12 @@ class TestOracleTeeth:
 
         _sabotage_armed_query(monkeypatch, swap_a_tie)
         with pytest.raises(ChaosViolation, match="demand and prefetch worlds"):
-            run_prefetch_schedule(3, backend=BACKEND)
+            run_schedule("prefetch", 3, backend=BACKEND)
 
     def test_write_sweep_catches_a_torn_page_left_behind(self, monkeypatch):
         monkeypatch.setattr(Database, "recover", lambda self: None)
         with pytest.raises(ChaosViolation, match="not bit-identical"):
-            run_write_schedule(7, backend=BACKEND)
+            run_schedule("write", 7, backend=BACKEND)
 
     def test_shard_sweep_catches_an_unflagged_partial(self, monkeypatch):
         """Seed 29 loses a shard under ``allow_partial``; blanking the
@@ -111,7 +103,7 @@ class TestOracleTeeth:
 
         monkeypatch.setattr(ShardedDatabase, "sorted_scan", unflagged)
         with pytest.raises(ChaosViolation, match="not bit-identical"):
-            run_shard_schedule(29, backend=BACKEND)
+            run_schedule("shard", 29, backend=BACKEND)
 
     @pytest.mark.parametrize(
         "mangle",
@@ -127,7 +119,7 @@ class TestOracleTeeth:
 
         monkeypatch.setattr(CoPartitionedJoin, "run", sabotaged)
         with pytest.raises(ChaosViolation, match="not bit-identical"):
-            run_join_schedule(6, backend=BACKEND)
+            run_schedule("join", 6, backend=BACKEND)
 
     def test_txn_sweep_catches_an_unresolved_crash(self, monkeypatch):
         """Seed 23 crashes a shard WAL mid-work; without the presumed
@@ -137,7 +129,7 @@ class TestOracleTeeth:
         recorded in ROADMAP item 6.)"""
         monkeypatch.setattr(TransactionCoordinator, "recover", _no_recovery)
         with pytest.raises(ChaosViolation, match="neither verdict"):
-            run_txn_schedule(23, backend=BACKEND)
+            run_schedule("txn", 23, backend=BACKEND)
 
     def test_txn_sweep_catches_resolution_against_the_verdict(self, monkeypatch):
         """Seed 85 crashes a shard WAL's own commit record after the
@@ -150,7 +142,7 @@ class TestOracleTeeth:
             lambda self, pid, decide: real(self, pid, lambda gid: False),
         )
         with pytest.raises(ChaosViolation, match="neither verdict"):
-            run_txn_schedule(85, backend=BACKEND)
+            run_schedule("txn", 85, backend=BACKEND)
 
     def test_crash_grid_catches_an_unresolved_crash(self, monkeypatch):
         monkeypatch.setattr(TransactionCoordinator, "recover", _no_recovery)

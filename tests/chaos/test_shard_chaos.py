@@ -8,17 +8,8 @@ on any silent wrong answer, so reaching an outcome at all *is* the
 contract check.
 """
 
-import pytest
-
-from repro import kernels
-from tools.chaos import (
-    DEFAULT_SHARD_SEEDS,
-    ChaosOutcome,
-    run_shard_schedule,
-    shard_scenario,
-)
-
-BACKENDS = kernels.available_backends()
+from sweep_contract import DEFAULT_BACKEND, pinned, sweep_contract
+from tools.chaos import SWEEPS, shard_scenario
 
 #: the graded outcome each pinned seed must reproduce on every backend
 EXPECTED_STATUS = {
@@ -33,7 +24,7 @@ EXPECTED_STATUS = {
 
 class TestScenarioGrid:
     def test_pinned_seeds_span_the_grid(self):
-        cells = {shard_scenario(seed) for seed in DEFAULT_SHARD_SEEDS}
+        cells = {shard_scenario(seed) for seed in SWEEPS["shard"].seeds}
         assert ("failover", "kill") in cells
         assert ("failover", "corrupt") in cells
         assert ("failover", "slow") in cells
@@ -45,43 +36,25 @@ class TestScenarioGrid:
         assert shard_scenario(13) == shard_scenario(13)
 
 
-class TestShardSweep:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("seed", DEFAULT_SHARD_SEEDS)
-    def test_schedule_honours_contract(self, seed, backend):
-        outcome = run_shard_schedule(seed, backend=backend)
-        assert isinstance(outcome, ChaosOutcome)
-        assert outcome.status == EXPECTED_STATUS[seed]
-        if outcome.status == "failed":
-            assert outcome.error  # typed failure is always explained
-            assert outcome.degradations
-        if outcome.status in ("degraded", "partial"):
-            assert outcome.degradations
+def outcome_of(seed):
+    return pinned("shard", seed, DEFAULT_BACKEND)[-1]
+
+
+class TestShardSweep(sweep_contract("shard")):
+    def test_pinned_seeds_land_on_their_graded_outcomes(self):
+        statuses = {seed: outcome_of(seed).status for seed in SWEEPS["shard"].seeds}
+        assert statuses == EXPECTED_STATUS
+
+    def test_typed_failure_carries_its_trail(self):
+        assert outcome_of(2).degradations
 
     def test_slow_schedule_actually_injected(self):
-        outcome = run_shard_schedule(7)
+        outcome = outcome_of(7)
         assert outcome.status == "clean"
         assert outcome.faults_injected > 0  # latency fired, scan survived
 
     def test_repair_schedule_heals_from_the_peer(self):
-        outcome = run_shard_schedule(13)
+        outcome = outcome_of(13)
         assert outcome.status == "degraded"
         assert outcome.repaired > 0
         assert outcome.lifted > 0
-
-    def test_schedule_replays_exactly(self):
-        assert run_shard_schedule(13) == run_shard_schedule(13)
-
-    def test_outcomes_identical_across_backends(self):
-        if len(BACKENDS) < 2:
-            pytest.skip("only one kernel backend available")
-        for seed in DEFAULT_SHARD_SEEDS:
-            outcomes = [
-                run_shard_schedule(seed, backend=backend)
-                for backend in BACKENDS
-            ]
-            reference = outcomes[0]
-            for outcome in outcomes[1:]:
-                assert outcome.status == reference.status
-                assert outcome.rows == reference.rows
-                assert outcome.degradations == reference.degradations

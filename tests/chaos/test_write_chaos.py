@@ -4,55 +4,28 @@ pinned degraded -> clean replica-repair seed.
 
 These back the CI chaos job's ``python -m tools.chaos --write`` and
 ``--replicas 2`` steps (run with ``REPRO_CHECKS=1`` on both kernel
-backends).  :func:`tools.chaos.run_write_schedule` already raises
-``ChaosViolation`` on any divergence from the fault-free oracle, so
-reaching an outcome at all *is* the contract check.
+backends).  The write sweep already raises ``ChaosViolation`` on any
+divergence from the fault-free oracle, so reaching an outcome at all
+*is* the contract check.
 """
 
 import pytest
 
-from repro import kernels
-from tools.chaos import (
-    DEFAULT_WRITE_SEEDS,
-    ChaosOutcome,
-    run_schedule,
-    run_write_schedule,
-)
-
-BACKENDS = kernels.available_backends()
+from sweep_contract import BACKENDS, pinned, sweep_contract
+from tools.chaos import SWEEPS, run_schedule
 
 
-class TestWriteSweep:
+class TestWriteSweep(sweep_contract("write")):
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("seed", DEFAULT_WRITE_SEEDS)
+    @pytest.mark.parametrize("seed", SWEEPS["write"].seeds)
     def test_schedule_recovers_bit_identically(self, seed, backend):
         """Every pinned write seed must tear at least one page and end
         bit-identical to a fault-free load (verified inside the run)."""
-        outcome = run_write_schedule(seed, backend=backend)
-        assert isinstance(outcome, ChaosOutcome)
+        outcome = pinned("write", seed, backend)[-1]
         assert outcome.status == "recovered"  # the pinned seeds all tear
         assert outcome.faults_injected > 0
         assert outcome.healed > 0  # redo did real work
         assert any(kind == "torn" for _, kind, _, _ in outcome.fault_log)
-
-    def test_schedule_replays_exactly(self):
-        first = run_write_schedule(DEFAULT_WRITE_SEEDS[0])
-        second = run_write_schedule(DEFAULT_WRITE_SEEDS[0])
-        assert first == second  # includes the full fault_log
-
-    def test_outcomes_identical_across_backends(self):
-        if len(BACKENDS) < 2:
-            pytest.skip("only one kernel backend available")
-        for seed in DEFAULT_WRITE_SEEDS:
-            outcomes = [
-                run_write_schedule(seed, backend=backend) for backend in BACKENDS
-            ]
-            reference = outcomes[0]
-            for outcome in outcomes[1:]:
-                assert outcome.status == reference.status
-                assert outcome.rows == reference.rows
-                assert outcome.healed == reference.healed
-                assert outcome.fault_log == reference.fault_log
 
 
 class TestReplicaRepairSeed:
@@ -62,9 +35,9 @@ class TestReplicaRepairSeed:
         classifies "clean" on a replicated world, because the corrupt
         page is repaired in place and the planner keeps the full
         design."""
-        plain = run_schedule(17, backend=backend)
+        plain = pinned("read", 17, backend)[-1]
         assert plain.status == "degraded"
-        repaired = run_schedule(17, backend=backend, replicas=2)
+        repaired = run_schedule("read", 17, backend=backend, replicas=2)[-1]
         assert repaired.status == "clean"
         assert repaired.repaired >= 1
         assert repaired.degradations == ()

@@ -234,8 +234,8 @@ class TestDegradedToClean:
     def test_seed_17_repairs_instead_of_degrading(self):
         """The acceptance pin: the read sweep's canonical "degraded" seed
         classifies "clean" once the world carries page replicas."""
-        without = run_schedule(17)
-        with_replicas = run_schedule(17, replicas=2)
+        without = run_schedule("read", 17)[-1]
+        with_replicas = run_schedule("read", 17, replicas=2)[-1]
         assert without.status == "degraded"
         assert with_replicas.status == "clean"
         assert with_replicas.repaired >= 1

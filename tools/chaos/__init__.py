@@ -21,41 +21,13 @@ Anything else — a wrong row, a truncated stream, an untyped crash — is a
 :class:`ChaosViolation`: the silent-garbage class of bug this harness
 exists to catch.
 
-Three extensions ride on the same machinery:
-
-* ``--replicas k`` rebuilds the faulty world on a k-way
-  :class:`~repro.storage.replica.ReplicatedDisk`, so checksum failures
-  repair in place instead of degrading the plan (seed 17's pinned
-  "degraded" outcome turns "clean");
-* ``--write`` switches to the write sweep
-  (:func:`run_write_schedule`): torn-write faults during WAL-journaled
-  ``bulk_load``/``insert`` batches, verified bit-identical to a
-  fault-free load after redo recovery, plus a simulated-crash leg that
-  must roll back cleanly;
-* ``--prefetch`` switches to the prefetch identity sweep
-  (:func:`run_prefetch_schedule`): the same scripted corrupt fault is
-  replayed once against a demand-only world and once against a world
-  with the multi-queue scheduler and sweep-ahead prefetcher armed, and
-  the two runs must degrade *identically* — same status, same
-  structural degradation trail, bit-identical rows, same fault log.
-  A corrupt page must hurt exactly as much whether the engine read it
-  on demand or speculatively ahead of the sweep plane.
-* ``--shards K`` switches to the shard sweep
-  (:func:`run_shard_schedule`): the harness query runs against a K-way
-  range-sharded :class:`~repro.shard.ShardedDatabase` while one shard
-  copy is killed, corrupted, or slowed mid-scan.  With replica copies
-  the merged stream must stay bit-identical to the unsharded fault-free
-  oracle across failover and cross-copy repair; without them the run
-  must end in a typed :class:`~repro.shard.ShardFailedError` or an
-  explicitly flagged partial result whose ``failed_ranges`` account for
-  every missing row.
-* ``--join`` switches to the join sweep (:func:`run_join_schedule`): a
-  co-partitioned merge join (:class:`~repro.shard.CoPartitionedJoin`,
-  inner or semi depending on the seed) runs while one probe-side shard
-  copy is killed, corrupted, or slowed mid-join.  The concatenated
-  output must stay bit-identical to the serial merge join of the two
-  serial sorted streams, or end in a typed error / flagged partial
-  whose ``failed_ranges`` account for every missing output row.
+That is the ``read`` sweep.  Five more — ``write``, ``prefetch``,
+``shard``, ``join`` and ``txn`` — ride on the same machinery, and
+:data:`SWEEPS` is the one table that lists all six: flag, pinned seeds,
+size, parameters, reachable statuses, and the function that runs one
+schedule (its docstring states the sweep's fire and oracle in full).
+:func:`run_schedule` runs one ``(sweep, seed)``; :func:`run_suite`
+loops it over backends × seeds.
 
 Usage: ``python -m tools.chaos --seeds 11 17 23`` (add ``--backend
 python`` to force a kernel backend; default sweeps whatever is
@@ -67,7 +39,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from functools import partial
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro import kernels
 from repro.costmodel import CostParameters
@@ -80,14 +53,7 @@ from repro.planner import (
 )
 from repro.relational import Attribute, Database, IntEncoder, Schema
 from repro.relational.operators import MergeJoin, MergeSemiJoin
-from repro.shard import (
-    CoPartitionedJoin,
-    ShardedDatabase,
-    ShardedJoinResult,
-    ShardedScanResult,
-    ShardFailedError,
-)
-from repro.txn import TransactionCoordinator
+from repro.shard import CoPartitionedJoin, ShardedDatabase, ShardFailedError
 from repro.storage import (
     FaultPlan,
     FaultyDisk,
@@ -95,60 +61,29 @@ from repro.storage import (
     StorageError,
 )
 from repro.storage.faults import CORRUPT
+from repro.storage.stats import FaultStats
+from repro.txn import TransactionCoordinator
+from repro.txn.coordinator import TxnRecoveryReport
 
 __all__ = [
     "ChaosOutcome",
     "ChaosViolation",
-    "DEFAULT_JOIN_SEEDS",
-    "DEFAULT_PREFETCH_SEEDS",
-    "DEFAULT_SEEDS",
-    "DEFAULT_SHARD_SEEDS",
-    "DEFAULT_TXN_SEEDS",
-    "DEFAULT_WRITE_SEEDS",
     "QUERY",
-    "build_join_world",
-    "build_shard_world",
+    "SWEEPS",
+    "Sweep",
+    "build_sharded_world",
     "build_txn_world",
     "build_world",
-    "build_write_world",
+    "chaos_data",
     "chaos_plan",
     "join_scenario",
-    "run_join_schedule",
-    "run_join_suite",
-    "run_prefetch_schedule",
-    "run_prefetch_suite",
     "run_schedule",
-    "run_shard_schedule",
-    "run_shard_suite",
     "run_suite",
-    "run_txn_schedule",
-    "run_txn_suite",
-    "run_write_schedule",
-    "run_write_suite",
+    "scan_fingerprint",
+    "settle_txn_landing",
     "shard_scenario",
-    "txn_plan",
     "write_plan",
 ]
-
-#: the CI sweep's pinned seeds (chosen to cover clean, degraded and
-#: failed outcomes on both kernel backends)
-DEFAULT_SEEDS: tuple[int, ...] = (17, 23, 33)
-
-#: the shard sweep's pinned seeds (each lands on a different cell of the
-#: :func:`shard_scenario` grid, so the default sweep covers a clean
-#: sharded run, a latency-only run, failover by kill, cross-copy repair
-#: after corruption, a typed failure and a flagged-partial result on
-#: both kernel backends)
-DEFAULT_SHARD_SEEDS: tuple[int, ...] = (2, 6, 7, 10, 13, 29)
-
-#: the write sweep's pinned seeds (chosen so every schedule tears at
-#: least one page mid-``bulk_load`` on both kernel backends, forcing the
-#: WAL's redo path to do real work)
-DEFAULT_WRITE_SEEDS: tuple[int, ...] = (7, 19, 41)
-
-#: the prefetch identity sweep's pinned seeds (each picks a different
-#: victim page inside the sweep-ahead window)
-DEFAULT_PREFETCH_SEEDS: tuple[int, ...] = (3, 12, 29)
 
 #: the harness's fixed Q6-style query: restriction on one UB dimension,
 #: sort on the other
@@ -157,9 +92,241 @@ QUERY: dict[str, Any] = {
     "sort_attr": "a2",
 }
 
+#: the memory budget every harness query is planned under
+COST = CostParameters(memory_pages=8)
+
 
 class ChaosViolation(AssertionError):
     """The engine broke the correct-or-typed-error contract."""
+
+
+# ----------------------------------------------------------------------
+# the world kit, shared with ``tools.crashgrid``
+# ----------------------------------------------------------------------
+#: index dimensions of every sharded world; the first is the shard attribute
+SHARD_DIMS: tuple[str, str] = ("a1", "a2")
+
+
+def chaos_schema() -> Schema:
+    return Schema(
+        [
+            Attribute("a1", IntEncoder(0, 1023)),
+            Attribute("a2", IntEncoder(0, 1023)),
+            Attribute("v", IntEncoder(0, 10**9)),
+        ]
+    )
+
+
+def chaos_data(rows: int, data_seed: int = 0) -> list[tuple]:
+    rng = random.Random(data_seed)
+    return [(rng.randrange(1024), rng.randrange(1024), i) for i in range(rows)]
+
+
+def build_world(
+    fault_plan: "FaultPlan | None" = None,
+    *,
+    rows: int = 1200,
+    wal: bool = False,
+    replicas: int = 0,
+    devices: int = 1,
+    prefetch_depth: int = 0,
+) -> tuple[Database, PhysicalDesign, list[tuple]]:
+    """One logical relation in four physical instances, optionally faulty.
+
+    Fault injection stays disarmed during loading, so the dataset is
+    always pristine and a schedule's damage is a pure function of the
+    query's own access pattern.  ``replicas=k`` slides a
+    :class:`~repro.storage.replica.ReplicatedDisk` under the fault
+    layer and captures every loaded page, so checksum failures during
+    the query can be repaired in place instead of quarantined.
+    ``devices``/``prefetch_depth`` arm the multi-queue
+    :class:`~repro.storage.scheduler.IOScheduler` and sweep-ahead
+    prefetcher (used by the prefetch identity sweep).
+
+    ``wal=True`` builds the write sweep's world instead: WAL-armed and
+    *empty* — the whole point is that ``bulk_load`` itself runs with
+    torn-write faults armed and must end bit-identical to a fault-free
+    load after recovery, so nothing is pre-loaded and the returned rows
+    are the caller's to load.
+    """
+    schema = chaos_schema()
+    data = chaos_data(rows)
+    db = Database(
+        buffer_pages=48,
+        fault_plan=fault_plan,
+        quarantine_threshold=2,
+        wal=wal,
+        replicas=replicas,
+        devices=devices,
+        prefetch_depth=prefetch_depth,
+    )
+
+    def instance(table: Any) -> Any:
+        # load right after creation: page placement follows this order
+        if not wal:
+            table.load(data)
+        return table
+
+    heap = instance(db.create_heap_table("heap", schema, 40))
+    iot_a1 = instance(
+        db.create_iot("iot_a1", schema, key=("a1", "a2"), page_capacity=40)
+    )
+    iot_a2 = instance(
+        db.create_iot("iot_a2", schema, key=("a2", "a1"), page_capacity=40)
+    )
+    ub = instance(
+        db.create_ub_table("ub", schema, dims=SHARD_DIMS, page_capacity=40)
+    )
+    if not wal:
+        db.buffer.flush()
+        if replicas:
+            db.capture_replicas()
+        db.reset_measurement()
+    design = PhysicalDesign(
+        attributes=SHARD_DIMS, heap=heap, iots={"a1": iot_a1, "a2": iot_a2}, ub=ub
+    )
+    return db, design, data
+
+
+def page_fingerprint(db: Database) -> tuple:
+    """Canonical content of every allocated data page.
+
+    Two worlds with equal fingerprints hold bit-identical record sets,
+    structural payloads and physical placement — the currency in which
+    the write sweep's "replayed to committed state" claim is settled.
+    """
+    entries = []
+    for page in sorted(db.disk.iter_pages(), key=lambda p: p.page_id):
+        payload = page.payload
+        if payload is None:
+            psig: Any = None
+        elif isinstance(payload, dict):
+            psig = tuple(sorted((key, repr(value)) for key, value in payload.items()))
+        elif hasattr(payload, "keys") and hasattr(payload, "children"):
+            psig = ("node", tuple(payload.keys), tuple(payload.children))
+        else:  # pragma: no cover - no third payload shape exists today
+            psig = repr(payload)
+        entries.append((page.page_id, repr(page.records), psig))
+    return tuple(entries)
+
+
+def build_sharded_world(
+    *,
+    shards: int,
+    copies: int = 1,
+    page_capacity: int = 32,
+    fault_plans: "dict[tuple[int, int], FaultPlan] | None" = None,
+    wal: bool = False,
+    wal_fault_plans: "dict[tuple[int, int], FaultPlan] | None" = None,
+) -> ShardedDatabase:
+    """An empty world range-sharded on ``a1``; the caller loads it.
+
+    ``fault_plans`` / ``wal_fault_plans`` put fire on the data disks /
+    journal log devices of chosen ``(shard, copy)`` engines.
+    """
+    return ShardedDatabase(
+        chaos_schema(),
+        SHARD_DIMS,
+        SHARD_DIMS[0],
+        shards=shards,
+        copies=copies,
+        page_capacity=page_capacity,
+        quarantine_threshold=2,
+        fault_plans=fault_plans,
+        wal=wal,
+        wal_fault_plans=wal_fault_plans,
+    )
+
+
+def txn_plan(seed: int) -> FaultPlan:
+    """Log-device fault mix for one txn-sweep seed.
+
+    Torn and transient *appends* only — log devices refuse corrupt
+    plans by contract (a checksum lie on the log would be silent
+    history rewriting, not a crash), and the verified force is expected
+    to absorb everything this plan throws.
+    """
+    return FaultPlan(seed=seed, transient_rate=0.05, torn_write_rate=0.20)
+
+
+def build_txn_world(
+    seed: "int | None" = None,
+    *,
+    shards: int = 2,
+    copies: int = 1,
+    page_capacity: int = 16,
+) -> "tuple[ShardedDatabase, TransactionCoordinator]":
+    """A WAL-armed sharded world with a 2PC coordinator attached.
+
+    With a ``seed``, every shard WAL *and* the coordinator's decision
+    log get their own derived fault plan; with ``None`` the world is
+    fault-free (the txn sweep's oracle, every crash-grid world).
+    """
+    wal_plans = None
+    log_plan = None
+    if seed is not None:
+        wal_plans = {
+            (s, c): txn_plan(seed + 7 * s + c)
+            for s in range(shards)
+            for c in range(copies)
+        }
+        log_plan = txn_plan(seed + 101)
+    sdb = build_sharded_world(
+        shards=shards,
+        copies=copies,
+        page_capacity=page_capacity,
+        wal=True,
+        wal_fault_plans=wal_plans,
+    )
+    return sdb, TransactionCoordinator(sdb, log_fault_plan=log_plan)
+
+
+def scan_fingerprint(sdb: ShardedDatabase) -> tuple:
+    """Full-domain sharded scan: the equality oracle of 2PC worlds."""
+    result = sdb.sorted_scan({"a1": (0, 1023)}, "a2")
+    if result.partial or result.degraded:
+        raise ChaosViolation("fingerprint scan degraded with no fault armed")
+    return tuple(result.rows)
+
+
+def settle_txn_landing(
+    where: str,
+    sdb: ShardedDatabase,
+    txn: TransactionCoordinator,
+    gid: str,
+    oracle_fp: tuple,
+    baseline_fp: tuple,
+) -> "tuple[TxnRecoveryReport, str]":
+    """Recover a crashed 2PC world and hold it to all-or-nothing.
+
+    The recovered world must equal the fault-free oracle exactly when
+    the decision log holds a durable ``commit`` verdict for ``gid``, and
+    the untouched baseline otherwise (presumed abort); a second recovery
+    pass must resolve nothing, re-ack nothing and change nothing.
+    Returns the first pass's report and the verdict (``""`` = presumed
+    abort); ``where`` names the schedule in messages.
+    """
+    report = txn.recover()
+    fp = scan_fingerprint(sdb)
+    decided = txn.log.decision_for(gid) or ""
+    if fp != (oracle_fp if decided == "commit" else baseline_fp):
+        raise ChaosViolation(
+            f"{where}: recovery landed on neither verdict's state — the "
+            f"decision log says {decided or 'presumed-abort'!r} for {gid!r}, "
+            "and the world is not that state (a partial write survived, or "
+            "the outcome contradicts the log)"
+        )
+    again = txn.recover()
+    if (
+        again.resolved_commits
+        or again.resolved_aborts
+        or again.reacked
+        or scan_fingerprint(sdb) != fp
+    ):
+        raise ChaosViolation(
+            f"{where}: txn recovery is not idempotent ({again.describe()})"
+        )
+    return report, decided
 
 
 @dataclass(frozen=True)
@@ -200,8 +367,56 @@ class ChaosOutcome:
         return base
 
 
+def _outcome(
+    seed: int,
+    backend: str,
+    status: str,
+    rows: int,
+    tally: "FaultStats | Mapping[str, int]",
+    *,
+    events: Iterable[Any] = (),
+    error: "str | None" = None,
+    healed: int = 0,
+    fault_log: Iterable[tuple[str, str, int, int]] = (),
+) -> ChaosOutcome:
+    """The one place a run's tallies become a :class:`ChaosOutcome`.
+
+    ``tally`` is the armed disk's ``FaultStats`` for a ``Database``
+    world, or a mapping shaped like ``ShardedDatabase.fault_totals()``
+    for a sharded one (reprolint R014 keeps harnesses out of per-copy
+    internals); a counter the mapping omits reads as 0.  ``events`` are
+    degradation events of either family — anything with ``describe()``.
+    """
+    if isinstance(tally, FaultStats):
+        tally = {
+            "injected": tally.total_injected,
+            "retries": tally.retries,
+            "quarantined": tally.quarantined_pages,
+            "repaired": tally.repaired_pages,
+            "lifted": tally.quarantine_lifted,
+        }
+    return ChaosOutcome(
+        seed=seed,
+        backend=backend,
+        status=status,
+        rows=rows,
+        faults_injected=tally["injected"],
+        retries=tally.get("retries", 0),
+        quarantined=tally.get("quarantined", 0),
+        degradations=tuple(event.describe() for event in events),
+        error=error,
+        repaired=tally.get("repaired", 0),
+        lifted=tally.get("lifted", 0),
+        healed=healed,
+        fault_log=tuple(fault_log),
+    )
+
+
+# ----------------------------------------------------------------------
+# read + prefetch sweeps: the harness query on an armed four-instance world
+# ----------------------------------------------------------------------
 def chaos_plan(seed: int) -> FaultPlan:
-    """The sweep's fault mix for one seed.
+    """The read sweep's fault mix for one seed.
 
     Rates are deliberately harsh relative to real hardware so that a
     three-seed CI sweep still exercises retries, quarantine and plan
@@ -217,85 +432,38 @@ def chaos_plan(seed: int) -> FaultPlan:
     )
 
 
-def _chaos_schema() -> Schema:
-    return Schema(
-        [
-            Attribute("a1", IntEncoder(0, 1023)),
-            Attribute("a2", IntEncoder(0, 1023)),
-            Attribute("v", IntEncoder(0, 10**9)),
-        ]
+def _harness_query(design: PhysicalDesign) -> QueryResult:
+    return execute_sorted_query(
+        design, QUERY["restrictions"], QUERY["sort_attr"], COST
     )
 
 
-def _chaos_data(rows: int, data_seed: int) -> list[tuple]:
-    rng = random.Random(data_seed)
-    return [(rng.randrange(1024), rng.randrange(1024), i) for i in range(rows)]
-
-
-def build_world(
-    fault_plan: "FaultPlan | None" = None,
-    *,
-    rows: int = 1200,
-    data_seed: int = 0,
-    buffer_pages: int = 48,
-    replicas: int = 0,
-    devices: int = 1,
-    prefetch_depth: int = 0,
-) -> tuple[Database, PhysicalDesign, list[tuple]]:
-    """One logical relation in four physical instances, optionally faulty.
-
-    Fault injection stays disarmed during loading, so the dataset is
-    always pristine and a schedule's damage is a pure function of the
-    query's own access pattern.  ``replicas=k`` slides a
-    :class:`~repro.storage.replica.ReplicatedDisk` under the fault
-    layer and captures every loaded page, so checksum failures during
-    the query can be repaired in place instead of quarantined.
-    ``devices``/``prefetch_depth`` arm the multi-queue
-    :class:`~repro.storage.scheduler.IOScheduler` and sweep-ahead
-    prefetcher (used by the ``--prefetch`` identity sweep).
-    """
-    schema = _chaos_schema()
-    data = _chaos_data(rows, data_seed)
-    db = Database(
-        buffer_pages=buffer_pages,
-        fault_plan=fault_plan,
-        quarantine_threshold=2,
-        replicas=replicas,
-        devices=devices,
-        prefetch_depth=prefetch_depth,
-    )
-    heap = db.create_heap_table("heap", schema, 40)
-    heap.load(data)
-    iot_a1 = db.create_iot("iot_a1", schema, key=("a1", "a2"), page_capacity=40)
-    iot_a1.load(data)
-    iot_a2 = db.create_iot("iot_a2", schema, key=("a2", "a1"), page_capacity=40)
-    iot_a2.load(data)
-    ub = db.create_ub_table("ub", schema, dims=("a1", "a2"), page_capacity=40)
-    ub.load(data)
-    db.buffer.flush()
-    if replicas:
-        db.capture_replicas()
-    db.reset_measurement()
-    design = PhysicalDesign(
-        attributes=("a1", "a2"), heap=heap, iots={"a1": iot_a1, "a2": iot_a2}, ub=ub
-    )
-    return db, design, data
-
-
-def _oracle_rows(data: "list[tuple]", restrictions: dict, sort_attr: str) -> list:
-    """Ground truth computed directly from the in-memory dataset."""
+def _oracle_rows(data: "list[tuple]") -> list:
+    """Ground truth for :data:`QUERY`, straight from the in-memory dataset."""
     positions = {"a1": 0, "a2": 1, "v": 2}
     survivors = []
     for row in data:
         keep = True
-        for attr, (lo, hi) in restrictions.items():
+        for attr, (lo, hi) in QUERY["restrictions"].items():
             value = row[positions[attr]]
             if (lo is not None and value < lo) or (hi is not None and value > hi):
                 keep = False
                 break
         if keep:
             survivors.append(row)
-    return sorted(survivors, key=lambda row: row[positions[sort_attr]])
+    return sorted(survivors, key=lambda row: row[positions[QUERY["sort_attr"]]])
+
+
+def _baseline(rows: int) -> "tuple[PhysicalDesign, list[tuple], list[tuple]]":
+    """The fault-free world's design, its exact stream, and the oracle."""
+    _, design, data = build_world(rows=rows)
+    baseline = _harness_query(design)
+    oracle = _oracle_rows(data)
+    if sorted(baseline.rows) != sorted(oracle) or baseline.degraded:
+        raise ChaosViolation(
+            "fault-free baseline is broken; chaos results are meaningless"
+        )
+    return design, baseline.rows, oracle
 
 
 def _verify_result(
@@ -331,115 +499,9 @@ def _verify_result(
             checker.observe(ub.point_of(row))
 
 
-def run_schedule(
-    seed: int,
-    *,
-    backend: str | None = None,
-    rows: int = 1200,
-    params: "CostParameters | None" = None,
-    replicas: int = 0,
-) -> ChaosOutcome:
-    """Run the harness query under one seeded schedule and verify it."""
-    backend_name = backend or kernels.get_backend().name
-    params = params or CostParameters(memory_pages=8)
-
-    with kernels.use_backend(backend_name):
-        # fault-free baseline: the exact stream a clean run produces
-        _, clean_design, data = build_world(rows=rows)
-        baseline = execute_sorted_query(
-            clean_design, QUERY["restrictions"], QUERY["sort_attr"], params
-        )
-        oracle = _oracle_rows(data, QUERY["restrictions"], QUERY["sort_attr"])
-        if sorted(baseline.rows) != sorted(oracle) or baseline.degraded:
-            raise ChaosViolation(
-                "fault-free baseline is broken; chaos results are meaningless"
-            )
-
-        db, design, _ = build_world(chaos_plan(seed), rows=rows, replicas=replicas)
-        disk = db.disk
-        if not isinstance(disk, FaultyDisk):  # pragma: no cover - guarded above
-            raise RuntimeError("chaos world lost its FaultyDisk")
-        db.arm_faults()
-        try:
-            result = execute_sorted_query(
-                design, QUERY["restrictions"], QUERY["sort_attr"], params
-            )
-        except PlanExhaustedError as exc:
-            return ChaosOutcome(
-                seed=seed,
-                backend=backend_name,
-                status="failed",
-                rows=0,
-                faults_injected=disk.stats.faults.total_injected,
-                retries=disk.stats.faults.retries,
-                quarantined=disk.stats.faults.quarantined_pages,
-                degradations=tuple(e.describe() for e in exc.degradations),
-                error=str(exc),
-                repaired=disk.stats.faults.repaired_pages,
-                lifted=disk.stats.faults.quarantine_lifted,
-                fault_log=tuple(disk.fault_log),
-            )
-        except StorageError as exc:
-            # typed, but the executor should have wrapped it — still within
-            # contract for the caller, so report it as a failure outcome
-            return ChaosOutcome(
-                seed=seed,
-                backend=backend_name,
-                status="failed",
-                rows=0,
-                faults_injected=disk.stats.faults.total_injected,
-                retries=disk.stats.faults.retries,
-                quarantined=disk.stats.faults.quarantined_pages,
-                error=f"{type(exc).__name__}: {exc}",
-                repaired=disk.stats.faults.repaired_pages,
-                lifted=disk.stats.faults.quarantine_lifted,
-                fault_log=tuple(disk.fault_log),
-            )
-        finally:
-            db.disarm_faults()
-
-        _verify_result(result, baseline.rows, oracle, design, seed)
-        return ChaosOutcome(
-            seed=seed,
-            backend=backend_name,
-            status="degraded" if result.degraded else "clean",
-            rows=len(result.rows),
-            faults_injected=disk.stats.faults.total_injected,
-            retries=disk.stats.faults.retries,
-            quarantined=disk.stats.faults.quarantined_pages,
-            degradations=tuple(e.describe() for e in result.degradations),
-            repaired=disk.stats.faults.repaired_pages,
-            lifted=disk.stats.faults.quarantine_lifted,
-            fault_log=tuple(disk.fault_log),
-        )
-
-
-def run_suite(
-    seeds: Iterable[int] = DEFAULT_SEEDS,
-    *,
-    backends: "Sequence[str] | None" = None,
-    rows: int = 1200,
-    replicas: int = 0,
-) -> list[ChaosOutcome]:
-    """Sweep ``seeds`` across ``backends`` (default: all available)."""
-    names = list(backends) if backends else kernels.available_backends()
-    outcomes = []
-    for name in names:
-        for seed in seeds:
-            outcomes.append(
-                run_schedule(seed, backend=name, rows=rows, replicas=replicas)
-            )
-    return outcomes
-
-
-# ----------------------------------------------------------------------
-# prefetch identity sweep: corrupt prefetched == corrupt demand-fetched
-# ----------------------------------------------------------------------
-
-
 @dataclass
-class _ScriptedRun:
-    """One scripted-fault run plus the structure the identity check needs."""
+class _FiredQuery:
+    """One armed run plus the structure the prefetch identity check needs."""
 
     outcome: ChaosOutcome
     rows: "list[tuple] | None"  #: completed output, or None on failure
@@ -451,80 +513,79 @@ class _ScriptedRun:
     prefetch_issued: int
 
 
-def _run_scripted(
+def _fire_query(
     plan: FaultPlan,
     seed: int,
-    backend_name: str,
+    backend: str,
     rows: int,
-    params: CostParameters,
     baseline_rows: "list[tuple]",
     oracle: "list[tuple]",
-    *,
-    devices: int,
-    prefetch_depth: int,
-) -> _ScriptedRun:
-    """One faulty-world run of the harness query under a scripted plan."""
-    db, design, _ = build_world(
-        plan, rows=rows, devices=devices, prefetch_depth=prefetch_depth
-    )
+    **world: int,
+) -> _FiredQuery:
+    """Run :data:`QUERY` on a four-instance world armed with ``plan`` and
+    classify the run clean / degraded / failed (verified when it
+    completes)."""
+    db, design, _ = build_world(plan, rows=rows, **world)
     disk = db.disk
-    if not isinstance(disk, FaultyDisk):  # pragma: no cover - guarded above
+    if not isinstance(disk, FaultyDisk):  # pragma: no cover - plan is never None
         raise RuntimeError("chaos world lost its FaultyDisk")
+    result = error = None
+    events: tuple = ()
     db.arm_faults()
     try:
-        result = execute_sorted_query(
-            design, QUERY["restrictions"], QUERY["sort_attr"], params
-        )
+        result = _harness_query(design)
+        events = result.degradations
     except PlanExhaustedError as exc:
-        outcome = ChaosOutcome(
-            seed=seed,
-            backend=backend_name,
-            status="failed",
-            rows=0,
-            faults_injected=disk.stats.faults.total_injected,
-            retries=disk.stats.faults.retries,
-            quarantined=disk.stats.faults.quarantined_pages,
-            degradations=tuple(e.describe() for e in exc.degradations),
-            error=str(exc),
-            fault_log=tuple(disk.fault_log),
-        )
-        trail = tuple(
-            (e.method, e.instance, e.error_type, e.fallback_method, e.fallback_instance)
-            for e in exc.degradations
-        )
-        return _ScriptedRun(
-            outcome, None, trail, disk.stats.prefetch.prefetch_issued
-        )
+        events, error = exc.degradations, str(exc)
+    except StorageError as exc:
+        # typed, but the executor should have wrapped it — still within
+        # contract for the caller, so report it as a failure outcome
+        error = f"{type(exc).__name__}: {exc}"
     finally:
         db.disarm_faults()
-
-    _verify_result(result, baseline_rows, oracle, design, seed)
-    outcome = ChaosOutcome(
-        seed=seed,
-        backend=backend_name,
-        status="degraded" if result.degraded else "clean",
-        rows=len(result.rows),
-        faults_injected=disk.stats.faults.total_injected,
-        retries=disk.stats.faults.retries,
-        quarantined=disk.stats.faults.quarantined_pages,
-        degradations=tuple(e.describe() for e in result.degradations),
-        fault_log=tuple(disk.fault_log),
+    if result is None:
+        status = "failed"
+    else:
+        _verify_result(result, baseline_rows, oracle, design, seed)
+        status = "degraded" if result.degraded else "clean"
+    out_rows = None if result is None else result.rows
+    outcome = _outcome(
+        seed,
+        backend,
+        status,
+        len(out_rows or ()),
+        disk.stats.faults,
+        events=events,
+        error=error,
+        fault_log=disk.fault_log,
     )
     trail = tuple(
         (e.method, e.instance, e.error_type, e.fallback_method, e.fallback_instance)
-        for e in result.degradations
+        for e in events
     )
-    return _ScriptedRun(
-        outcome, result.rows, trail, disk.stats.prefetch.prefetch_issued
-    )
+    return _FiredQuery(outcome, out_rows, trail, disk.stats.prefetch.prefetch_issued)
 
 
-def run_prefetch_schedule(
-    seed: int,
-    *,
-    backend: str | None = None,
-    rows: int = 1200,
-    params: "CostParameters | None" = None,
+def _read_schedule(
+    seed: int, backend: str, *, rows: int, replicas: int = 0
+) -> tuple[ChaosOutcome]:
+    """Run the harness query under one seeded schedule and verify it.
+
+    ``replicas=k`` rebuilds the faulty world on a k-way
+    :class:`~repro.storage.replica.ReplicatedDisk`, so checksum failures
+    repair in place instead of degrading the plan (seed 17's pinned
+    "degraded" outcome turns "clean").
+    """
+    _, baseline_rows, oracle = _baseline(rows)
+    fired = _fire_query(
+        chaos_plan(seed), seed, backend, rows, baseline_rows, oracle,
+        replicas=replicas,
+    )
+    return (fired.outcome,)
+
+
+def _prefetch_schedule(
+    seed: int, backend: str, *, rows: int
 ) -> tuple[ChaosOutcome, ChaosOutcome]:
     """Prove a corrupt prefetched page degrades like a demand-fetched one.
 
@@ -542,42 +603,30 @@ def run_prefetch_schedule(
     Returns the ``(demand, prefetch)`` outcome pair after all identity
     checks pass; any divergence raises :class:`ChaosViolation`.
     """
-    backend_name = backend or kernels.get_backend().name
-    params = params or CostParameters(memory_pages=8)
+    clean_design, baseline_rows, oracle = _baseline(rows)
+    if clean_design.heap is None:  # pragma: no cover - build_world makes one
+        raise RuntimeError("prefetch sweep needs the heap instance")
+    page_ids = clean_design.heap.heap.page_ids
+    if len(page_ids) < 2:
+        raise ChaosViolation(
+            "prefetch sweep needs a multi-page heap to pick a victim "
+            "inside the sweep-ahead window"
+        )
+    # a page the scan reaches only after its first prefetch top-up:
+    # positions 1..8 are submitted asynchronously while page 0 is
+    # still being consumed, so the fault provably hits a *prefetched*
+    # read in the scheduler world
+    victim = page_ids[1 + seed % min(8, len(page_ids) - 1)]
+    plan = FaultPlan(seed=seed, scripted_reads=((victim, 0, CORRUPT),))
 
-    with kernels.use_backend(backend_name):
-        _, clean_design, data = build_world(rows=rows)
-        baseline = execute_sorted_query(
-            clean_design, QUERY["restrictions"], QUERY["sort_attr"], params
-        )
-        oracle = _oracle_rows(data, QUERY["restrictions"], QUERY["sort_attr"])
-        if sorted(baseline.rows) != sorted(oracle) or baseline.degraded:
-            raise ChaosViolation(
-                "fault-free baseline is broken; chaos results are meaningless"
-            )
-        if clean_design.heap is None:  # pragma: no cover - build_world makes one
-            raise RuntimeError("prefetch sweep needs the heap instance")
-        page_ids = clean_design.heap.heap.page_ids
-        if len(page_ids) < 2:
-            raise ChaosViolation(
-                "prefetch sweep needs a multi-page heap to pick a victim "
-                "inside the sweep-ahead window"
-            )
-        # a page the scan reaches only after its first prefetch top-up:
-        # positions 1..8 are submitted asynchronously while page 0 is
-        # still being consumed, so the fault provably hits a *prefetched*
-        # read in the scheduler world
-        victim = page_ids[1 + seed % min(8, len(page_ids) - 1)]
-        plan = FaultPlan(seed=seed, scripted_reads=((victim, 0, CORRUPT),))
-
-        demand = _run_scripted(
-            plan, seed, backend_name, rows, params, baseline.rows, oracle,
-            devices=1, prefetch_depth=0,
-        )
-        prefetch = _run_scripted(
-            plan, seed, backend_name, rows, params, baseline.rows, oracle,
-            devices=4, prefetch_depth=8,
-        )
+    demand = _fire_query(
+        plan, seed, backend, rows, baseline_rows, oracle,
+        devices=1, prefetch_depth=0,
+    )
+    prefetch = _fire_query(
+        plan, seed, backend, rows, baseline_rows, oracle,
+        devices=4, prefetch_depth=8,
+    )
 
     if demand.prefetch_issued != 0:
         raise ChaosViolation(
@@ -619,23 +668,8 @@ def run_prefetch_schedule(
     return demand.outcome, prefetch.outcome
 
 
-def run_prefetch_suite(
-    seeds: Iterable[int] = DEFAULT_PREFETCH_SEEDS,
-    *,
-    backends: "Sequence[str] | None" = None,
-    rows: int = 1200,
-) -> list[tuple[ChaosOutcome, ChaosOutcome]]:
-    """Sweep the prefetch identity schedules across ``backends``."""
-    names = list(backends) if backends else kernels.available_backends()
-    pairs = []
-    for name in names:
-        for seed in seeds:
-            pairs.append(run_prefetch_schedule(seed, backend=name, rows=rows))
-    return pairs
-
-
 # ----------------------------------------------------------------------
-# write-heavy sweep: torn writes during WAL-journaled bulk loads
+# write sweep: torn writes during WAL-journaled bulk loads
 # ----------------------------------------------------------------------
 def write_plan(seed: int) -> FaultPlan:
     """The write sweep's fault mix: torn writes only, at a harsh rate.
@@ -647,34 +681,6 @@ def write_plan(seed: int) -> FaultPlan:
     return FaultPlan(seed=seed, torn_write_rate=0.25)
 
 
-def build_write_world(
-    fault_plan: "FaultPlan | None" = None,
-    *,
-    buffer_pages: int = 48,
-) -> tuple[Database, PhysicalDesign]:
-    """An *empty* WAL-armed world: the write sweep loads it under fire.
-
-    Unlike :func:`build_world`, nothing is pre-loaded — the whole point
-    is that ``bulk_load`` itself runs with torn-write faults armed and
-    must end bit-identical to a fault-free load after recovery.
-    """
-    schema = _chaos_schema()
-    db = Database(
-        buffer_pages=buffer_pages,
-        fault_plan=fault_plan,
-        quarantine_threshold=2,
-        wal=True,
-    )
-    heap = db.create_heap_table("heap", schema, 40)
-    iot_a1 = db.create_iot("iot_a1", schema, key=("a1", "a2"), page_capacity=40)
-    iot_a2 = db.create_iot("iot_a2", schema, key=("a2", "a1"), page_capacity=40)
-    ub = db.create_ub_table("ub", schema, dims=("a1", "a2"), page_capacity=40)
-    design = PhysicalDesign(
-        attributes=("a1", "a2"), heap=heap, iots={"a1": iot_a1, "a2": iot_a2}, ub=ub
-    )
-    return db, design
-
-
 def _load_write_world(design: PhysicalDesign, data: "list[tuple]") -> None:
     """The write workload: all four instances bulk-loaded (WAL batches)."""
     design.heap.bulk_load(data)
@@ -684,35 +690,7 @@ def _load_write_world(design: PhysicalDesign, data: "list[tuple]") -> None:
         design.ub.bulk_load(data)
 
 
-def _fingerprint(db: Database) -> tuple:
-    """Canonical content of every allocated data page.
-
-    Two worlds with equal fingerprints hold bit-identical record sets,
-    structural payloads and physical placement — the currency in which
-    the write sweep's "replayed to committed state" claim is settled.
-    """
-    entries = []
-    for page in sorted(db.disk.iter_pages(), key=lambda p: p.page_id):
-        payload = page.payload
-        if payload is None:
-            psig: Any = None
-        elif isinstance(payload, dict):
-            psig = tuple(sorted((key, repr(value)) for key, value in payload.items()))
-        elif hasattr(payload, "keys") and hasattr(payload, "children"):
-            psig = ("node", tuple(payload.keys), tuple(payload.children))
-        else:  # pragma: no cover - no third payload shape exists today
-            psig = repr(payload)
-        entries.append((page.page_id, repr(page.records), psig))
-    return tuple(entries)
-
-
-def run_write_schedule(
-    seed: int,
-    *,
-    backend: str | None = None,
-    rows: int = 600,
-    params: "CostParameters | None" = None,
-) -> ChaosOutcome:
+def _write_schedule(seed: int, backend: str, *, rows: int) -> tuple[ChaosOutcome]:
     """Bulk-load a world under seeded torn writes and verify recovery.
 
     Three legs, all on the same seed:
@@ -729,133 +707,104 @@ def run_write_schedule(
        rollback must leave the disk bit-identical to its pre-load state,
        and recovery on the rolled-back log must change nothing.
     """
-    backend_name = backend or kernels.get_backend().name
-    params = params or CostParameters(memory_pages=8)
+    extras = chaos_data(24, data_seed=1)
 
-    with kernels.use_backend(backend_name):
-        data = _chaos_data(rows, data_seed=0)
-        extras = _chaos_data(24, data_seed=1)
+    # fault-free oracle, loaded through the same WAL-journaled paths
+    oracle_db, oracle_design, data = build_world(rows=rows, wal=True)
+    _load_write_world(oracle_design, data)
+    oracle_fp = page_fingerprint(oracle_db)
+    oracle_rows = _oracle_rows(data)
 
-        # fault-free oracle, loaded through the same WAL-journaled paths
-        oracle_db, oracle_design = build_write_world()
-        _load_write_world(oracle_design, data)
-        oracle_fp = _fingerprint(oracle_db)
-        oracle_rows = _oracle_rows(data, QUERY["restrictions"], QUERY["sort_attr"])
+    # leg 1: torn writes during every bulk_load, then redo recovery
+    db, design, _ = build_world(write_plan(seed), rows=rows, wal=True)
+    disk = db.disk
+    if not isinstance(disk, FaultyDisk):  # pragma: no cover - plan is never None
+        raise RuntimeError("write-chaos world lost its FaultyDisk")
+    db.arm_faults()
+    try:
+        _load_write_world(design, data)
+    finally:
+        db.disarm_faults()
+    db.recover()
+    if page_fingerprint(db) != oracle_fp:
+        raise ChaosViolation(
+            f"seed {seed}: recovered disk is not bit-identical to a "
+            "fault-free load; WAL redo missed a torn page"
+        )
+    again = db.recover()
+    if again.healed_pages or page_fingerprint(db) != oracle_fp:
+        raise ChaosViolation(f"seed {seed}: recovery is not idempotent")
+    # the oracle world runs the same query so that its temp-sort
+    # allocations keep both worlds' page allocators in lock-step —
+    # leg 2's split pages must land at the same physical addresses
+    _harness_query(oracle_design)
+    result = _harness_query(design)
+    if result.rows != oracle_rows or result.degraded:
+        raise ChaosViolation(
+            f"seed {seed}: post-recovery query diverged from the oracle"
+        )
 
-        # leg 1: torn writes during every bulk_load, then redo recovery
-        db, design = build_write_world(write_plan(seed))
-        disk = db.disk
-        if not isinstance(disk, FaultyDisk):  # pragma: no cover - guarded above
-            raise RuntimeError("write-chaos world lost its FaultyDisk")
+    # leg 2: journaled inserts under the same torn-write schedule.
+    # Recovery runs after every insert: the WAL's contract is
+    # crash-consistency at *batch* granularity, and a torn page must
+    # be healed before the next batch builds on top of it (pages are
+    # shared objects, so a torn write damages the live page too).
+    for row in extras:
         db.arm_faults()
         try:
-            _load_write_world(design, data)
+            design.ub.insert(row)  # type: ignore[union-attr]
         finally:
             db.disarm_faults()
         db.recover()
-        if _fingerprint(db) != oracle_fp:
-            raise ChaosViolation(
-                f"seed {seed}: recovered disk is not bit-identical to a "
-                "fault-free load; WAL redo missed a torn page"
-            )
-        again = db.recover()
-        if again.healed_pages or _fingerprint(db) != oracle_fp:
-            raise ChaosViolation(f"seed {seed}: recovery is not idempotent")
-        # the oracle world runs the same query so that its temp-sort
-        # allocations keep both worlds' page allocators in lock-step —
-        # leg 2's split pages must land at the same physical addresses
-        execute_sorted_query(
-            oracle_design, QUERY["restrictions"], QUERY["sort_attr"], params
+    for row in extras:
+        oracle_design.ub.insert(row)  # type: ignore[union-attr]
+    if page_fingerprint(db) != page_fingerprint(oracle_db):
+        raise ChaosViolation(
+            f"seed {seed}: recovered inserts diverged from fault-free "
+            "inserts; journaled insert left a half-applied split"
         )
-        result = execute_sorted_query(
-            design, QUERY["restrictions"], QUERY["sort_attr"], params
+
+    # leg 3: simulated crash mid-load must roll back to pristine
+    crash_db, crash_design, _ = build_world(rows=rows, wal=True)
+    pre_fp = page_fingerprint(crash_db)
+    if crash_db.wal is None:
+        raise ChaosViolation("write world built without an armed WAL")
+    crash_db.wal.crash_after_appends(3 + seed % 11)
+    try:
+        crash_design.heap.bulk_load(data)
+    except SimulatedCrashError:
+        pass
+    else:
+        raise ChaosViolation(
+            f"seed {seed}: crash hook never fired during bulk_load"
         )
-        if result.rows != oracle_rows or result.degraded:
-            raise ChaosViolation(
-                f"seed {seed}: post-recovery query diverged from the oracle"
-            )
+    if page_fingerprint(crash_db) != pre_fp:
+        raise ChaosViolation(
+            f"seed {seed}: crashed bulk_load left a half-built heap"
+        )
+    crash_db.recover()
+    if page_fingerprint(crash_db) != pre_fp:
+        raise ChaosViolation(
+            f"seed {seed}: recovery disturbed a cleanly rolled-back world"
+        )
 
-        # leg 2: journaled inserts under the same torn-write schedule.
-        # Recovery runs after every insert: the WAL's contract is
-        # crash-consistency at *batch* granularity, and a torn page must
-        # be healed before the next batch builds on top of it (pages are
-        # shared objects, so a torn write damages the live page too).
-        for row in extras:
-            db.arm_faults()
-            try:
-                design.ub.insert(row)  # type: ignore[union-attr]
-            finally:
-                db.disarm_faults()
-            db.recover()
-        for row in extras:
-            oracle_design.ub.insert(row)  # type: ignore[union-attr]
-        if _fingerprint(db) != _fingerprint(oracle_db):
-            raise ChaosViolation(
-                f"seed {seed}: recovered inserts diverged from fault-free "
-                "inserts; journaled insert left a half-applied split"
-            )
-
-        # leg 3: simulated crash mid-load must roll back to pristine
-        crash_db, crash_design = build_write_world()
-        pre_fp = _fingerprint(crash_db)
-        if crash_db.wal is None:
-            raise ChaosViolation("write world built without an armed WAL")
-        crash_db.wal.crash_after_appends(3 + seed % 11)
-        try:
-            crash_design.heap.bulk_load(data)
-        except SimulatedCrashError:
-            pass
-        else:
-            raise ChaosViolation(
-                f"seed {seed}: crash hook never fired during bulk_load"
-            )
-        if _fingerprint(crash_db) != pre_fp:
-            raise ChaosViolation(
-                f"seed {seed}: crashed bulk_load left a half-built heap"
-            )
-        crash_db.recover()
-        if _fingerprint(crash_db) != pre_fp:
-            raise ChaosViolation(
-                f"seed {seed}: recovery disturbed a cleanly rolled-back world"
-            )
-
-        faults = disk.stats.faults
-        return ChaosOutcome(
-            seed=seed,
-            backend=backend_name,
-            status="recovered" if faults.torn_writes else "clean",
-            rows=len(result.rows),
-            faults_injected=faults.total_injected,
-            retries=faults.retries,
-            quarantined=faults.quarantined_pages,
-            repaired=faults.repaired_pages,
-            lifted=faults.quarantine_lifted,
+    faults = disk.stats.faults
+    return (
+        _outcome(
+            seed,
+            backend,
+            "recovered" if faults.torn_writes else "clean",
+            len(result.rows),
+            faults,
             healed=faults.wal_redo_pages,
-            fault_log=tuple(disk.fault_log),
-        )
-
-
-def run_write_suite(
-    seeds: Iterable[int] = DEFAULT_WRITE_SEEDS,
-    *,
-    backends: "Sequence[str] | None" = None,
-    rows: int = 600,
-) -> list[ChaosOutcome]:
-    """Sweep the write schedules across ``backends`` (default: all)."""
-    names = list(backends) if backends else kernels.available_backends()
-    outcomes = []
-    for name in names:
-        for seed in seeds:
-            outcomes.append(run_write_schedule(seed, backend=name, rows=rows))
-    return outcomes
+            fault_log=disk.fault_log,
+        ),
+    )
 
 
 # ----------------------------------------------------------------------
-# shard sweep: kill/corrupt/slow one shard copy mid-scan
+# shard + join sweeps: kill/corrupt/slow one shard copy mid-stream
 # ----------------------------------------------------------------------
-SHARD_DIMS: tuple[str, str] = ("a1", "a2")
-
-
 def shard_scenario(seed: int) -> tuple[str, str]:
     """Deterministic ``(scenario, fault)`` grid cell for one seed.
 
@@ -872,246 +821,6 @@ def shard_scenario(seed: int) -> tuple[str, str]:
     return scenario, fault
 
 
-def build_shard_world(
-    seed: int,
-    *,
-    rows: int = 900,
-    shards: int = 4,
-    copies: int = 1,
-    fault: "str | None" = None,
-) -> tuple[ShardedDatabase, "list[tuple]", int]:
-    """A range-sharded world, its dataset, and the faulted shard index.
-
-    The victim shard is ``seed % shards`` — always inside the harness
-    query's ``a1`` range, so the armed fault is provably on the scan
-    path.  ``corrupt``/``slow`` plans are armed on the victim's primary
-    copy only; ``kill`` is scheduled separately through
-    :meth:`~repro.shard.ShardedDatabase.kill_copy`.
-    """
-    victim = seed % shards
-    plans: "dict[tuple[int, int], FaultPlan] | None" = None
-    if fault == "corrupt":
-        plans = {(victim, 0): FaultPlan(seed=seed, corrupt_rate=0.30)}
-    elif fault == "slow":
-        plans = {
-            (victim, 0): FaultPlan(
-                seed=seed, latency_rate=0.5, latency_seconds=0.020
-            )
-        }
-    sdb = ShardedDatabase(
-        _chaos_schema(),
-        SHARD_DIMS,
-        "a1",
-        shards=shards,
-        copies=copies,
-        page_capacity=32,
-        quarantine_threshold=2,
-        fault_plans=plans,
-    )
-    data = _chaos_data(rows, data_seed=0)
-    sdb.load(data)
-    return sdb, data, victim
-
-
-def _shard_oracle(data: "list[tuple]") -> "list[tuple]":
-    """The unsharded fault-free engine's exact keyed stream."""
-    db = Database()
-    table = db.create_ub_table("oracle", _chaos_schema(), SHARD_DIMS, 32)
-    table.bulk_load(data)
-    return list(
-        table.tetris_scan(QUERY["restrictions"], QUERY["sort_attr"])
-    )
-
-
-def _verify_shard_result(
-    result: ShardedScanResult,
-    oracle_pairs: "list[tuple]",
-    survivors: "list[tuple]",
-    scenario: str,
-    fault: str,
-    totals: "dict[str, int]",
-    seed: int,
-) -> None:
-    """Hold a completed sharded scan to the bit-identity contract."""
-    if result.partial:
-        lost = result.failed_ranges
-        expected = [
-            pair
-            for pair in oracle_pairs
-            if not any(lo <= pair[0][0] <= hi for lo, hi in lost)
-        ]
-        if result.rows != expected:
-            raise ChaosViolation(
-                f"seed {seed}: partial result is not the oracle stream minus "
-                "its flagged ranges; the surviving rows are silently wrong"
-            )
-        if not result.degradations:
-            raise ChaosViolation(
-                f"seed {seed}: partial result carries no degradation events; "
-                "a shard was dropped silently"
-            )
-        return
-    if result.rows != oracle_pairs:
-        raise ChaosViolation(
-            f"seed {seed}: completed sharded scan is not bit-identical to "
-            f"the unsharded fault-free oracle ({len(result.rows)} rows vs "
-            f"{len(oracle_pairs)}); this is silent garbage"
-        )
-    if sorted(payload for _, payload in result.rows) != sorted(survivors):
-        raise ChaosViolation(
-            f"seed {seed}: sharded scan and the pure-python oracle disagree "
-            "on the row multiset"
-        )
-    if scenario == "clean" and result.degraded:
-        raise ChaosViolation(
-            f"seed {seed}: fault-free sharded world reported degradations"
-        )
-    if scenario == "failover":
-        if fault in ("kill", "corrupt") and not result.degraded:
-            raise ChaosViolation(
-                f"seed {seed}: armed {fault} fault never forced a "
-                "degradation; the schedule is vacuous"
-            )
-        if fault == "slow" and totals["injected"] < 1:
-            raise ChaosViolation(
-                f"seed {seed}: latency plan never injected; the schedule "
-                "is vacuous"
-            )
-
-
-def run_shard_schedule(
-    seed: int,
-    *,
-    backend: str | None = None,
-    rows: int = 900,
-    shards: int = 4,
-    copies: int = 2,
-) -> ChaosOutcome:
-    """Run the sharded harness scan under one seeded schedule.
-
-    The seed's :func:`shard_scenario` cell decides what happens to the
-    victim shard mid-scan, and the contract is graded accordingly:
-
-    * any run that completes non-partial must be **bit-identical** to
-      the unsharded fault-free oracle — across failover to a replica
-      copy, cross-copy page repair, and latency injection alike;
-    * a ``lone`` run (no replicas) that loses its copy must end in a
-      typed :class:`~repro.shard.ShardFailedError` or — on odd seeds,
-      which opt into ``allow_partial`` — a result whose
-      ``failed_ranges`` exactly account for every missing row;
-    * a wrong row, a silently dropped shard, or an untyped crash is a
-      :class:`ChaosViolation`.
-    """
-    backend_name = backend or kernels.get_backend().name
-    scenario, fault = shard_scenario(seed)
-    effective_copies = copies if scenario == "failover" else 1
-    armed_fault = None if scenario == "clean" else fault
-    allow_partial = scenario == "lone" and bool(seed % 2)
-
-    with kernels.use_backend(backend_name):
-        sdb, data, victim = build_shard_world(
-            seed,
-            rows=rows,
-            shards=shards,
-            copies=effective_copies,
-            fault=armed_fault,
-        )
-        oracle_pairs = _shard_oracle(data)
-        survivors = _oracle_rows(data, QUERY["restrictions"], QUERY["sort_attr"])
-        if sorted(payload for _, payload in oracle_pairs) != sorted(survivors):
-            raise ChaosViolation(
-                "fault-free oracle is broken; shard-chaos results are "
-                "meaningless"
-            )
-
-        sdb.arm_faults()
-        if armed_fault == "kill":
-            sdb.kill_copy(victim, 0, after_rows=12 + seed % 25)
-        try:
-            result = sdb.sorted_scan(
-                QUERY["restrictions"],
-                QUERY["sort_attr"],
-                allow_partial=allow_partial,
-            )
-        except ShardFailedError as exc:
-            totals = sdb.fault_totals()
-            return ChaosOutcome(
-                seed=seed,
-                backend=backend_name,
-                status="failed",
-                rows=0,
-                faults_injected=totals["injected"],
-                retries=totals["retries"],
-                quarantined=totals["quarantined"],
-                degradations=tuple(e.describe() for e in exc.degradations),
-                error=f"shard {exc.shard}: {exc}",
-                repaired=totals["repaired"],
-                lifted=totals["lifted"],
-            )
-        finally:
-            sdb.disarm_faults()
-
-        totals = sdb.fault_totals()
-        _verify_shard_result(
-            result, oracle_pairs, survivors, scenario, fault, totals, seed
-        )
-        if armed_fault == "kill":
-            states = sdb.health()
-            if states[victim][0] != "dead":
-                raise ChaosViolation(
-                    f"seed {seed}: scheduled kill never fired; the schedule "
-                    "is vacuous"
-                )
-        status = (
-            "partial"
-            if result.partial
-            else ("degraded" if result.degraded else "clean")
-        )
-        return ChaosOutcome(
-            seed=seed,
-            backend=backend_name,
-            status=status,
-            rows=len(result.rows),
-            faults_injected=totals["injected"],
-            retries=totals["retries"],
-            quarantined=totals["quarantined"],
-            degradations=tuple(e.describe() for e in result.degradations),
-            repaired=totals["repaired"],
-            lifted=totals["lifted"],
-        )
-
-
-def run_shard_suite(
-    seeds: Iterable[int] = DEFAULT_SHARD_SEEDS,
-    *,
-    backends: "Sequence[str] | None" = None,
-    rows: int = 900,
-    shards: int = 4,
-    copies: int = 2,
-) -> list[ChaosOutcome]:
-    """Sweep the shard schedules across ``backends`` (default: all)."""
-    names = list(backends) if backends else kernels.available_backends()
-    outcomes = []
-    for name in names:
-        for seed in seeds:
-            outcomes.append(
-                run_shard_schedule(
-                    seed, backend=name, rows=rows, shards=shards, copies=copies
-                )
-            )
-    return outcomes
-
-
-# ----------------------------------------------------------------------
-# join sweep: a co-partitioned merge join under shard-copy fire
-# ----------------------------------------------------------------------
-#: the join sweep's pinned seeds — the same grid cells as the shard
-#: sweep (clean, latency-only, failover by kill, cross-copy repair,
-#: typed failure, flagged partial) but spread over both join kinds:
-#: 2/6/7 run the inner merge join, 10/13/29 the merge semi-join
-DEFAULT_JOIN_SEEDS: tuple[int, ...] = (2, 6, 7, 10, 13, 29)
-
-
 def join_scenario(seed: int) -> tuple[str, str, str]:
     """``(scenario, fault, kind)`` for one join-sweep seed.
 
@@ -1126,313 +835,211 @@ def join_scenario(seed: int) -> tuple[str, str, str]:
     return scenario, fault, kind
 
 
-def build_join_world(
-    seed: int,
-    *,
-    rows: int = 500,
-    shards: int = 4,
-    copies: int = 1,
-    fault: "str | None" = None,
-) -> tuple[ShardedDatabase, ShardedDatabase, "list[tuple]", "list[tuple]", int]:
-    """Two co-partitioned sharded relations plus the faulted shard index.
+def _serial_stream(
+    data: "list[tuple]", restrictions: "dict | None", sort_attr: str
+) -> "list[tuple]":
+    """The unsharded fault-free engine's exact keyed stream."""
+    table = Database().create_ub_table("oracle", chaos_schema(), SHARD_DIMS, 32)
+    table.bulk_load(data)
+    return list(table.tetris_scan(restrictions, sort_attr))
 
-    Both sides are range-sharded on the join attribute ``a1`` over the
-    same encoded domain, so every slab pair is join-aligned.  The fault
-    is armed on the *right* (probe) side's victim copy — the side a
-    pipelined merge join is mid-stream on whenever the build cursor
-    advances — and the victim shard is ``seed % shards``; the join runs
-    unrestricted, so the armed fault is always on the join path.  The
-    right relation is twice the size of the left (duplicate join keys
-    on the probe side, the usual fact-table shape).
+
+def _sharded_schedule(
+    seed: int,
+    backend: str,
+    shards: int,
+    copies: int,
+    build: "Callable[[int, dict | None], tuple[ShardedDatabase, Callable, list]]",
+    shard_key: "Callable[[tuple], int]",
+) -> tuple[ChaosOutcome]:
+    """One sharded operation under the seed's :func:`shard_scenario` cell.
+
+    ``build(copies, plans)`` is the sweep's subject: it makes the
+    world(s) with the scenario's copy count and ``plans`` on the victim
+    copy, and returns the sharded database under fire, the operation
+    to run (it takes ``allow_partial=``), and the fault-free oracle rows.
+    The victim shard is ``seed % shards`` — always on the operation's
+    path — and the cell decides what happens to its primary copy
+    mid-stream: ``corrupt``/``slow`` plans are armed on that copy only,
+    ``kill`` is scheduled through
+    :meth:`~repro.shard.ShardedDatabase.kill_copy`.  The contract is
+    graded accordingly:
+
+    * any run that completes non-partial must be **bit-identical** to
+      the fault-free oracle — across failover to a replica copy,
+      cross-copy page repair, and latency injection alike;
+    * a ``lone`` run (no replicas) that loses its copy must end in a
+      typed :class:`~repro.shard.ShardFailedError` or — on odd seeds,
+      which opt into ``allow_partial`` — a result whose
+      ``failed_ranges`` exactly account for every missing row
+      (``shard_key`` maps an output row to its encoded shard key);
+    * a wrong or reordered row, a silently dropped shard, or an untyped
+      crash is a :class:`ChaosViolation`.
     """
+    scenario, fault = shard_scenario(seed)
+    armed_fault = None if scenario == "clean" else fault
+    allow_partial = scenario == "lone" and bool(seed % 2)
     victim = seed % shards
     plans: "dict[tuple[int, int], FaultPlan] | None" = None
-    if fault == "corrupt":
+    if armed_fault == "corrupt":
         plans = {(victim, 0): FaultPlan(seed=seed, corrupt_rate=0.30)}
-    elif fault == "slow":
+    elif armed_fault == "slow":
         plans = {
             (victim, 0): FaultPlan(
                 seed=seed, latency_rate=0.5, latency_seconds=0.020
             )
         }
-    left = ShardedDatabase(
-        _chaos_schema(),
-        SHARD_DIMS,
-        "a1",
-        shards=shards,
-        copies=copies,
-        page_capacity=32,
-        quarantine_threshold=2,
-    )
-    left_data = _chaos_data(rows, data_seed=0)
-    left.load(left_data)
-    right = ShardedDatabase(
-        _chaos_schema(),
-        SHARD_DIMS,
-        "a1",
-        shards=shards,
-        copies=copies,
-        page_capacity=32,
-        quarantine_threshold=2,
-        fault_plans=plans,
-    )
-    right_data = _chaos_data(rows * 2, data_seed=1)
-    right.load(right_data)
-    return left, right, left_data, right_data, victim
+    sdb, run, oracle = build(copies if scenario == "failover" else 1, plans)
 
-
-def _join_oracle(
-    left_data: "list[tuple]", right_data: "list[tuple]", kind: str
-) -> "list[tuple]":
-    """The serial fault-free merge join — the sweep's ground truth."""
-
-    def stream(data: "list[tuple]") -> "list[tuple]":
-        db = Database()
-        table = db.create_ub_table("oracle", _chaos_schema(), SHARD_DIMS, 32)
-        table.bulk_load(data)
-        return [row for _, row in table.tetris_scan(None, "a1")]
-
-    join_cls = MergeJoin if kind == "inner" else MergeSemiJoin
-    return list(
-        join_cls(
-            stream(left_data),
-            stream(right_data),
-            left_key=lambda row: row[0],
-            right_key=lambda row: row[0],
+    sdb.arm_faults()
+    if armed_fault == "kill":
+        sdb.kill_copy(victim, 0, after_rows=12 + seed % 25)
+    try:
+        result = run(allow_partial=allow_partial)
+    except ShardFailedError as exc:
+        failed = _outcome(
+            seed,
+            backend,
+            "failed",
+            0,
+            sdb.fault_totals(),
+            events=exc.degradations,
+            error=f"shard {exc.shard}: {exc}",
         )
-    )
+        return (failed,)
+    finally:
+        sdb.disarm_faults()
 
-
-def _verify_join_result(
-    result: ShardedJoinResult,
-    oracle: "list[tuple]",
-    scenario: str,
-    fault: str,
-    totals: "dict[str, int]",
-    seed: int,
-) -> None:
-    """Hold a completed co-partitioned join to the bit-identity contract."""
+    totals = sdb.fault_totals()
     if result.partial:
-        encoder = _chaos_schema().attribute("a1").encoder
         lost = result.failed_ranges
         expected = [
             row
             for row in oracle
-            if not any(lo <= encoder.encode(row[0]) <= hi for lo, hi in lost)
+            if not any(lo <= shard_key(row) <= hi for lo, hi in lost)
         ]
         if result.rows != expected:
             raise ChaosViolation(
-                f"seed {seed}: partial join is not the serial join minus its "
-                "flagged key ranges; the surviving rows are silently wrong"
+                f"seed {seed}: partial result is not the oracle stream minus "
+                "its flagged ranges; the surviving rows are silently wrong"
             )
         if not result.degradations:
             raise ChaosViolation(
-                f"seed {seed}: partial join carries no degradation events; "
-                "a shard pair was dropped silently"
+                f"seed {seed}: partial result carries no degradation events; "
+                "a shard was dropped silently"
             )
-        return
-    if result.rows != oracle:
-        raise ChaosViolation(
-            f"seed {seed}: completed co-partitioned join is not bit-identical "
-            f"to the serial join ({len(result.rows)} rows vs {len(oracle)}); "
-            "this is silent garbage"
-        )
-    if scenario == "clean" and result.degraded:
-        raise ChaosViolation(
-            f"seed {seed}: fault-free co-partitioned join reported degradations"
-        )
-    if scenario == "failover":
-        if fault in ("kill", "corrupt") and not result.degraded:
+    else:
+        if result.rows != oracle:
             raise ChaosViolation(
-                f"seed {seed}: armed {fault} fault never forced a "
-                "degradation; the schedule is vacuous"
+                f"seed {seed}: completed run is not bit-identical to the "
+                f"fault-free serial oracle ({len(result.rows)} rows vs "
+                f"{len(oracle)}); this is silent garbage"
             )
-        if fault == "slow" and totals["injected"] < 1:
+        if scenario == "clean" and result.degraded:
             raise ChaosViolation(
-                f"seed {seed}: latency plan never injected; the schedule "
-                "is vacuous"
+                f"seed {seed}: fault-free sharded world reported degradations"
             )
-
-
-def run_join_schedule(
-    seed: int,
-    *,
-    backend: str | None = None,
-    rows: int = 500,
-    shards: int = 4,
-    copies: int = 2,
-) -> ChaosOutcome:
-    """Run one co-partitioned join under a seeded shard-copy schedule.
-
-    The grading mirrors :func:`run_shard_schedule`, applied to the
-    join's concatenated output stream:
-
-    * any run that completes non-partial must be **bit-identical** to
-      the serial merge join of the two serial sorted streams — across
-      mid-join failover to a replica copy, cross-copy page repair, and
-      latency injection alike;
-    * a ``lone`` run that loses its probe-side copy must end in a typed
-      :class:`~repro.shard.ShardFailedError` or — on odd seeds, which
-      opt into ``allow_partial`` — a result whose ``failed_ranges``
-      exactly account for every missing output row;
-    * a wrong or reordered row, a silently dropped shard pair, or an
-      untyped crash is a :class:`ChaosViolation`.
-    """
-    backend_name = backend or kernels.get_backend().name
-    scenario, fault, kind = join_scenario(seed)
-    effective_copies = copies if scenario == "failover" else 1
-    armed_fault = None if scenario == "clean" else fault
-    allow_partial = scenario == "lone" and bool(seed % 2)
-
-    with kernels.use_backend(backend_name):
-        left, right, left_data, right_data, victim = build_join_world(
-            seed,
-            rows=rows,
-            shards=shards,
-            copies=effective_copies,
-            fault=armed_fault,
-        )
-        oracle = _join_oracle(left_data, right_data, kind)
-        join = CoPartitionedJoin(left, right, kind=kind)
-        right.arm_faults()
-        if armed_fault == "kill":
-            right.kill_copy(victim, 0, after_rows=12 + seed % 25)
-        try:
-            result = join.run(allow_partial=allow_partial)
-        except ShardFailedError as exc:
-            totals = right.fault_totals()
-            return ChaosOutcome(
-                seed=seed,
-                backend=backend_name,
-                status="failed",
-                rows=0,
-                faults_injected=totals["injected"],
-                retries=totals["retries"],
-                quarantined=totals["quarantined"],
-                degradations=tuple(e.describe() for e in exc.degradations),
-                error=f"shard {exc.shard}: {exc}",
-                repaired=totals["repaired"],
-                lifted=totals["lifted"],
-            )
-        finally:
-            right.disarm_faults()
-
-        totals = right.fault_totals()
-        _verify_join_result(result, oracle, scenario, fault, totals, seed)
-        if armed_fault == "kill":
-            if right.health()[victim][0] != "dead":
+        if scenario == "failover":
+            if fault in ("kill", "corrupt") and not result.degraded:
                 raise ChaosViolation(
-                    f"seed {seed}: scheduled kill never fired; the schedule "
+                    f"seed {seed}: armed {fault} fault never forced a "
+                    "degradation; the schedule is vacuous"
+                )
+            if fault == "slow" and totals["injected"] < 1:
+                raise ChaosViolation(
+                    f"seed {seed}: latency plan never injected; the schedule "
                     "is vacuous"
                 )
-        status = (
-            "partial"
-            if result.partial
-            else ("degraded" if result.degraded else "clean")
+    if armed_fault == "kill" and sdb.health()[victim][0] != "dead":
+        raise ChaosViolation(
+            f"seed {seed}: scheduled kill never fired; the schedule is vacuous"
         )
-        return ChaosOutcome(
-            seed=seed,
-            backend=backend_name,
-            status=status,
-            rows=len(result.rows),
-            faults_injected=totals["injected"],
-            retries=totals["retries"],
-            quarantined=totals["quarantined"],
-            degradations=tuple(e.describe() for e in result.degradations),
-            repaired=totals["repaired"],
-            lifted=totals["lifted"],
-        )
+    status = (
+        "partial" if result.partial else ("degraded" if result.degraded else "clean")
+    )
+    return (
+        _outcome(
+            seed, backend, status, len(result.rows), totals,
+            events=result.degradations,
+        ),
+    )
 
 
-def run_join_suite(
-    seeds: Iterable[int] = DEFAULT_JOIN_SEEDS,
-    *,
-    backends: "Sequence[str] | None" = None,
-    rows: int = 500,
-    shards: int = 4,
-    copies: int = 2,
-) -> list[ChaosOutcome]:
-    """Sweep the join schedules across ``backends`` (default: all)."""
-    names = list(backends) if backends else kernels.available_backends()
-    outcomes = []
-    for name in names:
-        for seed in seeds:
-            outcomes.append(
-                run_join_schedule(
-                    seed, backend=name, rows=rows, shards=shards, copies=copies
-                )
+def _shard_schedule(
+    seed: int, backend: str, *, rows: int, shards: int = 4, copies: int = 2
+) -> tuple[ChaosOutcome]:
+    """The harness query as a sharded sorted scan, one copy under fire.
+
+    The oracle is the unsharded fault-free engine's keyed stream, itself
+    checked against the pure-python ground truth; an output pair's shard
+    key is the first component of its curve key.
+    """
+
+    def build(copies: int, plans: "dict | None") -> tuple:
+        sdb = build_sharded_world(shards=shards, copies=copies, fault_plans=plans)
+        data = chaos_data(rows)
+        sdb.load(data)
+        oracle = _serial_stream(data, QUERY["restrictions"], QUERY["sort_attr"])
+        if sorted(payload for _, payload in oracle) != sorted(_oracle_rows(data)):
+            raise ChaosViolation(
+                "fault-free oracle is broken; shard-chaos results are "
+                "meaningless"
             )
-    return outcomes
+        scan = partial(sdb.sorted_scan, QUERY["restrictions"], QUERY["sort_attr"])
+        return sdb, scan, oracle
+
+    return _sharded_schedule(
+        seed, backend, shards, copies, build, shard_key=lambda pair: pair[0][0]
+    )
+
+
+def _join_schedule(
+    seed: int, backend: str, *, rows: int, shards: int = 4, copies: int = 2
+) -> tuple[ChaosOutcome]:
+    """A co-partitioned merge join with one probe-side copy under fire.
+
+    Both sides are range-sharded on the join attribute ``a1`` over the
+    same encoded domain, so every slab pair is join-aligned.  The fault
+    is armed on the *right* (probe) side's victim copy — the side a
+    pipelined merge join is mid-stream on whenever the build cursor
+    advances — and the join runs unrestricted, so the armed fault is
+    always on the join path.  The right relation is twice the size of
+    the left (duplicate join keys on the probe side, the usual
+    fact-table shape).  The oracle is the serial merge join of the two
+    serial sorted streams; an output row's shard key is its encoded
+    join key.
+    """
+    kind = join_scenario(seed)[2]
+    encoder = chaos_schema().attribute("a1").encoder
+
+    def build(copies: int, plans: "dict | None") -> tuple:
+        left = build_sharded_world(shards=shards, copies=copies)
+        left_data = chaos_data(rows)
+        left.load(left_data)
+        right = build_sharded_world(shards=shards, copies=copies, fault_plans=plans)
+        right_data = chaos_data(rows * 2, data_seed=1)
+        right.load(right_data)
+        join_cls = MergeJoin if kind == "inner" else MergeSemiJoin
+        oracle = list(
+            join_cls(
+                [row for _, row in _serial_stream(left_data, None, "a1")],
+                [row for _, row in _serial_stream(right_data, None, "a1")],
+                left_key=lambda row: row[0],
+                right_key=lambda row: row[0],
+            )
+        )
+        return right, CoPartitionedJoin(left, right, kind=kind).run, oracle
+
+    return _sharded_schedule(
+        seed, backend, shards, copies, build,
+        shard_key=lambda row: encoder.encode(row[0]),
+    )
 
 
 # ----------------------------------------------------------------------
 # txn sweep: the 2PC commit path under log-device fire, plus a seeded
 # crash mid-transaction followed by a reboot and decision-log recovery
 # ----------------------------------------------------------------------
-#: the txn sweep's pinned seeds: 6 crashes the decision log's ack force
-#: (verdict durable, recovery re-acks a fully committed transaction),
-#: 23 crashes a shard WAL mid-work (presumed abort rolls everything
-#: back), and 85 crashes a shard WAL's own commit record (recovery
-#: resolves the in-doubt batches forward to commit) — so the default
-#: sweep covers commit-through-fire plus all three recovery verdict
-#: paths on both kernel backends
-DEFAULT_TXN_SEEDS: tuple[int, ...] = (6, 23, 85)
-
-
-def txn_plan(seed: int) -> FaultPlan:
-    """Log-device fault mix for one txn-sweep seed.
-
-    Torn and transient *appends* only — log devices refuse corrupt
-    plans by contract (a checksum lie on the log would be silent
-    history rewriting, not a crash), and the verified force is expected
-    to absorb everything this plan throws.
-    """
-    return FaultPlan(seed=seed, transient_rate=0.05, torn_write_rate=0.20)
-
-
-def build_txn_world(
-    seed: "int | None" = None,
-    *,
-    shards: int = 2,
-    copies: int = 1,
-    page_capacity: int = 16,
-) -> "tuple[ShardedDatabase, TransactionCoordinator]":
-    """A WAL-armed sharded world with a 2PC coordinator attached.
-
-    With a ``seed``, every shard WAL *and* the coordinator's decision
-    log get their own derived fault plan; with ``None`` the world is
-    fault-free (the sweep's oracle).
-    """
-    wal_plans = None
-    log_plan = None
-    if seed is not None:
-        wal_plans = {
-            (s, c): txn_plan(seed + 7 * s + c)
-            for s in range(shards)
-            for c in range(copies)
-        }
-        log_plan = txn_plan(seed + 101)
-    sdb = ShardedDatabase(
-        _chaos_schema(),
-        SHARD_DIMS,
-        "a1",
-        shards=shards,
-        copies=copies,
-        page_capacity=page_capacity,
-        wal=True,
-        wal_fault_plans=wal_plans,
-    )
-    return sdb, TransactionCoordinator(sdb, log_fault_plan=log_plan)
-
-
-def _txn_fingerprint(sdb: ShardedDatabase) -> tuple:
-    """Full-domain sharded scan: the txn sweep's equality oracle."""
-    result = sdb.sorted_scan({"a1": (0, 1023)}, "a2")
-    if result.partial or result.degraded:
-        raise ChaosViolation("txn fingerprint scan degraded unexpectedly")
-    return tuple(result.rows)
-
-
 def _txn_faults(sdb: ShardedDatabase, txn: TransactionCoordinator) -> int:
     """Faults injected into every log device this world owns."""
     total = sdb.fault_totals()["log_injected"]
@@ -1441,15 +1048,7 @@ def _txn_faults(sdb: ShardedDatabase, txn: TransactionCoordinator) -> int:
     return total
 
 
-def run_txn_schedule(
-    seed: int,
-    *,
-    backend: "str | None" = None,
-    shards: int = 2,
-    copies: int = 1,
-    rows: int = 200,
-    extra_rows: int = 24,
-) -> ChaosOutcome:
+def _txn_schedule(seed: int, backend: str, *, rows: int) -> tuple[ChaosOutcome]:
     """One seed's 2PC schedule: commit through fire, then crash+recover.
 
     Two legs, both against a fault-free oracle world driven through the
@@ -1468,119 +1067,255 @@ def run_txn_schedule(
        (durable commit verdict) or the pre-insert baseline (presumed
        abort) — with a second recovery pass changing nothing.
     """
-    backend_name = backend or kernels.get_backend().name
-    with kernels.use_backend(backend_name):
-        data = _chaos_data(rows, data_seed=0)
-        extras = _chaos_data(extra_rows, data_seed=1)
+    data = chaos_data(rows)
+    extras = chaos_data(24, data_seed=1)
 
-        oracle_sdb, oracle_txn = build_txn_world(
-            None, shards=shards, copies=copies
+    oracle_sdb, oracle_txn = build_txn_world()
+    oracle_txn.atomic_load(data)
+    base_fp = scan_fingerprint(oracle_sdb)
+    devices = oracle_txn.devices()
+    before = {d: oracle_txn.append_count(d) for d in devices}
+    oracle_txn.atomic_insert(extras)
+    #: per-device appends the insert transaction makes — identical
+    #: in the faulted world (fault retries re-force, they do not
+    #: re-append), so the seed can aim anywhere in the protocol
+    insert_appends = {d: oracle_txn.append_count(d) - before[d] for d in devices}
+    oracle_fp = scan_fingerprint(oracle_sdb)
+
+    # leg 1: the whole commit path under seeded log-device fire
+    sdb, txn = build_txn_world(seed)
+    sdb.arm_faults()
+    txn.log.arm_log_faults()
+    try:
+        txn.atomic_load(data)
+        txn.atomic_insert(extras)
+    finally:
+        sdb.disarm_faults()
+        txn.log.disarm_log_faults()
+    if scan_fingerprint(sdb) != oracle_fp:
+        raise ChaosViolation(
+            f"seed {seed}: committed world diverged from the oracle; "
+            "a log fault leaked past the verified force"
         )
-        oracle_txn.atomic_load(data)
-        base_fp = _txn_fingerprint(oracle_sdb)
-        devices = oracle_txn.devices()
-        before = {d: oracle_txn.append_count(d) for d in devices}
-        oracle_txn.atomic_insert(extras)
-        #: per-device appends the insert transaction makes — identical
-        #: in the faulted world (fault retries re-force, they do not
-        #: re-append), so the seed can aim anywhere in the protocol
-        insert_appends = {
-            d: oracle_txn.append_count(d) - before[d] for d in devices
-        }
-        oracle_fp = _txn_fingerprint(oracle_sdb)
+    faults = _txn_faults(sdb, txn)
 
-        # leg 1: the whole commit path under seeded log-device fire
-        sdb, txn = build_txn_world(seed, shards=shards, copies=copies)
-        sdb.arm_faults()
-        txn.log.arm_log_faults()
+    # leg 2: crash mid-insert, reboot, decision-log recovery
+    sdb2, txn2 = build_txn_world(seed)
+    sdb2.arm_faults()
+    txn2.log.arm_log_faults()
+    crashed = False
+    resolved = 0
+    try:
+        txn2.atomic_load(data)
+        # crash only on *log* devices: their appends happen strictly
+        # inside transactions, so a countdown that never fires here
+        # can never go off later (data-disk crash points are covered
+        # exhaustively by ``tools.crashgrid``)
+        log_devices = [
+            device for device in txn2.devices() if not device.endswith(".disk")
+        ]
+        device = log_devices[seed % len(log_devices)]
+        countdown = 1 + (seed // 3) % insert_appends[device]
+        txn2.crash_after(device, countdown)
         try:
-            txn.atomic_load(data)
-            txn.atomic_insert(extras)
-        finally:
-            sdb.disarm_faults()
-            txn.log.disarm_log_faults()
-        if _txn_fingerprint(sdb) != oracle_fp:
-            raise ChaosViolation(
-                f"seed {seed}: committed world diverged from the oracle; "
-                "a log fault leaked past the verified force"
-            )
-        faults = _txn_faults(sdb, txn)
-
-        # leg 2: crash mid-insert, reboot, decision-log recovery
-        sdb2, txn2 = build_txn_world(seed, shards=shards, copies=copies)
-        sdb2.arm_faults()
-        txn2.log.arm_log_faults()
-        crashed = False
-        resolved = 0
-        try:
-            txn2.atomic_load(data)
-            # crash only on *log* devices: their appends happen strictly
-            # inside transactions, so a countdown that never fires here
-            # can never go off later (data-disk crash points are covered
-            # exhaustively by ``tools.crashgrid``)
-            log_devices = [
-                device
-                for device in txn2.devices()
-                if not device.endswith(".disk")
-            ]
-            device = log_devices[seed % len(log_devices)]
-            countdown = 1 + (seed // 3) % insert_appends[device]
-            txn2.crash_after(device, countdown)
-            try:
-                txn2.atomic_insert(extras)
-            except SimulatedCrashError:
-                crashed = True
-        finally:
-            sdb2.disarm_faults()
-            txn2.log.disarm_log_faults()
-        faults += _txn_faults(sdb2, txn2)
-        if crashed:
-            report = txn2.recover()
-            resolved = report.resolved_commits + report.resolved_aborts
-            fp = _txn_fingerprint(sdb2)
-            decided = txn2.log.decision_for("insert#1")
-            expected = oracle_fp if decided == "commit" else base_fp
-            if fp != expected:
-                raise ChaosViolation(
-                    f"seed {seed}: recovery landed on neither verdict "
-                    f"(decision log says {decided!r})"
-                )
-            again = txn2.recover()
-            if (
-                again.resolved_commits
-                or again.resolved_aborts
-                or again.reacked
-                or _txn_fingerprint(sdb2) != fp
-            ):
-                raise ChaosViolation(
-                    f"seed {seed}: txn recovery is not idempotent"
-                )
-        elif _txn_fingerprint(sdb2) != oracle_fp:
-            raise ChaosViolation(
-                f"seed {seed}: uncrashed insert diverged from the oracle"
-            )
-        return ChaosOutcome(
-            seed=seed,
-            backend=backend_name,
-            status="recovered" if crashed else "clean",
-            rows=len(oracle_fp),
-            faults_injected=faults,
-            retries=0,
-            quarantined=0,
+            txn2.atomic_insert(extras)
+        except SimulatedCrashError:
+            crashed = True
+    finally:
+        sdb2.disarm_faults()
+        txn2.log.disarm_log_faults()
+    faults += _txn_faults(sdb2, txn2)
+    if crashed:
+        report, _ = settle_txn_landing(
+            f"seed {seed}", sdb2, txn2, "insert#1", oracle_fp, base_fp
+        )
+        resolved = report.resolved_commits + report.resolved_aborts
+    elif scan_fingerprint(sdb2) != oracle_fp:
+        raise ChaosViolation(
+            f"seed {seed}: uncrashed insert diverged from the oracle"
+        )
+    return (
+        _outcome(
+            seed,
+            backend,
+            "recovered" if crashed else "clean",
+            len(oracle_fp),
+            {"injected": faults},
             healed=resolved,
-        )
+        ),
+    )
 
 
-def run_txn_suite(
-    seeds: Iterable[int] = DEFAULT_TXN_SEEDS,
+# ----------------------------------------------------------------------
+# the sweep table and the one driver
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Sweep:
+    """One row of :data:`SWEEPS`: everything a caller may know about a sweep."""
+
+    name: str
+    #: CLI flag that selects the sweep (``None``: the default sweep); a
+    #: flag that is also one of ``params`` carries that parameter's value
+    flag: "str | None"
+    #: what the sweep fires, in a line (completes the flag's ``--help``)
+    what: str
+    seeds: tuple[int, ...]  #: the pinned CI seeds
+    rows: int  #: default relation size
+    #: exactly the statuses the pinned seeds reach, on every backend
+    statuses: frozenset[str]
+    #: runs one schedule — ``(seed, backend_name, *, rows, **params)`` —
+    #: to one verified outcome per ``legs`` entry, the graded one last
+    run: Callable[..., tuple[ChaosOutcome, ...]]
+    #: keyword parameters ``run`` accepts besides ``rows``
+    params: tuple[str, ...] = ()
+    #: ``(--replay mode, sweep-line label)`` per outcome of a schedule;
+    #: left empty it becomes the single unlabelled ``(name, "")``
+    legs: tuple[tuple[str, str], ...] = ()
+    #: whether a sweep line is followed by its degradation trail
+    trail: bool = True
+    #: closing line of a sweep, after ``chaos: ``
+    summary: str = "{count} schedule(s) — {statuses}; zero silent wrong answers"
+
+    def __post_init__(self) -> None:
+        if not self.legs:
+            object.__setattr__(self, "legs", ((self.name, ""),))
+
+
+_GRID_STATUSES = frozenset({"clean", "degraded", "failed", "partial"})
+
+_TABLE = (
+    Sweep(
+        name="read",
+        flag=None,
+        what="seeded transient/corrupt/torn/latency faults under the harness query",
+        # chosen to cover clean, degraded and failed outcomes on both
+        # kernel backends
+        seeds=(17, 23, 33),
+        rows=1200,
+        statuses=frozenset({"clean", "degraded", "failed"}),
+        run=_read_schedule,
+        params=("replicas",),
+    ),
+    Sweep(
+        name="write",
+        flag="write",
+        what="torn writes during WAL-journaled bulk loads",
+        # chosen so every schedule tears at least one page mid-``bulk_load``
+        # on both kernel backends, forcing the WAL's redo path to do real work
+        seeds=(7, 19, 41),
+        rows=600,
+        statuses=frozenset({"recovered"}),
+        run=_write_schedule,
+    ),
+    Sweep(
+        name="prefetch",
+        flag="prefetch",
+        what=(
+            "a scripted corrupt page must degrade identically whether "
+            "demand-fetched or prefetched"
+        ),
+        # each picks a different victim page inside the sweep-ahead window
+        seeds=(3, 12, 29),
+        rows=1200,
+        statuses=frozenset({"degraded"}),
+        run=_prefetch_schedule,
+        legs=(("prefetch-demand", "demand   "), ("prefetch-armed", "prefetch ")),
+        trail=False,
+        summary=(
+            "{count} prefetch identity schedule(s) — {statuses}; "
+            "demand and prefetch worlds degraded identically"
+        ),
+    ),
+    Sweep(
+        name="shard",
+        flag="shards",
+        what=(
+            "kill/corrupt/slow one shard copy of a K-way range-sharded "
+            "world mid-scan"
+        ),
+        # each lands on a different cell of the :func:`shard_scenario` grid,
+        # so the default sweep covers a clean sharded run, a latency-only
+        # run, failover by kill, cross-copy repair after corruption, a typed
+        # failure and a flagged-partial result on both kernel backends
+        seeds=(2, 6, 7, 10, 13, 29),
+        rows=900,
+        statuses=_GRID_STATUSES,
+        run=_shard_schedule,
+        params=("shards", "copies"),
+    ),
+    Sweep(
+        name="join",
+        flag="join",
+        what=(
+            "kill/corrupt/slow one probe-side shard copy mid-join; the output "
+            "must stay bit-identical to the serial merge join or end in a "
+            "typed error / flagged partial"
+        ),
+        # the same grid cells as the shard sweep (clean, latency-only,
+        # failover by kill, cross-copy repair, typed failure, flagged
+        # partial) but spread over both join kinds: 2/6/7 run the inner
+        # merge join, 10/13/29 the merge semi-join
+        seeds=(2, 6, 7, 10, 13, 29),
+        rows=500,
+        statuses=_GRID_STATUSES,
+        run=_join_schedule,
+        params=("shards", "copies"),
+    ),
+    Sweep(
+        name="txn",
+        flag="txn",
+        what=(
+            "log-device faults during atomic cross-shard writes, plus a "
+            "seeded crash + recovery"
+        ),
+        # 6 crashes the decision log's ack force (verdict durable, recovery
+        # re-acks a fully committed transaction), 23 crashes a shard WAL
+        # mid-work (presumed abort rolls everything back), and 85 crashes a
+        # shard WAL's own commit record (recovery resolves the in-doubt
+        # batches forward to commit) — so the default sweep covers
+        # commit-through-fire plus all three recovery verdict paths on both
+        # kernel backends
+        seeds=(6, 23, 85),
+        rows=200,
+        statuses=frozenset({"recovered"}),
+        run=_txn_schedule,
+    ),
+)
+
+#: the sweep table, by name; the first row is the default sweep
+SWEEPS: dict[str, Sweep] = {sweep.name: sweep for sweep in _TABLE}
+
+
+def run_schedule(
+    sweep: str, seed: int, *, backend: "str | None" = None, **params: int
+) -> tuple[ChaosOutcome, ...]:
+    """Run one seeded schedule of the named sweep and verify it.
+
+    ``params`` may carry ``rows`` (default: the sweep's) and whatever
+    :attr:`Sweep.params` lists.  Returns one outcome per
+    :attr:`Sweep.legs` entry; reaching one at all means every check
+    passed — anything else raised :class:`ChaosViolation`.
+    """
+    spec = SWEEPS[sweep]
+    backend_name = backend or kernels.get_backend().name
+    params.setdefault("rows", spec.rows)
+    with kernels.use_backend(backend_name):
+        return spec.run(seed, backend_name, **params)
+
+
+def run_suite(
+    sweep: str,
+    seeds: "Iterable[int] | None" = None,
     *,
     backends: "Sequence[str] | None" = None,
-    rows: int = 200,
-) -> list[ChaosOutcome]:
-    """Sweep the txn schedules across ``backends`` (default: all)."""
+    **params: int,
+) -> list[tuple[ChaosOutcome, ...]]:
+    """Sweep ``seeds`` (default: the sweep's pinned seeds) across
+    ``backends`` (default: all available)."""
+    seeds = SWEEPS[sweep].seeds if seeds is None else tuple(seeds)
     names = list(backends) if backends else kernels.available_backends()
-    outcomes = []
-    for name in names:
-        for seed in seeds:
-            outcomes.append(run_txn_schedule(seed, backend=name, rows=rows))
-    return outcomes
+    return [
+        run_schedule(sweep, seed, backend=name, **params)
+        for name in names
+        for seed in seeds
+    ]

@@ -5,22 +5,14 @@ schedule breaks the correct-or-typed-error contract (a
 :class:`~tools.chaos.ChaosViolation` propagates with a traceback — that
 is a bug in the engine, not in the schedule).
 
-``--write`` runs the write sweep (torn writes during WAL-journaled bulk
-loads) instead of the read sweep; ``--prefetch`` runs the prefetch
-identity sweep (a scripted corrupt page must degrade identically
-whether it was demand-fetched or prefetched); ``--shards K`` runs the
-shard failover sweep (kill/corrupt/slow one copy of a K-way
-range-sharded world mid-scan and hold the merged stream to the
-bit-identity-or-typed-error contract); ``--join`` runs the
-co-partitioned join sweep (kill/corrupt/slow one probe-side shard copy
-mid-join and hold the concatenated join output to the same contract
-against the serial merge join); ``--txn`` runs the 2PC sweep
-(torn/transient append faults on every shard WAL and the coordinator's
-decision log during atomic cross-shard writes, then a seeded crash
-mid-protocol followed by decision-log recovery); ``--replicas k`` gives the read
-sweep's world k-way page replicas so checksum failures repair in
-place; ``--replay SEED`` re-runs a single schedule and prints the
-replayable fault log and degradation/repair trail as JSON.
+Everything sweep-specific comes from :data:`tools.chaos.SWEEPS`: with
+no sweep flag the ``read`` sweep runs; each other row's flag selects
+that sweep instead (at most one), and its pinned seeds, default size,
+parameters, line labels and summary wording follow from the row.
+``--replicas`` / ``--shards`` / ``--copies`` are passed to sweeps that
+take them and rejected on sweeps that do not; ``--replay SEED`` re-runs
+a single schedule and prints the replayable fault log and
+degradation/repair trail as JSON.
 """
 
 from __future__ import annotations
@@ -33,27 +25,7 @@ from dataclasses import asdict
 
 from repro import kernels
 
-from . import (
-    DEFAULT_JOIN_SEEDS,
-    DEFAULT_PREFETCH_SEEDS,
-    DEFAULT_SEEDS,
-    DEFAULT_SHARD_SEEDS,
-    DEFAULT_TXN_SEEDS,
-    DEFAULT_WRITE_SEEDS,
-    ChaosOutcome,
-    run_join_schedule,
-    run_join_suite,
-    run_prefetch_schedule,
-    run_prefetch_suite,
-    run_schedule,
-    run_shard_schedule,
-    run_shard_suite,
-    run_suite,
-    run_txn_schedule,
-    run_txn_suite,
-    run_write_schedule,
-    run_write_suite,
-)
+from . import SWEEPS, ChaosOutcome, run_schedule, run_suite
 
 
 def _replay_json(outcome: ChaosOutcome, mode: str) -> str:
@@ -69,19 +41,22 @@ def _replay_json(outcome: ChaosOutcome, mode: str) -> str:
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    default, *others = SWEEPS.values()
     parser = argparse.ArgumentParser(
         prog="chaos",
-        description="Seeded fault-schedule sweep over the Tetris engine.",
+        description=(
+            "Seeded fault-schedule sweep over the Tetris engine.  With no "
+            f"sweep flag, the {default.name} sweep: {default.what}."
+        ),
     )
+    pinned = ", ".join(f"{s.name} {list(s.seeds)}" for s in SWEEPS.values())
+    sizes = ", ".join(f"{s.name} {s.rows}" for s in SWEEPS.values())
     parser.add_argument(
         "--seeds",
         type=int,
         nargs="+",
         default=None,
-        help=(
-            f"fault-plan seeds to sweep (default: {list(DEFAULT_SEEDS)}, "
-            f"or {list(DEFAULT_WRITE_SEEDS)} with --write)"
-        ),
+        help=f"fault-plan seeds to sweep (default, by sweep: {pinned})",
     )
     parser.add_argument(
         "--backend",
@@ -90,62 +65,33 @@ def main(argv: "list[str] | None" = None) -> int:
         help="kernel backend to sweep (default: every available backend)",
     )
     parser.add_argument(
-        "--rows", type=int, default=None, help="relation size (default: 1200, or 600 with --write)"
+        "--rows",
+        type=int,
+        default=None,
+        help=f"relation size (default, by sweep: {sizes})",
     )
-    parser.add_argument(
-        "--write",
-        action="store_true",
-        help="run the write sweep: torn writes during WAL-journaled bulk loads",
-    )
-    parser.add_argument(
-        "--prefetch",
-        action="store_true",
-        help=(
-            "run the prefetch identity sweep: a scripted corrupt page must "
-            "degrade identically whether demand-fetched or prefetched"
-        ),
-    )
+    for sweep in others:
+        text = f"run the {sweep.name} sweep: {sweep.what}"
+        if sweep.flag in sweep.params:
+            # e.g. ``--shards K``: selects the sweep and sets its parameter
+            parser.add_argument(
+                f"--{sweep.flag}", type=int, default=None, metavar="K", help=text
+            )
+        else:
+            parser.add_argument(f"--{sweep.flag}", action="store_true", help=text)
     parser.add_argument(
         "--replicas",
         type=int,
-        default=0,
+        default=None,
         metavar="K",
         help="k-way page replicas under the fault layer (read sweep only)",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="K",
-        help=(
-            "run the shard sweep: kill/corrupt/slow one shard copy of a "
-            "K-way range-sharded world mid-scan"
-        ),
-    )
-    parser.add_argument(
         "--copies",
         type=int,
-        default=2,
+        default=None,
         metavar="R",
-        help="replica copies per shard in failover scenarios (shard sweep)",
-    )
-    parser.add_argument(
-        "--join",
-        action="store_true",
-        help=(
-            "run the co-partitioned join sweep: kill/corrupt/slow one "
-            "probe-side shard copy mid-join; the concatenated output must "
-            "stay bit-identical to the serial merge join or end in a "
-            "typed error / flagged partial"
-        ),
-    )
-    parser.add_argument(
-        "--txn",
-        action="store_true",
-        help=(
-            "run the 2PC sweep: log-device faults during atomic "
-            "cross-shard writes, plus a seeded crash + recovery"
-        ),
+        help="replica copies per shard in failover scenarios (default 2)",
     )
     parser.add_argument(
         "--replay",
@@ -155,126 +101,44 @@ def main(argv: "list[str] | None" = None) -> int:
         help="re-run one schedule and print its fault/repair trail as JSON",
     )
     options = parser.parse_args(argv)
-    exclusive = (
-        options.write,
-        options.prefetch,
-        options.shards > 0,
-        options.join,
-        options.txn,
-    )
-    if sum(exclusive) > 1:
+
+    flagged = [s for s in others if getattr(options, s.flag)]
+    if len(flagged) > 1:
         parser.error(
-            "--write, --prefetch, --shards, --join and --txn are "
-            "mutually exclusive"
+            " and ".join(f"--{s.flag}" for s in flagged) + " are mutually exclusive"
         )
-    if options.write:
-        default_seeds, default_rows = list(DEFAULT_WRITE_SEEDS), 600
-    elif options.prefetch:
-        default_seeds, default_rows = list(DEFAULT_PREFETCH_SEEDS), 1200
-    elif options.shards:
-        default_seeds, default_rows = list(DEFAULT_SHARD_SEEDS), 900
-    elif options.join:
-        default_seeds, default_rows = list(DEFAULT_JOIN_SEEDS), 500
-    elif options.txn:
-        default_seeds, default_rows = list(DEFAULT_TXN_SEEDS), 200
-    else:
-        default_seeds, default_rows = list(DEFAULT_SEEDS), 1200
-    seeds = options.seeds or default_seeds
-    rows = options.rows or default_rows
-    backends = None if options.backend == "all" else [options.backend]
+    sweep = flagged[0] if flagged else default
+    params = {}
+    for name in sorted({p for s in SWEEPS.values() for p in s.params}):
+        value = getattr(options, name)
+        if value is None:
+            continue
+        if name not in sweep.params:
+            parser.error(f"--{name} does not apply to the {sweep.name} sweep")
+        params[name] = value
+    if options.rows is not None:
+        if options.rows < 1:
+            parser.error("--rows must be at least 1")
+        params["rows"] = options.rows
 
     if options.replay is not None:
-        backend = (
-            kernels.get_backend().name if options.backend == "all" else options.backend
-        )
-        if options.write:
-            outcome = run_write_schedule(options.replay, backend=backend, rows=rows)
-        elif options.txn:
-            outcome = run_txn_schedule(options.replay, backend=backend, rows=rows)
-        elif options.join:
-            outcome = run_join_schedule(
-                options.replay,
-                backend=backend,
-                rows=rows,
-                copies=options.copies,
-            )
-        elif options.shards:
-            outcome = run_shard_schedule(
-                options.replay,
-                backend=backend,
-                rows=rows,
-                shards=options.shards,
-                copies=options.copies,
-            )
-        elif options.prefetch:
-            demand, armed = run_prefetch_schedule(
-                options.replay, backend=backend, rows=rows
-            )
-            print(_replay_json(demand, "prefetch-demand"))
-            print(_replay_json(armed, "prefetch-armed"))
-            return 0
-        else:
-            outcome = run_schedule(
-                options.replay, backend=backend, rows=rows, replicas=options.replicas
-            )
-        if options.write:
-            mode = "write"
-        elif options.shards:
-            mode = "shard"
-        elif options.join:
-            mode = "join"
-        elif options.txn:
-            mode = "txn"
-        else:
-            mode = "read"
-        print(_replay_json(outcome, mode))
+        backend = None if options.backend == "all" else options.backend
+        outcomes = run_schedule(sweep.name, options.replay, backend=backend, **params)
+        for (mode, _), outcome in zip(sweep.legs, outcomes):
+            print(_replay_json(outcome, mode))
         return 0
 
-    if options.prefetch:
-        pairs = run_prefetch_suite(seeds, backends=backends, rows=rows)
-        for demand, armed in pairs:
-            print(f"demand   {demand.describe()}")
-            print(f"prefetch {armed.describe()}")
-        statuses = Counter(armed.status for _, armed in pairs)
-        print(
-            f"chaos: {len(pairs)} prefetch identity schedule(s) — "
-            + ", ".join(
-                f"{count} {status}" for status, count in sorted(statuses.items())
-            )
-            + "; demand and prefetch worlds degraded identically"
-        )
-        return 0
-
-    if options.write:
-        outcomes = run_write_suite(seeds, backends=backends, rows=rows)
-    elif options.txn:
-        outcomes = run_txn_suite(seeds, backends=backends, rows=rows)
-    elif options.join:
-        outcomes = run_join_suite(
-            seeds, backends=backends, rows=rows, copies=options.copies
-        )
-    elif options.shards:
-        outcomes = run_shard_suite(
-            seeds,
-            backends=backends,
-            rows=rows,
-            shards=options.shards,
-            copies=options.copies,
-        )
-    else:
-        outcomes = run_suite(
-            seeds, backends=backends, rows=rows, replicas=options.replicas
-        )
-    for outcome in outcomes:
-        print(outcome.describe())
-        for event in outcome.degradations:
-            print(f"    degradation: {event}")
-    statuses = Counter(outcome.status for outcome in outcomes)
-    print(
-        f"chaos: {len(outcomes)} schedule(s) — "
-        + ", ".join(f"{count} {status}" for status, count in sorted(statuses.items()))
-        + "; zero silent wrong answers"
-    )
+    backends = None if options.backend == "all" else [options.backend]
+    results = run_suite(sweep.name, options.seeds, backends=backends, **params)
+    for outcomes in results:
+        for (_, label), outcome in zip(sweep.legs, outcomes):
+            print(f"{label}{outcome.describe()}")
+            if sweep.trail:
+                for event in outcome.degradations:
+                    print(f"    degradation: {event}")
+    statuses = Counter(outcomes[-1].status for outcomes in results)
+    counts = ", ".join(f"{n} {status}" for status, n in sorted(statuses.items()))
+    print("chaos: " + sweep.summary.format(count=len(results), statuses=counts))
     return 0
 
 

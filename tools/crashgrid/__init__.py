@@ -31,15 +31,20 @@ against a raw, coordinator-less sharded load).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro import kernels
-from repro.relational import Attribute, IntEncoder, Schema
 from repro.shard import ShardedDatabase
 from repro.storage.errors import SimulatedCrashError
 from repro.txn import TransactionCoordinator
+from tools.chaos import (
+    ChaosViolation,
+    build_sharded_world,
+    build_txn_world,
+    chaos_data,
+    scan_fingerprint,
+    settle_txn_landing,
+)
 
 __all__ = [
     "CrashGridResult",
@@ -47,16 +52,7 @@ __all__ = [
     "CrashPoint",
     "WORKLOADS",
     "run_crash_grid",
-    "run_crash_grids",
 ]
-
-#: index dimensions / shard attribute of the grid's fixed world
-DIMS = ("a1", "a2")
-SHARD_ATTR = "a1"
-
-#: the full-domain query whose sorted rows fingerprint the world
-FULL_QUERY = {"a1": (0, 1023)}
-SORT_ATTR = "a2"
 
 #: the two workload shapes the grid explores
 WORKLOADS = ("load", "insert")
@@ -107,48 +103,6 @@ class CrashGridResult:
         )
 
 
-def _grid_schema() -> Schema:
-    return Schema(
-        [
-            Attribute("a1", IntEncoder(0, 1023)),
-            Attribute("a2", IntEncoder(0, 1023)),
-            Attribute("v", IntEncoder(0, 10**9)),
-        ]
-    )
-
-
-def _grid_rows(count: int, seed: int) -> list[tuple]:
-    rng = random.Random(seed)
-    return [
-        (rng.randrange(1024), rng.randrange(1024), i) for i in range(count)
-    ]
-
-
-def _build_world(
-    *, shards: int, copies: int, page_capacity: int
-) -> tuple[ShardedDatabase, TransactionCoordinator]:
-    sdb = ShardedDatabase(
-        _grid_schema(),
-        DIMS,
-        SHARD_ATTR,
-        shards=shards,
-        copies=copies,
-        page_capacity=page_capacity,
-        wal=True,
-    )
-    return sdb, TransactionCoordinator(sdb)
-
-
-def _fingerprint(sdb: ShardedDatabase) -> tuple:
-    """The sharded scan over the full domain: the grid's equality oracle."""
-    result = sdb.sorted_scan(FULL_QUERY, SORT_ATTR)
-    if result.partial or result.degraded:
-        raise CrashGridViolation(
-            "fingerprint scan degraded in a fault-free world"
-        )
-    return tuple(result.rows)
-
-
 def _world_clock(
     sdb: ShardedDatabase, txn: "TransactionCoordinator | None"
 ) -> float:
@@ -168,10 +122,8 @@ def _run_workload(
     """One global transaction (callers pre-load the insert baseline)."""
     if workload == "load":
         txn.atomic_load(rows)
-    elif workload == "insert":
+    else:
         txn.atomic_insert(extra)
-    else:  # pragma: no cover - guarded by run_crash_grid
-        raise ValueError(f"unknown workload {workload!r}")
 
 
 def run_crash_grid(
@@ -195,122 +147,79 @@ def run_crash_grid(
     if workload not in WORKLOADS:
         raise ValueError(f"unknown workload {workload!r}; pick {WORKLOADS}")
     backend_name = backend or kernels.get_backend().name
-    data = _grid_rows(rows, seed)
-    extra = _grid_rows(extra_rows, seed + 1)
+    data = chaos_data(rows, seed)
+    extra = chaos_data(extra_rows, seed + 1)
 
-    with kernels.use_backend(backend_name):
-        # reference run: count appends, fingerprint both landing states
-        sdb, txn = _build_world(
+    def fresh_world() -> "tuple[ShardedDatabase, TransactionCoordinator]":
+        sdb, txn = build_txn_world(
             shards=shards, copies=copies, page_capacity=page_capacity
         )
         if workload == "insert":
             txn.atomic_load(data)
-        baseline_fp = _fingerprint(sdb)
-        devices = txn.devices()
-        before = {dev: txn.append_count(dev) for dev in devices}
-        _run_workload(txn, workload, data, extra)
-        gid = f"{workload}#{0 if workload == 'load' else 1}"
-        counts = {
-            dev: txn.append_count(dev) - before[dev] for dev in devices
-        }
-        oracle_fp = _fingerprint(sdb)
-        if oracle_fp == baseline_fp:
-            raise CrashGridViolation(
-                "workload is a no-op; the grid would prove nothing"
-            )
+        return sdb, txn
 
-        points: list[CrashPoint] = []
-        for device in devices:
-            for index in range(1, counts[device] + 1):
-                sdb, txn = _build_world(
-                    shards=shards, copies=copies, page_capacity=page_capacity
+    try:
+        with kernels.use_backend(backend_name):
+            # reference run: count appends, fingerprint both landing states
+            sdb, txn = fresh_world()
+            baseline_fp = scan_fingerprint(sdb)
+            devices = txn.devices()
+            before = {dev: txn.append_count(dev) for dev in devices}
+            _run_workload(txn, workload, data, extra)
+            gid = f"{workload}#{0 if workload == 'load' else 1}"
+            counts = {
+                dev: txn.append_count(dev) - before[dev] for dev in devices
+            }
+            oracle_fp = scan_fingerprint(sdb)
+            if oracle_fp == baseline_fp:
+                raise CrashGridViolation(
+                    "workload is a no-op; the grid would prove nothing"
                 )
-                if workload == "insert":
-                    txn.atomic_load(data)
-                txn.crash_after(device, index)
-                fired = False
-                try:
-                    _run_workload(txn, workload, data, extra)
-                except SimulatedCrashError:
-                    fired = True
-                if not fired:
-                    raise CrashGridViolation(
-                        f"crash at {device}#{index} never fired — the "
-                        "reference count claims this append happens"
-                    )
-                report = txn.recover()
-                fp = _fingerprint(sdb)
-                again = txn.recover()
-                if again.resolved_commits or again.resolved_aborts or again.reacked:
-                    raise CrashGridViolation(
-                        f"{device}#{index}: second recovery pass was not "
-                        f"a no-op ({again.describe()})"
-                    )
-                if _fingerprint(sdb) != fp:
-                    raise CrashGridViolation(
-                        f"{device}#{index}: second recovery pass changed "
-                        "the recovered world"
-                    )
-                decided = txn.log.decision_for(gid) or ""
-                if fp == oracle_fp:
-                    outcome = "committed"
-                    if decided != "commit":
+
+            points: list[CrashPoint] = []
+            for device in devices:
+                for index in range(1, counts[device] + 1):
+                    sdb, txn = fresh_world()
+                    txn.crash_after(device, index)
+                    try:
+                        _run_workload(txn, workload, data, extra)
+                    except SimulatedCrashError:
+                        pass
+                    else:
                         raise CrashGridViolation(
-                            f"{device}#{index}: world holds the committed "
-                            f"state but the decision log says {decided!r}"
+                            f"crash at {device}#{index} never fired — the "
+                            "reference count claims this append happens"
                         )
-                elif fp == baseline_fp:
-                    outcome = "aborted"
-                    if decided == "commit":
-                        raise CrashGridViolation(
-                            f"{device}#{index}: decision log committed "
-                            f"{gid!r} but the world rolled back"
+                    report, decided = settle_txn_landing(
+                        f"{device}#{index}", sdb, txn, gid, oracle_fp, baseline_fp
+                    )
+                    points.append(
+                        CrashPoint(
+                            device=device,
+                            index=index,
+                            outcome=(
+                                "committed" if decided == "commit" else "aborted"
+                            ),
+                            rows=report.total_rows,
+                            decided=decided,
                         )
-                else:
-                    raise CrashGridViolation(
-                        f"{device}#{index}: post-recovery world matches "
-                        "neither the oracle nor the baseline — a partial "
-                        "write survived"
                     )
-                points.append(
-                    CrashPoint(
-                        device=device,
-                        index=index,
-                        outcome=outcome,
-                        rows=report.total_rows,
-                        decided=decided,
-                    )
-                )
-        expected = sum(counts[dev] for dev in devices)
-        if len(points) != expected:
-            raise CrashGridViolation(
-                f"enumeration incomplete: visited {len(points)} of "
-                f"{expected} crash points"
-            )
-        return CrashGridResult(
-            workload=workload,
-            backend=backend_name,
-            devices=devices,
-            appends_per_device=tuple(counts[dev] for dev in devices),
-            points=tuple(points),
+    except ChaosViolation as exc:
+        # the shared kit speaks chaos; under the grid a breach is the grid's
+        raise CrashGridViolation(str(exc)) from exc
+    expected = sum(counts[dev] for dev in devices)
+    if len(points) != expected:
+        raise CrashGridViolation(
+            f"enumeration incomplete: visited {len(points)} of "
+            f"{expected} crash points"
         )
-
-
-def run_crash_grids(
-    workloads: Iterable[str] = WORKLOADS,
-    *,
-    backends: "Iterable[str] | None" = None,
-    **kwargs: object,
-) -> list[CrashGridResult]:
-    """The full grid: every workload on every requested backend."""
-    names = list(backends) if backends else kernels.available_backends()
-    results: list[CrashGridResult] = []
-    for backend in names:
-        for workload in workloads:
-            results.append(
-                run_crash_grid(workload, backend=backend, **kwargs)  # type: ignore[arg-type]
-            )
-    return results
+    return CrashGridResult(
+        workload=workload,
+        backend=backend_name,
+        devices=devices,
+        appends_per_device=tuple(counts[dev] for dev in devices),
+        points=tuple(points),
+    )
 
 
 def measure_commit_overhead(
@@ -329,19 +238,13 @@ def measure_commit_overhead(
     the per-participant prepare force, the coordinator's three decision
     records, and their verified-force overhead.
     """
-    data = _grid_rows(rows, seed)
-    raw = ShardedDatabase(
-        _grid_schema(),
-        DIMS,
-        SHARD_ATTR,
-        shards=shards,
-        copies=copies,
-        page_capacity=page_capacity,
-        wal=True,
+    data = chaos_data(rows, seed)
+    raw = build_sharded_world(
+        shards=shards, copies=copies, page_capacity=page_capacity, wal=True
     )
     raw.load(data)
     raw_clock = _world_clock(raw, None)
-    sdb, txn = _build_world(
+    sdb, txn = build_txn_world(
         shards=shards, copies=copies, page_capacity=page_capacity
     )
     txn.atomic_load(data)
