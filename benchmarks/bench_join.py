@@ -54,7 +54,6 @@ from repro.relational.operators import (
     FirstTupleTimer,
     MergeJoin,
     MergeSemiJoin,
-    TetrisOperator,
 )
 from repro.relational.table import Database
 from repro.shard import CoPartitionedJoin, ShardedDatabase
@@ -315,12 +314,9 @@ def bench_q4_overlap(data, problems: "list[str]") -> dict[str, Any]:
     sweep_elapsed.append((db.disk.snapshot() - before).time)
     db.reset_measurement()
     before = db.disk.snapshot()
-    lineitem_stream = TetrisOperator(
-        lineitem_ub,
-        plans._q4_triangle(lineitem_ub),
-        "l_orderkey",
-        predicate=lambda row: row[L_COMMITDATE] < row[L_RECEIPTDATE],
-    )
+    # the late-LINEITEM sweep exactly as the join runs it: the right
+    # input of the pipelined plan, drained on its own
+    lineitem_stream = plans.q4_pipelined_plan(db, order_ub, lineitem_ub, params).right
     for _ in lineitem_stream:
         pass
     sweep_elapsed.append((db.disk.snapshot() - before).time)

@@ -212,6 +212,12 @@ class TetrisScan:
             self._cursor = LookaheadCursor(source)
         return self._cursor
 
+    def _upcoming(self, count: int) -> "list[_ScheduledRegion]":
+        """The cursor's next ``count`` entries; nothing for an empty box."""
+        if box_is_empty(self._box):
+            return []
+        return self._ensure_cursor().peek(count)
+
     def upcoming_regions(self, count: int) -> list[ZRegion]:
         """The projected next ``count`` Z-regions in retrieval order.
 
@@ -221,12 +227,21 @@ class TetrisScan:
         projection shrinks as the sweep consumes regions and is empty
         once the scan is exhausted.
         """
-        if box_is_empty(self._box):
-            return []
         return [
             ZRegion(first, last, page_id)
-            for first, last, page_id, _ in self._ensure_cursor().peek(count)
+            for first, last, page_id, _ in self._upcoming(count)
         ]
+
+    def upcoming_page_ids(self, count: int) -> list[int]:
+        """Page ids of :meth:`upcoming_regions`, without building regions
+        — all a read-ahead window needs.  Changes exactly when
+        :attr:`sweep_position` does."""
+        return [entry[2] for entry in self._upcoming(count)]
+
+    @property
+    def sweep_position(self) -> int:
+        """Regions the sweep has consumed so far; only ever grows."""
+        return 0 if self._cursor is None else self._cursor.position
 
     def __iter__(self) -> Iterator[SortedTuple]:
         if box_is_empty(self._box):
@@ -259,11 +274,15 @@ class TetrisScan:
         #: (point, payload) of every qualifying tuple, by arrival order
         arrivals: list[SortedTuple] = []
         # with REPRO_CHECKS=1: validate the emitted stream (membership +
-        # monotonicity) and re-run every page kernel on the other backend
+        # monotonicity), re-run every page kernel on the other backend and
+        # hold the sweep to one fetch per page, read-ahead included
         stream_checker = (
             invariants.StreamChecker(self.sort_dims, self.descending, space)
             if invariants.enabled()
             else None
+        )
+        fetch_checker = (
+            invariants.FetchOnceChecker() if invariants.enabled() else None
         )
         # sweep-ahead prefetching: with a scheduler armed on the pool,
         # keep a bounded window of async reads in flight for the regions
@@ -287,6 +306,8 @@ class TetrisScan:
                     prefetcher.top_up(
                         entry[2] for entry in regions.peek(prefetcher.depth)
                     )
+                if fetch_checker is not None:
+                    fetch_checker.observe(page_id, prefetcher)
                 page = buffer.get(page_id, category=self.ubtree.category)
                 if prefetcher is not None:
                     prefetcher.mark_consumed(page_id)

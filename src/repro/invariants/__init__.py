@@ -41,6 +41,8 @@ Validators
 * :class:`StreamChecker` — Tetris output monotonicity in the sort
   dimension(s) and query-space membership
   (:mod:`repro.invariants.streams`).
+* :class:`FetchOnceChecker` — each data page is fetched at most once
+  per Tetris scan, read-ahead included (:mod:`repro.invariants.paper`).
 * :func:`spot_check_scan_page` — re-runs a page kernel on the *other*
   backend and compares results (:mod:`repro.invariants.parity`).
 * :func:`validate_wal` / :func:`validate_replicated_disk` — write-ahead
@@ -65,6 +67,7 @@ from . import sanitizer as sanitizer
 from .accounting import validate_buffer_pool, validate_shm_store
 from .durability import validate_replicated_disk, validate_wal
 from .errors import InvariantViolation, check
+from .paper import FetchOnceChecker
 from .parity import spot_check_scan_page
 from .sanitizer import (
     GLOBAL_LOCK_ORDER,
@@ -86,6 +89,7 @@ from .structural import validate_bptree, validate_leaf, validate_ubtree
 from .txn import validate_txn_log
 
 __all__ = [
+    "FetchOnceChecker",
     "GLOBAL_LOCK_ORDER",
     "InvariantViolation",
     "LockOrderViolation",

@@ -13,11 +13,13 @@ pages its inputs skipped through box-cover pushdown, and (when a
 clocks.  An abandoned iteration emits nothing — observers may treat
 every event as final.  The merge joins additionally accept a
 ``prefetch`` coordinator (a
-:class:`~repro.storage.prefetch.DualCursorPrefetcher`) which is advised
-*before every pull* with the side the merge cursor demands next, so
+:class:`~repro.storage.prefetch.DualCursorPrefetcher`) which hears,
+before every pull, the side the merge cursor demands next, so
 read-ahead follows the join's actual access pattern instead of each
-side's solo sweep; the coordinator is always closed when iteration ends,
-naturally or not.
+side's solo sweep.  The call is a constant-time check unless a sweep
+consumed a region or the pool fetched a page since the coordinator last
+reconciled its windows — the join pays per Z-region, not per row.  The
+coordinator is always closed when iteration ends, naturally or not.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def _pushdown_pages_skipped(*inputs: Any) -> int:
 def _advised(
     rows: Iterable[Row], prefetch: "DualCursorPrefetcher", side: int
 ) -> Iterator[Row]:
-    """Yield ``rows``, advising the prefetch coordinator before each pull."""
+    """Yield ``rows``, telling the coordinator which side each pull demands."""
     iterator = iter(rows)
     while True:
         prefetch.advise(side)

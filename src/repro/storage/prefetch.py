@@ -3,7 +3,7 @@
 The Tetris sweep (and the UB-Tree range query, and a heap scan) knows
 which pages it will touch next *before* it needs them — the region
 schedule is computed from index levels alone.  :class:`SweepPrefetcher`
-consumes that projection (``TetrisScan.upcoming_regions``-style
+consumes that projection (``TetrisScan.upcoming_page_ids``-style
 lookahead, generically exposed through :class:`LookaheadCursor`) and
 keeps a bounded number of async reads in flight through the buffer
 pool's prefetch gate, so transfers overlap across the scheduler's device
@@ -22,6 +22,7 @@ frame is still pending.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Any, Generic, Iterable, Iterator, TypeVar
 
 from .buffer import BufferPool
@@ -44,35 +45,44 @@ class LookaheadCursor(Generic[ItemT]):
     its own iteration order.  Safe for the region generators because
     they perform no priced data-page I/O — pulling the schedule forward
     only moves (unpriced) index descents earlier.
+
+    ``position`` counts the items handed out by ``__next__`` — never the
+    ones :meth:`peek` merely buffered — and only grows, so "has the
+    projection moved since I last looked?" is one integer comparison.
     """
 
     def __init__(self, source: Iterator[ItemT]) -> None:
         self._source = source
         self._buffer: deque[ItemT] = deque()
         self._exhausted = False
+        self.position = 0
 
     def __iter__(self) -> Iterator[ItemT]:
         return self
 
     def __next__(self) -> ItemT:
         if self._buffer:
-            return self._buffer.popleft()
-        if self._exhausted:
+            item = self._buffer.popleft()
+        elif self._exhausted:
             raise StopIteration
-        try:
-            return next(self._source)
-        except StopIteration:
-            self._exhausted = True
-            raise
+        else:
+            try:
+                item = next(self._source)
+            except StopIteration:
+                self._exhausted = True
+                raise
+        self.position += 1
+        return item
 
     def peek(self, count: int) -> list[ItemT]:
         """The next ``count`` items (fewer near the end), not consumed."""
-        while len(self._buffer) < count and not self._exhausted:
+        buffer = self._buffer
+        while len(buffer) < count and not self._exhausted:
             try:
-                self._buffer.append(next(self._source))
+                buffer.append(next(self._source))
             except StopIteration:
                 self._exhausted = True
-        return list(self._buffer)[:count] if count > 0 else []
+        return list(islice(buffer, count)) if count > 0 else []
 
 
 class SweepEvictionPolicy:
@@ -178,25 +188,6 @@ class SweepPrefetcher:
         """The sweep plane passed this page; its window slot frees up."""
         self._outstanding.discard(page_id)
 
-    def retain(self, upcoming: Iterable[int]) -> int:
-        """Reconcile the window against the sweep's current projection.
-
-        An externally driven sweep (a join leg under
-        :class:`DualCursorPrefetcher`) consumes pages through demand
-        reads that claim the in-flight submission directly, without
-        calling :meth:`mark_consumed`; dropping outstanding pages no
-        longer projected frees those window slots.  Nothing is
-        cancelled — a submission the sweep has not reached yet is still
-        in its projection and therefore kept.  Returns the number of
-        slots freed.
-        """
-        if self._closed:
-            return 0
-        keep = set(upcoming)
-        freed = len(self._outstanding - keep)
-        self._outstanding &= keep
-        return freed
-
     def close(self) -> None:
         """Cancel leftover submissions and restore the eviction policy."""
         if self._closed:
@@ -216,22 +207,36 @@ class DualCursorPrefetcher:
     neither side's solo :class:`SweepPrefetcher` sees enough consecutive
     demand to keep the device queues busy — the sweeps stall each other.
     This policy drives one window per side from the *join's* cursor
-    instead: :meth:`advise` is called with the side the merge is about
-    to pull from and tops *every* side's window — the demanded side
-    first, so its transfers win the device-queue slots, while the other
-    side's next group stays in flight for when the cursor swings back.
-    With pages striped across devices the elapsed time of the join
-    approaches ``max`` of the two sweeps instead of their sum.
+    instead: :meth:`advise` hears which side the merge is about to pull
+    from, and a *reconcile* tops *every* side's window — the demanded
+    side first, so its transfers win the device-queue slots, while the
+    other side's next group stays in flight for when the cursor swings
+    back.  With pages striped across devices the elapsed time of the
+    join approaches ``max`` of the two sweeps instead of their sum.
+
+    The join advises before every pull, but a reconcile runs only when
+    something it depends on has moved: a side's projection and window
+    (its sweep consumed a region) or pool residency (frames come and go
+    only around a disk fetch).  Sweep positions and the pools'
+    ``disk_fetches`` are monotone, so their sum — the *stamp* — moves
+    exactly when any of them does, and :meth:`advise` returns at once
+    while it equals the stamp taken when the last reconcile *began*.
+    Taken at the start, a reconcile that itself touched the pool (issued
+    a read, burned a transient fault) leaves the stamp stale and is
+    followed by another on the next pull, so skipping is exact: every
+    retry, every candidate an eviction exposed and the demanded-side-
+    first order land on the same pull as if every pull reconciled
+    (argument and differential test: ``docs/JOINS.md``).
 
     Sides are duck-typed: anything exposing ``.ubtree`` (with
-    ``.tree.buffer`` and ``.category``), ``.upcoming_regions(count)``,
-    and an ``.external_prefetch`` attribute — i.e. ``TetrisScan``.
-    Each side's ``external_prefetch`` is set to its *shared* window: the
-    sweep drives per-region top-ups through it while it is the one being
-    drained (a scan can read many regions between two emitted rows, when
-    the join's cursor cannot advise), the join's cursor refreshes the
-    idle side, and ownership — closing, cancelling leftovers — stays
-    here.
+    ``.tree.buffer`` and ``.category``), ``.sweep_position``,
+    ``.upcoming_page_ids(count)`` and an ``.external_prefetch``
+    attribute — i.e. ``TetrisScan``.  Each side's ``external_prefetch``
+    is set to its *shared* window: the sweep tops it up and marks pages
+    consumed per region while it is the one being drained (a scan can
+    read many regions between two emitted rows, when the join's cursor
+    cannot advise), the join's cursor refreshes the idle side, and
+    ownership — closing, cancelling leftovers — stays here.
     """
 
     def __init__(
@@ -240,6 +245,11 @@ class DualCursorPrefetcher:
         if len(sides) < 2:
             raise ValueError("dual-cursor policy needs at least two sides")
         self._sides = sides
+        self._pools = list(
+            {id(prefetcher.pool): prefetcher.pool for _, prefetcher in sides}.values()
+        )
+        #: the stamp when the last reconcile began (``None``: never ran)
+        self._reconciled_at: int | None = None
         self._closed = False
         for scan, prefetcher in sides:
             scan.external_prefetch = prefetcher
@@ -281,36 +291,30 @@ class DualCursorPrefetcher:
             return None
         return cls.for_scans(*scans, depth=depth)
 
-    def backlog(self) -> float:
-        """Banked overlap across the distinct schedulers under the sides."""
-        seen: "dict[int, float]" = {}
-        for scan, prefetcher in self._sides:
-            scheduler = prefetcher.pool.scheduler
-            if scheduler is not None:
-                seen[id(scheduler)] = scheduler.queue_backlog()
-        return sum(seen.values())
-
     def advise(self, index: int) -> None:
         """The merge cursor is about to pull from side ``index``.
 
-        Every side's window is reconciled against its projection
-        (demand reads claim submissions without ``mark_consumed``) and
-        topped to full depth — the demanded side first, so when windows
-        compete for queue slots the side about to be read wins.
+        A no-op while the stamp is where the last reconcile found it;
+        otherwise every side's window is topped to full depth from its
+        projection — the demanded side first, so when windows compete
+        for queue slots the side about to be read wins.
         """
         if self._closed:
             return
+        stamp = 0
+        for scan, _ in self._sides:
+            stamp += scan.sweep_position
+        for pool in self._pools:
+            stamp += pool.disk_fetches
+        if stamp == self._reconciled_at:
+            return
+        self._reconciled_at = stamp
         order = [index] + [
             side for side in range(len(self._sides)) if side != index
         ]
         for side_index in order:
             scan, prefetcher = self._sides[side_index]
-            upcoming = [
-                region.page_id
-                for region in scan.upcoming_regions(prefetcher.depth)
-            ]
-            prefetcher.retain(upcoming)
-            prefetcher.top_up(upcoming)
+            prefetcher.top_up(scan.upcoming_page_ids(prefetcher.depth))
 
     def close(self) -> None:
         """Close both windows and hand the scans their solo policy back."""

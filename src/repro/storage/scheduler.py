@@ -126,17 +126,6 @@ class IOScheduler:
         """Per-device drain times (absolute simulated seconds)."""
         return list(self._free_at)
 
-    def queue_backlog(self) -> float:
-        """Service time still queued ahead of ``now``, summed over devices.
-
-        The overlap a sweep (or a join's dual-cursor policy) has banked:
-        transfers already paid for that the clock has not waited out yet.
-        Zero on an idle scheduler — and always zero without prefetching,
-        since demand reads wait their own transfer out immediately.
-        """
-        now = self.disk.stats.time
-        return sum(max(0.0, free - now) for free in self._free_at)
-
     # ------------------------------------------------------------------
     # disk-stack delegation — the scheduler is a drop-in page source for
     # the shared retry loop (read through the queues, everything else

@@ -16,6 +16,7 @@ from repro import invariants, kernels
 from repro.core import QueryBox, UBTree, ZSpace
 from repro.core.tetris import TetrisScan
 from repro.invariants import (
+    FetchOnceChecker,
     InvariantViolation,
     StreamChecker,
     require_instance,
@@ -23,7 +24,7 @@ from repro.invariants import (
     validate_buffer_pool,
     validate_ubtree,
 )
-from repro.storage import BufferPool, SimulatedDisk
+from repro.storage import BufferPool, IOScheduler, SimulatedDisk, SweepPrefetcher
 
 BITS = (4, 4)
 
@@ -36,9 +37,12 @@ def checks_off_between_tests():
     invariants.set_enabled(previous)
 
 
-def make_ubtree(count=80, page_capacity=4, seed=7):
+def make_ubtree(count=80, page_capacity=4, seed=7, *, prefetch_depth=0):
     disk = SimulatedDisk()
-    pool = BufferPool(disk, capacity=256)
+    scheduler = (
+        IOScheduler(disk, 2, prefetch_depth=prefetch_depth) if prefetch_depth else None
+    )
+    pool = BufferPool(disk, capacity=256, scheduler=scheduler)
     ubtree = UBTree(pool, ZSpace(BITS), page_capacity=page_capacity)
     rng = random.Random(seed)
     rows = [
@@ -236,6 +240,68 @@ class TestStreamChecker:
         with invariants.checks():
             observed = list(TetrisScan(ubtree, box, 0))
         assert observed == expected
+
+
+# ----------------------------------------------------------------------
+# each page fetched at most once per Tetris scan
+# ----------------------------------------------------------------------
+class TestFetchOnce:
+    def make_prefetching_ubtree(self):
+        ubtree, pool = make_ubtree(prefetch_depth=4)
+        pool.drop_all()
+        return ubtree, pool
+
+    def test_distinct_pages_pass_and_a_repeat_fires(self):
+        checker = FetchOnceChecker()
+        checker.observe(3, None)
+        checker.observe(4, None)
+        with pytest.raises(InvariantViolation, match="page 3 twice"):
+            checker.observe(3, None)
+
+    def test_claiming_a_pending_prefetch_is_the_one_fetch(self):
+        ubtree, pool = self.make_prefetching_ubtree()
+        window = SweepPrefetcher(pool)
+        page_id = leaf_pages(ubtree)[0].page_id
+        pool.drop_all()
+        assert window.top_up([page_id]) == 1
+        FetchOnceChecker().observe(page_id, window)  # still resident: a claim
+        window.close()
+
+    def test_cancelled_then_demand_read_fires(self):
+        ubtree, pool = self.make_prefetching_ubtree()
+        window = SweepPrefetcher(pool)
+        page_id = leaf_pages(ubtree)[0].page_id
+        pool.drop_all()
+        assert window.top_up([page_id]) == 1
+        pool.drop_all()  # the async transfer is thrown away ...
+        with pytest.raises(InvariantViolation, match="second time"):
+            FetchOnceChecker().observe(page_id, window)  # ... then re-read
+        window.close()
+
+    def test_wired_into_tetris_scan(self):
+        box = QueryBox((0, 0), (15, 15))
+        ubtree, pool = self.make_prefetching_ubtree()
+        expected = list(TetrisScan(ubtree, box, 0))
+        assert pool.disk.stats.prefetch.prefetch_hits > 0  # read-ahead is live
+        pool.drop_all()
+        with invariants.checks():
+            assert list(TetrisScan(ubtree, box, 0)) == expected
+            pool.drop_all()
+            scan = iter(TetrisScan(ubtree, box, 0))
+            next(scan)
+            pool.drop_all()  # empties the sweep's read-ahead window under it
+            with pytest.raises(InvariantViolation, match="second time"):
+                list(scan)
+
+    def test_silent_when_checks_off(self):
+        box = QueryBox((0, 0), (15, 15))
+        ubtree, pool = self.make_prefetching_ubtree()
+        expected = list(TetrisScan(ubtree, box, 0))
+        pool.drop_all()
+        scan = iter(TetrisScan(ubtree, box, 0))
+        first = next(scan)
+        pool.drop_all()
+        assert [first, *scan] == expected
 
 
 # ----------------------------------------------------------------------

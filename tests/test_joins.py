@@ -11,7 +11,10 @@ properties the pipelined-join work relies on:
 * the full Q3/Q4 pushdown plans are bit-identical to the plain Tetris
   plans and to the reference evaluators, on every kernel backend;
 * the dual-cursor prefetcher never changes join output, never loses to
-  the solo per-scan prefetchers, and restores the scans on close;
+  the solo per-scan prefetchers, and restores the scans on close; its
+  event-driven ``advise`` is indistinguishable — rows, clocks, ledgers,
+  fault log — from reconciling before every pull, and projects per
+  consumed region, not per row;
 * a co-partitioned sharded join equals the serial join bit-for-bit —
   clean, across failover, and ``allow_partial`` never silently drops
   rows outside its flagged key ranges.
@@ -25,10 +28,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
+from repro.core.tetris import TetrisScan
 from repro.relational import Attribute, Database, IntEncoder, Schema
-from repro.relational.operators import HashJoin, MergeJoin, MergeSemiJoin
+from repro.relational.operators import (
+    HashJoin,
+    MergeJoin,
+    MergeSemiJoin,
+    TetrisOperator,
+)
 from repro.shard import CoPartitionedJoin, ShardedDatabase, ShardFailedError
-from repro.storage import ICDE99_TESTBED
+from repro.storage import ICDE99_TESTBED, FaultPlan, LookaheadCursor, StorageError
+from repro.storage.prefetch import DualCursorPrefetcher
 from repro.telemetry import register_join_observer, unregister_join_observer
 from repro.tpcd import TPCDConfig, generate, plans, reference_q3, reference_q4
 from repro.tpcd.queries import Q3Params, Q4Params
@@ -281,12 +291,47 @@ class TestPushdownPlans:
 # ----------------------------------------------------------------------
 # dual-cursor prefetching
 # ----------------------------------------------------------------------
+class PollingDualCursor(DualCursorPrefetcher):
+    """The coordinator as it was before ``advise`` became event-driven:
+    both sweeps re-projected and both windows reconciled before *every*
+    row pull.  It survives only here, as the reference the engine's
+    coordinator must be indistinguishable from."""
+
+    def advise(self, index):
+        if self._closed:
+            return
+        order = [index] + [
+            side for side in range(len(self._sides)) if side != index
+        ]
+        for side_index in order:
+            scan, prefetcher = self._sides[side_index]
+            upcoming = [
+                region.page_id
+                for region in scan.upcoming_regions(prefetcher.depth)
+            ]
+            # the old body also called SweepPrefetcher.retain(upcoming) to
+            # free window slots of pages no longer projected.  The sweep
+            # marks every page consumed itself, so there never were any —
+            # which is what licensed deleting retain().
+            assert prefetcher.outstanding <= set(upcoming)
+            prefetcher.top_up(upcoming)
+
+
 class TestDualCursorPrefetch:
-    def run_pipelined(self, data, *, prefetch):
-        db = Database(ICDE99_TESTBED, buffer_pages=256, devices=4, prefetch_depth=8)
+    def q4_world(self, data, *, pool=256, devices=4, prefetch_depth=8):
+        db = Database(
+            ICDE99_TESTBED,
+            buffer_pages=pool,
+            devices=devices,
+            prefetch_depth=prefetch_depth,
+        )
         order_ub = plans.build_order_ub(db, data)
         lineitem_ub = plans.build_lineitem_ub_q4(db, data)
         db.reset_measurement()
+        return db, order_ub, lineitem_ub
+
+    def run_pipelined(self, data, *, prefetch):
+        db, order_ub, lineitem_ub = self.q4_world(data)
         before = db.disk.snapshot()
         pipelined = plans.q4_pipelined_plan(
             db, order_ub, lineitem_ub, Q4Params(), prefetch=prefetch
@@ -310,14 +355,197 @@ class TestDualCursorPrefetch:
         assert pipelined.right.scan.external_prefetch is False
 
     def test_no_prefetch_database_degrades_to_none(self, data):
-        db = Database(ICDE99_TESTBED, buffer_pages=256)
-        order_ub = plans.build_order_ub(db, data)
-        lineitem_ub = plans.build_lineitem_ub_q4(db, data)
+        db, order_ub, lineitem_ub = self.q4_world(data, devices=1, prefetch_depth=0)
         pipelined = plans.q4_pipelined_plan(
             db, order_ub, lineitem_ub, Q4Params(), prefetch=True
         )
         assert pipelined.prefetch is None
         assert list(pipelined.plan) == reference_q4(data, Q4Params())
+
+    # -- event-driven advise == polling advise, observable for observable
+
+    LEFT_ROWS = make_rows(150, seed=5)
+    RIGHT_ROWS = make_rows(400, seed=6)
+    #: pool x depth x devices; pool 16 lets the two windows swallow it
+    GRID = [
+        (pool, depth, devices)
+        for pool in (16, 64, 256)
+        for depth in (1, 4, 8)
+        for devices in (1, 4)
+    ]
+    FAULTS = {
+        "transient": FaultPlan(seed=3, transient_rate=0.08),
+        "latency": FaultPlan(seed=4, latency_rate=0.2),
+        "corrupt": FaultPlan(seed=5, corrupt_rate=0.04),
+    }
+
+    def synthetic_world(self, pool, depth, devices, **stack):
+        db = Database(
+            buffer_pages=pool, devices=devices, prefetch_depth=depth, **stack
+        )
+        tables = []
+        for name, rows in (("l", self.LEFT_ROWS), ("r", self.RIGHT_ROWS)):
+            table = db.create_ub_table(name, make_schema(), DIMS, 8)
+            table.bulk_load(rows)
+            tables.append(table)
+        db.reset_measurement()
+        if stack.get("fault_plan") is not None:
+            db.arm_faults()
+        return db, tables
+
+    def observe(self, db, join, sides):
+        """Everything a run leaves behind that a caller could look at."""
+        before = db.disk.snapshot()
+        try:
+            outcome = list(join)
+        except StorageError as error:
+            outcome = (type(error).__name__, str(error))
+        pool = db.buffer
+        return {
+            "outcome": outcome,
+            "page_order": [list(side.scan.page_access_order) for side in sides],
+            "io": db.disk.snapshot() - before,  # clock, reads, ledger, faults
+            "fault_log": list(getattr(db.disk, "fault_log", ())),
+            "pool": (
+                pool.prefetch_issued,
+                pool.prefetch_claimed,
+                pool.prefetch_cancelled,
+                pool.hits,
+                pool.misses,
+            ),
+        }
+
+    def run_synthetic(self, coordinator, strategy, pool, depth, devices, **stack):
+        """A cold inner join, then a warm semi-join on the same pool."""
+        db, (left_table, right_table) = self.synthetic_world(
+            pool, depth, devices, **stack
+        )
+        runs = []
+        for join_cls in (MergeJoin, MergeSemiJoin):
+            left = TetrisOperator(
+                left_table, {"a2": (100, 900)}, "a1", strategy=strategy
+            )
+            # the right side ends early, so windows are still loaded at close
+            right = TetrisOperator(
+                right_table, {"a1": (0, 800)}, "a1", strategy=strategy
+            )
+            dual = coordinator.for_operators(left, right)
+            assert type(dual) is coordinator
+            join = join_cls(
+                left,
+                right,
+                left_key=lambda row: row[0],
+                right_key=lambda row: row[0],
+                disk=db.disk,
+                prefetch=dual,
+            )
+            runs.append(self.observe(db, join, (left, right)))
+        return runs
+
+    @pytest.mark.parametrize("pool,depth,devices", GRID)
+    def test_event_driven_advise_matches_polling(self, pool, depth, devices):
+        # the literal sweep strategy is slow: one row of the grid only
+        strategies = ("eager", "sweep") if (depth, devices) == (8, 4) else ("eager",)
+        for strategy in strategies:
+            reference = self.run_synthetic(
+                PollingDualCursor, strategy, pool, depth, devices
+            )
+            got = self.run_synthetic(
+                DualCursorPrefetcher, strategy, pool, depth, devices
+            )
+            assert got == reference, (strategy, pool, depth, devices)
+            cold, warm = got
+            assert cold["outcome"] and warm["outcome"]
+            assert cold["io"].prefetch.prefetch_issued > 0
+
+    @pytest.mark.parametrize("replicas", [0, 2])
+    @pytest.mark.parametrize("kind", sorted(FAULTS))
+    def test_event_driven_advise_matches_polling_under_faults(self, kind, replicas):
+        for pool, depth in ((16, 8), (64, 4)):
+            stack = {"fault_plan": self.FAULTS[kind], "replicas": replicas}
+            reference = self.run_synthetic(
+                PollingDualCursor, "eager", pool, depth, 4, **stack
+            )
+            got = self.run_synthetic(
+                DualCursorPrefetcher, "eager", pool, depth, 4, **stack
+            )
+            assert got == reference, (kind, replicas, pool, depth)
+            assert got[-1]["fault_log"], "the plan never fired: vacuous"
+
+    def test_event_driven_advise_matches_polling_on_q4(self, data, monkeypatch):
+        """The real plan over its triangular space, cold then warm."""
+
+        def run():
+            db, order_ub, lineitem_ub = self.q4_world(data, pool=64)
+            runs = []
+            for _ in range(2):
+                pipelined = plans.q4_pipelined_plan(
+                    db, order_ub, lineitem_ub, Q4Params(), prefetch=True
+                )
+                runs.append(
+                    self.observe(
+                        db, pipelined.plan, (pipelined.left, pipelined.right)
+                    )
+                )
+            return runs, type(pipelined.prefetch)
+
+        got, coordinator = run()
+        assert coordinator is DualCursorPrefetcher
+        monkeypatch.setattr(plans, "DualCursorPrefetcher", PollingDualCursor)
+        reference, coordinator = run()
+        assert coordinator is PollingDualCursor
+        assert got == reference
+        assert got[0]["outcome"] == reference_q4(data, Q4Params())
+
+    # -- and the poll must not creep back: count, don't time
+
+    def test_projects_per_consumed_region_not_per_row(self, data, monkeypatch):
+        calls = {"project": 0, "peek": 0, "advise": 0}
+        project, peek = TetrisScan.upcoming_page_ids, LookaheadCursor.peek
+
+        def counting_project(scan, count):
+            calls["project"] += 1
+            return project(scan, count)
+
+        def counting_peek(cursor, count):
+            calls["peek"] += 1
+            return peek(cursor, count)
+
+        def no_regions(scan, count):
+            raise AssertionError("advise must not build ZRegions")
+
+        monkeypatch.setattr(TetrisScan, "upcoming_page_ids", counting_project)
+        monkeypatch.setattr(TetrisScan, "upcoming_regions", no_regions)
+        monkeypatch.setattr(LookaheadCursor, "peek", counting_peek)
+
+        db, order_ub, lineitem_ub = self.q4_world(data, pool=64)
+        pipelined = plans.q4_pipelined_plan(
+            db, order_ub, lineitem_ub, Q4Params(), prefetch=True
+        )
+        # shadow advise on the instance, the way the benchmark harness
+        # times it: the join must look it up at call time
+        advise = pipelined.prefetch.advise
+
+        def counting_advise(side):
+            calls["advise"] += 1
+            advise(side)
+
+        pipelined.prefetch.advise = counting_advise
+        assert list(pipelined.plan) == reference_q4(data, Q4Params())
+
+        regions = (
+            pipelined.left.stats.regions_read + pipelined.right.stats.regions_read
+        )
+        reconciles, odd = divmod(calls["project"], 2)  # one projection per side
+        assert not odd
+        # a consumed region makes one reconcile that issues reads and one
+        # that finds nothing left to do; c covers the opening pair
+        assert 0 < reconciles <= 2 * regions + 4
+        # the only other peeks are the sweeps' own, one per region they
+        # read: a pull that skips the reconcile looks at no cursor
+        assert calls["peek"] == calls["project"] + regions
+        # ... and nearly every pull does skip it
+        assert calls["advise"] > 10 * reconciles
 
 
 # ----------------------------------------------------------------------

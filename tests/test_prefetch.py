@@ -82,6 +82,44 @@ class TestLookaheadCursor:
         cursor = LookaheadCursor(iter(range(3)))
         assert cursor.peek(0) == []
 
+    def test_position_counts_next_only(self):
+        cursor = LookaheadCursor(iter(range(4)))
+        assert cursor.position == 0
+        cursor.peek(3)
+        cursor.peek(10)  # buffers everything, exhausts the source
+        assert cursor.position == 0
+        assert [next(cursor), next(cursor)] == [0, 1]
+        assert cursor.position == 2
+        assert cursor.peek(5) == [2, 3]
+        assert cursor.position == 2
+        assert list(cursor) == [2, 3]
+        assert cursor.position == 4
+        with pytest.raises(StopIteration):
+            next(cursor)
+        assert cursor.position == 4  # the exhausting pull hands out nothing
+
+    def test_position_counts_unbuffered_pulls_too(self):
+        cursor = LookaheadCursor(iter(range(3)))
+        assert next(cursor) == 0  # straight from the source, never peeked
+        assert cursor.position == 1
+
+    def test_peek_returns_a_fresh_list(self):
+        cursor = LookaheadCursor(iter(range(5)))
+        first = cursor.peek(3)
+        first.clear()
+        first.append("mine")
+        assert cursor.peek(3) == [0, 1, 2]
+        assert cursor.peek(3) is not cursor.peek(3)
+        assert list(cursor) == [0, 1, 2, 3, 4]
+
+    def test_short_peek_leaves_the_longer_lookahead_buffered(self):
+        cursor = LookaheadCursor(iter(range(6)))
+        assert cursor.peek(5) == [0, 1, 2, 3, 4]
+        assert cursor.peek(2) == [0, 1]  # a prefix, not the whole buffer
+        assert next(cursor) == 0
+        assert cursor.peek(2) == [1, 2]
+        assert list(cursor) == [1, 2, 3, 4, 5]
+
 
 # ----------------------------------------------------------------------
 # the LRU pathology: plain LRU evicts the page the sweep needs next,
