@@ -82,6 +82,11 @@ class BPlusTree:
         self.record_count = 0
         self.leaf_count = 1
         self.overflow_pages = 0
+        #: advances whenever separators or leaf identity may have changed
+        #: (a split, a bulk build, a rollback or recovery beneath the live
+        #: tree); never restored, so anything derived from the leaf
+        #: partitioning is current iff it was built at this epoch
+        self.structure_epoch = 0
         root = self._new_leaf()
         self.root_id = root.page_id
         self.first_leaf_id = root.page_id
@@ -242,6 +247,16 @@ class BPlusTree:
             self.record_count,
             self.overflow_pages,
         ) = meta
+        self.structure_changed()
+
+    def structure_changed(self) -> None:
+        """Advance :attr:`structure_epoch`.
+
+        Called by the tree's own structural mutations, and by whoever
+        replaces pages beneath the live tree object without going
+        through them (WAL recovery).
+        """
+        self.structure_epoch += 1
 
     def _split_leaf(self, leaf: Page, path: list[tuple[Page, int]]) -> Page | None:
         """Split ``leaf``; returns the new right sibling (``None`` when the
@@ -280,6 +295,7 @@ class BPlusTree:
     def _insert_separator(
         self, path: list[tuple[Page, int]], separator: Any, right_id: int
     ) -> None:
+        self.structure_changed()
         while path:
             page, idx = path.pop()
             node: _InnerNode = page.payload
@@ -346,6 +362,7 @@ class BPlusTree:
         wal: WriteAheadLog | None,
     ) -> None:
         """The bottom-up build itself (validated inputs, non-empty)."""
+        self.structure_changed()
         old_root = self.root_id
         target = max(2, int(self.leaf_capacity * fill))
         leaves: list[Page] = []
@@ -450,6 +467,28 @@ class BPlusTree:
         else:
             leaf = self.disk.peek(leaf_id)
         return leaf, low, high
+
+    def leaf_bounds(self) -> tuple[list[Any], list[int]]:
+        """Upper separator bound and page id of every leaf, left to right.
+
+        Leaf ``i`` covers the keys in ``(highs[i-1], highs[i]]``; the
+        last bound is ``None`` (unbounded), like :meth:`leaf_for`'s.  The
+        inner levels are walked with ``disk.peek`` — no pool lookup, no
+        accounting, no fault site — so a caller may snapshot the leaf
+        partitioning without being observable to the storage layer.
+        """
+        highs: list[Any] = [None]
+        page_ids = [self.root_id]
+        for _ in range(self.height - 1):
+            child_highs: list[Any] = []
+            child_ids: list[int] = []
+            for high, page_id in zip(highs, page_ids):
+                node: _InnerNode = self.disk.peek(page_id).payload
+                child_highs.extend(node.keys)
+                child_highs.append(high)
+                child_ids.extend(node.children)
+            highs, page_ids = child_highs, child_ids
+        return highs, page_ids
 
     def range_scan(self, lo: Any = None, hi: Any = None) -> Iterator[tuple[Any, Any]]:
         """Yield ``(key, value)`` pairs with ``lo <= key <= hi`` in key order.

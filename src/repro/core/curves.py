@@ -273,7 +273,9 @@ class Curve:
         for dim in range(self.dims):
             if min_work[dim] > max_work[dim]:
                 raise ValueError("empty box: lo exceeds hi")
-        bigmin: int | None = None
+        # the last candidate's point; only the one that survives to the
+        # return is ever encoded (every later candidate is smaller)
+        bigmin: list[int] | None = None
         lengths = self.bit_lengths
         for out_from_msb, (dim, bit_from_msb) in enumerate(self.schedule):
             weight = 1 << (lengths[dim] - 1 - bit_from_msb)
@@ -285,10 +287,8 @@ class Curve:
                     continue
                 if minbit == 0 and maxbit == 1:
                     # candidate: enter the 1-subtree at its minimal point
-                    saved = min_work[dim]
-                    min_work[dim] = _load_min(saved, weight)
-                    bigmin = self.encode(min_work)
-                    min_work[dim] = saved
+                    bigmin = min_work.copy()
+                    bigmin[dim] = _load_min(min_work[dim], weight)
                     # follow address into the 0-subtree
                     max_work[dim] = _load_max(max_work[dim], weight)
                     continue
@@ -297,7 +297,7 @@ class Curve:
             # abit == 1
             if maxbit == 0:
                 # the whole remaining box is below address
-                return bigmin
+                return None if bigmin is None else self.encode(bigmin)
             if minbit == 0:
                 min_work[dim] = _load_min(min_work[dim], weight)
             # minbit == maxbit == 1: follow address
@@ -315,7 +315,7 @@ class Curve:
         for dim in range(self.dims):
             if min_work[dim] > max_work[dim]:
                 raise ValueError("empty box: lo exceeds hi")
-        litmax: int | None = None
+        litmax: list[int] | None = None  # last candidate's point (see BIGMIN)
         lengths = self.bit_lengths
         for out_from_msb, (dim, bit_from_msb) in enumerate(self.schedule):
             weight = 1 << (lengths[dim] - 1 - bit_from_msb)
@@ -327,10 +327,8 @@ class Curve:
                     continue
                 if minbit == 0 and maxbit == 1:
                     # candidate: enter the 0-subtree at its maximal point
-                    saved = max_work[dim]
-                    max_work[dim] = _load_max(saved, weight)
-                    litmax = self.encode(max_work)
-                    max_work[dim] = saved
+                    litmax = max_work.copy()
+                    litmax[dim] = _load_max(max_work[dim], weight)
                     # follow address into the 1-subtree
                     min_work[dim] = _load_min(min_work[dim], weight)
                     continue
@@ -339,7 +337,7 @@ class Curve:
             # abit == 0
             if minbit == 1:
                 # the whole remaining box is above address
-                return litmax
+                return None if litmax is None else self.encode(litmax)
             if maxbit == 1:
                 max_work[dim] = _load_max(max_work[dim], weight)
         return address

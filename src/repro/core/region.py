@@ -10,7 +10,7 @@ truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .query_space import QueryBox, QuerySpace
 
@@ -49,5 +49,58 @@ class ZRegion:
             for lo, hi in curve.interval_boxes(self.first, self.last)
         )
 
+    def classify(
+        self, curve: "Curve", space: QuerySpace, pushdown: "QuerySpace | None"
+    ) -> tuple[bool, bool]:
+        """``(in_space, in_cover)`` for a region that meets ``space``'s
+        bounding box — the two pruning verdicts of a restricted scan.
+
+        ``in_space``: the local restriction wants this page (a plain box
+        is its own bounding box, so the test is skipped).  ``in_cover``:
+        it does, and a pushed-down join-key cover — if any — does not
+        rule the page out either.
+        """
+        in_space = isinstance(space, QueryBox) or self.intersects(curve, space)
+        in_cover = in_space and (
+            pushdown is None or self.intersects(curve, pushdown)
+        )
+        return in_space, in_cover
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ZRegion[{self.first}:{self.last}]@page{self.page_id}"
+
+
+class RegionDirectory:
+    """Every Z-region of a UB-Tree at one structure epoch, as columns.
+
+    The paper's sweep assumes the index levels are cached and picks the
+    next region with bit operations alone; this is that assumption made
+    explicit: ``firsts[i] .. lasts[i]`` on ``page_ids[i]``, in Z-order,
+    tiling the whole address space.  It holds what depends on the tree
+    and not on a query, so one snapshot serves every scan until the
+    tree's ``structure_epoch`` moves; batch kernels may memoize derived
+    geometry (the aligned-block boxes of every region) against the
+    instance.  The tree stays the source of truth — a scan verifies each
+    entry it uses against its own descent.
+    """
+
+    __slots__ = ("curve", "firsts", "lasts", "page_ids", "epoch", "__weakref__")
+
+    def __init__(
+        self,
+        curve: "Curve",
+        lasts: Sequence[int],
+        page_ids: Sequence[int],
+        epoch: int,
+    ) -> None:
+        self.curve = curve
+        self.lasts = list(lasts)
+        self.firsts = [0] + [last + 1 for last in self.lasts[:-1]]
+        self.page_ids = list(page_ids)
+        self.epoch = epoch
+
+    def __len__(self) -> int:
+        return len(self.lasts)
+
+    def region(self, index: int) -> ZRegion:
+        return ZRegion(self.firsts[index], self.lasts[index], self.page_ids[index])

@@ -47,7 +47,7 @@ from .. import invariants, kernels
 from ..storage.prefetch import LookaheadCursor, SweepPrefetcher
 from .curves import Curve, FlippedCurve
 from .intervals import IntervalSet
-from .query_space import QueryBox, QuerySpace, box_is_empty
+from .query_space import QuerySpace, box_is_empty
 from .region import ZRegion
 from .ubtree import UBTree
 
@@ -375,41 +375,24 @@ class TetrisScan:
     # eager strategy: static keys, min-heap
     # ------------------------------------------------------------------
     def _eager_regions(self) -> Iterator[_ScheduledRegion]:
-        z_curve = self.ubtree.space.z
-        pushdown = self.pushdown
-        candidates = []
-        for region in self.ubtree.regions_overlapping(self.space, prune=False):
-            self.stats.regions_examined += 1
-            if not isinstance(self.space, QueryBox) and not region.intersects(
-                z_curve, self.space
-            ):
-                self.stats.regions_skipped += 1
-                continue
-            # the local restriction wants this page; the pushed-down
-            # join-key cover may still rule it out — that, and only
-            # that, is a pushdown skip (the tests are exact, so every
-            # skipped page truly holds no joinable tuple)
-            if pushdown is not None and not region.intersects(z_curve, pushdown):
-                self.stats.pages_skipped_by_pushdown += 1
-                continue
-            candidates.append(region)
-        # static region keys — ``min T_j over (region ∩ bounding box)``,
-        # static because Z-regions are disjoint — batched over all
-        # candidates in one kernel call
-        lo, hi = self._box
-        keys = kernels.get_backend().region_min_keys(
-            z_curve,
-            self.tetris_curve,
-            [(region.first, region.last) for region in candidates],
-            lo,
-            hi,
-        )
+        # which regions the walk visits, which the local restriction and
+        # the pushed-down cover prune (the tests are exact for the cover,
+        # so every page it skips truly holds no joinable tuple), and each
+        # survivor's static key — ``min T_j over (region ∩ bounding
+        # box)``, static because Z-regions are disjoint — all come from
+        # one batched schedule over the tree's region directory
+        stats = self.stats
         heap: list[tuple[int, int, int, int]] = []
-        for region, key in zip(candidates, keys):
-            if key is None:
-                self.stats.regions_skipped += 1
-                continue
-            heap.append((key, region.first, region.last, region.page_id))
+        for region, in_space, _, key in self.ubtree.scheduled_regions(
+            self.space, self.pushdown, self.tetris_curve
+        ):
+            stats.regions_examined += 1
+            if key is not None:  # keyed iff the cover (and so the space) wants it
+                heap.append((key, region.first, region.last, region.page_id))
+            elif in_space:
+                stats.pages_skipped_by_pushdown += 1
+            else:
+                stats.regions_skipped += 1
         heapq.heapify(heap)
         while heap:
             _, first, last, page_id = heapq.heappop(heap)
@@ -434,18 +417,15 @@ class TetrisScan:
                 self.stats.regions_examined += 1
                 phi.add(region.first, region.last)
                 covered = (region.first, region.last)
-                base_ok = isinstance(self.space, QueryBox) or region.intersects(
-                    z_space.z, self.space
+                in_space, in_cover = region.classify(
+                    z_space.z, self.space, self.pushdown
                 )
-                if base_ok and (
-                    self.pushdown is None
-                    or region.intersects(z_space.z, self.pushdown)
-                ):
+                if in_cover:
                     next_event = self._skip_interval(event, covered)
                     yield region.first, region.last, region.page_id, next_event
                     event = next_event
                     continue
-                if base_ok:
+                if in_space:
                     self.stats.pages_skipped_by_pushdown += 1
                 else:
                     self.stats.regions_skipped += 1

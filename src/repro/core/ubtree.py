@@ -22,8 +22,9 @@ from ..storage.buffer import BufferPool
 from ..storage.page import Page
 from ..storage.prefetch import LookaheadCursor, SweepPrefetcher
 from ..storage.wal import active_wal
-from .query_space import QueryBox, QuerySpace, box_is_empty
-from .region import ZRegion
+from .curves import Curve, FlippedCurve
+from .query_space import QuerySpace, box_is_empty
+from .region import RegionDirectory, ZRegion
 from .zorder import ZSpace
 
 
@@ -56,6 +57,9 @@ class UBTree:
         self.tree = BPlusTree(
             buffer, leaf_capacity=page_capacity, fanout=fanout, category=category
         )
+        #: lazily built on the first scan, rebuilt when the tree's
+        #: structure epoch has moved (see :meth:`region_directory`)
+        self._directory: RegionDirectory | None = None
 
     # ------------------------------------------------------------------
     # maintenance operations (Section 3.3: logarithmic insert/point/delete)
@@ -169,6 +173,105 @@ class UBTree:
                 return
             z_address = region.last + 1
 
+    def region_directory(self) -> RegionDirectory:
+        """The Z-region partitioning as columns, current as of this call.
+
+        Built from the separator keys with unaccounted page peeks, so
+        taking the snapshot is invisible to the buffer pool, the I/O
+        statistics and fault injection.  Cached per structure epoch; the
+        epoch is read *before* the walk, so a snapshot that raced a
+        mutation is merely rebuilt next time.  Two threads touching it
+        first both build and both results are valid — the publish is
+        one reference store.
+        """
+        directory = self._directory
+        epoch = self.tree.structure_epoch
+        if directory is None or directory.epoch != epoch:
+            highs, page_ids = self.tree.leaf_bounds()
+            highs[-1] = self.space.address_max
+            directory = RegionDirectory(self.space.z, highs, page_ids, epoch)
+            self._directory = directory
+        return directory
+
+    def scheduled_regions(
+        self,
+        space: QuerySpace,
+        pushdown: "QuerySpace | None" = None,
+        sort_curve: "Curve | FlippedCurve | None" = None,
+    ) -> Iterator[tuple[ZRegion, bool, bool, "int | None"]]:
+        """``(region, in_space, in_cover, key)`` for every Z-region that
+        meets ``space``'s bounding box, in Z-order, lazily.
+
+        The verdicts and keys are
+        :meth:`~repro.kernels.base.KernelBackend.schedule_regions`'s,
+        computed for the whole scan in one call over the region
+        directory.  Each region then costs the one unpriced descent the
+        BIGMIN walk makes for it, at the same address and only when the
+        consumer pulls it.  What is yielded is always the *descent's*
+        region: if it differs from the directory's entry the hint was
+        stale — the true region is classified by the scalar definitions,
+        the directory is dropped and the rest of the scan is
+        re-scheduled past it — so a stale directory can cost time but
+        never changes the answer (both partitionings tile the address
+        space, so an entry that meets the query is caught by its own
+        descent).  With ``REPRO_CHECKS=1`` every row is also held to the
+        scalar definitions, using only what the descents returned.
+        """
+        box = space.bounding_box()
+        if box is None:
+            box = self.space.universe_box()
+        if box_is_empty(box):
+            return
+        lo, hi = box
+        curve = self.space.z
+        kernel = kernels.get_backend()
+        checker = (
+            invariants.ScheduleChecker(curve, lo, hi, space, pushdown, sort_curve)
+            if invariants.enabled()
+            else None
+        )
+        z_address: int | None = curve.encode(lo)
+        curve.encode(hi)  # the box is API input: validate both corners
+        while z_address is not None:
+            directory = self.region_directory()
+            schedule = kernel.schedule_regions(
+                directory, z_address, lo, hi, space, pushdown, sort_curve
+            )
+            z_address = None
+            for probe, first, last, page_id, in_space, in_cover, key in schedule:
+                region, _ = self.region_for(probe, charge=False)
+                stale = (
+                    region.first != first
+                    or region.last != last
+                    or region.page_id != page_id
+                )
+                if stale:
+                    if checker is not None:
+                        invariants.check(
+                            directory.epoch != self.tree.structure_epoch,
+                            f"region directory of epoch {directory.epoch} has "
+                            f"[{first}:{last}]@page{page_id} where the tree, "
+                            f"still at that epoch, has {region!r}: a "
+                            "structure change did not advance the epoch",
+                        )
+                    if self._directory is directory:  # keep a newer snapshot
+                        self._directory = None
+                    in_space, in_cover = region.classify(curve, space, pushdown)
+                    key = None
+                    if in_cover and sort_curve is not None:
+                        (key,) = kernel.region_min_keys(
+                            curve, sort_curve, [(region.first, region.last)], lo, hi
+                        )
+                if checker is not None:
+                    checker.observe(probe, region, in_space, in_cover, key)
+                yield region, in_space, in_cover, key
+                if stale:
+                    z_address = curve.next_in_box(region.last + 1, lo, hi)
+                    break
+            else:
+                if checker is not None:
+                    checker.finish()
+
     def regions_overlapping(
         self, space: QuerySpace, *, prune: bool = True
     ) -> Iterator[ZRegion]:
@@ -178,20 +281,9 @@ class UBTree:
         pages are *not* read.  With ``prune`` set, regions whose geometry
         provably misses a non-rectangular ``space`` are filtered out.
         """
-        box = space.bounding_box()
-        if box is None:
-            box = self.space.universe_box()
-        if box_is_empty(box):
-            return
-        lo, hi = box
-        curve = self.space.z
-        z_address: int | None = curve.encode(lo)
-        last_address = curve.encode(hi)
-        while z_address is not None and z_address <= last_address:
-            region, _ = self.region_for(z_address, charge=False)
-            if not prune or isinstance(space, QueryBox) or region.intersects(curve, space):
+        for region, in_space, _, _ in self.scheduled_regions(space):
+            if in_space or not prune:
                 yield region
-            z_address = curve.next_in_box(region.last + 1, lo, hi)
 
     def upcoming_regions(self, space: QuerySpace, count: int) -> list[ZRegion]:
         """The first ``count`` Z-regions a range query over ``space`` reads.

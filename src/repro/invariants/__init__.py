@@ -45,6 +45,9 @@ Validators
   per Tetris scan, read-ahead included (:mod:`repro.invariants.paper`).
 * :func:`spot_check_scan_page` — re-runs a page kernel on the *other*
   backend and compares results (:mod:`repro.invariants.parity`).
+* :class:`ScheduleChecker` — holds a batched region schedule to the
+  scalar BIGMIN walk, pruning tests and keys it replaces, without
+  extra I/O (:mod:`repro.invariants.parity`).
 * :func:`validate_wal` / :func:`validate_replicated_disk` — write-ahead
   log structure (dense LSNs, serial batches, mirror/device agreement)
   and replica-store consistency (:mod:`repro.invariants.durability`).
@@ -68,7 +71,7 @@ from .accounting import validate_buffer_pool, validate_shm_store
 from .durability import validate_replicated_disk, validate_wal
 from .errors import InvariantViolation, check
 from .paper import FetchOnceChecker
-from .parity import spot_check_scan_page
+from .parity import ScheduleChecker, spot_check_scan_page
 from .sanitizer import (
     GLOBAL_LOCK_ORDER,
     LockOrderViolation,
@@ -94,6 +97,7 @@ __all__ = [
     "InvariantViolation",
     "LockOrderViolation",
     "RaceViolation",
+    "ScheduleChecker",
     "StreamChecker",
     "TrackedLock",
     "actor",

@@ -6,7 +6,9 @@ asserts this over randomized workloads; with ``REPRO_CHECKS=1`` the
 engine additionally re-runs every page kernel it actually executes on
 the *other* backend and compares results in place — so a divergence
 (say, a stale columnar cache after a missed ``Page.version`` bump)
-raises at the exact page that produced it.
+raises at the exact page that produced it.  Batched region schedules
+get the same treatment against the scalar definitions they replace
+(:class:`ScheduleChecker`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from typing import Any, Sequence, TYPE_CHECKING
 from .errors import check
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
+    from ..core.curves import Curve, FlippedCurve
     from ..core.query_space import QuerySpace
+    from ..core.region import ZRegion
     from ..kernels.base import KernelBackend
     from ..storage.page import Page
 
@@ -65,3 +69,79 @@ def spot_check_scan_page(
         f"(selected={expected[1][:8]}...); if the page was mutated, check "
         "for a missing Page.version bump",
     )
+
+
+class ScheduleChecker:
+    """One batched region schedule, held to the scalar walk row by row.
+
+    ``UBTree.scheduled_regions`` reports every region it is about to
+    yield: the address it descended at, the region that descent
+    returned, and the verdicts and key the batch kernel assigned.  The
+    checker replays the definitions those replace — ``encode(lo)`` opens
+    the walk, ``next_in_box(previous.last + 1)`` continues it and
+    finally runs out, :meth:`~repro.core.region.ZRegion.classify` prunes,
+    the pure backend's ``region_min_keys`` keys — using only boundaries
+    the scan's own descents returned, so checking adds no I/O.
+    """
+
+    def __init__(
+        self,
+        curve: "Curve",
+        lo: Sequence[int],
+        hi: Sequence[int],
+        space: "QuerySpace",
+        pushdown: "QuerySpace | None",
+        sort_curve: "Curve | FlippedCurve | None",
+    ) -> None:
+        self._curve = curve
+        self._box = (lo, hi)
+        self._space = space
+        self._pushdown = pushdown
+        self._sort_curve = sort_curve
+        self._expected: "int | None" = curve.encode(lo)
+
+    def observe(
+        self,
+        probe: int,
+        region: "ZRegion",
+        in_space: bool,
+        in_cover: bool,
+        key: "int | None",
+    ) -> None:
+        from .. import kernels
+
+        lo, hi = self._box
+        check(
+            probe == self._expected and region.contains(probe),
+            f"region schedule descended at Z-address {probe} into {region!r}; "
+            f"the BIGMIN walk continues at {self._expected}",
+        )
+        verdicts = region.classify(self._curve, self._space, self._pushdown)
+        check(
+            (bool(in_space), bool(in_cover)) == verdicts,
+            f"region schedule classified {region!r} as (in_space, in_cover) = "
+            f"({in_space}, {in_cover}); ZRegion.intersects says {verdicts}",
+        )
+        reference = None
+        if in_cover and self._sort_curve is not None:
+            (reference,) = kernels.backend("python").region_min_keys(
+                self._curve,
+                self._sort_curve,
+                [(region.first, region.last)],
+                lo,
+                hi,
+            )
+        check(
+            key == reference,
+            f"region schedule keyed {region!r} at {key}; the scalar "
+            f"region_min_keys says {reference}",
+        )
+        self._expected = self._curve.next_in_box(region.last + 1, lo, hi)
+
+    def finish(self) -> None:
+        """The schedule ran out: so must the walk."""
+        check(
+            self._expected is None,
+            f"region schedule ended although the box continues at Z-address "
+            f"{self._expected}",
+        )

@@ -15,6 +15,9 @@ bulk loading, the external-sort baseline) are written against:
   (``scan_page`` straight from the storage page, letting backends keep a
   memoized columnar view), one call keys every candidate Z-region of a
   scan,
+* :func:`schedule_regions` — a restricted scan's whole region schedule
+  (BIGMIN walk, pruning verdicts, static Tetris keys) from the tree's
+  region directory in one call,
 * :func:`scan_page_run` / :func:`make_run_buffer` — DPG-style run
   formation: per-page sorted runs in the backend's native representation
   feed a :class:`SortRunBuffer` that consolidates them hierarchically,
@@ -53,12 +56,13 @@ import os
 from contextlib import contextmanager
 from typing import Any, Iterator, Sequence, TYPE_CHECKING
 
-from .base import KernelBackend, SortRunBuffer
+from .base import KernelBackend, ScheduledRegion, SortRunBuffer
 from .pure import PurePythonBackend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..core.curves import Curve, FlippedCurve
     from ..core.query_space import QuerySpace
+    from ..core.region import RegionDirectory
 
     AnyCurve = Curve | FlippedCurve
 
@@ -84,6 +88,7 @@ __all__ = [
     "scan_block",
     "merge_sorted_keys",
     "region_min_keys",
+    "schedule_regions",
 ]
 
 _ENV_VAR = "REPRO_KERNEL_BACKEND"
@@ -233,3 +238,17 @@ def region_min_keys(
     hi: Sequence[int],
 ) -> "list[int | None]":
     return _active.region_min_keys(z_curve, sort_curve, intervals, lo, hi)
+
+
+def schedule_regions(
+    directory: "RegionDirectory",
+    start: int,
+    lo: Sequence[int],
+    hi: Sequence[int],
+    space: "QuerySpace",
+    pushdown: "QuerySpace | None" = None,
+    sort_curve: "AnyCurve | None" = None,
+) -> "list[ScheduledRegion]":
+    return _active.schedule_regions(
+        directory, start, lo, hi, space, pushdown, sort_curve
+    )

@@ -26,8 +26,13 @@ from typing import Any, Sequence, TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..core.curves import Curve, FlippedCurve
     from ..core.query_space import QuerySpace
+    from ..core.region import RegionDirectory
 
     AnyCurve = Curve | FlippedCurve
+
+#: one row of :meth:`KernelBackend.schedule_regions`:
+#: ``(probe, first, last, page_id, in_space, in_cover, key)``
+ScheduledRegion = tuple[int, int, int, int, bool, bool, "int | None"]
 
 
 class SortRunBuffer:
@@ -251,11 +256,49 @@ class KernelBackend:
         Each interval is a Z-address range ``(first, last)`` on
         ``z_curve`` (a Z-region); the result entry is ``None`` when the
         interval's geometry is disjoint from the box.  This is the eager
-        Tetris strategy's static region keying, batched over all
-        candidate regions at once: every interval decomposes into
-        aligned boxes, each box is clamped to ``[lo, hi]``, and the
-        minimum ``sort_curve`` address of a surviving box is attained at
-        a corner (monotonicity).
+        Tetris strategy's static region keying by its definition: every
+        interval decomposes into aligned boxes, each box is clamped to
+        ``[lo, hi]``, and the minimum ``sort_curve`` address of a
+        surviving box is attained at a corner (monotonicity).  A scan
+        keys all its regions in :meth:`schedule_regions`; this is that
+        schedule's reference keying step and its checker's yardstick.
+        """
+        raise NotImplementedError
+
+    def schedule_regions(
+        self,
+        directory: "RegionDirectory",
+        start: int,
+        lo: Sequence[int],
+        hi: Sequence[int],
+        space: "QuerySpace",
+        pushdown: "QuerySpace | None" = None,
+        sort_curve: "AnyCurve | None" = None,
+    ) -> "list[ScheduledRegion]":
+        """Everything a restricted scan decides per Z-region, for all
+        regions at once — the BIGMIN walk, the pruning tests and the
+        static Tetris keys, from index information alone.
+
+        ``directory`` is the tree's region snapshot, ``[lo, hi]`` the
+        bounding box of ``space`` and ``start`` a Z-address inside the
+        box to resume from (``encode(lo)`` for a whole scan).  One row
+        per directory region holding a box address ``>= start``, in
+        Z-order — exactly the regions the walk ``z = start; region
+        containing z; z = next_in_box(region.last + 1)`` visits:
+
+        ``probe``
+            the walk's ``z`` for the region — its smallest box address
+            (``start`` for the first row), where the caller's verifying
+            descent goes;
+        ``first, last, page_id``
+            the directory's entry;
+        ``in_space, in_cover``
+            :meth:`~repro.core.region.ZRegion.classify` against
+            ``space`` and ``pushdown``;
+        ``key``
+            for ``in_cover`` rows when ``sort_curve`` is given, ``min
+            sort_curve-address over (region ∩ [lo, hi])`` as in
+            :meth:`region_min_keys`; ``None`` otherwise.
         """
         raise NotImplementedError
 

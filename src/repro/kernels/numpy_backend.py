@@ -28,11 +28,13 @@ from ..core.query_space import (
     ComparisonSpace,
     IntersectionSpace,
     IntervalUnionSpace,
+    PredicateSpace,
     QueryBox,
     QuerySpace,
 )
+from ..core.region import RegionDirectory
 from . import shm
-from .base import SortRunBuffer
+from .base import ScheduledRegion, SortRunBuffer
 from .pure import PurePythonBackend, PureSortRunBuffer
 
 _U64 = np.uint64
@@ -242,6 +244,92 @@ class _CurveTables:
         self.suffix_masks = np.array(curve._suffix_masks, dtype=_U64)
 
 
+class _DirectoryArrays:
+    """A region directory's columns and block geometry as arrays.
+
+    Every region's Z-interval is tiled by maximal aligned blocks (the
+    decomposition of :meth:`~repro.core.curves.Curve.interval_blocks`),
+    each an axis-aligned box.  Region ``i`` owns the block rows
+    ``offsets[i]:offsets[i + 1]`` of ``los`` / ``his`` (the boxes' low
+    and high corners, decoded once); ``owner`` maps a block row back to
+    its region.  O(regions x blocks x dims) memory, no query state.
+    """
+
+    __slots__ = ("firsts", "lasts", "page_ids", "offsets", "owner", "los", "his")
+
+    def __init__(self, directory: RegionDirectory, tables: "_CurveTables") -> None:
+        self.firsts = np.asarray(directory.firsts, dtype=_U64)
+        self.lasts = np.asarray(directory.lasts, dtype=_U64)
+        self.page_ids = np.asarray(directory.page_ids, dtype=np.int64)
+        positions, levels, counts = _aligned_blocks(
+            self.firsts, self.lasts, directory.curve.total_bits
+        )
+        self.offsets = np.zeros(len(counts) + 1, dtype=np.intp)
+        np.cumsum(counts, out=self.offsets[1:])
+        self.owner = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
+        self.los = NumPyBackend._decode_addresses(tables, positions)
+        self.his = self.los | tables.suffix_masks[levels]
+
+
+def _aligned_blocks(
+    firsts: "np.ndarray", lasts: "np.ndarray", total_bits: int
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """:meth:`~repro.core.curves.Curve.interval_blocks` of every interval
+    ``[firsts[i], lasts[i]]`` at once: ``(positions, levels, counts)``,
+    blocks grouped by interval and ascending within it.
+
+    The greedy decomposition has two phases, and both are bit-level
+    loops that run for all intervals in lockstep.  Climbing: while the
+    lowest set bit of the position is a block that still fits, take it
+    (the carry aligns the position to ever larger blocks).  Descending:
+    from there, take the largest power of two that fits, largest first.
+    ``remaining`` counts the addresses left *after* the position, so
+    nothing here can overflow ``uint64`` even at 64 bits.
+    """
+    one = _U64(1)
+    position = firsts.copy()
+    remaining = lasts - firsts
+    active = np.ones(len(firsts), dtype=bool)
+    owners: "list[np.ndarray]" = []
+    positions: "list[np.ndarray]" = []
+    levels: "list[np.ndarray]" = []
+    steps = [(level, True) for level in range(total_bits)]
+    steps += [(level, False) for level in range(total_bits, -1, -1)]
+    for level, climbing in steps:
+        span = _U64((1 << level) - 1)  # block size - 1
+        take = active & (remaining >= span)
+        if climbing:  # only where this bit of the position is set
+            take &= ((position >> _U64(level)) & one).astype(bool)
+        taken = np.flatnonzero(take)
+        if not taken.size:
+            continue
+        owners.append(taken)
+        positions.append(position[taken])
+        levels.append(np.full(taken.size, level, dtype=np.intp))
+        done = take & (remaining == span)
+        active &= ~done
+        step = take & ~done
+        if step.any():  # never for a 2**64 block: that ends its interval
+            position[step] += span + one
+            remaining[step] -= span + one
+    # every step emitted its blocks in interval order and a later step's
+    # block lies further along, so a stable sort by owner finishes it
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")
+    return (
+        np.concatenate(positions)[order],
+        np.concatenate(levels)[order],
+        np.bincount(owner, minlength=len(firsts)),
+    )
+
+
+def _boxes_meeting_box(
+    los: "np.ndarray", his: "np.ndarray", lo: "np.ndarray", hi: "np.ndarray"
+) -> "np.ndarray":
+    """Per box ``[los[i], his[i]]``: whether it meets the box ``[lo, hi]``."""
+    return ((los <= hi) & (lo <= his)).all(axis=1)
+
+
 class NumPyBackend(PurePythonBackend):
     """Vectorized batch primitives (inherits pure loops as fallbacks)."""
 
@@ -267,6 +355,11 @@ class NumPyBackend(PurePythonBackend):
         self._columns: "weakref.WeakKeyDictionary[Any, tuple]" = (
             weakref.WeakKeyDictionary()
         )
+        # per-tree region directory as arrays plus its block geometry;
+        # dies with the directory when the tree's structure epoch moves
+        self._directories: (
+            "weakref.WeakKeyDictionary[RegionDirectory, _DirectoryArrays | None]"
+        ) = weakref.WeakKeyDictionary()
 
     def _box_arrays(self, space: QueryBox) -> "tuple | None":
         arrays = self._boxes.get(space, False)
@@ -771,55 +864,160 @@ class NumPyBackend(PurePythonBackend):
         lo: Sequence[int],
         hi: Sequence[int],
     ) -> "list[int | None]":
-        """Batched region keying: decode, clamp and encode all aligned
-        blocks of all intervals in one vectorized pass."""
-        if not intervals:
-            return []
-        base_sort, flip = self._unwrap(sort_curve)
-        z_tables = self._tables_for(z_curve)
-        sort_tables = self._tables_for(base_sort)
-        if z_tables is None or sort_tables is None:
-            return super().region_min_keys(z_curve, sort_curve, intervals, lo, hi)
+        # keying interval by interval survives only off the batched path
+        # (:meth:`schedule_regions` keys a whole scan): one region whose
+        # directory entry proved stale, and curves wider than 64 bits —
+        # the scalar reference serves both
+        return super().region_min_keys(z_curve, sort_curve, intervals, lo, hi)
 
-        # enumerating the aligned blocks is cheap bit arithmetic; decode,
-        # clamp and encode over the flattened block list are vectorized
-        positions: list[int] = []
-        sizes: list[int] = []
-        counts: list[int] = []
-        for first, last in intervals:
-            filled = len(positions)
-            for position, k in z_curve.interval_blocks(first, last):
-                positions.append(position)
-                sizes.append(k)
-            counts.append(len(positions) - filled)
-        if min(counts) == 0:  # empty interval: segment reduce needs >= 1 each
-            return super().region_min_keys(z_curve, sort_curve, intervals, lo, hi)
+    # ------------------------------------------------------------------
+    # region scheduling
+    # ------------------------------------------------------------------
+    def _directory_arrays(self, directory: RegionDirectory) -> "_DirectoryArrays | None":
+        arrays = self._directories.get(directory, False)
+        if arrays is False:
+            tables = self._tables_for(directory.curve)
+            arrays = None if tables is None else _DirectoryArrays(directory, tables)
+            self._directories[directory] = arrays
+        return arrays
 
-        los = self._decode_addresses(z_tables, np.asarray(positions, dtype=_U64))
-        his = los | z_tables.suffix_masks[np.asarray(sizes)]
+    def _boxes_meeting(
+        self, space: QuerySpace, los: "np.ndarray", his: "np.ndarray"
+    ) -> "np.ndarray":
+        """Per box ``[los[i], his[i]]``: ``space.intersects_box`` of it."""
+        if isinstance(space, QueryBox):
+            arrays = self._box_arrays(space)
+            if arrays is not None:
+                return _boxes_meeting_box(los, his, *arrays)
+        elif isinstance(space, ComparisonSpace):
+            compare = _NP_COMPARATORS[space.op]
+            if space.op in ("<", "<="):
+                return compare(los[:, space.left_dim], his[:, space.right_dim])
+            return compare(his[:, space.left_dim], los[:, space.right_dim])
+        elif isinstance(space, IntervalUnionSpace):
+            arrays = self._interval_arrays(space)
+            if arrays is not None:
+                starts, ends = arrays
+                if not starts.size:
+                    return np.zeros(len(los), dtype=bool)
+                # the first interval ending at or after the box's low end
+                # either starts within the box's range or nothing does
+                slots = np.searchsorted(ends, los[:, space.dim], side="left")
+                found = slots < len(starts)
+                np.clip(slots, None, len(starts) - 1, out=slots)
+                return found & (starts[slots] <= his[:, space.dim])
+        elif isinstance(space, IntersectionSpace):
+            meeting = np.ones(len(los), dtype=bool)
+            for part in space.parts:
+                meeting &= self._boxes_meeting(part, los, his)
+            return meeting
+        elif isinstance(space, PredicateSpace):
+            return np.ones(len(los), dtype=bool)
+        # spaces this backend knows no geometry for: ask box by box
+        return np.fromiter(
+            (
+                space.intersects_box(tuple(lo), tuple(hi))
+                for lo, hi in zip(los.tolist(), his.tolist())
+            ),
+            dtype=bool,
+            count=len(los),
+        )
+
+    def schedule_regions(
+        self,
+        directory: RegionDirectory,
+        start: int,
+        lo: Sequence[int],
+        hi: Sequence[int],
+        space: QuerySpace,
+        pushdown: "QuerySpace | None" = None,
+        sort_curve: "Curve | FlippedCurve | None" = None,
+    ) -> "list[ScheduledRegion]":
+        """One pass over the directory slice the box's Z-range spans:
+        the regions owning a block box that meets ``[lo, hi]`` are the
+        walk's; clamp those blocks and reduce per region from there."""
+        curve = directory.curve
+        arrays = self._directory_arrays(directory)
+        z_tables = self._tables_for(curve)
+        sort_tables: "_CurveTables | None" = None
+        flip: frozenset[int] = frozenset()
+        if sort_curve is not None:
+            base_sort, flip = self._unwrap(sort_curve)
+            sort_tables = self._tables_for(base_sort)
+        if arrays is None or z_tables is None or (
+            sort_curve is not None and sort_tables is None
+        ):
+            return super().schedule_regions(
+                directory, start, lo, hi, space, pushdown, sort_curve
+            )
         lo_arr = np.asarray(lo, dtype=_U64)
         hi_arr = np.asarray(hi, dtype=_U64)
-        clamped_lo = np.maximum(los, lo_arr)
-        clamped_hi = np.minimum(his, hi_arr)
-        valid = (clamped_lo <= clamped_hi).all(axis=1)
+        # regions whose interval reaches into [start, encode(hi)]
+        head, tail = np.searchsorted(
+            arrays.lasts,
+            np.array([start, curve.encode_unchecked(hi)], dtype=_U64),
+            side="left",
+        ).tolist()
+        begin, end = arrays.offsets[head], arrays.offsets[tail + 1]
+        los = arrays.los[begin:end]
+        his = arrays.his[begin:end]
+        inside = np.flatnonzero(_boxes_meeting_box(los, his, lo_arr, hi_arr))
+        if not inside.size:
+            return []
+        # blocks are grouped by region, so the surviving ones still are:
+        # a group per region that meets the box, in Z-order
+        owners = arrays.owner[begin:end][inside]
+        groups = np.flatnonzero(
+            np.concatenate(([True], owners[1:] != owners[:-1]))
+        )
+        chosen = owners[groups]
+        clamped_lo = np.maximum(los[inside], lo_arr)
+        # the smallest Z-address of a box is its low corner's
+        probes = np.minimum.reduceat(
+            self._encode_columns(z_tables, clamped_lo), groups
+        )
+        probes[0] = start
 
-        # the minimal sort-curve address of a box sits at the corner that
-        # takes hi in flipped dimensions; encoding through the base curve
-        # reflects those coordinates (coord_max - hi), lo elsewhere
-        if flip:
-            corners = clamped_lo.copy()
-            for dim in flip:
-                corners[:, dim] = sort_tables.coord_max[dim] - clamped_hi[:, dim]
+        # pruning looks at whole (unclamped) blocks, like ZRegion.intersects
+        segments = arrays.offsets[head : tail + 1] - begin
+        picked = chosen - head
+        if isinstance(space, QueryBox):
+            in_space = np.ones(len(chosen), dtype=bool)
         else:
-            corners = clamped_lo
-        keys = self._encode_columns(sort_tables, corners)
-        keys[~valid] = np.iinfo(_U64).max  # never the min unless it is real
+            in_space = np.logical_or.reduceat(
+                self._boxes_meeting(space, los, his), segments
+            )[picked]
+        in_cover = in_space
+        if pushdown is not None:
+            in_cover = in_space & np.logical_or.reduceat(
+                self._boxes_meeting(pushdown, los, his), segments
+            )[picked]
 
-        offsets = np.zeros(len(counts), dtype=np.intp)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        minima = np.minimum.reduceat(keys, offsets)
-        any_valid = np.bitwise_or.reduceat(valid, offsets)
-        return [
-            int(key) if ok else None
-            for key, ok in zip(minima.tolist(), any_valid.tolist())
-        ]
+        keys: "list[int | None]" = [None] * len(chosen)
+        if sort_tables is not None:
+            # the minimal sort-curve address of a clamped box sits at the
+            # corner taking hi in flipped dimensions (see region_min_keys)
+            corners = clamped_lo
+            if flip:
+                corners = clamped_lo.copy()
+                clamped_hi = np.minimum(his[inside], hi_arr)
+                for dim in flip:
+                    corners[:, dim] = sort_tables.coord_max[dim] - clamped_hi[:, dim]
+            minima = np.minimum.reduceat(
+                self._encode_columns(sort_tables, corners), groups
+            )
+            keys = [
+                key if wanted else None
+                for key, wanted in zip(minima.tolist(), in_cover.tolist())
+            ]
+        return list(
+            zip(
+                probes.tolist(),
+                arrays.firsts[chosen].tolist(),
+                arrays.lasts[chosen].tolist(),
+                arrays.page_ids[chosen].tolist(),
+                in_space.tolist(),
+                in_cover.tolist(),
+                keys,
+            )
+        )

@@ -20,10 +20,11 @@ from ..core.query_space import (
     QueryBox,
     QuerySpace,
 )
-from .base import KernelBackend, SortRunBuffer
+from .base import KernelBackend, ScheduledRegion, SortRunBuffer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..core.curves import Curve, FlippedCurve
+    from ..core.region import RegionDirectory, ZRegion
 
     AnyCurve = Curve | FlippedCurve
 
@@ -256,3 +257,36 @@ class PurePythonBackend(KernelBackend):
             position += count
             result.append(min(block) if block else None)
         return result
+
+    def schedule_regions(
+        self,
+        directory: "RegionDirectory",
+        start: int,
+        lo: Sequence[int],
+        hi: Sequence[int],
+        space: QuerySpace,
+        pushdown: "QuerySpace | None" = None,
+        sort_curve: "AnyCurve | None" = None,
+    ) -> "list[ScheduledRegion]":
+        # the scalar walk itself, with a bisection over the directory
+        # where the tree walk has a descent: the reference semantics
+        curve = directory.curve
+        lasts = directory.lasts
+        walk: "list[tuple[int, ZRegion, bool, bool]]" = []
+        z: "int | None" = start
+        while z is not None:
+            region = directory.region(bisect_left(lasts, z))
+            walk.append((z, region, *region.classify(curve, space, pushdown)))
+            z = curve.next_in_box(region.last + 1, lo, hi)
+        keys: "list[int | None]" = [None] * len(walk)
+        if sort_curve is not None:
+            keyed = [index for index, step in enumerate(walk) if step[3]]
+            intervals = [(walk[i][1].first, walk[i][1].last) for i in keyed]
+            for index, key in zip(
+                keyed, self.region_min_keys(curve, sort_curve, intervals, lo, hi)
+            ):
+                keys[index] = key
+        return [
+            (probe, region.first, region.last, region.page_id, in_space, in_cover, key)
+            for (probe, region, in_space, in_cover), key in zip(walk, keys)
+        ]

@@ -142,6 +142,10 @@ class Database:
             raise RuntimeError("database was created without a write-ahead log")
         report = self.wal.recover(decide)
         self.buffer.drop_all()
+        # recovery rewrites pages beneath the live tree objects
+        for table in self.tables.values():
+            if isinstance(table, UBTable):
+                table.ubtree.tree.structure_changed()
         return report
 
     @property

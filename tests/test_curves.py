@@ -1,6 +1,7 @@
 """Tests for the bit-schedule curves: encoding, BIGMIN/LITMAX, decomposition."""
 
 import itertools
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -272,6 +273,34 @@ def test_prev_in_box_matches_brute_force(query):
     assert curve.prev_in_box(address, lo, hi) == brute_prev_in_box(
         curve, address, lo, hi
     )
+
+
+@contextmanager
+def counted_encodes(curve):
+    """Every ``curve.encode`` call inside the block lands in the list."""
+    calls = []
+    encode = curve.encode
+
+    def counting(point):
+        calls.append(tuple(point))
+        return encode(point)
+
+    curve.encode = counting  # instance attribute shadows the method
+    try:
+        yield calls
+    finally:
+        del curve.encode
+
+
+@given(box_queries())
+@settings(max_examples=100, deadline=None)
+def test_bigmin_and_litmax_encode_at_most_once(query):
+    """Candidates are remembered as points; only the survivor is encoded."""
+    curve, address, lo, hi = query
+    for search in (curve.next_in_box, curve.prev_in_box):
+        with counted_encodes(curve) as calls:
+            search(address, lo, hi)
+        assert len(calls) <= 1
 
 
 # ----------------------------------------------------------------------

@@ -346,6 +346,85 @@ class TestKernelParity:
 
 
 # ----------------------------------------------------------------------
+# batched region schedules vs. the scalar definitions
+# ----------------------------------------------------------------------
+class TestRegionSchedule:
+    BOX = QueryBox((1, 2), (13, 12))
+
+    def test_honest_schedule_passes(self):
+        ubtree, _ = make_ubtree()
+        with invariants.checks():
+            assert list(TetrisScan(ubtree, self.BOX, 0))
+
+    def test_sabotaged_directory_entry_fires(self):
+        """An entry that disagrees with the tree at an unchanged epoch
+        is a structure change nobody announced."""
+        ubtree, _ = make_ubtree()
+        expected = list(TetrisScan(ubtree, self.BOX, 0))
+        region = list(ubtree.regions_overlapping(self.BOX))[2]
+        ubtree._directory = None  # a fresh snapshot no backend has seen yet
+        directory = ubtree.region_directory()
+        directory.page_ids[directory.firsts.index(region.first)] += 1000
+        with invariants.checks():
+            with pytest.raises(InvariantViolation, match="did not advance the epoch"):
+                list(TetrisScan(ubtree, self.BOX, 0))
+        # checks off: the descent wins and the hint is rebuilt, silently
+        ubtree._directory = directory
+        assert list(TetrisScan(ubtree, self.BOX, 0)) == expected
+        assert ubtree.region_directory() is not directory
+
+    @pytest.mark.skipif(
+        "numpy" not in kernels.available_backends(),
+        reason="block boxes are the NumPy backend's derived geometry",
+    )
+    def test_sabotaged_block_box_fires(self):
+        ubtree, _ = make_ubtree()
+        with kernels.use_backend("numpy") as backend:
+            directory = ubtree.region_directory()
+            arrays = backend._directory_arrays(directory)
+            region = list(ubtree.regions_overlapping(self.BOX))[2]
+            victim = directory.firsts.index(region.first)
+            rows = slice(arrays.offsets[victim], arrays.offsets[victim + 1])
+            # every box of one examined region moves out of the query box
+            arrays.los[rows] = arrays.his[rows] = 15
+            with invariants.checks():
+                with pytest.raises(InvariantViolation, match="BIGMIN walk continues"):
+                    list(TetrisScan(ubtree, self.BOX, 0))
+
+    def test_sabotaged_key_fires(self, monkeypatch):
+        ubtree, _ = make_ubtree()
+        backend = kernels.get_backend()
+        honest = backend.schedule_regions
+
+        def off_by_one(*args):
+            rows = honest(*args)
+            *head, key = rows[1]
+            rows[1] = (*head, key + 1)
+            return rows
+
+        monkeypatch.setattr(backend, "schedule_regions", off_by_one)
+        with invariants.checks():
+            with pytest.raises(InvariantViolation, match="scalar region_min_keys"):
+                list(TetrisScan(ubtree, self.BOX, 0))
+
+    def test_sabotaged_verdict_fires(self, monkeypatch):
+        ubtree, _ = make_ubtree()
+        backend = kernels.get_backend()
+        honest = backend.schedule_regions
+
+        def pruned(*args):
+            rows = honest(*args)
+            probe, first, last, page_id, _, _, _ = rows[1]
+            rows[1] = (probe, first, last, page_id, False, False, None)
+            return rows
+
+        monkeypatch.setattr(backend, "schedule_regions", pruned)
+        with invariants.checks():
+            with pytest.raises(InvariantViolation, match="ZRegion.intersects"):
+                list(TetrisScan(ubtree, self.BOX, 0))
+
+
+# ----------------------------------------------------------------------
 # the gate itself
 # ----------------------------------------------------------------------
 class TestGate:

@@ -23,8 +23,10 @@ from repro.core import Curve, FlippedCurve, QueryBox, UBTree, ZSpace, tetris_sor
 from repro.core.query_space import (
     ComparisonSpace,
     IntersectionSpace,
+    IntervalUnionSpace,
     PredicateSpace,
 )
+from repro.core.region import RegionDirectory
 from repro.storage import BufferPool, SimulatedDisk
 
 HAVE_NUMPY = "numpy" in kernels.available_backends()
@@ -201,6 +203,92 @@ def test_region_min_keys_parity(case):
         np_keys = kernels.region_min_keys(z_curve, sort_curve, intervals, lo, hi)
     assert np_keys == py_keys
     assert base.dims == len(bits)
+
+
+@needs_numpy
+@given(
+    st.sampled_from([(1,), (3, 2), (7, 9, 4), (16, 16, 16, 16), (13, 17, 11, 9, 14)]),
+    st.integers(0, 10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_vectorized_block_decomposition_matches_interval_blocks(bits, seed):
+    """The directory's lockstep decomposition is ``interval_blocks`` of
+    every region — up to and including 64-bit addresses, where a naive
+    ``last + 1`` would wrap."""
+    import numpy as np
+
+    from repro.kernels.numpy_backend import _aligned_blocks
+
+    curve = Curve.z_curve(bits)
+    rng = random.Random(seed)
+    top = curve.address_max
+    cuts = sorted({rng.randint(0, top) for _ in range(rng.randrange(12))} - {top})
+    firsts = [0] + [cut + 1 for cut in cuts]
+    lasts = cuts + [top]
+    positions, levels, counts = _aligned_blocks(
+        np.asarray(firsts, dtype=np.uint64),
+        np.asarray(lasts, dtype=np.uint64),
+        curve.total_bits,
+    )
+    expected = [list(curve.interval_blocks(a, b)) for a, b in zip(firsts, lasts)]
+    assert counts.tolist() == [len(blocks) for blocks in expected]
+    assert list(zip(positions.tolist(), levels.tolist())) == [
+        block for blocks in expected for block in blocks
+    ]
+
+
+@needs_numpy
+@given(curve_cases(), st.sampled_from(["box", "triangle", "opaque"]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_schedule_regions_parity(case, kind, covered):
+    """Random tilings of the address space stand in for a tree: the
+    kernel sees a directory, never the pages behind it."""
+    sort_curve, bits, seed, count = case
+    z_curve = Curve.z_curve(bits)
+    rng = random.Random(seed)
+    cuts = sorted(
+        {rng.randrange(z_curve.address_max + 1) for _ in range(count // 4)}
+        - {z_curve.address_max}
+    )
+    directory = RegionDirectory(
+        z_curve, cuts + [z_curve.address_max], list(range(len(cuts) + 1)), epoch=0
+    )
+    lo, hi = random_box(bits, seed)
+    space = QueryBox(lo, hi)
+    dims = len(bits)
+    if kind == "triangle" and dims > 1:
+        left, right = rng.sample(range(dims), 2)
+        op = rng.choice(["<", "<=", ">", ">="])
+        space = IntersectionSpace([space, ComparisonSpace(dims, left, op, right)])
+    elif kind == "opaque":
+        space = IntersectionSpace(
+            [space, PredicateSpace(dims, lambda p: sum(p) % 3 != 0)]
+        )
+    pushdown = None
+    if covered:
+        dim = rng.randrange(dims)
+        ends = sorted(rng.sample(range(1 << bits[dim]), min(4, 1 << bits[dim])))
+        pushdown = IntervalUnionSpace(
+            z_curve.coord_max, dim, tuple(zip(ends[::2], ends[1::2]))
+        )
+    # resume points: the whole scan, and a box address further along
+    starts = [z_curve.encode(lo)]
+    later = z_curve.next_in_box(rng.randrange(z_curve.address_max + 1), lo, hi)
+    if later is not None:
+        starts.append(later)
+    for start in starts:
+        for keyed_by in (sort_curve, None):
+            with kernels.use_backend("python"):
+                py_rows = kernels.schedule_regions(
+                    directory, start, lo, hi, space, pushdown, keyed_by
+                )
+            with kernels.use_backend("numpy"):
+                np_rows = kernels.schedule_regions(
+                    directory, start, lo, hi, space, pushdown, keyed_by
+                )
+            assert np_rows == py_rows
+            assert py_rows[0][0] == start
+            assert all(row[6] is None for row in py_rows if not row[5])
 
 
 # ----------------------------------------------------------------------
