@@ -35,9 +35,6 @@ Validators
   universe, stored-address consistency, record-count bijection.
 * :func:`validate_buffer_pool` — hit/miss/lookup accounting, dirty-set
   ⊆ frames, frame count ≤ capacity (:mod:`repro.invariants.accounting`).
-* :func:`validate_shm_store` — shared-memory segment ledger: created =
-  live + retired, retired = unlinked, closed ⇒ nothing live
-  (:mod:`repro.invariants.accounting`).
 * :class:`StreamChecker` — Tetris output monotonicity in the sort
   dimension(s) and query-space membership
   (:mod:`repro.invariants.streams`).
@@ -67,7 +64,7 @@ from contextlib import contextmanager
 from typing import Any, Iterator, TypeVar
 
 from . import sanitizer as sanitizer
-from .accounting import validate_buffer_pool, validate_shm_store
+from .accounting import validate_buffer_pool
 from .durability import validate_replicated_disk, validate_wal
 from .errors import InvariantViolation, check
 from .paper import FetchOnceChecker
@@ -120,7 +117,6 @@ __all__ = [
     "validate_leaf",
     "validate_replicated_disk",
     "validate_sharded_database",
-    "validate_shm_store",
     "validate_txn_log",
     "validate_ubtree",
     "validate_wal",

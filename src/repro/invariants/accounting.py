@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 from .errors import check
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from ..kernels.shm import SharedColumnStore
     from ..storage.buffer import BufferPool
 
 
@@ -92,29 +91,4 @@ def validate_buffer_pool(pool: "BufferPool") -> None:
         not over_budget,
         f"pages {over_budget} exceeded the failure budget of "
         f"{pool.quarantine_threshold} but were not quarantined",
-    )
-
-
-def validate_shm_store(store: "SharedColumnStore") -> None:
-    """Segment ledger of one shared-memory column store.
-
-    The leak contract in numbers: every created segment is either live or
-    retired, every retired segment was unlinked, and a closed store keeps
-    nothing live.  :class:`repro.kernels.shm.SharedColumnStore` calls
-    this after every registry mutation when checks are enabled.
-    """
-    stats = store.stats
-    check(
-        stats.created == store.live_segments + stats.retired,
-        f"shm ledger broken: {stats.created} created != "
-        f"{store.live_segments} live + {stats.retired} retired",
-    )
-    check(
-        stats.unlinked == stats.retired,
-        f"shm ledger broken: {stats.unlinked} unlinked != "
-        f"{stats.retired} retired; a retired segment would leak its name",
-    )
-    check(
-        not store.closed or store.live_segments == 0,
-        f"closed shm store still holds {store.live_segments} live segments",
     )

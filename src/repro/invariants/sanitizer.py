@@ -1,8 +1,8 @@
 """Deterministic concurrency sanitizer: lock-order + happens-before checks.
 
-The engine's shared mutable structures (buffer-pool frame maps, the
-shared-memory column registry, I/O scheduler queues, executor observer
-lists) are each guarded by one *declared* lock.  This module provides
+The engine's shared mutable structures (buffer-pool frame maps, I/O
+scheduler queues, executor observer lists) are each guarded by one
+*declared* lock.  This module provides
 the runtime half of the concurrency contract that ``tools/reprolint``
 rules R010–R013 enforce statically:
 
@@ -499,14 +499,12 @@ def fork_safe(func: _FuncT) -> _FuncT:
 
 # The engine's single declared order.  Rationale, outermost first:
 # the thread executor's staging lock is held while faulting pages in
-# (staging -> buffer-pool); the pool issues scheduler reads and notifies
-# shm eviction observers while holding its own lock (buffer-pool ->
-# io-scheduler, buffer-pool -> shm-store); the executor observer list
-# never nests inside anything else.
+# (staging -> buffer-pool); the pool issues scheduler reads while
+# holding its own lock (buffer-pool -> io-scheduler); the executor
+# observer list never nests inside anything else.
 GLOBAL_LOCK_ORDER = declare_lock_order(
     "executor-staging",
     "executor-observers",
     "buffer-pool",
     "io-scheduler",
-    "shm-store",
 )

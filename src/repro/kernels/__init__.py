@@ -26,10 +26,6 @@ bulk loading, the external-sort baseline) are written against:
 * :func:`merge_sorted_keys` — stable pairwise merge permutation over two
   sorted runs (the external sort's run consolidation step).
 
-The columnar page cache of the NumPy backend can additionally live in
-POSIX shared memory (:mod:`repro.kernels.shm`), letting forked workers
-attach zero-copy read-only views instead of receiving pickled pages.
-
 Two interchangeable backends implement them:
 
 ``numpy``

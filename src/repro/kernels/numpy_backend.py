@@ -33,7 +33,6 @@ from ..core.query_space import (
     QuerySpace,
 )
 from ..core.region import RegionDirectory
-from . import shm
 from .base import ScheduledRegion, SortRunBuffer
 from .pure import PurePythonBackend, PureSortRunBuffer
 
@@ -656,28 +655,14 @@ class NumPyBackend(PurePythonBackend):
     def _page_columns(self, page: Any) -> "np.ndarray | None":
         """The page's points as a cached (records, dims) uint64 matrix.
 
-        When a :class:`~repro.kernels.shm.SharedColumnStore` is active,
-        the matrix lives in a shared-memory segment: the coordinator
-        publishes it on build and other processes attach a zero-copy
-        read-only view instead of rebuilding (or pickling) it.  The
-        page's ``version`` counter stamps both the private cache and the
-        segment, so a mutated page can never serve stale columns.
+        The page's ``version`` counter stamps the cache entry, so a
+        mutated page can never serve stale columns.  Fork children
+        inherit the memo copy-on-write with the pages it is keyed on.
         """
         cached = self._columns.get(page)
         version = page.version
         if cached is not None and cached[0] == version:
             return cached[1]
-        store = shm.active_store()
-        if store is not None:
-            page_id = getattr(page, "page_id", None)
-            if page_id is not None:
-                shared = store.get(page_id, version)
-                if shared is not None:
-                    try:
-                        self._columns[page] = (version, shared)
-                    except TypeError:  # pragma: no cover - stand-in pages
-                        pass
-                    return shared
         records = page.records
         try:
             # Z-region records are (z_address, (point, payload)); every
@@ -695,12 +680,6 @@ class NumPyBackend(PurePythonBackend):
             columns = flat.reshape(len(records), -1) if len(records) else None
         except (OverflowError, ValueError, TypeError):
             columns = None
-        if columns is not None and store is not None:
-            page_id = getattr(page, "page_id", None)
-            if page_id is not None:
-                # publish into shared memory; non-owners get their
-                # private array back unchanged
-                columns = store.put(page_id, version, columns)
         try:
             self._columns[page] = (version, columns)
         except TypeError:  # pragma: no cover - non-weakref page stand-ins
@@ -708,9 +687,8 @@ class NumPyBackend(PurePythonBackend):
         return columns
 
     def prime_page_columns(self, page: Any) -> None:
-        """Build (and, with an active shared store, publish) the page's
-        columnar view ahead of use — the coordinator's staging step
-        before handing a slab to workers."""
+        """Build the page's columnar view ahead of use — the
+        coordinator's staging step before handing a slab to workers."""
         if page.records:
             self._page_columns(page)
 

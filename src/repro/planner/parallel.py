@@ -20,8 +20,7 @@ order therefore reproduces the serial stream **bit for bit**:
 Executors
 ---------
 Three ways to run the slabs, selected by :func:`select_executor` (policy
-``auto``, overridable via the ``REPRO_PARALLEL_EXECUTOR`` environment
-variable or the ``executor=`` argument):
+``auto``, overridable via the ``executor=`` argument):
 
 ``threads``
     One ``ThreadPoolExecutor`` task per slab, *whole-slab batched*: the
@@ -35,13 +34,15 @@ variable or the ``executor=`` argument):
 ``fork``
     One ``fork``-started process per slab batch; children inherit the
     in-memory simulated database copy-on-write and run an ordinary
-    :class:`~repro.core.tetris.TetrisScan`, with all engine contracts
-    (stream checking, fault injection, quarantine, WAL state) intact.
-    Pages are **never pickled**: they arrive by COW inheritance, and
-    with the NumPy backend the coordinator pre-stages the columnar page
-    cache in ``multiprocessing.shared_memory``
-    (:mod:`repro.kernels.shm`), so children attach read-only views
-    instead of rebuilding arrays.  The default for the ``python``
+    :class:`~repro.core.tetris.TetrisScan` (stream checking, fault
+    injection and quarantine apply inside each child).  Pages are
+    **never pickled**: they arrive by COW inheritance, and with the
+    NumPy backend the coordinator faults every slab page in and primes
+    its columnar view *before* forking, so children find the matrices
+    in the inherited memo instead of rebuilding them.  A child's own
+    I/O charges die with it: the parent's ``IOStats`` and pool counters
+    reflect the scan only where the coordinator staged it (the NumPy
+    backend), not on the pure backend.  The default for the ``python``
     backend.
 
 ``inline``
@@ -61,7 +62,6 @@ wall-clock time and observability differ.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -71,12 +71,10 @@ from .. import invariants, kernels
 from ..core.query_space import QueryBox, QuerySpace, box_is_empty
 from ..core.tetris import SortedTuple, TetrisScan
 from ..invariants.sanitizer import fork_safe, tracked_lock
-from ..kernels import shm
 from ..relational.table import UBTable
 from ..telemetry import ObserverRegistry, TelemetryEvent
 
 __all__ = [
-    "EXECUTOR_ENV_VAR",
     "ExecutorFallbackEvent",
     "ParallelScanResult",
     "SweepSlab",
@@ -87,10 +85,6 @@ __all__ = [
     "select_executor",
     "unregister_fallback_observer",
 ]
-
-#: environment override for the executor policy ("auto", "threads",
-#: "fork", "inline"); an explicit ``executor=`` argument wins over it
-EXECUTOR_ENV_VAR = "REPRO_PARALLEL_EXECUTOR"
 
 _EXECUTORS = ("auto", "threads", "fork", "inline")
 
@@ -403,7 +397,7 @@ def _run_batched(
 
 
 # ----------------------------------------------------------------------
-# fork execution: COW inheritance + shared-memory columns
+# fork execution: COW inheritance of pages and primed columns
 # ----------------------------------------------------------------------
 #: fork-inherited context of the in-flight parallel scan; children read
 #: it copy-on-write, the parent clears it once the pool is done
@@ -431,18 +425,19 @@ def _run_slab(index: int) -> list[SortedTuple]:
     return list(scan)
 
 
-def _stage_shared_columns(
+def _prime_before_fork(
     table: UBTable,
     spaces: "list[QuerySpace]",
     sort_dims: "tuple[int, ...]",
     descending: bool,
     strategy: str,
 ) -> None:
-    """Pre-publish every slab page's columns into the active shm store.
+    """Fault in every slab page and prime its columns in the parent.
 
-    Fork children then attach read-only views through
-    ``SharedColumnStore.get`` instead of each rebuilding the arrays from
-    the COW'd Python records — the conversion runs once, in the parent.
+    Fork children inherit the pages and the backend's column memo
+    copy-on-write, so they find every matrix already built instead of
+    each rebuilding the arrays from the COW'd Python records — the
+    conversion runs once, in the parent.
     """
     for space in spaces:
         _stage_slab(table, space, sort_dims, descending, strategy)
@@ -456,16 +451,8 @@ def _run_forked(
     strategy: str,
     pool_size: int,
     measure_serialization: bool,
-) -> "tuple[list[list[SortedTuple]], list[int] | None, tuple[ExecutorFallbackEvent, ...]]":
-    """Fork-pool execution; pages travel COW + shm, never pickled.
-
-    The NumPy backend normally pre-stages columns in shared memory.
-    When that staging cannot be set up — NumPy unavailable to the shm
-    module, or the store's segment allocation/activation fails — the
-    scan still runs (children rebuild columns from the COW'd records)
-    but the downgrade is returned as a structured
-    :class:`ExecutorFallbackEvent`, never applied silently.
-    """
+) -> "tuple[list[list[SortedTuple]], list[int] | None]":
+    """Fork-pool execution; pages and columns travel COW, never pickled."""
     _WORKER_STATE.update(
         table=table,
         spaces=spaces,
@@ -473,59 +460,19 @@ def _run_forked(
         descending=descending,
         strategy=strategy,
     )
-    backend = kernels.get_backend()
-    events: "list[ExecutorFallbackEvent]" = []
-    store: "shm.SharedColumnStore | None" = None
-    if backend.name == "numpy" and shm.active_store() is None:
-        if shm.np is None:
-            events.append(
-                ExecutorFallbackEvent(
-                    requested="fork+shm",
-                    selected="fork",
-                    reason=(
-                        "NumPy is unavailable to the shared-memory column "
-                        "store; workers rebuild columns from COW pages"
-                    ),
-                    backend=backend.name,
-                    workers=pool_size,
-                )
-            )
-        else:
-            try:
-                store = shm.SharedColumnStore(label=getattr(table, "name", ""))
-                shm.activate(store)
-            except (RuntimeError, OSError) as error:
-                if store is not None:
-                    store.close()
-                store = None
-                events.append(
-                    ExecutorFallbackEvent(
-                        requested="fork+shm",
-                        selected="fork",
-                        reason=(
-                            f"shared-memory column staging failed ({error}); "
-                            "workers rebuild columns from COW pages"
-                        ),
-                        backend=backend.name,
-                        workers=pool_size,
-                    )
-                )
     try:
-        if store is not None:
-            _stage_shared_columns(table, spaces, sort_dims, descending, strategy)
+        if kernels.get_backend().name == "numpy":
+            _prime_before_fork(table, spaces, sort_dims, descending, strategy)
         per_slab = _fork_map(pool_size, len(spaces))
     finally:
         _WORKER_STATE.clear()
-        if store is not None:
-            shm.deactivate()
-            store.close()
     serialized: "list[int] | None" = None
     if measure_serialization:
         # what the process transport actually ships per slab: the result
-        # rows (pages are inherited COW and columns attach via shm, so
-        # no page bytes appear here)
+        # rows (pages and their columns are inherited COW, so no page
+        # bytes appear here)
         serialized = [len(pickle.dumps(chunk)) for chunk in per_slab]
-    return per_slab, serialized, tuple(events)
+    return per_slab, serialized
 
 
 def _fork_map(pool_size: int, slab_count: int) -> "list[list[SortedTuple]]":
@@ -559,9 +506,9 @@ def parallel_tetris_scan(
     is bit-identical to the serial scan's stream on every executor.
 
     ``executor`` picks the execution mode (``"auto"``, ``"threads"``,
-    ``"fork"``, ``"inline"``); ``None`` reads ``REPRO_PARALLEL_EXECUTOR``
-    and defaults to ``auto`` — see :func:`select_executor`.  Downgrades
-    are recorded as :class:`ExecutorFallbackEvent`\\ s on the result.
+    ``"fork"``, ``"inline"``); ``None`` means ``auto`` — see
+    :func:`select_executor`.  Downgrades are recorded as
+    :class:`ExecutorFallbackEvent`\\ s on the result.
     ``measure_serialization`` additionally reports the pickled bytes the
     process transport ships per slab (always zero for the zero-copy
     thread/inline executors).
@@ -577,7 +524,7 @@ def parallel_tetris_scan(
     primary = sort_dims[0]
     coord_max = table.space.coord_max
 
-    requested = executor or os.environ.get(EXECUTOR_ENV_VAR) or "auto"
+    requested = executor or "auto"
     backend_name = kernels.get_backend().name
     selected, fallback = select_executor(requested, backend_name, workers)
     fallbacks: "tuple[ExecutorFallbackEvent, ...]" = ()
@@ -614,7 +561,7 @@ def parallel_tetris_scan(
     serialized: "list[int] | None" = None
     if selected == "fork":
         pool_size = min(workers, len(planned))
-        per_slab, serialized, fork_events = _run_forked(
+        per_slab, serialized = _run_forked(
             table,
             spaces,
             sort_dims,
@@ -623,9 +570,6 @@ def parallel_tetris_scan(
             pool_size,
             measure_serialization,
         )
-        for event in fork_events:
-            _emit_fallback(event)
-        fallbacks = fallbacks + fork_events
     else:
         pool_size = min(workers, len(planned)) if selected == "threads" else 1
         per_slab = _run_batched(

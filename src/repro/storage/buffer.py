@@ -126,8 +126,8 @@ class BufferPool:
         self.prefetch_cancelled = 0
         #: callbacks fired with the page id whenever a frame leaves the
         #: pool (eviction, quarantine, drop, cancelled prefetch) —
-        #: derived caches keyed on residency (e.g. the shared-memory
-        #: column store) retire their state in lockstep
+        #: whatever tracks residency from outside (the benchmark
+        #: harness counts evictions here) follows in lockstep
         self._eviction_observers: list[Callable[[int], Any]] = []
         self._frames: OrderedDict[int, Page] = OrderedDict()
         self._dirty: set[int] = set()

@@ -14,6 +14,7 @@ import pytest
 
 from repro import kernels
 from repro.core.query_space import QueryBox
+from repro.invariants import fork_safe
 from repro.planner import (
     ExecutorFallbackEvent,
     ParallelScanResult,
@@ -307,12 +308,12 @@ class TestExecutorParity:
             )
         assert result.rows == serial
 
-    def test_env_var_selects_executor(self, table, monkeypatch):
-        monkeypatch.setenv(parallel_module.EXECUTOR_ENV_VAR, "threads")
+    def test_executor_none_means_auto(self, table):
+        expected, _ = select_executor("auto", kernels.get_backend().name, WORKERS)
         result = parallel_tetris_scan(
-            table, {"a1": (100, 900)}, "a2", workers=WORKERS
+            table, {"a1": (100, 900)}, "a2", workers=WORKERS, executor=None
         )
-        assert result.executor == "threads"
+        assert result.executor == expected
 
     def test_single_slab_downgrades_to_inline(self, table):
         result = parallel_tetris_scan(
@@ -363,8 +364,8 @@ class TestSerializationAccounting:
         assert result.rows == serial
         assert result.executor == "fork"
         assert len(result.serialized_bytes_per_slab) == len(result.slabs)
-        # pages are inherited copy-on-write (and staged in shm on the
-        # NumPy backend) — the transport ships result rows only
+        # pages are inherited copy-on-write — the transport ships result
+        # rows only
         assert all(size >= 0 for size in result.serialized_bytes_per_slab)
 
 
@@ -438,65 +439,6 @@ class TestFallbackEvents:
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="no fork start method on this platform",
     )
-    def test_shm_staging_failure_emits_one_event(self, monkeypatch):
-        if kernels.get_backend().name != "numpy":
-            pytest.skip("shm staging only runs on the numpy backend")
-        table = make_table(rows=200)
-
-        class ExplodingStore:
-            def __init__(self, label=""):
-                raise OSError("no space left on /dev/shm")
-
-        monkeypatch.setattr(
-            parallel_module.shm, "SharedColumnStore", ExplodingStore
-        )
-        seen = []
-        register_fallback_observer(seen.append)
-        try:
-            result = parallel_tetris_scan(
-                table, {"a1": (100, 900)}, "a2", workers=WORKERS, executor="fork"
-            )
-        finally:
-            unregister_fallback_observer(seen.append)
-        # the scan still ran on the fork pool, rebuilding columns from COW
-        assert result.executor == "fork"
-        assert len(result.fallbacks) == 1
-        event = result.fallbacks[0]
-        assert (event.requested, event.selected) == ("fork+shm", "fork")
-        assert "shared-memory column staging failed" in event.reason
-        assert "no space left on /dev/shm" in event.reason
-        assert seen == [event]
-        assert result.rows == list(table.tetris_scan({"a1": (100, 900)}, "a2"))
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="no fork start method on this platform",
-    )
-    def test_numpy_missing_for_shm_emits_one_event(self, monkeypatch):
-        if kernels.get_backend().name != "numpy":
-            pytest.skip("shm staging only runs on the numpy backend")
-        table = make_table(rows=200)
-        monkeypatch.setattr(parallel_module.shm, "np", None)
-        seen = []
-        register_fallback_observer(seen.append)
-        try:
-            result = parallel_tetris_scan(
-                table, {"a1": (100, 900)}, "a2", workers=WORKERS, executor="fork"
-            )
-        finally:
-            unregister_fallback_observer(seen.append)
-        assert result.executor == "fork"
-        assert len(result.fallbacks) == 1
-        event = result.fallbacks[0]
-        assert (event.requested, event.selected) == ("fork+shm", "fork")
-        assert "NumPy is unavailable" in event.reason
-        assert seen == [event]
-        assert result.rows == list(table.tetris_scan({"a1": (100, 900)}, "a2"))
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="no fork start method on this platform",
-    )
     def test_clean_fork_run_emits_no_events(self):
         table = make_table(rows=200)
         seen = []
@@ -531,3 +473,133 @@ class TestFallbackEvents:
         assert result.executor == "inline"
         assert result.fallbacks == ()
         assert result.serialized_bytes_per_slab is None
+
+
+# ----------------------------------------------------------------------
+# what the coordinator is charged, and what fork children inherit
+# ----------------------------------------------------------------------
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="no fork start method on this platform",
+)
+
+QUERY = {"a1": (100, 900)}
+
+
+def cold_scan(executor):
+    """One restricted scan of a freshly built table on a cold pool.
+
+    Returns the result and what the *calling* process was charged for
+    it: the ``IOStats`` delta and the pool's hit/miss/fetch deltas.
+    Tables are rebuilt per call (same seed), so two calls are comparable.
+    """
+    table = make_table()
+    disk, pool = table.db.disk, table.db.buffer
+
+    def counters():
+        return (pool.hits, pool.misses, pool.disk_fetches)
+
+    stats_before, pool_before = disk.stats.copy(), counters()
+    result = parallel_tetris_scan(table, QUERY, "a2", workers=2, executor=executor)
+    pool_delta = tuple(
+        after - before for after, before in zip(counters(), pool_before)
+    )
+    return result, disk.stats - stats_before, pool_delta
+
+
+#: fork children of the count guard report to ``_child_reports["queue"]``,
+#: one tuple per slab: (slab index, inherited column-memo size, column
+#: matrices built)
+_child_reports = {}
+
+_real_run_slab = parallel_module._run_slab
+
+
+@fork_safe
+def _reporting_run_slab(index):
+    from repro.kernels import numpy_backend
+
+    inherited = len(kernels.get_backend()._columns)
+    builds = []
+    real_fromiter = numpy_backend.np.fromiter
+
+    def counting_fromiter(*args, **kwargs):
+        builds.append(index)
+        return real_fromiter(*args, **kwargs)
+
+    # patched in the forked child only; it exits with the pool
+    numpy_backend.np.fromiter = counting_fromiter
+    try:
+        rows = _real_run_slab(index)
+    finally:
+        numpy_backend.np.fromiter = real_fromiter
+    _child_reports["queue"].put((index, inherited, len(builds)))
+    return rows
+
+
+class TestForkInheritsColumns:
+    @needs_fork
+    def test_children_build_no_column_matrices(self, monkeypatch):
+        if kernels.get_backend().name != "numpy":
+            pytest.skip("only the numpy backend keeps column matrices")
+        _threads, threads_stats, threads_pool = cold_scan("threads")
+        reports = multiprocessing.get_context("fork").SimpleQueue()
+        monkeypatch.setitem(_child_reports, "queue", reports)
+        monkeypatch.setattr(parallel_module, "_run_slab", _reporting_run_slab)
+        forked, forked_stats, forked_pool = cold_scan("fork")
+
+        assert forked.executor == "fork"
+        assert forked.fallbacks == ()
+        per_slab = {}
+        while not reports.empty():
+            index, inherited, builds = reports.get()
+            per_slab[index] = (inherited, builds)
+        assert sorted(per_slab) == [slab.index for slab in forked.slabs]
+        for inherited, builds in per_slab.values():
+            assert inherited > 0
+            assert builds == 0
+        assert forked.rows == list(make_table().tetris_scan(QUERY, "a2"))
+        # the parent staged every page itself, so it is charged like the
+        # thread coordinator
+        assert threads_stats.pages_read > 0
+        assert forked_stats == threads_stats
+        assert forked_pool == threads_pool
+
+
+class TestExecutorAccountingMatrix:
+    """Every executor on every backend charges the caller the same I/O."""
+
+    CELLS = [
+        pytest.param(
+            backend,
+            executor,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason=(
+                    "ROADMAP item 5c finding 1: pure-backend fork stages "
+                    "nothing in the parent, and the children's I/O charges "
+                    "die with them"
+                ),
+            )
+            if (backend, executor) == ("python", "fork")
+            else (),
+        )
+        for backend in BACKENDS
+        for executor in EXECUTORS
+    ]
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        with kernels.use_backend("python"):
+            _result, stats, pool = cold_scan("inline")
+        assert stats.pages_read > 0 and pool[1] > 0
+        return stats, pool
+
+    @pytest.mark.parametrize("backend, executor", CELLS)
+    def test_caller_is_charged_identically(self, reference, backend, executor):
+        if executor == "fork" and "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        with kernels.use_backend(backend):
+            result, stats, pool = cold_scan(executor)
+        assert result.executor == executor
+        assert (stats, pool) == reference

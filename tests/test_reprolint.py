@@ -696,12 +696,15 @@ class TestR009IPCConfinement:
         )
         assert found == []
 
-    def test_shm_module_is_sanctioned(self):
-        found = lint(
-            "from multiprocessing import shared_memory\n",
-            path="src/repro/kernels/shm.py",
-        )
-        assert found == []
+    def test_no_kernels_module_may_import_shared_memory(self):
+        modules = sorted((REPO_ROOT / "src/repro/kernels").glob("*.py"))
+        assert modules
+        for module in modules:
+            found = lint(
+                "import multiprocessing.shared_memory\n",
+                path=f"src/repro/kernels/{module.name}",
+            )
+            assert rules_of(found) == {"R009"}, module.name
 
     def test_unrelated_import_passes(self):
         found = lint("import threading\nimport queue\n", path="src/repro/x.py")

@@ -327,7 +327,6 @@ class TestActorsAndGate:
             "executor-observers",
             "buffer-pool",
             "io-scheduler",
-            "shm-store",
         )
 
     def test_tracked_lock_repr_and_factory(self):

@@ -2,16 +2,28 @@
 
 import pytest
 
+from repro.invariants import (
+    RaceViolation,
+    actor,
+    checks,
+    note_access,
+    reset_sanitizer,
+)
 from repro.storage import (
     BufferPool,
+    CorruptPageError,
     DiskParameters,
+    FaultPlan,
+    FaultyDisk,
     HeapFile,
     ICDE99_ANALYSIS,
     ICDE99_TESTBED,
+    IOScheduler,
     Page,
     PageOverflowError,
     SimulatedDisk,
 )
+from repro.storage.faults import CORRUPT
 
 
 # ----------------------------------------------------------------------
@@ -233,6 +245,128 @@ class TestBufferPool:
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             BufferPool(SimulatedDisk(), capacity=0)
+
+
+# ----------------------------------------------------------------------
+# BufferPool eviction observers: one callback per frame leaving the pool
+# ----------------------------------------------------------------------
+def observed_pool(capacity, *, pages=4, plan=None, prefetch_depth=0):
+    """A pool over ``pages`` one-record pages plus its eviction log."""
+    disk = FaultyDisk(plan=plan) if plan is not None else SimulatedDisk()
+    for index in range(pages):
+        disk.allocate(4).add((index, 0))
+    if plan is not None:
+        disk.arm()
+    scheduler = (
+        IOScheduler(disk, 1, prefetch_depth=prefetch_depth)
+        if prefetch_depth
+        else None
+    )
+    pool = BufferPool(disk, capacity=capacity, scheduler=scheduler)
+    evicted = []
+    pool.add_eviction_observer(evicted.append)
+    return pool, evicted
+
+
+class TestEvictionObservers:
+    def test_hit_and_admit_do_not_notify(self):
+        pool, evicted = observed_pool(capacity=2)
+        pool.get(0)  # admit
+        pool.get(1)  # admit
+        pool.get(0)  # hit
+        pool.put(Page(page_id=1, capacity=4))  # re-admit a resident page
+        assert evicted == []
+
+    def test_lru_victim_notifies_once(self):
+        pool, evicted = observed_pool(capacity=2)
+        pool.get(0)
+        pool.get(1)
+        pool.get(0)  # touch 0: 1 becomes LRU
+        pool.get(2)  # _admit evicts 1
+        assert evicted == [1]
+        pool.get(3)  # _admit evicts 0
+        assert evicted == [1, 0]
+
+    def test_evict_notifies_once(self):
+        pool, evicted = observed_pool(capacity=4)
+        pool.get(0)
+        pool.evict(0)
+        assert evicted == [0]
+        pool.evict(0)  # no frame left: nothing to report
+        assert evicted == [0]
+
+    def test_quarantine_of_a_resident_frame_notifies_once(self):
+        plan = FaultPlan(seed=0, scripted_reads=((1, 0, CORRUPT),))
+        pool, evicted = observed_pool(capacity=4, plan=plan, prefetch_depth=2)
+        assert pool.prefetch(1)  # resident, unverified until claimed
+        with pytest.raises(CorruptPageError):
+            pool.get(1)  # the claim fails its checksum: _quarantine
+        assert pool.is_quarantined(1)
+        assert evicted == [1]
+
+    def test_quarantine_of_an_absent_frame_does_not_notify(self):
+        plan = FaultPlan(seed=0, scripted_reads=((1, 0, CORRUPT),))
+        pool, evicted = observed_pool(capacity=4, plan=plan)
+        with pytest.raises(CorruptPageError):
+            pool.get(1)  # the demand read never admitted the page
+        assert pool.is_quarantined(1)
+        assert evicted == []
+
+    def test_cancel_prefetch_notifies_once(self):
+        pool, evicted = observed_pool(capacity=4, prefetch_depth=2)
+        assert pool.prefetch(2)
+        assert evicted == []
+        assert pool.cancel_prefetch(2)
+        assert evicted == [2]
+        assert not pool.cancel_prefetch(2)  # nothing pending any more
+        assert evicted == [2]
+
+    def test_drop_all_notifies_every_frame(self):
+        pool, evicted = observed_pool(capacity=4)
+        for page_id in (2, 0, 3):
+            pool.get(page_id)
+        pool.drop_all()
+        assert evicted == [2, 0, 3]
+        pool.drop_all()  # already empty
+        assert evicted == [2, 0, 3]
+
+    def test_removed_observer_is_not_called(self):
+        pool, evicted = observed_pool(capacity=4)
+        pool.get(0)
+        pool.remove_eviction_observer(evicted.append)
+        pool.evict(0)
+        assert evicted == []
+
+    def test_removing_an_absent_observer_is_a_noop(self):
+        pool, evicted = observed_pool(capacity=4)
+        pool.remove_eviction_observer(print)
+        pool.get(0)
+        pool.evict(0)
+        assert evicted == [0]
+
+    def test_add_and_remove_are_race_clean_under_the_pool_lock(self):
+        reset_sanitizer()
+        try:
+            with checks():
+                pool, evicted = observed_pool(capacity=2)
+                late = []
+                with actor("scan-worker"):
+                    pool.add_eviction_observer(late.append)
+                    pool.get(0)
+                with actor("evict-worker"):
+                    pool.evict(0)
+                    pool.remove_eviction_observer(late.append)
+                    pool.remove_eviction_observer(late.append)  # absent now
+                with actor("scan-worker"):
+                    pool.get(1)
+                    pool.evict(1)
+                assert (evicted, late) == ([0, 1], [0])
+                # the list is a guarded field: the same write from an actor
+                # that never took the pool lock is what the sanitizer catches
+                with actor("unlocked-writer"), pytest.raises(RaceViolation):
+                    note_access(pool, "_eviction_observers")
+        finally:
+            reset_sanitizer()
 
 
 # ----------------------------------------------------------------------

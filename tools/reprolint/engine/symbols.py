@@ -10,7 +10,7 @@ interprocedural passes need without re-walking the AST:
   locally-declared locks;
 * module-level lock variables and ``declare_lock_order(...)`` calls;
 * module imports resolved to project files where possible, so the call
-  graph can follow ``shm.activate(...)`` across module boundaries.
+  graph can follow ``kernels.get_backend(...)`` across module boundaries.
 
 The tables are built from a single recursive walk and never mutate the
 AST; nodes are kept by reference so rules can report exact positions.

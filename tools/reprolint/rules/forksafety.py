@@ -14,8 +14,8 @@ context manager joins its workers.
 
 ``R013``: objects handed to worker processes must be fork-safe.  The
 fork-side executor ships only *work descriptions* (slab indexes) to
-children — everything heavy rides copy-on-write globals or the
-shared-memory column store.  Every callable handed to a process pool
+children — everything heavy rides copy-on-write globals.  Every
+callable handed to a process pool
 (``pool.map``/``submit``/``apply_async``/...) must therefore resolve to
 a module-level function marked ``@fork_safe`` (the audited whitelist of
 entry points whose closure state is re-derivable in the child).
@@ -152,7 +152,7 @@ class ForkShipWhitelistRule(ProjectRule):
             return (
                 f"`{text}` is not marked @fork_safe; decorate it (after "
                 "auditing that its inputs are slab indexes and its page "
-                "access rides COW/shared-memory) or route the work through "
+                "access rides COW) or route the work through "
                 "the sanctioned executor"
             )
         return None

@@ -1,13 +1,12 @@
 """R009 — process/serialization machinery only in the sanctioned modules.
 
 The zero-copy contract of slab-parallel execution ("pages are never
-pickled") holds because exactly two modules are allowed to touch the
+pickled") holds because exactly one module is allowed to touch the
 process and serialization toolbox: ``planner/parallel.py`` (the
-executor) and ``kernels/shm.py`` (the shared-memory column store).  An
-``import multiprocessing`` / ``pickle`` / ``concurrent`` anywhere else
-in engine code would open a side channel that ships pages by value and
-silently reintroduces the serialization cost the executor layer exists
-to remove.
+executor).  An ``import multiprocessing`` / ``pickle`` / ``concurrent``
+anywhere else in engine code would open a side channel that ships pages
+by value and silently reintroduces the serialization cost the executor
+layer exists to remove.
 """
 
 from __future__ import annotations
@@ -19,11 +18,8 @@ from .base import FileRule, register
 __all__ = ["IpcImportRule", "R009_SANCTIONED_MODULES"]
 
 #: modules allowed to use the process/serialization toolbox (R009):
-#: the parallel executor and the shared-memory column store
-R009_SANCTIONED_MODULES: tuple[str, ...] = (
-    "planner/parallel.py",
-    "kernels/shm.py",
-)
+#: the parallel executor
+R009_SANCTIONED_MODULES: tuple[str, ...] = ("planner/parallel.py",)
 
 #: import roots that ship data by value or spawn processes (R009)
 IPC_MODULE_ROOTS = frozenset({"multiprocessing", "pickle", "_pickle", "concurrent"})
@@ -46,9 +42,8 @@ class IpcImportRule(FileRule):
         self.emit(
             node,
             f"`{module}` spawns processes or ships data by value; parallel "
-            "scan paths hand pages off zero-copy (COW fork + shared-memory "
-            f"columns), so only the sanctioned modules ({sanctioned}) may "
-            "import it",
+            "scan paths hand pages and columns off zero-copy (COW fork), so "
+            f"only the sanctioned modules ({sanctioned}) may import it",
         )
 
     def visit_Import(self, node: ast.Import) -> None:
