@@ -5,7 +5,9 @@ decision.  This benchmark verifies on a sizeable tree that both
 strategies access the same pages in the same order (identical simulated
 I/O) and compares their *wall-clock* CPU cost — the one place they may
 differ, since the sweep recomputes event points with bit arithmetic
-while the eager variant pre-keys all regions.
+while the eager variant pre-keys all regions.  The wall clock is printed
+(``pytest -s``), not written to ``results/ablation_strategy.txt``: the
+committed file holds only what every machine reproduces.
 """
 
 import random
@@ -54,15 +56,19 @@ def test_ablation_strategy_equivalence(benchmark):
         "ablation_strategy",
         "Ablation — sweep (event points) vs eager (static keys)\n\n"
         + format_table(
-            ["strategy", "wall clock", "sim I/O", "rows", "pages", "peak cache"],
+            ["strategy", "sim I/O", "rows", "pages", "peak cache"],
             [
-                ["sweep", f"{sweep['wall']:.3f}s", f"{sweep['io_time']:.2f}s",
+                ["sweep", f"{sweep['io_time']:.2f}s",
                  sweep["rows"], len(sweep["pages"]), sweep["cache"]],
-                ["eager", f"{eager['wall']:.3f}s", f"{eager['io_time']:.2f}s",
+                ["eager", f"{eager['io_time']:.2f}s",
                  eager["rows"], len(eager["pages"]), eager["cache"]],
             ],
         ),
     )
+    # wall clock is what this machine measured today: shown on ``-s``
+    # runs, kept out of the committed result file so a run leaves the
+    # tree clean
+    print(f"wall clock: sweep {sweep['wall']:.3f}s, eager {eager['wall']:.3f}s")
 
     # provable equivalence, demonstrated at scale
     assert sweep["pages"] == eager["pages"]

@@ -272,17 +272,16 @@ class UBTree:
                 if checker is not None:
                     checker.finish()
 
-    def regions_overlapping(
-        self, space: QuerySpace, *, prune: bool = True
-    ) -> Iterator[ZRegion]:
-        """Z-regions intersecting ``space``'s bounding box, in Z-order.
+    def regions_overlapping(self, space: QuerySpace) -> Iterator[ZRegion]:
+        """Z-regions intersecting ``space``, in Z-order.
 
         Each region costs one unpriced descent (index levels only); data
-        pages are *not* read.  With ``prune`` set, regions whose geometry
-        provably misses a non-rectangular ``space`` are filtered out.
+        pages are *not* read.  Regions inside the bounding box whose
+        geometry provably misses a non-rectangular ``space`` are
+        filtered out.
         """
         for region, in_space, _, _ in self.scheduled_regions(space):
-            if in_space or not prune:
+            if in_space:
                 yield region
 
     def upcoming_regions(self, space: QuerySpace, count: int) -> list[ZRegion]:

@@ -12,9 +12,13 @@ kernel with multidimensional indexes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterator
+from itertools import takewhile
+from operator import itemgetter
+from typing import Any, Callable, Iterator, Sequence
 
+from ..core.query_space import QuerySpace
 from ..costmodel.model import CostParameters
+from ..invariants import require_instance
 from ..telemetry import ObserverRegistry, TelemetryEvent
 from ..relational.operators import (
     ExternalMergeSort,
@@ -22,10 +26,10 @@ from ..relational.operators import (
     FullTableScan,
     IOTScan,
     Operator,
-    Select,
     TetrisOperator,
+    UBRangeScan,
 )
-from ..relational.schema import Schema
+from ..relational.schema import Encoder, Schema
 from ..relational.table import HeapTable, IOTTable, UBTable
 from ..storage.buffer import BufferPool
 from ..storage.errors import StorageError
@@ -33,6 +37,9 @@ from .optimizer import CandidatePlan, RelationStats, choose_plan
 from .statistics import TableStatistics
 
 ValueRange = tuple[Any, Any]
+#: a plan plus the operator in it carrying method-specific statistics (the
+#: external sort or the Tetris operator; ``None`` for a plain scan)
+AccessPath = tuple[Operator, ExternalMergeSort | TetrisOperator | None]
 
 
 @dataclass
@@ -126,27 +133,133 @@ class PhysicalDesign:
         return result
 
 
-def _predicate(
-    schema: Schema, restrictions: dict[str, ValueRange] | None
+def _bound_check(position: int, lo: Any, hi: Any) -> "Callable[[tuple], bool]":
+    """One attribute's range test, specialised to the bounds present."""
+    if lo is None:
+        return lambda row: row[position] <= hi
+    if hi is None:
+        return lambda row: row[position] >= lo
+    if lo == hi:
+        return lambda row: row[position] == lo
+    return lambda row: lo <= row[position] <= hi
+
+
+def compile_residual(
+    schema: Schema, restrictions: dict[str, ValueRange]
 ) -> "Callable[[tuple], bool] | None":
-    """Residual tuple predicate re-checking every value-level range."""
-    if not restrictions:
-        return None
+    """The per-row predicate for ``restrictions``; ``None`` when empty.
+
+    Which ends are open is decided here, once per plan: a row costs one
+    comparison per bound present, a single restriction is one closure.
+    """
     checks = [
-        (schema.position(attr), lo, hi)
+        _bound_check(schema.position(attr), lo, hi)
         for attr, (lo, hi) in restrictions.items()
+        if lo is not None or hi is not None
     ]
+    if len(checks) <= 1:
+        return checks[0] if checks else None
 
     def passes(row: tuple) -> bool:
-        for position, lo, hi in checks:
-            value = row[position]
-            if lo is not None and value < lo:
-                return False
-            if hi is not None and value > hi:
+        for check in checks:
+            if not check(row):
                 return False
         return True
 
     return passes
+
+
+def _box_enforces(encoder: Encoder, bound: Any) -> bool:
+    """Whether the encoded box test alone enforces ``bound`` (or it is open).
+
+    The kernels test encoded points against the encoded box exactly, so
+    the box *is* the predicate iff no two values share a code
+    (``lossless``) and the bound is itself a code's value (round-trips).
+    """
+    return bound is None or (
+        encoder.lossless and encoder.decode(encoder.encode(bound)) == bound
+    )
+
+
+def build_access_path(
+    table: HeapTable | IOTTable | UBTable,
+    restrictions: dict[str, ValueRange] | None,
+    sort_attrs: Sequence[str] = (),
+    *,
+    memory_pages: int,
+    merge_degree: int = 2,
+    descending: bool = False,
+    pushdown: QuerySpace | None = None,
+) -> AccessPath:
+    """Restricted, optionally sorted access to one physical instance.
+
+    The paper's ``τ_{σ,ω}``: restriction and sort order are arguments of
+    the access, the method follows from the instance type, and only the
+    bounds the path does not enforce exactly are re-checked per row
+    (``docs/ALGORITHM.md`` §6):
+
+    * ``HeapTable``: full scan re-checking every bound, + external merge
+      sort (``memory_pages``, ``merge_degree``) when a sort is asked for;
+    * ``IOTTable``: leading-key range scan (exact, so that attribute's
+      bounds are dropped), + sort unless the key already leads with
+      ``sort_attrs``, ascending;
+    * ``UBTable``: the Tetris operator when sorted (only a sweep can use
+      ``pushdown``), a UB range scan when not; a dimension's bound is
+      dropped iff :func:`_box_enforces`.
+
+    ``sort_attrs`` may end in tie-breakers a UB instance does not index
+    (Q3's LINENUMBER): a sort keys on all of them, a sweep orders by the
+    leading ones that are its dimensions.
+    """
+    wanted = restrictions or {}
+    schema = table.schema
+    if isinstance(table, UBTable):
+        box = {attr: wanted[attr] for attr in wanted if attr in table.dims}
+        unenforced = dict(wanted)
+        for attr, (lo, hi) in box.items():
+            encoder = schema.attribute(attr).encoder
+            unenforced[attr] = (
+                None if _box_enforces(encoder, lo) else lo,
+                None if _box_enforces(encoder, hi) else hi,
+            )
+        residual = compile_residual(schema, unenforced)
+        if not sort_attrs:
+            return UBRangeScan(table, box or None, predicate=residual), None
+        sweep = TetrisOperator(
+            table,
+            box or None,
+            tuple(takewhile(table.dims.__contains__, sort_attrs)),
+            descending=descending,
+            predicate=residual,
+            pushdown=pushdown,
+        )
+        return sweep, sweep
+    scan: Operator
+    if isinstance(table, IOTTable):
+        leading = table.key_attrs[0]
+        lo, hi = wanted.get(leading, (None, None))
+        rest = {attr: wanted[attr] for attr in wanted if attr != leading}
+        scan = IOTScan(table, lo, hi, predicate=compile_residual(schema, rest))
+        presorted = (
+            not descending
+            and table.key_attrs[: len(sort_attrs)] == tuple(sort_attrs)
+        )
+    else:
+        table = require_instance(table, HeapTable, "an access path")
+        scan = FullTableScan(table, predicate=compile_residual(schema, wanted))
+        presorted = False
+    if not sort_attrs or presorted:
+        return scan, None
+    sort = ExternalMergeSort(
+        scan,
+        key=itemgetter(*(schema.position(attr) for attr in sort_attrs)),
+        disk=table.db.disk,
+        memory_pages=memory_pages,
+        page_capacity=table.page_capacity,
+        merge_degree=merge_degree,
+        descending=descending,
+    )
+    return sort, sort
 
 
 @dataclass
@@ -174,72 +287,21 @@ def plan_sorted_query(
     ``statistics`` to price restrictions by data quantiles instead of
     the uniform-domain assumption.
     """
-    schema = design.schema
-    stats = design.relation_stats()
-    normalized = design.normalized_restrictions(restrictions, statistics)
     choice = choose_plan(
-        stats, normalized, sort_attr, params, require_pipelined=require_pipelined
+        design.relation_stats(),
+        design.normalized_restrictions(restrictions, statistics),
+        sort_attr,
+        params,
+        require_pipelined=require_pipelined,
     )
-    predicate = _predicate(schema, restrictions)
-    sort_position = schema.position(sort_attr)
-    sort_key = lambda row: row[sort_position]  # noqa: E731
-
-    if choice.method == "tetris":
-        if design.ub is None:
-            raise RuntimeError(
-                "optimizer chose 'tetris' for a design without a UB instance"
-            )
-        index_restrictions = {
-            attr: bounds
-            for attr, bounds in (restrictions or {}).items()
-            if attr in design.ub.dims
-        }
-        operator: Operator = TetrisOperator(
-            design.ub,
-            index_restrictions or None,
-            sort_attr,
-            descending=descending,
-            predicate=predicate,
-        )
-    elif choice.method == "fts-sort":
-        if design.heap is None:
-            raise RuntimeError(
-                "optimizer chose 'fts-sort' for a design without a heap instance"
-            )
-        operator = ExternalMergeSort(
-            FullTableScan(design.heap, predicate=predicate),
-            key=sort_key,
-            disk=design.heap.db.disk,
-            memory_pages=params.memory_pages,
-            page_capacity=design.heap.page_capacity,
-            merge_degree=params.merge_degree,
-            descending=descending,
-        )
-    elif choice.method in ("iot-sort", "iot-presorted"):
-        leading = next(
-            attr for attr, table in design.iots.items()
-            if table.name == choice.instance
-        )
-        table = design.iots[leading]
-        bounds = (restrictions or {}).get(leading, (None, None))
-        scan = IOTScan(
-            table, leading_lo=bounds[0], leading_hi=bounds[1], predicate=predicate
-        )
-        if choice.method == "iot-presorted" and not descending:
-            operator = scan
-        else:
-            operator = ExternalMergeSort(
-                scan,
-                key=sort_key,
-                disk=table.db.disk,
-                memory_pages=params.memory_pages,
-                page_capacity=table.page_capacity,
-                merge_degree=params.merge_degree,
-                descending=descending,
-            )
-    else:  # pragma: no cover - enumerate_plans only emits the above
-        raise ValueError(f"unknown method {choice.method!r}")
-
+    operator, _ = build_access_path(
+        next(t for t in design._instances() if t.name == choice.instance),
+        restrictions,
+        (sort_attr,),
+        memory_pages=params.memory_pages,
+        merge_degree=params.merge_degree,
+        descending=descending,
+    )
     return ExecutablePlan(choice=choice, operator=operator)
 
 
@@ -359,21 +421,14 @@ def _design_without(
     FTS + external sort the universal last resort because it needs no
     index structure at all.
     """
-    heap = design.heap
-    iots = dict(design.iots)
-    ub = design.ub
-    if choice.method == "tetris":
-        ub = None
-    elif choice.method == "fts-sort":
-        heap = None
-    elif choice.method in ("iot-sort", "iot-presorted"):
-        iots = {
-            leading: table
-            for leading, table in iots.items()
-            if table.name != choice.instance
-        }
-    else:  # pragma: no cover - enumerate_plans only emits the above
-        raise ValueError(f"unknown method {choice.method!r}")
+    failed = choice.instance
+    heap = None if design.heap is None or design.heap.name == failed else design.heap
+    ub = None if design.ub is None or design.ub.name == failed else design.ub
+    iots = {
+        leading: table
+        for leading, table in design.iots.items()
+        if table.name != failed
+    }
     if heap is None and not iots and ub is None:
         return None
     return PhysicalDesign(

@@ -314,7 +314,6 @@ def _stage_slab(
     space: QuerySpace,
     sort_dims: "tuple[int, ...]",
     descending: bool,
-    strategy: str,
 ) -> "tuple[TetrisScan, list[Any]]":
     """Fetch one slab's pages in retrieval order (coordinator-only).
 
@@ -328,7 +327,6 @@ def _stage_slab(
         space,
         sort_dims,
         descending=descending,
-        strategy=strategy,
     )
     regions = scan.upcoming_regions(_ALL_REGIONS)
     buffer = table.ubtree.tree.buffer
@@ -377,7 +375,6 @@ def _run_batched(
     spaces: "list[QuerySpace]",
     sort_dims: "tuple[int, ...]",
     descending: bool,
-    strategy: str,
     pool_size: int,
 ) -> "list[list[SortedTuple]]":
     """Threaded (or inline, ``pool_size == 1``) whole-slab execution."""
@@ -385,9 +382,7 @@ def _run_batched(
 
     def run_one(index: int) -> list[SortedTuple]:
         with staging_lock:
-            scan, pages = _stage_slab(
-                table, spaces[index], sort_dims, descending, strategy
-            )
+            scan, pages = _stage_slab(table, spaces[index], sort_dims, descending)
         return _scan_block_rows(scan, pages)
 
     if pool_size <= 1:
@@ -420,7 +415,6 @@ def _run_slab(index: int) -> list[SortedTuple]:
         spaces[index],
         _WORKER_STATE["sort_dims"],
         descending=_WORKER_STATE["descending"],
-        strategy=_WORKER_STATE["strategy"],
     )
     return list(scan)
 
@@ -430,7 +424,6 @@ def _prime_before_fork(
     spaces: "list[QuerySpace]",
     sort_dims: "tuple[int, ...]",
     descending: bool,
-    strategy: str,
 ) -> None:
     """Fault in every slab page and prime its columns in the parent.
 
@@ -440,7 +433,7 @@ def _prime_before_fork(
     conversion runs once, in the parent.
     """
     for space in spaces:
-        _stage_slab(table, space, sort_dims, descending, strategy)
+        _stage_slab(table, space, sort_dims, descending)
 
 
 def _run_forked(
@@ -448,7 +441,6 @@ def _run_forked(
     spaces: "list[QuerySpace]",
     sort_dims: "tuple[int, ...]",
     descending: bool,
-    strategy: str,
     pool_size: int,
     measure_serialization: bool,
 ) -> "tuple[list[list[SortedTuple]], list[int] | None]":
@@ -458,11 +450,10 @@ def _run_forked(
         spaces=spaces,
         sort_dims=sort_dims,
         descending=descending,
-        strategy=strategy,
     )
     try:
         if kernels.get_backend().name == "numpy":
-            _prime_before_fork(table, spaces, sort_dims, descending, strategy)
+            _prime_before_fork(table, spaces, sort_dims, descending)
         per_slab = _fork_map(pool_size, len(spaces))
     finally:
         _WORKER_STATE.clear()
@@ -492,7 +483,6 @@ def parallel_tetris_scan(
     workers: int = 2,
     slabs: int | None = None,
     descending: bool = False,
-    strategy: str = "eager",
     executor: str | None = None,
     measure_serialization: bool = False,
 ) -> ParallelScanResult:
@@ -566,15 +556,12 @@ def parallel_tetris_scan(
             spaces,
             sort_dims,
             descending,
-            strategy,
             pool_size,
             measure_serialization,
         )
     else:
         pool_size = min(workers, len(planned)) if selected == "threads" else 1
-        per_slab = _run_batched(
-            table, spaces, sort_dims, descending, strategy, pool_size
-        )
+        per_slab = _run_batched(table, spaces, sort_dims, descending, pool_size)
         if measure_serialization:
             serialized = [0] * len(per_slab)  # zero-copy transports
 

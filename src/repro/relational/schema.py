@@ -6,7 +6,8 @@ integer whose numeric order matches the attribute's order ``<_i``
 
 * :class:`IntEncoder` — bounded integers, offset to zero.
 * :class:`DateEncoder` — calendar dates as day numbers.
-* :class:`DecimalEncoder` — fixed-point decimals as scaled integers.
+* :class:`DecimalEncoder` — fixed-point decimals as scaled integers
+  (rounded, hence lossy below the scale).
 * :class:`StringEncoder` — strings by a packed prefix of their bytes;
   order-preserving but *lossy*, which is fine for clustering because
   residual predicates are always re-checked on the stored tuple.
@@ -25,6 +26,9 @@ class Encoder:
     """Order-preserving map from attribute values to ``bits``-wide ints."""
 
     bits: int
+    #: no two in-domain values share a code, i.e. ``decode(encode(v)) == v``:
+    #: what lets an encoded box test stand in for the value-level range
+    #: (:func:`repro.planner.executor.build_access_path`'s drop rule)
     lossless: bool = True
 
     def encode(self, value: Any) -> int:
@@ -81,7 +85,14 @@ class DateEncoder(Encoder):
 
 
 class DecimalEncoder(Encoder):
-    """Fixed-point decimals in ``[lo, hi]`` at ``scale`` digits."""
+    """Fixed-point decimals in ``[lo, hi]`` at ``scale`` digits (lossy).
+
+    ``encode`` rounds to the nearest code, so values closer together
+    than ``10**-scale`` share one: 0.054 at ``scale=2`` lands in the code
+    of 0.05 and would pass an encoded box whose upper bound is 0.05.
+    """
+
+    lossless = False
 
     def __init__(self, lo: float, hi: float, scale: int = 2) -> None:
         if lo > hi:

@@ -620,7 +620,6 @@ class ShardedDatabase:
         sort_attr: str | Sequence[str],
         *,
         descending: bool = False,
-        strategy: str = "eager",
         allow_partial: bool = False,
         max_degradations: int = 16,
     ) -> ShardedScanResult:
@@ -654,7 +653,6 @@ class ShardedDatabase:
                         shard_box,
                         sort_attr,
                         descending,
-                        strategy,
                         allow_partial,
                         max_degradations,
                         events,
@@ -719,7 +717,6 @@ class ShardedDatabase:
         shard_box: QueryBox,
         sort_attr: str | Sequence[str],
         descending: bool,
-        strategy: str,
         allow_partial: bool,
         max_degradations: int,
         events: list[ShardDegradationEvent],
@@ -765,15 +762,21 @@ class ShardedDatabase:
                 )
             )
 
-        def lose_shard(message: str, error_type: str) -> None:
-            """Terminal rung: flag the shard's whole range, or raise."""
+        def lose_shard(
+            message: str, error_type: str, lost_copy: int = -1, cause: str = ""
+        ) -> None:
+            """Terminal rung: flag the shard's whole range, or raise.
+
+            The event keeps the cause: the copy that failed last with
+            its error, or (``lost_copy`` -1) why no copy could be tried.
+            """
             events.append(
                 ShardDegradationEvent(
                     shard=shard.index,
-                    copy=-1,
+                    copy=lost_copy,
                     action="abandoned" if allow_partial else "failed",
                     error_type=error_type,
-                    error=message,
+                    error=cause or message,
                 )
             )
             if not allow_partial:
@@ -786,17 +789,24 @@ class ShardedDatabase:
                 (shard_box.lo[self.shard_dim], shard_box.hi[self.shard_dim])
             )
 
+        if copy is None:
+            states = ", ".join(
+                f"copy {index} {state}"
+                for index, state in enumerate(self.health()[shard.index])
+            )
+            lose_shard(
+                "no available copy",
+                "StorageError",
+                cause=f"no available copy: {states}",
+            )
+            return
         while True:
-            if copy is None:
-                lose_shard("no available copy", "StorageError")
-                return
             try:
                 yield from self._stream_copy(
                     copy,
                     shard_box,
                     sort_attr,
                     descending,
-                    strategy,
                     emitted,
                     predicate,
                 )
@@ -805,14 +815,26 @@ class ShardedDatabase:
                 rungs += 1
                 if rungs > max_degradations:
                     copy.healthy = False
+                    exhausted = f"degradation budget exhausted ({max_degradations})"
                     lose_shard(
-                        f"degradation budget exhausted ({max_degradations})",
+                        exhausted,
                         type(exc).__name__,
+                        copy.copy_index,
+                        f"{exhausted}: {exc}",
                     )
                     return
-                copy = self._climb_ladder(
+                fallback = self._climb_ladder(
                     shard, copy, exc, retry_budgets, events
                 )
+                if fallback is None:
+                    lose_shard(
+                        "no available copy",
+                        type(exc).__name__,
+                        copy.copy_index,
+                        str(exc),
+                    )
+                    return
+                copy = fallback
 
     def _climb_ladder(
         self,
@@ -879,7 +901,6 @@ class ShardedDatabase:
         shard_box: QueryBox,
         sort_attr: str | Sequence[str],
         descending: bool,
-        strategy: str,
         emitted: KeyedStream,
         predicate: Callable[[Row], bool] | None = None,
     ) -> Iterator[tuple[int, SortedTuple]]:
@@ -926,9 +947,7 @@ class ShardedDatabase:
                 box = box.restricted(
                     primary, resume_coord, self.space.coord_max[primary]
                 )
-        scan = copy.table.tetris_scan(
-            box, sort_attr, descending=descending, strategy=strategy
-        )
+        scan = copy.table.tetris_scan(box, sort_attr, descending=descending)
         encode = scan.tetris_curve.encode
         for point, payload in scan:
             copy.note_row_served()
@@ -1080,7 +1099,6 @@ class CoPartitionedJoin:
         *,
         left_predicate: Callable[[Row], bool] | None = None,
         right_predicate: Callable[[Row], bool] | None = None,
-        strategy: str = "eager",
         allow_partial: bool = False,
         max_degradations: int = 16,
     ) -> ShardedJoinResult:
@@ -1119,7 +1137,6 @@ class CoPartitionedJoin:
                 slab_box,
                 side.shard_attr,
                 False,
-                strategy,
                 allow_partial,
                 max_degradations,
                 events,

@@ -15,21 +15,18 @@ model.
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from ..core.query_space import IntersectionSpace, QuerySpace
 from ..invariants import require_instance
+from ..planner.executor import AccessPath, build_access_path
 from ..planner.pushdown import DEFAULT_COVER_BUDGET, KeyCover, pushdown_space
 from ..storage.disk import SimulatedDisk
 from ..storage.prefetch import DualCursorPrefetcher
 from ..relational.operators import (
     Count,
-    ExternalMergeSort,
-    FullTableScan,
     HashJoin,
-    IOTScan,
     InMemorySort,
     MergeJoin,
     MergeSemiJoin,
@@ -38,20 +35,15 @@ from ..relational.operators import (
     SortedGroupBy,
     Sum,
     TetrisOperator,
-    UBRangeScan,
 )
 from ..relational.table import Database, HeapTable, IOTTable, UBTable
 from ..relational.rowsize import page_capacity_for
 from .datagen import TPCDData, shuffled
 from .queries import (
     C_CUSTKEY,
-    C_MKTSEGMENT,
     L_COMMITDATE,
-    L_DISCOUNT,
     L_ORDERKEY,
-    L_QUANTITY,
     L_RECEIPTDATE,
-    L_SHIPDATE,
     O_CUSTKEY,
     O_ORDERDATE,
     O_ORDERKEY,
@@ -60,7 +52,7 @@ from .queries import (
     Q3Params,
     Q4Params,
     Q6Params,
-    q6_matches,
+    Restrictions,
     revenue_numerator,
     discounted_numerator,
 )
@@ -210,69 +202,69 @@ def sort_memory_pages(table_pages: int) -> int:
     return max(8, table_pages // 32)
 
 
-def _external_sort(
-    db: Database,
-    table: HeapTable | IOTTable,
-    child: Operator,
-    key: Callable[[tuple], Any],
-) -> ExternalMergeSort:
-    """The classic rival: sort ``child`` with work memory scaled to ``table``."""
-    return ExternalMergeSort(
-        child,
-        key=key,
-        disk=db.disk,
+#: the instance type each public access-method spelling ("tetris",
+#: "fts-sort", "iot-shipdate", ...) promises
+_METHOD_INSTANCE = {"tetris": UBTable, "fts": HeapTable, "iot": IOTTable}
+
+
+def _access(
+    method: str,
+    table: HeapTable | IOTTable | UBTable,
+    restrictions: Restrictions,
+    sort_attrs: Sequence[str] = (),
+    pushdown: QuerySpace | None = None,
+) -> AccessPath:
+    """``table`` under ``restrictions``, through the planner's one builder.
+
+    The builder derives the access path from the instance; ``method``,
+    the spelling callers pass, is only cross-checked against it.
+    """
+    kind = _METHOD_INSTANCE.get(method.partition("-")[0])
+    if kind is None:
+        raise ValueError(f"unknown access method {method!r}")
+    table = require_instance(table, kind, f"access method {method!r}")
+    return build_access_path(
+        table,
+        restrictions,
+        sort_attrs,
         memory_pages=sort_memory_pages(table.page_count),
-        page_capacity=table.page_capacity,
+        pushdown=pushdown,
     )
+
+
+def _sweep(
+    table: HeapTable | IOTTable | UBTable,
+    restrictions: Restrictions,
+    sort_attrs: Sequence[str],
+    pushdown: QuerySpace | None = None,
+) -> TetrisOperator:
+    """:func:`_access` by Tetris, narrowed to the live sweep."""
+    plan, _ = _access("tetris", table, restrictions, sort_attrs, pushdown)
+    return require_instance(plan, TetrisOperator, "a sorted UB access path")
 
 
 # ----------------------------------------------------------------------
 # Q3: sorted, restricted access to LINEITEM (Table 5-1 / Figure 5-5)
 # ----------------------------------------------------------------------
+#: the join needs ORDERKEY order; LINENUMBER breaks ties so that every
+#: sort-based path emits exactly the ORDERKEY IOT's stream
+_Q3_LINEITEM_ORDER = ("l_orderkey", "l_linenumber")
+
+
 def q3_lineitem_access(
     method: str,
     db: Database,
     table: HeapTable | IOTTable | UBTable,
     params: Q3Params | None = None,
-) -> tuple[Operator, ExternalMergeSort | TetrisOperator | None]:
+) -> AccessPath:
     """Restricted LINEITEM sorted by ORDERKEY, via one access method.
 
     Returns ``(plan, instrumented)`` where ``instrumented`` is the
     operator carrying method-specific statistics (the external sort or
     the Tetris operator), or ``None`` for the presorted IOT.
     """
-    params = params or Q3Params()
-    after = params.shipdate_after
-
-    def passes(row: tuple) -> bool:
-        return row[L_SHIPDATE] > after
-
-    sort_key = lambda row: (row[L_ORDERKEY], row[1])  # noqa: E731 (orderkey, linenumber)
-
-    if method == "tetris":
-        table = require_instance(table, UBTable, "Q3 access method 'tetris'")
-        operator = TetrisOperator(
-            table,
-            {"l_shipdate": (after + dt.timedelta(days=1), None)},
-            "l_orderkey",
-            predicate=passes,
-        )
-        return operator, operator
-    if method == "fts-sort":
-        table = require_instance(table, HeapTable, "Q3 access method 'fts-sort'")
-        sort = _external_sort(
-            db, table, FullTableScan(table, predicate=passes), sort_key
-        )
-        return sort, sort
-    if method == "iot-orderkey":
-        table = require_instance(table, IOTTable, "Q3 access method 'iot-orderkey'")
-        return IOTScan(table, predicate=passes), None
-    if method == "iot-shipdate":
-        table = require_instance(table, IOTTable, "Q3 access method 'iot-shipdate'")
-        scan = IOTScan(table, leading_lo=after + dt.timedelta(days=1))
-        sort = _external_sort(db, table, scan, sort_key)
-        return sort, sort
-    raise ValueError(f"unknown Q3 access method {method!r}")
+    restrictions = (params or Q3Params()).lineitem_restrictions
+    return _access(method, table, restrictions, _Q3_LINEITEM_ORDER)
 
 
 #: joined rows are customer ++ order ++ lineitem
@@ -281,29 +273,12 @@ _CUSTOMER_ORDER_WIDTH = _CUSTOMER_WIDTH + 5
 
 
 def _q3_customer_order_tetris(
-    customer: UBTable, order: UBTable, params: Q3Params
+    customer: HeapTable | UBTable, order: HeapTable | UBTable, params: Q3Params
 ) -> MergeJoin:
     """Figure 5-3's lower half: restricted sorted reads merged on CUSTKEY."""
-    customer_stream = TetrisOperator(
-        customer,
-        {"c_mktsegment": (params.segment, params.segment)},
-        "c_custkey",
-        predicate=lambda row: row[C_MKTSEGMENT] == params.segment,
-    )
-    order_stream = TetrisOperator(
-        order,
-        {
-            "o_orderdate": (
-                params.orderdate_from,
-                params.orderdate_before - dt.timedelta(days=1),
-            )
-        },
-        "o_custkey",
-        predicate=lambda row: params.order_qualifies(row[O_ORDERDATE]),
-    )
     return MergeJoin(
-        customer_stream,
-        order_stream,
+        _sweep(customer, params.customer_restrictions, ("c_custkey",)),
+        _sweep(order, params.order_restrictions, ("o_custkey",)),
         left_key=lambda row: row[C_CUSTKEY],
         right_key=lambda row: row[O_CUSTKEY],
     )
@@ -361,22 +336,11 @@ def q3_full_plan(
 
     customer_order: Operator
     if use_tetris:
-        customer = require_instance(customer, UBTable, "Tetris Q3 plan")
-        order = require_instance(order, UBTable, "Tetris Q3 plan")
         customer_order = _q3_customer_order_tetris(customer, order, params)
     else:
-        customer = require_instance(customer, HeapTable, "standard Q3 plan")
-        order = require_instance(order, HeapTable, "standard Q3 plan")
-        customer_stream = FullTableScan(
-            customer, predicate=lambda row: row[C_MKTSEGMENT] == params.segment
-        )
-        order_stream = FullTableScan(
-            order,
-            predicate=lambda row: params.order_qualifies(row[O_ORDERDATE]),
-        )
         customer_order = HashJoin(
-            customer_stream,
-            order_stream,
+            _access("fts", customer, params.customer_restrictions)[0],
+            _access("fts", order, params.order_restrictions)[0],
             build_key=lambda row: row[C_CUSTKEY],
             probe_key=lambda row: row[O_CUSTKEY],
         )
@@ -388,51 +352,22 @@ def q3_full_plan(
 # ----------------------------------------------------------------------
 # Q4: sorted, restricted access to ORDER (Table 5-2 / Figure 5-9)
 # ----------------------------------------------------------------------
-def _q4_order_tetris(order_ub: UBTable, params: Q4Params) -> TetrisOperator:
-    """Date-restricted ORDER in ORDERKEY order, as a live Tetris sweep."""
-    lo, hi = params.orderdate_from, params.orderdate_until
-    return TetrisOperator(
-        order_ub,
-        {"o_orderdate": (lo, hi - dt.timedelta(days=1))},
-        "o_orderkey",
-        predicate=lambda row: lo <= row[O_ORDERDATE] < hi,
-    )
-
-
 def q4_order_access(
     method: str,
     db: Database,
     table: HeapTable | IOTTable | UBTable,
     params: Q4Params | None = None,
-) -> tuple[Operator, ExternalMergeSort | TetrisOperator | None]:
+) -> AccessPath:
     """Restricted ORDER sorted by ORDERKEY, via one access method."""
-    params = params or Q4Params()
-    lo, hi = params.orderdate_from, params.orderdate_until
+    restrictions = (params or Q4Params()).order_restrictions
+    return _access(method, table, restrictions, ("o_orderkey",))
 
-    def passes(row: tuple) -> bool:
-        return lo <= row[O_ORDERDATE] < hi
 
-    sort_key = lambda row: row[O_ORDERKEY]  # noqa: E731
-
-    if method == "tetris":
-        table = require_instance(table, UBTable, "Q4 access method 'tetris'")
-        operator = _q4_order_tetris(table, params)
-        return operator, operator
-    if method == "fts-sort":
-        table = require_instance(table, HeapTable, "Q4 access method 'fts-sort'")
-        sort = _external_sort(
-            db, table, FullTableScan(table, predicate=passes), sort_key
-        )
-        return sort, sort
-    if method == "iot-orderkey":
-        table = require_instance(table, IOTTable, "Q4 access method 'iot-orderkey'")
-        return IOTScan(table, predicate=passes), None
-    if method == "iot-orderdate":
-        table = require_instance(table, IOTTable, "Q4 access method 'iot-orderdate'")
-        scan = IOTScan(table, leading_lo=lo, leading_hi=hi - dt.timedelta(days=1))
-        sort = _external_sort(db, table, scan, sort_key)
-        return sort, sort
-    raise ValueError(f"unknown Q4 access method {method!r}")
+def _q4_order_tetris(order_ub: UBTable, params: Q4Params | None) -> TetrisOperator:
+    """Date-restricted ORDER in ORDERKEY order, as a live Tetris sweep."""
+    return _sweep(
+        order_ub, (params or Q4Params()).order_restrictions, ("o_orderkey",)
+    )
 
 
 def q4_full_plan(
@@ -454,7 +389,12 @@ def _q4_late_lineitems(
     lineitem_ub: UBTable, pushdown: QuerySpace | None = None
 ) -> TetrisOperator:
     """LINEITEM in ORDERKEY order through the ``COMMITDATE < RECEIPTDATE``
-    triangle."""
+    triangle.
+
+    Built here, not by the access-path builder: a comparison between two
+    columns is not a range, so it is a query space plus an explicit
+    residual rather than a restriction the drop rule could reason about.
+    """
     triangle = IntersectionSpace(
         [
             lineitem_ub.build_query_box(None),
@@ -530,6 +470,27 @@ class PipelinedJoinPlan:
     prefetch: "DualCursorPrefetcher | None"
 
 
+def _pushdown_join(
+    db: Database,
+    build_rows: list[tuple],
+    build_key: Callable[[tuple], Any],
+    lineitem_ub: UBTable,
+    probe_under: Callable[[QuerySpace], TetrisOperator],
+    tail: Callable[..., Operator],
+    budget: int,
+) -> PushdownJoinPlan:
+    """Evaluated build side (in ORDERKEY order) → key cover → LINEITEM
+    probe under that cover → ``tail``."""
+    keys = [build_key(row) for row in build_rows]
+    cover_space, cover = pushdown_space(
+        lineitem_ub, "l_orderkey", keys, budget=budget
+    )
+    probe = probe_under(cover_space)
+    return PushdownJoinPlan(
+        tail(build_rows, probe, db.disk), probe, cover, len(build_rows)
+    )
+
+
 def q3_pushdown_plan(
     db: Database,
     customer: UBTable,
@@ -551,30 +512,18 @@ def q3_pushdown_plan(
     over-approximates the key set, and the merge join drops non-
     qualifying keys exactly as before.
     """
-    params = params or Q3Params()
-    customer = require_instance(customer, UBTable, "Q3 pushdown plan")
-    order = require_instance(order, UBTable, "Q3 pushdown plan")
-    after = params.shipdate_after
-    customer_order = sorted(
-        _q3_customer_order_tetris(customer, order, params),
-        key=_customer_order_orderkey,
-    )
-    keys = [_customer_order_orderkey(row) for row in customer_order]
-    cover_space, cover = pushdown_space(
-        lineitem_ub, "l_orderkey", keys, budget=budget
-    )
-    probe = TetrisOperator(
+    query = params or Q3Params()
+    customer_order = _q3_customer_order_tetris(customer, order, query)
+    return _pushdown_join(
+        db,
+        sorted(customer_order, key=_customer_order_orderkey),
+        _customer_order_orderkey,
         lineitem_ub,
-        {"l_shipdate": (after + dt.timedelta(days=1), None)},
-        "l_orderkey",
-        predicate=lambda row: row[L_SHIPDATE] > after,
-        pushdown=cover_space,
-    )
-    return PushdownJoinPlan(
-        plan=_q3_tail(customer_order, probe, db.disk),
-        probe=probe,
-        cover=cover,
-        build_rows=len(customer_order),
+        lambda cover: _sweep(
+            lineitem_ub, query.lineitem_restrictions, _Q3_LINEITEM_ORDER, cover
+        ),
+        _q3_tail,
+        budget,
     )
 
 
@@ -595,7 +544,7 @@ def q4_pipelined_plan(
     read-ahead for whichever side the semi-join's cursor demands next —
     the two sweeps overlap instead of serializing.
     """
-    order_stream = _q4_order_tetris(order_ub, params or Q4Params())
+    order_stream = _q4_order_tetris(order_ub, params)
     lineitem_stream = _q4_late_lineitems(lineitem_ub)
     dual = (
         DualCursorPrefetcher.for_operators(order_stream, lineitem_stream)
@@ -626,17 +575,14 @@ def q4_pushdown_plan(
     Result is bit-identical to :func:`q4_full_plan` over the Tetris
     ORDER access: the semi-join discards any over-approximated keys.
     """
-    order_rows = list(_q4_order_tetris(order_ub, params or Q4Params()))
-    keys = [row[O_ORDERKEY] for row in order_rows]
-    cover_space, cover = pushdown_space(
-        lineitem_ub, "l_orderkey", keys, budget=budget
-    )
-    probe = _q4_late_lineitems(lineitem_ub, cover_space)
-    return PushdownJoinPlan(
-        plan=_q4_tail(order_rows, probe, db.disk),
-        probe=probe,
-        cover=cover,
-        build_rows=len(order_rows),
+    return _pushdown_join(
+        db,
+        list(_q4_order_tetris(order_ub, params)),
+        lambda row: row[O_ORDERKEY],
+        lineitem_ub,
+        lambda cover: _q4_late_lineitems(lineitem_ub, cover),
+        _q4_tail,
+        budget,
     )
 
 
@@ -650,32 +596,7 @@ def q6_restriction_plan(
     params: Q6Params | None = None,
 ) -> Operator:
     """The restricted LINEITEM stream for Q6, via one access method."""
-    params = params or Q6Params()
-
-    def passes(row: tuple) -> bool:
-        return q6_matches(row, params)
-
-    bounds: dict[str, tuple[Any, Any]] = {
-        "l_shipdate": (
-            params.shipdate_from,
-            params.shipdate_until - dt.timedelta(days=1),
-        ),
-        "l_discount": (params.discount - 1, params.discount + 1),
-        "l_quantity": (None, params.quantity_below - 1),
-    }
-    if method == "tetris":
-        table = require_instance(table, UBTable, "Q6 access method 'tetris'")
-        return UBRangeScan(table, bounds, predicate=passes)
-    if method == "fts":
-        table = require_instance(table, HeapTable, "Q6 access method 'fts'")
-        return FullTableScan(table, predicate=passes)
-    if method.startswith("iot-"):
-        table = require_instance(table, IOTTable, f"Q6 access method {method!r}")
-        leading_lo, leading_hi = bounds[table.key_attrs[0]]
-        return IOTScan(
-            table, leading_lo=leading_lo, leading_hi=leading_hi, predicate=passes
-        )
-    raise ValueError(f"unknown Q6 access method {method!r}")
+    return _access(method, table, (params or Q6Params()).restrictions)[0]
 
 
 def q6_full_plan(

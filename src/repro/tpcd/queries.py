@@ -16,6 +16,7 @@ from __future__ import annotations
 import datetime as dt
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Any
 
 from .datagen import TPCDData
 from .schema import LINEITEM_COLUMNS, ORDER_COLUMNS
@@ -35,6 +36,12 @@ O_ORDERPRIORITY = ORDER_COLUMNS.index("o_orderpriority")
 O_SHIPPRIORITY = ORDER_COLUMNS.index("o_shippriority")
 C_CUSTKEY = 0
 C_MKTSEGMENT = 1
+
+#: attribute -> inclusive ``(lo, hi)`` value range, ``None`` = open end: how
+#: a query states its restrictions to the planner's access-path builder
+#: (``order_qualifies`` / ``q6_matches`` restate them for the oracle)
+Restrictions = dict[str, tuple[Any, Any]]
+_DAY = dt.timedelta(days=1)
 
 
 def revenue_numerator(lineitem: tuple) -> int:
@@ -67,6 +74,21 @@ class Q3Params:
         if self.orderdate_from is not None and orderdate < self.orderdate_from:
             return False
         return orderdate < self.orderdate_before
+
+    @property
+    def customer_restrictions(self) -> Restrictions:
+        """``C_MKTSEGMENT = segment``."""
+        return {"c_mktsegment": (self.segment, self.segment)}
+
+    @property
+    def order_restrictions(self) -> Restrictions:
+        """``[orderdate_from <=] O_ORDERDATE < orderdate_before``."""
+        return {"o_orderdate": (self.orderdate_from, self.orderdate_before - _DAY)}
+
+    @property
+    def lineitem_restrictions(self) -> Restrictions:
+        """``L_SHIPDATE > shipdate_after``."""
+        return {"l_shipdate": (self.shipdate_after + _DAY, None)}
 
 
 def reference_q3(data: TPCDData, params: Q3Params | None = None) -> list[tuple]:
@@ -111,6 +133,11 @@ class Q4Params:
     orderdate_from: dt.date = dt.date(1997, 1, 1)
     orderdate_until: dt.date = dt.date(1997, 4, 1)  # exclusive; ≈ 3.5 %
 
+    @property
+    def order_restrictions(self) -> Restrictions:
+        """``orderdate_from <= O_ORDERDATE < orderdate_until``."""
+        return {"o_orderdate": (self.orderdate_from, self.orderdate_until - _DAY)}
+
 
 def reference_q4(data: TPCDData, params: Q4Params | None = None) -> list[tuple]:
     """Rows ``(o_orderpriority, order_count)`` ordered by priority."""
@@ -153,6 +180,15 @@ class Q6Params:
     def shipdate_until(self) -> dt.date:
         """Exclusive upper bound of the shipdate range."""
         return self.shipdate_from + dt.timedelta(days=self.shipdate_days)
+
+    @property
+    def restrictions(self) -> Restrictions:
+        """The three LINEITEM ranges :func:`q6_matches` tests row by row."""
+        return {
+            "l_shipdate": (self.shipdate_from, self.shipdate_until - _DAY),
+            "l_discount": (self.discount - 1, self.discount + 1),
+            "l_quantity": (None, self.quantity_below - 1),
+        }
 
 
 def q6_matches(item: tuple, params: Q6Params) -> bool:

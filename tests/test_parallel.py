@@ -132,8 +132,10 @@ class TestBitIdenticalStreams:
         serial = list(
             table.tetris_scan({"a1": (100, 900)}, "a2", strategy="sweep")
         )
+        # the parallel layer always runs the eager schedule: its slabs
+        # must reproduce the paper's literal sweep loop, run serially
         result = parallel_tetris_scan(
-            table, {"a1": (100, 900)}, "a2", workers=WORKERS, strategy="sweep"
+            table, {"a1": (100, 900)}, "a2", workers=WORKERS
         )
         assert result.rows == serial
 
@@ -303,7 +305,6 @@ class TestExecutorParity:
                 "a2",
                 workers=WORKERS,
                 descending=True,
-                strategy="sweep",
                 executor="threads",
             )
         assert result.rows == serial

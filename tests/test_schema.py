@@ -128,6 +128,40 @@ class TestStringEncoder:
             assert ea <= eb
 
 
+class TestLosslessFlag:
+    """``lossless`` is what lets the access-path builder drop a residual
+    predicate: it must mean "``decode(encode(v)) == v`` for every
+    in-domain ``v``", pinned here per encoder."""
+
+    def test_int_every_value_roundtrips(self):
+        encoder = IntEncoder(-7, 300)
+        assert encoder.lossless
+        for value in range(-7, 301):
+            assert encoder.decode(encoder.encode(value)) == value
+
+    def test_date_every_value_roundtrips(self):
+        lo = dt.date(1999, 12, 1)
+        encoder = DateEncoder(lo, dt.date(2001, 3, 1))
+        assert encoder.lossless
+        for offset in range((dt.date(2001, 3, 1) - lo).days + 1):
+            day = lo + dt.timedelta(days=offset)
+            assert encoder.decode(encoder.encode(day)) == day
+
+    def test_decimal_has_a_witness(self):
+        encoder = DecimalEncoder(0.0, 0.10, scale=2)
+        assert not encoder.lossless
+        # 0.054 > 0.05, yet it lands in 0.05's code: an encoded box with
+        # upper bound 0.05 lets it through
+        assert encoder.encode(0.054) == encoder.encode(0.05)
+        assert encoder.decode(encoder.encode(0.054)) != 0.054
+
+    def test_string_has_a_witness(self):
+        encoder = StringEncoder(prefix_chars=4)
+        assert not encoder.lossless
+        assert encoder.encode("BUILDING") == encoder.encode("BUILT")
+        assert encoder.decode(encoder.encode("BUILDING")) != "BUILDING"
+
+
 class TestSchema:
     def make(self):
         return Schema(

@@ -232,6 +232,23 @@ class TestFailover:
             sdb.sorted_scan(QUERY, "a2")
         assert excinfo.value.shard == 1
         assert [e.action for e in excinfo.value.degradations] == ["failed"]
+        # the terminal rung keeps its cause: which copy died last, and how
+        (terminal,) = excinfo.value.degradations
+        assert (terminal.copy, terminal.error_type) == (0, "ShardCopyKilledError")
+        assert "killed after serving 10 rows" in terminal.error
+
+    def test_terminal_rung_lists_copy_states_when_none_got_the_scan(self):
+        rows = make_rows(600)
+        sdb = make_sharded(rows, copies=2)
+        sdb.kill_copy(1, 0)
+        sdb.shards[1].copies[1].healthy = False
+        with pytest.raises(ShardFailedError) as excinfo:
+            sdb.sorted_scan(QUERY, "a2")
+        (terminal,) = excinfo.value.degradations
+        assert terminal.copy == -1
+        assert terminal.error == (
+            "no available copy: copy 0 dead, copy 1 quarantined"
+        )
 
     def test_allow_partial_flags_lost_range(self):
         rows = make_rows(600)
