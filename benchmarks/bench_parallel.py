@@ -19,12 +19,12 @@ Two measurements back the PR's performance claims, written to
   touch: buffer-pool misses, column builds) and *warm* (best of the
   repeats) — and every speedup is computed against the **warm** number,
   the honest one.  Each worker entry records the executor that ran
-  (``threads``/``fork``/``inline``), any
-  :class:`~repro.planner.parallel.ExecutorFallbackEvent`, the pickled
-  bytes the transport shipped per slab (zero for the zero-copy
-  executors), and ``underprovisioned: true`` whenever the host has
-  fewer cores than workers — on such a host the numbers cannot show a
-  speedup and say so instead of hiding it.
+  (``threads`` on the NumPy backend, ``inline`` on the pure one), any
+  :class:`~repro.planner.parallel.ExecutorFallbackEvent`, the bytes
+  serialized per slab (zero: both executors are zero-copy), and
+  ``underprovisioned: true`` whenever the host has fewer cores than
+  workers — on such a host the numbers cannot show a speedup and say so
+  instead of hiding it.
 
 Run it directly::
 

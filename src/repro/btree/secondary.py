@@ -10,7 +10,7 @@ same effect rather than assert it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 from ..storage.buffer import BufferPool
 from ..storage.heap import HeapFile
@@ -59,13 +59,3 @@ class SecondaryIndex:
         for page_id, slot in self.rids(lo, hi):
             page = self.buffer.get(page_id, category=self.category)
             yield page.records[slot]
-
-    @staticmethod
-    def intersect_rids(rid_lists: Sequence[set[tuple[int, int]]]) -> set[tuple[int, int]]:
-        """RID-list intersection for conjunctive predicates (Section 2)."""
-        if not rid_lists:
-            return set()
-        result = set(rid_lists[0])
-        for rids in rid_lists[1:]:
-            result &= rids
-        return result

@@ -241,14 +241,8 @@ class Curve:
         return tuple(self._decode_tables.decode(address))
 
     # ------------------------------------------------------------------
-    # box helpers (monotonicity: corners bound the box's address range)
+    # box helpers
     # ------------------------------------------------------------------
-    def box_min_address(self, lo: Sequence[int]) -> int:
-        return self.encode(lo)
-
-    def box_max_address(self, hi: Sequence[int]) -> int:
-        return self.encode(hi)
-
     @staticmethod
     def point_in_box(point: Sequence[int], lo: Sequence[int], hi: Sequence[int]) -> bool:
         return all(l <= x <= h for x, l, h in zip(point, lo, hi))

@@ -33,10 +33,6 @@ class ZRegion:
     def contains(self, z_address: int) -> bool:
         return self.first <= z_address <= self.last
 
-    @property
-    def address_count(self) -> int:
-        return self.last - self.first + 1
-
     def intersects(self, curve: "Curve", space: QuerySpace) -> bool:
         """Exact-or-conservative test whether the region meets ``space``.
 

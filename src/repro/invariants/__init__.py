@@ -77,7 +77,6 @@ from .sanitizer import (
     actor,
     declare_lock_order,
     declared_lock_order,
-    fork_safe,
     guarded_by,
     note_access,
     reset_sanitizer,
@@ -103,7 +102,6 @@ __all__ = [
     "declare_lock_order",
     "declared_lock_order",
     "enabled",
-    "fork_safe",
     "guarded_by",
     "note_access",
     "require_instance",

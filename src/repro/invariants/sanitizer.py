@@ -24,10 +24,6 @@ rules R010–R013 enforce statically:
   threads get a default identity, but tests drive *virtual* actors from
   a single OS thread so a seeded schedule (the chaos-harness seed)
   replays an interleaving — and its violation — deterministically.
-* :func:`fork_safe` — whitelists a module-level function for transport
-  to forked worker processes (reprolint R013 checks the static side:
-  only whitelisted top-level callables may be handed to a process
-  pool).
 
 Everything is gated on the invariant layer's ``enabled()`` flag: with
 checks off, a :class:`TrackedLock` costs one extra boolean test per
@@ -55,7 +51,6 @@ __all__ = [
     "current_actor",
     "declare_lock_order",
     "declared_lock_order",
-    "fork_safe",
     "guarded_by",
     "note_access",
     "reset_sanitizer",
@@ -477,24 +472,6 @@ def note_access(
                 f"{_format_stack(stack)}"
             )
         _state.last_access[key] = _Access(name, clock, write, stack, sim_time)
-
-
-# ----------------------------------------------------------------------
-# fork-transport whitelist
-# ----------------------------------------------------------------------
-_FuncT = TypeVar("_FuncT", bound=Callable[..., Any])
-
-
-def fork_safe(func: _FuncT) -> _FuncT:
-    """Whitelist a module-level function for process-pool transport.
-
-    Forked workers receive callables by *reference* (module + qualname);
-    lambdas, bound methods and closures either fail to pickle or drag
-    unshareable state across the fork.  reprolint R013 statically
-    requires every callable handed to a worker pool to carry this mark.
-    """
-    func.__fork_safe__ = True  # type: ignore[attr-defined]
-    return func
 
 
 # The engine's single declared order.  Rationale, outermost first:

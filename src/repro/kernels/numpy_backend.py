@@ -656,8 +656,7 @@ class NumPyBackend(PurePythonBackend):
         """The page's points as a cached (records, dims) uint64 matrix.
 
         The page's ``version`` counter stamps the cache entry, so a
-        mutated page can never serve stale columns.  Fork children
-        inherit the memo copy-on-write with the pages it is keyed on.
+        mutated page can never serve stale columns.
         """
         cached = self._columns.get(page)
         version = page.version

@@ -357,7 +357,7 @@ _degradation_registry: ObserverRegistry[DegradationEvent] = ObserverRegistry()
 def register_degradation_observer(
     observer: "Callable[[DegradationEvent], Any]",
 ) -> None:
-    """Subscribe to plan-degradation events (serving-layer telemetry).
+    """Subscribe to plan-degradation events (tests, the benchmark harness).
 
     Each degradation step of a query is delivered exactly once, in
     order, when the query settles — on success (possibly degraded) or

@@ -19,7 +19,7 @@ order therefore reproduces the serial stream **bit for bit**:
 
 Executors
 ---------
-Three ways to run the slabs, selected by :func:`select_executor` (policy
+Two ways to run the slabs, selected by :func:`select_executor` (policy
 ``auto``, overridable via the ``executor=`` argument):
 
 ``threads``
@@ -31,24 +31,11 @@ Three ways to run the slabs, selected by :func:`select_executor` (policy
     on real cores with zero serialization and zero data copies.  The
     default for the ``numpy`` backend.
 
-``fork``
-    One ``fork``-started process per slab batch; children inherit the
-    in-memory simulated database copy-on-write and run an ordinary
-    :class:`~repro.core.tetris.TetrisScan` (stream checking, fault
-    injection and quarantine apply inside each child).  Pages are
-    **never pickled**: they arrive by COW inheritance, and with the
-    NumPy backend the coordinator faults every slab page in and primes
-    its columnar view *before* forking, so children find the matrices
-    in the inherited memo instead of rebuilding them.  A child's own
-    I/O charges die with it: the parent's ``IOStats`` and pool counters
-    reflect the scan only where the coordinator staged it (the NumPy
-    backend), not on the pure backend.  The default for the ``python``
-    backend.
-
 ``inline``
     The slabs run sequentially in the caller (still whole-slab batched).
-    Selected by ``auto`` for ``workers <= 1`` and as the fallback when a
-    requested parallel executor cannot run (``fork`` unavailable, fewer
+    Selected by ``auto`` for ``workers <= 1`` and on the pure backend
+    (its bytecode holds the GIL, so threads buy nothing there), and as
+    the fallback when a requested parallel executor cannot run (fewer
     than two workers, a single planned slab) — every downgrade is
     recorded as a structured :class:`ExecutorFallbackEvent` on the
     result and pushed to :func:`register_fallback_observer` subscribers,
@@ -61,8 +48,6 @@ wall-clock time and observability differ.
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
@@ -70,7 +55,7 @@ from typing import Any, Callable, Iterator, Sequence
 from .. import invariants, kernels
 from ..core.query_space import QueryBox, QuerySpace, box_is_empty
 from ..core.tetris import SortedTuple, TetrisScan
-from ..invariants.sanitizer import fork_safe, tracked_lock
+from ..invariants.sanitizer import tracked_lock
 from ..relational.table import UBTable
 from ..telemetry import ObserverRegistry, TelemetryEvent
 
@@ -86,7 +71,7 @@ __all__ = [
     "unregister_fallback_observer",
 ]
 
-_EXECUTORS = ("auto", "threads", "fork", "inline")
+_EXECUTORS = ("auto", "threads", "inline")
 
 #: "all of them" for region projections (LookaheadCursor.peek is lazy
 #: and stops at exhaustion, so an over-ask costs nothing)
@@ -117,7 +102,7 @@ class ExecutorFallbackEvent(TelemetryEvent):
     :func:`register_fallback_observer` — never a silent downgrade.
     """
 
-    requested: str  #: executor asked for ("fork", "auto", ...)
+    requested: str  #: executor asked for ("threads", "auto", ...)
     selected: str  #: executor actually used
     reason: str  #: why the requested one was not honoured
     backend: str  #: kernel backend name at selection time
@@ -137,7 +122,7 @@ _fallback_registry: ObserverRegistry[ExecutorFallbackEvent] = ObserverRegistry()
 def register_fallback_observer(
     observer: Callable[[ExecutorFallbackEvent], Any],
 ) -> None:
-    """Subscribe to executor fallback events (serving-layer telemetry)."""
+    """Subscribe to executor fallback events (tests, the benchmark harness)."""
     _fallback_registry.register(observer)
 
 
@@ -158,15 +143,24 @@ def select_executor(
     """Resolve the executor policy to a concrete executor.
 
     ``auto`` picks ``threads`` for the NumPy backend (vectorized kernels
-    release the GIL) and ``fork`` for the pure backend (true parallelism
-    needs processes there).  A request that cannot be honoured —
-    ``fork`` on a platform without the fork start method, or an explicit
-    ``threads``/``fork`` request with fewer than two workers — degrades
-    to ``inline`` and returns the :class:`ExecutorFallbackEvent`
-    describing the downgrade.  ``auto`` with ``workers <= 1`` selects
-    ``inline`` silently (that is the policy deciding, not a fallback;
-    explicit requests are never downgraded silently).
+    release the GIL) and ``inline`` for the pure backend (its bytecode
+    holds the GIL, so threads would only take turns).  An explicit
+    ``threads`` request with fewer than two workers degrades to
+    ``inline`` and returns the :class:`ExecutorFallbackEvent` describing
+    the downgrade, as does a request for the removed ``"fork"`` executor.
+    ``auto`` selecting ``inline`` is silent (that is the policy deciding,
+    not a fallback; explicit requests are never downgraded silently).
     """
+    if requested == "fork":
+        # not an executor any more: answered, not rejected, only because
+        # the frozen benchmark harness's traced probe still asks for it
+        return "inline", ExecutorFallbackEvent(
+            requested="fork",
+            selected="inline",
+            reason="process execution was removed from the engine",
+            backend=backend_name,
+            workers=workers,
+        )
     if requested not in _EXECUTORS:
         raise ValueError(
             f"unknown executor {requested!r}; expected one of "
@@ -182,34 +176,9 @@ def select_executor(
             backend=backend_name,
             workers=workers,
         )
-    if requested == "threads":
+    if requested == "threads" or backend_name == "numpy":
         return "threads", None
-    fork_available = "fork" in multiprocessing.get_all_start_methods()
-    if requested == "fork":
-        if fork_available:
-            return "fork", None
-        return "inline", ExecutorFallbackEvent(
-            requested="fork",
-            selected="inline",
-            reason="the fork start method is unavailable on this platform",
-            backend=backend_name,
-            workers=workers,
-        )
-    # auto
-    if backend_name == "numpy":
-        return "threads", None
-    if fork_available:
-        return "fork", None
-    return "inline", ExecutorFallbackEvent(
-        requested="auto",
-        selected="inline",
-        reason=(
-            "the pure backend parallelizes via fork, and the fork start "
-            "method is unavailable on this platform"
-        ),
-        backend=backend_name,
-        workers=workers,
-    )
+    return "inline", None
 
 
 @dataclass
@@ -220,10 +189,10 @@ class ParallelScanResult:
     per_slab_counts: list[int]
     rows: list[SortedTuple]
     workers: int  #: workers actually used (1 = ran inline)
-    executor: str = "inline"  #: executor that ran ("threads"/"fork"/"inline")
+    executor: str = "inline"  #: executor that ran ("threads" or "inline")
     fallbacks: tuple[ExecutorFallbackEvent, ...] = ()
-    #: pickled bytes shipped per slab on the process transport; zero for
-    #: the zero-copy executors, ``None`` when not measured
+    #: bytes serialized per slab: zero, both executors being zero-copy;
+    #: ``None`` when not measured
     serialized_bytes_per_slab: "list[int] | None" = None
 
     def __iter__(self) -> Iterator[SortedTuple]:
@@ -392,87 +361,6 @@ def _run_batched(
 
 
 # ----------------------------------------------------------------------
-# fork execution: COW inheritance of pages and primed columns
-# ----------------------------------------------------------------------
-#: fork-inherited context of the in-flight parallel scan; children read
-#: it copy-on-write, the parent clears it once the pool is done
-_WORKER_STATE: dict[str, Any] = {}
-
-
-@fork_safe
-def _run_slab(index: int) -> list[SortedTuple]:
-    """Execute one slab's Tetris sweep (in a worker or inline).
-
-    ``@fork_safe`` marks this as the sanctioned process-pool payload:
-    it is a module-level function (pickled by reference) whose inputs
-    arrive via fork-inherited ``_WORKER_STATE``, never by value
-    (reprolint R013 rejects anything else at the ``pool.map`` site).
-    """
-    table: UBTable = _WORKER_STATE["table"]
-    spaces: list[QuerySpace] = _WORKER_STATE["spaces"]
-    scan = TetrisScan(
-        table.ubtree,
-        spaces[index],
-        _WORKER_STATE["sort_dims"],
-        descending=_WORKER_STATE["descending"],
-    )
-    return list(scan)
-
-
-def _prime_before_fork(
-    table: UBTable,
-    spaces: "list[QuerySpace]",
-    sort_dims: "tuple[int, ...]",
-    descending: bool,
-) -> None:
-    """Fault in every slab page and prime its columns in the parent.
-
-    Fork children inherit the pages and the backend's column memo
-    copy-on-write, so they find every matrix already built instead of
-    each rebuilding the arrays from the COW'd Python records — the
-    conversion runs once, in the parent.
-    """
-    for space in spaces:
-        _stage_slab(table, space, sort_dims, descending)
-
-
-def _run_forked(
-    table: UBTable,
-    spaces: "list[QuerySpace]",
-    sort_dims: "tuple[int, ...]",
-    descending: bool,
-    pool_size: int,
-    measure_serialization: bool,
-) -> "tuple[list[list[SortedTuple]], list[int] | None]":
-    """Fork-pool execution; pages and columns travel COW, never pickled."""
-    _WORKER_STATE.update(
-        table=table,
-        spaces=spaces,
-        sort_dims=sort_dims,
-        descending=descending,
-    )
-    try:
-        if kernels.get_backend().name == "numpy":
-            _prime_before_fork(table, spaces, sort_dims, descending)
-        per_slab = _fork_map(pool_size, len(spaces))
-    finally:
-        _WORKER_STATE.clear()
-    serialized: "list[int] | None" = None
-    if measure_serialization:
-        # what the process transport actually ships per slab: the result
-        # rows (pages and their columns are inherited COW, so no page
-        # bytes appear here)
-        serialized = [len(pickle.dumps(chunk)) for chunk in per_slab]
-    return per_slab, serialized
-
-
-def _fork_map(pool_size: int, slab_count: int) -> "list[list[SortedTuple]]":
-    context = multiprocessing.get_context("fork")
-    with context.Pool(pool_size) as pool:
-        return pool.map(_run_slab, range(slab_count))
-
-
-# ----------------------------------------------------------------------
 # the entry point
 # ----------------------------------------------------------------------
 def parallel_tetris_scan(
@@ -496,12 +384,11 @@ def parallel_tetris_scan(
     is bit-identical to the serial scan's stream on every executor.
 
     ``executor`` picks the execution mode (``"auto"``, ``"threads"``,
-    ``"fork"``, ``"inline"``); ``None`` means ``auto`` — see
+    ``"inline"``); ``None`` means ``auto`` — see
     :func:`select_executor`.  Downgrades are recorded as
     :class:`ExecutorFallbackEvent`\\ s on the result.
-    ``measure_serialization`` additionally reports the pickled bytes the
-    process transport ships per slab (always zero for the zero-copy
-    thread/inline executors).
+    ``measure_serialization`` additionally reports the bytes serialized
+    per slab (always zero: both executors are zero-copy).
     """
     if workers < 1:
         raise ValueError("worker count must be >= 1")
@@ -536,7 +423,7 @@ def parallel_tetris_scan(
     if selected != "inline" and len(planned) == 1:
         # one slab cannot overlap with anything; an explicitly requested
         # parallel executor reports the downgrade, auto decides silently
-        if requested in ("threads", "fork"):
+        if requested == "threads":
             event = ExecutorFallbackEvent(
                 requested=requested,
                 selected="inline",
@@ -549,21 +436,10 @@ def parallel_tetris_scan(
         selected = "inline"
 
     serialized: "list[int] | None" = None
-    if selected == "fork":
-        pool_size = min(workers, len(planned))
-        per_slab, serialized = _run_forked(
-            table,
-            spaces,
-            sort_dims,
-            descending,
-            pool_size,
-            measure_serialization,
-        )
-    else:
-        pool_size = min(workers, len(planned)) if selected == "threads" else 1
-        per_slab = _run_batched(table, spaces, sort_dims, descending, pool_size)
-        if measure_serialization:
-            serialized = [0] * len(per_slab)  # zero-copy transports
+    pool_size = min(workers, len(planned)) if selected == "threads" else 1
+    per_slab = _run_batched(table, spaces, sort_dims, descending, pool_size)
+    if measure_serialization:
+        serialized = [0] * len(per_slab)  # zero-copy transports
 
     rows: list[SortedTuple] = []
     for chunk in per_slab:

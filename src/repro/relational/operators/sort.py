@@ -36,9 +36,6 @@ class SortStats:
     peak_temp_pages: int = 0  #: max pages of live temp files at any time
     spilled: bool = False  #: False when the input fit into work memory
 
-    def peak_temp_bytes(self, page_bytes: int) -> int:
-        return self.peak_temp_pages * page_bytes
-
 
 class ExternalMergeSort(Operator):
     """Sort an arbitrary row stream with bounded work memory.

@@ -64,17 +64,10 @@ class HeapFile:
         self._count += 1
         return page.page_id
 
-    def load(self, records: Iterable[Any], *, charge_writes: bool = False) -> None:
-        """Bulk-append records.
-
-        ``charge_writes=True`` prices one sequential write per filled page,
-        which experiments use when the load itself is part of the measured
-        operation (e.g. writing sort runs).
-        """
+    def load(self, records: Iterable[Any]) -> None:
+        """Bulk-append records."""
         for record in records:
-            page_id = self.append(record)
-            if charge_writes and self.disk.peek(page_id).is_full:
-                self.disk.write(self.disk.peek(page_id), sequential=True, category="temp")
+            self.append(record)
 
     def bulk_load(self, records: Iterable[Any], *, category: str = "data") -> None:
         """Bulk-append under WAL protection when a log is armed.

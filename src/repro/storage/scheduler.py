@@ -118,10 +118,6 @@ class IOScheduler:
     def inflight_count(self) -> int:
         return len(self._inflight)
 
-    @property
-    def inflight_page_ids(self) -> frozenset[int]:
-        return frozenset(self._inflight)
-
     def queue_free_times(self) -> list[float]:
         """Per-device drain times (absolute simulated seconds)."""
         return list(self._free_at)

@@ -194,9 +194,9 @@ class RecoveryEvent(TelemetryEvent):
     """One completed recovery pass, emitted exactly once per pass.
 
     Recovery used to return its report and bypass the observer
-    registry the rest of the engine standardized on; serving-layer
-    metrics and the chaos harness now watch redo/rollback/in-doubt
-    resolution the same way they watch shard degradations.
+    registry the rest of the engine standardized on; tests and the
+    benchmark harness now watch redo/rollback/in-doubt resolution the
+    same way they watch shard degradations.
     """
 
     wal_name: str

@@ -46,8 +46,8 @@ class TelemetryEvent:
     """Base shape of every structured downgrade/degradation event.
 
     Subclasses add their fields and override :meth:`describe`; the base
-    exists so cross-cutting telemetry (logging, the serving layer's
-    metrics, tests asserting "exactly one event per downgrade") can
+    exists so today's subscribers (the benchmark harness's per-layer
+    counters, tests asserting "exactly one event per downgrade") can
     treat all event families uniformly.
     """
 
@@ -65,11 +65,12 @@ _EventT = TypeVar("_EventT", bound=TelemetryEvent)
 class ObserverRegistry(Generic[_EventT]):
     """Subscribers of one event family behind the observers lock.
 
-    The serving layer registers observers from session threads while
-    scans emit from worker coordinators, so the list is guarded like
-    every other shared structure.  Events are delivered *outside* the
-    lock: an observer may do arbitrary engine work (touch the buffer
-    pool, start a repair) without nesting it under the observer lock.
+    Today's subscribers are tests and the benchmark harness.  They
+    may register from one thread while a scan emits from another, so
+    the list is guarded like every other shared structure.  Events are
+    delivered *outside* the lock: an observer may do arbitrary engine
+    work (touch the buffer pool, start a repair) without nesting it
+    under the observer lock.
     """
 
     def __init__(self, name: str = "executor-observers") -> None:

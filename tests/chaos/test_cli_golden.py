@@ -4,22 +4,19 @@ on a passing run is pinned byte for byte.
 The text carries fault counts, degradation trails and error messages,
 so any drift in the failure ladder — or in the harness itself — shows
 up as a diff here.  Every case pins ``--backend python`` (always
-installed), so the test runs in all four tier-1 configurations; where
-``REPRO_CHECKS=1`` legitimately changes the output (the checks-on
-``ShardedDatabase.load`` leaves one page in each copy's pool, so seed 7
-of the shard and join sweeps injects one fault fewer) a
-``<name>.checks.txt`` variant sits beside ``<name>.txt``.
+installed), so the test runs in all four tier-1 configurations, and
+``REPRO_CHECKS=1`` must not change a byte: the validators read through
+``disk.peek``, so a checks-on run leaves the storage layer exactly as a
+checks-off run does and both compare against the one golden.
 
 To re-pin after an intended change, redirect the invocation's stdout
-into ``tests/chaos/golden/<name>.txt`` (and, with ``REPRO_CHECKS=1``,
-into the ``.checks.txt`` variant if the two differ).
+into ``tests/chaos/golden/<name>.txt``.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro import invariants
 from tools.chaos.__main__ import main as chaos_main
 from tools.crashgrid.__main__ import main as crashgrid_main
 
@@ -45,9 +42,6 @@ def test_cli_output_is_pinned(name, capsys):
     main, argv = CASES[name]
     assert main([*argv, "--backend", "python"]) == 0
     golden = GOLDEN / f"{name}.txt"
-    checks_variant = GOLDEN / f"{name}.checks.txt"
-    if invariants.enabled() and checks_variant.exists():
-        golden = checks_variant
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 

@@ -6,7 +6,6 @@ The CI parallel matrix sets ``REPRO_PARALLEL_WORKERS`` (2 and 4); the
 identity tests honour it so both pool widths are exercised.
 """
 
-import multiprocessing
 import os
 import random
 
@@ -14,7 +13,6 @@ import pytest
 
 from repro import kernels
 from repro.core.query_space import QueryBox
-from repro.invariants import fork_safe
 from repro.planner import (
     ExecutorFallbackEvent,
     ParallelScanResult,
@@ -222,7 +220,8 @@ class TestSelectExecutor:
         assert selected == "inline"
         assert event is not None
         assert (event.requested, event.selected) == (requested, "inline")
-        assert "2 workers" in event.reason
+        expected = {"threads": "2 workers", "fork": "process execution was removed"}
+        assert expected[requested] in event.reason
 
     def test_explicit_inline(self):
         assert select_executor("inline", "numpy", 4) == ("inline", None)
@@ -233,17 +232,13 @@ class TestSelectExecutor:
     def test_auto_picks_threads_for_numpy(self):
         assert select_executor("auto", "numpy", 4) == ("threads", None)
 
-    def test_auto_picks_fork_for_pure_python(self):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork start method on this platform")
-        assert select_executor("auto", "python", 4) == ("fork", None)
+    def test_auto_picks_inline_for_pure_python(self):
+        # the pure backend's bytecode holds the GIL: policy, not a fallback
+        assert select_executor("auto", "python", 4) == ("inline", None)
 
-    def test_fork_unavailable_degrades_with_event(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel_module.multiprocessing,
-            "get_all_start_methods",
-            lambda: ["spawn"],
-        )
+    def test_fork_unavailable_degrades_with_event(self):
+        # on every platform: process execution was removed, and a request
+        # for it is answered by the cannot-be-honoured rung, never silently
         selected, event = select_executor("fork", "python", 4)
         assert selected == "inline"
         assert event is not None
@@ -251,21 +246,11 @@ class TestSelectExecutor:
         assert event.selected == "inline"
         assert "fork" in event.describe()
 
-    def test_auto_without_fork_degrades_with_event(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel_module.multiprocessing,
-            "get_all_start_methods",
-            lambda: ["spawn"],
-        )
-        selected, event = select_executor("auto", "python", 4)
-        assert selected == "inline"
-        assert event is not None and event.requested == "auto"
-
 
 # ----------------------------------------------------------------------
 # the parity contract: every executor yields the serial stream
 # ----------------------------------------------------------------------
-EXECUTORS = ("inline", "threads", "fork")
+EXECUTORS = ("inline", "threads")
 BACKENDS = tuple(kernels.available_backends())
 
 
@@ -277,8 +262,6 @@ class TestExecutorParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_stream_bit_identical_to_serial(self, table, backend, executor):
-        if executor == "fork" and "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork start method on this platform")
         with kernels.use_backend(backend):
             serial = list(table.tetris_scan({"a1": (100, 900)}, "a2"))
             result = parallel_tetris_scan(
@@ -350,37 +333,13 @@ class TestSerializationAccounting:
         )
         assert result.serialized_bytes_per_slab == [0] * len(result.slabs)
 
-    def test_fork_ships_only_result_rows(self, table):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork start method on this platform")
-        serial = list(table.tetris_scan({"a1": (100, 900)}, "a2"))
-        result = parallel_tetris_scan(
-            table,
-            {"a1": (100, 900)},
-            "a2",
-            workers=WORKERS,
-            executor="fork",
-            measure_serialization=True,
-        )
-        assert result.rows == serial
-        assert result.executor == "fork"
-        assert len(result.serialized_bytes_per_slab) == len(result.slabs)
-        # pages are inherited copy-on-write — the transport ships result
-        # rows only
-        assert all(size >= 0 for size in result.serialized_bytes_per_slab)
-
 
 # ----------------------------------------------------------------------
 # fallback events: downgrades are structured, never silent
 # ----------------------------------------------------------------------
 class TestFallbackEvents:
-    def test_fallback_surfaces_on_result_and_observer(self, monkeypatch):
+    def test_fallback_surfaces_on_result_and_observer(self):
         table = make_table(rows=200)
-        monkeypatch.setattr(
-            parallel_module.multiprocessing,
-            "get_all_start_methods",
-            lambda: ["spawn"],
-        )
         seen = []
         register_fallback_observer(seen.append)
         try:
@@ -436,24 +395,6 @@ class TestFallbackEvents:
         assert event.reason == "the query planned a single sweep slab"
         assert seen == [event]
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="no fork start method on this platform",
-    )
-    def test_clean_fork_run_emits_no_events(self):
-        table = make_table(rows=200)
-        seen = []
-        register_fallback_observer(seen.append)
-        try:
-            result = parallel_tetris_scan(
-                table, {"a1": (100, 900)}, "a2", workers=WORKERS, executor="fork"
-            )
-        finally:
-            unregister_fallback_observer(seen.append)
-        assert result.executor == "fork"
-        assert result.fallbacks == ()
-        assert seen == []
-
     def test_observer_exceptions_after_unregister_cannot_fire(self):
         # unregister removes by identity-equality of the bound method
         events = []
@@ -477,20 +418,15 @@ class TestFallbackEvents:
 
 
 # ----------------------------------------------------------------------
-# what the coordinator is charged, and what fork children inherit
+# what the caller is charged
 # ----------------------------------------------------------------------
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="no fork start method on this platform",
-)
-
 QUERY = {"a1": (100, 900)}
 
 
 def cold_scan(executor):
     """One restricted scan of a freshly built table on a cold pool.
 
-    Returns the result and what the *calling* process was charged for
+    Returns the result and what the caller was charged for
     it: the ``IOStats`` delta and the pool's hit/miss/fetch deltas.
     Tables are rebuilt per call (same seed), so two calls are comparable.
     """
@@ -508,86 +444,12 @@ def cold_scan(executor):
     return result, disk.stats - stats_before, pool_delta
 
 
-#: fork children of the count guard report to ``_child_reports["queue"]``,
-#: one tuple per slab: (slab index, inherited column-memo size, column
-#: matrices built)
-_child_reports = {}
-
-_real_run_slab = parallel_module._run_slab
-
-
-@fork_safe
-def _reporting_run_slab(index):
-    from repro.kernels import numpy_backend
-
-    inherited = len(kernels.get_backend()._columns)
-    builds = []
-    real_fromiter = numpy_backend.np.fromiter
-
-    def counting_fromiter(*args, **kwargs):
-        builds.append(index)
-        return real_fromiter(*args, **kwargs)
-
-    # patched in the forked child only; it exits with the pool
-    numpy_backend.np.fromiter = counting_fromiter
-    try:
-        rows = _real_run_slab(index)
-    finally:
-        numpy_backend.np.fromiter = real_fromiter
-    _child_reports["queue"].put((index, inherited, len(builds)))
-    return rows
-
-
-class TestForkInheritsColumns:
-    @needs_fork
-    def test_children_build_no_column_matrices(self, monkeypatch):
-        if kernels.get_backend().name != "numpy":
-            pytest.skip("only the numpy backend keeps column matrices")
-        _threads, threads_stats, threads_pool = cold_scan("threads")
-        reports = multiprocessing.get_context("fork").SimpleQueue()
-        monkeypatch.setitem(_child_reports, "queue", reports)
-        monkeypatch.setattr(parallel_module, "_run_slab", _reporting_run_slab)
-        forked, forked_stats, forked_pool = cold_scan("fork")
-
-        assert forked.executor == "fork"
-        assert forked.fallbacks == ()
-        per_slab = {}
-        while not reports.empty():
-            index, inherited, builds = reports.get()
-            per_slab[index] = (inherited, builds)
-        assert sorted(per_slab) == [slab.index for slab in forked.slabs]
-        for inherited, builds in per_slab.values():
-            assert inherited > 0
-            assert builds == 0
-        assert forked.rows == list(make_table().tetris_scan(QUERY, "a2"))
-        # the parent staged every page itself, so it is charged like the
-        # thread coordinator
-        assert threads_stats.pages_read > 0
-        assert forked_stats == threads_stats
-        assert forked_pool == threads_pool
-
-
 class TestExecutorAccountingMatrix:
-    """Every executor on every backend charges the caller the same I/O."""
+    """Every executor on every backend charges the caller the same I/O.
 
-    CELLS = [
-        pytest.param(
-            backend,
-            executor,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason=(
-                    "ROADMAP item 5c finding 1: pure-backend fork stages "
-                    "nothing in the parent, and the children's I/O charges "
-                    "die with them"
-                ),
-            )
-            if (backend, executor) == ("python", "fork")
-            else (),
-        )
-        for backend in BACKENDS
-        for executor in EXECUTORS
-    ]
+    ``None`` is what a caller who says nothing gets: ``threads`` on the
+    NumPy backend, ``inline`` on the pure one.
+    """
 
     @pytest.fixture(scope="class")
     def reference(self):
@@ -596,11 +458,11 @@ class TestExecutorAccountingMatrix:
         assert stats.pages_read > 0 and pool[1] > 0
         return stats, pool
 
-    @pytest.mark.parametrize("backend, executor", CELLS)
+    @pytest.mark.parametrize("executor", EXECUTORS + (None,))
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_caller_is_charged_identically(self, reference, backend, executor):
-        if executor == "fork" and "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork start method on this platform")
         with kernels.use_backend(backend):
             result, stats, pool = cold_scan(executor)
-        assert result.executor == executor
+        default = "threads" if backend == "numpy" else "inline"
+        assert result.executor == (executor or default)
         assert (stats, pool) == reference

@@ -664,16 +664,18 @@ class TestR008UngatedDiskReads:
 # ----------------------------------------------------------------------
 # suppression, aggregation, CLI
 # ----------------------------------------------------------------------
-# R009: process/serialization machinery outside the sanctioned executors
+# R009: no process/serialization machinery; thread pools only in the executor
 # ----------------------------------------------------------------------
 class TestR009IPCConfinement:
     def test_multiprocessing_import_flagged(self):
-        found = lint("import multiprocessing\n", path="src/repro/core/tetris.py")
-        assert rules_of(found) == {"R009"}
+        for path in ("src/repro/core/tetris.py", "src/repro/planner/parallel.py"):
+            found = lint("import multiprocessing\n", path=path)
+            assert rules_of(found) == {"R009"}, path
 
     def test_pickle_import_flagged(self):
-        found = lint("import pickle\n", path="src/repro/storage/wal.py")
-        assert rules_of(found) == {"R009"}
+        for path in ("src/repro/storage/wal.py", "src/repro/planner/parallel.py"):
+            found = lint("import pickle\n", path=path)
+            assert rules_of(found) == {"R009"}, path
 
     def test_submodule_from_import_flagged(self):
         found = lint(
@@ -691,7 +693,7 @@ class TestR009IPCConfinement:
 
     def test_parallel_executor_module_is_sanctioned(self):
         found = lint(
-            "import multiprocessing\nimport pickle\n",
+            "from concurrent.futures import ThreadPoolExecutor\n",
             path="src/repro/planner/parallel.py",
         )
         assert found == []
@@ -1049,7 +1051,7 @@ class TestDriver:
         assert lint_paths([REPO_ROOT / "src" / "repro"]) == []
 
 # ----------------------------------------------------------------------
-# R010-R013: interprocedural project rules (engine-driven)
+# R010-R011: interprocedural project rules (engine-driven)
 # ----------------------------------------------------------------------
 def lint_tree(tmp_path, source: str, name: str = "module.py"):
     """Write one fixture file and lint it with the full project pass."""
@@ -1261,190 +1263,6 @@ class TestR011LockOrder:
             """,
         )
         assert "R011" in rules_of(found)
-
-
-class TestR012ForkAfterSpawn:
-    def test_fork_after_thread_spawn_flagged(self, tmp_path):
-        found = lint_tree(
-            tmp_path,
-            """\
-            import os  # threads below are never joined
-
-
-            def run():
-                worker = Thread(target=print)
-                worker.start()
-                os.fork()
-            """,
-        )
-        assert "R012" in rules_of(found)
-
-    def test_fork_before_threads_clean(self, tmp_path):
-        found = lint_tree(
-            tmp_path,
-            """\
-            import os
-
-
-            def run():
-                os.fork()
-                worker = Thread(target=print)
-                worker.start()
-            """,
-        )
-        assert "R012" not in rules_of(found)
-
-    def test_exclusive_branches_clean(self, tmp_path):
-        """The executor pattern: fork XOR threads, never both."""
-        found = lint_tree(
-            tmp_path,
-            """\
-            import os
-
-
-            def run(use_fork):
-                if use_fork:
-                    os.fork()
-                else:
-                    with ThreadPoolExecutor(2) as pool:
-                        pool.map(print, [1])
-            """,
-        )
-        assert "R012" not in rules_of(found)
-
-    def test_scoped_executor_joins_before_fork_clean(self, tmp_path):
-        found = lint_tree(
-            tmp_path,
-            """\
-            import os
-
-
-            def run():
-                with ThreadPoolExecutor(2) as pool:
-                    pool.map(print, [1])
-                os.fork()
-            """,
-        )
-        assert "R012" not in rules_of(found)
-
-    def test_fork_inside_live_executor_block_flagged(self, tmp_path):
-        found = lint_tree(
-            tmp_path,
-            """\
-            import os
-
-
-            def run():
-                with ThreadPoolExecutor(2) as pool:
-                    os.fork()
-            """,
-        )
-        assert "R012" in rules_of(found)
-
-    def test_interprocedural_spawn_then_fork_flagged(self, tmp_path):
-        """The spawn happens in a helper; the fork in the caller."""
-        found = lint_tree(
-            tmp_path,
-            """\
-            import os
-
-
-            def start_workers():
-                worker = Thread(target=print)
-                worker.start()
-
-
-            def run():
-                start_workers()
-                os.fork()
-            """,
-        )
-        assert "R012" in rules_of(found)
-
-
-class TestR013ForkShipWhitelist:
-    POOL_PREFIX = (
-        "        import multiprocessing  # reprolint: allow(R009)\n"
-        "\n"
-        "\n"
-    )
-
-    def test_lambda_payload_flagged(self, tmp_path):
-        found = lint_tree(
-            tmp_path,
-            self.POOL_PREFIX
-            + """\
-        def run():
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(2) as pool:
-                pool.map(lambda x: x, [1])
-        """,
-        )
-        assert "R013" in rules_of(found)
-
-    def test_bound_method_payload_flagged(self, tmp_path):
-        found = lint_tree(
-            tmp_path,
-            self.POOL_PREFIX
-            + """\
-        class Runner:
-            def work(self, x):
-                return x
-
-            def run(self):
-                ctx = multiprocessing.get_context("fork")
-                with ctx.Pool(2) as pool:
-                    pool.map(self.work, [1])
-        """,
-        )
-        assert "R013" in rules_of(found)
-
-    def test_unmarked_module_function_flagged(self, tmp_path):
-        found = lint_tree(
-            tmp_path,
-            self.POOL_PREFIX
-            + """\
-        def work(x):
-            return x
-
-
-        def run():
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(2) as pool:
-                pool.map(work, [1])
-        """,
-        )
-        assert "R013" in rules_of(found)
-
-    def test_fork_safe_module_function_clean(self, tmp_path):
-        found = lint_tree(
-            tmp_path,
-            self.POOL_PREFIX
-            + """\
-        @fork_safe
-        def work(x):
-            return x
-
-
-        def run():
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(2) as pool:
-                pool.map(work, [1])
-        """,
-        )
-        assert "R013" not in rules_of(found)
-
-    def test_thread_pool_closures_not_policed(self, tmp_path):
-        """Thread pools share memory; closures are fine there."""
-        found = lint_tree(
-            tmp_path,
-            """\
-            def run():
-                with ThreadPoolExecutor(2) as pool:
-                    pool.map(lambda x: x, [1])
-            """,
-        )
-        assert "R013" not in rules_of(found)
 
 
 class TestOutputModes:

@@ -1,7 +1,7 @@
 """Deterministic concurrency sanitizer tests (``repro.invariants.sanitizer``).
 
 The sanitizer is the runtime half of the concurrency toolchain: reprolint
-R010–R013 prove what the call graph can see statically, and the vector-clock
+R010–R011 prove what the call graph can see statically, and the vector-clock
 race detector plus the lock-order graph catch everything else at runtime when
 ``REPRO_CHECKS=1``.  Every racy interleaving here is driven by *virtual*
 actors from a single OS thread under a seeded schedule, so each violation is

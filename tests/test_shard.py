@@ -180,6 +180,36 @@ class TestLoading:
             result = sdb.sorted_scan(QUERY, "a2")
         assert result.rows == oracle_rows(rows, QUERY, "a2")
 
+    def test_repro_checks_leave_the_storage_layer_untouched(self):
+        """Checks on ≡ checks off, as seen by every copy's pool and disk:
+        the validators peek, so they fault nothing in, count nothing and
+        price nothing."""
+        rows = make_rows(300)
+
+        def observed(flag):
+            with invariants.checks(flag):
+                sdb = make_sharded(rows, copies=2)
+                after_load = self._storage_state(sdb)
+                streamed = sdb.sorted_scan(QUERY, "a2").rows
+            return after_load, self._storage_state(sdb), streamed
+
+        assert observed(True) == observed(False)
+
+    @staticmethod
+    def _storage_state(sdb):
+        state = []
+        for shard in sdb.shards:
+            for copy in shard.copies:
+                pool = copy.db.buffer
+                state.append(
+                    (
+                        pool.iter_frames_lru(),
+                        (pool.lookups, pool.hits, pool.misses, pool.disk_fetches),
+                        repr(copy.db.disk.stats),
+                    )
+                )
+        return state
+
 
 # ----------------------------------------------------------------------
 # the failure ladder

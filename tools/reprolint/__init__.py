@@ -12,18 +12,17 @@ Python ASTs under ``src/repro`` and mechanically enforces them:
 ``R006`` — no silent error swallowing; retries go through the policy.
 ``R007`` — engine code must not mutate the disk behind an armed WAL.
 ``R008`` — engine code must read data pages through the pool/scheduler.
-``R009`` — process/serialization machinery only in the sanctioned modules.
+``R009`` — no process/serialization machinery; thread pools only in the executor.
 ``R010`` — guarded shared state is only mutated with its lock reachable.
 ``R011`` — lock acquisitions respect the single declared global order.
-``R012`` — no fork after threads are spawned on any call path.
-``R013`` — process pools only run module-level ``@fork_safe`` functions.
+``R012``, ``R013`` — retired with the process executor (fork discipline).
 ``R014`` — cross-shard engine access goes through the shard coordinator.
 ``R015`` — 2PC participant mutations go through the transaction coordinator.
 ``R016`` — pushdown interval covers are built only by ``planner/pushdown.py``.
 
 Each rule's contract and rationale live in its module under
 :mod:`tools.reprolint.rules`.  R001–R009 and R014–R016 are single-file
-rules sharing one AST traversal per file; R010–R013 are interprocedural,
+rules sharing one AST traversal per file; R010–R011 are interprocedural,
 driven by
 the symbol-table/call-graph/dataflow engine in
 :mod:`tools.reprolint.engine` over the whole linted tree at once.
@@ -118,7 +117,7 @@ def lint_paths(paths: Iterable[str | Path]) -> list[Violation]:
 
     Runs the per-file rules on each file, the backend-parity check R004
     on every ``kernels/`` package found, and the interprocedural project
-    rules R010–R013 over all parseable files together.
+    rules R010–R011 over all parseable files together.
     """
     violations: list[Violation] = []
     kernels_dirs: set[Path] = set()

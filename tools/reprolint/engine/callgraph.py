@@ -9,11 +9,7 @@ For every function the pass records, in one body walk:
 * the lexical ``with <lock>:`` stack held around each call site, both as
   raw source tokens (``self._lock``) and as declared lock labels
   (``buffer-pool``) when the expression resolves to a known lock;
-* lexical lock-nesting pairs (outer label, inner label) for R011;
-* direct thread-spawn sites (``ThreadPoolExecutor``/``Thread``), direct
-  fork sites (``os.fork``, fork-context ``Pool``, ``multiprocessing.Pool``,
-  ``ProcessPoolExecutor``) for R012;
-* process-pool ship sites (``pool.map(fn, ...)`` and friends) for R013.
+* lexical lock-nesting pairs (outer label, inner label) for R011.
 
 Unresolvable calls (attribute calls on objects of unknown type, calls
 through stored callables) simply produce no edge: the dataflow pass is
@@ -26,26 +22,9 @@ import ast
 from dataclasses import dataclass
 from typing import Iterable
 
-from .symbols import ClassInfo, FunctionInfo, ModuleInfo, dotted_name, name_tail
+from .symbols import ClassInfo, FunctionInfo, ModuleInfo
 
 __all__ = ["CallSite", "Project", "build_project", "lock_label_of"]
-
-#: methods that hand a callable to a process pool, with the callable's
-#: positional index (always 0 for the stdlib pool APIs)
-_POOL_SHIP_METHODS = {
-    "map",
-    "imap",
-    "imap_unordered",
-    "starmap",
-    "starmap_async",
-    "apply",
-    "apply_async",
-    "map_async",
-    "submit",
-}
-
-_THREAD_SPAWNERS = {"ThreadPoolExecutor", "Thread", "Timer"}
-_PROCESS_SPAWNERS = {"Pool", "ProcessPoolExecutor"}
 
 
 @dataclass(frozen=True)
@@ -209,53 +188,13 @@ def _resolve_call(project: Project, fn: FunctionInfo, call: ast.Call) -> tuple[F
 
 
 class _BodyWalker:
-    """One function body: with-stack tracking plus call classification."""
+    """One function body: with-stack tracking plus call resolution."""
 
     def __init__(self, project: Project, fn: FunctionInfo) -> None:
         self.project = project
         self.fn = fn
         #: lexical with-stack: (source token, resolved label or None)
         self.with_stack: list[tuple[str, str | None]] = []
-        #: local variables bound to ``get_context("fork")`` results
-        self.fork_contexts: set[str] = set()
-        #: local variables bound to process pools / process executors
-        self.pool_vars: set[str] = set()
-
-    # -- classification helpers ---------------------------------------
-    def _is_fork_context_call(self, node: ast.expr) -> bool:
-        return (
-            isinstance(node, ast.Call)
-            and name_tail(node.func) == "get_context"
-            and bool(node.args)
-            and isinstance(node.args[0], ast.Constant)
-            and node.args[0].value == "fork"
-        )
-
-    def _is_process_pool_call(self, call: ast.Call) -> bool:
-        tail = name_tail(call.func)
-        if tail == "ProcessPoolExecutor":
-            return True
-        if tail != "Pool":
-            return False
-        func = call.func
-        if isinstance(func, ast.Name):
-            # ``from multiprocessing import Pool``
-            imported = self.fn.module.imports.get(func.id, "")
-            return imported.startswith("multiprocessing")
-        owner = func.value if isinstance(func, ast.Attribute) else None
-        if isinstance(owner, ast.Name):
-            if owner.id in self.fork_contexts:
-                return True
-            return self.fn.module.imports.get(owner.id, "") == "multiprocessing"
-        return owner is not None and self._is_fork_context_call(owner)
-
-    def _is_thread_spawn_call(self, call: ast.Call) -> bool:
-        return name_tail(call.func) in _THREAD_SPAWNERS
-
-    def _is_direct_fork_call(self, call: ast.Call) -> bool:
-        if dotted_name(call.func) == "os.fork":
-            return True
-        return self._is_process_pool_call(call)
 
     # -- the walk ------------------------------------------------------
     def walk(self) -> None:
@@ -268,15 +207,6 @@ class _BodyWalker:
         if isinstance(node, (ast.With, ast.AsyncWith)):
             self._with(node)
             return
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name):
-                if self._is_fork_context_call(node.value):
-                    self.fork_contexts.add(target.id)
-                elif isinstance(node.value, ast.Call) and self._is_process_pool_call(
-                    node.value
-                ):
-                    self.pool_vars.add(target.id)
         self._expr_fields(node)
         for field in ("body", "orelse", "finalbody"):
             for child in getattr(node, field, ()):
@@ -297,14 +227,6 @@ class _BodyWalker:
                 for _, outer_label in self.with_stack:
                     if outer_label is not None and outer_label != label:
                         self.fn.lexical_pairs.append((outer_label, label, node))
-            if (
-                isinstance(ctx, ast.Call)
-                and self._is_process_pool_call(ctx)
-                and isinstance(item.optional_vars, ast.Name)
-            ):
-                self.pool_vars.add(item.optional_vars.id)
-            if isinstance(ctx, ast.Call) and self._is_thread_spawn_call(ctx):
-                self.fn.scoped_spawns.add(id(ctx))
             self.with_stack.append((token, label))
             pushed += 1
         for child in node.body:
@@ -329,19 +251,6 @@ class _BodyWalker:
 
     def _call(self, call: ast.Call) -> None:
         fn = self.fn
-        if self._is_thread_spawn_call(call):
-            fn.spawn_nodes.append(call)
-        if self._is_direct_fork_call(call):
-            fn.fork_nodes.append(call)
-        func = call.func
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id in self.pool_vars
-            and func.attr in _POOL_SHIP_METHODS
-            and call.args
-        ):
-            fn.ship_sites.append((call, call.args[0]))
         callee, on_self = _resolve_call(self.project, fn, call)
         if callee is None:
             return
@@ -356,7 +265,6 @@ class _BodyWalker:
             on_self=on_self,
         )
         fn.calls.append(site)
-        fn.call_targets[id(call)] = callee
         self.project.call_sites.append(site)
         self.project.callers.setdefault(callee, []).append(site)
 

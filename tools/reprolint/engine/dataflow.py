@@ -4,9 +4,6 @@ Everything here is deliberately *monotone over missing edges*: the call
 graph only contains edges it could prove, so each analysis is shaped so
 an unresolved call can at worst hide a finding, never fabricate one.
 
-* :func:`transitive_flag` — the classic reachability fixpoint ("does
-  this function, or anything it calls, do X?") used for the
-  thread-spawn and process-fork flags of R012.
 * :func:`transitive_acquisitions` — per-function set of lock labels
   acquired on any call path, used by R011 to turn "calls ``pool.get``
   while holding the staging lock" into the order pair
@@ -16,41 +13,19 @@ an unresolved call can at worst hide a finding, never fabricate one.
   either lexically holds the class guard lock or comes from another
   protected method of the same class via ``self``.  Methods nobody
   calls are not protected — they must take the lock themselves.
-* :func:`SequenceWalker` — the ordered-statement walk behind R012 that
-  tracks "threads have been spawned by this point", treating ``if``
-  branches as unsequenced alternatives and walking loop bodies twice so
-  a spawn in iteration *n* reaches a fork in iteration *n + 1*.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .callgraph import Project
 from .symbols import FunctionInfo
 
 __all__ = [
-    "SequenceWalker",
     "protected_methods",
     "transitive_acquisitions",
-    "transitive_flag",
 ]
-
-
-def transitive_flag(
-    project: Project, direct: Callable[[FunctionInfo], bool]
-) -> set[FunctionInfo]:
-    """Functions where ``direct`` holds, or that call one transitively."""
-    flagged = {fn for fn in project.functions() if direct(fn)}
-    worklist = list(flagged)
-    while worklist:
-        fn = worklist.pop()
-        for site in project.callers.get(fn, ()):  # propagate callee -> caller
-            if site.caller not in flagged:
-                flagged.add(site.caller)
-                worklist.append(site.caller)
-    return flagged
 
 
 def transitive_acquisitions(project: Project) -> dict[FunctionInfo, set[str]]:
@@ -104,106 +79,3 @@ def protected_methods(
                 changed = True
                 break
     return candidates
-
-
-class SequenceWalker:
-    """Per-function ordered walk for R012's fork-after-spawn check.
-
-    ``walk`` returns whether threads may have been spawned by the end of
-    the body, and appends every ``(fork call node, spawning flag)``
-    conflict it sees to ``violations``.
-    """
-
-    def __init__(
-        self,
-        fn: FunctionInfo,
-        spawners: set[FunctionInfo],
-        forkers: set[FunctionInfo],
-    ) -> None:
-        self.fn = fn
-        self.spawners = spawners
-        self.forkers = forkers
-        self.violations: list[ast.Call] = []
-        self._direct_spawns = {id(node) for node in fn.spawn_nodes}
-        self._direct_forks = {id(node) for node in fn.fork_nodes}
-
-    # -- event classification ------------------------------------------
-    def _call_spawns(self, call: ast.Call) -> bool:
-        if id(call) in self._direct_spawns:
-            # with-scoped executors join their threads at block exit;
-            # the With handler models their lifetime instead
-            return id(call) not in self.fn.scoped_spawns
-        target = self.fn.call_targets.get(id(call))
-        return target is not None and target in self.spawners
-
-    def _call_forks(self, call: ast.Call) -> bool:
-        if id(call) in self._direct_forks:
-            return True
-        target = self.fn.call_targets.get(id(call))
-        return target is not None and target in self.forkers
-
-    # -- the walk ------------------------------------------------------
-    def walk(self) -> bool:
-        return self._body(self.fn.node.body, False)
-
-    def _body(self, stmts: Iterable[ast.stmt], spawned: bool) -> bool:
-        for stmt in stmts:
-            spawned = self._stmt(stmt, spawned)
-        return spawned
-
-    def _stmt(self, node: ast.stmt, spawned: bool) -> bool:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return spawned
-        if isinstance(node, ast.If):
-            spawned_expr = self._exprs(node, spawned)
-            body = self._body(node.body, spawned_expr)
-            orelse = self._body(node.orelse, spawned_expr)
-            return body or orelse  # branches are alternatives, not a sequence
-        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-            spawned = self._exprs(node, spawned)
-            # walk the body twice: iteration n's spawn precedes n+1's fork
-            spawned = self._body(node.body, spawned)
-            spawned = self._body(node.body, spawned)
-            return self._body(node.orelse, spawned)
-        if isinstance(node, ast.Try):
-            spawned = self._exprs(node, spawned)
-            after_body = self._body(node.body, spawned)
-            after_handlers = after_body
-            for handler in node.handlers:
-                after_handlers = self._body(handler.body, after_body) or after_handlers
-            spawned = self._body(node.orelse, after_handlers)
-            return self._body(node.finalbody, spawned)
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            before = self._exprs(node, spawned)
-            scoped = any(
-                id(item.context_expr) in self.fn.scoped_spawns
-                for item in node.items
-            )
-            # inside a ``with ThreadPoolExecutor(...)`` block threads are
-            # live; at block exit they are joined, so the flag resets
-            after_body = self._body(node.body, before or scoped)
-            return before if scoped else after_body
-        return self._exprs(node, spawned)
-
-    def _exprs(self, node: ast.stmt, spawned: bool) -> bool:
-        """Process the statement's own expressions (not nested bodies)."""
-        for field, value in ast.iter_fields(node):
-            if field in ("body", "orelse", "finalbody", "handlers"):
-                continue
-            values = value if isinstance(value, list) else [value]
-            for item in values:
-                if not isinstance(item, ast.AST):
-                    continue
-                for child in ast.walk(item):
-                    if not isinstance(child, ast.Call):
-                        continue
-                    if self._call_forks(child):
-                        if spawned:
-                            self.violations.append(child)
-                    if self._call_spawns(child):
-                        spawned = True
-        return spawned
-
-    # With items hold the spawning calls for pools/executors, and
-    # ``_exprs`` already sees them through ``iter_fields`` (the ``items``
-    # field is a list of withitem AST nodes, walked generically).

@@ -6,8 +6,7 @@ interprocedural passes need without re-walking the AST:
 * every class with its base names, methods, ``@guarded_by`` annotation
   (lock attribute + guarded fields) and declared lock attributes
   (``self._lock = tracked_lock("buffer-pool")``);
-* every function/method with its decorators, ``@fork_safe`` mark and
-  locally-declared locks;
+* every function/method with its locally-declared locks;
 * module-level lock variables and ``declare_lock_order(...)`` calls;
 * module imports resolved to project files where possible, so the call
   graph can follow ``kernels.get_backend(...)`` across module boundaries.
@@ -78,19 +77,13 @@ class FunctionInfo:
         "name",
         "qualname",
         "class_info",
-        "fork_safe",
         "local_locks",
         "parent",
         "nested",
         # populated by the call-graph pass:
         "calls",
-        "call_targets",
         "acquired_labels",
         "lexical_pairs",
-        "spawn_nodes",
-        "scoped_spawns",
-        "fork_nodes",
-        "ship_sites",
     )
 
     def __init__(
@@ -108,21 +101,11 @@ class FunctionInfo:
         self.class_info = class_info
         self.parent = parent
         self.nested: dict[str, FunctionInfo] = {}
-        self.fork_safe = any(
-            name_tail(dec) == "fork_safe" for dec in node.decorator_list
-        )
         #: function-local lock variables: var name -> declared lock label
         self.local_locks: dict[str, str] = {}
         self.calls: list["object"] = []
-        self.call_targets: dict[int, "FunctionInfo"] = {}
         self.acquired_labels: set[str] = set()
         self.lexical_pairs: list[tuple[str, str, ast.With]] = []
-        self.spawn_nodes: list[ast.Call] = []
-        #: spawn calls used as ``with`` context managers — their worker
-        #: threads are joined at block exit, so they don't leak
-        self.scoped_spawns: set[int] = set()
-        self.fork_nodes: list[ast.Call] = []
-        self.ship_sites: list[tuple[ast.Call, ast.expr]] = []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FunctionInfo {self.module.path}::{self.qualname}>"

@@ -3,7 +3,9 @@
 Importing this package registers every rule with the central registry in
 :mod:`.base` — file rules R001–R003, R005–R009 and R014–R016, the cross-file
 backend-parity check R004, and the interprocedural project rules
-R010–R013 driven by :mod:`tools.reprolint.engine`.
+R010–R011 driven by :mod:`tools.reprolint.engine`.  R012 and R013 (fork
+discipline) were retired with the process executor; their numbers are
+not re-used.
 
 Each rule lives in its own module with a docstring explaining the
 contract it enforces and why violating it corrupts the reproduction.
@@ -16,7 +18,6 @@ from __future__ import annotations
 from . import (  # noqa: F401  (imported for their registration side effect)
     asserts,
     durability,
-    forksafety,
     guards,
     hotloops,
     ipc,

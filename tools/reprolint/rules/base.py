@@ -2,14 +2,14 @@
 
 Two rule families plug into the framework:
 
-* **File rules** (R001–R009) subclass :class:`FileRule`.  All file rules
+* **File rules** (R001–R009, R014–R016) subclass :class:`FileRule`.  All file rules
   for one source file share a *single* AST traversal: the
   :class:`Dispatcher` walks the tree once and fans each node out to
   every rule that declared a ``visit_<NodeType>`` (pre-order) or
   ``depart_<NodeType>`` (post-order) handler.  Emission order therefore
   matches the classic single-visitor linter: node order first, then
   rule registration order within a node.
-* **Project rules** (R010–R013) subclass :class:`ProjectRule` and run
+* **Project rules** (R010–R011) subclass :class:`ProjectRule` and run
   once over the whole linted tree with the interprocedural engine's
   :class:`~tools.reprolint.engine.callgraph.Project` in hand.
 
@@ -79,7 +79,7 @@ class FileContext:
         #: WAL/durability rules only police engine code, not the storage
         #: layer that implements the WAL itself
         self.wal_scope = "storage/" not in posix
-        #: R009 exempts the sanctioned process-parallel modules
+        #: R009 lets only the sanctioned executor module import thread pools
         self.ipc_scope = not any(
             posix.endswith(allowed) for allowed in _sanctioned_ipc_modules()
         )

@@ -1,12 +1,14 @@
-"""R009 — process/serialization machinery only in the sanctioned modules.
+"""R009 — no process or serialization machinery in the engine.
 
-The zero-copy contract of slab-parallel execution ("pages are never
-pickled") holds because exactly one module is allowed to touch the
-process and serialization toolbox: ``planner/parallel.py`` (the
-executor).  An ``import multiprocessing`` / ``pickle`` / ``concurrent``
-anywhere else in engine code would open a side channel that ships pages
-by value and silently reintroduces the serialization cost the executor
-layer exists to remove.
+Slab-parallel execution is threads-or-inline: slabs share the caller's
+memory, nothing is shipped by value, and every page read is charged to
+the caller's ``IOStats``.  ``multiprocessing``, ``pickle`` and
+``_pickle`` are therefore imported *nowhere* — ``planner/parallel.py``
+included — which makes the hazards of process execution (a fork while
+slab threads are live, an unpicklable payload, reads charged to a child
+that dies) unreachable rather than policed.  ``concurrent.futures`` is
+the thread pool the executor runs on and may be imported only by
+``planner/parallel.py``.
 """
 
 from __future__ import annotations
@@ -17,34 +19,42 @@ from .base import FileRule, register
 
 __all__ = ["IpcImportRule", "R009_SANCTIONED_MODULES"]
 
-#: modules allowed to use the process/serialization toolbox (R009):
-#: the parallel executor
+#: modules allowed to import ``concurrent.futures`` (R009): the parallel
+#: executor
 R009_SANCTIONED_MODULES: tuple[str, ...] = ("planner/parallel.py",)
 
-#: import roots that ship data by value or spawn processes (R009)
-IPC_MODULE_ROOTS = frozenset({"multiprocessing", "pickle", "_pickle", "concurrent"})
+#: import roots that spawn processes or ship data by value: banned everywhere
+PROCESS_MODULE_ROOTS = frozenset({"multiprocessing", "pickle", "_pickle"})
 
 
 @register
 class IpcImportRule(FileRule):
-    """Flag process/serialization imports outside the executor modules."""
+    """Flag process/serialization imports, and thread pools off the executor."""
 
     rule = "R009"
-    summary = "multiprocessing/pickle outside the sanctioned parallel executor modules"
+    summary = (
+        "multiprocessing/pickle anywhere, or concurrent.futures outside the "
+        "parallel executor module"
+    )
 
     def _check_ipc_import(self, node: ast.AST, module: str) -> None:
-        if not self.ctx.ipc_scope:
-            return
         root = module.split(".", 1)[0]
-        if root not in IPC_MODULE_ROOTS:
-            return
-        sanctioned = " / ".join(f"`{name}`" for name in R009_SANCTIONED_MODULES)
-        self.emit(
-            node,
-            f"`{module}` spawns processes or ships data by value; parallel "
-            "scan paths hand pages and columns off zero-copy (COW fork), so "
-            f"only the sanctioned modules ({sanctioned}) may import it",
-        )
+        if root in PROCESS_MODULE_ROOTS:
+            self.emit(
+                node,
+                f"`{module}` spawns processes or ships data by value; the "
+                "engine runs slabs on threads or inline, in the caller's "
+                "memory and on the caller's I/O accounting, so no module "
+                "may import it",
+            )
+        elif root == "concurrent" and self.ctx.ipc_scope:
+            sanctioned = " / ".join(f"`{name}`" for name in R009_SANCTIONED_MODULES)
+            self.emit(
+                node,
+                f"`{module}` starts worker threads; slab threads are staged "
+                "under the executor's lock discipline, so only the "
+                f"sanctioned modules ({sanctioned}) may import it",
+            )
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
