@@ -270,6 +270,8 @@ class BPlusTree:
         right = self._new_leaf()
         right.records = leaf.records[split:]
         right.version += 1
+        # the moved records already have digests in the left page's image
+        right.last_image = leaf.last_image
         leaf.records = leaf.records[:split]
         leaf.version += 1
         right.payload["next"] = leaf.payload["next"]
@@ -425,21 +427,43 @@ class BPlusTree:
         """Remove the first record matching ``key`` (and ``value`` if given).
 
         Returns whether a record was removed.  Pages are never merged.
+        With a write-ahead log armed the removal runs as one WAL batch,
+        like :meth:`insert`: undo image, redo image, then the data write
+        that also refreshes the page's replicas — so neither a rollback
+        nor a repair can bring the record back.
         """
         leaf_id, low, high, _ = self._locate(key)
         leaf = self.disk.peek(leaf_id)
-        keys = [r[0] for r in leaf.records]
-        idx = bisect_left(keys, key)
-        while idx < len(leaf.records) and leaf.records[idx][0] == key:
-            if value is None or leaf.records[idx][1] == value:
-                del leaf.records[idx]
-                leaf.version += 1
-                self.record_count -= 1
-                if invariants.enabled():
-                    invariants.validate_leaf(self, leaf, low, high)
-                return True
+        records = leaf.records
+        idx = bisect_left(records, key, key=lambda r: r[0])
+        while idx < len(records) and records[idx][0] == key:
+            if value is None or records[idx][1] == value:
+                break
             idx += 1
-        return False
+        else:
+            return False
+        wal = active_wal(self.disk)
+        if wal is None:
+            self._remove(leaf, idx, low, high)
+            return True
+        meta = self.meta_snapshot()
+        try:
+            with wal.batch("bptree.delete"):
+                wal.touch(leaf)
+                self._remove(leaf, idx, low, high)
+                wal.log_image(leaf)
+                self.disk.write(leaf, category=self.category)
+        except BaseException:
+            self.meta_restore(meta)
+            raise
+        return True
+
+    def _remove(self, leaf: Page, idx: int, low: Any, high: Any) -> None:
+        del leaf.records[idx]
+        leaf.version += 1
+        self.record_count -= 1
+        if invariants.enabled():
+            invariants.validate_leaf(self, leaf, low, high)
 
     # ------------------------------------------------------------------
     # lookups

@@ -28,9 +28,9 @@ from .errors import (
 )
 from .faults import FaultPlan, FaultyDisk, armed_disk_count
 from .heap import HeapFile
-from .page import Page, PageOverflowError
+from .page import Page, PageImage, PageOverflowError
 from .prefetch import LookaheadCursor, SweepEvictionPolicy, SweepPrefetcher
-from .replica import ReplicaCopy, ReplicatedDisk
+from .replica import ReplicatedDisk
 from .retry import DEFAULT_RETRY_POLICY, NO_RETRY, RetryPolicy, read_page_resilient
 from .scheduler import IOScheduler, armed_scheduler_count
 from .stats import CategoryStats, FaultStats, IOStats, PrefetchStats
@@ -65,12 +65,12 @@ __all__ = [
     "MissingPageError",
     "NO_RETRY",
     "Page",
+    "PageImage",
     "PageOverflowError",
     "PrefetchStats",
     "QuarantinedPageError",
     "RecoveryEvent",
     "RecoveryReport",
-    "ReplicaCopy",
     "ReplicatedDisk",
     "RetryPolicy",
     "SimulatedCrashError",

@@ -11,11 +11,88 @@ page.  Structural pages (B+-tree inner nodes) store their node object in
 from __future__ import annotations
 
 import zlib
+from array import array
+from dataclasses import dataclass
+from itertools import compress, count
+from operator import is_, is_not
 from typing import Any, Iterable, Iterator
+
+from .. import invariants
 
 
 class PageOverflowError(RuntimeError):
     """Raised when more records are placed on a page than its capacity allows."""
+
+
+def _shared(left: Iterable[Any], right: Iterable[Any], most: int) -> int:
+    """How many leading positions hold the same object, at most ``most``."""
+    return min(most, next(compress(count(), map(is_not, left, right)), most))
+
+
+def _record_digests(records: Iterable[Any]) -> array:
+    """``crc32(repr(record))`` of every record, from the content alone."""
+    return array("I", map(zlib.crc32, map(str.encode, map(repr, records))))
+
+
+@dataclass(frozen=True, slots=True)
+class PageImage:
+    """An immutable snapshot of a page's record content, with its digest.
+
+    The one image the durability layers share: every replica slot holds
+    it, and the write-ahead log's undo and redo records carry its
+    ``records`` tuple (:meth:`Page.snapshot` — a log-only stack never
+    pays for digests nobody would verify).  ``digests`` is one CRC32 per
+    record and ``checksum`` the CRC32 folded over that vector, computed
+    when the image is built — so a slot that rots later is detectable
+    without consulting the primary.
+    """
+
+    records: tuple
+    digests: array
+    checksum: int
+
+    @staticmethod
+    def of(records: Iterable[Any], previous: "PageImage | None" = None) -> "PageImage":
+        """The image of ``records``, built incrementally from ``previous``.
+
+        A record that *is* (same object) a record of ``previous`` keeps
+        its digest; only new objects are serialised.  Identity, not
+        ``Page.version``, decides: records are immutable tuples, a
+        version counter is whatever its last writer left.
+        """
+        records = tuple(records)
+        if previous is None:
+            digests = _record_digests(records)
+        else:
+            # an insert or a delete leaves a long shared head and tail:
+            # trim both, then match what is left (a split, a rebind) by id
+            # — ``previous`` keeps its records alive, so ids cannot be reused
+            old, had = previous.records, previous.digests
+            most = min(len(old), len(records))
+            head = _shared(old, records, most)
+            tail = _shared(reversed(old), reversed(records), most - head)
+            middle = records[head : len(records) - tail]
+            known = dict(zip(map(id, old[head : len(old) - tail]), had[head:]))
+            fresh = [record for record in middle if id(record) not in known]
+            known.update(zip(map(id, fresh), _record_digests(fresh)))
+            digests = had[:head]
+            digests.extend(map(known.__getitem__, map(id, middle)))
+            digests += had[len(old) - tail :]
+            if invariants.enabled():
+                invariants.check(
+                    digests == _record_digests(records),
+                    "incremental page image diverged from a from-scratch build",
+                )
+        return PageImage(records, digests, zlib.crc32(digests))
+
+    @property
+    def intact(self) -> bool:
+        """Whether the stored content still matches the write-time checksum.
+
+        Every record digest is recomputed from ``records``; the cached
+        vector is never trusted.
+        """
+        return zlib.crc32(_record_digests(self.records)) == self.checksum
 
 
 class Page:
@@ -37,6 +114,8 @@ class Page:
         "payload",
         "version",
         "stored_checksum",
+        "last_snapshot",
+        "last_image",
         "__weakref__",
     )
 
@@ -54,6 +133,11 @@ class Page:
         #: fault-free path never computes a checksum and integrity
         #: verification costs a single ``is not None`` test.
         self.stored_checksum: int | None = None
+        #: what :meth:`snapshot` last returned
+        self.last_snapshot: tuple | None = None
+        #: the :class:`PageImage` last built for this page (or handed
+        #: over by the page it was split from) — a reuse hint only
+        self.last_image: PageImage | None = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -85,6 +169,27 @@ class Page:
     def clear(self) -> None:
         self.records.clear()
         self.version += 1
+
+    def snapshot(self) -> tuple:
+        """The current records as a tuple — the same tuple for as long as
+        the page holds the same record objects, so the log's undo and redo
+        records and the replicas' image share one copy."""
+        last, records = self.last_snapshot, self.records
+        if (
+            last is None
+            or len(last) != len(records)
+            or not all(map(is_, last, records))
+        ):
+            self.last_snapshot = last = tuple(records)
+        return last
+
+    def image(self) -> PageImage:
+        """The digest-carrying image of :meth:`snapshot`; unchanged content
+        hands back the same image object."""
+        records, image = self.snapshot(), self.last_image
+        if image is None or image.records is not records:
+            self.last_image = image = PageImage.of(records, image)
+        return image
 
     # ------------------------------------------------------------------
     # integrity

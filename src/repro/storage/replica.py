@@ -4,8 +4,10 @@
 (the same delegation pattern as :class:`~repro.storage.faults.FaultyDisk`)
 and mirrors every acknowledged page write onto ``copies`` replica slots —
 in-memory snapshots standing in for the redundant devices of a mirrored
-volume.  Each copy carries its own CRC32, so a rotten replica is
-detectable independently of the primary.
+volume.  Each slot holds the page's :class:`~repro.storage.page.PageImage`
+— the same immutable image the write-ahead log journals — whose checksum
+was computed at write time, so a rotten replica is detectable
+independently of the primary.
 
 The payoff is :meth:`repair_page`: when a read trips a
 :class:`~repro.storage.errors.CorruptPageError` (or the buffer pool wants
@@ -28,37 +30,15 @@ empty.
 
 from __future__ import annotations
 
-import zlib
-from dataclasses import dataclass
+from dataclasses import replace
 
 from .. import invariants
 from .disk import DiskParameters, SimulatedDisk, _DelegatingDisk
-from .page import Page
+from .page import Page, PageImage
 
 __all__ = [
     "ReplicatedDisk",
-    "ReplicaCopy",
 ]
-
-
-@dataclass(frozen=True)
-class ReplicaCopy:
-    """One replica slot: a record snapshot plus its own checksum."""
-
-    records: tuple
-    checksum: int
-
-    @property
-    def intact(self) -> bool:
-        return zlib.crc32(repr(list(self.records)).encode("utf-8")) == self.checksum
-
-    @staticmethod
-    def of(records: list) -> "ReplicaCopy":
-        snapshot = tuple(records)
-        return ReplicaCopy(
-            records=snapshot,
-            checksum=zlib.crc32(repr(list(snapshot)).encode("utf-8")),
-        )
 
 
 class ReplicatedDisk(_DelegatingDisk):
@@ -83,7 +63,7 @@ class ReplicatedDisk(_DelegatingDisk):
             raise ValueError("a ReplicatedDisk needs at least one replica copy")
         super().__init__(inner, params)
         self.copies = copies
-        self._replicas: dict[int, list[ReplicaCopy]] = {}
+        self._replicas: dict[int, list[PageImage]] = {}
 
     def free(self, page_id: int) -> None:
         self._replicas.pop(page_id, None)
@@ -101,9 +81,11 @@ class ReplicatedDisk(_DelegatingDisk):
     ) -> None:
         self.inner.write(page, sequential=sequential, category=category)
         if not page.records:
-            return  # payload-only pages carry nothing the fault model damages
-        copy = ReplicaCopy.of(page.records)
-        self._replicas[page.page_id] = [copy] * self.copies
+            # payload-only pages carry nothing the fault model damages; a
+            # page written empty must not keep the records it used to hold
+            self._replicas.pop(page.page_id, None)
+            return
+        self._replicas[page.page_id] = [page.image()] * self.copies
         mirror_delay = self.copies * self.params.t_tau
         self.inner.advance_clock(mirror_delay)
         faults = self.stats.faults
@@ -128,7 +110,7 @@ class ReplicatedDisk(_DelegatingDisk):
         for page in self.inner.iter_pages():
             if not page.records:
                 continue
-            self._replicas[page.page_id] = [ReplicaCopy.of(page.records)] * self.copies
+            self._replicas[page.page_id] = [page.image()] * self.copies
             captured += 1
         if captured:
             cost = self.params.scan_cost(captured) * (1 + self.copies)
@@ -179,9 +161,8 @@ class ReplicatedDisk(_DelegatingDisk):
         if slots is None or not 0 <= slot < len(slots):
             raise KeyError(f"no replica slot {slot} for page {page_id}")
         old = slots[slot]
-        slots[slot] = ReplicaCopy(
-            records=(*old.records, ("__replica_rot__", page_id, slot)),
-            checksum=old.checksum,
+        slots[slot] = replace(
+            old, records=(*old.records, ("__replica_rot__", page_id, slot))
         )
 
     def _validate(self) -> None:

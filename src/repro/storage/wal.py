@@ -634,7 +634,7 @@ class WriteAheadLog(AppendOnlyLog):
         if page.page_id in batch.touched or page.page_id in batch.allocated:
             return
         before = (
-            tuple(page.records),
+            page.snapshot(),
             _snapshot_payload(page.payload),
             page.stored_checksum,
         )
@@ -660,7 +660,7 @@ class WriteAheadLog(AppendOnlyLog):
             IMAGE,
             batch.txn_id,
             page_id=page.page_id,
-            records=tuple(page.records),
+            records=page.snapshot(),
             payload=_snapshot_payload(page.payload),
         )
 

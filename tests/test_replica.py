@@ -8,6 +8,8 @@ counters, and — when the page had been quarantined — lifts the
 quarantine so the planner can return to the full physical design.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import invariants
@@ -16,8 +18,8 @@ from repro.storage import (
     BufferPool,
     CorruptPageError,
     NO_RETRY,
+    PageImage,
     QuarantinedPageError,
-    ReplicaCopy,
     ReplicatedDisk,
     SimulatedDisk,
     read_page_resilient,
@@ -43,18 +45,33 @@ def make_replicated(copies=2, pages=3, capacity=8):
 
 
 # ----------------------------------------------------------------------
-# ReplicaCopy
+# a replica slot is a PageImage (the class keeps its pinned test ids)
 # ----------------------------------------------------------------------
 class TestReplicaCopy:
     def test_of_snapshot_is_intact(self):
-        copy = ReplicaCopy.of([(1,), (2,)])
+        copy = PageImage.of([(1,), (2,)])
         assert copy.intact
         assert copy.records == ((1,), (2,))
 
     def test_rot_is_detectable(self):
-        copy = ReplicaCopy.of([(1,)])
-        rotten = ReplicaCopy(records=((1,), (2,)), checksum=copy.checksum)
+        copy = PageImage.of([(1,)])
+        rotten = replace(copy, records=((1,), (2,)))
         assert not rotten.intact
+
+    def test_one_flipped_field_is_detected_and_repair_moves_on(self):
+        """Teeth: the rotten slot keeps its cached digests and checksum, so
+        only a recomputation from the stored content can notice."""
+        disk = make_replicated(copies=2)
+        slots = disk._replicas[0]
+        good = slots[0]
+        flipped = (*good.records[:3], (0, 99), *good.records[4:])
+        slots[0] = replace(good, records=flipped)
+        assert slots[0].digests is good.digests
+        assert not slots[0].intact and slots[1].intact
+        corrupt(disk.peek(0))
+        assert disk.repair_page(0)
+        assert disk.stats.faults.repair_reads == 2  # slot 0 rejected
+        assert disk.peek(0).records == list(good.records)
 
 
 # ----------------------------------------------------------------------
@@ -79,6 +96,17 @@ class TestMirroring:
         inner_node.payload = object()
         disk.write(inner_node)
         assert disk.replicated_page_ids() == frozenset()
+
+    def test_empty_write_drops_the_stale_slots(self):
+        """An acknowledged write that emptied the page must not leave the
+        old records behind for a later repair to resurrect."""
+        disk = make_replicated(pages=1)
+        page = disk.peek(0)
+        page.clear()
+        disk.write(page)
+        assert disk.replicated_page_ids() == frozenset()
+        assert not disk.repair_page(0)
+        assert page.records == []
 
     def test_free_drops_the_replica_slot(self):
         disk = make_replicated(pages=1)
@@ -201,7 +229,7 @@ class TestQuarantineLift:
         # the mirror device comes back (fresh, intact copy): the next
         # lookup repairs the primary and lifts the quarantine in place
         truth = [(0, slot) for slot in range(8)]
-        disk._replicas[0] = [ReplicaCopy.of(truth)]
+        disk._replicas[0] = [PageImage.of(truth)]
         page = pool.get(0)
         assert list(page.records) == truth
         assert not pool.is_quarantined(0)
@@ -215,7 +243,7 @@ class TestQuarantineLift:
         corrupt(disk.peek(0))
         with pytest.raises(CorruptPageError):
             pool.get(0)
-        disk._replicas[0] = [ReplicaCopy.of([(0, slot) for slot in range(8)])]
+        disk._replicas[0] = [PageImage.of([(0, slot) for slot in range(8)])]
         assert pool.repair_quarantined() == [0]
         assert not pool.is_quarantined(0)
         assert pool.get(0).verify_checksum()

@@ -10,6 +10,7 @@ content, checksums and allocations.  Recovery is idempotent.
 import pytest
 
 from repro import invariants
+from repro.btree.bptree import BPlusTree
 from repro.invariants import InvariantViolation
 from repro.relational import Attribute, Database, IntEncoder, Schema
 from repro.storage import (
@@ -374,6 +375,70 @@ class TestEnginePaths:
         report = db.recover()
         assert report.healed_pages > 0
         assert list(table.scan()) == rows
+
+
+# ----------------------------------------------------------------------
+# journaled deletes (once neither logged nor mirrored: a repair or a
+# recovery brought the deleted row back)
+# ----------------------------------------------------------------------
+class TestJournaledDelete:
+    def make_tree(self):
+        db = Database(wal=True, replicas=2)
+        tree = BPlusTree(db.buffer, leaf_capacity=8)
+        for key in range(6):
+            tree.insert(key, f"row{key}")
+        return db, tree
+
+    def test_record_sequence_matches_an_insert(self):
+        db, tree = self.make_tree()
+        mark = len(db.wal.records)
+        assert tree.delete(3)
+        kinds = [record.kind for record in db.wal.records[mark:]]
+        assert kinds == [BEGIN, UNDO, IMAGE, COMMIT]
+        assert not tree.delete(3)  # nothing found: nothing journaled
+        assert len(db.wal.records) == mark + 4
+
+    def test_repair_after_delete_keeps_the_row_gone(self):
+        db, tree = self.make_tree()
+        assert tree.delete(3)
+        tear(db.disk.peek(tree.root_id))
+        assert db.disk.repair_page(tree.root_id)
+        assert tree.search(3) == []
+        assert [key for key, _ in tree.range_scan()] == [0, 1, 2, 4, 5]
+
+    def test_recovery_after_delete_keeps_the_row_gone(self):
+        db, tree = self.make_tree()
+        assert tree.delete(3)
+        tear(db.disk.peek(tree.root_id))
+        db.wal.recover()
+        assert [key for key, _ in tree.range_scan()] == [0, 1, 2, 4, 5]
+
+    @pytest.mark.parametrize("appends", [1, 2, 3, 4])
+    def test_crash_mid_delete_rolls_back_to_the_row_present(self, appends):
+        db, tree = self.make_tree()
+        db.wal.crash_after_appends(appends)
+        with pytest.raises(SimulatedCrashError):
+            tree.delete(3)
+        assert tree.record_count == 6
+        db.wal.recover()  # a lost commit record leaves the batch to recovery
+        assert tree.search(3) == ["row3"]
+        tree.check_invariants()
+
+    def test_ubtree_delete_is_journaled_too(self):
+        db = Database(wal=True, replicas=2)
+        schema = Schema(
+            [Attribute("k", IntEncoder(0, 1023)), Attribute("v", IntEncoder(0, 1023))]
+        )
+        table = db.create_ub_table("t", schema, ("k", "v"), 8)
+        table.bulk_load([(i, i * 2) for i in range(6)])
+        ubtree = table.ubtree
+        assert ubtree.delete(table.point_of((3, 6)))
+        leaf = db.disk.peek(ubtree.tree.first_leaf_id)
+        tear(leaf)
+        assert db.disk.repair_page(leaf.page_id)
+        assert [row for _, row in table.tetris_scan(None, "k")] == [
+            (0, 0), (1, 2), (2, 4), (4, 8), (5, 10)
+        ]
 
 
 # ----------------------------------------------------------------------
