@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from repro.core import QueryBox, TetrisScan, UBTree, ZSpace, tetris_sorted
 from repro.core.query_space import ComparisonSpace, IntersectionSpace, PredicateSpace
-from repro.storage import BufferPool, SimulatedDisk
+from repro.relational import Attribute, Database, IntEncoder, Schema
+from repro.relational.operators import Limit, TetrisOperator
+from repro.storage import BufferPool, DiskParameters, SimulatedDisk
 
 STRATEGIES = ("sweep", "eager")
 
@@ -168,6 +170,82 @@ class TestIOBehaviour:
         list(scan)
         assert scan.stats.slices >= 2
         assert scan.stats.cache_pages(3) >= 1
+
+
+class TestRowConsumerStopsMidSlice:
+    """The row-level counters count rows *pulled*, never a whole slice.
+
+    A slice is cut in one piece, but a row consumer may stop anywhere
+    inside it: ``tuples_output`` is then the rows it received,
+    ``slices`` the slices it finished, and both clocks are the disk
+    clock of the last page the sweep had to read to get that far.
+    """
+
+    def _table(self):
+        schema = Schema(
+            [Attribute("a", IntEncoder(0, 63)), Attribute("b", IntEncoder(0, 63))]
+        )
+        db = Database(DiskParameters())
+        rng = random.Random(5)
+        table = db.create_ub_table("t", schema, dims=("a", "b"), page_capacity=8)
+        table.load([(rng.randrange(64), rng.randrange(64)) for _ in range(400)])
+        return db, table
+
+    def _wide_slice(self, db, table):
+        """``(first, length, finished)`` of a slice of >= 4 rows that is
+        not the first one: its first row's stream index, its row count
+        and how many slices were complete when it was cut."""
+        db.reset_measurement()
+        operator = TetrisOperator(table, None, "a")
+        # ``slices`` ticks when the generator is resumed past a slice's
+        # last row, so a row pulled at count ``s`` belongs to slice ``s``
+        finished = [operator.stats.slices for _ in operator]
+        assert operator.stats.tuples_output == len(finished) == 400
+        for slice_id in range(1, max(finished) + 1):
+            if finished.count(slice_id) >= 4:
+                return finished.index(slice_id), finished.count(slice_id), slice_id
+        raise AssertionError("no multi-row slice to stop in")
+
+    @pytest.mark.parametrize("offset", [0, 1, 2, "last"])
+    def test_bare_next(self, offset):
+        db, table = self._table()
+        first, length, finished = self._wide_slice(db, table)
+        # pulls ending on the previous slice's last row, this slice's
+        # first row, a middle one, and its last one
+        pulls = first + (length if offset == "last" else offset)
+        db.reset_measurement()
+        operator = TetrisOperator(table, None, "a")
+        stats = operator.stats
+        rows = iter(operator)
+        start = db.disk.clock
+        next(rows)
+        first_clock = db.disk.clock
+        assert first_clock > start
+        for _ in range(pulls - 1):
+            next(rows)
+        assert stats.tuples_output == pulls
+        assert stats.slices == (finished - 1 if offset == 0 else finished)
+        assert stats.start_clock == start
+        assert stats.first_output_clock == first_clock
+        # no page is read between two rows of one slice
+        assert stats.end_clock == db.disk.clock > first_clock
+        assert stats.max_cache_tuples >= length
+
+    def test_limit_over_operator(self):
+        db, table = self._table()
+        first, _, finished = self._wide_slice(db, table)
+        expected = list(TetrisOperator(table, None, "a"))[: first + 1]
+        db.reset_measurement()
+        operator = TetrisOperator(table, None, "a")
+        start = db.disk.clock
+        assert list(Limit(operator, first + 1)) == expected
+        # Limit looks one row ahead before it stops: both rows sit
+        # inside the wide slice
+        assert operator.stats.tuples_output == first + 2
+        assert operator.stats.slices == finished
+        assert operator.stats.start_clock == start
+        assert start < operator.stats.first_output_clock < operator.stats.end_clock
+        assert operator.stats.end_clock == db.disk.clock
 
 
 class TestStrategyEquivalence:
