@@ -52,6 +52,9 @@ from .region import ZRegion
 from .ubtree import UBTree
 
 SortedTuple = tuple[tuple[int, ...], Any]
+#: one completed slice: the tetris-curve keys it was ordered by and its
+#: tuples, two parallel lists
+Slice = tuple[list[int], list[SortedTuple]]
 
 #: a region scheduled for reading plus the emission barrier that becomes
 #: valid once it has been read: (first, last, page_id, next_key_or_None)
@@ -70,12 +73,13 @@ class TetrisStats:
     #: pruned *only* because of a pushed-down join-key cover — pages the
     #: local restriction would have read but no join match can live on
     pages_skipped_by_pushdown: int = 0
+    #: rows a row consumer pulled, or rows of the slices handed out
     tuples_output: int = 0
     slices: int = 0  #: flush batches — completed processing ranges
     max_cache_tuples: int = 0  #: peak size of the Tetris cache
     first_output_clock: float | None = None  #: simulated time of first tuple
     start_clock: float = 0.0
-    end_clock: float = 0.0
+    end_clock: float = 0.0  #: simulated time the last slice was completed
 
     @property
     def elapsed(self) -> float:
@@ -95,7 +99,8 @@ class TetrisStats:
 class TetrisScan:
     """Iterator over ``(point, payload)`` pairs in ``A_j`` sort order.
 
-    Consume it like any iterator; ``stats`` fills in as the sweep
+    Consume it like any iterator — or slice by slice, with the sort keys
+    alongside, through :meth:`slices`; ``stats`` fills in as the sweep
     progresses and is final once iteration ends.
 
     Parameters
@@ -243,7 +248,18 @@ class TetrisScan:
         """Regions the sweep has consumed so far; only ever grows."""
         return 0 if self._cursor is None else self._cursor.position
 
-    def __iter__(self) -> Iterator[SortedTuple]:
+    def slices(self) -> Iterator[Slice]:
+        """The sweep's output in its own unit: one ``(keys, rows)`` pair
+        per completed slice.
+
+        ``rows`` are the slice's ``(point, payload)`` pairs in sort
+        order and ``keys`` their addresses on :attr:`tetris_curve` —
+        the keys the run buffer ordered them by, ascending within and
+        across slices.  Every slice is non-empty.  A slice counts as
+        output when it is handed over (``stats.tuples_output``, both
+        clocks); ``stats.slices`` ticks once the consumer asks for the
+        next one.
+        """
         if box_is_empty(self._box):
             disk = self.ubtree.tree.buffer.disk
             self.stats.start_clock = disk.clock
@@ -251,12 +267,20 @@ class TetrisScan:
             return iter(())
         return self._run(self._ensure_cursor())
 
+    def __iter__(self) -> Iterator[SortedTuple]:
+        stats = self.stats
+        for _, rows in self.slices():
+            # a row consumer may stop inside a slice: it has received
+            # the rows it pulled, not the slice that was cut for it
+            stats.tuples_output -= len(rows)
+            for row in rows:
+                stats.tuples_output += 1
+                yield row
+
     # ------------------------------------------------------------------
     # shared driver: read regions in Tetris order, cache, flush slices
     # ------------------------------------------------------------------
-    def _run(
-        self, regions: "LookaheadCursor[_ScheduledRegion]"
-    ) -> Iterator[SortedTuple]:
+    def _run(self, regions: "LookaheadCursor[_ScheduledRegion]") -> Iterator[Slice]:
         disk = self.ubtree.tree.buffer.disk
         buffer = self.ubtree.tree.buffer
         curve = self.tetris_curve
@@ -274,16 +298,36 @@ class TetrisScan:
         #: (point, payload) of every qualifying tuple, by arrival order
         arrivals: list[SortedTuple] = []
         # with REPRO_CHECKS=1: validate the emitted stream (membership +
-        # monotonicity), re-run every page kernel on the other backend and
-        # hold the sweep to one fetch per page, read-ahead included
+        # monotonicity, and every slice key against the scalar curve),
+        # re-run every page kernel on the other backend and hold the
+        # sweep to one fetch per page, read-ahead included
         stream_checker = (
             invariants.StreamChecker(self.sort_dims, self.descending, space)
             if invariants.enabled()
             else None
         )
+        slice_checker = (
+            invariants.SliceChecker(curve) if invariants.enabled() else None
+        )
         fetch_checker = (
             invariants.FetchOnceChecker() if invariants.enabled() else None
         )
+
+        def cut(barrier: "int | None") -> Slice:
+            """Everything below ``barrier``, counted as output."""
+            keys, orders = run_buffer.cut(barrier)
+            rows = [arrivals[order] for order in orders]
+            if rows:
+                if stats.first_output_clock is None:
+                    stats.first_output_clock = disk.clock
+                stats.tuples_output += len(rows)
+            if slice_checker is not None:
+                slice_checker.observe(keys, rows)
+            if stream_checker is not None:
+                for point, _ in rows:
+                    stream_checker.observe(point)
+            return keys, rows
+
         # sweep-ahead prefetching: with a scheduler armed on the pool,
         # keep a bounded window of async reads in flight for the regions
         # the cursor projects next, so transfers overlap across device
@@ -343,24 +387,15 @@ class TetrisScan:
                 # sorted-run heads witness whether anything flushes at all.
                 if not run_buffer.has_key_below(barrier):
                     continue
-                for position in run_buffer.cut(barrier):
-                    if stats.first_output_clock is None:
-                        stats.first_output_clock = disk.clock
-                    stats.tuples_output += 1
-                    stats.end_clock = disk.clock
-                    if stream_checker is not None:
-                        stream_checker.observe(arrivals[position][0])
-                    yield arrivals[position]
+                completed = cut(barrier)
+                stats.end_clock = disk.clock
+                yield completed
                 stats.slices += 1
 
             # no regions at all, or a conservative final barrier
-            for position in run_buffer.cut(None):
-                if stats.first_output_clock is None:
-                    stats.first_output_clock = disk.clock
-                stats.tuples_output += 1
-                if stream_checker is not None:
-                    stream_checker.observe(arrivals[position][0])
-                yield arrivals[position]
+            completed = cut(None)
+            if completed[1]:
+                yield completed
             stats.end_clock = disk.clock
         finally:
             # leftover submissions (early termination, or a conservative

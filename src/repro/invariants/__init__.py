@@ -45,6 +45,9 @@ Validators
 * :class:`ScheduleChecker` — holds a batched region schedule to the
   scalar BIGMIN walk, pruning tests and keys it replaces, without
   extra I/O (:mod:`repro.invariants.parity`).
+* :class:`SliceChecker` — the keys a sweep hands out with its slices
+  equal the scalar ``tetris_curve.encode(point)`` row for row and
+  ascend within and across slices (:mod:`repro.invariants.parity`).
 * :func:`validate_wal` / :func:`validate_replicated_disk` — write-ahead
   log structure (dense LSNs, serial batches, mirror/device agreement)
   and replica-store consistency (:mod:`repro.invariants.durability`).
@@ -68,7 +71,7 @@ from .accounting import validate_buffer_pool
 from .durability import validate_replicated_disk, validate_wal
 from .errors import InvariantViolation, check
 from .paper import FetchOnceChecker
-from .parity import ScheduleChecker, spot_check_scan_page
+from .parity import ScheduleChecker, SliceChecker, spot_check_scan_page
 from .sanitizer import (
     GLOBAL_LOCK_ORDER,
     LockOrderViolation,
@@ -94,6 +97,7 @@ __all__ = [
     "LockOrderViolation",
     "RaceViolation",
     "ScheduleChecker",
+    "SliceChecker",
     "StreamChecker",
     "TrackedLock",
     "actor",

@@ -8,7 +8,8 @@ the *other* backend and compares results in place — so a divergence
 (say, a stale columnar cache after a missed ``Page.version`` bump)
 raises at the exact page that produced it.  Batched region schedules
 get the same treatment against the scalar definitions they replace
-(:class:`ScheduleChecker`).
+(:class:`ScheduleChecker`), and so do the keys a sweep hands out with
+its slices (:class:`SliceChecker`).
 """
 
 from __future__ import annotations
@@ -145,3 +146,40 @@ class ScheduleChecker:
             f"region schedule ended although the box continues at Z-address "
             f"{self._expected}",
         )
+
+
+class SliceChecker:
+    """The keys of one sweep's slices, held to the scalar curve.
+
+    ``TetrisScan.slices`` pairs every row with the key the page kernel
+    computed for it in batch; consumers (the shard coordinator's resume
+    skip and k-way merge) trust those keys instead of re-encoding each
+    point.  The checker keeps the per-row call they dropped: every key
+    must equal ``curve.encode(point)``, and keys must ascend within a
+    slice and from one slice to the next.
+    """
+
+    def __init__(self, curve: "Curve | FlippedCurve") -> None:
+        self._encode = curve.encode
+        self._previous: "int | None" = None
+
+    def observe(self, keys: Sequence[int], rows: Sequence[Any]) -> None:
+        check(
+            len(keys) == len(rows),
+            f"slice carries {len(keys)} keys for {len(rows)} rows",
+        )
+        previous = self._previous
+        for key, (point, _) in zip(keys, rows):
+            reference = self._encode(point)
+            check(
+                key == reference,
+                f"slice keyed the tuple at {tuple(point)} with {key}; the "
+                f"tetris curve encodes it to {reference}",
+            )
+            check(
+                previous is None or key >= previous,
+                f"slice key {key} at {tuple(point)} follows {previous}: keys "
+                "must ascend within and across slices",
+            )
+            previous = key
+        self._previous = previous

@@ -72,10 +72,11 @@ class SortRunBuffer:
         """
         raise NotImplementedError
 
-    def cut(self, barrier: "int | None") -> "list[int]":
-        """Remove and return the arrival orders of all entries with
-        ``key < barrier`` (all entries when ``barrier`` is ``None``), in
-        ``(key, order)`` order.  Consolidates the pending runs first.
+    def cut(self, barrier: "int | None") -> "tuple[list[int], list[int]]":
+        """Remove all entries with ``key < barrier`` (all entries when
+        ``barrier`` is ``None``) and return them as two parallel lists
+        in ``(key, order)`` order: the keys the slice was ordered by and
+        the arrival orders.  Consolidates the pending runs first.
         """
         raise NotImplementedError
 

@@ -188,11 +188,11 @@ class NumPySortRunBuffer(SortRunBuffer):
         limit = _U64(barrier)
         return any(keys[0] < limit for keys, _ in self._runs)
 
-    def cut(self, barrier: "int | None") -> "list[int]":
+    def cut(self, barrier: "int | None") -> "tuple[list[int], list[int]]":
         if self._fallback is not None:
             return self._fallback.cut(barrier)
         if not self._runs:
-            return []
+            return [], []
         if len(self._runs) > 1:
             self._consolidate()
         keys, orders = self._runs[0]
@@ -202,8 +202,8 @@ class NumPySortRunBuffer(SortRunBuffer):
             else int(np.searchsorted(keys, _U64(barrier), side="left"))
         )
         if split == 0:
-            return []
-        emitted = orders[:split].tolist()
+            return [], []
+        emitted = keys[:split].tolist(), orders[:split].tolist()
         if split == len(keys):
             self._runs.clear()
         else:

@@ -63,7 +63,7 @@ class PureSortRunBuffer(SortRunBuffer):
             return True
         return any(batch[0][0] < barrier for batch in self._pending)
 
-    def cut(self, barrier: "int | None") -> "list[int]":
+    def cut(self, barrier: "int | None") -> "tuple[list[int], list[int]]":
         if self._pending:
             for batch in self._pending:
                 self._cache.extend(batch)
@@ -78,9 +78,9 @@ class PureSortRunBuffer(SortRunBuffer):
             if barrier is None
             else bisect_left(cache, barrier, key=_entry_key)
         )
-        orders = [order for _, order in cache[:cut]]
+        head = cache[:cut]
         del cache[:cut]
-        return orders
+        return [key for key, _ in head], [order for _, order in head]
 
 
 class PurePythonBackend(KernelBackend):

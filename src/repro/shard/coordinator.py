@@ -12,11 +12,12 @@ they hold bit-identical pages (same page ids, same contents) — the
 property that makes cross-copy page repair exact.
 
 The coordinator's restricted sorted scan scatters the query to every
-overlapping shard, collects each shard's stream keyed by the *full*
-tetris-curve address, and k-way-merges the streams
-(:mod:`repro.shard.merge`).  Because a tuple lives in exactly one shard
-and duplicate points share a page, the merged stream is bit-identical
-to the unsharded scan for any sort attribute.
+overlapping shard, collects each shard's stream slice by slice — rows
+next to the *full* tetris-curve addresses the sweep ordered them by —
+and k-way-merges the streams (:mod:`repro.shard.merge`).  Because a
+tuple lives in exactly one shard and duplicate points share a page, the
+merged stream is bit-identical to the unsharded scan for any sort
+attribute.
 
 Robustness is a ladder, climbed per shard and logged one
 :class:`~repro.shard.events.ShardDegradationEvent` per rung:
@@ -46,7 +47,10 @@ because WAL rollback restores page content only.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from .. import invariants
@@ -78,6 +82,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 
 #: participant id: (shard index, copy index)
 Pid = tuple[int, int]
+
+_payload = itemgetter(1)  # of a ``(point, payload)`` tuple
 
 __all__ = [
     "CoPartitionedJoin",
@@ -124,19 +130,58 @@ class ShardCopy:
         else:
             self._kill_at = self.rows_served + after_rows
 
-    def note_row_served(self) -> None:
-        """Account one served row; dies mid-scan when a kill is due."""
+    def serve(self, count: int) -> int:
+        """Account a slice of ``count`` rows handed to the coordinator;
+        returns how many of them it may deliver.
+
+        Fewer than ``count`` means a scheduled kill falls due inside the
+        slice: the caller delivers the prefix before that row and, when
+        asked for more, lets the copy :meth:`expire`.
+        """
         if not self.alive:
             raise ShardCopyKilledError(
                 f"shard {self.shard_index} copy {self.copy_index} is dead"
             )
+        if self._kill_at is not None:
+            count = min(count, max(self._kill_at - self.rows_served, 1) - 1)
+        self.rows_served += count
+        return count
+
+    def expire(self) -> ShardCopyKilledError:
+        """Die on the pull that reaches the kill count: that row is
+        accounted but never delivered.  Returns the error to raise."""
         self.rows_served += 1
-        if self._kill_at is not None and self.rows_served >= self._kill_at:
-            self.alive = False
-            raise ShardCopyKilledError(
-                f"shard {self.shard_index} copy {self.copy_index} killed "
-                f"after serving {self.rows_served} rows"
-            )
+        self.alive = False
+        return ShardCopyKilledError(
+            f"shard {self.shard_index} copy {self.copy_index} killed "
+            f"after serving {self.rows_served} rows"
+        )
+
+
+@dataclass
+class _ResumePoint:
+    """All a restarted copy needs to know of the rows already delivered.
+
+    A shard stream is totally ordered by full-curve address, so the
+    suffix still owed is exactly the keys above the last delivered
+    address, minus the rows already delivered *at* that address (a
+    duplicate-point tie is served in arrival order on one page, so a
+    count suffices).  O(1): the coordinator keeps no delivered row.
+    """
+
+    key: int | None = None  #: address of the last delivered row
+    served_at_key: int = 0  #: rows delivered at exactly that address
+    point: tuple[int, ...] = ()  #: the last delivered row's point
+
+    def advance(self, keys: list[int], rows: list[SortedTuple]) -> None:
+        """Account one delivered, non-empty slice."""
+        tail = keys[-1]
+        at_tail = len(keys) - bisect_left(keys, tail)
+        if tail == self.key:
+            self.served_at_key += at_tail
+        else:
+            self.key, self.served_at_key = tail, at_tail
+        self.point = rows[-1][0]
 
 
 class Shard:
@@ -643,32 +688,31 @@ class ShardedDatabase:
                 shard_box = box.restricted(
                     self.shard_dim, shard.slab.lo, shard.slab.hi
                 )
+                stream: KeyedStream = ([], [])
+                streams.append(stream)
                 if shard_box.is_empty:
-                    streams.append([])
                     continue
                 failed_before = len(failed_ranges)
-                stream = list(
-                    self._stream_shard(
-                        shard,
-                        shard_box,
-                        sort_attr,
-                        descending,
-                        allow_partial,
-                        max_degradations,
-                        events,
-                        failed_ranges,
-                    )
-                )
+                for keys, slice_rows in self._stream_shard(
+                    shard,
+                    shard_box,
+                    sort_attr,
+                    descending,
+                    allow_partial,
+                    max_degradations,
+                    events,
+                    failed_ranges,
+                ):
+                    stream[0].extend(keys)
+                    stream[1].extend(slice_rows)
                 if len(failed_ranges) > failed_before:
                     # abandoned mid-scan: the flagged range covers the
                     # whole shard, so the prefix it served is dropped too
-                    stream = []
-                streams.append(stream)
+                    streams[-1] = ([], [])
         except ShardFailedError:
             _emit_degradations(tuple(events))
             raise
-        merged = merge_shard_streams(streams)
-        rows = [pair for _, pair in merged]
+        _, rows = merge_shard_streams(streams)
         if invariants.enabled():
             invariants.validate_sharded_database(self)
             self._check_stream(rows, box, sort_attr, descending)
@@ -684,7 +728,7 @@ class ShardedDatabase:
             rows=rows,
             degradations=tuple(events),
             failed_ranges=tuple(failed_ranges),
-            per_shard_rows=tuple(len(stream) for stream in streams),
+            per_shard_rows=tuple(len(keys) for keys, _ in streams),
             per_shard_elapsed=per_shard_elapsed,
             simulated_elapsed=max(per_shard_elapsed, default=0.0),
         )
@@ -722,24 +766,25 @@ class ShardedDatabase:
         events: list[ShardDegradationEvent],
         failed_ranges: list[tuple[int, int]],
         predicate: Callable[[Row], bool] | None = None,
-    ) -> Iterator[tuple[int, SortedTuple]]:
+    ) -> Iterator[KeyedStream]:
         """Stream one shard's tuples, climbing the ladder between pulls.
 
         The one ladder driver, drained whole by :meth:`sorted_scan` and
-        pulled row by row by pipelined consumers (co-partitioned join
-        legs): rows are yielded as the sweep produces them, and the
-        repair/retry/failover ladder runs *inside* the generator, so the
-        consumer never sees a :class:`StorageError` — resume after
-        failover continues from the exact residual range, with no
-        re-emission.  On an abandoned shard (``allow_partial=True``) the
-        stream simply ends early with the shard's key range recorded in
+        pulled slice by slice by pipelined consumers (co-partitioned
+        join legs): each ``(keys, rows)`` slice is yielded as the sweep
+        completes it, and the repair/retry/failover ladder runs *inside*
+        the generator, so the consumer never sees a
+        :class:`StorageError` — resume after failover continues from
+        the exact residual range, with no re-emission.  On an abandoned
+        shard (``allow_partial=True``) the stream simply ends early with
+        the shard's key range recorded in
         ``failed_ranges``; rows already yielded were consumed, so the
         caller must treat the *whole* range as missing and flag its
         result partial.  Without ``allow_partial`` the terminal rung
         raises :class:`~repro.shard.errors.ShardFailedError` through the
         generator.
         """
-        emitted: KeyedStream = []
+        resume = _ResumePoint()
         retry_budgets: dict[int, Iterator[float]] = {}
         rungs = 0
         copy = self._next_copy(shard)
@@ -807,7 +852,7 @@ class ShardedDatabase:
                     shard_box,
                     sort_attr,
                     descending,
-                    emitted,
+                    resume,
                     predicate,
                 )
                 return
@@ -901,26 +946,24 @@ class ShardedDatabase:
         shard_box: QueryBox,
         sort_attr: str | Sequence[str],
         descending: bool,
-        emitted: KeyedStream,
+        resume: _ResumePoint,
         predicate: Callable[[Row], bool] | None = None,
-    ) -> Iterator[tuple[int, SortedTuple]]:
-        """Append the shard's residual tuples to ``emitted`` via ``copy``.
+    ) -> Iterator[KeyedStream]:
+        """Yield the shard's residual tuples via ``copy``, slice by slice.
 
-        Yields each pair right after appending it, so a streaming
-        consumer (a co-partitioned join leg) sees rows as the sweep
-        produces them; a :class:`StorageError` can only surface *before*
-        an append, which keeps ``emitted`` an exact ledger of what the
-        consumer received — the resume bookkeeping below needs nothing
-        else.  ``predicate`` filters rows before they are emitted (and
-        before they enter the resume ledger, so a restart re-applies it
-        consistently).
+        Each slice is what a sweep slice leaves after the kill schedule,
+        ``predicate`` and the resume skip, with the keys the sweep
+        ordered it by — nothing is re-encoded.  It is entered into
+        ``resume`` right before it is yielded and a
+        :class:`StorageError` can only surface *between* slices, so
+        ``resume`` is exact about what the consumer received; rows the
+        predicate drops never count, so a restart re-applies it
+        consistently.  A kill due inside a slice truncates it at that
+        row: the prefix is delivered, the error follows on the next pull.
 
-        The residual range is recovered from what is already emitted:
-        the stream is totally ordered by full-curve address, so the
-        suffix still owed is exactly the keys above the last emitted
-        address, minus the rows already delivered *at* that address (a
-        duplicate-point tie is served in arrival order on one page, so
-        a count suffices).  The primary sort dimension is additionally
+        On a restart, keys below ``resume.key`` are dropped and so are
+        the first ``served_at_key`` rows at it; the first key above it
+        disarms the skip.  The primary sort dimension is additionally
         clamped to the resume point — curve addresses put that
         dimension in the most significant bits, so no owed row can sit
         below it — letting the restarted sweep skip the served prefix's
@@ -931,16 +974,11 @@ class ShardedDatabase:
                 f"shard {copy.shard_index} copy {copy.copy_index} is dead"
             )
         box = shard_box
-        last_key: int | None = None
-        skip_at_last = 0
-        if emitted:
-            last_key = emitted[-1][0]
-            for key, _ in reversed(emitted):
-                if key != last_key:
-                    break
-                skip_at_last += 1
+        resume_key = resume.key
+        skip_at_key = resume.served_at_key
+        if resume_key is not None:
             primary = self._sort_dims(sort_attr)[0]
-            resume_coord = emitted[-1][1][0][primary]
+            resume_coord = resume.point[primary]
             if descending:
                 box = box.restricted(primary, 0, resume_coord)
             else:
@@ -948,21 +986,29 @@ class ShardedDatabase:
                     primary, resume_coord, self.space.coord_max[primary]
                 )
         scan = copy.table.tetris_scan(box, sort_attr, descending=descending)
-        encode = scan.tetris_curve.encode
-        for point, payload in scan:
-            copy.note_row_served()
-            if predicate is not None and not predicate(payload):
-                continue
-            key = encode(point)
-            if last_key is not None:
-                if key < last_key:
-                    continue
-                if key == last_key and skip_at_last > 0:
-                    skip_at_last -= 1
-                    continue
-            pair = (key, (point, payload))
-            emitted.append(pair)
-            yield pair
+        for keys, rows in scan.slices():
+            pulled = len(rows)
+            served = copy.serve(pulled)
+            if served < pulled:
+                keys, rows = keys[:served], rows[:served]
+            if predicate is not None:
+                passed = [predicate(payload) for _, payload in rows]
+                if not all(passed):
+                    keys = list(compress(keys, passed))
+                    rows = list(compress(rows, passed))
+            if resume_key is not None:
+                start = bisect_left(keys, resume_key)
+                above = bisect_right(keys, resume_key, start)
+                skipped = min(above - start, skip_at_key)
+                skip_at_key -= skipped
+                if above < len(keys):
+                    resume_key = None
+                keys, rows = keys[start + skipped :], rows[start + skipped :]
+            if rows:
+                resume.advance(keys, rows)
+                yield keys, rows
+            if served < pulled:
+                raise copy.expire()
 
     # -- bit-exact cross-copy page repair ------------------------------
     def _repair_from_peer(
@@ -1132,7 +1178,7 @@ class CoPartitionedJoin:
             predicate: Callable[[Row], bool] | None,
         ) -> Iterator[Row]:
             """One side of a leg: the shard's rows in join-key order."""
-            for _, (_, row) in side._stream_shard(
+            for _, pairs in side._stream_shard(
                 shard,
                 slab_box,
                 side.shard_attr,
@@ -1143,7 +1189,7 @@ class CoPartitionedJoin:
                 failed_ranges,
                 predicate,
             ):
-                yield row
+                yield from map(_payload, pairs)
 
         try:
             for index, slab in enumerate(self.slabs):

@@ -1,46 +1,56 @@
 """K-way order-preserving merge of shard streams.
 
-Each shard's restricted sorted scan yields ``(key, (point, payload))``
-pairs where ``key`` is the tuple's address on the *full* tetris curve
-(sort-dimension bits most significant, Z-order of the remaining bits
-below).  That is exactly the key the run buffer inside
-:class:`~repro.core.tetris.TetrisScan` orders by, so each shard stream
-is ascending in ``key`` — descending scans included, because the
-flipped curve encoding makes their addresses ascend too.
+Each shard's restricted sorted scan yields two parallel columns
+``(keys, rows)``: ``rows`` are ``(point, payload)`` tuples and ``keys``
+their addresses on the *full* tetris curve (sort-dimension bits most
+significant, Z-order of the remaining bits below).  Those are the keys
+the run buffer inside :class:`~repro.core.tetris.TetrisScan` ordered the
+rows by — they ride up with each slice, nothing is re-encoded — so each
+shard stream is ascending in ``keys``; descending scans included,
+because the flipped curve encoding makes their addresses ascend too.
 
 A point lives in exactly one shard (the slab ranges partition the
 shard dimension) and duplicate points share a page, hence a shard, so
-equal keys never meet across shards: merging the streams by ``key``
-with any tie-breaking rule reproduces the unsharded scan bit-for-bit.
+equal keys never meet across shards: merging the streams by key with
+any tie-breaking rule reproduces the unsharded scan bit-for-bit.
 
 The merge itself reuses the kernel two-way primitive
 :func:`~repro.kernels.merge_sorted_keys` in a pairwise tree —
 ``ceil(log2(k))`` passes over the data, the same discipline an
 external-sort merge phase would use, except no I/O is charged because
-the coordinator merges in memory.
+the coordinator merges in memory.  Streams that do not overlap (always
+the case when the sort attribute is the shard attribute) are simply
+concatenated.
 """
 
 from __future__ import annotations
 
 from .. import kernels
-from ..core.tetris import SortedTuple
+from ..core.tetris import Slice
 
 __all__ = ["merge_shard_streams"]
 
-#: One shard's scan output: full-curve address paired with the tuple.
-KeyedStream = list[tuple[int, SortedTuple]]
+#: One shard's scan output — its slices end to end, so the same two
+#: parallel columns: full-curve addresses and the tuples they key.
+KeyedStream = Slice
 
 
 def _merge_pair(left: KeyedStream, right: KeyedStream) -> KeyedStream:
-    if not left:
+    left_keys, left_rows = left
+    right_keys, right_rows = right
+    if not left_keys:
         return right
-    if not right:
+    if not right_keys:
         return left
-    permutation = kernels.merge_sorted_keys(
-        [key for key, _ in left], [key for key, _ in right]
+    keys = left_keys + right_keys
+    rows = left_rows + right_rows
+    if left_keys[-1] < right_keys[0]:
+        return keys, rows
+    permutation = kernels.merge_sorted_keys(left_keys, right_keys)
+    return (
+        [keys[index] for index in permutation],
+        [rows[index] for index in permutation],
     )
-    combined = left + right
-    return [combined[index] for index in permutation]
 
 
 def merge_shard_streams(streams: list[KeyedStream]) -> KeyedStream:
@@ -52,7 +62,7 @@ def merge_shard_streams(streams: list[KeyedStream]) -> KeyedStream:
     cannot span shards) but it keeps the merge deterministic.
     """
     if not streams:
-        return []
+        return [], []
     level = list(streams)
     while len(level) > 1:
         merged: list[KeyedStream] = []

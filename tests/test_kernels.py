@@ -463,8 +463,12 @@ def test_scan_page_run_and_buffer_parity(case):
             assert len(buffer) == 0
             assert not buffer.has_key_below(None)
     assert streams["numpy"] == streams["python"]
-    # cut(None) drains in (key, order) order: scan_page's entry order
-    assert streams["python"] == [entry[1] for entry in reference[2]]
+    # cut(None) drains in (key, order) order — scan_page's entry order —
+    # and hands the keys it ordered by back next to the arrival orders
+    assert streams["python"] == (
+        [entry[0] for entry in reference[2]],
+        [entry[1] for entry in reference[2]],
+    )
 
 
 @needs_numpy
@@ -495,9 +499,11 @@ def test_run_buffer_interleaved_barrier_cuts_parity(case):
                 if qualifying:
                     buffer.push(run)
                 if buffer.has_key_below(barrier):
-                    stream.extend(buffer.cut(barrier))
+                    keys, orders = buffer.cut(barrier)
+                    assert keys == sorted(keys) and keys[-1] < barrier
+                    stream.extend(zip(keys, orders))
                     assert not buffer.has_key_below(barrier)
-            stream.extend(buffer.cut(None))
+            stream.extend(zip(*buffer.cut(None)))
             streams[backend] = stream
     assert streams["numpy"] == streams["python"]
     # every qualifying arrival is emitted exactly once

@@ -387,37 +387,62 @@ class TestShardTelemetry:
 # ----------------------------------------------------------------------
 # the merge primitive
 # ----------------------------------------------------------------------
+def columns(*keyed):
+    """``(keys, rows)`` columns of one stream, from its keyed pairs."""
+    return [key for key, _ in keyed], [pair for _, pair in keyed]
+
+
 class TestMergeStreams:
     def test_merges_in_key_order(self):
         streams = [
-            [(1, ((1,), "a")), (5, ((5,), "b"))],
-            [(2, ((2,), "c")), (9, ((9,), "d"))],
-            [(0, ((0,), "e"))],
+            columns((1, ((1,), "a")), (5, ((5,), "b"))),
+            columns((2, ((2,), "c")), (9, ((9,), "d"))),
+            columns((0, ((0,), "e"))),
         ]
-        merged = merge_shard_streams(streams)
-        assert [key for key, _ in merged] == [0, 1, 2, 5, 9]
+        keys, rows = merge_shard_streams(streams)
+        assert keys == [0, 1, 2, 5, 9]
+        assert [payload for _, payload in rows] == ["e", "a", "c", "b", "d"]
 
     def test_empty_inputs(self):
-        assert merge_shard_streams([]) == []
-        assert merge_shard_streams([[], []]) == []
+        assert merge_shard_streams([]) == ([], [])
+        assert merge_shard_streams([([], []), ([], [])]) == ([], [])
 
     def test_single_stream_passthrough(self):
-        stream = [(3, ((3,), "x")), (4, ((4,), "y"))]
-        assert merge_shard_streams([stream, []]) == stream
+        stream = columns((3, ((3,), "x")), (4, ((4,), "y")))
+        assert merge_shard_streams([stream, ([], [])]) == stream
+
+    def test_disjoint_streams_concatenate_without_the_kernel(self, monkeypatch):
+        calls = []
+        original = kernels.merge_sorted_keys
+        monkeypatch.setattr(
+            kernels,
+            "merge_sorted_keys",
+            lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs),
+        )
+        low = columns((1, ((1,), "a")), (4, ((4,), "b")))
+        high = columns((5, ((5,), "c")), (5, ((5,), "d")))
+        assert merge_shard_streams([low, high]) == columns(
+            (1, ((1,), "a")), (4, ((4,), "b")), (5, ((5,), "c")), (5, ((5,), "d"))
+        )
+        assert calls == []
+        # touching ends are not disjoint: the kernel decides the tie
+        merge_shard_streams([high, columns((5, ((5,), "e")))])
+        assert len(calls) == 1
 
     def test_matches_sorted_reference(self):
         rng = random.Random(17)
         streams = []
         everything = []
-        for _ in range(5):
+        for shard in range(5):
             keys = sorted(rng.randrange(10_000) for _ in range(200))
-            stream = [(key, ((key,), None)) for key in keys]
-            streams.append(stream)
+            stream = [(key, ((key,), (shard, position))) for position, key in enumerate(keys)]
+            streams.append(columns(*stream))
             everything.extend(stream)
-        merged = merge_shard_streams(streams)
-        assert [key for key, _ in merged] == sorted(
-            key for key, _ in everything
-        )
+        keys, rows = merge_shard_streams(streams)
+        # stable: lower shards win ties, a shard's own order is kept
+        everything.sort(key=lambda pair: pair[0])
+        assert keys == [key for key, _ in everything]
+        assert rows == [pair for _, pair in everything]
 
 
 # ----------------------------------------------------------------------
