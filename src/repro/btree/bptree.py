@@ -186,13 +186,8 @@ class BPlusTree:
             if invariants.enabled():
                 invariants.validate_leaf(self, leaf, low, high)
             return
-        meta = self.meta_snapshot()
-        try:
-            with wal.batch("bptree.insert"):
-                self._insert_journaled(wal, key, value)
-        except BaseException:
-            self.meta_restore(meta)
-            raise
+        with wal.journaled("bptree.insert", self):
+            self._insert_journaled(wal, key, value)
 
     def _insert_journaled(self, wal: WriteAheadLog, key: Any, value: Any) -> None:
         """One insert under WAL protection (caller owns the batch)."""
@@ -222,7 +217,8 @@ class BPlusTree:
 
         The WAL restores *page content* on rollback but knows nothing of
         the tree object sitting on top, so every journaled mutation
-        snapshots these and restores them if its batch aborts.  Code
+        opens its batch with :meth:`~repro.storage.wal.WriteAheadLog
+        .journaled`, which restores these if the batch aborts.  Code
         that holds one WAL batch open across several mutations — the
         2PC participant layer in :mod:`repro.shard` — must do the same
         at batch granularity: a later abort (or a post-crash presumed
@@ -349,13 +345,8 @@ class BPlusTree:
             if invariants.enabled():
                 invariants.validate_bptree(self)
             return
-        meta = self.meta_snapshot()
-        try:
-            with wal.batch("bptree.bulk_load"):
-                self._bulk_build(pairs, fill, wal)
-        except BaseException:
-            self.meta_restore(meta)
-            raise
+        with wal.journaled("bptree.bulk_load", self):
+            self._bulk_build(pairs, fill, wal)
 
     def _bulk_build(
         self,
@@ -446,16 +437,11 @@ class BPlusTree:
         if wal is None:
             self._remove(leaf, idx, low, high)
             return True
-        meta = self.meta_snapshot()
-        try:
-            with wal.batch("bptree.delete"):
-                wal.touch(leaf)
-                self._remove(leaf, idx, low, high)
-                wal.log_image(leaf)
-                self.disk.write(leaf, category=self.category)
-        except BaseException:
-            self.meta_restore(meta)
-            raise
+        with wal.journaled("bptree.delete", self):
+            wal.touch(leaf)
+            self._remove(leaf, idx, low, high)
+            wal.log_image(leaf)
+            self.disk.write(leaf, category=self.category)
         return True
 
     def _remove(self, leaf: Page, idx: int, low: Any, high: Any) -> None:

@@ -477,11 +477,11 @@ def note_access(
 # The engine's single declared order.  Rationale, outermost first:
 # the thread executor's staging lock is held while faulting pages in
 # (staging -> buffer-pool); the pool issues scheduler reads while
-# holding its own lock (buffer-pool -> io-scheduler); the executor
-# observer list never nests inside anything else.
+# holding its own lock (buffer-pool -> io-scheduler); the telemetry
+# bus's subscriber list never nests inside anything else.
 GLOBAL_LOCK_ORDER = declare_lock_order(
     "executor-staging",
-    "executor-observers",
+    "telemetry-observers",
     "buffer-pool",
     "io-scheduler",
 )

@@ -8,8 +8,6 @@ from .executor import (
     QueryResult,
     execute_sorted_query,
     plan_sorted_query,
-    register_degradation_observer,
-    unregister_degradation_observer,
 )
 from .optimizer import CandidatePlan, RelationStats, choose_plan, enumerate_plans
 from .parallel import (
@@ -18,9 +16,7 @@ from .parallel import (
     SweepSlab,
     parallel_tetris_scan,
     plan_slabs,
-    register_fallback_observer,
     select_executor,
-    unregister_fallback_observer,
 )
 from .statistics import AttributeHistogram, TableStatistics
 
@@ -43,9 +39,5 @@ __all__ = [
     "parallel_tetris_scan",
     "plan_slabs",
     "plan_sorted_query",
-    "register_degradation_observer",
-    "register_fallback_observer",
     "select_executor",
-    "unregister_degradation_observer",
-    "unregister_fallback_observer",
 ]

@@ -16,10 +16,11 @@ from itertools import takewhile
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
+from .. import telemetry
 from ..core.query_space import QuerySpace
 from ..costmodel.model import CostParameters
 from ..invariants import require_instance
-from ..telemetry import ObserverRegistry, TelemetryEvent
+from ..telemetry import TelemetryEvent, compat_aliases
 from ..relational.operators import (
     ExternalMergeSort,
     FirstTupleTimer,
@@ -258,6 +259,7 @@ def build_access_path(
         page_capacity=table.page_capacity,
         merge_degree=merge_degree,
         descending=descending,
+        retry_policy=table.db.retry_policy,
     )
     return sort, sort
 
@@ -319,6 +321,9 @@ class DegradationEvent(TelemetryEvent):
     ``repaired_pages`` lists pages healed from replicas in response to
     this failure — when non-empty, the failed instance stayed in the
     design and the retry ran on the *same* (now repaired) instance.
+    Each step is emitted on the :mod:`repro.telemetry` bus exactly
+    once, in order, when the query settles (on success or on
+    :class:`PlanExhaustedError`), so subscribers see it finalized.
     """
 
     method: str
@@ -348,35 +353,10 @@ class DegradationEvent(TelemetryEvent):
         )
 
 
-#: subscribers to plan-degradation events, mirroring the parallel
-#: executor's fallback registry (same :class:`~repro.telemetry
-#: .ObserverRegistry`, same delivered-outside-the-lock discipline)
-_degradation_registry: ObserverRegistry[DegradationEvent] = ObserverRegistry()
-
-
-def register_degradation_observer(
-    observer: "Callable[[DegradationEvent], Any]",
-) -> None:
-    """Subscribe to plan-degradation events (tests, the benchmark harness).
-
-    Each degradation step of a query is delivered exactly once, in
-    order, when the query settles — on success (possibly degraded) or
-    on :class:`PlanExhaustedError` — so observers always see the
-    *finalized* event, with its fallback plan filled in.
-    """
-    _degradation_registry.register(observer)
-
-
-def unregister_degradation_observer(
-    observer: "Callable[[DegradationEvent], Any]",
-) -> None:
-    """Drop a subscription added by :func:`register_degradation_observer`."""
-    _degradation_registry.unregister(observer)
-
-
-def _emit_degradations(events: "list[DegradationEvent]") -> None:
-    for event in events:
-        _degradation_registry.emit(event)
+# Kept only for the frozen benchmark harness; deleted by the harness-v2 PR.
+register_degradation_observer, unregister_degradation_observer = compat_aliases(
+    DegradationEvent
+)
 
 
 class PlanExhaustedError(StorageError):
@@ -466,7 +446,7 @@ def execute_sorted_query(
     current: PhysicalDesign | None = design
     while True:
         if current is None:
-            _emit_degradations(events)
+            telemetry.emit(*events)
             raise PlanExhaustedError(
                 f"no physical instance of the design can serve the query "
                 f"after {len(events)} failure(s): "
@@ -474,7 +454,7 @@ def execute_sorted_query(
                 tuple(events),
             )
         if len(events) > max_degradations:
-            _emit_degradations(events)
+            telemetry.emit(*events)
             raise PlanExhaustedError(
                 f"gave up after {len(events)} degradations: "
                 + "; ".join(event.describe() for event in events),
@@ -495,7 +475,7 @@ def execute_sorted_query(
             # (e.g. only a pipelined plan was admissible and it is gone)
             if pipelined and not events:
                 raise
-            _emit_degradations(events)
+            telemetry.emit(*events)
             raise PlanExhaustedError(
                 f"re-planning failed after {len(events)} degradation(s): {exc}",
                 tuple(events),
@@ -528,7 +508,7 @@ def execute_sorted_query(
             # degraded plans may block; correctness outranks pipelining
             pipelined = False
             continue
-        _emit_degradations(events)
+        telemetry.emit(*events)
         return QueryResult(
             rows=rows,
             plan=plan,

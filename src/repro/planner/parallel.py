@@ -38,9 +38,9 @@ Two ways to run the slabs, selected by :func:`select_executor` (policy
     the fallback when a requested parallel executor cannot run (fewer
     than two workers, a single planned slab) — every downgrade is
     recorded as a structured :class:`ExecutorFallbackEvent` on the
-    result and pushed to :func:`register_fallback_observer` subscribers,
-    mirroring the plan-degradation events of
-    :mod:`repro.planner.executor`; nothing falls back silently.
+    result and emitted on the :mod:`repro.telemetry` bus, mirroring the
+    plan-degradation events of :mod:`repro.planner.executor`; nothing
+    falls back silently.
 
 Whichever executor runs, the concatenated stream is bit-identical; only
 wall-clock time and observability differ.
@@ -50,14 +50,14 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
-from .. import invariants, kernels
+from .. import invariants, kernels, telemetry
 from ..core.query_space import QueryBox, QuerySpace, box_is_empty
 from ..core.tetris import SortedTuple, TetrisScan
 from ..invariants.sanitizer import tracked_lock
 from ..relational.table import UBTable
-from ..telemetry import ObserverRegistry, TelemetryEvent
+from ..telemetry import TelemetryEvent, compat_aliases
 
 __all__ = [
     "ExecutorFallbackEvent",
@@ -66,9 +66,7 @@ __all__ = [
     "aligned_shard_slabs",
     "parallel_tetris_scan",
     "plan_slabs",
-    "register_fallback_observer",
     "select_executor",
-    "unregister_fallback_observer",
 ]
 
 _EXECUTORS = ("auto", "threads", "inline")
@@ -98,8 +96,8 @@ class ExecutorFallbackEvent(TelemetryEvent):
     Mirrors :class:`repro.planner.executor.DegradationEvent` (both
     extend :class:`repro.telemetry.TelemetryEvent`): a structured
     record that a requested execution mode was not honoured, observable
-    on the :class:`ParallelScanResult` and through
-    :func:`register_fallback_observer` — never a silent downgrade.
+    on the :class:`ParallelScanResult` and on the :mod:`repro.telemetry`
+    bus — never a silent downgrade.
     """
 
     requested: str  #: executor asked for ("threads", "auto", ...)
@@ -116,25 +114,10 @@ class ExecutorFallbackEvent(TelemetryEvent):
         )
 
 
-_fallback_registry: ObserverRegistry[ExecutorFallbackEvent] = ObserverRegistry()
-
-
-def register_fallback_observer(
-    observer: Callable[[ExecutorFallbackEvent], Any],
-) -> None:
-    """Subscribe to executor fallback events (tests, the benchmark harness)."""
-    _fallback_registry.register(observer)
-
-
-def unregister_fallback_observer(
-    observer: Callable[[ExecutorFallbackEvent], Any],
-) -> None:
-    """Drop a subscription added by :func:`register_fallback_observer`."""
-    _fallback_registry.unregister(observer)
-
-
-def _emit_fallback(event: ExecutorFallbackEvent) -> None:
-    _fallback_registry.emit(event)
+# Kept only for the frozen benchmark harness; deleted by the harness-v2 PR.
+register_fallback_observer, unregister_fallback_observer = compat_aliases(
+    ExecutorFallbackEvent
+)
 
 
 def select_executor(
@@ -407,7 +390,7 @@ def parallel_tetris_scan(
     fallbacks: "tuple[ExecutorFallbackEvent, ...]" = ()
     if fallback is not None:
         fallbacks = (fallback,)
-        _emit_fallback(fallback)
+        telemetry.emit(fallback)
 
     planned = plan_slabs(space, primary, coord_max, slabs or workers)
     if descending:
@@ -432,7 +415,7 @@ def parallel_tetris_scan(
                 workers=workers,
             )
             fallbacks = fallbacks + (event,)
-            _emit_fallback(event)
+            telemetry.emit(event)
         selected = "inline"
 
     serialized: "list[int] | None" = None

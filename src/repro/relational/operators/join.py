@@ -27,7 +27,8 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
 
-from ...telemetry import JoinEvent, emit_join_event
+from ... import telemetry
+from ...telemetry import JoinEvent
 from .base import Operator, Row
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -122,7 +123,7 @@ class _InstrumentedJoin(Operator):
             shard=self.shard,
         )
         self.last_event = event
-        emit_join_event(event)
+        telemetry.emit(event)
 
 
 class MergeJoin(_InstrumentedJoin):

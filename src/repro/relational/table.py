@@ -23,7 +23,7 @@ from ..storage.disk import DiskParameters, SimulatedDisk, disk_layers
 from ..storage.faults import FaultPlan, FaultyDisk
 from ..storage.heap import HeapFile
 from ..storage.replica import ReplicatedDisk
-from ..storage.retry import RetryPolicy
+from ..storage.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from ..storage.scheduler import IOScheduler
 from ..storage.wal import RecoveryReport, WriteAheadLog
 from .schema import Schema
@@ -81,6 +81,8 @@ class Database:
         if fault_plan is not None:
             disk = FaultyDisk(disk, fault_plan)
         self.disk: SimulatedDisk = disk
+        #: the one policy every read path of every table retries by
+        self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
         self.scheduler: IOScheduler | None = (
             IOScheduler(self.disk, devices, prefetch_depth=prefetch_depth)
             if devices > 1 or prefetch_depth > 0
@@ -93,7 +95,7 @@ class Database:
                 self.disk,
                 name=wal_name,
                 fault_plan=wal_fault_plan,
-                retry_policy=retry_policy,
+                retry_policy=self.retry_policy,
             )
             if wal
             else None
@@ -101,7 +103,7 @@ class Database:
         self.buffer = BufferPool(
             self.disk,
             buffer_pages,
-            retry_policy=retry_policy,
+            retry_policy=self.retry_policy,
             quarantine_threshold=quarantine_threshold,
             scheduler=self.scheduler,
         )
@@ -248,7 +250,9 @@ class HeapTable(BaseTable):
         self, db: Database, name: str, schema: Schema, page_capacity: int
     ) -> None:
         super().__init__(db, name, schema, page_capacity)
-        self.heap = HeapFile(db.disk, page_capacity, scheduler=db.scheduler)
+        self.heap = HeapFile(
+            db.disk, page_capacity, retry_policy=db.retry_policy, scheduler=db.scheduler
+        )
         self.secondary_indexes: dict[str, SecondaryIndex] = {}
 
     def __len__(self) -> int:

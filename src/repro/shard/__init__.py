@@ -8,6 +8,7 @@ failure ladder (repair → retry → failover → typed loss) that never
 returns silently wrong rows.
 """
 
+from ..telemetry import compat_aliases
 from .coordinator import (
     CoPartitionedJoin,
     RowSource,
@@ -18,12 +19,13 @@ from .coordinator import (
     ShardedScanResult,
 )
 from .errors import ShardCopyKilledError, ShardFailedError
-from .events import (
-    ShardDegradationEvent,
-    register_shard_observer,
-    unregister_shard_observer,
-)
+from .events import ShardDegradationEvent
 from .merge import merge_shard_streams
+
+# Kept only for the frozen benchmark harness; deleted by the harness-v2 PR.
+register_shard_observer, unregister_shard_observer = compat_aliases(
+    ShardDegradationEvent
+)
 
 __all__ = [
     "CoPartitionedJoin",
@@ -37,6 +39,4 @@ __all__ = [
     "ShardedJoinResult",
     "ShardedScanResult",
     "merge_shard_streams",
-    "register_shard_observer",
-    "unregister_shard_observer",
 ]

@@ -53,7 +53,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
-from .. import invariants
+from .. import invariants, telemetry
 from ..core.query_space import QueryBox, QuerySpace
 from ..core.tetris import SortedTuple
 from ..core.zorder import ZSpace
@@ -73,7 +73,7 @@ from ..storage.faults import FaultPlan, FaultyDisk
 from ..storage.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from ..storage.wal import RecoveryReport, WALRecord, WriteAheadLog
 from .errors import ShardCopyKilledError, ShardFailedError
-from .events import ShardDegradationEvent, _emit_degradations
+from .events import ShardDegradationEvent
 from .merge import KeyedStream, merge_shard_streams
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -378,14 +378,9 @@ class ShardedDatabase:
                     for row in shard_rows:
                         copy.table.insert(row)
                     continue
-                meta = copy.table.meta_snapshot()
-                try:
-                    with wal.batch("shard.insert_batch"):
-                        for row in shard_rows:
-                            copy.table.insert(row)
-                except BaseException:
-                    copy.table.meta_restore(meta)
-                    raise
+                with wal.journaled("shard.insert_batch", copy.table):
+                    for row in shard_rows:
+                        copy.table.insert(row)
         return self.refresh_row_counts()
 
     # ------------------------------------------------------------------
@@ -710,7 +705,7 @@ class ShardedDatabase:
                     # whole shard, so the prefix it served is dropped too
                     streams[-1] = ([], [])
         except ShardFailedError:
-            _emit_degradations(tuple(events))
+            telemetry.emit(*events)
             raise
         _, rows = merge_shard_streams(streams)
         if invariants.enabled():
@@ -723,7 +718,7 @@ class ShardedDatabase:
             )
             for index, shard in enumerate(self.shards)
         )
-        _emit_degradations(tuple(events))
+        telemetry.emit(*events)
         return ShardedScanResult(
             rows=rows,
             degradations=tuple(events),
@@ -1248,9 +1243,9 @@ class CoPartitionedJoin:
                 if leg.last_event is not None:
                     join_events.append(leg.last_event)
         except ShardFailedError:
-            _emit_degradations(tuple(events))
+            telemetry.emit(*events)
             raise
-        _emit_degradations(tuple(events))
+        telemetry.emit(*events)
         return ShardedJoinResult(
             rows=rows,
             degradations=tuple(events),

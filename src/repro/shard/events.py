@@ -2,26 +2,19 @@
 
 Every downgrade the coordinator performs — transient retry, cross-copy
 page repair, failover to a replica copy, abandoning a shard, or giving
-up entirely — emits exactly one :class:`ShardDegradationEvent`.  The
-events share the :class:`~repro.telemetry.TelemetryEvent` base and the
-:class:`~repro.telemetry.ObserverRegistry` delivery mechanism with the
-planner's ``DegradationEvent`` and the parallel executor's
-``ExecutorFallbackEvent``, so one observer hook can watch the whole
-engine degrade.
+up entirely — emits exactly one :class:`ShardDegradationEvent` on the
+:mod:`repro.telemetry` bus, beside the planner's ``DegradationEvent``
+and the parallel executor's ``ExecutorFallbackEvent``, so one
+subscriber can watch the whole engine degrade.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
-from ..telemetry import ObserverRegistry, TelemetryEvent
+from ..telemetry import TelemetryEvent
 
-__all__ = [
-    "ShardDegradationEvent",
-    "register_shard_observer",
-    "unregister_shard_observer",
-]
+__all__ = ["ShardDegradationEvent"]
 
 @dataclass(frozen=True)
 class ShardDegradationEvent(TelemetryEvent):
@@ -56,31 +49,3 @@ class ShardDegradationEvent(TelemetryEvent):
                 f"pages [{pages}] ({detail})"
             )
         return f"shard {self.shard} copy {self.copy} {self.action} ({detail})"
-
-
-_shard_registry: ObserverRegistry[ShardDegradationEvent] = ObserverRegistry(
-    "shard-observers"
-)
-
-
-def register_shard_observer(
-    observer: Callable[[ShardDegradationEvent], None],
-) -> None:
-    """Subscribe ``observer`` to every shard degradation event."""
-
-    _shard_registry.register(observer)
-
-
-def unregister_shard_observer(
-    observer: Callable[[ShardDegradationEvent], None],
-) -> None:
-    """Remove a previously registered shard observer."""
-
-    _shard_registry.unregister(observer)
-
-
-def _emit_degradations(events: tuple[ShardDegradationEvent, ...]) -> None:
-    """Deliver ``events`` to registered observers (scan settle time)."""
-
-    for event in events:
-        _shard_registry.emit(event)

@@ -14,6 +14,7 @@ a simulated-clock write-ahead log with redo recovery
 checksum-triggered repair (:mod:`~repro.storage.replica`).
 """
 
+from ..telemetry import compat_aliases
 from .buffer import BufferPool
 from .disk import ICDE99_ANALYSIS, ICDE99_TESTBED, DiskParameters, SimulatedDisk
 from .errors import (
@@ -41,9 +42,10 @@ from .wal import (
     WALRecord,
     WriteAheadLog,
     active_wal,
-    register_recovery_observer,
-    unregister_recovery_observer,
 )
+
+# Kept only for the frozen benchmark harness; deleted by the harness-v2 PR.
+register_recovery_observer, unregister_recovery_observer = compat_aliases(RecoveryEvent)
 
 __all__ = [
     "AppendOnlyLog",
@@ -86,6 +88,4 @@ __all__ = [
     "armed_scheduler_count",
     "ensure_page_integrity",
     "read_page_resilient",
-    "register_recovery_observer",
-    "unregister_recovery_observer",
 ]

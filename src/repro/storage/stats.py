@@ -9,11 +9,49 @@ experiments can report both counted I/O and simulated elapsed time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import Field, dataclass, field, fields
+from typing import Any, ClassVar, TypeVar
+
+_CountersT = TypeVar("_CountersT", bound="Counters")
+
+
+class Counters:
+    """Snapshot and diff for a dataclass of counters.
+
+    ``later - earlier`` works field by field: numbers subtract, nested
+    counters recurse, and a ``dict[str, CategoryStats]`` is taken per key
+    in first-seen order (the left operand's keys, then the ones only the
+    right has), a key missing on one side counting as all zeros.
+    ``copy()`` is the difference from all-zero counters, which is exact
+    for ints and floats alike.
+    """
+
+    __dataclass_fields__: ClassVar[dict[str, Field[Any]]]
+
+    def copy(self: _CountersT) -> _CountersT:
+        return self - type(self)()
+
+    def __sub__(self: _CountersT, other: _CountersT) -> _CountersT:
+        return type(self)(
+            **{
+                f.name: _minus(getattr(self, f.name), getattr(other, f.name))
+                for f in fields(self)
+            }
+        )
+
+
+def _minus(later: Any, earlier: Any) -> Any:
+    if isinstance(later, dict):
+        empty = CategoryStats()
+        return {
+            name: later.get(name, empty) - earlier.get(name, empty)
+            for name in dict.fromkeys([*later, *earlier])
+        }
+    return later - earlier
 
 
 @dataclass
-class CategoryStats:
+class CategoryStats(Counters):
     """Access counts for one I/O category (``data``, ``index``, ``temp``)."""
 
     pages_read: int = 0
@@ -22,20 +60,9 @@ class CategoryStats:
     write_seeks: int = 0
     unpriced_reads: int = 0
 
-    def copy(self) -> "CategoryStats":
-        return replace(self)
-
-    def __sub__(self, other: "CategoryStats") -> "CategoryStats":
-        return CategoryStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(other, f.name)
-                for f in fields(self)
-            }
-        )
-
 
 @dataclass
-class FaultStats:
+class FaultStats(Counters):
     """Counters for injected faults and the engine's resilience responses.
 
     Populated by :class:`~repro.storage.faults.FaultyDisk` (injection
@@ -79,17 +106,6 @@ class FaultStats:
     repair_delay: float = 0.0
     quarantine_lifted: int = 0
 
-    def copy(self) -> "FaultStats":
-        return replace(self)
-
-    def __sub__(self, other: "FaultStats") -> "FaultStats":
-        return FaultStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(other, f.name)
-                for f in fields(self)
-            }
-        )
-
     @property
     def total_injected(self) -> int:
         """Number of faults the plan actually fired."""
@@ -102,7 +118,7 @@ class FaultStats:
 
 
 @dataclass
-class PrefetchStats:
+class PrefetchStats(Counters):
     """Counters of the sweep-ahead prefetch / multi-queue scheduler layer.
 
     Populated by :class:`~repro.storage.scheduler.IOScheduler` (queue
@@ -126,20 +142,9 @@ class PrefetchStats:
     queue_busy_time: float = 0.0
     queue_wait_time: float = 0.0
 
-    def copy(self) -> "PrefetchStats":
-        return replace(self)
-
-    def __sub__(self, other: "PrefetchStats") -> "PrefetchStats":
-        return PrefetchStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(other, f.name)
-                for f in fields(self)
-            }
-        )
-
 
 @dataclass
-class IOStats:
+class IOStats(Counters):
     """Aggregate statistics of a :class:`~repro.storage.disk.SimulatedDisk`.
 
     ``time`` is simulated elapsed time in seconds; all other fields count
@@ -179,28 +184,6 @@ class IOStats:
     @property
     def seeks(self) -> int:
         return self.read_seeks + self.write_seeks
-
-    def copy(self) -> "IOStats":
-        return IOStats(
-            time=self.time,
-            categories={name: c.copy() for name, c in self.categories.items()},
-            faults=self.faults.copy(),
-            prefetch=self.prefetch.copy(),
-        )
-
-    def __sub__(self, other: "IOStats") -> "IOStats":
-        """Difference of two snapshots (``later - earlier``)."""
-        names = set(self.categories) | set(other.categories)
-        empty = CategoryStats()
-        return IOStats(
-            time=self.time - other.time,
-            categories={
-                name: self.categories.get(name, empty) - other.categories.get(name, empty)
-                for name in names
-            },
-            faults=self.faults - other.faults,
-            prefetch=self.prefetch - other.prefetch,
-        )
 
     def summary(self) -> str:
         """One-line human-readable summary, handy in benchmark output."""

@@ -51,12 +51,11 @@ batch boundary.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
-from .. import invariants
-from ..telemetry import ObserverRegistry, TelemetryEvent
+from .. import invariants, telemetry
+from ..telemetry import TelemetryEvent
 from .disk import DiskParameters, SimulatedDisk
 from .errors import LogDeviceError, SimulatedCrashError
 from .faults import CORRUPT, FaultPlan, FaultyDisk
@@ -70,8 +69,6 @@ __all__ = [
     "WALRecord",
     "WriteAheadLog",
     "active_wal",
-    "register_recovery_observer",
-    "unregister_recovery_observer",
 ]
 
 #: record kinds, in the order a batch emits them.  ``prepare`` replaces
@@ -193,10 +190,9 @@ class RecoveryReport:
 class RecoveryEvent(TelemetryEvent):
     """One completed recovery pass, emitted exactly once per pass.
 
-    Recovery used to return its report and bypass the observer
-    registry the rest of the engine standardized on; tests and the
-    benchmark harness now watch redo/rollback/in-doubt resolution the
-    same way they watch shard degradations.
+    Tests and the benchmark harness watch redo/rollback/in-doubt
+    resolution on the :mod:`repro.telemetry` bus, the same way they
+    watch shard degradations.
     """
 
     wal_name: str
@@ -204,27 +200,6 @@ class RecoveryEvent(TelemetryEvent):
 
     def describe(self) -> str:
         return self.report.describe()
-
-
-_recovery_registry: ObserverRegistry[RecoveryEvent] = ObserverRegistry(
-    "recovery-observers"
-)
-
-
-def register_recovery_observer(
-    observer: Callable[[RecoveryEvent], None],
-) -> None:
-    """Subscribe ``observer`` to every WAL recovery pass."""
-
-    _recovery_registry.register(observer)
-
-
-def unregister_recovery_observer(
-    observer: Callable[[RecoveryEvent], None],
-) -> None:
-    """Remove a previously registered recovery observer."""
-
-    _recovery_registry.unregister(observer)
 
 
 class _Batch:
@@ -239,6 +214,51 @@ class _Batch:
         self.touched: dict[int, tuple[tuple, tuple, int | None]] = {}
         self.allocated: list[int] = []
         self.frees: list[int] = []
+
+
+class _Scope:
+    """The context manager behind :meth:`WriteAheadLog.batch` and
+    :meth:`WriteAheadLog.journaled`; a class, not a generator, because
+    journaled inserts open one per row (a generator-based scope made
+    the harness's ``ingest_durable`` inserts ~3 % slower).
+    """
+
+    __slots__ = ("wal", "label", "owner", "meta", "opened")
+
+    def __init__(self, wal: WriteAheadLog, label: str, owner: Any) -> None:
+        self.wal = wal
+        self.label = label
+        self.owner = owner
+
+    def __enter__(self) -> int:
+        if self.owner is not None:
+            self.meta = self.owner.meta_snapshot()
+        active = self.wal._active
+        self.opened = active is None
+        if active is not None:
+            return active.txn_id
+        try:
+            return self.wal.begin(self.label)
+        except BaseException:
+            self._restore()
+            raise
+
+    def __exit__(self, exc_type: type[BaseException] | None, *_: object) -> None:
+        try:
+            if self.opened:
+                if exc_type is None:
+                    self.wal.commit()
+                else:
+                    self.wal.abort()
+        except BaseException:
+            self._restore()
+            raise
+        if exc_type is not None:
+            self._restore()
+
+    def _restore(self) -> None:
+        if self.owner is not None:
+            self.owner.meta_restore(self.meta)
 
 
 class AppendOnlyLog:
@@ -557,25 +577,24 @@ class WriteAheadLog(AppendOnlyLog):
         del self._prepared[gid]
         self._rollback_batch(batch)
 
-    @contextmanager
-    def batch(self, label: str = "batch") -> Iterator[int]:
+    def batch(self, label: str = "batch") -> _Scope:
         """``with wal.batch("load"):`` — begin/commit with abort on error.
 
         Re-entrant: a nested ``batch`` joins the enclosing one (the
         outermost context owns commit/abort), so a bulk load that calls
         journaled inserts forms a single atomic batch.
         """
-        if self._active is not None:
-            yield self._active.txn_id
-            return
-        txn_id = self.begin(label)
-        try:
-            yield txn_id
-        except BaseException:
-            self.abort()
-            raise
-        else:
-            self.commit()
+        return _Scope(self, label, None)
+
+    def journaled(self, label: str, owner: Any) -> _Scope:
+        """``with wal.journaled("insert", tree):`` — a :meth:`batch` that
+        also puts ``owner``'s in-memory descriptors back if it fails.
+
+        Rollback restores page content only; ``owner`` (a tree or a
+        table) supplies ``meta_snapshot()`` / ``meta_restore(meta)`` for
+        the object living on top of those pages.
+        """
+        return _Scope(self, label, owner)
 
     def _require_batch(self) -> _Batch:
         if self._active is None:
@@ -785,7 +804,7 @@ class WriteAheadLog(AppendOnlyLog):
             resolved_aborts=resolved_aborts,
             wal_name=self.name,
         )
-        _recovery_registry.emit(RecoveryEvent(wal_name=self.name, report=report))
+        telemetry.emit(RecoveryEvent(wal_name=self.name, report=report))
         return report
 
     def _rollback_from_log(self, txn: int) -> int:

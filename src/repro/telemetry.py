@@ -1,98 +1,119 @@
-"""Shared degradation-telemetry plumbing: one event shape, one registry.
+"""Engine telemetry: one event shape, one bus.
 
-Three subsystems report "I did not do what was asked, here is the
-structured record" events: the plan executor's
-:class:`~repro.planner.executor.DegradationEvent` (an access path
-failed, the query re-planned), the parallel executor's
-:class:`~repro.planner.parallel.ExecutorFallbackEvent` (a requested
-execution mode was downgraded) and the shard coordinator's
-:class:`~repro.shard.ShardDegradationEvent` (a shard copy was retried,
-repaired, failed over, or given up on).  They share one contract:
+Six families of frozen events extending :class:`TelemetryEvent` report
+how the paper's paths finished or degraded: the planner's
+``DegradationEvent`` (an access path failed, the query re-planned), the
+parallel executor's ``ExecutorFallbackEvent`` (an execution mode was
+downgraded), the shard coordinator's ``ShardDegradationEvent`` (a copy
+was retried, repaired, failed over or given up on), the WAL's
+``RecoveryEvent`` (one recovery pass), the 2PC coordinator's
+``TxnEvent`` (one protocol rung) and the join operators'
+:class:`JoinEvent` (one leg drained).  The contract:
 
-* the event is a frozen dataclass extending :class:`TelemetryEvent`
-  with a human-readable :meth:`~TelemetryEvent.describe`;
-* every downgrade path emits **exactly one** event — never zero (a
-  silent downgrade) and never duplicates;
-* subscribers register through an :class:`ObserverRegistry`, and events
-  are delivered *outside* the registry lock so an observer touching the
-  buffer pool cannot nest pool work under the observer lock.
-
-The registry lock defaults to the declared ``executor-observers`` rank
-of :data:`repro.invariants.sanitizer.GLOBAL_LOCK_ORDER`; the shard
-coordinator names its own ``shard-observers`` lock.  Either way the
-invariant is the same — observer lists never nest inside any other
-engine lock, whichever subsystem owns them.
+* every reported path emits **exactly one** event through :func:`emit`
+  — never zero (a silent downgrade), never duplicates;
+* :func:`subscribe` with event classes (*kinds*) sees only instances of
+  those, without kinds every event;
+* delivery runs outside the bus lock (the ``telemetry-observers`` rank
+  of :data:`~repro.invariants.sanitizer.GLOBAL_LOCK_ORDER`), in
+  subscription order, so an observer doing engine work never nests it
+  under the observer lock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, TypeVar
+from typing import Any, Callable
 
 from .invariants.sanitizer import guarded_by, note_access, tracked_lock
 
 __all__ = [
     "JoinEvent",
-    "ObserverRegistry",
     "TelemetryEvent",
-    "emit_join_event",
-    "register_join_observer",
-    "unregister_join_observer",
+    "compat_aliases",
+    "emit",
+    "subscribe",
+    "unsubscribe",
 ]
+
+Observer = Callable[[Any], Any]
 
 
 @dataclass(frozen=True)
 class TelemetryEvent:
-    """Base shape of every structured downgrade/degradation event.
+    """Base shape of every structured event the engine emits.
 
     Subclasses add their fields and override :meth:`describe`; the base
-    exists so today's subscribers (the benchmark harness's per-layer
-    counters, tests asserting "exactly one event per downgrade") can
-    treat all event families uniformly.
+    exists so subscribers (the benchmark harness's per-layer counters,
+    tests asserting "exactly one event per downgrade") can treat all
+    event families uniformly.
     """
 
     def describe(self) -> str:
-        """One human-readable line describing the downgrade."""
+        """One human-readable line describing the event."""
         raise NotImplementedError(
             f"{type(self).__name__} must implement describe()"
         )
 
 
-_EventT = TypeVar("_EventT", bound=TelemetryEvent)
+@guarded_by("_lock", "_subscribers")
+class _Bus:
+    """The subscriber list behind the one observer lock: tests and the
+    benchmark harness may subscribe while a scan thread emits."""
+
+    def __init__(self) -> None:
+        self._lock = tracked_lock("telemetry-observers")
+        self._subscribers: list[tuple[Observer, tuple[type, ...]]] = []
+
+    def subscribe(self, observer: Observer, *kinds: type) -> None:
+        """Deliver every later event that is an instance of ``kinds``
+        (of any :class:`TelemetryEvent` without kinds) to ``observer``.
+
+        Subscribing twice means two deliveries per event.
+        """
+        entry = (observer, kinds or (TelemetryEvent,))
+        with self._lock:
+            self._subscribers.append(entry)
+            note_access(self, "_subscribers", write=True)
+
+    def unsubscribe(self, observer: Observer, *kinds: type) -> None:
+        """Drop one subscription made with the same observer and kinds
+        (a no-op when there is none)."""
+        entry = (observer, kinds or (TelemetryEvent,))
+        with self._lock:
+            if entry in self._subscribers:
+                self._subscribers.remove(entry)
+            note_access(self, "_subscribers", write=True)
+
+    def emit(self, *events: TelemetryEvent) -> None:
+        """Deliver each of ``events``, in order, to its subscribers."""
+        with self._lock:
+            subscribers = tuple(self._subscribers)
+        for event in events:
+            for observer, kinds in subscribers:
+                if isinstance(event, kinds):
+                    observer(event)
 
 
-@guarded_by("_lock", "_observers")
-class ObserverRegistry(Generic[_EventT]):
-    """Subscribers of one event family behind the observers lock.
+_BUS = _Bus()
+subscribe = _BUS.subscribe
+unsubscribe = _BUS.unsubscribe
+emit = _BUS.emit
 
-    Today's subscribers are tests and the benchmark harness.  They
-    may register from one thread while a scan emits from another, so
-    the list is guarded like every other shared structure.  Events are
-    delivered *outside* the lock: an observer may do arbitrary engine
-    work (touch the buffer pool, start a repair) without nesting it
-    under the observer lock.
+
+def compat_aliases(
+    kind: type[TelemetryEvent],
+) -> tuple[Callable[[Observer], None], Callable[[Observer], None]]:
+    """A ``register`` / ``unregister`` pair subscribing only ``kind``.
+
+    Backs the per-family ``register_*_observer`` names the frozen
+    benchmark harness imports: one callable registered through all six
+    pairs still sees every event exactly once.
     """
-
-    def __init__(self, name: str = "executor-observers") -> None:
-        self._lock = tracked_lock(name)
-        self._observers: list[Callable[[_EventT], Any]] = []
-
-    def register(self, observer: Callable[[_EventT], Any]) -> None:
-        with self._lock:
-            self._observers.append(observer)
-            note_access(self, "_observers", write=True)
-
-    def unregister(self, observer: Callable[[_EventT], Any]) -> None:
-        with self._lock:
-            if observer in self._observers:
-                self._observers.remove(observer)
-            note_access(self, "_observers", write=True)
-
-    def emit(self, event: _EventT) -> None:
-        with self._lock:
-            observers = tuple(self._observers)
-        for observer in observers:
-            observer(event)
+    return (
+        lambda observer: subscribe(observer, kind),
+        lambda observer: unsubscribe(observer, kind),
+    )
 
 
 @dataclass(frozen=True)
@@ -140,22 +161,6 @@ class JoinEvent(TelemetryEvent):
         )
 
 
-#: process-wide registry for join telemetry; no observers are registered
-#: by default, so emission is a no-op on every pre-existing code path
-_JOIN_OBSERVERS: "ObserverRegistry[JoinEvent]" = ObserverRegistry(
-    "join-observers"
-)
-
-
-def register_join_observer(observer: Callable[[JoinEvent], Any]) -> None:
-    """Subscribe to the exactly-once per-leg :class:`JoinEvent` stream."""
-    _JOIN_OBSERVERS.register(observer)
-
-
-def unregister_join_observer(observer: Callable[[JoinEvent], Any]) -> None:
-    _JOIN_OBSERVERS.unregister(observer)
-
-
-def emit_join_event(event: JoinEvent) -> None:
-    """Deliver a join leg's final record to all subscribers."""
-    _JOIN_OBSERVERS.emit(event)
+# Kept only for the frozen benchmark harness; deleted by the harness-v2 PR.
+register_join_observer, unregister_join_observer = compat_aliases(JoinEvent)
+emit_join_event = emit

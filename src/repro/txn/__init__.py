@@ -18,10 +18,14 @@ re-executes the workload with a crash at *every* append index to prove
 the atomicity claim exhaustively.  See ``docs/ROBUSTNESS.md``.
 """
 
+from ..telemetry import compat_aliases
 from .coordinator import TransactionCoordinator, TxnRecoveryReport, TxnResult
 from .errors import CoordinatorStateError, TxnAbortedError, TxnError
-from .events import TxnEvent, register_txn_observer, unregister_txn_observer
+from .events import TxnEvent
 from .log import DecisionLog
+
+# Kept only for the frozen benchmark harness; deleted by the harness-v2 PR.
+register_txn_observer, unregister_txn_observer = compat_aliases(TxnEvent)
 
 __all__ = [
     "CoordinatorStateError",
@@ -32,6 +36,4 @@ __all__ = [
     "TxnEvent",
     "TxnRecoveryReport",
     "TxnResult",
-    "register_txn_observer",
-    "unregister_txn_observer",
 ]

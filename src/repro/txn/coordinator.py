@@ -37,14 +37,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .. import invariants
+from .. import invariants, telemetry
 from ..storage.disk import DiskParameters
 from ..storage.errors import SimulatedCrashError, StorageError
 from ..storage.faults import FaultPlan
 from ..storage.retry import RetryPolicy
 from ..storage.wal import RecoveryReport
 from .errors import CoordinatorStateError, TxnAbortedError
-from .events import TxnEvent, _emit
+from .events import TxnEvent
 from .log import DecisionLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -152,7 +152,7 @@ class TransactionCoordinator:
         self._active_gid = gid
         pids = self.sdb.participant_ids()
         names = tuple(self.sdb.participant_name(pid) for pid in pids)
-        _emit(
+        telemetry.emit(
             TxnEvent(
                 gid=gid, phase="begin", detail=f"{len(pids)} participant(s)"
             )
@@ -167,7 +167,7 @@ class TransactionCoordinator:
             # phase 1b: every participant votes by forcing its prepare
             for pid, name in zip(pids, names):
                 self.sdb.prepare_participant(pid, gid)
-                _emit(TxnEvent(gid=gid, phase="prepared", participant=name))
+                telemetry.emit(TxnEvent(gid=gid, phase="prepared", participant=name))
             # the decision: prepare roster, then the commit point itself
             self.log.log_prepare(gid, names)
             self.log.log_decision(gid, "commit")
@@ -185,14 +185,14 @@ class TransactionCoordinator:
             # the transaction but keep their own type for the caller
             self._abort(gid, begun, names, f"{type(exc).__name__}: {exc}")
             raise
-        _emit(TxnEvent(gid=gid, phase="decided", verdict="commit"))
+        telemetry.emit(TxnEvent(gid=gid, phase="decided", verdict="commit"))
         # phase 2: the decision is durable — errors from here on must
         # propagate un-aborted; recovery drives the commit forward
         for pid, name in zip(pids, names):
             self.sdb.commit_participant(pid, gid)
-            _emit(TxnEvent(gid=gid, phase="committed", participant=name))
+            telemetry.emit(TxnEvent(gid=gid, phase="committed", participant=name))
         self.log.log_ack(gid)
-        _emit(TxnEvent(gid=gid, phase="acked"))
+        telemetry.emit(TxnEvent(gid=gid, phase="acked"))
         rows = self.sdb.refresh_row_counts()
         self._active_gid = None
         self._validate()
@@ -218,7 +218,7 @@ class TransactionCoordinator:
                 # presumed abort covers a decision log that will not
                 # accept the record: no durable commit, so no commit
                 pass
-        _emit(
+        telemetry.emit(
             TxnEvent(gid=gid, phase="decided", verdict="abort", detail=reason)
         )
         failures: list[str] = []
@@ -232,7 +232,7 @@ class TransactionCoordinator:
                 # recovery's presumed abort re-rolls this participant
                 failures.append(f"{pid_names.get(pid, pid)}: {exc}")
                 continue
-            _emit(
+            telemetry.emit(
                 TxnEvent(
                     gid=gid,
                     phase="aborted",
@@ -271,7 +271,7 @@ class TransactionCoordinator:
             reports.append(self.sdb.recover_participant(pid, decide))
         reacked: list[str] = []
         for gid, verdict in self.log.unacked_decisions():
-            _emit(TxnEvent(gid=gid, phase="resolved", verdict=verdict))
+            telemetry.emit(TxnEvent(gid=gid, phase="resolved", verdict=verdict))
             self.log.log_ack(gid)
             reacked.append(gid)
         total = self.sdb.refresh_row_counts()

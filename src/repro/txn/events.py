@@ -3,25 +3,18 @@
 Every rung of a global transaction's life — begin, per-participant
 prepare, the logged decision, per-participant commit/abort, the final
 ack, and post-crash in-doubt resolution — emits exactly one
-:class:`TxnEvent` through the same
-:class:`~repro.telemetry.ObserverRegistry` mechanism the shard
-coordinator uses for degradations and the WAL uses for recovery passes,
-so one observer hook can watch a write travel the whole 2PC state
-machine.
+:class:`TxnEvent` on the :mod:`repro.telemetry` bus the shard
+coordinator uses for degradations and the WAL for recovery passes, so
+one subscriber can watch a write travel the whole 2PC state machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from ..telemetry import ObserverRegistry, TelemetryEvent
+from ..telemetry import TelemetryEvent
 
-__all__ = [
-    "TxnEvent",
-    "register_txn_observer",
-    "unregister_txn_observer",
-]
+__all__ = ["TxnEvent"]
 
 #: 2PC phases, in protocol order (``resolved`` is recovery-only).
 _PHASES = (
@@ -62,24 +55,3 @@ class TxnEvent(TelemetryEvent):
         if self.detail:
             parts.append(f"({self.detail})")
         return " ".join(parts)
-
-
-_txn_registry: ObserverRegistry[TxnEvent] = ObserverRegistry("txn-observers")
-
-
-def register_txn_observer(observer: Callable[[TxnEvent], None]) -> None:
-    """Subscribe ``observer`` to every 2PC state-machine event."""
-
-    _txn_registry.register(observer)
-
-
-def unregister_txn_observer(observer: Callable[[TxnEvent], None]) -> None:
-    """Remove a previously registered transaction observer."""
-
-    _txn_registry.unregister(observer)
-
-
-def _emit(event: TxnEvent) -> None:
-    """Deliver one event to registered observers."""
-
-    _txn_registry.emit(event)

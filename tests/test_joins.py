@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
+from repro import kernels, telemetry
 from repro.core.tetris import TetrisScan
 from repro.relational import Attribute, Database, IntEncoder, Schema
 from repro.relational.operators import (
@@ -39,7 +39,7 @@ from repro.relational.operators import (
 from repro.shard import CoPartitionedJoin, ShardedDatabase, ShardFailedError
 from repro.storage import ICDE99_TESTBED, FaultPlan, LookaheadCursor, StorageError
 from repro.storage.prefetch import DualCursorPrefetcher
-from repro.telemetry import register_join_observer, unregister_join_observer
+from repro.telemetry import JoinEvent
 from repro.tpcd import TPCDConfig, generate, plans, reference_q3, reference_q4
 from repro.tpcd.queries import Q3Params, Q4Params
 
@@ -147,7 +147,7 @@ class TestEarlyExit:
 class TestJoinEvents:
     def collect(self):
         events = []
-        register_join_observer(events.append)
+        telemetry.subscribe(events.append, JoinEvent)
         return events
 
     def test_full_drain_emits_exactly_one_event(self):
@@ -162,7 +162,7 @@ class TestJoinEvents:
             )
             assert list(join) == [(2, 2)]
         finally:
-            unregister_join_observer(events.append)
+            telemetry.unsubscribe(events.append, JoinEvent)
         assert len(events) == 1
         event = events[0]
         assert event.operator == "merge-join"
@@ -183,7 +183,7 @@ class TestJoinEvents:
             next(iterator)
             iterator.close()
         finally:
-            unregister_join_observer(events.append)
+            telemetry.unsubscribe(events.append, JoinEvent)
         assert events == []
         assert join.last_event is None
 
@@ -209,7 +209,7 @@ class TestJoinEvents:
             )
             assert list(join) == [(1,), (2,)]
         finally:
-            unregister_join_observer(events.append)
+            telemetry.unsubscribe(events.append, JoinEvent)
         (event,) = events
         assert event.first_tuple_clock - event.start_clock == pytest.approx(2.0)
         assert event.end_clock - event.start_clock == pytest.approx(5.0)

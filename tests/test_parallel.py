@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro import kernels
+from repro import kernels, telemetry
 from repro.core.query_space import QueryBox
 from repro.planner import (
     ExecutorFallbackEvent,
@@ -19,11 +19,8 @@ from repro.planner import (
     SweepSlab,
     parallel_tetris_scan,
     plan_slabs,
-    register_fallback_observer,
     select_executor,
-    unregister_fallback_observer,
 )
-from repro.planner import parallel as parallel_module
 from repro.relational import Attribute, Database, IntEncoder, Schema
 
 #: pool width under test — the CI matrix sweeps 2 and 4
@@ -341,13 +338,13 @@ class TestFallbackEvents:
     def test_fallback_surfaces_on_result_and_observer(self):
         table = make_table(rows=200)
         seen = []
-        register_fallback_observer(seen.append)
+        telemetry.subscribe(seen.append, ExecutorFallbackEvent)
         try:
             result = parallel_tetris_scan(
                 table, {"a1": (100, 900)}, "a2", workers=WORKERS, executor="fork"
             )
         finally:
-            unregister_fallback_observer(seen.append)
+            telemetry.unsubscribe(seen.append, ExecutorFallbackEvent)
         assert result.executor == "inline"
         assert len(result.fallbacks) == 1
         event = result.fallbacks[0]
@@ -360,13 +357,13 @@ class TestFallbackEvents:
     def test_single_worker_explicit_request_emits_one_event(self):
         table = make_table(rows=200)
         seen = []
-        register_fallback_observer(seen.append)
+        telemetry.subscribe(seen.append, ExecutorFallbackEvent)
         try:
             result = parallel_tetris_scan(
                 table, {"a1": (100, 900)}, "a2", workers=1, executor="threads"
             )
         finally:
-            unregister_fallback_observer(seen.append)
+            telemetry.unsubscribe(seen.append, ExecutorFallbackEvent)
         assert result.executor == "inline"
         assert len(result.fallbacks) == 1
         event = result.fallbacks[0]
@@ -377,7 +374,7 @@ class TestFallbackEvents:
     def test_single_slab_explicit_request_emits_one_event(self):
         table = make_table(rows=200)
         seen = []
-        register_fallback_observer(seen.append)
+        telemetry.subscribe(seen.append, ExecutorFallbackEvent)
         try:
             result = parallel_tetris_scan(
                 table,
@@ -388,7 +385,7 @@ class TestFallbackEvents:
                 executor="threads",
             )
         finally:
-            unregister_fallback_observer(seen.append)
+            telemetry.unsubscribe(seen.append, ExecutorFallbackEvent)
         assert result.executor == "inline"
         assert len(result.fallbacks) == 1
         event = result.fallbacks[0]
@@ -398,15 +395,15 @@ class TestFallbackEvents:
     def test_observer_exceptions_after_unregister_cannot_fire(self):
         # unregister removes by identity-equality of the bound method
         events = []
-        register_fallback_observer(events.append)
-        unregister_fallback_observer(events.append)
-        parallel_module._emit_fallback(
+        telemetry.subscribe(events.append, ExecutorFallbackEvent)
+        telemetry.unsubscribe(events.append, ExecutorFallbackEvent)
+        telemetry.emit(
             ExecutorFallbackEvent("threads", "inline", "test", "pure", 1)
         )
         assert events == []
 
     def test_unregister_unknown_observer_is_noop(self):
-        unregister_fallback_observer(lambda event: None)
+        telemetry.unsubscribe(lambda event: None, ExecutorFallbackEvent)
 
     def test_result_surface_defaults(self):
         result = ParallelScanResult(

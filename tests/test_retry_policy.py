@@ -1,6 +1,7 @@
 """RetryPolicy edge cases: zero-attempt policies, backoff cap
-saturation, and exact simulated-clock charges when retry loops stack
-across layers (resilient reads and the buffer pool's inlined loop).
+saturation, exact simulated-clock charges when retry loops stack
+across layers (resilient reads and the buffer pool's inlined loop), and
+a database's policy reaching every read path.
 
 Every delay in a backoff schedule is charged to the *simulated* clock
 (reprolint R001 bans the wall clock), so the numbers here are exact
@@ -9,6 +10,8 @@ equalities, not tolerances.
 
 import pytest
 
+from repro.planner.executor import build_access_path
+from repro.relational import Attribute, Database, IntEncoder, Schema
 from repro.storage import (
     DEFAULT_RETRY_POLICY,
     ICDE99_ANALYSIS,
@@ -365,3 +368,54 @@ class TestLadderParity:
         if quarantined:
             with pytest.raises(QuarantinedPageError):
                 pool.get(TARGET)
+
+
+# ----------------------------------------------------------------------
+# the database's policy reaches every read path
+# ----------------------------------------------------------------------
+class TestDatabasePolicy:
+    """``Database(retry_policy=P)`` governs heap scans and sort-run reads,
+    not only the buffer pool and the WAL."""
+
+    def _heap(self, policy):
+        schema = Schema([Attribute("k", IntEncoder(0, 1023))])
+        db = Database(fault_plan=FaultPlan(), retry_policy=policy)
+        table = db.create_heap_table("t", schema, 4)
+        table.bulk_load([((i * 37) % 1024,) for i in range(40)])
+        return db, table
+
+    @pytest.mark.parametrize(
+        "policy, retries", [(NO_RETRY, 0), (None, 1)], ids=["no-retry", "default"]
+    )
+    def test_heap_scan(self, policy, retries):
+        db, table = self._heap(policy)
+        first = table.heap.page_ids[0]
+        db.disk.plan = FaultPlan(scripted_reads=((first, 0, TRANSIENT),))
+        db.arm_faults()
+        if policy is NO_RETRY:
+            with pytest.raises(TransientIOError):
+                list(table.scan())
+        else:
+            assert len(list(table.scan())) == 40
+        assert db.disk.stats.faults.retries == retries
+
+    @pytest.mark.parametrize("policy", [NO_RETRY, None], ids=["no-retry", "default"])
+    def test_sort_run_read(self, policy):
+        db, table = self._heap(policy)
+        sort, _ = build_access_path(table, None, ("k",), memory_pages=1)
+        # every page allocated from here on is a sort run: fail its first read
+        runs = range(db.disk.allocated_pages, db.disk.allocated_pages + 64)
+        db.disk.plan = FaultPlan(
+            scripted_reads=tuple((page, 0, TRANSIENT) for page in runs)
+        )
+        db.arm_faults()
+        if policy is NO_RETRY:
+            with pytest.raises(TransientIOError):
+                list(sort)
+            assert db.disk.stats.faults.retries == 0
+        else:
+            rows = list(sort)
+            assert rows == sorted(rows) and len(rows) == 40
+            faults = db.disk.stats.faults
+            assert faults.retries == faults.transient_errors > 0
+        assert sort.stats.spilled

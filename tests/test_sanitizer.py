@@ -324,7 +324,7 @@ class TestActorsAndGate:
         assert declared_lock_order() == GLOBAL_LOCK_ORDER
         assert GLOBAL_LOCK_ORDER == (
             "executor-staging",
-            "executor-observers",
+            "telemetry-observers",
             "buffer-pool",
             "io-scheduler",
         )

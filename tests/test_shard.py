@@ -11,14 +11,13 @@ import random
 
 import pytest
 
-from repro import invariants, kernels
+from repro import invariants, kernels, telemetry
 from repro.relational import Attribute, Database, IntEncoder, Schema
 from repro.shard import (
+    ShardDegradationEvent,
     ShardedDatabase,
     ShardFailedError,
     merge_shard_streams,
-    register_shard_observer,
-    unregister_shard_observer,
 )
 from repro.storage import FaultPlan
 from repro.telemetry import TelemetryEvent
@@ -352,11 +351,11 @@ class TestShardTelemetry:
         sdb = make_sharded(rows, copies=2)
         sdb.kill_copy(1, 0, after_rows=15)
         seen = []
-        register_shard_observer(seen.append)
+        telemetry.subscribe(seen.append, ShardDegradationEvent)
         try:
             result = sdb.sorted_scan(QUERY, "a2")
         finally:
-            unregister_shard_observer(seen.append)
+            telemetry.unsubscribe(seen.append, ShardDegradationEvent)
         assert tuple(seen) == result.degradations
 
     def test_observer_notified_on_typed_failure(self):
@@ -364,23 +363,23 @@ class TestShardTelemetry:
         sdb = make_sharded(rows, copies=1)
         sdb.kill_copy(0, 0, after_rows=5)
         seen = []
-        register_shard_observer(seen.append)
+        telemetry.subscribe(seen.append, ShardDegradationEvent)
         try:
             with pytest.raises(ShardFailedError):
                 sdb.sorted_scan(QUERY, "a2")
         finally:
-            unregister_shard_observer(seen.append)
+            telemetry.unsubscribe(seen.append, ShardDegradationEvent)
         assert [event.action for event in seen] == ["failed"]
 
     def test_clean_scan_emits_nothing(self):
         rows = make_rows(300)
         sdb = make_sharded(rows, copies=2)
         seen = []
-        register_shard_observer(seen.append)
+        telemetry.subscribe(seen.append, ShardDegradationEvent)
         try:
             sdb.sorted_scan(QUERY, "a2")
         finally:
-            unregister_shard_observer(seen.append)
+            telemetry.unsubscribe(seen.append, ShardDegradationEvent)
         assert seen == []
 
 

@@ -1,35 +1,46 @@
-"""Tests for the unified degradation telemetry (``repro.telemetry``).
+"""Tests for the engine's event bus (``repro.telemetry``).
 
-Three event families — planner :class:`DegradationEvent`, parallel
-:class:`ExecutorFallbackEvent` and shard :class:`ShardDegradationEvent`
-— share one frozen-dataclass base and one observer-registry delivery
-mechanism, and every downgrade path emits exactly one event.
+Six event families — planner :class:`DegradationEvent`, parallel
+:class:`ExecutorFallbackEvent`, shard :class:`ShardDegradationEvent`,
+WAL :class:`RecoveryEvent`, 2PC :class:`TxnEvent` and
+:class:`JoinEvent` — share one frozen-dataclass base and one bus
+(``subscribe`` / ``unsubscribe`` / ``emit``), and every reported path
+emits exactly one event.  The stats dataclasses share one snapshot/diff
+protocol, tested at the end.
 """
 
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, dataclass
 
 import pytest
 
+from repro import invariants, telemetry
 from repro.costmodel import CostParameters
 from repro.planner import (
     DegradationEvent,
     ExecutorFallbackEvent,
     PlanExhaustedError,
     execute_sorted_query,
-    register_degradation_observer,
-    unregister_degradation_observer,
 )
+from repro.planner import executor as plan_executor
+from repro.planner import parallel as plan_parallel
 from repro.relational import Attribute, Database, IntEncoder, Schema
-from repro.shard import ShardDegradationEvent
+from repro.shard import (
+    ShardDegradationEvent,
+    register_shard_observer,
+    unregister_shard_observer,
+)
 from repro.storage import (
     FaultPlan,
+    IOStats,
     RecoveryEvent,
+    RecoveryReport,
     register_recovery_observer,
     unregister_recovery_observer,
 )
 from repro.storage.faults import CORRUPT
-from repro.telemetry import ObserverRegistry, TelemetryEvent
-from repro.txn import TxnEvent
+from repro.telemetry import JoinEvent, TelemetryEvent
+from repro.txn import TxnEvent, register_txn_observer, unregister_txn_observer
 from tools.chaos import build_world
 
 PARAMS = CostParameters(memory_pages=8)
@@ -44,6 +55,56 @@ class _ProbeEvent(TelemetryEvent):
         return f"probe {self.label}"
 
 
+@contextmanager
+def subscribed(observer, *kinds):
+    telemetry.subscribe(observer, *kinds)
+    try:
+        yield
+    finally:
+        telemetry.unsubscribe(observer, *kinds)
+
+
+#: one event per family, in the order the harness registers the families
+ONE_OF_EACH = (
+    JoinEvent(operator="merge", rows=3),
+    ShardDegradationEvent(
+        shard=0, copy=1, action="retry", error_type="TransientIOError", error="x"
+    ),
+    ExecutorFallbackEvent("threads", "inline", "test", "pure", 1),
+    DegradationEvent(
+        method="tetris", instance="ub", error_type="CorruptPageError", error="y"
+    ),
+    RecoveryEvent(
+        wal_name="wal",
+        report=RecoveryReport(
+            examined_pages=0,
+            healed_pages=0,
+            rolled_back_batches=0,
+            freed_pages=0,
+            log_records=0,
+            log_pages=0,
+        ),
+    ),
+    TxnEvent(gid="insert#0", phase="begin"),
+)
+
+#: the frozen benchmark harness's compatibility pairs, as it lists them
+FAMILIES = (
+    (telemetry.register_join_observer, telemetry.unregister_join_observer),
+    (register_shard_observer, unregister_shard_observer),
+    (
+        plan_parallel.register_fallback_observer,
+        plan_parallel.unregister_fallback_observer,
+    ),
+    (
+        plan_executor.register_degradation_observer,
+        plan_executor.unregister_degradation_observer,
+    ),
+    (register_recovery_observer, unregister_recovery_observer),
+    (register_txn_observer, unregister_txn_observer),
+)
+
+
 # ----------------------------------------------------------------------
 # the shared base
 # ----------------------------------------------------------------------
@@ -54,6 +115,7 @@ class TestTelemetryEvent:
         assert issubclass(ShardDegradationEvent, TelemetryEvent)
         assert issubclass(RecoveryEvent, TelemetryEvent)
         assert issubclass(TxnEvent, TelemetryEvent)
+        assert issubclass(JoinEvent, TelemetryEvent)
 
     def test_events_are_frozen(self):
         event = _ProbeEvent(label="x")
@@ -86,33 +148,126 @@ class TestTelemetryEvent:
 
 
 # ----------------------------------------------------------------------
-# the registry
+# the bus (the class name predates it: it tested the per-family registry)
 # ----------------------------------------------------------------------
 class TestObserverRegistry:
     def test_emit_reaches_every_observer_in_order(self):
-        registry: ObserverRegistry[_ProbeEvent] = ObserverRegistry()
         calls = []
-        registry.register(lambda e: calls.append(("a", e.label)))
-        registry.register(lambda e: calls.append(("b", e.label)))
-        registry.emit(_ProbeEvent(label="one"))
+
+        def first(event):
+            calls.append(("a", event.label))
+
+        def second(event):
+            calls.append(("b", event.label))
+
+        with subscribed(first, _ProbeEvent), subscribed(second, _ProbeEvent):
+            telemetry.emit(_ProbeEvent(label="one"))
         assert calls == [("a", "one"), ("b", "one")]
 
     def test_unregister_stops_delivery(self):
-        registry: ObserverRegistry[_ProbeEvent] = ObserverRegistry()
         calls = []
-        registry.register(calls.append)
-        registry.unregister(calls.append)
-        registry.emit(_ProbeEvent(label="gone"))
+        telemetry.subscribe(calls.append, _ProbeEvent)
+        telemetry.unsubscribe(calls.append, _ProbeEvent)
+        telemetry.emit(_ProbeEvent(label="gone"))
         assert calls == []
 
     def test_unregister_unknown_observer_is_harmless(self):
-        registry: ObserverRegistry[_ProbeEvent] = ObserverRegistry()
-        registry.unregister(lambda e: None)  # never registered
-        registry.emit(_ProbeEvent(label="still fine"))
+        telemetry.unsubscribe(lambda e: None)  # never subscribed
+        telemetry.unsubscribe(lambda e: None, _ProbeEvent)
+        telemetry.emit(_ProbeEvent(label="still fine"))
 
     def test_emit_without_observers_is_a_no_op(self):
-        registry: ObserverRegistry[_ProbeEvent] = ObserverRegistry()
-        registry.emit(_ProbeEvent(label="quiet"))
+        telemetry.emit(_ProbeEvent(label="quiet"))
+        telemetry.emit()
+
+
+class TestBus:
+    def test_one_callable_through_all_six_aliases_sees_each_event_once(self):
+        # the frozen harness's pattern: one bound method, six registrations
+        seen = []
+        for register, _ in FAMILIES:
+            register(seen.append)
+        try:
+            telemetry.emit(*ONE_OF_EACH)
+        finally:
+            for _, unregister in FAMILIES:
+                unregister(seen.append)
+        assert seen == list(ONE_OF_EACH)
+        telemetry.emit(*ONE_OF_EACH)
+        assert len(seen) == len(ONE_OF_EACH)
+
+    @pytest.mark.parametrize("dropped", range(len(FAMILIES)))
+    def test_unregistering_one_alias_leaves_the_other_five_live(self, dropped):
+        seen = []
+        for register, _ in FAMILIES:
+            register(seen.append)
+        FAMILIES[dropped][1](seen.append)
+        try:
+            telemetry.emit(*ONE_OF_EACH)
+        finally:
+            for index, (_, unregister) in enumerate(FAMILIES):
+                if index != dropped:
+                    unregister(seen.append)
+        expected = [e for i, e in enumerate(ONE_OF_EACH) if i != dropped]
+        assert seen == expected
+
+    @pytest.mark.parametrize("family", range(len(ONE_OF_EACH)))
+    def test_kind_filtered_subscriber_sees_only_its_family(self, family):
+        kind = type(ONE_OF_EACH[family])
+        seen = []
+        with subscribed(seen.append, kind):
+            telemetry.emit(*ONE_OF_EACH)
+        assert seen == [ONE_OF_EACH[family]]
+
+    def test_several_kinds_and_no_kinds(self):
+        some, every = [], []
+        with subscribed(some.append, TxnEvent, JoinEvent), subscribed(
+            every.append
+        ):
+            telemetry.emit(*ONE_OF_EACH)
+        assert some == [ONE_OF_EACH[0], ONE_OF_EACH[5]]
+        assert every == list(ONE_OF_EACH)
+
+    def test_double_subscription_double_delivery_single_unsubscribe(self):
+        seen = []
+        event = _ProbeEvent(label="twice")
+        telemetry.subscribe(seen.append, _ProbeEvent)
+        telemetry.subscribe(seen.append, _ProbeEvent)
+        try:
+            telemetry.emit(event)
+            assert seen == [event, event]
+            telemetry.unsubscribe(seen.append, _ProbeEvent)
+            telemetry.emit(event)
+            assert seen == [event, event, event]
+        finally:
+            telemetry.unsubscribe(seen.append, _ProbeEvent)
+        telemetry.emit(event)
+        assert len(seen) == 3
+
+    def test_unsubscribe_matches_the_kinds(self):
+        seen = []
+        with subscribed(seen.append, _ProbeEvent):
+            telemetry.unsubscribe(seen.append)  # subscribed with a kind
+            telemetry.unsubscribe(seen.append, TxnEvent)
+            telemetry.emit(_ProbeEvent(label="kept"))
+        assert len(seen) == 1
+
+    def test_delivery_runs_outside_the_lock_on_a_snapshot(self):
+        held, late = [], []
+
+        def observer(event):
+            held.append(telemetry._BUS._lock.held_by_current_thread())
+            telemetry.subscribe(late.append, _ProbeEvent)
+
+        with invariants.checks(), subscribed(observer, _ProbeEvent):
+            telemetry.emit(_ProbeEvent(label="first"))
+        try:
+            assert held == [False]
+            assert late == []  # subscribed after the snapshot was taken
+            telemetry.emit(_ProbeEvent(label="second"))
+            assert [event.label for event in late] == ["second"]
+        finally:
+            telemetry.unsubscribe(late.append, _ProbeEvent)
 
 
 # ----------------------------------------------------------------------
@@ -125,11 +280,11 @@ class TestPlannerEmission:
         db.disk.plan = FaultPlan(seed=0, scripted_reads=((target, 0, CORRUPT),))
         db.arm_faults()
         seen = []
-        register_degradation_observer(seen.append)
+        telemetry.subscribe(seen.append, DegradationEvent)
         try:
             result = execute_sorted_query(design, QUERY, "a2", PARAMS)
         finally:
-            unregister_degradation_observer(seen.append)
+            telemetry.unsubscribe(seen.append, DegradationEvent)
             db.disarm_faults()
         if not result.degraded:
             pytest.skip("initial plan avoided the scripted page")
@@ -139,11 +294,11 @@ class TestPlannerEmission:
     def test_clean_query_emits_nothing(self):
         db, design, data = build_world(rows=400)
         seen = []
-        register_degradation_observer(seen.append)
+        telemetry.subscribe(seen.append, DegradationEvent)
         try:
             result = execute_sorted_query(design, QUERY, "a2", PARAMS)
         finally:
-            unregister_degradation_observer(seen.append)
+            telemetry.unsubscribe(seen.append, DegradationEvent)
         assert not result.degraded
         assert seen == []
 
@@ -152,12 +307,12 @@ class TestPlannerEmission:
         db.disk.plan = FaultPlan(seed=0, transient_rate=1.0)
         db.arm_faults()
         seen = []
-        register_degradation_observer(seen.append)
+        telemetry.subscribe(seen.append, DegradationEvent)
         try:
             with pytest.raises(PlanExhaustedError) as excinfo:
                 execute_sorted_query(design, QUERY, "a2", PARAMS)
         finally:
-            unregister_degradation_observer(seen.append)
+            telemetry.unsubscribe(seen.append, DegradationEvent)
             db.disarm_faults()
         assert tuple(seen) == excinfo.value.degradations
         assert len(seen) == len(set(id(event) for event in seen))
@@ -182,12 +337,12 @@ class TestRecoveryEmission:
     def test_each_recover_pass_emits_exactly_once(self):
         db = self._loaded_db()
         seen = []
-        register_recovery_observer(seen.append)
+        telemetry.subscribe(seen.append, RecoveryEvent)
         try:
             report = db.recover()
             db.recover()
         finally:
-            unregister_recovery_observer(seen.append)
+            telemetry.unsubscribe(seen.append, RecoveryEvent)
         assert len(seen) == 2  # one event per pass, idempotent or not
         assert all(isinstance(event, RecoveryEvent) for event in seen)
         assert seen[0].report.healed_pages == report.healed_pages
@@ -210,13 +365,50 @@ class TestRecoveryEmission:
         txn = TransactionCoordinator(sdb)
         txn.atomic_load([(i % 1024, i * 3 % 1024) for i in range(40)])
         seen = []
-        register_recovery_observer(seen.append)
+        telemetry.subscribe(seen.append, RecoveryEvent)
         try:
             report = txn.recover()
         finally:
-            unregister_recovery_observer(seen.append)
+            telemetry.unsubscribe(seen.append, RecoveryEvent)
         assert len(seen) == len(report.participant_reports) == 2
         assert sorted(e.wal_name for e in seen) == [
             "shard0.copy0.wal",
             "shard1.copy0.wal",
         ]
+
+
+# ----------------------------------------------------------------------
+# one snapshot/diff protocol for the stats dataclasses
+# ----------------------------------------------------------------------
+class TestCountersProtocol:
+    def test_diff_lists_categories_in_first_seen_order(self):
+        later, earlier = IOStats(), IOStats()
+        later.category("temp").pages_read = 3
+        later.category("data").pages_read = 5
+        earlier.category("data").pages_read = 1
+        earlier.category("temp").pages_read = 1
+        earlier.category("wal").pages_written = 2
+        delta = later - earlier
+        assert list(delta.categories) == ["temp", "data", "wal"]
+        assert [c.pages_read for c in delta.categories.values()] == [2, 4, 0]
+        assert delta.categories["wal"].pages_written == -2
+        assert list((earlier - later).categories) == ["data", "temp", "wal"]
+
+    def test_copy_is_deep_and_diff_recurses(self):
+        stats = IOStats(time=1.5)
+        stats.category("data").pages_read = 4
+        stats.faults.retries = 2
+        stats.prefetch.prefetch_hits = 3
+        snapshot = stats.copy()
+        assert snapshot == stats
+        assert snapshot.categories["data"] is not stats.categories["data"]
+        assert snapshot.faults is not stats.faults
+        stats.category("data").pages_read += 1
+        stats.faults.retries += 1
+        stats.prefetch.prefetch_hits += 1
+        stats.time += 0.25
+        delta = stats - snapshot
+        assert delta.time == 0.25
+        assert delta.categories["data"].pages_read == 1
+        assert (delta.faults.retries, delta.prefetch.prefetch_hits) == (1, 1)
+        assert snapshot.categories["data"].pages_read == 4

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro import invariants
+from repro import invariants, telemetry
 from repro.invariants import InvariantViolation
 from repro.relational import Attribute, IntEncoder, Schema
 from repro.shard import ShardedDatabase
@@ -25,8 +25,6 @@ from repro.txn import (
     TransactionCoordinator,
     TxnAbortedError,
     TxnEvent,
-    register_txn_observer,
-    unregister_txn_observer,
 )
 
 DIMS = ("a1", "a2")
@@ -410,12 +408,12 @@ class TestTxnInvariants:
 class TestTxnEvents:
     def test_commit_emits_every_rung_exactly_once(self):
         events = []
-        register_txn_observer(events.append)
+        telemetry.subscribe(events.append, TxnEvent)
         try:
             sdb, txn = make_world(shards=2)
             txn.atomic_load(make_rows(40))
         finally:
-            unregister_txn_observer(events.append)
+            telemetry.unsubscribe(events.append, TxnEvent)
         phases = [e.phase for e in events]
         assert phases.count("begin") == 1
         assert phases.count("prepared") == 2  # one per participant

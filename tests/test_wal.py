@@ -176,6 +176,70 @@ class TestBatchLifecycle:
         with pytest.raises(RuntimeError):
             wal.begin()
 
+    def test_failing_batch_aborts_and_reraises(self):
+        _, wal = make_wal()
+        with pytest.raises(ValueError):
+            with wal.batch("doomed"):
+                raise ValueError("boom")
+        assert [record.kind for record in wal.records] == [BEGIN, ABORT]
+        assert not wal.in_batch
+
+
+class _Owner:
+    """A stand-in for the tree (or table) living on top of the pages."""
+
+    def __init__(self):
+        self.state = 0
+        self.restored = []
+
+    def meta_snapshot(self):
+        return self.state
+
+    def meta_restore(self, meta):
+        self.restored.append(meta)
+        self.state = meta
+
+
+class TestJournaled:
+    """``wal.journaled(label, owner)``: one batch, the owner's in-memory
+    descriptors put back whenever the scope fails — wherever it fails."""
+
+    def test_success_commits_and_keeps_the_owner(self):
+        _, wal = make_wal()
+        owner = _Owner()
+        with wal.journaled("edit", owner) as txn:
+            owner.state = 1
+        assert txn == wal.records[0].txn
+        assert [record.kind for record in wal.records] == [BEGIN, COMMIT]
+        assert (owner.state, owner.restored) == (1, [])
+
+    @pytest.mark.parametrize("where", ["body", "begin", "commit"])
+    def test_any_failure_restores_the_owner(self, where):
+        _, wal = make_wal()
+        owner = _Owner()
+        if where != "body":
+            # BEGIN is the first append, COMMIT the second
+            wal.crash_after_appends(1 if where == "begin" else 2)
+        expected = ValueError if where == "body" else SimulatedCrashError
+        with pytest.raises(expected):
+            with wal.journaled("edit", owner):
+                owner.state = 1
+                if where == "body":
+                    raise ValueError("boom")
+        assert (owner.state, owner.restored) == (0, [0])
+
+    def test_nested_scope_joins_and_restores_its_own_owner(self):
+        _, wal = make_wal()
+        outer, inner = _Owner(), _Owner()
+        with pytest.raises(ValueError):
+            with wal.journaled("outer", outer):
+                outer.state = 1
+                with wal.journaled("inner", inner):
+                    inner.state = 1
+                    raise ValueError("boom")
+        assert (outer.restored, inner.restored) == ([0], [0])
+        assert [record.kind for record in wal.records] == [BEGIN, ABORT]
+
 
 # ----------------------------------------------------------------------
 # pricing: every append is forced to the log device on simulated time
