@@ -74,24 +74,24 @@ def bench_kernels(backend: str, count: int, repeats: int) -> dict[str, float]:
     lo = tuple(1 << (bits - 2) for bits in SCAN_BITS)
     hi = tuple(3 * (1 << (bits - 2)) for bits in SCAN_BITS)
     box = QueryBox(lo, hi)
-    with kernels.use_backend(backend):
+    with kernels.use_backend(backend) as kernel:
         encode_time, addresses = _best_of(
-            repeats, lambda: kernels.encode_batch(curve, points)
+            repeats, lambda: kernel.encode_batch(curve, points)
         )
         decode_time, decoded = _best_of(
-            repeats, lambda: kernels.decode_batch(curve, addresses)
+            repeats, lambda: kernel.decode_batch(curve, addresses)
         )
         assert decoded == points
         filter_box_time, _ = _best_of(
-            repeats, lambda: kernels.filter_box_batch(lo, hi, points)
+            repeats, lambda: kernel.filter_box_batch(lo, hi, points)
         )
         filter_space_time, _ = _best_of(
-            repeats, lambda: kernels.filter_space_batch(box, points)
+            repeats, lambda: kernel.filter_space_batch(box, points)
         )
         shuffled = list(addresses)
         rng.shuffle(shuffled)
         argsort_time, _ = _best_of(
-            repeats, lambda: kernels.argsort_keys(shuffled)
+            repeats, lambda: kernel.argsort_keys(shuffled)
         )
     return {
         "encode_batch": encode_time,

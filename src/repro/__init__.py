@@ -6,7 +6,7 @@ without External Sorting: The Tetris Algorithm*.
 The package builds every layer the paper relies on:
 
 * ``repro.storage`` — a simulated disk priced with the paper's cost model,
-* ``repro.btree`` — B+-trees, index-organized tables, secondary indexes,
+* ``repro.btree`` — B+-trees and index-organized tables,
 * ``repro.core`` — Z-order / Tetris-order curves, UB-Trees, the Tetris
   sweep itself,
 * ``repro.relational`` — schemas, encoders, tables and Volcano-style

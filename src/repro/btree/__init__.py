@@ -3,18 +3,14 @@
 * :class:`BPlusTree` — generic B+-tree on simulated pages.
 * :class:`IndexOrganizedTable` — clustered composite-key table (the
   paper's IOT baseline).
-* :class:`SecondaryIndex` — non-clustered index with RID fetches (shown
-  uncompetitive in Sections 5.1 and 5.3).
 """
 
 from .bptree import BPlusTree
 from .iot import BOTTOM, TOP, IndexOrganizedTable
-from .secondary import SecondaryIndex
 
 __all__ = [
     "BOTTOM",
     "BPlusTree",
     "IndexOrganizedTable",
-    "SecondaryIndex",
     "TOP",
 ]

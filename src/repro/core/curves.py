@@ -248,7 +248,7 @@ class Curve:
         return all(l <= x <= h for x, l, h in zip(point, lo, hi))
 
     # ------------------------------------------------------------------
-    # BIGMIN / LITMAX (Tropf & Herzog), generalized to any schedule
+    # BIGMIN (Tropf & Herzog), generalized to any schedule
     # ------------------------------------------------------------------
     def next_in_box(
         self, address: int, lo: Sequence[int], hi: Sequence[int]
@@ -296,45 +296,6 @@ class Curve:
                 min_work[dim] = _load_min(min_work[dim], weight)
             # minbit == maxbit == 1: follow address
         return address  # address itself decodes to a point inside the box
-
-    def prev_in_box(
-        self, address: int, lo: Sequence[int], hi: Sequence[int]
-    ) -> int | None:
-        """Largest address ``<= address`` whose point lies in ``[lo, hi]`` (LITMAX)."""
-        if address < 0:
-            return None
-        address = min(address, self.address_max)
-        min_work = list(lo)
-        max_work = list(hi)
-        for dim in range(self.dims):
-            if min_work[dim] > max_work[dim]:
-                raise ValueError("empty box: lo exceeds hi")
-        litmax: list[int] | None = None  # last candidate's point (see BIGMIN)
-        lengths = self.bit_lengths
-        for out_from_msb, (dim, bit_from_msb) in enumerate(self.schedule):
-            weight = 1 << (lengths[dim] - 1 - bit_from_msb)
-            abit = address >> (self.total_bits - 1 - out_from_msb) & 1
-            minbit = 1 if min_work[dim] & weight else 0
-            maxbit = 1 if max_work[dim] & weight else 0
-            if abit == 1:
-                if minbit == 1 and maxbit == 1:
-                    continue
-                if minbit == 0 and maxbit == 1:
-                    # candidate: enter the 0-subtree at its maximal point
-                    litmax = max_work.copy()
-                    litmax[dim] = _load_max(max_work[dim], weight)
-                    # follow address into the 1-subtree
-                    min_work[dim] = _load_min(min_work[dim], weight)
-                    continue
-                # maxbit == 0: the whole remaining box is below address
-                return self.encode(max_work)
-            # abit == 0
-            if minbit == 1:
-                # the whole remaining box is above address
-                return None if litmax is None else self.encode(litmax)
-            if maxbit == 1:
-                max_work[dim] = _load_max(max_work[dim], weight)
-        return address
 
     # ------------------------------------------------------------------
     # interval decomposition

@@ -33,8 +33,9 @@ Validators
   completeness (:mod:`repro.invariants.structural`).
 * :func:`validate_ubtree` — Z-region disjointness and coverage of the
   universe, stored-address consistency, record-count bijection.
-* :func:`validate_buffer_pool` — hit/miss/lookup accounting, dirty-set
-  ⊆ frames, frame count ≤ capacity (:mod:`repro.invariants.accounting`).
+* :func:`validate_buffer_pool` — hit/miss/lookup accounting, prefetch
+  ledger, frame count ≤ capacity, no quarantined page resident
+  (:mod:`repro.invariants.accounting`).
 * :class:`StreamChecker` — Tetris output monotonicity in the sort
   dimension(s) and query-space membership
   (:mod:`repro.invariants.streams`).

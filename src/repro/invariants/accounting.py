@@ -6,10 +6,10 @@ one miss or one quarantine rejection; the disk fetches issued by the
 pool must equal its misses plus the retry attempts its retry policy
 authorized plus the async prefetches it issued (so prefetching cannot
 silently double-count I/O); every issued prefetch must be claimed,
-cancelled or still pending; pending prefetched pages must be resident
-and clean; dirty pages must still be resident; the pool must never hold
-more frames than its capacity; and a quarantined page must be neither
-resident nor dirty.  :class:`repro.storage.buffer.BufferPool` maintains
+cancelled or still pending; pending prefetched pages must be resident;
+the pool must never hold more frames than its capacity; and a
+quarantined page must not be resident.
+:class:`repro.storage.buffer.BufferPool` maintains
 the ``lookups`` / ``disk_fetches`` / ``rejected`` / ``retry_attempts``
 / ``prefetch_issued`` / ``prefetch_claimed`` / ``prefetch_cancelled``
 shadow counters this validator cross-checks.
@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 
 
 def validate_buffer_pool(pool: "BufferPool") -> None:
-    """O(dirty-set + quarantine-set) accounting contract of one pool."""
+    """O(pending-set + quarantine-set) accounting contract of one pool."""
     check(
         pool.hits + pool.misses + pool.rejected == pool.lookups,
         f"buffer accounting broken: {pool.hits} hits + {pool.misses} misses "
@@ -53,22 +53,11 @@ def validate_buffer_pool(pool: "BufferPool") -> None:
         f"{pool.capacity}",
     )
     resident = pool._frames.keys()
-    stray = [page_id for page_id in pool._dirty if page_id not in resident]
-    check(
-        not stray,
-        f"dirty set references evicted pages {stray}; write-back was lost",
-    )
     lost_pending = [page_id for page_id in pending if page_id not in resident]
     check(
         not lost_pending,
         f"pending prefetched pages {lost_pending} are not resident; their "
         "claims would re-fetch and double-count",
-    )
-    dirty_pending = [page_id for page_id in pending if page_id in pool._dirty]
-    check(
-        not dirty_pending,
-        f"pending prefetched pages {dirty_pending} are marked dirty; an "
-        "unclaimed async read must never carry modifications",
     )
     quarantined = pool.quarantined_pages
     cached = [page_id for page_id in quarantined if page_id in resident]
@@ -76,11 +65,6 @@ def validate_buffer_pool(pool: "BufferPool") -> None:
         not cached,
         f"quarantined pages {cached} are still cached; suspect content "
         "could be served",
-    )
-    dirty_quarantined = [page_id for page_id in quarantined if page_id in pool._dirty]
-    check(
-        not dirty_quarantined,
-        f"quarantined pages {dirty_quarantined} are marked dirty",
     )
     over_budget = [
         page_id

@@ -18,10 +18,8 @@ from .parallel import (
     plan_slabs,
     select_executor,
 )
-from .statistics import AttributeHistogram, TableStatistics
 
 __all__ = [
-    "AttributeHistogram",
     "CandidatePlan",
     "DegradationEvent",
     "ExecutablePlan",
@@ -33,7 +31,6 @@ __all__ = [
     "RelationStats",
     "SweepSlab",
     "choose_plan",
-    "TableStatistics",
     "enumerate_plans",
     "execute_sorted_query",
     "parallel_tetris_scan",

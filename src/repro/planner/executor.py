@@ -35,7 +35,6 @@ from ..relational.table import HeapTable, IOTTable, UBTable
 from ..storage.buffer import BufferPool
 from ..storage.errors import StorageError
 from .optimizer import CandidatePlan, RelationStats, choose_plan
-from .statistics import TableStatistics
 
 ValueRange = tuple[Any, Any]
 #: a plan plus the operator in it carrying method-specific statistics (the
@@ -107,25 +106,16 @@ class PhysicalDesign:
         )
 
     def normalized_restrictions(
-        self,
-        restrictions: dict[str, ValueRange] | None,
-        statistics: "TableStatistics | None" = None,
+        self, restrictions: dict[str, ValueRange] | None
     ) -> dict[str, tuple[float, float]]:
         """Value-level ranges to the model's normalized ``(y, z)`` pairs.
 
-        Without ``statistics`` the mapping assumes a uniform domain (the
-        paper's Section 4 assumption); with gathered
-        :class:`~repro.planner.statistics.TableStatistics` the range is
-        mapped through the empirical CDF instead — UB-Tree regions split
-        at data medians, so quantile positions are what the region-count
-        model actually responds to.
+        The mapping assumes a uniform domain (the paper's Section 4
+        assumption).
         """
         result: dict[str, tuple[float, float]] = {}
         schema = self.schema
         for attr, (lo, hi) in (restrictions or {}).items():
-            if statistics is not None and attr in statistics.histograms:
-                result[attr] = statistics.normalized_range(attr, lo, hi)
-                continue
             encoder = schema.attribute(attr).encoder
             domain = encoder.code_max + 1
             lo_code = encoder.encode(lo) if lo is not None else 0
@@ -280,18 +270,15 @@ def plan_sorted_query(
     *,
     descending: bool = False,
     require_pipelined: bool = False,
-    statistics: "TableStatistics | None" = None,
 ) -> ExecutablePlan:
     """Choose and build the cheapest plan for a sort+restriction query.
 
     Returns the costed choice plus an operator tree that streams the
-    restricted relation in ``sort_attr`` order.  Pass gathered
-    ``statistics`` to price restrictions by data quantiles instead of
-    the uniform-domain assumption.
+    restricted relation in ``sort_attr`` order.
     """
     choice = choose_plan(
         design.relation_stats(),
-        design.normalized_restrictions(restrictions, statistics),
+        design.normalized_restrictions(restrictions),
         sort_attr,
         params,
         require_pipelined=require_pipelined,
@@ -424,7 +411,6 @@ def execute_sorted_query(
     *,
     descending: bool = False,
     require_pipelined: bool = False,
-    statistics: "TableStatistics | None" = None,
     max_degradations: int = 8,
 ) -> QueryResult:
     """Run a sort+restriction query, degrading across instances on failure.
@@ -468,7 +454,6 @@ def execute_sorted_query(
                 params,
                 descending=descending,
                 require_pipelined=pipelined,
-                statistics=statistics,
             )
         except ValueError as exc:
             # the optimizer found no candidate on the surviving instances

@@ -19,25 +19,19 @@ from .group import (
     Sum,
 )
 from .join import HashJoin, MergeJoin, MergeSemiJoin
-from .merge import KWayMerge
 from .scan import FullTableScan, IOTScan, TetrisOperator, UBRangeScan
-from .sets import Difference, Distinct, Intersect, Union, UnionAll
 from .sort import ExternalMergeSort, SortStats
 
 __all__ = [
     "Aggregate",
     "Avg",
     "Count",
-    "Difference",
-    "Distinct",
     "ExternalMergeSort",
     "FirstTupleTimer",
     "FullTableScan",
     "HashJoin",
     "IOTScan",
     "InMemorySort",
-    "Intersect",
-    "KWayMerge",
     "Limit",
     "Max",
     "MergeJoin",
@@ -52,6 +46,4 @@ __all__ = [
     "Sum",
     "TetrisOperator",
     "UBRangeScan",
-    "Union",
-    "UnionAll",
 ]

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..btree.iot import TOP, IndexOrganizedTable
-from ..btree.secondary import SecondaryIndex
 from ..core.query_space import QueryBox, QuerySpace
 from ..core.tetris import TetrisScan
 from ..core.ubtree import UBTree
@@ -253,7 +252,6 @@ class HeapTable(BaseTable):
         self.heap = HeapFile(
             db.disk, page_capacity, retry_policy=db.retry_policy, scheduler=db.scheduler
         )
-        self.secondary_indexes: dict[str, SecondaryIndex] = {}
 
     def __len__(self) -> int:
         return len(self.heap)
@@ -263,37 +261,15 @@ class HeapTable(BaseTable):
         return self.heap.page_count
 
     def insert(self, row: Row) -> None:
-        page_id = self.heap.append(row)
-        for index in self.secondary_indexes.values():
-            slot = len(self.db.disk.peek(page_id).records) - 1
-            index.insert(row, (page_id, slot))
+        self.heap.append(row)
 
     def bulk_load(self, rows: Iterable[Row]) -> None:
-        """Initial load, WAL-protected when the database has a log armed.
-
-        Must precede secondary index creation: the indexes are built by
-        scanning the heap, and journaling their page-at-a-time builds is
-        out of the WAL's batch scope here.
-        """
-        if self.secondary_indexes:
-            raise RuntimeError(
-                "bulk_load must run before secondary indexes are created"
-            )
+        """Initial load, WAL-protected when the database has a log armed."""
         self.heap.bulk_load(rows)
 
     def scan(self) -> Iterator[Row]:
         """Full table scan: sequential reads, prefetch-friendly."""
         return self.heap.scan()
-
-    def create_secondary_index(self, attr: str) -> SecondaryIndex:
-        """A non-clustered B+-tree on one attribute (Sections 5.1/5.3)."""
-        position = self.schema.position(attr)
-        index = SecondaryIndex(
-            self.db.buffer, lambda row: row[position], self.heap
-        )
-        index.build()
-        self.secondary_indexes[attr] = index
-        return index
 
 
 class IOTTable(BaseTable):

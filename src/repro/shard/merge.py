@@ -15,8 +15,8 @@ equal keys never meet across shards: merging the streams by key with
 any tie-breaking rule reproduces the unsharded scan bit-for-bit.
 
 The merge itself reuses the kernel two-way primitive
-:func:`~repro.kernels.merge_sorted_keys` in a pairwise tree —
-``ceil(log2(k))`` passes over the data, the same discipline an
+:meth:`~repro.kernels.base.KernelBackend.merge_sorted_keys` in a pairwise
+tree — ``ceil(log2(k))`` passes over the data, the same discipline an
 external-sort merge phase would use, except no I/O is charged because
 the coordinator merges in memory.  Streams that do not overlap (always
 the case when the sort attribute is the shard attribute) are simply
@@ -46,7 +46,7 @@ def _merge_pair(left: KeyedStream, right: KeyedStream) -> KeyedStream:
     rows = left_rows + right_rows
     if left_keys[-1] < right_keys[0]:
         return keys, rows
-    permutation = kernels.merge_sorted_keys(left_keys, right_keys)
+    permutation = kernels.get_backend().merge_sorted_keys(left_keys, right_keys)
     return (
         [keys[index] for index in permutation],
         [rows[index] for index in permutation],

@@ -17,8 +17,12 @@ With ``REPRO_CHECKS=1`` every mutation re-validates the pool's
 accounting contract (see :mod:`repro.invariants.accounting`): each
 lookup is exactly one hit, one miss or one quarantine rejection; disk
 fetches equal misses plus retry attempts plus issued prefetches; the
-dirty set stays within the resident frames; the frame count never
-exceeds the capacity; and no quarantined page is resident.
+frame count never exceeds the capacity; and no quarantined page is
+resident.
+
+The pool is a read cache: every engine write goes straight to
+``disk.write`` under the WAL, so no frame is ever dirty and eviction
+never writes back.
 
 When an :class:`~repro.storage.scheduler.IOScheduler` is attached, the
 pool is also the prefetch gate: :meth:`prefetch` admits a page whose
@@ -60,7 +64,6 @@ class EvictionPolicy(Protocol):
 @guarded_by(
     "_lock",
     "_frames",
-    "_dirty",
     "_prefetched",
     "_failures",
     "_quarantined",
@@ -78,7 +81,7 @@ class EvictionPolicy(Protocol):
 class BufferPool:
     """LRU cache of disk pages with hit/miss accounting and quarantine.
 
-    Frame maps, the dirty/prefetch/quarantine sets, the observer list
+    Frame maps, the prefetch/quarantine sets, the observer list
     and every shadow counter are guarded by the pool's ``buffer-pool``
     lock: all mutating entry points take it, internal helpers inherit
     it from their callers (reprolint R010 verifies the reachability
@@ -130,7 +133,6 @@ class BufferPool:
         #: harness counts evictions here) follows in lockstep
         self._eviction_observers: list[Callable[[int], Any]] = []
         self._frames: OrderedDict[int, Page] = OrderedDict()
-        self._dirty: set[int] = set()
         #: resident frames whose async read has not been claimed yet —
         #: the pages *ahead* of the sweep plane
         self._prefetched: set[int] = set()
@@ -205,7 +207,7 @@ class BufferPool:
             page = self._fetch(
                 page_id, sequential=sequential, category=category, charge=charge
             )
-            self._admit(page, category)
+            self._admit(page)
             self._validate()
             return page
 
@@ -250,7 +252,7 @@ class BufferPool:
                 return False
             self._prefetched.add(page_id)
             self._note_write("_prefetched")
-            self._admit(page, category)
+            self._admit(page)
             self._validate()
             return True
 
@@ -359,13 +361,12 @@ class BufferPool:
             self._note_write("_quarantined")
             self.disk.stats.faults.quarantined_pages += 1
         # a quarantined page must not linger in the cache (its content is
-        # suspect); drop it without write-back, retiring any still-pending
-        # async read of it along the way
+        # suspect); drop it, retiring any still-pending async read of it
+        # along the way
         if page_id in self._prefetched:
             self._cancel_pending(page_id)
         if self._frames.pop(page_id, None) is not None:
             self._notify_evicted(page_id)
-        self._dirty.discard(page_id)
 
     # ------------------------------------------------------------------
     # quarantine introspection
@@ -415,53 +416,8 @@ class BufferPool:
             self._validate()
             return repaired
 
-    def mark_dirty(self, page_id: int) -> None:
-        with self._lock:
-            if page_id in self._frames:
-                self._dirty.add(page_id)
-                self._note_write("_dirty")
-
-    def put(self, page: Page, *, dirty: bool = True, category: str = "data") -> None:
-        """Install a freshly created page into the pool."""
-        with self._lock:
-            if page.page_id in self._quarantined:
-                raise QuarantinedPageError(
-                    f"refusing to cache quarantined page {page.page_id}"
-                )
-            if page.page_id in self._prefetched:
-                # a fresh install supersedes a pending async read of the page
-                self._cancel_pending(page.page_id)
-            self._admit(page, category)
-            if dirty:
-                self._dirty.add(page.page_id)
-            self._validate()
-
-    def evict(self, page_id: int, *, category: str = "data") -> None:
-        """Explicitly drop one page, writing it back if dirty."""
-        with self._lock:
-            if page_id in self._prefetched:
-                self._cancel_pending(page_id)
-            page = self._frames.pop(page_id, None)
-            if page is not None:
-                self._note_write("_frames")
-                if page_id in self._dirty:
-                    self._dirty.discard(page_id)
-                    self.disk.write(page, category=category)
-                self._notify_evicted(page_id)
-            self._validate()
-
-    def flush(self, *, category: str = "data") -> None:
-        """Write back all dirty pages (end of a load phase)."""
-        with self._lock:
-            for page_id in sorted(self._dirty):
-                page = self._frames.get(page_id)
-                if page is not None:
-                    self.disk.write(page, sequential=True, category=category)
-            self._dirty.clear()
-            self._note_write("_dirty")
-
     def drop_all(self) -> None:
-        """Empty the pool without write-back (pages live in the sim anyway).
+        """Empty the pool (pages live in the sim anyway).
 
         Used between experiment phases to start measurements from a cold
         cache, the state the paper's formulas assume.  Quarantine state
@@ -474,7 +430,6 @@ class BufferPool:
                 self._cancel_pending(page_id)
             dropped = list(self._frames)
             self._frames.clear()
-            self._dirty.clear()
             self._note_write("_frames")
             for page_id in dropped:
                 self._notify_evicted(page_id)
@@ -488,19 +443,16 @@ class BufferPool:
         if invariants.enabled():
             invariants.validate_buffer_pool(self)
 
-    def _admit(self, page: Page, category: str) -> None:
+    def _admit(self, page: Page) -> None:
         self._frames[page.page_id] = page
         self._frames.move_to_end(page.page_id)
         self._note_write("_frames")
         while len(self._frames) > self.capacity:
             victim_id = self._choose_victim()
-            victim = self._frames.pop(victim_id)
+            del self._frames[victim_id]
             if victim_id in self._prefetched:
                 # evicting an unclaimed prefetch throws the transfer away
                 self._cancel_pending(victim_id)
-            if victim_id in self._dirty:
-                self._dirty.discard(victim_id)
-                self.disk.write(victim, category=category)
             self._notify_evicted(victim_id)
 
     def _choose_victim(self) -> int:

@@ -113,8 +113,8 @@ class HeapFile:
                         self._pages.append(page)
                     self._pages[-1].add(record)
                     self._count += 1
-                first_dirty = pre_pages - (1 if tail is not None else 0)
-                for page in self._pages[first_dirty:]:
+                first_written = pre_pages - (1 if tail is not None else 0)
+                for page in self._pages[first_written:]:
                     wal.log_image(page)
                     self.disk.write(page, sequential=True, category=category)
             except BaseException:

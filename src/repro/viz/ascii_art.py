@@ -75,36 +75,6 @@ def render_sweep(
     return "\n".join(lines)
 
 
-def render_order(space_bits: Sequence[int], *, tetris_dim: int | None = None) -> str:
-    """Ordinal numbers of a 2-D space in Z or Tetris order (Figures 3-2/3-4).
-
-    With ``tetris_dim=None`` the grid shows Z-addresses; with a dimension
-    it shows the Tetris ordinals ``T_j(x)``, visualizing how the order
-    becomes row-major in the sort attribute.
-    """
-    from ..core.zorder import ZSpace
-
-    if len(space_bits) != 2:
-        raise ValueError("order rendering supports two dimensions only")
-    space = ZSpace(space_bits)
-    width = space.coord_max[0] + 1
-    height = space.coord_max[1] + 1
-    if width * height > 4096:
-        raise ValueError("universe too large to render")
-    cell = len(str(space.address_max))
-    lines = []
-    for y in range(height - 1, -1, -1):
-        row = []
-        for x in range(width):
-            if tetris_dim is None:
-                ordinal = space.z_address((x, y))
-            else:
-                ordinal = space.tetris_address((x, y), tetris_dim)
-            row.append(str(ordinal).rjust(cell))
-        lines.append(" ".join(row))
-    return "\n".join(lines)
-
-
 def _region_index(regions, address: int) -> int:
     lo, hi = 0, len(regions) - 1
     while lo < hi:

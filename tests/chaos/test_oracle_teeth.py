@@ -123,13 +123,22 @@ class TestOracleTeeth:
 
     def test_txn_sweep_catches_an_unresolved_crash(self, monkeypatch):
         """Seed 23 crashes a shard WAL mid-work; without the presumed
-        abort the half-written rows stay visible.  (Seed 85 would not
-        bite here: its crash lands after every row is in place, and an
-        in-doubt prepared batch is invisible to the fingerprint scan —
-        recorded in ROADMAP item 6.)"""
+        abort the half-written rows stay visible.  (Seed 85's crash
+        lands after every row is in place, so the fingerprint scan alone
+        cannot see its in-doubt prepared batch; the unacked-decision
+        check catches it — see the next test.)"""
         monkeypatch.setattr(TransactionCoordinator, "recover", _no_recovery)
         with pytest.raises(ChaosViolation, match="neither verdict"):
             run_schedule("txn", 23, backend=BACKEND)
+
+    def test_txn_sweep_catches_an_unacked_commit(self, monkeypatch):
+        """Seed 85's commit verdict is durable but unacked when the
+        shard WAL crashes; a recovery that resolves nothing leaves every
+        row where the fingerprint expects it, and only the decision
+        log's unacked entry shows the transaction was never driven."""
+        monkeypatch.setattr(TransactionCoordinator, "recover", _no_recovery)
+        with pytest.raises(ChaosViolation, match="unacked"):
+            run_schedule("txn", 85, backend=BACKEND)
 
     def test_txn_sweep_catches_resolution_against_the_verdict(self, monkeypatch):
         """Seed 85 crashes a shard WAL's own commit record after the

@@ -1,4 +1,4 @@
-"""Tests for the bit-schedule curves: encoding, BIGMIN/LITMAX, decomposition."""
+"""Tests for the bit-schedule curves: encoding, BIGMIN, decomposition."""
 
 import itertools
 from contextlib import contextmanager
@@ -173,7 +173,7 @@ def test_monotonicity_property(curve_point, data):
 
 
 # ----------------------------------------------------------------------
-# BIGMIN / LITMAX against brute force
+# BIGMIN against brute force
 # ----------------------------------------------------------------------
 def brute_next_in_box(curve, address, lo, hi):
     best = None
@@ -184,27 +184,11 @@ def brute_next_in_box(curve, address, lo, hi):
     return best
 
 
-def brute_prev_in_box(curve, address, lo, hi):
-    for candidate in range(min(address, curve.address_max), -1, -1):
-        if curve.point_in_box(curve.decode(candidate), lo, hi):
-            return candidate
-    return None
-
-
 def test_next_in_box_exhaustive_2d():
     curve = Curve.z_curve([3, 3])
     lo, hi = (2, 1), (5, 6)
     for address in range(64):
         assert curve.next_in_box(address, lo, hi) == brute_next_in_box(
-            curve, address, lo, hi
-        )
-
-
-def test_prev_in_box_exhaustive_2d():
-    curve = Curve.z_curve([3, 3])
-    lo, hi = (2, 1), (5, 6)
-    for address in range(64):
-        assert curve.prev_in_box(address, lo, hi) == brute_prev_in_box(
             curve, address, lo, hi
         )
 
@@ -266,15 +250,6 @@ def test_next_in_box_matches_brute_force(query):
     )
 
 
-@given(box_queries())
-@settings(max_examples=300, deadline=None)
-def test_prev_in_box_matches_brute_force(query):
-    curve, address, lo, hi = query
-    assert curve.prev_in_box(address, lo, hi) == brute_prev_in_box(
-        curve, address, lo, hi
-    )
-
-
 @contextmanager
 def counted_encodes(curve):
     """Every ``curve.encode`` call inside the block lands in the list."""
@@ -297,10 +272,9 @@ def counted_encodes(curve):
 def test_bigmin_and_litmax_encode_at_most_once(query):
     """Candidates are remembered as points; only the survivor is encoded."""
     curve, address, lo, hi = query
-    for search in (curve.next_in_box, curve.prev_in_box):
-        with counted_encodes(curve) as calls:
-            search(address, lo, hi)
-        assert len(calls) <= 1
+    with counted_encodes(curve) as calls:
+        curve.next_in_box(address, lo, hi)
+    assert len(calls) <= 1
 
 
 # ----------------------------------------------------------------------

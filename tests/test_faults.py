@@ -303,15 +303,6 @@ class TestBufferQuarantine:
         with pytest.raises(QuarantinedPageError):
             pool.get(1)
 
-    def test_put_refuses_quarantined_page(self):
-        disk, pool = self.pool(
-            FaultPlan(seed=0, scripted_reads=((1, 0, CORRUPT),)), threshold=3
-        )
-        with pytest.raises(CorruptPageError):
-            pool.get(1)
-        with pytest.raises(QuarantinedPageError):
-            pool.put(disk.peek(1))
-
     def test_quarantine_survives_drop_all(self):
         disk, pool = self.pool(FaultPlan(seed=0, transient_rate=1.0), threshold=1)
         with pytest.raises(TransientIOError):

@@ -202,24 +202,3 @@ class TestPlannerAgainstSimulation:
         )
         plan = choose_plan(stats, {"a1": (0.0, 0.5)}, "a2", SECTION_4_PARAMS)
         assert plan.method == "tetris"
-
-
-class TestSecondaryIndexLoses:
-    """Sections 5.1/5.3: RID fetches through a secondary index are much
-    slower than a full table scan at moderate selectivity."""
-
-    def test_secondary_index_slower_than_fts(self, world):
-        db, data, heap, iot_a1, iot_a2, ub = world
-        index = heap.create_secondary_index("a1")
-        db.reset_measurement()
-        before = db.disk.snapshot()
-        rows_via_index = list(index.fetch(0, 511))
-        index_time = (db.disk.snapshot() - before).time
-
-        db.reset_measurement()
-        before = db.disk.snapshot()
-        rows_via_scan = [r for r in heap.scan() if r[0] <= 511]
-        scan_time = (db.disk.snapshot() - before).time
-
-        assert sorted(rows_via_index) == sorted(rows_via_scan)
-        assert index_time > scan_time

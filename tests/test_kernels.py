@@ -43,8 +43,8 @@ class TestRegistry:
         assert "python" in kernels.available_backends()
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.set_backend("fortran")
+        with pytest.raises(ValueError), kernels.use_backend("fortran"):
+            pass
 
     def test_use_backend_restores(self):
         before = kernels.get_backend()
@@ -60,12 +60,10 @@ class TestRegistry:
 
     @needs_numpy
     def test_set_backend_by_name(self):
-        before = kernels.get_backend()
-        try:
-            assert kernels.set_backend("numpy").name == "numpy"
-            assert kernels.set_backend("python").name == "python"
-        finally:
-            kernels._active = before
+        for name in ("numpy", "python"):
+            with kernels.use_backend(name) as backend:
+                assert backend.name == name
+                assert kernels.get_backend() is backend
 
 
 # ----------------------------------------------------------------------
@@ -117,15 +115,15 @@ def test_encode_decode_parity(case):
     curve, bits, seed, count = case
     points = random_points(bits, seed, count)
     with kernels.use_backend("python"):
-        py_addresses = kernels.encode_batch(curve, points)
+        py_addresses = kernels.get_backend().encode_batch(curve, points)
     with kernels.use_backend("numpy"):
-        np_addresses = kernels.encode_batch(curve, points)
+        np_addresses = kernels.get_backend().encode_batch(curve, points)
     assert np_addresses == py_addresses
     assert py_addresses == [curve.encode(p) for p in points]
     with kernels.use_backend("python"):
-        py_points = kernels.decode_batch(curve, py_addresses)
+        py_points = kernels.get_backend().decode_batch(curve, py_addresses)
     with kernels.use_backend("numpy"):
-        np_points = kernels.decode_batch(curve, py_addresses)
+        np_points = kernels.get_backend().decode_batch(curve, py_addresses)
     assert np_points == py_points
     assert py_points == points
 
@@ -139,11 +137,11 @@ def test_filter_and_argsort_parity(case):
     lo, hi = random_box(bits, seed)
     box = QueryBox(lo, hi)
     with kernels.use_backend("python"):
-        py_box = kernels.filter_box_batch(lo, hi, points)
-        py_space = kernels.filter_space_batch(box, points)
+        py_box = kernels.get_backend().filter_box_batch(lo, hi, points)
+        py_space = kernels.get_backend().filter_space_batch(box, points)
     with kernels.use_backend("numpy"):
-        np_box = kernels.filter_box_batch(lo, hi, points)
-        np_space = kernels.filter_space_batch(box, points)
+        np_box = kernels.get_backend().filter_box_batch(lo, hi, points)
+        np_space = kernels.get_backend().filter_space_batch(box, points)
     assert np_box == py_box == np_space == py_space
     assert py_box == [
         i for i, p in enumerate(points) if box.contains_point(p)
@@ -151,9 +149,9 @@ def test_filter_and_argsort_parity(case):
     keys = [curve.encode(p) for p in points]
     for reverse in (False, True):
         with kernels.use_backend("python"):
-            py_perm = kernels.argsort_keys(keys, reverse=reverse)
+            py_perm = kernels.get_backend().argsort_keys(keys, reverse=reverse)
         with kernels.use_backend("numpy"):
-            np_perm = kernels.argsort_keys(keys, reverse=reverse)
+            np_perm = kernels.get_backend().argsort_keys(keys, reverse=reverse)
         assert np_perm == py_perm
         expected = sorted(range(len(keys)), key=keys.__getitem__, reverse=reverse)
         # both must be *stable*: equal keys keep arrival order
@@ -170,9 +168,9 @@ def test_page_entries_parity(case):
     box = QueryBox(lo, hi)
     base = seed % 977
     with kernels.use_backend("python"):
-        py_result = kernels.page_entries(curve, box, points, base)
+        py_result = kernels.get_backend().page_entries(curve, box, points, base)
     with kernels.use_backend("numpy"):
-        np_result = kernels.page_entries(curve, box, points, base)
+        np_result = kernels.get_backend().page_entries(curve, box, points, base)
     py_count, py_selected, py_entries = py_result
     np_count, np_selected, np_entries = np_result
     assert (np_count, list(np_selected), [list(e) for e in np_entries]) == (
@@ -198,9 +196,9 @@ def test_region_min_keys_parity(case):
         intervals.append((min(a, b), max(a, b)))
     lo, hi = random_box(bits, seed)
     with kernels.use_backend("python"):
-        py_keys = kernels.region_min_keys(z_curve, sort_curve, intervals, lo, hi)
+        py_keys = kernels.get_backend().region_min_keys(z_curve, sort_curve, intervals, lo, hi)
     with kernels.use_backend("numpy"):
-        np_keys = kernels.region_min_keys(z_curve, sort_curve, intervals, lo, hi)
+        np_keys = kernels.get_backend().region_min_keys(z_curve, sort_curve, intervals, lo, hi)
     assert np_keys == py_keys
     assert base.dims == len(bits)
 
@@ -279,11 +277,11 @@ def test_schedule_regions_parity(case, kind, covered):
     for start in starts:
         for keyed_by in (sort_curve, None):
             with kernels.use_backend("python"):
-                py_rows = kernels.schedule_regions(
+                py_rows = kernels.get_backend().schedule_regions(
                     directory, start, lo, hi, space, pushdown, keyed_by
                 )
             with kernels.use_backend("numpy"):
-                np_rows = kernels.schedule_regions(
+                np_rows = kernels.get_backend().schedule_regions(
                     directory, start, lo, hi, space, pushdown, keyed_by
                 )
             assert np_rows == py_rows
@@ -446,16 +444,16 @@ def test_scan_page_run_and_buffer_parity(case):
     base = seed % 977
     page = make_record_page(curve, points)
     with kernels.use_backend("python"):
-        reference = kernels.scan_page(curve, box, page, base)
+        reference = kernels.get_backend().scan_page(curve, box, page, base)
     streams = {}
     for backend in ("python", "numpy"):
         with kernels.use_backend(backend):
-            qualifying, selected, run = kernels.scan_page_run(
+            qualifying, selected, run = kernels.get_backend().scan_page_run(
                 curve, box, page, base
             )
             assert qualifying == reference[0]
             assert list(selected) == list(reference[1])
-            buffer = kernels.make_run_buffer()
+            buffer = kernels.get_backend().make_run_buffer()
             if qualifying:
                 buffer.push(run)
             assert len(buffer) == qualifying
@@ -489,10 +487,10 @@ def test_run_buffer_interleaved_barrier_cuts_parity(case):
     streams = {}
     for backend in ("python", "numpy"):
         with kernels.use_backend(backend):
-            buffer = kernels.make_run_buffer()
+            buffer = kernels.get_backend().make_run_buffer()
             stream, base = [], 0
             for page, barrier in zip(pages, barriers):
-                qualifying, _, run = kernels.scan_page_run(
+                qualifying, _, run = kernels.get_backend().scan_page_run(
                     curve, box, page, base
                 )
                 base += len(page.records)
@@ -509,7 +507,7 @@ def test_run_buffer_interleaved_barrier_cuts_parity(case):
     # every qualifying arrival is emitted exactly once
     with kernels.use_backend("python"):
         expected = sum(
-            kernels.scan_page(curve, box, page, 0)[0] for page in pages
+            kernels.get_backend().scan_page(curve, box, page, 0)[0] for page in pages
         )
     assert len(streams["python"]) == expected
     assert len(set(streams["python"])) == expected
@@ -530,7 +528,7 @@ def test_scan_block_parity(case):
     results = {}
     for backend in ("python", "numpy"):
         with kernels.use_backend(backend):
-            selected_per_page, emit_order = kernels.scan_block(curve, box, pages)
+            selected_per_page, emit_order = kernels.get_backend().scan_block(curve, box, pages)
             results[backend] = (
                 [list(sel) for sel in selected_per_page],
                 list(emit_order),
@@ -542,7 +540,7 @@ def test_scan_block_parity(case):
     arrivals = []
     for page, selected in zip(pages, selected_per_page):
         with kernels.use_backend("python"):
-            reference = kernels.scan_page(curve, box, page, 0)
+            reference = kernels.get_backend().scan_page(curve, box, page, 0)
         assert selected == list(reference[1])
         arrivals.extend(page.records[index][0] for index in selected)
     expected = sorted(range(len(arrivals)), key=arrivals.__getitem__)
@@ -562,9 +560,9 @@ def test_merge_sorted_keys_parity():
             (rng.randrange(50) for _ in range(size_b)), reverse=reverse
         )
         with kernels.use_backend("python"):
-            py_merge = kernels.merge_sorted_keys(keys_a, keys_b, reverse=reverse)
+            py_merge = kernels.get_backend().merge_sorted_keys(keys_a, keys_b, reverse=reverse)
         with kernels.use_backend("numpy"):
-            np_merge = kernels.merge_sorted_keys(keys_a, keys_b, reverse=reverse)
+            np_merge = kernels.get_backend().merge_sorted_keys(keys_a, keys_b, reverse=reverse)
         assert np_merge == py_merge
         combined = keys_a + keys_b
         # exactly the permutation a stable sort of the concatenation
@@ -580,9 +578,9 @@ def test_merge_sorted_keys_non_integer_keys_fall_back():
     keys_a = [("a", 1), ("c", 0)]
     keys_b = [("b", 2), ("c", 1)]
     with kernels.use_backend("python"):
-        py_merge = kernels.merge_sorted_keys(keys_a, keys_b)
+        py_merge = kernels.get_backend().merge_sorted_keys(keys_a, keys_b)
     with kernels.use_backend("numpy"):
-        np_merge = kernels.merge_sorted_keys(keys_a, keys_b)
+        np_merge = kernels.get_backend().merge_sorted_keys(keys_a, keys_b)
     assert np_merge == py_merge == [0, 2, 1, 3]
 
 
@@ -594,12 +592,12 @@ def test_run_buffer_accepts_foreign_runs():
     points = [(i % 16, (i * 7) % 16) for i in range(40)]
     page = make_record_page(curve, points)
     with kernels.use_backend("python"):
-        _, _, pure_run = kernels.scan_page_run(curve, box, page, 0)
-        expected = kernels.make_run_buffer()
+        _, _, pure_run = kernels.get_backend().scan_page_run(curve, box, page, 0)
+        expected = kernels.get_backend().make_run_buffer()
         expected.push(pure_run)
         expected_stream = expected.cut(None)
     with kernels.use_backend("numpy"):
-        buffer = kernels.make_run_buffer()
+        buffer = kernels.get_backend().make_run_buffer()
     buffer.push(pure_run)
     assert len(buffer) == len(points)
     assert buffer.cut(None) == expected_stream

@@ -13,7 +13,6 @@ from repro.relational.operators import (
     FirstTupleTimer,
     HashJoin,
     InMemorySort,
-    KWayMerge,
     Limit,
     Max,
     MergeJoin,
@@ -265,16 +264,6 @@ class TestJoins:
             MergeSemiJoin(left, right, left_key=lambda r: r[0], right_key=lambda r: r[0])
         )
         assert out == [(1,)]
-
-    def test_kway_merge(self):
-        streams = [[(1,), (5,)], [(2,), (4,)], [(3,)]]
-        out = list(KWayMerge(streams, key=lambda r: r[0]))
-        assert out == [(1,), (2,), (3,), (4,), (5,)]
-
-    def test_kway_merge_descending(self):
-        streams = [[(5,), (1,)], [(4,), (2,)]]
-        out = list(KWayMerge(streams, key=lambda r: r[0], descending=True))
-        assert out == [(5,), (4,), (2,), (1,)]
 
 
 @given(

@@ -42,7 +42,6 @@ def make_table(rows=800, seed=SEED):
     db = Database(buffer_pages=64)
     ub = db.create_ub_table("ub", schema, dims=("a1", "a2"), page_capacity=40)
     ub.load(data)
-    db.buffer.flush()
     db.reset_measurement()
     return ub
 

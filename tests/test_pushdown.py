@@ -188,9 +188,9 @@ class TestIntervalUnionSpace:
             (rng.randrange(1024), rng.randrange(1024)) for _ in range(500)
         ]
         with kernels.use_backend("python"):
-            pure = kernels.filter_space_batch(space, points)
+            pure = kernels.get_backend().filter_space_batch(space, points)
         with kernels.use_backend("numpy"):
-            vectorized = kernels.filter_space_batch(space, points)
+            vectorized = kernels.get_backend().filter_space_batch(space, points)
         assert pure == vectorized
 
 

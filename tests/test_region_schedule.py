@@ -522,7 +522,7 @@ def test_concurrent_first_touch_builds_valid_directories(backend):
             gate.wait(timeout=10)
             directory = tree.region_directory()
             results.append(
-                kernels.schedule_regions(
+                kernels.get_backend().schedule_regions(
                     directory, start, lo, hi, space, None, sort_curve
                 )
             )

@@ -43,7 +43,6 @@ def make_db(rows=600, *, devices=1, prefetch_depth=0, seed=11):
     )
     ub = db.create_ub_table("ub", schema, dims=("a1", "a2"), page_capacity=40)
     ub.load(data)
-    db.buffer.flush()
     db.reset_measurement()
     return db, ub
 

@@ -412,9 +412,10 @@ class TestMergeStreams:
 
     def test_disjoint_streams_concatenate_without_the_kernel(self, monkeypatch):
         calls = []
-        original = kernels.merge_sorted_keys
+        backend = kernels.get_backend()
+        original = backend.merge_sorted_keys
         monkeypatch.setattr(
-            kernels,
+            backend,
             "merge_sorted_keys",
             lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs),
         )

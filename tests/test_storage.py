@@ -201,46 +201,14 @@ class TestBufferPool:
         assert 1 not in pool
         assert 0 in pool and 2 in pool
 
-    def test_dirty_eviction_writes_back(self):
-        disk = SimulatedDisk()
-        disk.allocate_extent(3, capacity=4)
-        pool = BufferPool(disk, capacity=1)
-        pool.get(0)
-        pool.mark_dirty(0)
-        pool.get(1)  # evicts dirty 0
-        assert disk.stats.pages_written == 1
-
-    def test_flush_writes_dirty_pages(self):
-        disk = SimulatedDisk()
-        disk.allocate_extent(2, capacity=4)
-        pool = BufferPool(disk, capacity=4)
-        pool.get(0)
-        pool.get(1)
-        pool.mark_dirty(0)
-        pool.flush()
-        assert disk.stats.pages_written == 1
-        pool.flush()  # nothing left
-        assert disk.stats.pages_written == 1
-
     def test_drop_all_forgets_without_writeback(self):
         disk = SimulatedDisk()
         disk.allocate(4)
         pool = BufferPool(disk, capacity=4)
         pool.get(0)
-        pool.mark_dirty(0)
         pool.drop_all()
         assert len(pool) == 0
         assert disk.stats.pages_written == 0
-
-    def test_evict_specific_page(self):
-        disk = SimulatedDisk()
-        disk.allocate(4)
-        pool = BufferPool(disk, capacity=4)
-        pool.get(0)
-        pool.mark_dirty(0)
-        pool.evict(0)
-        assert 0 not in pool
-        assert disk.stats.pages_written == 1
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
@@ -274,7 +242,7 @@ class TestEvictionObservers:
         pool.get(0)  # admit
         pool.get(1)  # admit
         pool.get(0)  # hit
-        pool.put(Page(page_id=1, capacity=4))  # re-admit a resident page
+        pool.get(1)  # hit
         assert evicted == []
 
     def test_lru_victim_notifies_once(self):
@@ -286,14 +254,6 @@ class TestEvictionObservers:
         assert evicted == [1]
         pool.get(3)  # _admit evicts 0
         assert evicted == [1, 0]
-
-    def test_evict_notifies_once(self):
-        pool, evicted = observed_pool(capacity=4)
-        pool.get(0)
-        pool.evict(0)
-        assert evicted == [0]
-        pool.evict(0)  # no frame left: nothing to report
-        assert evicted == [0]
 
     def test_quarantine_of_a_resident_frame_notifies_once(self):
         plan = FaultPlan(seed=0, scripted_reads=((1, 0, CORRUPT),))
@@ -331,35 +291,34 @@ class TestEvictionObservers:
         assert evicted == [2, 0, 3]
 
     def test_removed_observer_is_not_called(self):
-        pool, evicted = observed_pool(capacity=4)
+        pool, evicted = observed_pool(capacity=1)
         pool.get(0)
         pool.remove_eviction_observer(evicted.append)
-        pool.evict(0)
+        pool.get(1)  # _admit evicts 0
         assert evicted == []
 
     def test_removing_an_absent_observer_is_a_noop(self):
-        pool, evicted = observed_pool(capacity=4)
+        pool, evicted = observed_pool(capacity=1)
         pool.remove_eviction_observer(print)
         pool.get(0)
-        pool.evict(0)
+        pool.get(1)  # _admit evicts 0
         assert evicted == [0]
 
     def test_add_and_remove_are_race_clean_under_the_pool_lock(self):
         reset_sanitizer()
         try:
             with checks():
-                pool, evicted = observed_pool(capacity=2)
+                pool, evicted = observed_pool(capacity=1)
                 late = []
                 with actor("scan-worker"):
                     pool.add_eviction_observer(late.append)
                     pool.get(0)
                 with actor("evict-worker"):
-                    pool.evict(0)
+                    pool.get(1)  # _admit evicts 0
                     pool.remove_eviction_observer(late.append)
                     pool.remove_eviction_observer(late.append)  # absent now
                 with actor("scan-worker"):
-                    pool.get(1)
-                    pool.evict(1)
+                    pool.get(2)  # _admit evicts 1
                 assert (evicted, late) == ([0, 1], [0])
                 # the list is a guarded field: the same write from an actor
                 # that never took the pool lock is what the sanitizer catches

@@ -73,24 +73,6 @@ class TestHeapTable:
         with pytest.raises(NotImplementedError):
             table.build_query_box({"a": (0, 1)})
 
-    def test_secondary_index_fetch(self):
-        db = Database()
-        table = db.create_heap_table("t", make_schema(), 10)
-        rows = make_rows(100)
-        table.load(rows)
-        index = table.create_secondary_index("a")
-        expected = sorted(r for r in rows if 10 <= r[0] <= 20)
-        got = sorted(index.fetch(10, 20))
-        assert got == expected
-
-    def test_secondary_index_maintained_on_insert(self):
-        db = Database()
-        table = db.create_heap_table("t", make_schema(), 10)
-        table.load(make_rows(50))
-        index = table.create_secondary_index("a")
-        table.insert((7, 7, 9999))
-        assert (7, 7, 9999) in list(index.fetch(7, 7))
-
 
 class TestIOTTable:
     def test_scan_sorted_by_key(self):

@@ -69,35 +69,3 @@ def test_rejects_oversized_universe():
     tree.insert((0, 0), "x")
     with pytest.raises(ValueError):
         render_partitioning(tree)
-
-
-def test_render_order_z():
-    from repro.viz import render_order
-
-    art = render_order([2, 2])
-    lines = art.splitlines()
-    assert len(lines) == 4
-    # bottom-left is Z-address 0, top-right is 15
-    assert lines[-1].split()[0] == "0"
-    assert lines[0].split()[-1] == "15"
-
-
-def test_render_order_tetris():
-    from repro.viz import render_order
-
-    art = render_order([2, 2], tetris_dim=1)
-    rows = [list(map(int, line.split())) for line in art.splitlines()]
-    # in Tetris order for dim 1, each row (constant y) holds a contiguous
-    # ordinal block: row y covers [4*y, 4*y + 3]
-    for offset, row in enumerate(rows):
-        y = len(rows) - 1 - offset
-        assert sorted(row) == list(range(4 * y, 4 * y + 4))
-
-
-def test_render_order_rejects_bad_shapes():
-    from repro.viz import render_order
-
-    with pytest.raises(ValueError):
-        render_order([2, 2, 2])
-    with pytest.raises(ValueError):
-        render_order([8, 8])

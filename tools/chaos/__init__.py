@@ -178,7 +178,6 @@ def build_world(
         db.create_ub_table("ub", schema, dims=SHARD_DIMS, page_capacity=40)
     )
     if not wal:
-        db.buffer.flush()
         if replicas:
             db.capture_replicas()
         db.reset_measurement()
@@ -301,12 +300,20 @@ def settle_txn_landing(
 
     The recovered world must equal the fault-free oracle exactly when
     the decision log holds a durable ``commit`` verdict for ``gid``, and
-    the untouched baseline otherwise (presumed abort); a second recovery
+    the untouched baseline otherwise (presumed abort); the first pass
+    must leave no decided-but-unacked transaction behind (an in-doubt
+    prepared batch is invisible to the fingerprint scan), and a second
     pass must resolve nothing, re-ack nothing and change nothing.
     Returns the first pass's report and the verdict (``""`` = presumed
     abort); ``where`` names the schedule in messages.
     """
     report = txn.recover()
+    unacked = txn.log.unacked_decisions()
+    if unacked:
+        raise ChaosViolation(
+            f"{where}: txn recovery left decided transactions unacked "
+            f"{unacked!r}"
+        )
     fp = scan_fingerprint(sdb)
     decided = txn.log.decision_for(gid) or ""
     if fp != (oracle_fp if decided == "commit" else baseline_fp):
