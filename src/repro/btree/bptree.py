@@ -99,7 +99,7 @@ class BPlusTree:
         page.payload = {"leaf": True, "next": None}
         wal = active_wal(self.disk)
         if wal is not None:
-            self._journal_alloc(wal, page)
+            wal.log_alloc(page)
         return page
 
     def _new_inner(self, keys: list[Any], children: list[int]) -> Page:
@@ -107,16 +107,8 @@ class BPlusTree:
         page.payload = _InnerNode(keys, children)
         wal = active_wal(self.disk)
         if wal is not None:
-            self._journal_alloc(wal, page)
-        return page
-
-    def _journal_alloc(self, wal: WriteAheadLog, page: Page) -> None:
-        """Journal a fresh allocation; a crash mid-append must not leak it."""
-        try:
             wal.log_alloc(page)
-        except BaseException:
-            self.disk.free(page.page_id)
-            raise
+        return page
 
     def _fetch(self, page_id: int, *, charge: bool) -> Page:
         return self.buffer.get(
@@ -215,14 +207,12 @@ class BPlusTree:
     def meta_snapshot(self) -> tuple[int, int, int, int, int, int]:
         """The tree's in-memory descriptors (root, height, counts).
 
-        The WAL restores *page content* on rollback but knows nothing of
-        the tree object sitting on top, so every journaled mutation
-        opens its batch with :meth:`~repro.storage.wal.WriteAheadLog
-        .journaled`, which restores these if the batch aborts.  Code
-        that holds one WAL batch open across several mutations — the
-        2PC participant layer in :mod:`repro.shard` — must do the same
-        at batch granularity: a later abort (or a post-crash presumed
-        abort) rolls the pages back underneath the live tree object.
+        Every journaled mutation opens (or joins) its WAL batch with
+        :meth:`~repro.storage.wal.WriteAheadLog.journaled`, so the batch
+        records these on the tree's first join and hands them back to
+        :meth:`meta_restore` on every rollback — an in-process abort, an
+        abort verdict or a post-crash presumed abort alike.  Nothing
+        outside the WAL snapshots a tree.
         """
         return (
             self.root_id,

@@ -86,11 +86,10 @@ def validate_txn_log(coordinator: "TransactionCoordinator") -> None:
                 False, f"unknown decision-log record kind {record.kind!r}"
             )
     # cross-check: no participant committed a gid the log did not decide
-    sdb = coordinator.sdb
-    for pid in sdb.participant_ids():
+    for copy in coordinator.sdb.all_copies():
         committed_txns: set[int] = set()
         gid_of_txn: dict[int, str] = {}
-        for record in sdb.participant_wal_records(pid):
+        for record in copy.wal_records():
             if record.kind == "prepare" and record.label:
                 gid_of_txn[record.txn] = record.label
             elif record.kind == "commit" and record.txn in gid_of_txn:
@@ -99,7 +98,7 @@ def validate_txn_log(coordinator: "TransactionCoordinator") -> None:
             gid = gid_of_txn[txn]
             check(
                 decisions.get(gid) == "commit",
-                f"participant {sdb.participant_name(pid)} committed "
+                f"participant {copy.name} committed "
                 f"prepared transaction {gid!r} but the decision log says "
                 f"{decisions.get(gid)!r} — a unilateral commit",
             )

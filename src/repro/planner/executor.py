@@ -37,6 +37,8 @@ from ..storage.errors import StorageError
 from .optimizer import CandidatePlan, RelationStats, choose_plan
 
 ValueRange = tuple[Any, Any]
+#: re-plans one query may go through before it gives up
+MAX_DEGRADATIONS = 8
 #: a plan plus the operator in it carrying method-specific statistics (the
 #: external sort or the Tetris operator; ``None`` for a plain scan)
 AccessPath = tuple[Operator, ExternalMergeSort | TetrisOperator | None]
@@ -411,7 +413,6 @@ def execute_sorted_query(
     *,
     descending: bool = False,
     require_pipelined: bool = False,
-    max_degradations: int = 8,
 ) -> QueryResult:
     """Run a sort+restriction query, degrading across instances on failure.
 
@@ -439,7 +440,7 @@ def execute_sorted_query(
                 + "; ".join(event.describe() for event in events),
                 tuple(events),
             )
-        if len(events) > max_degradations:
+        if len(events) > MAX_DEGRADATIONS:
             telemetry.emit(*events)
             raise PlanExhaustedError(
                 f"gave up after {len(events)} degradations: "

@@ -347,16 +347,15 @@ class UBTable(BaseTable):
     def meta_snapshot(self) -> tuple:
         """In-memory UB-tree descriptors (root, height, counts).
 
-        The 2PC participant layer snapshots these when it opens a
-        multi-operation WAL batch and restores them if the batch later
-        aborts (in-process or by post-crash presumed abort): the WAL
-        rolls back *page content* only, and would otherwise leave the
-        live tree object pointing at freed pages with stale counts.
+        A table that joins a multi-operation WAL batch (a 2PC
+        participant's, a sharded insert batch's) has these recorded by
+        the batch and restored by its rollback, so the live tree object
+        never points at freed pages with stale counts.
         """
         return self.ubtree.tree.meta_snapshot()
 
     def meta_restore(self, meta: tuple) -> None:
-        """Restore a :meth:`meta_snapshot` after a WAL batch rollback."""
+        """Restore a :meth:`meta_snapshot` (the WAL's rollback calls it)."""
         self.ubtree.tree.meta_restore(meta)
 
     def insert(self, row: Row) -> None:

@@ -36,13 +36,11 @@ Robustness is a ladder, climbed per shard and logged one
 
 With ``wal=True`` every copy is also a **two-phase-commit participant**:
 a :class:`~repro.txn.TransactionCoordinator` attaches via
-:meth:`ShardedDatabase.attach_coordinator` and drives multi-shard writes
-through the participant API (``begin_participant`` …
-``recover_participant``), making bulk loads and insert batches atomic
-across all ``k × r`` independent WALs.  The participant layer owns the
-piece the WAL cannot: it snapshots each table's in-memory tree
-descriptors when a batch opens and restores them on any abort path,
-because WAL rollback restores page content only.
+:meth:`ShardedDatabase.attach_coordinator` and drives each
+:class:`ShardCopy`'s ``txn_begin`` … ``txn_recover``, making bulk loads
+and insert batches atomic across all ``k × r`` independent WALs.  A
+copy's table joins its WAL batch, so the batch's own rollback restores
+the tree descriptors along with the pages on every abort path.
 """
 
 from __future__ import annotations
@@ -77,11 +75,7 @@ from .events import ShardDegradationEvent
 from .merge import KeyedStream, merge_shard_streams
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from ..storage.disk import SimulatedDisk
-    from ..txn import TransactionCoordinator, TxnRecoveryReport
-
-#: participant id: (shard index, copy index)
-Pid = tuple[int, int]
+    from ..txn import TransactionCoordinator
 
 _payload = itemgetter(1)  # of a ``(point, payload)`` tuple
 
@@ -101,8 +95,33 @@ __all__ = [
 RowSource = Callable[[], Iterable[Row]] | Sequence[Row]
 
 
+def _row_factory(source: RowSource) -> Callable[[], Iterable[Row]]:
+    if callable(source):
+        return source
+    rows: Sequence[Row] = source
+    return lambda: rows
+
+
+#: ladder rungs one shard may climb in one scan or join leg before its
+#: range is given up
+MAX_DEGRADATIONS = 16
+
+#: a crash device's (append count, arm a crash after n more appends)
+CrashHook = tuple[Callable[[], int], Callable[[int], None]]
+
+
+def _copy_name(shard_index: int, copy_index: int) -> str:
+    return f"shard{shard_index}.copy{copy_index}"
+
+
 class ShardCopy:
-    """One independent engine instance holding one shard's rows."""
+    """One independent engine instance holding one shard's rows.
+
+    With a WAL it is also a two-phase-commit participant: the ``txn_*``
+    methods are the state machine a :class:`~repro.txn
+    .TransactionCoordinator` drives (R015 bans any other driver), and
+    :meth:`crash_hooks` its surface for the crash-schedule explorer.
+    """
 
     def __init__(
         self, shard_index: int, copy_index: int, db: Database, table: UBTable
@@ -117,6 +136,12 @@ class ShardCopy:
         self.healthy = True
         self.rows_served = 0
         self._kill_at: int | None = None
+
+    @property
+    def name(self) -> str:
+        """``shardN.copyM``: the participant's name in rosters, telemetry
+        and crash-device names."""
+        return _copy_name(self.shard_index, self.copy_index)
 
     @property
     def available(self) -> bool:
@@ -156,6 +181,66 @@ class ShardCopy:
             f"shard {self.shard_index} copy {self.copy_index} killed "
             f"after serving {self.rows_served} rows"
         )
+
+    # -- the 2PC participant (driven by repro.txn) ----------------------
+    @property
+    def _wal(self) -> WriteAheadLog:
+        wal = self.db.wal
+        if wal is None:  # pragma: no cover - guarded by attach_coordinator
+            raise RuntimeError(f"{self.name} has no write-ahead log")
+        return wal
+
+    def txn_begin(self, gid: str) -> None:
+        """Open this copy's WAL batch under the global transaction id;
+        the table joins it, so any rollback restores its descriptors."""
+        wal = self._wal
+        wal.begin(gid)
+        wal.join(self.table)
+
+    def txn_load(self, rows: Iterable[Row], *, fill: float = 1.0) -> None:
+        """Bulk-load this copy's share of the rows inside its batch."""
+        self.table.bulk_load(rows, fill=fill)
+
+    def txn_insert(self, rows: Iterable[Row]) -> None:
+        """Insert this copy's share of the rows inside its batch."""
+        for row in rows:
+            self.table.insert(row)
+
+    def txn_prepare(self, gid: str) -> None:
+        """Force the prepare record: this copy's commit vote."""
+        self._wal.prepare(gid)
+
+    def txn_commit(self, gid: str) -> None:
+        """Apply the coordinator's commit verdict to the prepared batch."""
+        self._wal.commit_prepared(gid)
+
+    def txn_abort(self, gid: str) -> None:
+        """Roll back whatever state the batch is in: prepared (abort
+        verdict), still open (work-phase failure) or never begun."""
+        wal = self._wal
+        if gid in wal.prepared_gids:
+            wal.abort_prepared(gid)
+        elif wal.in_batch:
+            wal.abort()
+
+    def txn_recover(
+        self, decide: "Callable[[str], bool] | None" = None
+    ) -> RecoveryReport:
+        """Recover this copy; ``decide`` is the decision-log lookup
+        (without it, or for any gid it declines, presume abort)."""
+        return self.db.recover(decide)
+
+    def wal_records(self) -> tuple[WALRecord, ...]:
+        """Read-only view of this copy's log (validators only)."""
+        return tuple(self._wal.records)
+
+    def crash_hooks(self) -> dict[str, CrashHook]:
+        """This copy's crash devices by name: its WAL and its base disk."""
+        wal, disk = self._wal, disk_layers(self.db.disk)[-1]
+        return {
+            wal.name: (lambda: wal.append_count, wal.crash_after_appends),
+            f"{self.name}.disk": (lambda: disk.write_count, disk.crash_after_writes),
+        }
 
 
 @dataclass
@@ -267,9 +352,6 @@ class ShardedDatabase:
         self.wal_enabled = wal
         #: the attached 2PC coordinator, if any (see attach_coordinator)
         self.txn: "TransactionCoordinator | None" = None
-        #: pid -> table tree-meta snapshot, held while its batch is open
-        #: or in-doubt; restored on abort, discarded on commit
-        self._participant_meta: dict[Pid, tuple] = {}
         self.retry_policy = (
             retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
         )
@@ -295,7 +377,7 @@ class ShardedDatabase:
                     retry_policy=retry_policy,
                     quarantine_threshold=quarantine_threshold,
                     wal=wal,
-                    wal_name=f"shard{index}.copy{copy_index}.wal",
+                    wal_name=f"{_copy_name(index, copy_index)}.wal",
                     wal_fault_plan=wal_plans.get((index, copy_index)),
                 )
                 table = db.create_ub_table(
@@ -323,13 +405,10 @@ class ShardedDatabase:
         """
         if self.txn is not None:
             return self.txn.atomic_load(source, fill=fill).rows
-        factory = self._row_factory(source)
         total = 0
         for shard in self.shards:
             for copy in shard.copies:
-                copy.table.bulk_load(
-                    self._rows_for_slab(factory(), shard.slab), fill=fill
-                )
+                copy.table.bulk_load(self.shard_rows(shard.index, source), fill=fill)
             total += self._settle_row_count(
                 shard, " during load (source is not deterministic)"
             )
@@ -337,23 +416,18 @@ class ShardedDatabase:
             invariants.validate_sharded_database(self)
         return total
 
-    def _copies(self) -> Iterator[ShardCopy]:
+    def all_copies(self) -> Iterator[ShardCopy]:
         """Every copy of every shard, in shard-major order."""
         for shard in self.shards:
             yield from shard.copies
 
-    def _row_factory(self, source: RowSource) -> Callable[[], Iterable[Row]]:
-        if callable(source):
-            return source
-        rows: Sequence[Row] = source
-        return lambda: rows
-
-    def _rows_for_slab(
-        self, rows: Iterable[Row], slab: SweepSlab
-    ) -> Iterator[Row]:
+    def shard_rows(self, index: int, source: RowSource) -> Iterator[Row]:
+        """One pass over ``source`` (a factory is called once), keeping
+        the rows shard ``index`` owns: the one routing of every write."""
+        slab = self.shards[index].slab
         encode = self._shard_encoder.encode
         position = self._shard_pos
-        for row in rows:
+        for row in _row_factory(source)():
             if slab.lo <= encode(row[position]) <= slab.hi:
                 yield row
 
@@ -369,23 +443,22 @@ class ShardedDatabase:
         if self.txn is not None:
             return self.txn.atomic_insert(rows).rows
         for shard in self.shards:
-            shard_rows = list(self._rows_for_slab(rows, shard.slab))
-            if not shard_rows:
+            owned = list(self.shard_rows(shard.index, rows))
+            if not owned:
                 continue
             for copy in shard.copies:
                 wal = copy.db.wal
                 if wal is None:
-                    for row in shard_rows:
+                    for row in owned:
                         copy.table.insert(row)
                     continue
                 with wal.journaled("shard.insert_batch", copy.table):
-                    for row in shard_rows:
+                    for row in owned:
                         copy.table.insert(row)
         return self.refresh_row_counts()
 
     # ------------------------------------------------------------------
-    # the 2PC participant layer (driven by repro.txn; R015 bans any
-    # other caller of the mutating participant methods)
+    # two-phase commit (each ShardCopy is a participant; see repro.txn)
     # ------------------------------------------------------------------
     def attach_coordinator(self, coordinator: "TransactionCoordinator") -> None:
         """Bind a transaction coordinator; loads/inserts become atomic.
@@ -397,7 +470,7 @@ class ShardedDatabase:
             raise RuntimeError(
                 "a transaction coordinator is already attached"
             )
-        for copy in self._copies():
+        for copy in self.all_copies():
             if copy.db.wal is None:
                 raise RuntimeError(
                     "two-phase commit requires wal=True on every "
@@ -405,112 +478,6 @@ class ShardedDatabase:
                     f"{copy.copy_index} has none)"
                 )
         self.txn = coordinator
-
-    def participant_ids(self) -> tuple[Pid, ...]:
-        """Every (shard, copy) pair, in shard-major order."""
-        return tuple(
-            (copy.shard_index, copy.copy_index) for copy in self._copies()
-        )
-
-    def participant_name(self, pid: Pid) -> str:
-        return f"shard{pid[0]}.copy{pid[1]}"
-
-    def _participant(self, pid: Pid) -> ShardCopy:
-        return self.shards[pid[0]].copies[pid[1]]
-
-    def _participant_wal(self, pid: Pid) -> WriteAheadLog:
-        wal = self._participant(pid).db.wal
-        if wal is None:  # pragma: no cover - guarded by attach_coordinator
-            raise RuntimeError(f"{self.participant_name(pid)} has no WAL")
-        return wal
-
-    def begin_participant(self, pid: Pid, gid: str) -> int:
-        """Open this participant's WAL batch under the global txn id.
-
-        The table's in-memory tree descriptors are snapshotted first:
-        WAL rollback restores page content only, so any abort path
-        (in-process or post-crash presumed abort) restores these too.
-        """
-        copy = self._participant(pid)
-        self._participant_meta[pid] = copy.table.meta_snapshot()
-        return self._participant_wal(pid).begin(gid)
-
-    def load_participant(
-        self, pid: Pid, source: RowSource, *, fill: float = 1.0
-    ) -> int:
-        """Bulk-load this copy's slab of ``source`` inside its batch."""
-        copy = self._participant(pid)
-        shard = self.shards[pid[0]]
-        factory = self._row_factory(source)
-        copy.table.bulk_load(
-            self._rows_for_slab(factory(), shard.slab), fill=fill
-        )
-        return len(copy.table)
-
-    def insert_participant(self, pid: Pid, rows: Iterable[Row]) -> int:
-        """Insert this copy's slab of ``rows`` inside its batch."""
-        copy = self._participant(pid)
-        shard = self.shards[pid[0]]
-        inserted = 0
-        for row in self._rows_for_slab(rows, shard.slab):
-            copy.table.insert(row)
-            inserted += 1
-        return inserted
-
-    def prepare_participant(self, pid: Pid, gid: str) -> int:
-        """Force this participant's prepare record (its commit vote)."""
-        return self._participant_wal(pid).prepare(gid)
-
-    def commit_participant(self, pid: Pid, gid: str) -> None:
-        """Apply the coordinator's commit verdict to the prepared batch."""
-        self._participant_wal(pid).commit_prepared(gid)
-        self._participant_meta.pop(pid, None)
-
-    def abort_participant(self, pid: Pid, gid: str) -> None:
-        """Roll this participant back, whatever state its batch is in.
-
-        Handles a prepared batch (verdict abort), a still-open batch
-        (work-phase failure) and a batch that never began (no-op) — the
-        coordinator's abort path cannot know which it will find.  The
-        tree-meta snapshot is restored unconditionally; page rollback
-        that a crash interrupts here is re-driven by recovery.
-        """
-        wal = self._participant_wal(pid)
-        try:
-            if gid in wal.prepared_gids:
-                wal.abort_prepared(gid)
-            elif wal.in_batch:
-                wal.abort()
-        finally:
-            meta = self._participant_meta.pop(pid, None)
-            if meta is not None:
-                self._participant(pid).table.meta_restore(meta)
-
-    def recover_participant(
-        self, pid: Pid, decide: "Callable[[str], bool] | None" = None
-    ) -> RecoveryReport:
-        """Run this copy's WAL recovery and settle its in-memory state.
-
-        ``decide`` is the coordinator's decision-log lookup; without it
-        (or for any gid it declines) prepared batches presume abort.
-        The held tree-meta snapshot is restored unless the decision log
-        vouches for a commit — a committed participant's in-memory state
-        already reflects the applied work.
-        """
-        copy = self._participant(pid)
-        wal = self._participant_wal(pid)
-        committed = decide is not None and any(
-            decide(gid) for gid in wal.prepared_gids
-        )
-        report = copy.db.recover(decide)
-        meta = self._participant_meta.pop(pid, None)
-        if meta is not None and not committed:
-            copy.table.meta_restore(meta)
-        return report
-
-    def participant_wal_records(self, pid: Pid) -> tuple[WALRecord, ...]:
-        """Read-only view of one participant's log (validators only)."""
-        return tuple(self._participant_wal(pid).records)
 
     def refresh_row_counts(self) -> int:
         """Re-derive ``rows_loaded`` from the live tables; returns total.
@@ -531,46 +498,12 @@ class ShardedDatabase:
         self.rows_loaded[shard.index] = counts[0]
         return counts[0]
 
-    def recover(self) -> "TxnRecoveryReport | tuple[RecoveryReport, ...]":
-        """Crash recovery across every shard log.
-
-        With a coordinator attached, delegates to its decision-log
-        replay (commit in-doubt batches whose verdict is durable,
-        presume abort otherwise).  Without one, every copy recovers
-        standalone — all in-doubt batches presume abort.
-        """
-        if self.txn is not None:
-            return self.txn.recover()
-        reports = tuple(
-            self.recover_participant(pid) for pid in self.participant_ids()
-        )
-        self.refresh_row_counts()
-        return reports
-
-    # ------------------------------------------------------------------
-    # deterministic crash hooks (the crash-schedule explorer's surface)
-    # ------------------------------------------------------------------
-    def _base_disk(self, pid: Pid) -> "SimulatedDisk":
-        return disk_layers(self._participant(pid).db.disk)[-1]
-
-    def wal_append_count(self, pid: Pid) -> int:
-        return self._participant_wal(pid).append_count
-
-    def arm_wal_crash(self, pid: Pid, appends: int) -> None:
-        self._participant_wal(pid).crash_after_appends(appends)
-
-    def data_write_count(self, pid: Pid) -> int:
-        return self._base_disk(pid).write_count
-
-    def arm_data_crash(self, pid: Pid, writes: int) -> None:
-        self._base_disk(pid).crash_after_writes(writes)
-
     # ------------------------------------------------------------------
     # fault administration
     # ------------------------------------------------------------------
     def arm_faults(self) -> None:
         """Arm every copy built with a data-disk or log-device plan."""
-        for copy in self._copies():
+        for copy in self.all_copies():
             data_faulted = isinstance(copy.db.disk, FaultyDisk)
             log_faulted = copy.db.wal is not None and isinstance(
                 copy.db.wal.device, FaultyDisk
@@ -580,7 +513,7 @@ class ShardedDatabase:
 
     def disarm_faults(self) -> None:
         """Stop all injection; delegation becomes pure again."""
-        for copy in self._copies():
+        for copy in self.all_copies():
             copy.db.disarm_faults()
 
     def kill_copy(
@@ -609,7 +542,7 @@ class ShardedDatabase:
         internals (R014).
         """
         total = 0.0
-        for copy in self._copies():
+        for copy in self.all_copies():
             total += copy.db.disk.clock
             if copy.db.wal is not None:
                 total += copy.db.wal.device.clock
@@ -630,7 +563,7 @@ class ShardedDatabase:
             "lifted": 0,
             "log_injected": 0,
         }
-        for copy in self._copies():
+        for copy in self.all_copies():
             faults = copy.db.disk.stats.faults
             totals["injected"] += faults.total_injected
             totals["retries"] += faults.retries
@@ -648,7 +581,7 @@ class ShardedDatabase:
 
     def reset_measurement(self) -> None:
         """Drop every copy's caches between experiments."""
-        for copy in self._copies():
+        for copy in self.all_copies():
             copy.db.reset_measurement()
 
     # ------------------------------------------------------------------
@@ -661,7 +594,6 @@ class ShardedDatabase:
         *,
         descending: bool = False,
         allow_partial: bool = False,
-        max_degradations: int = 16,
     ) -> ShardedScanResult:
         """Restricted sorted scan over all shards, merged in order.
 
@@ -694,7 +626,6 @@ class ShardedDatabase:
                     sort_attr,
                     descending,
                     allow_partial,
-                    max_degradations,
                     events,
                     failed_ranges,
                 ):
@@ -757,7 +688,6 @@ class ShardedDatabase:
         sort_attr: str | Sequence[str],
         descending: bool,
         allow_partial: bool,
-        max_degradations: int,
         events: list[ShardDegradationEvent],
         failed_ranges: list[tuple[int, int]],
         predicate: Callable[[Row], bool] | None = None,
@@ -853,9 +783,9 @@ class ShardedDatabase:
                 return
             except StorageError as exc:
                 rungs += 1
-                if rungs > max_degradations:
+                if rungs > MAX_DEGRADATIONS:
                     copy.healthy = False
-                    exhausted = f"degradation budget exhausted ({max_degradations})"
+                    exhausted = f"degradation budget exhausted ({MAX_DEGRADATIONS})"
                     lose_shard(
                         exhausted,
                         type(exc).__name__,
@@ -1032,8 +962,7 @@ class ShardedDatabase:
                 page = copy.db.disk.peek(page_id)
             except StorageError:
                 continue
-            page.records = list(peer_page.records)
-            page.version += 1
+            page.restore(peer_page.records)
             page.seal_checksum()
             write_cost = copy.db.disk.params.random_cost(1)
             copy.db.disk.advance_clock(write_cost)
@@ -1141,7 +1070,6 @@ class CoPartitionedJoin:
         left_predicate: Callable[[Row], bool] | None = None,
         right_predicate: Callable[[Row], bool] | None = None,
         allow_partial: bool = False,
-        max_degradations: int = 16,
     ) -> ShardedJoinResult:
         """Run every shard pair's join leg; concatenate in shard order.
 
@@ -1179,7 +1107,6 @@ class CoPartitionedJoin:
                 side.shard_attr,
                 False,
                 allow_partial,
-                max_degradations,
                 events,
                 failed_ranges,
                 predicate,

@@ -73,58 +73,50 @@ class HeapFile:
         """Bulk-append under WAL protection when a log is armed.
 
         Without a log this is exactly :meth:`load`.  With one, the whole
-        load is a single WAL batch: every extent allocation and every
-        first-touched page is journaled, each filled page's redo image
-        precedes its (tearable) sequential write, and on any failure —
-        including a simulated crash mid-batch — the in-memory page
-        directory is restored and the batch abort returns the disk to
-        the pre-load state.
+        load is a single WAL batch the heap joins: every extent
+        allocation and every first-touched page is journaled, each
+        filled page's redo image precedes its (tearable) sequential
+        write, and on any failure — including a simulated crash
+        mid-batch — the batch abort returns the disk to the pre-load
+        state and the page directory to its :meth:`meta_snapshot`.
         """
         wal = active_wal(self.disk)
         if wal is None:
             self.load(records)
             return
         pre_pages = len(self._pages)
-        pre_count = self._count
-        pre_free = list(self._free)
         tail = self._pages[-1] if self._pages and not self._pages[-1].is_full else None
-        with wal.batch("heap.bulk_load"):
-            try:
-                if tail is not None:
-                    wal.touch(tail)
-                for record in records:
-                    if not self._pages or self._pages[-1].is_full:
-                        if not self._free:
-                            # allocate and journal pairwise: a crash in
-                            # the journal append must not leak the page
-                            # it was about to record
-                            extent = []
-                            for _ in range(self.extent_pages):
-                                page = self.disk.allocate(self.page_capacity)
-                                try:
-                                    wal.log_alloc(page)
-                                except BaseException:
-                                    self.disk.free(page.page_id)
-                                    raise
-                                extent.append(page)
-                            self._free = extent
-                        page = self._free.pop(0)
-                        wal.touch(page)  # no-op for batch-allocated pages
-                        self._pages.append(page)
-                    self._pages[-1].add(record)
-                    self._count += 1
-                first_written = pre_pages - (1 if tail is not None else 0)
-                for page in self._pages[first_written:]:
-                    wal.log_image(page)
-                    self.disk.write(page, sequential=True, category=category)
-            except BaseException:
-                # put the in-memory directory back; the batch abort
-                # (triggered by this re-raise) restores page content and
-                # frees the journaled allocations
-                del self._pages[pre_pages:]
-                self._count = pre_count
-                self._free = pre_free
-                raise
+        with wal.journaled("heap.bulk_load", self):
+            if tail is not None:
+                wal.touch(tail)
+            for record in records:
+                if not self._pages or self._pages[-1].is_full:
+                    if not self._free:
+                        extent = []
+                        for _ in range(self.extent_pages):
+                            page = self.disk.allocate(self.page_capacity)
+                            wal.log_alloc(page)
+                            extent.append(page)
+                        self._free = extent
+                    page = self._free.pop(0)
+                    wal.touch(page)  # no-op for batch-allocated pages
+                    self._pages.append(page)
+                self._pages[-1].add(record)
+                self._count += 1
+            first_written = pre_pages - (1 if tail is not None else 0)
+            for page in self._pages[first_written:]:
+                wal.log_image(page)
+                self.disk.write(page, sequential=True, category=category)
+
+    def meta_snapshot(self) -> tuple[int, int, list[Page]]:
+        """The page directory's extent (pages, rows, spare extent pages):
+        what a rolled-back WAL batch hands back to :meth:`meta_restore`."""
+        return len(self._pages), self._count, list(self._free)
+
+    def meta_restore(self, meta: tuple[int, int, list[Page]]) -> None:
+        """Shrink the directory back to a :meth:`meta_snapshot`."""
+        pages, self._count, self._free = meta
+        del self._pages[pages:]
 
     def scan(self, *, category: str = "data") -> Iterator[Any]:
         """Yield all records in physical order with sequential page reads."""

@@ -170,6 +170,13 @@ class Page:
         self.records.clear()
         self.version += 1
 
+    def restore(self, records: Iterable[Any], checksum: int | None = None) -> None:
+        """Put ``records`` back with ``checksum`` as its seal (``None``:
+        unsealed): undo, redo, repair and the log re-force all do it."""
+        self.records = list(records)
+        self.version += 1
+        self.stored_checksum = checksum
+
     def snapshot(self) -> tuple:
         """The current records as a tuple — the same tuple for as long as
         the page holds the same record objects, so the log's undo and redo

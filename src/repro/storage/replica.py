@@ -144,8 +144,7 @@ class ReplicatedDisk(_DelegatingDisk):
             if not copy.intact:
                 continue
             page = self.inner.peek(page_id)
-            page.records = list(copy.records)
-            page.version += 1
+            page.restore(copy.records)
             page.seal_checksum()
             write_cost = self.params.random_cost(1)
             self.inner.advance_clock(write_cost)

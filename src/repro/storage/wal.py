@@ -19,6 +19,11 @@ classical write-ahead protocol:
   resurrect the page);
 * ``commit`` / ``abort`` close the batch.
 
+The objects living on top of the pages (a tree, a table, a heap file)
+``join`` the batch, which records their ``meta_snapshot()``; its one
+undo routine puts pages *and* those descriptors back on every path
+that does not commit.
+
 Two-phase participation: ``prepare(gid)`` closes the active batch into
 the *in-doubt* state instead — the before-images are held, a ``prepare``
 record carrying the global transaction id is forced, and the batch waits
@@ -114,12 +119,15 @@ def _snapshot_payload(payload: Any) -> tuple:
     return ("opaque", payload)
 
 
-def _restore_payload(page: Page, snap: tuple) -> None:
-    """Put a :func:`_snapshot_payload` copy back onto ``page`` in place.
+def _restore_payload(page: Page, snap: tuple | None) -> None:
+    """Put a :func:`_snapshot_payload` copy back onto ``page`` in place
+    (``None``: no payload was logged, leave it).
 
     Container identity is preserved where possible: other pages hold
     references to the same leaf dict / inner-node object.
     """
+    if snap is None:
+        return
     kind = snap[0]
     if kind == "none":
         page.payload = None
@@ -205,25 +213,40 @@ class RecoveryEvent(TelemetryEvent):
 class _Batch:
     """In-flight batch state (the durable truth is in the log records)."""
 
-    __slots__ = ("txn_id", "label", "touched", "allocated", "frees")
+    __slots__ = ("txn_id", "label", "touched", "allocated", "frees", "owners")
 
     def __init__(self, txn_id: int, label: str) -> None:
         self.txn_id = txn_id
         self.label = label
         #: page_id -> (records, payload snapshot, stored_checksum) before-image
-        self.touched: dict[int, tuple[tuple, tuple, int | None]] = {}
+        self.touched: dict[int, tuple[tuple, tuple | None, int | None]] = {}
         self.allocated: list[int] = []
         self.frees: list[int] = []
+        #: owner -> its meta_snapshot() when it joined
+        self.owners: dict[Any, Any] = {}
+
+    def join(self, owner: Any) -> None:
+        """Record ``owner``'s ``meta_snapshot()`` on its first join."""
+        owners = self.owners
+        if owner not in owners:
+            owners[owner] = owner.meta_snapshot()
+
+    def restore_owners(self) -> None:
+        """Put every owner's descriptors back, first joiner last (so the
+        earliest snapshot wins), and forget them."""
+        owners, self.owners = self.owners, {}
+        for owner, meta in reversed(owners.items()):
+            owner.meta_restore(meta)
 
 
 class _Scope:
-    """The context manager behind :meth:`WriteAheadLog.batch` and
-    :meth:`WriteAheadLog.journaled`; a class, not a generator, because
-    journaled inserts open one per row (a generator-based scope made
-    the harness's ``ingest_durable`` inserts ~3 % slower).
+    """The context manager behind :meth:`WriteAheadLog.journaled`; a
+    class, not a generator, because journaled inserts open one per row
+    (a generator-based scope made the harness's ``ingest_durable``
+    inserts ~3 % slower).
     """
 
-    __slots__ = ("wal", "label", "owner", "meta", "opened")
+    __slots__ = ("wal", "label", "owner", "opened")
 
     def __init__(self, wal: WriteAheadLog, label: str, owner: Any) -> None:
         self.wal = wal
@@ -231,34 +254,20 @@ class _Scope:
         self.owner = owner
 
     def __enter__(self) -> int:
-        if self.owner is not None:
-            self.meta = self.owner.meta_snapshot()
-        active = self.wal._active
-        self.opened = active is None
-        if active is not None:
-            return active.txn_id
-        try:
-            return self.wal.begin(self.label)
-        except BaseException:
-            self._restore()
-            raise
+        wal = self.wal
+        batch = wal._active
+        self.opened = batch is None
+        if batch is None:
+            batch = wal._open(self.label)
+        batch.join(self.owner)
+        return batch.txn_id
 
     def __exit__(self, exc_type: type[BaseException] | None, *_: object) -> None:
-        try:
-            if self.opened:
-                if exc_type is None:
-                    self.wal.commit()
-                else:
-                    self.wal.abort()
-        except BaseException:
-            self._restore()
-            raise
-        if exc_type is not None:
-            self._restore()
-
-    def _restore(self) -> None:
-        if self.owner is not None:
-            self.owner.meta_restore(self.meta)
+        if self.opened:
+            if exc_type is None:
+                self.wal.commit()
+            else:
+                self.wal.abort()
 
 
 class AppendOnlyLog:
@@ -408,9 +417,7 @@ class AppendOnlyLog:
             self.device.write(tail, sequential=True, category="wal")
             if tail.records == intended:
                 return
-            tail.records = list(intended)
-            tail.version += 1
-            tail.stored_checksum = None
+            tail.restore(intended)
             self.device.stats.faults.wal_reforced += 1
         raise LogDeviceError(
             f"{self.name} log page {tail.page_id} failed to force intact "
@@ -509,6 +516,9 @@ class WriteAheadLog(AppendOnlyLog):
     # ------------------------------------------------------------------
     def begin(self, label: str = "batch") -> int:
         """Open a batch; returns its transaction id."""
+        return self._open(label).txn_id
+
+    def _open(self, label: str) -> _Batch:
         if self._active is not None:
             raise RuntimeError(
                 f"a WAL batch is already active ({self._active.label!r})"
@@ -522,21 +532,34 @@ class WriteAheadLog(AppendOnlyLog):
         txn_id = self._next_txn
         self._append(BEGIN, txn_id, label=label)
         self._next_txn = txn_id + 1
-        self._active = _Batch(txn_id, label)
-        return txn_id
+        batch = self._active = _Batch(txn_id, label)
+        return batch
 
     def commit(self) -> None:
-        """Close the batch successfully and apply its deferred frees."""
+        """Close the batch successfully and apply its deferred frees.
+        If the commit record never lands the batch can only roll back:
+        its owners are restored at once, its pages by :meth:`recover`."""
         batch = self._require_batch()
-        self._append(COMMIT, batch.txn_id)
+        try:
+            self._commit(batch)
+        except BaseException:
+            batch.restore_owners()
+            raise
         self._active = None
-        self._apply_frees(batch)
+        self._validate()
 
     def abort(self) -> None:
         """Roll the batch back: restore before-images, free allocations."""
         batch = self._require_batch()
         self._active = None
-        self._rollback_batch(batch)
+        self._rollback(batch)
+        self._validate()
+
+    def join(self, owner: Any) -> None:
+        """Enter ``owner`` (a tree, a table, a heap file) into the active
+        batch: its ``meta_snapshot()`` is taken on its first join, and
+        every rollback of the batch hands it back to ``meta_restore``."""
+        self._require_batch().join(owner)
 
     # ------------------------------------------------------------------
     # two-phase participation (the coordinator lives in repro.txn)
@@ -565,34 +588,25 @@ class WriteAheadLog(AppendOnlyLog):
         batch = self._prepared.get(gid)
         if batch is None:
             raise RuntimeError(f"no prepared batch for gid {gid!r}")
-        self._append(COMMIT, batch.txn_id)
+        self._commit(batch)
         del self._prepared[gid]
-        self._apply_frees(batch)
+        self._validate()
 
     def abort_prepared(self, gid: str) -> None:
         """Apply the coordinator's abort verdict: roll the batch back."""
-        batch = self._prepared.get(gid)
+        batch = self._prepared.pop(gid, None)
         if batch is None:
             raise RuntimeError(f"no prepared batch for gid {gid!r}")
-        del self._prepared[gid]
-        self._rollback_batch(batch)
-
-    def batch(self, label: str = "batch") -> _Scope:
-        """``with wal.batch("load"):`` — begin/commit with abort on error.
-
-        Re-entrant: a nested ``batch`` joins the enclosing one (the
-        outermost context owns commit/abort), so a bulk load that calls
-        journaled inserts forms a single atomic batch.
-        """
-        return _Scope(self, label, None)
+        self._rollback(batch)
+        self._validate()
 
     def journaled(self, label: str, owner: Any) -> _Scope:
-        """``with wal.journaled("insert", tree):`` — a :meth:`batch` that
-        also puts ``owner``'s in-memory descriptors back if it fails.
+        """``with wal.journaled("insert", tree):`` — begin/commit with
+        abort on error, ``owner`` :meth:`joining <join>` the batch.
 
-        Rollback restores page content only; ``owner`` (a tree or a
-        table) supplies ``meta_snapshot()`` / ``meta_restore(meta)`` for
-        the object living on top of those pages.
+        Re-entrant: a nested scope joins the enclosing batch (the
+        outermost scope owns commit/abort), so a bulk load that calls
+        journaled inserts forms a single atomic batch.
         """
         return _Scope(self, label, owner)
 
@@ -601,29 +615,49 @@ class WriteAheadLog(AppendOnlyLog):
             raise RuntimeError("no active WAL batch")
         return self._active
 
-    def _apply_frees(self, batch: _Batch) -> None:
-        """A commit record is durable: apply the batch's deferred frees."""
+    def _commit(self, batch: _Batch) -> None:
+        """Log ``batch``'s commit, then apply its deferred frees — for
+        :meth:`commit`, :meth:`commit_prepared` and recovery alike."""
+        self._append(COMMIT, batch.txn_id)
         for page_id in batch.frees:
             self.disk.free(page_id)
-        self._validate()
 
-    def _rollback_batch(self, batch: _Batch) -> None:
-        """Restore a batch's before-images, free its allocations and log
-        the abort."""
+    def _rollback(self, batch: _Batch) -> int:
+        """Undo ``batch`` — before-images, allocations, owners — then log
+        its abort; returns the pages freed.  The one undo routine of
+        :meth:`abort`, :meth:`abort_prepared` and recovery."""
         allocated = set(batch.allocated)
         for page_id, (records, payload, checksum) in batch.touched.items():
             if page_id in allocated or not self.disk.page_exists(page_id):
                 continue
             page = self.disk.peek(page_id)
-            page.records = list(records)
-            page.version += 1
+            page.restore(records, checksum)
             _restore_payload(page, payload)
-            page.stored_checksum = checksum
-        for page_id in batch.allocated:
+        freed = [p for p in batch.allocated if self.disk.page_exists(p)]
+        for page_id in freed:
             self.disk.free(page_id)
+        batch.restore_owners()
         self._append(ABORT, batch.txn_id)
         self.disk.stats.faults.wal_rollbacks += 1
-        self._validate()
+        return len(freed)
+
+    def _logged_batch(self, txn: int) -> _Batch:
+        """Rebuild ``txn``'s batch from its undo/alloc/free records (a
+        batch whose in-memory state did not survive); it has no owners."""
+        batch = _Batch(txn, "")
+        for record in self.records:
+            page_id = record.page_id
+            if record.txn != txn or page_id is None:
+                continue
+            if record.kind == UNDO:
+                batch.touched.setdefault(
+                    page_id, (record.records or (), record.payload, record.checksum)
+                )
+            elif record.kind == ALLOC:
+                batch.allocated.append(page_id)
+            elif record.kind == FREE:
+                batch.frees.append(page_id)
+        return batch
 
     # ------------------------------------------------------------------
     # journaling primitives (engine code calls these inside a batch)
@@ -631,9 +665,10 @@ class WriteAheadLog(AppendOnlyLog):
     def log_alloc(self, page: Page) -> None:
         """Journal a page allocation so rollback can free it.
 
-        Outside a batch this is a no-op: unbatched allocations (e.g. an
-        empty tree's root, created at table definition time) are not
-        covered by the log.
+        The page joins the batch before its record is appended, so a
+        crash on that append cannot leak it.  Outside a batch this is a
+        no-op: unbatched allocations (e.g. an empty tree's root, created
+        at table definition time) are not covered by the log.
         """
         batch = self._active
         if batch is None:
@@ -739,28 +774,24 @@ class WriteAheadLog(AppendOnlyLog):
         # "from disk": the crash hook can lose the begin's batch object)
         for txn in open_txns:
             rolled_back += 1
-            freed += self._rollback_from_log(txn)
+            freed += self._rollback(self._logged_batch(txn))
 
         # resolve in-doubt prepared batches against the decision log:
         # commit when the coordinator durably decided commit, otherwise
-        # presume abort
+        # presume abort.  The log drives both; a batch still held
+        # in-process contributes only its owners' snapshots
         for txn, gid in prepared.items():
+            batch = self._logged_batch(txn)
+            held = self._prepared.pop(gid, None)
+            if held is not None:
+                batch.owners = held.owners
             if decide is not None and decide(gid):
-                frees = [
-                    r.page_id
-                    for r in self.records
-                    if r.txn == txn and r.kind == FREE
-                ]
-                self._append(COMMIT, txn)
-                for page_id in frees:
-                    if page_id is not None and self.disk.page_exists(page_id):
-                        self.disk.free(page_id)
+                self._commit(batch)
                 committed.add(txn)
                 resolved_commits += 1
             else:
-                freed += self._rollback_from_log(txn)
+                freed += self._rollback(batch)
                 resolved_aborts += 1
-            self._prepared.pop(gid, None)
 
         # last committed after-image per page, in LSN order
         last_image: dict[int, WALRecord] = {}
@@ -784,10 +815,8 @@ class WriteAheadLog(AppendOnlyLog):
             )
             if intact:
                 continue
-            page.records = list(record.records or ())
-            page.version += 1
-            if record.payload is not None:
-                _restore_payload(page, record.payload)
+            page.restore(record.records or ())
+            _restore_payload(page, record.payload)
             page.seal_checksum()
             self.disk.write(page, category="wal")
             healed += 1
@@ -806,40 +835,6 @@ class WriteAheadLog(AppendOnlyLog):
         )
         telemetry.emit(RecoveryEvent(wal_name=self.name, report=report))
         return report
-
-    def _rollback_from_log(self, txn: int) -> int:
-        """Roll ``txn`` back from its logged undo/alloc records.
-
-        Returns the number of pages freed.  Idempotent: restoring the
-        same before-images twice and freeing already-freed allocations
-        are both no-ops.
-        """
-        freed = 0
-        undo = [r for r in self.records if r.txn == txn and r.kind == UNDO]
-        allocated = {
-            r.page_id for r in self.records if r.txn == txn and r.kind == ALLOC
-        }
-        for record in reversed(undo):
-            page_id = record.page_id
-            if (
-                page_id is None
-                or page_id in allocated
-                or not self.disk.page_exists(page_id)
-            ):
-                continue
-            page = self.disk.peek(page_id)
-            page.records = list(record.records or ())
-            page.version += 1
-            if record.payload is not None:
-                _restore_payload(page, record.payload)
-            page.stored_checksum = record.checksum
-        for page_id in sorted(p for p in allocated if p is not None):
-            if self.disk.page_exists(page_id):
-                self.disk.free(page_id)
-                freed += 1
-        self._append(ABORT, txn)
-        self.disk.stats.faults.wal_rollbacks += 1
-        return freed
 
     def _validate(self) -> None:
         if invariants.enabled():

@@ -26,10 +26,10 @@ hooks on every device (coordinator log, shard WALs, shard data disks)
 let the crash-schedule explorer (``tools.crashgrid``) prove both halves
 at every single append index.
 
-In-memory state follows the same discipline the engine's journaled
-mutations use: the participant layer snapshots each table's tree
-descriptors when its batch opens and restores them on any abort path,
-since the WAL rolls back page content only.
+Each participant is a :class:`~repro.shard.ShardCopy`, driven through
+its ``txn_*`` methods.  The coordinator holds no in-memory snapshot: a
+copy's table joins its WAL batch, whose own rollback restores the tree
+descriptors with the pages on every abort path.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ from .events import TxnEvent
 from .log import DecisionLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from ..shard import RowSource, ShardedDatabase
+    from ..shard import RowSource, ShardCopy, ShardedDatabase
+    from ..shard.coordinator import CrashHook
     from ..relational.table import Row
 
 __all__ = [
@@ -56,9 +57,6 @@ __all__ = [
     "TxnRecoveryReport",
     "TxnResult",
 ]
-
-#: participant id: (shard index, copy index)
-Pid = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -122,25 +120,29 @@ class TransactionCoordinator:
     # the public write API
     # ------------------------------------------------------------------
     def atomic_load(self, source: "RowSource", *, fill: float = 1.0) -> TxnResult:
-        """Bulk-load every shard copy as one global transaction."""
+        """Bulk-load every shard copy as one global transaction; each
+        copy streams its own pass over ``source``."""
+        sdb = self.sdb
         return self._two_phase(
             "load",
-            lambda pid: self.sdb.load_participant(pid, source, fill=fill),
+            lambda copy: copy.txn_load(
+                sdb.shard_rows(copy.shard_index, source), fill=fill
+            ),
         )
 
     def atomic_insert(self, rows: "list[Row]") -> TxnResult:
         """Insert a batch of rows, all shards or none."""
         rows = list(rows)
+        owned = [list(self.sdb.shard_rows(s.index, rows)) for s in self.sdb.shards]
         return self._two_phase(
-            "insert",
-            lambda pid: self.sdb.insert_participant(pid, rows),
+            "insert", lambda copy: copy.txn_insert(owned[copy.shard_index])
         )
 
     # ------------------------------------------------------------------
     # the protocol
     # ------------------------------------------------------------------
     def _two_phase(
-        self, label: str, work: "Callable[[Pid], int]"
+        self, label: str, work: "Callable[[ShardCopy], None]"
     ) -> TxnResult:
         if self._active_gid is not None:
             raise CoordinatorStateError(
@@ -150,24 +152,26 @@ class TransactionCoordinator:
         gid = f"{label}#{self._seq}"
         self._seq += 1
         self._active_gid = gid
-        pids = self.sdb.participant_ids()
-        names = tuple(self.sdb.participant_name(pid) for pid in pids)
+        copies = tuple(self.sdb.all_copies())
+        names = tuple(copy.name for copy in copies)
         telemetry.emit(
             TxnEvent(
-                gid=gid, phase="begin", detail=f"{len(pids)} participant(s)"
+                gid=gid, phase="begin", detail=f"{len(copies)} participant(s)"
             )
         )
-        begun: list[Pid] = []
+        begun: list[ShardCopy] = []
         try:
             # phase 1a: work, one open WAL batch per participant
-            for pid in pids:
-                self.sdb.begin_participant(pid, gid)
-                begun.append(pid)
-                work(pid)
+            for copy in copies:
+                copy.txn_begin(gid)
+                begun.append(copy)
+                work(copy)
             # phase 1b: every participant votes by forcing its prepare
-            for pid, name in zip(pids, names):
-                self.sdb.prepare_participant(pid, gid)
-                telemetry.emit(TxnEvent(gid=gid, phase="prepared", participant=name))
+            for copy in copies:
+                copy.txn_prepare(gid)
+                telemetry.emit(
+                    TxnEvent(gid=gid, phase="prepared", participant=copy.name)
+                )
             # the decision: prepare roster, then the commit point itself
             self.log.log_prepare(gid, names)
             self.log.log_decision(gid, "commit")
@@ -178,19 +182,21 @@ class TransactionCoordinator:
             raise
         except StorageError as exc:
             reason = f"{type(exc).__name__}: {exc}"
-            self._abort(gid, begun, names, reason)
+            self._abort(gid, begun, reason)
             raise TxnAbortedError(gid, reason) from exc
         except Exception as exc:
             # non-storage failures (bad input, divergent source) abort
             # the transaction but keep their own type for the caller
-            self._abort(gid, begun, names, f"{type(exc).__name__}: {exc}")
+            self._abort(gid, begun, f"{type(exc).__name__}: {exc}")
             raise
         telemetry.emit(TxnEvent(gid=gid, phase="decided", verdict="commit"))
         # phase 2: the decision is durable — errors from here on must
         # propagate un-aborted; recovery drives the commit forward
-        for pid, name in zip(pids, names):
-            self.sdb.commit_participant(pid, gid)
-            telemetry.emit(TxnEvent(gid=gid, phase="committed", participant=name))
+        for copy in copies:
+            copy.txn_commit(gid)
+            telemetry.emit(
+                TxnEvent(gid=gid, phase="committed", participant=copy.name)
+            )
         self.log.log_ack(gid)
         telemetry.emit(TxnEvent(gid=gid, phase="acked"))
         rows = self.sdb.refresh_row_counts()
@@ -200,13 +206,7 @@ class TransactionCoordinator:
             gid=gid, verdict="commit", rows=rows, participants=names
         )
 
-    def _abort(
-        self,
-        gid: str,
-        begun: "list[Pid]",
-        names: tuple[str, ...],
-        reason: str,
-    ) -> None:
+    def _abort(self, gid: str, begun: "list[ShardCopy]", reason: str) -> None:
         """Roll the transaction back everywhere (crash errors re-raise)."""
         logged = gid in self.log.prepared_gids()
         if logged:
@@ -222,22 +222,17 @@ class TransactionCoordinator:
             TxnEvent(gid=gid, phase="decided", verdict="abort", detail=reason)
         )
         failures: list[str] = []
-        pid_names = dict(zip(self.sdb.participant_ids(), names))
-        for pid in begun:
+        for copy in begun:
             try:
-                self.sdb.abort_participant(pid, gid)
+                copy.txn_abort(gid)
             except SimulatedCrashError:
                 raise
             except StorageError as exc:
                 # recovery's presumed abort re-rolls this participant
-                failures.append(f"{pid_names.get(pid, pid)}: {exc}")
+                failures.append(f"{copy.name}: {exc}")
                 continue
             telemetry.emit(
-                TxnEvent(
-                    gid=gid,
-                    phase="aborted",
-                    participant=pid_names.get(pid, str(pid)),
-                )
+                TxnEvent(gid=gid, phase="aborted", participant=copy.name)
             )
         if logged and self.log.decision_for(gid) == "abort" and not failures:
             try:
@@ -266,9 +261,7 @@ class TransactionCoordinator:
         def decide(gid: str) -> bool:
             return self.log.decision_for(gid) == "commit"
 
-        reports: list[RecoveryReport] = []
-        for pid in self.sdb.participant_ids():
-            reports.append(self.sdb.recover_participant(pid, decide))
+        reports = [copy.txn_recover(decide) for copy in self.sdb.all_copies()]
         reacked: list[str] = []
         for gid, verdict in self.log.unacked_decisions():
             telemetry.emit(TxnEvent(gid=gid, phase="resolved", verdict=verdict))
@@ -288,45 +281,29 @@ class TransactionCoordinator:
     # ------------------------------------------------------------------
     # the crash-schedule explorer's device surface
     # ------------------------------------------------------------------
+    def _crash_hooks(self) -> "dict[str, CrashHook]":
+        """Device name -> its crash hook: the decision log, then each
+        participant's own (:meth:`~repro.shard.ShardCopy.crash_hooks`)."""
+        log = self.log
+        hooks: "dict[str, CrashHook]" = {
+            log.name: (lambda: log.append_count, log.crash_after_appends)
+        }
+        for copy in self.sdb.all_copies():
+            hooks.update(copy.crash_hooks())
+        return hooks
+
     def devices(self) -> tuple[str, ...]:
         """Every device a crash can land on, coordinator log first."""
-        names: list[str] = [self.log.name]
-        for pid in self.sdb.participant_ids():
-            base = self.sdb.participant_name(pid)
-            names.append(f"{base}.wal")
-            names.append(f"{base}.disk")
-        return tuple(names)
-
-    def _pid_for(self, device: str) -> "tuple[Pid, str]":
-        base, _, kind = device.rpartition(".")
-        for pid in self.sdb.participant_ids():
-            if self.sdb.participant_name(pid) == base and kind in (
-                "wal",
-                "disk",
-            ):
-                return pid, kind
-        raise KeyError(f"unknown crash device {device!r}")
+        return tuple(self._crash_hooks())
 
     def append_count(self, device: str) -> int:
         """Total appends (or data writes) the named device has seen."""
-        if device == self.log.name:
-            return self.log.append_count
-        pid, kind = self._pid_for(device)
-        if kind == "wal":
-            return self.sdb.wal_append_count(pid)
-        return self.sdb.data_write_count(pid)
+        return self._crash_hooks()[device][0]()
 
     def crash_after(self, device: str, countdown: int) -> None:
         """Arm a one-shot crash on the named device's ``countdown``-th
         next append (WALs, decision log) or write (data disks)."""
-        if device == self.log.name:
-            self.log.crash_after_appends(countdown)
-            return
-        pid, kind = self._pid_for(device)
-        if kind == "wal":
-            self.sdb.arm_wal_crash(pid, countdown)
-        else:
-            self.sdb.arm_data_crash(pid, countdown)
+        self._crash_hooks()[device][1](countdown)
 
     # ------------------------------------------------------------------
     def _validate(self) -> None:
@@ -338,6 +315,6 @@ class TransactionCoordinator:
             f"in flight {self._active_gid!r}" if self._active_gid else "idle"
         )
         return (
-            f"<TransactionCoordinator {len(self.sdb.participant_ids())} "
+            f"<TransactionCoordinator {len(tuple(self.sdb.all_copies()))} "
             f"participant(s), {state}>"
         )

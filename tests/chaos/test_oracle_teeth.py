@@ -17,7 +17,7 @@ import pytest
 import tools.chaos as chaos
 from repro import invariants, kernels
 from repro.relational import Database
-from repro.shard import CoPartitionedJoin, ShardedDatabase
+from repro.shard import CoPartitionedJoin, ShardCopy, ShardedDatabase
 from repro.storage.faults import armed_disk_count
 from repro.txn import TransactionCoordinator
 from repro.txn.coordinator import TxnRecoveryReport
@@ -144,11 +144,11 @@ class TestOracleTeeth:
         """Seed 85 crashes a shard WAL's own commit record after the
         commit verdict is durable; a recovery that presumes abort anyway
         rolls the in-doubt batches back behind the decision log."""
-        real = ShardedDatabase.recover_participant
+        real = ShardCopy.txn_recover
         monkeypatch.setattr(
-            ShardedDatabase,
-            "recover_participant",
-            lambda self, pid, decide: real(self, pid, lambda gid: False),
+            ShardCopy,
+            "txn_recover",
+            lambda self, decide: real(self, lambda gid: False),
         )
         with pytest.raises(ChaosViolation, match="neither verdict"):
             run_schedule("txn", 85, backend=BACKEND)

@@ -412,18 +412,12 @@ class TestDirectoryAcrossRollbacks:
         db, table = journaled_table()
         tree = table.ubtree
         baseline = list(tree.regions())
-        meta = table.meta_snapshot()
-        with pytest.raises(RuntimeError, match="change of heart"):
-            try:
-                with db.wal.batch("doomed"):
-                    for row in make_rows(40, seed=4):
-                        table.insert(row)
-                    assert tree.region_count > len(baseline)
-                    assert_matches_scalar_walk(tree)  # directory of the open batch
-                    raise RuntimeError("change of heart")
-            except BaseException:
-                table.meta_restore(meta)
-                raise
+        db.wal.begin("doomed")
+        for row in make_rows(40, seed=4):
+            table.insert(row)  # the tree joins the open batch
+        assert tree.region_count > len(baseline)
+        assert_matches_scalar_walk(tree)  # directory of the open batch
+        db.wal.abort()  # restores the descriptors along with the pages
         assert list(tree.regions()) == baseline
         assert_matches_scalar_walk(tree)
 
@@ -440,16 +434,12 @@ class TestDirectoryAcrossRollbacks:
         def cheap_key():
             return tree.tree.root_id, tree.tree.height, tree.tree.leaf_count
 
-        meta = table.meta_snapshot()
-        try:
-            with db.wal.batch("doomed"):
-                tree.insert(low, "in-batch")  # full leaves: this splits region 1
-                in_batch_key = cheap_key()
-                in_batch = tree.region_directory()
-                assert len(in_batch) == len(regions) + 1
-                raise RuntimeError
-        except RuntimeError:
-            table.meta_restore(meta)
+        db.wal.begin("doomed")
+        tree.insert(low, "in-batch")  # full leaves: this splits region 1
+        in_batch_key = cheap_key()
+        in_batch = tree.region_directory()
+        assert len(in_batch) == len(regions) + 1
+        db.wal.abort()
         tree.insert(high, "committed")  # splits a region at the other end
         assert cheap_key() == in_batch_key
         assert tree.region_directory().lasts != in_batch.lasts

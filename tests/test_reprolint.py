@@ -843,8 +843,8 @@ class TestR015TxnParticipants:
     def test_direct_commit_participant_flagged(self):
         found = lint(
             """
-            def sneak(sdb, pid):
-                sdb.commit_participant(pid, "load#0")
+            def sneak(copy):
+                copy.txn_commit("load#0")
             """,
             path="tools/chaos/__init__.py",
         )
@@ -853,13 +853,13 @@ class TestR015TxnParticipants:
     def test_every_mutator_flagged(self):
         found = lint(
             """
-            def drive(sdb, pid, rows):
-                sdb.begin_participant(pid, "g")
-                sdb.load_participant(pid, rows)
-                sdb.insert_participant(pid, rows)
-                sdb.prepare_participant(pid, "g")
-                sdb.abort_participant(pid, "g")
-                sdb.recover_participant(pid)
+            def drive(copy, rows):
+                copy.txn_begin("g")
+                copy.txn_load(rows)
+                copy.txn_insert(rows)
+                copy.txn_prepare("g")
+                copy.txn_abort("g")
+                copy.txn_recover()
             """,
             path="src/repro/planner/executor.py",
         )
@@ -869,9 +869,9 @@ class TestR015TxnParticipants:
     def test_txn_package_is_exempt(self):
         found = lint(
             """
-            def drive(sdb, pid, gid):
-                sdb.prepare_participant(pid, gid)
-                sdb.commit_participant(pid, gid)
+            def drive(copy, gid):
+                copy.txn_prepare(gid)
+                copy.txn_commit(gid)
             """,
             path="src/repro/txn/coordinator.py",
         )
@@ -882,8 +882,7 @@ class TestR015TxnParticipants:
             """
             def recover(self):
                 return tuple(
-                    self.recover_participant(pid)
-                    for pid in self.participant_ids()
+                    copy.txn_recover() for copy in self.all_copies()
                 )
             """,
             path="src/repro/shard/coordinator.py",
@@ -894,10 +893,10 @@ class TestR015TxnParticipants:
         found = lint(
             """
             def observe(sdb):
-                for pid in sdb.participant_ids():
-                    print(sdb.participant_name(pid))
-                    print(len(sdb.participant_wal_records(pid)))
-                    print(sdb.wal_append_count(pid))
+                for copy in sdb.all_copies():
+                    print(copy.name)
+                    print(len(copy.wal_records()))
+                    print(copy.crash_hooks())
             """,
             path="tools/crashgrid/__init__.py",
         )
@@ -905,8 +904,8 @@ class TestR015TxnParticipants:
 
     def test_suppression_applies(self):
         found = lint(
-            'def f(sdb, pid):\n'
-            '    sdb.abort_participant(pid, "g")'
+            'def f(copy):\n'
+            '    copy.txn_abort("g")'
             "  # reprolint: allow(R015)\n",
             path="tools/chaos/__init__.py",
         )

@@ -19,6 +19,7 @@ from repro.shard import (
     ShardFailedError,
     merge_shard_streams,
 )
+from repro.shard.coordinator import MAX_DEGRADATIONS
 from repro.storage import FaultPlan
 from repro.telemetry import TelemetryEvent
 
@@ -308,6 +309,47 @@ class TestFailover:
         repaired = [e for e in result.degradations if e.action == "repaired"]
         assert repaired
         assert all(e.repaired_pages for e in repaired)
+
+    @pytest.mark.parametrize("allow_partial", [False, True])
+    def test_degradation_budget_gives_up_the_shard(self, allow_partial):
+        """Every read of shard 1's primary rots, next to a healthy peer:
+        each peer repair lifts the quarantine, the next read rots again,
+        and the rung after the budget gives the shard up — typed, or as
+        a flagged range, never as rows."""
+        rows = make_rows(600)
+        sdb = make_sharded(
+            rows,
+            copies=2,
+            fault_plans={(1, 0): FaultPlan(seed=3, corrupt_rate=1.0)},
+        )
+        sdb.arm_faults()
+        if allow_partial:
+            result = sdb.sorted_scan(QUERY, "a2", allow_partial=True)
+            events = result.degradations
+            (lost,) = result.failed_ranges
+            assert lost == (sdb.shards[1].slab.lo, sdb.shards[1].slab.hi)
+            assert result.rows == [
+                row
+                for row in oracle_rows(rows, QUERY, "a2")
+                if not lost[0] <= row[0][0] <= lost[1]
+            ]
+        else:
+            with pytest.raises(ShardFailedError) as excinfo:
+                sdb.sorted_scan(QUERY, "a2")
+            assert excinfo.value.shard == 1
+            events = excinfo.value.degradations
+        terminal = "abandoned" if allow_partial else "failed"
+        assert [e.action for e in events] == (
+            ["repaired"] * MAX_DEGRADATIONS + [terminal]
+        )
+        assert {e.shard for e in events} == {1}
+        last = events[-1]
+        assert (last.copy, last.error_type) == (0, "CorruptPageError")
+        assert last.error.startswith(
+            f"degradation budget exhausted ({MAX_DEGRADATIONS}): "
+            "checksum mismatch"
+        )
+        assert sdb.health()[1] == ("quarantined", "ok")
 
     def test_transient_faults_retried_in_place(self):
         rows = make_rows(600)

@@ -183,7 +183,7 @@ def collected_scans():
 
 
 def engine_state(sdbs, scans) -> dict:
-    copies = [copy for sdb in sdbs for copy in sdb._copies()]
+    copies = [copy for sdb in sdbs for copy in sdb.all_copies()]
     return {
         "health": [sdb.health() for sdb in sdbs],
         "io": [repr(copy.db.disk.stats) for copy in copies],
@@ -195,7 +195,7 @@ def engine_state(sdbs, scans) -> dict:
 
 
 def rows_served(sdbs) -> list[int]:
-    return [copy.rows_served for sdb in sdbs for copy in sdb._copies()]
+    return [copy.rows_served for sdb in sdbs for copy in sdb.all_copies()]
 
 
 @dataclass(frozen=True)
@@ -481,7 +481,7 @@ def drain_shard(sdb, *, descending=False, predicate=None):
     keys, rows = [], []
     prefix = None
     for slice_keys, slice_rows in sdb._stream_shard(
-        shard, box, "a2", descending, False, 16, events, failed, predicate
+        shard, box, "a2", descending, False, events, failed, predicate
     ):
         if events and prefix is None:
             prefix = len(rows)
@@ -567,7 +567,7 @@ class TestResumeLedger:
         sdb = self.big_leg()
         box = sdb._reference_table().build_query_box(None)
         stream = sdb._stream_shard(
-            sdb.shards[0], box, "a1", False, False, 16, [], [], None
+            sdb.shards[0], box, "a1", False, False, [], [], None
         )
         delivered, widest = 0, 0
         for keys, rows in stream:

@@ -227,15 +227,12 @@ class TestAbort:
         sdb, txn = make_world(shards=3)
         sdb.load(make_rows(60))
         baseline = fingerprint(sdb)
-        last = sdb.participant_ids()[-1]
-        original = sdb.insert_participant
+        last = list(sdb.all_copies())[-1]
 
-        def poisoned(pid, rows):
-            if pid == last:
-                raise exc
-            return original(pid, rows)
+        def poisoned(rows):
+            raise exc
 
-        monkeypatch.setattr(sdb, "insert_participant", poisoned)
+        monkeypatch.setattr(last, "txn_insert", poisoned)
         return sdb, txn, baseline
 
     def test_storage_error_aborts_all_shards(self, monkeypatch):
@@ -367,9 +364,9 @@ class TestCrashRecovery:
         txn.crash_after("shard0.copy0.wal", 2)
         with pytest.raises(SimulatedCrashError):
             txn.atomic_insert(make_rows(12, seed=5))
-        # detach-style recovery path: per-copy, decision log ignored
-        for pid in sdb.participant_ids():
-            sdb.recover_participant(pid)
+        # recovery without the coordinator: per copy, decision log ignored
+        for copy in sdb.all_copies():
+            copy.db.recover()
         assert sdb.refresh_row_counts() == 60
         assert fingerprint(sdb) == baseline
 
@@ -393,11 +390,11 @@ class TestTxnInvariants:
         sdb, txn = make_world()
         txn.atomic_load(make_rows(40))
         # drive one participant to a commit the decision log never saw
-        pid = sdb.participant_ids()[0]
-        sdb.begin_participant(pid, "rogue#9")
-        sdb.insert_participant(pid, make_rows(4, seed=2))
-        sdb.prepare_participant(pid, "rogue#9")
-        sdb.commit_participant(pid, "rogue#9")
+        copy = sdb.shards[0].copies[0]
+        copy.txn_begin("rogue#9")
+        copy.txn_insert(sdb.shard_rows(0, make_rows(4, seed=2)))
+        copy.txn_prepare("rogue#9")
+        copy.txn_commit("rogue#9")
         with pytest.raises(InvariantViolation, match="unilateral"):
             invariants.validate_txn_log(txn)
 

@@ -31,6 +31,12 @@ def make_wal(params=None):
     return disk, WriteAheadLog(disk)
 
 
+def batch(wal, label="batch"):
+    """A journaled batch whose owner is a stand-in: the WAL-level tests
+    exercise pages and records, not the object riding on them."""
+    return wal.journaled(label, _Owner())
+
+
 def tear(page):
     """Damage a page exactly like a torn write: the checksum was sealed
     over the intended content, but only a prefix reached the platter."""
@@ -76,7 +82,7 @@ class TestBatchLifecycle:
     def test_commit_record_sequence(self):
         disk, wal = make_wal()
         page = disk.allocate(8)
-        with wal.batch("load"):
+        with batch(wal, "load"):
             wal.log_alloc(page)
             page.extend([(1,), (2,)])
             wal.log_image(page)
@@ -87,7 +93,7 @@ class TestBatchLifecycle:
 
     def test_lsns_are_dense_and_ordered(self):
         disk, wal = make_wal()
-        with wal.batch():
+        with batch(wal):
             wal.log_alloc(disk.allocate(8))
         assert [record.lsn for record in wal.records] == [0, 1, 2]
 
@@ -135,8 +141,8 @@ class TestBatchLifecycle:
 
     def test_nested_batch_joins_the_outer_one(self):
         disk, wal = make_wal()
-        with wal.batch("outer") as outer_txn:
-            with wal.batch("inner") as inner_txn:
+        with batch(wal, "outer") as outer_txn:
+            with batch(wal, "inner") as inner_txn:
                 assert inner_txn == outer_txn
                 assert wal.in_batch
         kinds = [record.kind for record in wal.records]
@@ -179,7 +185,7 @@ class TestBatchLifecycle:
     def test_failing_batch_aborts_and_reraises(self):
         _, wal = make_wal()
         with pytest.raises(ValueError):
-            with wal.batch("doomed"):
+            with batch(wal, "doomed"):
                 raise ValueError("boom")
         assert [record.kind for record in wal.records] == [BEGIN, ABORT]
         assert not wal.in_batch
@@ -201,8 +207,9 @@ class _Owner:
 
 
 class TestJournaled:
-    """``wal.journaled(label, owner)``: one batch, the owner's in-memory
-    descriptors put back whenever the scope fails — wherever it fails."""
+    """``wal.journaled(label, owner)``: one batch the owner joins, its
+    in-memory descriptors put back whenever that batch fails to commit —
+    wherever it fails."""
 
     def test_success_commits_and_keeps_the_owner(self):
         _, wal = make_wal()
@@ -226,7 +233,9 @@ class TestJournaled:
                 owner.state = 1
                 if where == "body":
                     raise ValueError("boom")
-        assert (owner.state, owner.restored) == (0, [0])
+        # a batch that never began had no owner to restore
+        assert owner.state == 0
+        assert owner.restored == ([] if where == "begin" else [0])
 
     def test_nested_scope_joins_and_restores_its_own_owner(self):
         _, wal = make_wal()
@@ -248,7 +257,7 @@ class TestPricing:
     def test_appends_charge_the_shared_clock(self):
         disk, wal = make_wal()
         start = disk.clock
-        with wal.batch():
+        with batch(wal):
             wal.log_alloc(disk.allocate(8))
         faults = disk.stats.faults
         assert faults.wal_appends == 3  # begin + alloc + commit
@@ -262,7 +271,7 @@ class TestPricing:
         wal_small = None
         disk2 = SimulatedDisk()
         wal_small = WriteAheadLog(disk2, records_per_page=2)
-        with wal_small.batch():
+        with batch(wal_small):
             for _ in range(3):
                 wal_small.log_alloc(disk2.allocate(4))
         # 5 records at 2 per page -> 3 log pages
@@ -283,7 +292,7 @@ class TestCrashHook:
         disk, wal = make_wal()
         wal.crash_after_appends(2)
         with pytest.raises(SimulatedCrashError):
-            with wal.batch():
+            with batch(wal):
                 wal.log_alloc(disk.allocate(8))  # append #2: lost
         # the crashed append never reached the log, but the rollback's
         # abort record (post-disarm) did
@@ -297,7 +306,7 @@ class TestCrashHook:
         before = list(page.records)
         wal.crash_after_appends(3)
         with pytest.raises(SimulatedCrashError):
-            with wal.batch():
+            with batch(wal):
                 wal.touch(page)
                 page.add((3,))
                 wal.log_image(page)  # append #3: the crash
@@ -311,7 +320,7 @@ class TestRecovery:
     def test_torn_write_replays_to_committed_image(self):
         disk, wal = make_wal()
         page = disk.allocate(8)
-        with wal.batch("load"):
+        with batch(wal, "load"):
             wal.log_alloc(page)
             page.extend([(i,) for i in range(6)])
             wal.log_image(page)
@@ -328,7 +337,7 @@ class TestRecovery:
     def test_recovery_is_idempotent(self):
         disk, wal = make_wal()
         page = disk.allocate(8)
-        with wal.batch():
+        with batch(wal):
             wal.log_alloc(page)
             page.add((1,))
             wal.log_image(page)
@@ -358,7 +367,7 @@ class TestRecovery:
         disk, wal = make_wal()
         page = disk.allocate(8)
         for value in ((1,), (2,)):
-            with wal.batch():
+            with batch(wal):
                 wal.touch(page)
                 page.records = [value]
                 page.version += 1
@@ -370,7 +379,7 @@ class TestRecovery:
 
     def test_recovery_charges_a_log_scan(self):
         disk, wal = make_wal()
-        with wal.batch():
+        with batch(wal):
             wal.log_alloc(disk.allocate(8))
         before = disk.clock
         wal.recover()
@@ -379,7 +388,7 @@ class TestRecovery:
     def test_recovery_skips_pages_freed_after_commit(self):
         disk, wal = make_wal()
         page = disk.allocate(8)
-        with wal.batch():
+        with batch(wal):
             wal.log_alloc(page)
             page.add((1,))
             wal.log_image(page)
@@ -517,7 +526,7 @@ class TestWalInvariants:
 
     def test_healthy_log_validates(self):
         disk, wal = make_wal()
-        with wal.batch():
+        with batch(wal):
             page = disk.allocate(8)
             wal.log_alloc(page)
             page.add((1,))
@@ -527,7 +536,7 @@ class TestWalInvariants:
 
     def test_mirror_divergence_is_caught(self):
         disk, wal = make_wal()
-        with wal.batch():
+        with batch(wal):
             wal.log_alloc(disk.allocate(8))
         wal.records.pop()  # mirror no longer matches the durable log
         with pytest.raises(InvariantViolation):
@@ -587,7 +596,7 @@ class TestPreparedBatches:
         with pytest.raises(RuntimeError, match="in-doubt"):
             wal.begin("other")
         wal.commit_prepared("g1")
-        with wal.batch("other"):
+        with batch(wal, "other"):
             wal.log_alloc(disk.allocate(4))
 
     def test_recover_decide_commits_vouched_gids(self):

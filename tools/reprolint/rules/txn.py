@@ -11,15 +11,14 @@ those silently voids the all-or-nothing guarantee the crash-schedule
 explorer proves.
 
 Outside the ``txn/`` package (the coordinator itself) and the ``shard/``
-package (which implements the participant layer and routes its own
-``load``/``insert_batch``/``recover`` through the attached coordinator)
-this rule therefore bans calling the mutating participant API —
-``begin_participant``, ``load_participant``, ``insert_participant``,
-``prepare_participant``, ``commit_participant``, ``abort_participant``
-and ``recover_participant`` — on any expression.  The read-only surface
-(``participant_ids``, ``participant_name``,
-``participant_wal_records``, the crash hooks) stays public: observing
-the protocol is fine, driving it is not.
+package (whose :class:`~repro.shard.ShardCopy` is the participant, and
+which routes its own ``load``/``insert_batch``/``recover`` through the
+attached coordinator) this rule therefore bans calling a participant's
+mutators — ``txn_begin``, ``txn_load``, ``txn_insert``, ``txn_prepare``,
+``txn_commit``, ``txn_abort`` and ``txn_recover`` — on any expression.
+The read-only surface (``all_copies``, ``name``, ``wal_records``, the
+crash hooks) stays public: observing the protocol is fine, driving it
+is not.
 """
 
 from __future__ import annotations
@@ -34,13 +33,13 @@ __all__ = ["TxnParticipantRule"]
 #: participant-state-machine mutators only the coordinator may drive
 PARTICIPANT_MUTATORS = frozenset(
     {
-        "begin_participant",
-        "load_participant",
-        "insert_participant",
-        "prepare_participant",
-        "commit_participant",
-        "abort_participant",
-        "recover_participant",
+        "txn_begin",
+        "txn_load",
+        "txn_insert",
+        "txn_prepare",
+        "txn_commit",
+        "txn_abort",
+        "txn_recover",
     }
 )
 
@@ -56,7 +55,7 @@ class TxnParticipantRule(FileRule):
         super().__init__(ctx)
         posix = PurePosixPath(ctx.path).as_posix()
         #: the coordinator drives the protocol; the shard package
-        #: implements the participant layer it drives
+        #: implements the participant it drives
         self._scoped = "txn/" not in posix and "shard/" not in posix
 
     def visit_Call(self, node: ast.Call) -> None:
