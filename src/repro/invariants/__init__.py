@@ -39,6 +39,9 @@ Validators
 * :class:`StreamChecker` — Tetris output monotonicity in the sort
   dimension(s) and query-space membership
   (:mod:`repro.invariants.streams`).
+* :class:`MergeChecker` — an external-sort merge reads chunks whose
+  stored keys are their rows' keys and emits ``(key, run, position)``
+  order (:mod:`repro.invariants.streams`).
 * :class:`FetchOnceChecker` — each data page is fetched at most once
   per Tetris scan, read-ahead included (:mod:`repro.invariants.paper`).
 * :func:`spot_check_scan_page` — re-runs a page kernel on the *other*
@@ -87,7 +90,7 @@ from .sanitizer import (
     tracked_lock,
 )
 from .sharding import validate_sharded_database
-from .streams import StreamChecker
+from .streams import MergeChecker, StreamChecker
 from .structural import validate_bptree, validate_leaf, validate_ubtree
 from .txn import validate_txn_log
 
@@ -96,6 +99,7 @@ __all__ = [
     "GLOBAL_LOCK_ORDER",
     "InvariantViolation",
     "LockOrderViolation",
+    "MergeChecker",
     "RaceViolation",
     "ScheduleChecker",
     "SliceChecker",

@@ -27,7 +27,12 @@ documents them all):
 * ``scan_block`` — the whole-slab fused kernel the parallel thread
   executor dispatches (one task per slab, not per scan step),
 * ``merge_sorted_keys`` — stable pairwise merge permutation over two
-  sorted runs (the sharded scan's k-way merge step).
+  sorted runs (the sharded scan's k-way merge step),
+* ``sort_key_column`` / ``merge_key_columns`` / ``concat_key_columns``
+  / ``list_key_column`` — the external sort's runs as native key
+  columns: sort one run, merge the loaded parts of k runs one
+  read-ahead chunk at a time, join a merge pass's output column, and
+  hand a column back as Python keys.
 
 Two interchangeable backends implement them:
 

@@ -240,8 +240,65 @@ class KernelBackend:
         is sorted, with ``keys_a`` winning ties — i.e. exactly the
         permutation a stable sort of the concatenation would produce.
         This is the pairwise step of DPG's hierarchical run merging; the
-        external sort uses it to consolidate cache-sized initial runs.
+        shard coordinator's k-way merge (:mod:`repro.shard.merge`) is
+        built from it.
         """
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # key columns (the external sort's runs)
+    # ------------------------------------------------------------------
+    def sort_key_column(
+        self, keys: Sequence[Any], *, reverse: bool = False
+    ) -> tuple[list[int], Any]:
+        """:meth:`argsort_keys`, plus the keys it sorts as a key column.
+
+        Returns ``(permutation, column)``: ``permutation`` equals
+        ``argsort_keys(keys, reverse=reverse)`` and ``column`` holds the
+        keys gathered through it, in this backend's native form — on
+        NumPy an ``int64`` array when every key is an integer that fits
+        (2-D, one row per key, for tuples of such integers), a list
+        otherwise.  A column is opaque apart from ``len`` and slicing;
+        it feeds :meth:`merge_key_columns`, :meth:`concat_key_columns`
+        and :meth:`list_key_column` of the same backend.
+        """
+        raise NotImplementedError
+
+    def merge_key_columns(
+        self,
+        columns: Sequence[Any],
+        more: Sequence[bool],
+        *,
+        reverse: bool = False,
+    ) -> "tuple[int | None, list[int], list[int], Any]":
+        """One chunk step of a k-way merge over sorted key columns.
+
+        ``columns[i]`` is the loaded, not yet merged part of run ``i``
+        (sorted per ``reverse``) and ``more[i]`` says whether run ``i``
+        still has keys that are not loaded.  The merge order is ``(key,
+        run, position)`` — equal keys go to the lower run, as in
+        ``heapq.merge`` over the runs.  A step ends at the earliest
+        loaded end of a run with more to load: that run is ``stop`` (the
+        least ``(last key, i)`` per ``reverse`` over runs with more and
+        a non-empty column), or ``None`` when no run has more and the
+        step takes everything.
+
+        Returns ``(stop, taken, order, merged)``: ``taken[i]`` is how
+        many leading keys of ``columns[i]`` merge at or before the last
+        key of run ``stop`` (all of them for ``stop``), ``order`` the
+        stable merge permutation over the concatenation of those
+        prefixes, and ``merged`` the taken keys in that order, as a
+        column.
+        """
+        raise NotImplementedError
+
+    def concat_key_columns(self, columns: Sequence[Any]) -> Any:
+        """``columns`` joined end to end, as one key column."""
+        raise NotImplementedError
+
+    def list_key_column(self, column: Any) -> list[Any]:
+        """A key column's keys as the Python values it was built from —
+        what :class:`~repro.invariants.MergeChecker` compares."""
         raise NotImplementedError
 
     def region_min_keys(

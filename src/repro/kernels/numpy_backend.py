@@ -91,6 +91,63 @@ class _BlockPoints:
         return record[1][0]
 
 
+def _int64_column(keys: Sequence[Any]) -> "np.ndarray | None":
+    """``keys`` as an ``int64`` key column, or ``None`` (the column then
+    stays a Python list).
+
+    Integer keys become a 1-D array and tuples of integers a 2-D one,
+    one row per key, ordered lexicographically; anything else — or an
+    integer that does not fit ``int64`` — keeps Python semantics.
+    """
+    try:
+        array = np.asarray(keys)
+    except (OverflowError, ValueError, TypeError):
+        return None
+    if array.dtype != np.int64:
+        return None
+    return array if array.ndim == (2 if isinstance(keys[0], tuple) else 1) else None
+
+
+def _key_values(column: Any) -> list[Any]:
+    """A key column's keys as the Python values it was built from."""
+    if not isinstance(column, np.ndarray):
+        return column
+    values = column.tolist()
+    return values if column.ndim == 1 else list(map(tuple, values))
+
+
+def _as_lists(columns: Sequence[Any]) -> "list[Any] | None":
+    """``None`` when the columns are arrays of one shape; otherwise all of
+    them in the pure backend's list form (say, one run held a key past
+    ``int64``)."""
+    if all(isinstance(column, np.ndarray) for column in columns) and (
+        len({column.shape[1:] for column in columns}) == 1
+    ):
+        return None
+    return [_key_values(column) for column in columns]
+
+
+def _stable_order(keys: "np.ndarray") -> "np.ndarray":
+    """Stable ascending sort permutation of a key column (2-D: rows
+    compared lexicographically)."""
+    if keys.ndim == 1:
+        return np.argsort(keys, kind="stable")
+    return np.lexsort(keys.T[::-1])
+
+
+def _count_before(column: "np.ndarray", key: "np.ndarray", ties: bool) -> int:
+    """How many leading keys of the ascending ``column`` sort before
+    ``key`` (or tie with it, when ``ties``)."""
+    if column.ndim == 1:
+        return int(np.searchsorted(column, key, side="right" if ties else "left"))
+    # lexicographic, built up from the last component to the first
+    ahead = np.full(len(column), ties)
+    for component in range(column.shape[1] - 1, -1, -1):
+        values, bound = column[:, component], key[component]
+        ahead = (values < bound) | ((values == bound) & ahead)
+    return int(np.count_nonzero(ahead))
+
+
 def _merge_runs(
     a: "tuple[np.ndarray, np.ndarray]", b: "tuple[np.ndarray, np.ndarray]"
 ) -> "tuple[np.ndarray, np.ndarray]":
@@ -832,6 +889,63 @@ class NumPyBackend(PurePythonBackend):
             length_a, length_a + len(array_b), dtype=np.intp
         )
         return permutation.tolist()
+
+    # ------------------------------------------------------------------
+    # key columns: int64 arrays where every key fits, lists otherwise
+    # ------------------------------------------------------------------
+    def sort_key_column(
+        self, keys: Sequence[Any], *, reverse: bool = False
+    ) -> tuple[list[int], Any]:
+        column = _int64_column(keys)
+        if column is None:
+            return super().sort_key_column(keys, reverse=reverse)
+        order = _stable_order(~column if reverse else column)
+        return order.tolist(), column[order]
+
+    def merge_key_columns(
+        self,
+        columns: Sequence[Any],
+        more: Sequence[bool],
+        *,
+        reverse: bool = False,
+    ) -> "tuple[int | None, list[int], list[int], Any]":
+        lists = _as_lists(columns)
+        if lists is not None:
+            return super().merge_key_columns(lists, more, reverse=reverse)
+        # ~k reverses the order of int64 keys (and of rows of them,
+        # lexicographically) exactly, so the descending merge is the
+        # ascending merge of the inverted columns
+        ascending = [~column for column in columns] if reverse else list(columns)
+        lasts = [column[-1].tolist() if len(column) else None for column in ascending]
+        stop: "int | None" = None
+        for index, (last, pending) in enumerate(zip(lasts, more)):
+            if pending and last is not None and (stop is None or last < lasts[stop]):
+                stop = index
+        if stop is None:
+            taken = [len(column) for column in ascending]
+        else:
+            bound = ascending[stop][-1]
+            taken = [
+                len(column)
+                if index == stop
+                else _count_before(column, bound, index < stop)
+                for index, column in enumerate(ascending)
+            ]
+        keys = np.concatenate(
+            [column[:count] for column, count in zip(ascending, taken)]
+        )
+        order = _stable_order(keys)
+        merged = keys[order]
+        return stop, taken, order.tolist(), ~merged if reverse else merged
+
+    def list_key_column(self, column: Any) -> list[Any]:
+        return _key_values(column)
+
+    def concat_key_columns(self, columns: Sequence[Any]) -> Any:
+        lists = _as_lists(columns)
+        if lists is not None:
+            return super().concat_key_columns(lists)
+        return np.concatenate(columns)
 
     def region_min_keys(
         self,

@@ -10,6 +10,7 @@ standard library as its only hard dependency).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Any, Sequence, TYPE_CHECKING
 
@@ -223,6 +224,47 @@ class PurePythonBackend(KernelBackend):
             key=concatenated.__getitem__,
             reverse=reverse,
         )
+
+    def sort_key_column(
+        self, keys: Sequence[Any], *, reverse: bool = False
+    ) -> tuple[list[int], Any]:
+        order = self.argsort_keys(keys, reverse=reverse)
+        return order, list(map(keys.__getitem__, order))
+
+    def merge_key_columns(
+        self,
+        columns: Sequence[Any],
+        more: Sequence[bool],
+        *,
+        reverse: bool = False,
+    ) -> "tuple[int | None, list[int], list[int], Any]":
+        stop: "int | None" = None
+        bound: Any = None
+        for index, (column, pending) in enumerate(zip(columns, more)):
+            if pending and len(column):
+                last = column[-1]
+                if stop is None or (bound < last if reverse else last < bound):
+                    stop, bound = index, last
+        taken = [len(column) for column in columns]
+        for index, column in enumerate(columns):
+            if stop is None or index == stop:
+                continue
+            # runs below ``stop`` take the keys tied with its last one
+            ties = index < stop
+            if reverse:  # count from the far end of the ascending mirror
+                mirror = column[::-1]
+                taken[index] -= (bisect_left if ties else bisect_right)(mirror, bound)
+            else:
+                taken[index] = (bisect_right if ties else bisect_left)(column, bound)
+        keys = list(chain.from_iterable(map(islice, columns, taken)))
+        order = self.argsort_keys(keys, reverse=reverse)
+        return stop, taken, order, list(map(keys.__getitem__, order))
+
+    def concat_key_columns(self, columns: Sequence[Any]) -> Any:
+        return list(chain.from_iterable(columns))
+
+    def list_key_column(self, column: Any) -> list[Any]:
+        return list(column)
 
     def region_min_keys(
         self,

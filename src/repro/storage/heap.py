@@ -8,6 +8,7 @@ faster" per page than an index scan and the baseline to beat.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from .disk import SimulatedDisk
@@ -65,9 +66,22 @@ class HeapFile:
         return page.page_id
 
     def load(self, records: Iterable[Any]) -> None:
-        """Bulk-append records."""
-        for record in records:
-            self.append(record)
+        """Bulk-append records a page at a time.
+
+        Each page takes one :meth:`Page.extend`; a page (and an extent)
+        is allocated only once a record needs it, so pages and extents
+        come out exactly as per-record :meth:`append` calls place them.
+        """
+        source = iter(records)
+        while True:
+            room = self._pages[-1].free_slots if self._pages else 0
+            batch = list(islice(source, room or self.page_capacity))
+            if not batch:
+                return
+            if not room:
+                self._extend()
+            self._pages[-1].extend(batch)
+            self._count += len(batch)
 
     def bulk_load(self, records: Iterable[Any], *, category: str = "data") -> None:
         """Bulk-append under WAL protection when a log is armed.

@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import is_, is_not
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from .. import invariants
 
@@ -162,9 +162,15 @@ class Page:
         self.records.append(record)
         self.version += 1
 
-    def extend(self, records: Iterable[Any]) -> None:
-        for record in records:
-            self.add(record)
+    def extend(self, records: Sequence[Any]) -> None:
+        """Append a batch of records: one capacity check, one version bump."""
+        if len(self.records) + len(records) > self.capacity:
+            raise PageOverflowError(
+                f"page {self.page_id} cannot take {len(records)} more records "
+                f"({len(self.records)}/{self.capacity} used)"
+            )
+        self.records.extend(records)
+        self.version += 1
 
     def clear(self) -> None:
         self.records.clear()
