@@ -39,6 +39,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterator, Sequence
 
 # module import (not ``from ..kernels import get_backend``): kernels and
@@ -61,6 +62,9 @@ Slice = tuple[list[int], list[SortedTuple]]
 _ScheduledRegion = tuple[int, int, int, "int | None"]
 
 _MISSING = object()  # sentinel distinguishing "not cached" from "cached None"
+
+#: a Z-region record ``(z_address, (point, payload))`` to the tuple it holds
+_payload_of = itemgetter(1)
 
 
 @dataclass
@@ -299,8 +303,9 @@ class TetrisScan:
         arrivals: list[SortedTuple] = []
         # with REPRO_CHECKS=1: validate the emitted stream (membership +
         # monotonicity, and every slice key against the scalar curve),
-        # re-run every page kernel on the other backend and hold the
-        # sweep to one fetch per page, read-ahead included
+        # hold every page's run to the uncached scan_page entry for
+        # entry, re-run it on the other backend and hold the sweep to
+        # one fetch per page, read-ahead included
         stream_checker = (
             invariants.StreamChecker(self.sort_dims, self.descending, space)
             if invariants.enabled()
@@ -316,7 +321,7 @@ class TetrisScan:
         def cut(barrier: "int | None") -> Slice:
             """Everything below ``barrier``, counted as output."""
             keys, orders = run_buffer.cut(barrier)
-            rows = [arrivals[order] for order in orders]
+            rows = list(map(arrivals.__getitem__, orders))
             if rows:
                 if stats.first_output_clock is None:
                     stats.first_output_clock = disk.clock
@@ -366,18 +371,16 @@ class TetrisScan:
                 count, selected, run = kernel.scan_page_run(curve, space, page, base)
                 if stream_checker is not None:
                     reference = kernel.scan_page(curve, space, page, base)
-                    invariants.check(
-                        reference[0] == count and list(reference[1]) == list(selected),
-                        f"scan_page_run disagrees with scan_page on page "
-                        f"{page_id}: {count}/{selected!r} vs "
-                        f"{reference[0]}/{reference[1]!r}",
+                    invariants.check_page_run(
+                        page_id, (count, selected, run), reference
                     )
                     invariants.spot_check_scan_page(
                         kernel, curve, space, page, base, reference
                     )
                 if count:
-                    records = page.records
-                    arrivals.extend(records[index][1] for index in selected)
+                    arrivals.extend(
+                        map(_payload_of, map(page.records.__getitem__, selected))
+                    )
                     run_buffer.push(run)
                 if len(run_buffer) > stats.max_cache_tuples:
                     stats.max_cache_tuples = len(run_buffer)

@@ -44,7 +44,9 @@ Validators
   order (:mod:`repro.invariants.streams`).
 * :class:`FetchOnceChecker` — each data page is fetched at most once
   per Tetris scan, read-ahead included (:mod:`repro.invariants.paper`).
-* :func:`spot_check_scan_page` — re-runs a page kernel on the *other*
+* :func:`check_page_run` — a sweep's ``scan_page_run`` equals the
+  uncached ``scan_page`` on count, selection, keys and arrival orders;
+  :func:`spot_check_scan_page` re-runs the page kernel on the *other*
   backend and compares results (:mod:`repro.invariants.parity`).
 * :class:`ScheduleChecker` — holds a batched region schedule to the
   scalar BIGMIN walk, pruning tests and keys it replaces, without
@@ -75,7 +77,12 @@ from .accounting import validate_buffer_pool
 from .durability import validate_replicated_disk, validate_wal
 from .errors import InvariantViolation, check
 from .paper import FetchOnceChecker
-from .parity import ScheduleChecker, SliceChecker, spot_check_scan_page
+from .parity import (
+    ScheduleChecker,
+    SliceChecker,
+    check_page_run,
+    spot_check_scan_page,
+)
 from .sanitizer import (
     GLOBAL_LOCK_ORDER,
     LockOrderViolation,
@@ -107,6 +114,7 @@ __all__ = [
     "TrackedLock",
     "actor",
     "check",
+    "check_page_run",
     "checks",
     "declare_lock_order",
     "declared_lock_order",

@@ -37,6 +37,41 @@ def _normalize(result: _PageResult) -> tuple[int, list[int], list[list[int]]]:
     )
 
 
+def check_page_run(
+    page_id: int, result: tuple[int, Sequence[int], Any], reference: _PageResult
+) -> None:
+    """Hold one ``scan_page_run`` result to ``scan_page`` on the same
+    page and arrival base: count, selection, and every entry's key and
+    arrival order.
+
+    The run is backend-native — a ``(keys, orders)`` array pair, or the
+    entry list itself — and ``scan_page`` is the backend's uncached
+    kernel, so a memoized run that went stale differs here, at the page
+    that produced it, even where the stream would still ascend.
+    """
+    count, selected, run = result
+    if isinstance(run, tuple):
+        keys, orders = run
+        run = list(zip(keys.tolist(), orders.tolist()))
+    got = _normalize((count, selected, run))
+    expected = _normalize(reference)
+    if got == expected:
+        return
+    part = next(
+        name
+        for name, mine, theirs in zip(("count", "selected", "entries"), got, expected)
+        if mine != theirs
+    )
+    check(
+        False,
+        f"scan_page_run diverges from the uncached scan_page on page "
+        f"{page_id} ({part}): {got[0]} tuples, selected={got[1][:8]}, "
+        f"entries={got[2][:4]} vs {expected[0]} tuples, "
+        f"selected={expected[1][:8]}, entries={expected[2][:4]}; if the page "
+        "was mutated, check for a missing Page.version bump",
+    )
+
+
 def spot_check_scan_page(
     active: "KernelBackend",
     curve: Any,

@@ -7,6 +7,17 @@ fancy-indexing gather per (dimension, byte chunk) instead of a Python
 loop per tuple.  Filtering compares entire coordinate columns, and key
 sorts use NumPy's stable ``argsort`` / ``lexsort``.
 
+A page is keyed once per sort order, not once per scan.  A tuple's
+Tetris address is a fixed bit permutation of its point, so a page's
+keys on one curve change only when the page does: the backend keeps a
+view per page (:class:`_PageView`, stamped with ``Page.version``) that
+holds the coordinate matrix and, per ``(base curve, flip dims)``, the
+page's keys ascending with their stable permutation.  A warm
+:meth:`NumPyBackend.scan_page_run` is then a mask over the columns and
+two takes through that permutation.  :meth:`NumPyBackend.scan_page` and
+:meth:`NumPyBackend.page_entries` stay uncached: they are the reference
+``REPRO_CHECKS=1`` holds the cached run to.
+
 Addresses are carried as ``uint64``, so curves wider than 64 bits (or
 key values outside the ``uint64`` / ``int64`` range) transparently fall
 back to the pure-Python backend for that call — correctness never
@@ -379,6 +390,63 @@ def _aligned_blocks(
     )
 
 
+def _page_matrix(records: Sequence[Any]) -> "np.ndarray | None":
+    """A Z-region page's points as a (records, dims) uint64 matrix, or
+    ``None`` when they do not convert (the pure backend then serves)."""
+    try:
+        # Z-region records are (z_address, (point, payload)); every
+        # stored point passed checked encoding, so the coordinate count
+        # and ranges are valid by construction and the flat fill cannot
+        # misalign
+        flat = np.fromiter(
+            (coordinate for _, (point, _) in records for coordinate in point),
+            dtype=_U64,
+        )
+    except (OverflowError, ValueError, TypeError):
+        return None
+    return flat.reshape(len(records), -1) if len(records) else None
+
+
+class _PageView:
+    """What the backend derives from one page, valid while the page's
+    ``version`` equals :attr:`version`.
+
+    :attr:`columns` is the page's coordinate matrix (``None`` when it
+    does not convert).  :attr:`runs` maps a sort order ``(base curve,
+    flip dims)`` to the page's keys on it in ascending order and their
+    stable sort permutation (as ``uint64`` record indexes), built by the
+    first scan in that order.  Both arrays are read-only: runs handed
+    to a run buffer share them.
+    """
+
+    __slots__ = ("version", "columns", "runs")
+
+    def __init__(self, version: int, columns: "np.ndarray | None") -> None:
+        self.version = version
+        self.columns = columns
+        self.runs: "dict[tuple[Curve, frozenset[int]], tuple[np.ndarray, ...]]" = {}
+
+    def keyed(
+        self, tables: "_CurveTables", curve: Curve, flip: frozenset[int]
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """The page's ``(ascending keys, stable permutation)`` on ``curve``
+        reflected in ``flip``; ``columns`` must be present."""
+        run = self.runs.get((curve, flip))
+        if run is None:
+            columns = self.columns
+            if flip:
+                columns = columns.copy()
+                for dim in flip:
+                    columns[:, dim] = tables.coord_max[dim] - columns[:, dim]
+            keys = NumPyBackend._encode_columns(tables, columns)
+            order = np.argsort(keys, kind="stable")
+            run = (keys[order], order.astype(_U64))
+            for array in run:
+                array.flags.writeable = False
+            self.runs[(curve, flip)] = run
+        return run
+
+
 def _boxes_meeting_box(
     los: "np.ndarray", his: "np.ndarray", lo: "np.ndarray", hi: "np.ndarray"
 ) -> "np.ndarray":
@@ -404,11 +472,12 @@ class NumPyBackend(PurePythonBackend):
         self._intervals: "weakref.WeakKeyDictionary[IntervalUnionSpace, tuple | None]" = (
             weakref.WeakKeyDictionary()
         )
-        # columnar cache: the uint64 coordinate matrix of a Z-region
-        # page, keyed by the page's mutation version.  Repeated scans
-        # over the same relation (the common OLAP pattern) then skip the
-        # Python-tuple → array conversion entirely.
-        self._columns: "weakref.WeakKeyDictionary[Any, tuple]" = (
+        # one view per Z-region page, dying with the page and stamped
+        # with its mutation version: the coordinate matrix plus, per sort
+        # order, the page's sorted keys.  Repeated scans over the same
+        # relation (the common OLAP pattern) then skip both the
+        # Python-tuple → array conversion and the keying.
+        self._views: "weakref.WeakKeyDictionary[Any, _PageView]" = (
             weakref.WeakKeyDictionary()
         )
         # per-tree region directory as arrays plus its block geometry;
@@ -603,7 +672,7 @@ class NumPyBackend(PurePythonBackend):
         records = page.records
         if not records:
             return []
-        columns = self._page_columns(page)
+        columns = self._page_view(page).columns
         if columns is None:
             return super().filter_space_page(space, page)
         points = _PagePoints(records)  # materialized only by opaque spaces
@@ -709,44 +778,24 @@ class NumPyBackend(PurePythonBackend):
         ).tolist()
         return int(selected.size), selected.tolist(), entries
 
-    def _page_columns(self, page: Any) -> "np.ndarray | None":
-        """The page's points as a cached (records, dims) uint64 matrix.
-
-        The page's ``version`` counter stamps the cache entry, so a
-        mutated page can never serve stale columns.
-        """
-        cached = self._columns.get(page)
+    def _page_view(self, page: Any) -> _PageView:
+        """The page's view, rebuilt whenever ``page.version`` moved on —
+        a mutated page can never serve stale columns or keys."""
+        view = self._views.get(page)
         version = page.version
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        records = page.records
-        try:
-            # Z-region records are (z_address, (point, payload)); every
-            # stored point passed checked encoding, so the coordinate
-            # count and ranges are valid by construction and the flat
-            # fill cannot misalign
-            flat = np.fromiter(
-                (
-                    coordinate
-                    for _, (point, _) in records
-                    for coordinate in point
-                ),
-                dtype=_U64,
-            )
-            columns = flat.reshape(len(records), -1) if len(records) else None
-        except (OverflowError, ValueError, TypeError):
-            columns = None
-        try:
-            self._columns[page] = (version, columns)
-        except TypeError:  # pragma: no cover - non-weakref page stand-ins
-            pass
-        return columns
+        if view is None or view.version != version:
+            view = _PageView(version, _page_matrix(page.records))
+            try:
+                self._views[page] = view
+            except TypeError:  # pragma: no cover - non-weakref page stand-ins
+                pass
+        return view
 
     def prime_page_columns(self, page: Any) -> None:
-        """Build the page's columnar view ahead of use — the
-        coordinator's staging step before handing a slab to workers."""
+        """Build the page's view ahead of use — the coordinator's staging
+        step before handing a slab to workers."""
         if page.records:
-            self._page_columns(page)
+            self._page_view(page)
 
     def scan_page(
         self,
@@ -755,7 +804,9 @@ class NumPyBackend(PurePythonBackend):
         page: Any,
         base: int = 0,
     ) -> tuple[int, Sequence[int], Sequence[Sequence[int]]]:
-        """Fused page kernel over the memoized columnar view."""
+        """Fused page kernel, uncached: the page's columns are converted
+        and its survivors keyed on every call, so this is the reference
+        a memoized :meth:`scan_page_run` is checked against."""
         records = page.records
         if not records:
             return 0, [], []
@@ -763,7 +814,7 @@ class NumPyBackend(PurePythonBackend):
         tables = self._tables_for(base_curve)
         if tables is None:
             return super().scan_page(curve, space, page, base)
-        columns = self._page_columns(page)
+        columns = _page_matrix(records)
         if columns is None or columns.shape[1] != base_curve.dims:
             return super().scan_page(curve, space, page, base)
         points = _PagePoints(records)  # materialized only by opaque spaces
@@ -778,7 +829,15 @@ class NumPyBackend(PurePythonBackend):
         page: Any,
         base: int = 0,
     ) -> tuple[int, Sequence[int], Any]:
-        """:meth:`scan_page` whose entries stay ``uint64`` array pairs."""
+        """:meth:`scan_page` whose entries stay ``uint64`` array pairs.
+
+        The page is keyed once per sort order (:meth:`_PageView.keyed`);
+        a scan masks the columns against ``space`` and takes the
+        survivors through the cached permutation.  Keys still ascend and
+        arrival order (a survivor's rank, ``cumsum(mask) - 1``) still
+        breaks ties, because a stable sort of a subset is the subset of
+        the stable sort.
+        """
         records = page.records
         if not records:
             return 0, [], _EMPTY_RUN
@@ -786,16 +845,23 @@ class NumPyBackend(PurePythonBackend):
         tables = self._tables_for(base_curve)
         if tables is None:
             return super().scan_page_run(curve, space, page, base)
-        columns = self._page_columns(page)
+        view = self._page_view(page)
+        columns = view.columns
         if columns is None or columns.shape[1] != base_curve.dims:
             return super().scan_page_run(curve, space, page, base)
-        points = _PagePoints(records)
-        keyed = self._select_and_key(tables, flip, space, columns, points)
-        if keyed is None:
+        mask = np.ones(len(columns), dtype=bool)
+        self._mask_space(space, columns, _PagePoints(records), mask)
+        (selected,) = mask.nonzero()
+        if not selected.size:
             return 0, [], _EMPTY_RUN
-        selected, keys, perm = keyed
-        run = (keys[perm], perm.astype(_U64) + _U64(base))
-        return int(selected.size), selected.tolist(), run
+        keys, order = view.keyed(tables, base_curve, flip)
+        if selected.size == len(columns):
+            return int(selected.size), selected.tolist(), (keys, order + _U64(base))
+        take = mask[order]
+        orders = mask.cumsum(dtype=_U64)[order[take]]
+        orders += _U64(base)
+        orders -= _U64(1)
+        return int(selected.size), selected.tolist(), (keys[take], orders)
 
     def make_run_buffer(self) -> SortRunBuffer:
         return NumPySortRunBuffer()
@@ -812,7 +878,10 @@ class NumPyBackend(PurePythonBackend):
         The big-array calls here (compare, gather, table lookups,
         argsort) release the GIL, which is what lets the thread executor
         scale; per-page kernels never get arrays large enough for the
-        release to beat the dispatch overhead.
+        release to beat the dispatch overhead.  Worker threads run it,
+        so it only reads page views (:meth:`prime_page_columns` builds
+        them under the staging lock) and converts a page it finds
+        without a current one on the spot.
         """
         base_curve, flip = self._unwrap(curve)
         tables = self._tables_for(base_curve)
@@ -820,12 +889,18 @@ class NumPyBackend(PurePythonBackend):
             return super().scan_block(curve, space, pages)
         page_columns: "list[np.ndarray]" = []
         offsets = [0]
+        views = self._views
         for page in pages:
             records = page.records
             if not records:
                 offsets.append(offsets[-1])
                 continue
-            columns = self._page_columns(page)
+            view = views.get(page)
+            columns = (
+                view.columns
+                if view is not None and view.version == page.version
+                else _page_matrix(records)
+            )
             if columns is None or columns.shape[1] != base_curve.dims:
                 return super().scan_block(curve, space, pages)
             page_columns.append(columns)

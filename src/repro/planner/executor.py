@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
 from .. import telemetry
-from ..core.query_space import QuerySpace
+from ..core.query_space import ComparisonSpace, QuerySpace
 from ..costmodel.model import CostParameters
 from ..invariants import require_instance
 from ..telemetry import TelemetryEvent, compat_aliases
@@ -172,6 +172,30 @@ def _box_enforces(encoder: Encoder, bound: Any) -> bool:
     return bound is None or (
         encoder.lossless and encoder.decode(encoder.encode(bound)) == bound
     )
+
+
+def _comparison_enforces(left: Encoder, right: Encoder) -> bool:
+    """Whether comparing two columns' codes alone enforces comparing
+    their values: both go through one lossless map (the same encoder
+    class with the same parameters), so codes order exactly as values."""
+    return left.lossless and type(left) is type(right) and vars(left) == vars(right)
+
+
+def comparison_residual(
+    schema: Schema, left: str, op: str, right: str
+) -> "Callable[[tuple], bool] | None":
+    """The per-row check ``row[left] op row[right]`` that a
+    :class:`~repro.core.query_space.ComparisonSpace` over the two
+    columns' codes leaves to do; ``None`` when it leaves nothing
+    (:func:`_comparison_enforces`), the drop rule for two-column
+    comparisons."""
+    encoders = (schema.attribute(left).encoder, schema.attribute(right).encoder)
+    if _comparison_enforces(*encoders):
+        return None
+    # the same comparison, over row positions instead of point dimensions
+    return ComparisonSpace(
+        len(schema), schema.position(left), op, schema.position(right)
+    ).contains_point
 
 
 def build_access_path(

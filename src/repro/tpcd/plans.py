@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from ..core.query_space import IntersectionSpace, QuerySpace
 from ..invariants import require_instance
-from ..planner.executor import AccessPath, build_access_path
+from ..planner.executor import AccessPath, build_access_path, comparison_residual
 from ..planner.pushdown import DEFAULT_COVER_BUDGET, KeyCover, pushdown_space
 from ..storage.disk import SimulatedDisk
 from ..storage.prefetch import DualCursorPrefetcher
@@ -41,9 +41,7 @@ from ..relational.rowsize import page_capacity_for
 from .datagen import TPCDData, shuffled
 from .queries import (
     C_CUSTKEY,
-    L_COMMITDATE,
     L_ORDERKEY,
-    L_RECEIPTDATE,
     O_CUSTKEY,
     O_ORDERDATE,
     O_ORDERKEY,
@@ -392,20 +390,22 @@ def _q4_late_lineitems(
     triangle.
 
     Built here, not by the access-path builder: a comparison between two
-    columns is not a range, so it is a query space plus an explicit
-    residual rather than a restriction the drop rule could reason about.
+    columns is not a range, so it is a query space plus whatever residual
+    :func:`~repro.planner.executor.comparison_residual` says the space
+    leaves — none, since both dates share one lossless encoder.
     """
+    comparison = ("l_commitdate", "<", "l_receiptdate")
     triangle = IntersectionSpace(
         [
             lineitem_ub.build_query_box(None),
-            lineitem_ub.comparison_space("l_commitdate", "<", "l_receiptdate"),
+            lineitem_ub.comparison_space(*comparison),
         ]
     )
     return TetrisOperator(
         lineitem_ub,
         triangle,
         "l_orderkey",
-        predicate=lambda row: row[L_COMMITDATE] < row[L_RECEIPTDATE],
+        predicate=comparison_residual(lineitem_ub.schema, *comparison),
         pushdown=pushdown,
     )
 

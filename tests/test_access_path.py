@@ -29,8 +29,10 @@ from repro.relational.schema import DecimalEncoder, StringEncoder
 from repro.tpcd import Q3Params, Q4Params, Q6Params, TPCDConfig, generate, plans
 from repro.tpcd.queries import (
     C_MKTSEGMENT,
+    L_COMMITDATE,
     L_DISCOUNT,
     L_QUANTITY,
+    L_RECEIPTDATE,
     L_SHIPDATE,
     O_ORDERDATE,
     q6_matches,
@@ -320,6 +322,55 @@ class TestWhatStaysResidual:
         assert at_most.__closure__ is not None and at_most((4,)) and not at_most((5,))
         between = compile_residual(schema, {"a": (2, 4)})
         assert [between((v,)) for v in (1, 2, 4, 5)] == [False, True, True, False]
+
+
+class TestTheComparisonDropRule:
+    """A two-column comparison keeps a residual unless both columns share
+    one lossless encoder, so the encoded half-space is the predicate."""
+
+    def test_q4_triangle_leaves_no_residual(self):
+        data = generate(TPCDConfig(scale_factor=0.02))
+        db = Database(buffer_pages=32)
+        lineitem = plans.build_lineitem_ub_q4(db, data)
+        assert plans._q4_late_lineitems(lineitem).predicate is None
+        # the dropped lambda rejected nothing the triangle let through
+        for backend in BACKENDS:
+            with kernels.use_backend(backend):
+                rows = list(plans._q4_late_lineitems(lineitem))
+            assert rows and all(
+                row[L_COMMITDATE] < row[L_RECEIPTDATE] for row in rows
+            ), backend
+            everything = [
+                row
+                for row in build_access_path(
+                    lineitem, None, ("l_orderkey",), memory_pages=MEMORY_PAGES
+                )[0]
+                if row[L_COMMITDATE] < row[L_RECEIPTDATE]
+            ]
+            assert rows == everything, backend
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (IntEncoder(0, 99), IntEncoder(1, 100)),  # two maps: codes shift
+            (DecimalEncoder(0.0, 1.0), DecimalEncoder(0.0, 1.0)),  # lossy
+            (IntEncoder(0, 99), DecimalEncoder(0.0, 99.0, scale=0)),
+        ],
+    )
+    def test_anything_else_keeps_one(self, left, right):
+        schema = Schema([Attribute("x", left), Attribute("y", right)])
+        check = executor.comparison_residual(schema, "x", "<", "y")
+        assert check is not None
+        assert check((1, 2)) and not check((2, 2)) and not check((3, 2))
+        at_least = executor.comparison_residual(schema, "x", ">=", "y")
+        assert at_least((2, 2)) and not at_least((1, 2))
+
+    def test_one_lossless_encoder_enforces_every_operator(self):
+        schema = Schema(
+            [Attribute("x", IntEncoder(5, 50)), Attribute("y", IntEncoder(5, 50))]
+        )
+        for op in ("<", "<=", ">", ">="):
+            assert executor.comparison_residual(schema, "x", op, "y") is None
 
 
 class TestTheDropRuleHasTeeth:

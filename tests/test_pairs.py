@@ -1,9 +1,11 @@
-"""The pair campaign's summariser, on canned harness contract lines."""
+"""The pair campaign's summariser, on canned harness contract lines, and
+its argument handling with the harness stubbed out."""
 
 from __future__ import annotations
 
 import pytest
 
+import tools.pairs as pairs
 from tools.pairs import order_of, parse_seeds, summarise
 
 METRICS = [
@@ -83,6 +85,59 @@ def test_a_simulated_metric_that_moves_on_one_seed_is_flagged(head_sim):
     lines, clean = summarise(campaign(head_sim), METRICS)
     assert not clean
     assert f"# SIMULATED DIFFERS: op_sim_s_p50 seed 13: 4.3265 -> {head_sim!r}" in lines
+
+
+class TestCheckouts:
+    """Which tree each side runs in; the harness itself is stubbed out."""
+
+    def run_main(self, monkeypatch, capsys, *argv):
+        extracted, ran = {}, []
+
+        def extract(revision, destination):
+            assert destination.is_dir() and destination not in extracted
+            extracted[destination] = revision
+
+        def run_harness(checkout, workload, seed):
+            ran.append((extracted.get(checkout, "working tree"), workload, seed))
+            return contract(30.0, 33.3, 4.3265)
+
+        monkeypatch.setattr(pairs, "extract", extract)
+        monkeypatch.setattr(pairs, "run_harness", run_harness)
+        monkeypatch.setattr(pairs, "end_to_end_metrics", lambda: METRICS)
+        status = pairs.main(["--workload", "q3", "--seeds", "11-12", *argv])
+        return status, sorted(extracted.values()), ran, capsys.readouterr().out
+
+    def test_the_head_defaults_to_the_working_tree(self, monkeypatch, capsys):
+        status, extracted, ran, out = self.run_main(
+            monkeypatch, capsys, "--parent", "abc"
+        )
+        assert status == 0 and extracted == ["abc"]
+        assert ran == [
+            ("working tree", "q3", 11), ("abc", "q3", 11),
+            ("abc", "q3", 12), ("working tree", "q3", 12),
+        ]
+        assert "# q3: parent abc vs head (working tree)" in out
+
+    def test_head_extracts_a_revision_too(self, monkeypatch, capsys):
+        status, extracted, ran, out = self.run_main(
+            monkeypatch, capsys, "--parent", "abc", "--head", "def"
+        )
+        assert status == 0 and extracted == ["abc", "def"]
+        assert [side for side, _, _ in ran] == ["def", "abc", "abc", "def"]
+        assert "# q3: parent abc vs head def" in out
+
+    def test_the_same_revision_twice_is_an_a_a_campaign(self, monkeypatch, capsys):
+        status, extracted, ran, out = self.run_main(
+            monkeypatch, capsys, "--parent", "abc", "--head", "abc"
+        )
+        # two separate extractions: neither side runs in the working tree
+        assert status == 0 and extracted == ["abc", "abc"]
+        assert len(ran) == 4 and all(side == "abc" for side, _, _ in ran)
+        assert "# q3: parent abc vs head abc" in out
+
+    def test_the_parent_is_still_required(self, monkeypatch, capsys):
+        with pytest.raises(SystemExit):
+            self.run_main(monkeypatch, capsys, "--head", "abc")
 
 
 def test_a_run_that_is_not_correct_is_flagged():

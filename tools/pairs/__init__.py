@@ -9,7 +9,9 @@ box that drifts.  This tool runs such a campaign::
     python -m tools.pairs --parent REV --workload W --seeds 11-24
 
 The parent is extracted with ``git archive REV | tar -x`` into a
-temporary directory; the head is the working tree.  Every run is
+temporary directory; the head is the working tree, or another extracted
+revision with ``--head REV``.  ``--parent X --head X`` is an A/A
+campaign: what placement alone moves a metric by.  Every run is
 ``python3 benchmarks/harness/run.py --workload W --seed S --seconds 10
 --trace 0`` in that checkout, and its last stdout line (the harness's
 JSON contract line) is what counts.  Nothing else may run on the box
@@ -162,14 +164,26 @@ def main(argv: Sequence[str] | None = None) -> int:
         description="alternating parent/head harness runs of one workload",
     )
     parser.add_argument("--parent", required=True, metavar="REV")
+    parser.add_argument(
+        "--head",
+        metavar="REV",
+        help="extract the head from a revision too (default: the working "
+        "tree); --head equal to --parent runs an A/A campaign",
+    )
     parser.add_argument("--workload", required=True, metavar="W")
     parser.add_argument("--seeds", required=True, metavar="A-B")
     options = parser.parse_args(argv)
-    checkouts = {"head": REPO}
     pairs: dict[int, Pair] = {}
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        checkouts["parent"] = Path(tmp)
-        extract(options.parent, checkouts["parent"])
+        checkouts: dict[str, Path] = {}
+        for side in SIDES:
+            revision = getattr(options, side)
+            if revision is None:
+                checkouts[side] = REPO
+                continue
+            checkouts[side] = Path(tmp) / side
+            checkouts[side].mkdir()
+            extract(revision, checkouts[side])
         for seed in parse_seeds(options.seeds):
             pairs[seed] = {}
             for side in order_of(seed):
@@ -178,6 +192,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 value = run["metrics"]["op_wall_ms_p50"]["value"]
                 print(f"# seed {seed} {side}: op_wall_ms_p50 {value:.6g}", flush=True)
     lines, clean = summarise(pairs, end_to_end_metrics())
-    print(f"# {options.workload}: parent {options.parent} vs head (working tree)")
+    head = options.head or "(working tree)"
+    print(f"# {options.workload}: parent {options.parent} vs head {head}")
     print("\n".join(lines))
     return 0 if clean else 1
