@@ -11,7 +11,7 @@ Public surface:
   non-rectangular extension of Section 5.2.
 """
 
-from .curves import Curve, FlippedCurve, tetris_schedule, z_schedule
+from .curves import Curve, tetris_schedule, z_schedule
 from .intervals import IntervalSet
 from .query_space import (
     ComparisonSpace,
@@ -29,7 +29,6 @@ from .zorder import ZSpace
 __all__ = [
     "ComparisonSpace",
     "Curve",
-    "FlippedCurve",
     "IntersectionSpace",
     "IntervalSet",
     "PredicateSpace",

@@ -346,67 +346,6 @@ class Curve:
         return f"Curve(bits={self.bit_lengths}, total={self.total_bits})"
 
 
-class FlippedCurve:
-    """A curve seen through a per-dimension coordinate reflection.
-
-    Flipping the sort dimension (``x_j ↦ coord_max_j - x_j``) turns a
-    descending Tetris sweep into an ascending one over the same pages:
-    reflections map boxes to boxes and preserve monotonicity, so BIGMIN
-    keeps working.
-    """
-
-    def __init__(self, curve: Curve, flip_dims: frozenset[int]) -> None:
-        self._curve = curve
-        self._flip = flip_dims
-        self.total_bits = curve.total_bits
-        self.address_max = curve.address_max
-        self.dims = curve.dims
-        self.coord_max = curve.coord_max
-
-    @property
-    def base_curve(self) -> Curve:
-        """The underlying un-reflected curve (used by batch kernels)."""
-        return self._curve
-
-    @property
-    def flip_dims(self) -> frozenset[int]:
-        """Dimensions whose coordinates are reflected."""
-        return self._flip
-
-    def _reflect(self, point: Sequence[int]) -> tuple[int, ...]:
-        return tuple(
-            self.coord_max[dim] - value if dim in self._flip else value
-            for dim, value in enumerate(point)
-        )
-
-    def encode(self, point: Sequence[int]) -> int:
-        return self._curve.encode(self._reflect(point))
-
-    def encode_unchecked(self, point: Sequence[int]) -> int:
-        return self._curve.encode_unchecked(self._reflect(point))
-
-    def decode(self, address: int) -> tuple[int, ...]:
-        return self._reflect(self._curve.decode(address))
-
-    def box_min_corner(
-        self, lo: Sequence[int], hi: Sequence[int]
-    ) -> tuple[int, ...]:
-        """The corner of ``[lo, hi]`` with the smallest flipped address."""
-        return tuple(
-            hi[dim] if dim in self._flip else lo[dim] for dim in range(self.dims)
-        )
-
-    def next_in_box(
-        self, address: int, lo: Sequence[int], hi: Sequence[int]
-    ) -> int | None:
-        # reflecting the box swaps lo and hi only in the flipped dimensions
-        reflected_lo = self._reflect(lo)
-        reflected_hi = self._reflect(hi)
-        box_lo = tuple(min(a, b) for a, b in zip(reflected_lo, reflected_hi))
-        box_hi = tuple(max(a, b) for a, b in zip(reflected_lo, reflected_hi))
-        return self._curve.next_in_box(address, box_lo, box_hi)
-
-
 def _load_min(value: int, weight: int) -> int:
     """Set the ``weight`` bit, clear all less significant bits."""
     return (value | weight) & ~(weight - 1)

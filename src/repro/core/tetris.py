@@ -46,7 +46,7 @@ from typing import Any, Iterator, Sequence
 # core import each other, so the attribute must resolve at call time
 from .. import invariants, kernels
 from ..storage.prefetch import LookaheadCursor, SweepPrefetcher
-from .curves import Curve, FlippedCurve
+from .curves import Curve
 from .intervals import IntervalSet
 from .query_space import QuerySpace, box_is_empty
 from .region import ZRegion
@@ -119,8 +119,6 @@ class TetrisScan:
         Index of the sort attribute ``A_j`` — or a sequence of indexes
         for a composite (multi-column) sort order, lexicographic in the
         listed attributes.
-    descending:
-        Emit in descending order of the sort attribute(s).
     strategy:
         ``"eager"`` (static region keys + heap, the default) or
         ``"sweep"`` (event points, the paper's literal loop).
@@ -141,7 +139,6 @@ class TetrisScan:
         space: QuerySpace,
         sort_dim: "int | Sequence[int]",
         *,
-        descending: bool = False,
         strategy: str = "eager",
         pushdown: "QuerySpace | None" = None,
     ) -> None:
@@ -170,7 +167,6 @@ class TetrisScan:
         )
         self.sort_dims = sort_dims
         self.sort_dim = sort_dims[0]
-        self.descending = descending
         self.strategy = strategy
         self.stats = TetrisStats()
         #: set by a join-side coordinator (DualCursorPrefetcher): either
@@ -181,13 +177,7 @@ class TetrisScan:
         #: fight over the window.
         self.external_prefetch: "SweepPrefetcher | bool" = False
 
-        base = ubtree.space.tetris(sort_dims)
-        if descending:
-            self.tetris_curve: Curve | FlippedCurve = FlippedCurve(
-                base, frozenset(sort_dims)
-            )
-        else:
-            self.tetris_curve = base
+        self.tetris_curve: Curve = ubtree.space.tetris(sort_dims)
 
         box = space.bounding_box()
         if box is None:
@@ -307,7 +297,7 @@ class TetrisScan:
         # entry, re-run it on the other backend and hold the sweep to
         # one fetch per page, read-ahead included
         stream_checker = (
-            invariants.StreamChecker(self.sort_dims, self.descending, space)
+            invariants.StreamChecker(self.sort_dims, space)
             if invariants.enabled()
             else None
         )
@@ -545,19 +535,10 @@ class TetrisScan:
                 clamped_hi = tuple(min(a, b) for a, b in zip(box_hi, hi))
                 if any(a > b for a, b in zip(clamped_lo, clamped_hi)):
                     continue
-                if isinstance(curve, FlippedCurve):
-                    min_corner = curve.box_min_corner(clamped_lo, clamped_hi)
-                    max_corner = tuple(
-                        clamped_lo[d] if d in self.sort_dims else clamped_hi[d]
-                        for d in range(curve.dims)
-                    )
-                else:
-                    min_corner = clamped_lo
-                    max_corner = clamped_hi
                 raw.append(
                     (
-                        curve.encode_unchecked(max_corner),
-                        curve.encode_unchecked(min_corner),
+                        curve.encode_unchecked(clamped_hi),
+                        curve.encode_unchecked(clamped_lo),
                         clamped_lo,
                         clamped_hi,
                     )
@@ -579,7 +560,6 @@ def tetris_sorted(
     space: QuerySpace,
     sort_dim: "int | Sequence[int]",
     *,
-    descending: bool = False,
     strategy: str = "eager",
     pushdown: "QuerySpace | None" = None,
 ) -> TetrisScan:
@@ -590,11 +570,4 @@ def tetris_sorted(
     lexicographic in the listed attributes with Z-order of the remaining
     ones as tiebreak (see :meth:`~repro.core.zorder.ZSpace.tetris`).
     """
-    return TetrisScan(
-        ubtree,
-        space,
-        sort_dim,
-        descending=descending,
-        strategy=strategy,
-        pushdown=pushdown,
-    )
+    return TetrisScan(ubtree, space, sort_dim, strategy=strategy, pushdown=pushdown)

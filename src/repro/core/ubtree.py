@@ -22,7 +22,7 @@ from ..storage.buffer import BufferPool
 from ..storage.page import Page
 from ..storage.prefetch import LookaheadCursor, SweepPrefetcher
 from ..storage.wal import active_wal
-from .curves import Curve, FlippedCurve
+from .curves import Curve
 from .query_space import QuerySpace, box_is_empty
 from .region import RegionDirectory, ZRegion
 from .zorder import ZSpace
@@ -197,7 +197,7 @@ class UBTree:
         self,
         space: QuerySpace,
         pushdown: "QuerySpace | None" = None,
-        sort_curve: "Curve | FlippedCurve | None" = None,
+        sort_curve: "Curve | None" = None,
     ) -> Iterator[tuple[ZRegion, bool, bool, "int | None"]]:
         """``(region, in_space, in_cover, key)`` for every Z-region that
         meets ``space``'s bounding box, in Z-order, lazily.

@@ -19,7 +19,7 @@ from typing import Any, Sequence, TYPE_CHECKING
 from .errors import check
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from ..core.curves import Curve, FlippedCurve
+    from ..core.curves import Curve
     from ..core.query_space import QuerySpace
     from ..core.region import ZRegion
     from ..kernels.base import KernelBackend
@@ -127,7 +127,7 @@ class ScheduleChecker:
         hi: Sequence[int],
         space: "QuerySpace",
         pushdown: "QuerySpace | None",
-        sort_curve: "Curve | FlippedCurve | None",
+        sort_curve: "Curve | None",
     ) -> None:
         self._curve = curve
         self._box = (lo, hi)
@@ -194,7 +194,7 @@ class SliceChecker:
     slice and from one slice to the next.
     """
 
-    def __init__(self, curve: "Curve | FlippedCurve") -> None:
+    def __init__(self, curve: "Curve") -> None:
         self._encode = curve.encode
         self._previous: "int | None" = None
 

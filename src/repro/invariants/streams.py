@@ -1,8 +1,8 @@
 """Output-stream invariants of the Tetris sweep and of its rival sort.
 
 Theorem-level contract of Section 3: the Tetris algorithm delivers
-exactly the qualifying tuples, in nondecreasing (or, for descending
-scans, nonincreasing) order of the sort attribute(s).  The
+exactly the qualifying tuples, in nondecreasing order of the sort
+attribute(s).  The
 :class:`StreamChecker` observes every emitted tuple and raises on the
 first violation — which localizes a corruption to the page or slice
 that produced it instead of letting it surface as a wrong query answer
@@ -23,16 +23,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 class StreamChecker:
     """Validates one Tetris output stream tuple-by-tuple."""
 
-    __slots__ = ("sort_dims", "descending", "space", "_previous", "_count")
+    __slots__ = ("sort_dims", "space", "_previous", "_count")
 
-    def __init__(
-        self,
-        sort_dims: Sequence[int],
-        descending: bool,
-        space: "QuerySpace",
-    ) -> None:
+    def __init__(self, sort_dims: Sequence[int], space: "QuerySpace") -> None:
         self.sort_dims = tuple(sort_dims)
-        self.descending = descending
         self.space = space
         self._previous: tuple[int, ...] | None = None
         self._count = 0
@@ -48,11 +42,9 @@ class StreamChecker:
         key = tuple(point[dim] for dim in self.sort_dims)
         previous = self._previous
         if previous is not None:
-            in_order = key <= previous if self.descending else key >= previous
-            direction = "nonincreasing" if self.descending else "nondecreasing"
             check(
-                in_order,
-                f"Tetris output not {direction} in the sort dimension(s) "
+                key >= previous,
+                f"Tetris output not nondecreasing in the sort dimension(s) "
                 f"{self.sort_dims}: tuple #{self._count} has key {key} after "
                 f"{previous}",
             )
@@ -66,16 +58,14 @@ class MergeChecker:
     rows by those keys without calling the sort key again.  The checker
     keeps that call: every chunk read must carry exactly the keys
     ``key(row)`` gives the rows actually read, and the merged stream
-    must run in ``(key, run, position)`` order — keys nondecreasing
-    (nonincreasing when descending), equal keys by run, then by
-    position in the run.
+    must run in ``(key, run, position)`` order — keys nondecreasing,
+    equal keys by run, then by position in the run.
     """
 
-    __slots__ = ("key", "descending", "_previous", "_count")
+    __slots__ = ("key", "_previous", "_count")
 
-    def __init__(self, key: Callable[[Any], Any], descending: bool) -> None:
+    def __init__(self, key: Callable[[Any], Any]) -> None:
         self.key = key
-        self.descending = descending
         self._previous: tuple[Any, int, int] | None = None
         self._count = 0
 
@@ -108,9 +98,8 @@ class MergeChecker:
             run, position = origins[index]
             if previous is not None:
                 last, last_run, last_position = previous
-                ahead = last < key if self.descending else key < last
                 check(
-                    not ahead,
+                    not key < last,
                     f"merged row #{self._count} (run {run}, position "
                     f"{position}) has key {key!r} after {last!r}",
                 )

@@ -24,11 +24,9 @@ from __future__ import annotations
 from typing import Any, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from ..core.curves import Curve, FlippedCurve
+    from ..core.curves import Curve
     from ..core.query_space import QuerySpace
     from ..core.region import RegionDirectory
-
-    AnyCurve = Curve | FlippedCurve
 
 #: one row of :meth:`KernelBackend.schedule_regions`:
 #: ``(probe, first, last, page_id, in_space, in_cover, key)``
@@ -88,18 +86,17 @@ class KernelBackend:
     name: str = "abstract"
 
     def encode_batch(
-        self, curve: "AnyCurve", points: Sequence[Sequence[int]]
+        self, curve: "Curve", points: Sequence[Sequence[int]]
     ) -> list[int]:
         """Curve address of every point, as plain Python ints.
 
         Coordinates must already be valid for ``curve`` (unchecked fast
-        path).  Accepts plain :class:`~repro.core.curves.Curve` objects
-        and :class:`~repro.core.curves.FlippedCurve` reflections.
+        path).
         """
         raise NotImplementedError
 
     def decode_batch(
-        self, curve: "AnyCurve", addresses: Sequence[int]
+        self, curve: "Curve", addresses: Sequence[int]
     ) -> list[tuple[int, ...]]:
         """Point of every address (inverse of :meth:`encode_batch`)."""
         raise NotImplementedError
@@ -137,14 +134,11 @@ class KernelBackend:
         """
         raise NotImplementedError
 
-    def argsort_keys(
-        self, keys: Sequence[Any], *, reverse: bool = False
-    ) -> list[int]:
+    def argsort_keys(self, keys: Sequence[Any]) -> list[int]:
         """Stable sort permutation of ``keys``.
 
         ``[keys[i] for i in argsort_keys(keys)]`` is sorted; ties keep
-        their original relative order even with ``reverse=True``
-        (matching ``list.sort(reverse=True)``).  Keys are typically curve
+        their original relative order.  Keys are typically curve
         addresses (ints) or composite-key tuples, but any totally
         ordered values must work.
         """
@@ -155,7 +149,7 @@ class KernelBackend:
     # ------------------------------------------------------------------
     def page_entries(
         self,
-        curve: "AnyCurve",
+        curve: "Curve",
         space: "QuerySpace",
         points: Sequence[Sequence[int]],
         base: int = 0,
@@ -175,7 +169,7 @@ class KernelBackend:
         raise NotImplementedError
 
     def scan_page(
-        self, curve: "AnyCurve", space: "QuerySpace", page: Any, base: int = 0
+        self, curve: "Curve", space: "QuerySpace", page: Any, base: int = 0
     ) -> tuple[int, Sequence[int], Sequence[Sequence[int]]]:
         """:meth:`page_entries` over a storage page's records.
 
@@ -189,7 +183,7 @@ class KernelBackend:
         raise NotImplementedError
 
     def scan_page_run(
-        self, curve: "AnyCurve", space: "QuerySpace", page: Any, base: int = 0
+        self, curve: "Curve", space: "QuerySpace", page: Any, base: int = 0
     ) -> tuple[int, Sequence[int], Any]:
         """:meth:`scan_page` returning the entries as a backend-native run.
 
@@ -208,7 +202,7 @@ class KernelBackend:
         raise NotImplementedError
 
     def scan_block(
-        self, curve: "AnyCurve", space: "QuerySpace", pages: Sequence[Any]
+        self, curve: "Curve", space: "QuerySpace", pages: Sequence[Any]
     ) -> tuple[list[Sequence[int]], Sequence[int]]:
         """Filter, key and sort a whole block of pages in one call.
 
@@ -227,18 +221,14 @@ class KernelBackend:
         raise NotImplementedError
 
     def merge_sorted_keys(
-        self,
-        keys_a: Sequence[Any],
-        keys_b: Sequence[Any],
-        *,
-        reverse: bool = False,
+        self, keys_a: Sequence[Any], keys_b: Sequence[Any]
     ) -> list[int]:
         """Stable merge permutation over two already-sorted key runs.
 
-        Both inputs are sorted per ``reverse``; the result indexes their
-        concatenation (``keys_a`` first) such that gathering through it
-        is sorted, with ``keys_a`` winning ties — i.e. exactly the
-        permutation a stable sort of the concatenation would produce.
+        Both inputs are sorted; the result indexes their concatenation
+        (``keys_a`` first) such that gathering through it is sorted,
+        with ``keys_a`` winning ties — i.e. exactly the permutation a
+        stable sort of the concatenation would produce.
         This is the pairwise step of DPG's hierarchical run merging; the
         shard coordinator's k-way merge (:mod:`repro.shard.merge`) is
         built from it.
@@ -248,40 +238,34 @@ class KernelBackend:
     # ------------------------------------------------------------------
     # key columns (the external sort's runs)
     # ------------------------------------------------------------------
-    def sort_key_column(
-        self, keys: Sequence[Any], *, reverse: bool = False
-    ) -> tuple[list[int], Any]:
+    def sort_key_column(self, keys: Sequence[Any]) -> tuple[list[int], Any]:
         """:meth:`argsort_keys`, plus the keys it sorts as a key column.
 
         Returns ``(permutation, column)``: ``permutation`` equals
-        ``argsort_keys(keys, reverse=reverse)`` and ``column`` holds the
-        keys gathered through it, in this backend's native form — on
-        NumPy an ``int64`` array when every key is an integer that fits
-        (2-D, one row per key, for tuples of such integers), a list
-        otherwise.  A column is opaque apart from ``len`` and slicing;
-        it feeds :meth:`merge_key_columns`, :meth:`concat_key_columns`
-        and :meth:`list_key_column` of the same backend.
+        ``argsort_keys(keys)`` and ``column`` holds the keys gathered
+        through it, in this backend's native form — on NumPy an
+        ``int64`` array when every key is an integer that fits (2-D, one
+        row per key, for tuples of such integers), a list otherwise.  A
+        column is opaque apart from ``len`` and slicing; it feeds
+        :meth:`merge_key_columns`, :meth:`concat_key_columns` and
+        :meth:`list_key_column` of the same backend.
         """
         raise NotImplementedError
 
     def merge_key_columns(
-        self,
-        columns: Sequence[Any],
-        more: Sequence[bool],
-        *,
-        reverse: bool = False,
+        self, columns: Sequence[Any], more: Sequence[bool]
     ) -> "tuple[int | None, list[int], list[int], Any]":
         """One chunk step of a k-way merge over sorted key columns.
 
         ``columns[i]`` is the loaded, not yet merged part of run ``i``
-        (sorted per ``reverse``) and ``more[i]`` says whether run ``i``
-        still has keys that are not loaded.  The merge order is ``(key,
-        run, position)`` — equal keys go to the lower run, as in
+        (sorted) and ``more[i]`` says whether run ``i`` still has keys
+        that are not loaded.  The merge order is ``(key, run,
+        position)`` — equal keys go to the lower run, as in
         ``heapq.merge`` over the runs.  A step ends at the earliest
         loaded end of a run with more to load: that run is ``stop`` (the
-        least ``(last key, i)`` per ``reverse`` over runs with more and
-        a non-empty column), or ``None`` when no run has more and the
-        step takes everything.
+        least ``(last key, i)`` over runs with more and a non-empty
+        column), or ``None`` when no run has more and the step takes
+        everything.
 
         Returns ``(stop, taken, order, merged)``: ``taken[i]`` is how
         many leading keys of ``columns[i]`` merge at or before the last
@@ -304,7 +288,7 @@ class KernelBackend:
     def region_min_keys(
         self,
         z_curve: "Curve",
-        sort_curve: "AnyCurve",
+        sort_curve: "Curve",
         intervals: Sequence[tuple[int, int]],
         lo: Sequence[int],
         hi: Sequence[int],
@@ -317,7 +301,7 @@ class KernelBackend:
         Tetris strategy's static region keying by its definition: every
         interval decomposes into aligned boxes, each box is clamped to
         ``[lo, hi]``, and the minimum ``sort_curve`` address of a
-        surviving box is attained at a corner (monotonicity).  A scan
+        surviving box is attained at its low corner (monotonicity).  A scan
         keys all its regions in :meth:`schedule_regions`; this is that
         schedule's reference keying step and its checker's yardstick.
         """
@@ -331,7 +315,7 @@ class KernelBackend:
         hi: Sequence[int],
         space: "QuerySpace",
         pushdown: "QuerySpace | None" = None,
-        sort_curve: "AnyCurve | None" = None,
+        sort_curve: "Curve | None" = None,
     ) -> "list[ScheduledRegion]":
         """Everything a restricted scan decides per Z-region, for all
         regions at once — the BIGMIN walk, the pruning tests and the

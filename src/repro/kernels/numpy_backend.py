@@ -11,8 +11,8 @@ A page is keyed once per sort order, not once per scan.  A tuple's
 Tetris address is a fixed bit permutation of its point, so a page's
 keys on one curve change only when the page does: the backend keeps a
 view per page (:class:`_PageView`, stamped with ``Page.version``) that
-holds the coordinate matrix and, per ``(base curve, flip dims)``, the
-page's keys ascending with their stable permutation.  A warm
+holds the coordinate matrix and, per sort curve, the page's keys
+ascending with their stable permutation.  A warm
 :meth:`NumPyBackend.scan_page_run` is then a mask over the columns and
 two takes through that permutation.  :meth:`NumPyBackend.scan_page` and
 :meth:`NumPyBackend.page_entries` stay uncached: they are the reference
@@ -34,7 +34,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..core.curves import Curve, FlippedCurve
+from ..core.curves import Curve
 from ..core.query_space import (
     ComparisonSpace,
     IntersectionSpace,
@@ -412,11 +412,10 @@ class _PageView:
     ``version`` equals :attr:`version`.
 
     :attr:`columns` is the page's coordinate matrix (``None`` when it
-    does not convert).  :attr:`runs` maps a sort order ``(base curve,
-    flip dims)`` to the page's keys on it in ascending order and their
-    stable sort permutation (as ``uint64`` record indexes), built by the
-    first scan in that order.  Both arrays are read-only: runs handed
-    to a run buffer share them.
+    does not convert).  :attr:`runs` maps a sort curve to the page's
+    keys on it in ascending order and their stable sort permutation (as
+    ``uint64`` record indexes), built by the first scan in that order.
+    Both arrays are read-only: runs handed to a run buffer share them.
     """
 
     __slots__ = ("version", "columns", "runs")
@@ -424,26 +423,21 @@ class _PageView:
     def __init__(self, version: int, columns: "np.ndarray | None") -> None:
         self.version = version
         self.columns = columns
-        self.runs: "dict[tuple[Curve, frozenset[int]], tuple[np.ndarray, ...]]" = {}
+        self.runs: "dict[Curve, tuple[np.ndarray, ...]]" = {}
 
     def keyed(
-        self, tables: "_CurveTables", curve: Curve, flip: frozenset[int]
+        self, tables: "_CurveTables", curve: Curve
     ) -> "tuple[np.ndarray, np.ndarray]":
-        """The page's ``(ascending keys, stable permutation)`` on ``curve``
-        reflected in ``flip``; ``columns`` must be present."""
-        run = self.runs.get((curve, flip))
+        """The page's ``(ascending keys, stable permutation)`` on
+        ``curve``; ``columns`` must be present."""
+        run = self.runs.get(curve)
         if run is None:
-            columns = self.columns
-            if flip:
-                columns = columns.copy()
-                for dim in flip:
-                    columns[:, dim] = tables.coord_max[dim] - columns[:, dim]
-            keys = NumPyBackend._encode_columns(tables, columns)
+            keys = NumPyBackend._encode_columns(tables, self.columns)
             order = np.argsort(keys, kind="stable")
             run = (keys[order], order.astype(_U64))
             for array in run:
                 array.flags.writeable = False
-            self.runs[(curve, flip)] = run
+            self.runs[curve] = run
         return run
 
 
@@ -523,18 +517,12 @@ class NumPyBackend(PurePythonBackend):
             self._tables[curve] = tables
         return tables
 
-    @staticmethod
-    def _unwrap(curve: "Curve | FlippedCurve") -> tuple[Curve, frozenset[int]]:
-        if isinstance(curve, FlippedCurve):
-            return curve.base_curve, curve.flip_dims
-        return curve, frozenset()
-
     # ------------------------------------------------------------------
     # encode / decode
     # ------------------------------------------------------------------
     @staticmethod
     def _encode_columns(tables: _CurveTables, columns: "np.ndarray") -> "np.ndarray":
-        """Addresses of a (n, dims) coordinate array (already reflected)."""
+        """Addresses of a (n, dims) coordinate array."""
         addresses = np.zeros(len(columns), dtype=_U64)
         for dim, dim_tables in enumerate(tables.encode):
             column = columns[:, dim]
@@ -546,41 +534,33 @@ class NumPyBackend(PurePythonBackend):
 
     @staticmethod
     def _decode_addresses(tables: _CurveTables, packed: "np.ndarray") -> "np.ndarray":
-        """(n, dims) coordinate array of an address vector (no reflection)."""
+        """(n, dims) coordinate array of an address vector."""
         coords = np.zeros((len(packed), len(tables.coord_max)), dtype=_U64)
         for chunk in range(tables.decode.shape[0]):
             coords |= tables.decode[chunk][(packed >> _U64(8 * chunk)) & _BYTE]
         return coords
 
     def encode_batch(
-        self, curve: "Curve | FlippedCurve", points: Sequence[Sequence[int]]
+        self, curve: Curve, points: Sequence[Sequence[int]]
     ) -> list[int]:
         if not len(points):
             return []
-        base, flip = self._unwrap(curve)
-        tables = self._tables_for(base)
+        tables = self._tables_for(curve)
         if tables is None:
             return super().encode_batch(curve, points)
         columns = np.asarray(points, dtype=_U64)
-        if flip:
-            columns = columns.copy() if columns is points else columns
-            for dim in flip:
-                columns[:, dim] = tables.coord_max[dim] - columns[:, dim]
         return self._encode_columns(tables, columns).tolist()
 
     def decode_batch(
-        self, curve: "Curve | FlippedCurve", addresses: Sequence[int]
+        self, curve: Curve, addresses: Sequence[int]
     ) -> list[tuple[int, ...]]:
         if not len(addresses):
             return []
-        base, flip = self._unwrap(curve)
-        tables = self._tables_for(base)
+        tables = self._tables_for(curve)
         if tables is None:
             return super().decode_batch(curve, addresses)
         packed = np.asarray(addresses, dtype=_U64)
         coords = self._decode_addresses(tables, packed)
-        for dim in flip:
-            coords[:, dim] = tables.coord_max[dim] - coords[:, dim]
         return [tuple(row) for row in coords.tolist()]
 
     # ------------------------------------------------------------------
@@ -683,36 +663,29 @@ class NumPyBackend(PurePythonBackend):
     # ------------------------------------------------------------------
     # sorting
     # ------------------------------------------------------------------
-    def argsort_keys(
-        self, keys: Sequence[Any], *, reverse: bool = False
-    ) -> list[int]:
+    def argsort_keys(self, keys: Sequence[Any]) -> list[int]:
         if not len(keys):
             return []
         try:
             array = np.asarray(keys)
         except (OverflowError, ValueError, TypeError):
-            return super().argsort_keys(keys, reverse=reverse)
+            return super().argsort_keys(keys)
         if not np.issubdtype(array.dtype, np.integer):
             # floats, strings, objects, mixed tuples: Python semantics win
-            return super().argsort_keys(keys, reverse=reverse)
-        if reverse:
-            # ~k is strictly decreasing in k for any integer dtype, so a
-            # stable ascending sort of ~keys is a stable descending sort
-            # of keys (ties keep original order, like list.sort).
-            array = ~array
+            return super().argsort_keys(keys)
         if array.ndim == 1:
             return np.argsort(array, kind="stable").tolist()
         if array.ndim == 2:
             # composite keys: lexsort is stable, last key is primary
             return np.lexsort(array.T[::-1]).tolist()
-        return super().argsort_keys(keys, reverse=reverse)
+        return super().argsort_keys(keys)
 
     # ------------------------------------------------------------------
     # fused compound kernels
     # ------------------------------------------------------------------
     def page_entries(
         self,
-        curve: "Curve | FlippedCurve",
+        curve: Curve,
         space: QuerySpace,
         points: Sequence[Sequence[int]],
         base: int = 0,
@@ -720,22 +693,18 @@ class NumPyBackend(PurePythonBackend):
         """Filter + key + sort one page with a single array conversion."""
         if not len(points):
             return 0, [], []
-        base_curve, flip = self._unwrap(curve)
-        tables = self._tables_for(base_curve)
+        tables = self._tables_for(curve)
         if tables is None:
             return super().page_entries(curve, space, points, base)
         try:
             columns = np.asarray(points, dtype=_U64)
         except (OverflowError, ValueError, TypeError):
             return super().page_entries(curve, space, points, base)
-        return self._entries_from_columns(
-            tables, flip, space, columns, points, base
-        )
+        return self._entries_from_columns(tables, space, columns, points, base)
 
     def _select_and_key(
         self,
         tables: _CurveTables,
-        flip: frozenset[int],
         space: QuerySpace,
         columns: "np.ndarray",
         points: Any,
@@ -743,7 +712,7 @@ class NumPyBackend(PurePythonBackend):
         """Filter + key + stable sort; ``(selected, keys, perm)`` arrays.
 
         ``selected`` holds the qualifying row indices ascending, ``keys``
-        their (reflected) curve addresses in arrival order, and ``perm``
+        their curve addresses in arrival order, and ``perm``
         the stable sort permutation over ``keys``.  ``None`` when nothing
         qualifies.
         """
@@ -752,24 +721,20 @@ class NumPyBackend(PurePythonBackend):
         selected = np.nonzero(mask)[0]
         if not selected.size:
             return None
-        chosen = columns[selected]  # fancy index copies: in-place flip is safe
-        for dim in flip:
-            chosen[:, dim] = tables.coord_max[dim] - chosen[:, dim]
-        keys = self._encode_columns(tables, chosen)
+        keys = self._encode_columns(tables, columns[selected])
         perm = np.argsort(keys, kind="stable")
         return selected, keys, perm
 
     def _entries_from_columns(
         self,
         tables: _CurveTables,
-        flip: frozenset[int],
         space: QuerySpace,
         columns: "np.ndarray",
         points: Any,
         base: int,
     ) -> tuple[int, Sequence[int], Sequence[Sequence[int]]]:
         """Shared tail of :meth:`page_entries` / :meth:`scan_page`."""
-        keyed = self._select_and_key(tables, flip, space, columns, points)
+        keyed = self._select_and_key(tables, space, columns, points)
         if keyed is None:
             return 0, [], []
         selected, keys, perm = keyed
@@ -799,7 +764,7 @@ class NumPyBackend(PurePythonBackend):
 
     def scan_page(
         self,
-        curve: "Curve | FlippedCurve",
+        curve: Curve,
         space: QuerySpace,
         page: Any,
         base: int = 0,
@@ -810,21 +775,18 @@ class NumPyBackend(PurePythonBackend):
         records = page.records
         if not records:
             return 0, [], []
-        base_curve, flip = self._unwrap(curve)
-        tables = self._tables_for(base_curve)
+        tables = self._tables_for(curve)
         if tables is None:
             return super().scan_page(curve, space, page, base)
         columns = _page_matrix(records)
-        if columns is None or columns.shape[1] != base_curve.dims:
+        if columns is None or columns.shape[1] != curve.dims:
             return super().scan_page(curve, space, page, base)
         points = _PagePoints(records)  # materialized only by opaque spaces
-        return self._entries_from_columns(
-            tables, flip, space, columns, points, base
-        )
+        return self._entries_from_columns(tables, space, columns, points, base)
 
     def scan_page_run(
         self,
-        curve: "Curve | FlippedCurve",
+        curve: Curve,
         space: QuerySpace,
         page: Any,
         base: int = 0,
@@ -841,20 +803,19 @@ class NumPyBackend(PurePythonBackend):
         records = page.records
         if not records:
             return 0, [], _EMPTY_RUN
-        base_curve, flip = self._unwrap(curve)
-        tables = self._tables_for(base_curve)
+        tables = self._tables_for(curve)
         if tables is None:
             return super().scan_page_run(curve, space, page, base)
         view = self._page_view(page)
         columns = view.columns
-        if columns is None or columns.shape[1] != base_curve.dims:
+        if columns is None or columns.shape[1] != curve.dims:
             return super().scan_page_run(curve, space, page, base)
         mask = np.ones(len(columns), dtype=bool)
         self._mask_space(space, columns, _PagePoints(records), mask)
         (selected,) = mask.nonzero()
         if not selected.size:
             return 0, [], _EMPTY_RUN
-        keys, order = view.keyed(tables, base_curve, flip)
+        keys, order = view.keyed(tables, curve)
         if selected.size == len(columns):
             return int(selected.size), selected.tolist(), (keys, order + _U64(base))
         take = mask[order]
@@ -868,7 +829,7 @@ class NumPyBackend(PurePythonBackend):
 
     def scan_block(
         self,
-        curve: "Curve | FlippedCurve",
+        curve: Curve,
         space: QuerySpace,
         pages: Sequence[Any],
     ) -> tuple[list[Sequence[int]], Sequence[int]]:
@@ -883,8 +844,7 @@ class NumPyBackend(PurePythonBackend):
         them under the staging lock) and converts a page it finds
         without a current one on the spot.
         """
-        base_curve, flip = self._unwrap(curve)
-        tables = self._tables_for(base_curve)
+        tables = self._tables_for(curve)
         if tables is None:
             return super().scan_block(curve, space, pages)
         page_columns: "list[np.ndarray]" = []
@@ -901,7 +861,7 @@ class NumPyBackend(PurePythonBackend):
                 if view is not None and view.version == page.version
                 else _page_matrix(records)
             )
-            if columns is None or columns.shape[1] != base_curve.dims:
+            if columns is None or columns.shape[1] != curve.dims:
                 return super().scan_block(curve, space, pages)
             page_columns.append(columns)
             offsets.append(offsets[-1] + len(columns))
@@ -913,7 +873,7 @@ class NumPyBackend(PurePythonBackend):
             else np.concatenate(page_columns, axis=0)
         )
         points = _BlockPoints(pages, offsets)
-        keyed = self._select_and_key(tables, flip, space, block, points)
+        keyed = self._select_and_key(tables, space, block, points)
         if keyed is None:
             return [[] for _ in pages], []
         selected, keys, perm = keyed
@@ -926,11 +886,7 @@ class NumPyBackend(PurePythonBackend):
         return selected_per_page, perm.tolist()
 
     def merge_sorted_keys(
-        self,
-        keys_a: Sequence[Any],
-        keys_b: Sequence[Any],
-        *,
-        reverse: bool = False,
+        self, keys_a: Sequence[Any], keys_b: Sequence[Any]
     ) -> list[int]:
         if not len(keys_a) or not len(keys_b):
             return list(range(len(keys_a) + len(keys_b)))
@@ -938,19 +894,14 @@ class NumPyBackend(PurePythonBackend):
             array_a = np.asarray(keys_a)
             array_b = np.asarray(keys_b)
         except (OverflowError, ValueError, TypeError):
-            return super().merge_sorted_keys(keys_a, keys_b, reverse=reverse)
+            return super().merge_sorted_keys(keys_a, keys_b)
         if (
             array_a.ndim != 1
             or array_b.ndim != 1
             or not np.issubdtype(array_a.dtype, np.integer)
             or array_a.dtype != array_b.dtype
         ):
-            return super().merge_sorted_keys(keys_a, keys_b, reverse=reverse)
-        if reverse:
-            # same ~k trick as argsort_keys: ascending on ~keys is
-            # descending on keys with identical tie behaviour
-            array_a = ~array_a
-            array_b = ~array_b
+            return super().merge_sorted_keys(keys_a, keys_b)
         length_a = len(array_a)
         pos_a = np.arange(length_a, dtype=np.intp) + np.searchsorted(
             array_b, array_a, side="left"
@@ -968,50 +919,39 @@ class NumPyBackend(PurePythonBackend):
     # ------------------------------------------------------------------
     # key columns: int64 arrays where every key fits, lists otherwise
     # ------------------------------------------------------------------
-    def sort_key_column(
-        self, keys: Sequence[Any], *, reverse: bool = False
-    ) -> tuple[list[int], Any]:
+    def sort_key_column(self, keys: Sequence[Any]) -> tuple[list[int], Any]:
         column = _int64_column(keys)
         if column is None:
-            return super().sort_key_column(keys, reverse=reverse)
-        order = _stable_order(~column if reverse else column)
+            return super().sort_key_column(keys)
+        order = _stable_order(column)
         return order.tolist(), column[order]
 
     def merge_key_columns(
-        self,
-        columns: Sequence[Any],
-        more: Sequence[bool],
-        *,
-        reverse: bool = False,
+        self, columns: Sequence[Any], more: Sequence[bool]
     ) -> "tuple[int | None, list[int], list[int], Any]":
         lists = _as_lists(columns)
         if lists is not None:
-            return super().merge_key_columns(lists, more, reverse=reverse)
-        # ~k reverses the order of int64 keys (and of rows of them,
-        # lexicographically) exactly, so the descending merge is the
-        # ascending merge of the inverted columns
-        ascending = [~column for column in columns] if reverse else list(columns)
-        lasts = [column[-1].tolist() if len(column) else None for column in ascending]
+            return super().merge_key_columns(lists, more)
+        lasts = [column[-1].tolist() if len(column) else None for column in columns]
         stop: "int | None" = None
         for index, (last, pending) in enumerate(zip(lasts, more)):
             if pending and last is not None and (stop is None or last < lasts[stop]):
                 stop = index
         if stop is None:
-            taken = [len(column) for column in ascending]
+            taken = [len(column) for column in columns]
         else:
-            bound = ascending[stop][-1]
+            bound = columns[stop][-1]
             taken = [
                 len(column)
                 if index == stop
                 else _count_before(column, bound, index < stop)
-                for index, column in enumerate(ascending)
+                for index, column in enumerate(columns)
             ]
         keys = np.concatenate(
-            [column[:count] for column, count in zip(ascending, taken)]
+            [column[:count] for column, count in zip(columns, taken)]
         )
         order = _stable_order(keys)
-        merged = keys[order]
-        return stop, taken, order.tolist(), ~merged if reverse else merged
+        return stop, taken, order.tolist(), keys[order]
 
     def list_key_column(self, column: Any) -> list[Any]:
         return _key_values(column)
@@ -1025,7 +965,7 @@ class NumPyBackend(PurePythonBackend):
     def region_min_keys(
         self,
         z_curve: Curve,
-        sort_curve: "Curve | FlippedCurve",
+        sort_curve: Curve,
         intervals: Sequence[tuple[int, int]],
         lo: Sequence[int],
         hi: Sequence[int],
@@ -1097,7 +1037,7 @@ class NumPyBackend(PurePythonBackend):
         hi: Sequence[int],
         space: QuerySpace,
         pushdown: "QuerySpace | None" = None,
-        sort_curve: "Curve | FlippedCurve | None" = None,
+        sort_curve: "Curve | None" = None,
     ) -> "list[ScheduledRegion]":
         """One pass over the directory slice the box's Z-range spans:
         the regions owning a block box that meets ``[lo, hi]`` are the
@@ -1106,10 +1046,8 @@ class NumPyBackend(PurePythonBackend):
         arrays = self._directory_arrays(directory)
         z_tables = self._tables_for(curve)
         sort_tables: "_CurveTables | None" = None
-        flip: frozenset[int] = frozenset()
         if sort_curve is not None:
-            base_sort, flip = self._unwrap(sort_curve)
-            sort_tables = self._tables_for(base_sort)
+            sort_tables = self._tables_for(sort_curve)
         if arrays is None or z_tables is None or (
             sort_curve is not None and sort_tables is None
         ):
@@ -1161,16 +1099,10 @@ class NumPyBackend(PurePythonBackend):
 
         keys: "list[int | None]" = [None] * len(chosen)
         if sort_tables is not None:
-            # the minimal sort-curve address of a clamped box sits at the
-            # corner taking hi in flipped dimensions (see region_min_keys)
-            corners = clamped_lo
-            if flip:
-                corners = clamped_lo.copy()
-                clamped_hi = np.minimum(his[inside], hi_arr)
-                for dim in flip:
-                    corners[:, dim] = sort_tables.coord_max[dim] - clamped_hi[:, dim]
+            # the minimal sort-curve address of a clamped box sits at
+            # its low corner (see region_min_keys)
             minima = np.minimum.reduceat(
-                self._encode_columns(sort_tables, corners), groups
+                self._encode_columns(sort_tables, clamped_lo), groups
             )
             keys = [
                 key if wanted else None

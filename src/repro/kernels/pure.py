@@ -24,10 +24,8 @@ from ..core.query_space import (
 from .base import KernelBackend, ScheduledRegion, SortRunBuffer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from ..core.curves import Curve, FlippedCurve
+    from ..core.curves import Curve
     from ..core.region import RegionDirectory, ZRegion
-
-    AnyCurve = Curve | FlippedCurve
 
 _entry_key = itemgetter(0)
 
@@ -90,13 +88,13 @@ class PurePythonBackend(KernelBackend):
     name = "python"
 
     def encode_batch(
-        self, curve: "AnyCurve", points: Sequence[Sequence[int]]
+        self, curve: "Curve", points: Sequence[Sequence[int]]
     ) -> list[int]:
         encode = curve.encode_unchecked
         return [encode(point) for point in points]
 
     def decode_batch(
-        self, curve: "AnyCurve", addresses: Sequence[int]
+        self, curve: "Curve", addresses: Sequence[int]
     ) -> list[tuple[int, ...]]:
         decode = curve.decode
         return [decode(address) for address in addresses]
@@ -152,10 +150,8 @@ class PurePythonBackend(KernelBackend):
         points = [record[1][0] for record in page.records]
         return self.filter_space_batch(space, points)
 
-    def argsort_keys(
-        self, keys: Sequence[Any], *, reverse: bool = False
-    ) -> list[int]:
-        return sorted(range(len(keys)), key=keys.__getitem__, reverse=reverse)
+    def argsort_keys(self, keys: Sequence[Any]) -> list[int]:
+        return sorted(range(len(keys)), key=keys.__getitem__)
 
     # ------------------------------------------------------------------
     # fused compound kernels — the reference composition of the
@@ -163,7 +159,7 @@ class PurePythonBackend(KernelBackend):
     # ------------------------------------------------------------------
     def page_entries(
         self,
-        curve: "AnyCurve",
+        curve: "Curve",
         space: QuerySpace,
         points: Sequence[Sequence[int]],
         base: int = 0,
@@ -178,13 +174,13 @@ class PurePythonBackend(KernelBackend):
         return len(selected), selected, entries
 
     def scan_page(
-        self, curve: "AnyCurve", space: QuerySpace, page: Any, base: int = 0
+        self, curve: "Curve", space: QuerySpace, page: Any, base: int = 0
     ) -> tuple[int, Sequence[int], Sequence[Sequence[int]]]:
         points = [record[1][0] for record in page.records]
         return self.page_entries(curve, space, points, base)
 
     def scan_page_run(
-        self, curve: "AnyCurve", space: QuerySpace, page: Any, base: int = 0
+        self, curve: "Curve", space: QuerySpace, page: Any, base: int = 0
     ) -> tuple[int, Sequence[int], Any]:
         # the pure-native run *is* the entry list
         return self.scan_page(curve, space, page, base)
@@ -193,7 +189,7 @@ class PurePythonBackend(KernelBackend):
         return PureSortRunBuffer()
 
     def scan_block(
-        self, curve: "AnyCurve", space: QuerySpace, pages: Sequence[Any]
+        self, curve: "Curve", space: QuerySpace, pages: Sequence[Any]
     ) -> tuple[list[Sequence[int]], Sequence[int]]:
         selected_per_page: list[Sequence[int]] = []
         entries: list[list[int]] = []
@@ -209,41 +205,26 @@ class PurePythonBackend(KernelBackend):
         return selected_per_page, [order for _, order in entries]
 
     def merge_sorted_keys(
-        self,
-        keys_a: Sequence[Any],
-        keys_b: Sequence[Any],
-        *,
-        reverse: bool = False,
+        self, keys_a: Sequence[Any], keys_b: Sequence[Any]
     ) -> list[int]:
-        length_a = len(keys_a)
-        concatenated = list(keys_a) + list(keys_b)
         # timsort over two pre-sorted runs is one galloping merge; its
         # stability gives keys_a the tie win, like a stable full sort
-        return sorted(
-            range(length_a + len(keys_b)),
-            key=concatenated.__getitem__,
-            reverse=reverse,
-        )
+        concatenated = list(keys_a) + list(keys_b)
+        return sorted(range(len(concatenated)), key=concatenated.__getitem__)
 
-    def sort_key_column(
-        self, keys: Sequence[Any], *, reverse: bool = False
-    ) -> tuple[list[int], Any]:
-        order = self.argsort_keys(keys, reverse=reverse)
+    def sort_key_column(self, keys: Sequence[Any]) -> tuple[list[int], Any]:
+        order = self.argsort_keys(keys)
         return order, list(map(keys.__getitem__, order))
 
     def merge_key_columns(
-        self,
-        columns: Sequence[Any],
-        more: Sequence[bool],
-        *,
-        reverse: bool = False,
+        self, columns: Sequence[Any], more: Sequence[bool]
     ) -> "tuple[int | None, list[int], list[int], Any]":
         stop: "int | None" = None
         bound: Any = None
         for index, (column, pending) in enumerate(zip(columns, more)):
             if pending and len(column):
                 last = column[-1]
-                if stop is None or (bound < last if reverse else last < bound):
+                if stop is None or last < bound:
                     stop, bound = index, last
         taken = [len(column) for column in columns]
         for index, column in enumerate(columns):
@@ -251,13 +232,9 @@ class PurePythonBackend(KernelBackend):
                 continue
             # runs below ``stop`` take the keys tied with its last one
             ties = index < stop
-            if reverse:  # count from the far end of the ascending mirror
-                mirror = column[::-1]
-                taken[index] -= (bisect_left if ties else bisect_right)(mirror, bound)
-            else:
-                taken[index] = (bisect_right if ties else bisect_left)(column, bound)
+            taken[index] = (bisect_right if ties else bisect_left)(column, bound)
         keys = list(chain.from_iterable(map(islice, columns, taken)))
-        order = self.argsort_keys(keys, reverse=reverse)
+        order = self.argsort_keys(keys)
         return stop, taken, order, list(map(keys.__getitem__, order))
 
     def concat_key_columns(self, columns: Sequence[Any]) -> Any:
@@ -269,7 +246,7 @@ class PurePythonBackend(KernelBackend):
     def region_min_keys(
         self,
         z_curve: "Curve",
-        sort_curve: "AnyCurve",
+        sort_curve: "Curve",
         intervals: Sequence[tuple[int, int]],
         lo: Sequence[int],
         hi: Sequence[int],
@@ -277,7 +254,6 @@ class PurePythonBackend(KernelBackend):
         # per-interval corner collection is shared; encoding is batched
         corners: list[Sequence[int]] = []
         counts: list[int] = []
-        min_corner = getattr(sort_curve, "box_min_corner", None)
         for first, last in intervals:
             filled = len(corners)
             for box_lo, box_hi in z_curve.interval_boxes(first, last):
@@ -285,11 +261,7 @@ class PurePythonBackend(KernelBackend):
                 clamped_hi = tuple(min(a, b) for a, b in zip(box_hi, hi))
                 if any(a > b for a, b in zip(clamped_lo, clamped_hi)):
                     continue
-                corners.append(
-                    min_corner(clamped_lo, clamped_hi)
-                    if min_corner is not None
-                    else clamped_lo
-                )
+                corners.append(clamped_lo)
             counts.append(len(corners) - filled)
         keys = self.encode_batch(sort_curve, corners)
         result: "list[int | None]" = []
@@ -308,7 +280,7 @@ class PurePythonBackend(KernelBackend):
         hi: Sequence[int],
         space: QuerySpace,
         pushdown: "QuerySpace | None" = None,
-        sort_curve: "AnyCurve | None" = None,
+        sort_curve: "Curve | None" = None,
     ) -> "list[ScheduledRegion]":
         # the scalar walk itself, with a bisection over the directory
         # where the tree walk has a descent: the reference semantics

@@ -205,7 +205,6 @@ def build_access_path(
     *,
     memory_pages: int,
     merge_degree: int = 2,
-    descending: bool = False,
     pushdown: QuerySpace | None = None,
 ) -> AccessPath:
     """Restricted, optionally sorted access to one physical instance.
@@ -219,7 +218,7 @@ def build_access_path(
       sort (``memory_pages``, ``merge_degree``) when a sort is asked for;
     * ``IOTTable``: leading-key range scan (exact, so that attribute's
       bounds are dropped), + sort unless the key already leads with
-      ``sort_attrs``, ascending;
+      ``sort_attrs``;
     * ``UBTable``: the Tetris operator when sorted (only a sweep can use
       ``pushdown``), a UB range scan when not; a dimension's bound is
       dropped iff :func:`_box_enforces`.
@@ -246,7 +245,6 @@ def build_access_path(
             table,
             box or None,
             tuple(takewhile(table.dims.__contains__, sort_attrs)),
-            descending=descending,
             predicate=residual,
             pushdown=pushdown,
         )
@@ -257,10 +255,7 @@ def build_access_path(
         lo, hi = wanted.get(leading, (None, None))
         rest = {attr: wanted[attr] for attr in wanted if attr != leading}
         scan = IOTScan(table, lo, hi, predicate=compile_residual(schema, rest))
-        presorted = (
-            not descending
-            and table.key_attrs[: len(sort_attrs)] == tuple(sort_attrs)
-        )
+        presorted = table.key_attrs[: len(sort_attrs)] == tuple(sort_attrs)
     else:
         table = require_instance(table, HeapTable, "an access path")
         scan = FullTableScan(table, predicate=compile_residual(schema, wanted))
@@ -274,7 +269,6 @@ def build_access_path(
         memory_pages=memory_pages,
         page_capacity=table.page_capacity,
         merge_degree=merge_degree,
-        descending=descending,
         retry_policy=table.db.retry_policy,
     )
     return sort, sort
@@ -294,7 +288,6 @@ def plan_sorted_query(
     sort_attr: str,
     params: CostParameters,
     *,
-    descending: bool = False,
     require_pipelined: bool = False,
 ) -> ExecutablePlan:
     """Choose and build the cheapest plan for a sort+restriction query.
@@ -315,7 +308,6 @@ def plan_sorted_query(
         (sort_attr,),
         memory_pages=params.memory_pages,
         merge_degree=params.merge_degree,
-        descending=descending,
     )
     return ExecutablePlan(choice=choice, operator=operator)
 
@@ -435,7 +427,6 @@ def execute_sorted_query(
     sort_attr: str,
     params: CostParameters,
     *,
-    descending: bool = False,
     require_pipelined: bool = False,
 ) -> QueryResult:
     """Run a sort+restriction query, degrading across instances on failure.
@@ -477,7 +468,6 @@ def execute_sorted_query(
                 restrictions,
                 sort_attr,
                 params,
-                descending=descending,
                 require_pipelined=pipelined,
             )
         except ValueError as exc:

@@ -262,10 +262,7 @@ def _slab_space(
 # whole-slab batched execution (threads / inline)
 # ----------------------------------------------------------------------
 def _stage_slab(
-    table: UBTable,
-    space: QuerySpace,
-    sort_dims: "tuple[int, ...]",
-    descending: bool,
+    table: UBTable, space: QuerySpace, sort_dims: "tuple[int, ...]"
 ) -> "tuple[TetrisScan, list[Any]]":
     """Fetch one slab's pages in retrieval order (coordinator-only).
 
@@ -274,12 +271,7 @@ def _stage_slab(
     The returned pages are plain references — eviction cannot
     invalidate them — so the compute phase needs no locking at all.
     """
-    scan = TetrisScan(
-        table.ubtree,
-        space,
-        sort_dims,
-        descending=descending,
-    )
+    scan = TetrisScan(table.ubtree, space, sort_dims)
     regions = scan.upcoming_regions(_ALL_REGIONS)
     buffer = table.ubtree.tree.buffer
     category = table.ubtree.category
@@ -314,9 +306,7 @@ def _scan_block_rows(scan: TetrisScan, pages: "list[Any]") -> list[SortedTuple]:
         arrivals.extend(records[index][1] for index in selected)
     rows = [arrivals[index] for index in emit_order]
     if invariants.enabled():
-        checker = invariants.StreamChecker(
-            scan.sort_dims, scan.descending, scan.space
-        )
+        checker = invariants.StreamChecker(scan.sort_dims, scan.space)
         for point, _payload in rows:
             checker.observe(point)
     return rows
@@ -326,7 +316,6 @@ def _run_batched(
     table: UBTable,
     spaces: "list[QuerySpace]",
     sort_dims: "tuple[int, ...]",
-    descending: bool,
     pool_size: int,
 ) -> "list[list[SortedTuple]]":
     """Threaded (or inline, ``pool_size == 1``) whole-slab execution."""
@@ -334,7 +323,7 @@ def _run_batched(
 
     def run_one(index: int) -> list[SortedTuple]:
         with staging_lock:
-            scan, pages = _stage_slab(table, spaces[index], sort_dims, descending)
+            scan, pages = _stage_slab(table, spaces[index], sort_dims)
         return _scan_block_rows(scan, pages)
 
     if pool_size <= 1:
@@ -353,7 +342,6 @@ def parallel_tetris_scan(
     *,
     workers: int = 2,
     slabs: int | None = None,
-    descending: bool = False,
     executor: str | None = None,
     measure_serialization: bool = False,
 ) -> ParallelScanResult:
@@ -362,9 +350,8 @@ def parallel_tetris_scan(
     Parameters mirror :meth:`~repro.relational.table.UBTable.tetris_scan`
     plus the parallel knobs: ``workers`` workers execute ``slabs`` sweep
     slabs (default: one per worker) and the per-slab streams are
-    concatenated in slab order — ascending slabs for an ascending sort,
-    descending slabs (each internally descending) otherwise.  The result
-    is bit-identical to the serial scan's stream on every executor.
+    concatenated in slab order.  The result is bit-identical to the
+    serial scan's stream on every executor.
 
     ``executor`` picks the execution mode (``"auto"``, ``"threads"``,
     ``"inline"``); ``None`` means ``auto`` — see
@@ -393,11 +380,6 @@ def parallel_tetris_scan(
         telemetry.emit(fallback)
 
     planned = plan_slabs(space, primary, coord_max, slabs or workers)
-    if descending:
-        planned = [
-            SweepSlab(position, slab.lo, slab.hi)
-            for position, slab in enumerate(reversed(planned))
-        ]
     if not planned:
         return ParallelScanResult(
             [], [], [], workers=1, executor="inline", fallbacks=fallbacks
@@ -420,7 +402,7 @@ def parallel_tetris_scan(
 
     serialized: "list[int] | None" = None
     pool_size = min(workers, len(planned)) if selected == "threads" else 1
-    per_slab = _run_batched(table, spaces, sort_dims, descending, pool_size)
+    per_slab = _run_batched(table, spaces, sort_dims, pool_size)
     if measure_serialization:
         serialized = [0] * len(per_slab)  # zero-copy transports
 

@@ -98,15 +98,9 @@ class Limit(Operator):
 class InMemorySort(Operator):
     """Plain in-memory sort for small (final) result sets (``ω``)."""
 
-    def __init__(
-        self,
-        child: Iterable[Row],
-        key: Callable[[Row], Any],
-        descending: bool = False,
-    ) -> None:
+    def __init__(self, child: Iterable[Row], key: Callable[[Row], Any]) -> None:
         self.child = child
         self.key = key
-        self.descending = descending
 
     def __iter__(self) -> Iterator[Row]:
-        return iter(sorted(self.child, key=self.key, reverse=self.descending))
+        return iter(sorted(self.child, key=self.key))

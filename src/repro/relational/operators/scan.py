@@ -91,18 +91,13 @@ class TetrisOperator(Operator):
         space: QuerySpace | dict[str, tuple[Any, Any]] | None,
         sort_attr: str,
         *,
-        descending: bool = False,
         strategy: str = "eager",
         predicate: Callable[[Row], bool] | None = None,
         pushdown: QuerySpace | None = None,
     ) -> None:
         self.table = table
         self.scan: TetrisScan = table.tetris_scan(
-            space,
-            sort_attr,
-            descending=descending,
-            strategy=strategy,
-            pushdown=pushdown,
+            space, sort_attr, strategy=strategy, pushdown=pushdown
         )
         self.predicate = predicate
 

@@ -101,7 +101,6 @@ class ExternalMergeSort(Operator):
         memory_pages: int,
         page_capacity: int,
         merge_degree: int = 2,
-        descending: bool = False,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
         if memory_pages < 1:
@@ -114,7 +113,6 @@ class ExternalMergeSort(Operator):
         self.memory_pages = memory_pages
         self.page_capacity = page_capacity
         self.merge_degree = merge_degree
-        self.descending = descending
         self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
         self.stats = SortStats()
         self._backend = kernels.get_backend()
@@ -178,9 +176,7 @@ class ExternalMergeSort(Operator):
         Z-addresses or encoded attributes), mirroring how the Tetris path
         batches its key computation — the baselines stay comparable.
         """
-        order, keys = self._backend.sort_key_column(
-            list(map(self.key, rows)), reverse=self.descending
-        )
+        order, keys = self._backend.sort_key_column(list(map(self.key, rows)))
         return list(map(rows.__getitem__, order)), keys
 
     def _write_run(self, rows: list[Row]) -> _Run:
@@ -213,9 +209,7 @@ class ExternalMergeSort(Operator):
         chunk a step stops at is read only when the consumer asks for the
         next step — after the row that ended the chunk has been taken.
         """
-        checker = (
-            MergeChecker(self.key, self.descending) if invariants.enabled() else None
-        )
+        checker = MergeChecker(self.key) if invariants.enabled() else None
         cursors = [_Cursor(run) for run in runs]
         for cursor in cursors:
             self._load(cursor, checker)
@@ -223,7 +217,6 @@ class ExternalMergeSort(Operator):
             stop, taken, order, keys = self._backend.merge_key_columns(
                 [cursor.keys for cursor in cursors],
                 [cursor.more for cursor in cursors],
-                reverse=self.descending,
             )
             heads = list(
                 chain.from_iterable(

@@ -400,7 +400,6 @@ class UBTable(BaseTable):
         space: QuerySpace | dict[str, tuple[Any, Any]] | None,
         sort_attr: str | Sequence[str],
         *,
-        descending: bool = False,
         strategy: str = "eager",
         pushdown: QuerySpace | None = None,
     ) -> TetrisScan:
@@ -419,12 +418,7 @@ class UBTable(BaseTable):
         else:
             sort_dims = tuple(self.dims.index(attr) for attr in sort_attr)
         return TetrisScan(
-            self.ubtree,
-            space,
-            sort_dims,
-            descending=descending,
-            strategy=strategy,
-            pushdown=pushdown,
+            self.ubtree, space, sort_dims, strategy=strategy, pushdown=pushdown
         )
 
     def range_query(

@@ -592,7 +592,6 @@ class ShardedDatabase:
         restrictions: dict[str, tuple[Any, Any]] | None,
         sort_attr: str | Sequence[str],
         *,
-        descending: bool = False,
         allow_partial: bool = False,
     ) -> ShardedScanResult:
         """Restricted sorted scan over all shards, merged in order.
@@ -624,7 +623,6 @@ class ShardedDatabase:
                     shard,
                     shard_box,
                     sort_attr,
-                    descending,
                     allow_partial,
                     events,
                     failed_ranges,
@@ -641,7 +639,7 @@ class ShardedDatabase:
         _, rows = merge_shard_streams(streams)
         if invariants.enabled():
             invariants.validate_sharded_database(self)
-            self._check_stream(rows, box, sort_attr, descending)
+            self._check_stream(rows, box, sort_attr)
         per_shard_elapsed = tuple(
             sum(
                 copy.db.clock - before
@@ -672,11 +670,8 @@ class ShardedDatabase:
         rows: list[SortedTuple],
         box: QuerySpace,
         sort_attr: str | Sequence[str],
-        descending: bool,
     ) -> None:
-        checker = invariants.StreamChecker(
-            self._sort_dims(sort_attr), descending, box
-        )
+        checker = invariants.StreamChecker(self._sort_dims(sort_attr), box)
         for point, _ in rows:
             checker.observe(point)
 
@@ -686,7 +681,6 @@ class ShardedDatabase:
         shard: Shard,
         shard_box: QueryBox,
         sort_attr: str | Sequence[str],
-        descending: bool,
         allow_partial: bool,
         events: list[ShardDegradationEvent],
         failed_ranges: list[tuple[int, int]],
@@ -773,12 +767,7 @@ class ShardedDatabase:
         while True:
             try:
                 yield from self._stream_copy(
-                    copy,
-                    shard_box,
-                    sort_attr,
-                    descending,
-                    resume,
-                    predicate,
+                    copy, shard_box, sort_attr, resume, predicate
                 )
                 return
             except StorageError as exc:
@@ -870,7 +859,6 @@ class ShardedDatabase:
         copy: ShardCopy,
         shard_box: QueryBox,
         sort_attr: str | Sequence[str],
-        descending: bool,
         resume: _ResumePoint,
         predicate: Callable[[Row], bool] | None = None,
     ) -> Iterator[KeyedStream]:
@@ -903,14 +891,10 @@ class ShardedDatabase:
         skip_at_key = resume.served_at_key
         if resume_key is not None:
             primary = self._sort_dims(sort_attr)[0]
-            resume_coord = resume.point[primary]
-            if descending:
-                box = box.restricted(primary, 0, resume_coord)
-            else:
-                box = box.restricted(
-                    primary, resume_coord, self.space.coord_max[primary]
-                )
-        scan = copy.table.tetris_scan(box, sort_attr, descending=descending)
+            box = box.restricted(
+                primary, resume.point[primary], self.space.coord_max[primary]
+            )
+        scan = copy.table.tetris_scan(box, sort_attr)
         for keys, rows in scan.slices():
             pulled = len(rows)
             served = copy.serve(pulled)
@@ -1105,7 +1089,6 @@ class CoPartitionedJoin:
                 shard,
                 slab_box,
                 side.shard_attr,
-                False,
                 allow_partial,
                 events,
                 failed_ranges,

@@ -6,8 +6,7 @@ their addresses on the *full* tetris curve (sort-dimension bits most
 significant, Z-order of the remaining bits below).  Those are the keys
 the run buffer inside :class:`~repro.core.tetris.TetrisScan` ordered the
 rows by — they ride up with each slice, nothing is re-encoded — so each
-shard stream is ascending in ``keys``; descending scans included,
-because the flipped curve encoding makes their addresses ascend too.
+shard stream is ascending in ``keys``.
 
 A point lives in exactly one shard (the slab ranges partition the
 shard dimension) and duplicate points share a page, hence a shard, so

@@ -62,13 +62,6 @@ class TestCompositeTetris:
         assert keys == sorted(keys)
         assert len(out) == sum(1 for p in points if box.contains_point(p))
 
-    def test_descending_composite(self):
-        tree, points = build_tree()
-        box = QueryBox.full(tree.space.coord_max)
-        out = list(tetris_sorted(tree, box, (2, 0), descending=True))
-        keys = [(p[2], p[0]) for p, _ in out]
-        assert keys == sorted(keys, reverse=True)
-
     def test_strategies_agree_on_composite(self):
         tree, _ = build_tree(count=200)
         box = QueryBox((0, 3, 0), (15, 12, 15))

@@ -92,8 +92,7 @@ class TestExecution:
         rows = list(plan.operator)
         position = design.schema.position(sort_attr)
         values = [row[position] for row in rows]
-        descending = kwargs.get("descending", False)
-        assert values == sorted(values, reverse=descending)
+        assert values == sorted(values)
 
         def passes(row):
             for attr, (lo, hi) in (restrictions or {}).items():
@@ -119,9 +118,6 @@ class TestExecution:
 
     def test_unrestricted_sort(self, world):
         self.check(world, None, "a1")
-
-    def test_descending_execution(self, world):
-        self.check(world, {"a1": (0, 255)}, "a2", descending=True)
 
     def test_pipelined_requirement(self, world):
         plan = self.check(

@@ -60,15 +60,6 @@ class TestExhaustive2D:
             values = [p[dim] for p in out]
             assert values == sorted(values), (lo, hi)
 
-    def test_every_box_descending(self, world):
-        tree, points = world
-        for lo, hi in all_boxes(4):
-            box = QueryBox(lo, hi)
-            out = [p for p, _ in tetris_sorted(tree, box, 0, descending=True)]
-            values = [p[0] for p in out]
-            assert values == sorted(values, reverse=True), (lo, hi)
-            assert len(out) == sum(1 for p in points if box.contains_point(p))
-
 
 class TestExhaustiveUnequalBits:
     def test_8x2_universe(self):

@@ -11,8 +11,8 @@ new one must equal: the rows and the disk clock at each of them, the
 error a fault raises, :class:`SortStats`, the full ``IOStats`` (every
 category's reads, seeks and writes, and the ``FaultStats``) and the
 disk's trace of page reads and writes — on both kernel backends, with
-duplicate, composite, wide-integer, string and date keys, ascending and
-descending, under seeded fault plans on the temp reads.
+duplicate, composite, wide-integer, string and date keys, under seeded
+fault plans on the temp reads.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ class HeapqMergeSort(Operator):
         memory_pages: int,
         page_capacity: int,
         merge_degree: int = 2,
-        descending: bool = False,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
         self.child = child
@@ -72,7 +71,6 @@ class HeapqMergeSort(Operator):
         self.memory_pages = memory_pages
         self.page_capacity = page_capacity
         self.merge_degree = merge_degree
-        self.descending = descending
         self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
         self.stats = SortStats()
         self._live_temp_pages = 0
@@ -120,14 +118,12 @@ class HeapqMergeSort(Operator):
 
     def _sorted_rows(self, rows: list[Row]) -> list[Row]:
         keys = [self.key(row) for row in rows]
-        permutation = kernels.get_backend().argsort_keys(
-            keys, reverse=self.descending
-        )
+        permutation = kernels.get_backend().argsort_keys(keys)
         return [rows[index] for index in permutation]
 
     def _merge(self, runs: list[HeapFile]) -> Iterator[Row]:
         readers = [self._read_run(run) for run in runs]
-        return heapq.merge(*readers, key=self.key, reverse=self.descending)
+        return heapq.merge(*readers, key=self.key)
 
     def _write_run(self, rows: list[Row]) -> HeapFile:
         run = self._write_stream(iter(self._sorted_rows(rows)))
@@ -222,7 +218,6 @@ class Case:
     page_capacity: int = 4
     prefetch: int = 2
     merge_degree: int = 2
-    descending: bool = False
     plan: FaultPlan = field(default_factory=FaultPlan)
     backend: str = "python"
 
@@ -245,7 +240,6 @@ def observe(sort_class: type, case: Case) -> dict:
         memory_pages=case.memory_pages,
         page_capacity=case.page_capacity,
         merge_degree=case.merge_degree,
-        descending=case.descending,
     )
     rows: list[Row] = []
     clocks: list[float] = []
@@ -306,7 +300,6 @@ def cases(draw) -> Case:
         page_capacity=draw(st.integers(1, 5)),
         prefetch=draw(st.one_of(st.integers(1, 6), st.just(16))),
         merge_degree=draw(st.integers(2, 5)),
-        descending=draw(st.booleans()),
         plan=plan,
         backend=draw(st.sampled_from(BACKENDS)),
     )
@@ -322,8 +315,8 @@ def duplicates(count: int, distinct: int, seed: int) -> tuple:
 #: almost every chunk end, and every run is read in several chunks
 TIES = [
     Case("int", duplicates(150, 3, seed), prefetch=2, merge_degree=m,
-         descending=descending, backend=backend)
-    for seed, m, descending in ((1, 2, False), (2, 3, True))
+         backend=backend)
+    for seed, m in ((1, 2), (2, 3))
     for backend in BACKENDS
 ]
 #: composite keys (2-D columns on NumPy), under transient and latency faults

@@ -204,32 +204,25 @@ class TestStreamChecker:
     SPACE = QueryBox((0, 0), (10, 10))
 
     def test_ordered_stream_passes(self):
-        checker = StreamChecker((0,), False, self.SPACE)
+        checker = StreamChecker((0,), self.SPACE)
         for point in [(1, 9), (2, 0), (2, 4), (7, 7)]:
             checker.observe(point)
 
     def test_out_of_order_emission_fires(self):
-        checker = StreamChecker((0,), False, self.SPACE)
+        checker = StreamChecker((0,), self.SPACE)
         checker.observe((5, 5))
         with pytest.raises(InvariantViolation, match="nondecreasing"):
             checker.observe((4, 9))
 
-    def test_descending_direction_respected(self):
-        checker = StreamChecker((0,), True, self.SPACE)
-        checker.observe((5, 5))
-        checker.observe((5, 9))  # tie on the sort dim is fine
-        with pytest.raises(InvariantViolation, match="nonincreasing"):
-            checker.observe((6, 0))
-
     def test_composite_sort_key(self):
-        checker = StreamChecker((1, 0), False, self.SPACE)
+        checker = StreamChecker((1, 0), self.SPACE)
         checker.observe((9, 2))
         checker.observe((0, 3))
         with pytest.raises(InvariantViolation):
             checker.observe((8, 2))
 
     def test_non_member_emission_fires(self):
-        checker = StreamChecker((0,), False, self.SPACE)
+        checker = StreamChecker((0,), self.SPACE)
         with pytest.raises(InvariantViolation, match="outside"):
             checker.observe((11, 0))
 

@@ -4,8 +4,7 @@ The NumPy backend and the pure-Python fallback must be observationally
 identical: same addresses, same selected indices, same sort
 permutations, and — end to end — the same ``TetrisScan`` tuple stream,
 page access order and simulated-clock stats.  These tests randomize
-curves (both schedules, with and without flipped dimensions, including
->64-bit addresses) and assert the backends agree with each other *and*
+curves (both schedules, including >64-bit addresses) and assert the backends agree with each other *and*
 with the scalar reference (`Curve.encode`, ``contains_point``).
 
 All parity tests are skipped when NumPy is absent; the rest of the file
@@ -19,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.core import Curve, FlippedCurve, QueryBox, UBTree, ZSpace, tetris_sorted
+from repro.core import Curve, QueryBox, UBTree, ZSpace, tetris_sorted
 from repro.core.query_space import (
     ComparisonSpace,
     IntersectionSpace,
@@ -82,11 +81,6 @@ def curve_cases(draw):
         order = draw(st.permutations(range(dims)))
         prefix = draw(st.integers(1, dims))
         curve = Curve.tetris_curve(bits, tuple(order[:prefix]))
-    flip = frozenset(
-        dim for dim in range(dims) if draw(st.booleans())
-    )
-    if flip:
-        curve = FlippedCurve(curve, flip)
     count = draw(st.integers(0, 120))
     return curve, bits, seed, count
 
@@ -147,15 +141,14 @@ def test_filter_and_argsort_parity(case):
         i for i, p in enumerate(points) if box.contains_point(p)
     ]
     keys = [curve.encode(p) for p in points]
-    for reverse in (False, True):
-        with kernels.use_backend("python"):
-            py_perm = kernels.get_backend().argsort_keys(keys, reverse=reverse)
-        with kernels.use_backend("numpy"):
-            np_perm = kernels.get_backend().argsort_keys(keys, reverse=reverse)
-        assert np_perm == py_perm
-        expected = sorted(range(len(keys)), key=keys.__getitem__, reverse=reverse)
-        # both must be *stable*: equal keys keep arrival order
-        assert [keys[i] for i in py_perm] == [keys[i] for i in expected]
+    with kernels.use_backend("python"):
+        py_perm = kernels.get_backend().argsort_keys(keys)
+    with kernels.use_backend("numpy"):
+        np_perm = kernels.get_backend().argsort_keys(keys)
+    assert np_perm == py_perm
+    expected = sorted(range(len(keys)), key=keys.__getitem__)
+    # both must be *stable*: equal keys keep arrival order
+    assert [keys[i] for i in py_perm] == [keys[i] for i in expected]
 
 
 @needs_numpy
@@ -186,7 +179,6 @@ def test_page_entries_parity(case):
 @settings(max_examples=40, deadline=None)
 def test_region_min_keys_parity(case):
     sort_curve, bits, seed, _ = case
-    base = sort_curve.base_curve if isinstance(sort_curve, FlippedCurve) else sort_curve
     z_curve = Curve.z_curve(bits)
     rng = random.Random(seed)
     top = (1 << z_curve.total_bits) - 1
@@ -200,7 +192,7 @@ def test_region_min_keys_parity(case):
     with kernels.use_backend("numpy"):
         np_keys = kernels.get_backend().region_min_keys(z_curve, sort_curve, intervals, lo, hi)
     assert np_keys == py_keys
-    assert base.dims == len(bits)
+    assert sort_curve.dims == len(bits)
 
 
 @needs_numpy
@@ -308,13 +300,11 @@ def build_tree(bits=(4, 4, 4), count=300, seed=9, page_capacity=4, bulk=False):
     return tree
 
 
-def run_scan(backend, space, sort_dim, strategy, descending=False, **tree_kw):
+def run_scan(backend, space, sort_dim, strategy, **tree_kw):
     """One scan on a fresh tree: identical disk clocks per backend."""
     tree = build_tree(**tree_kw)
     with kernels.use_backend(backend):
-        scan = tetris_sorted(
-            tree, space, sort_dim, descending=descending, strategy=strategy
-        )
+        scan = tetris_sorted(tree, space, sort_dim, strategy=strategy)
         stream = list(scan)
     return stream, scan.page_access_order, vars(scan.stats)
 
@@ -345,17 +335,15 @@ def test_scan_identical_across_backends(space_name, strategy):
 
 @needs_numpy
 @pytest.mark.parametrize("strategy", ["eager", "sweep"])
-def test_descending_composite_identical_across_backends(strategy):
+def test_composite_identical_across_backends(strategy):
     space = QueryBox((0, 1, 0), (15, 14, 15))
     runs = {
-        backend: run_scan(
-            backend, space, (2, 0), strategy, descending=True, bulk=True
-        )
+        backend: run_scan(backend, space, (2, 0), strategy, bulk=True)
         for backend in ("python", "numpy")
     }
     assert runs["python"] == runs["numpy"]
     keys = [(p[2], p[0]) for p, _ in runs["python"][0]]
-    assert keys == sorted(keys, reverse=True)
+    assert keys == sorted(keys)
 
 
 @needs_numpy
@@ -385,36 +373,6 @@ def test_scan_identical_after_mutations():
         assert len(second) == len(first) + 40
         streams[backend] = (first, second)
     assert streams["python"] == streams["numpy"]
-
-
-# ----------------------------------------------------------------------
-# descending composite sort via FlippedCurve (runs on any backend)
-# ----------------------------------------------------------------------
-class TestDescendingComposite:
-    def test_multi_flip_descending_lexicographic(self):
-        tree = build_tree(bits=(4, 4, 4), count=400, seed=31, page_capacity=6)
-        box = QueryBox((0, 2, 1), (15, 13, 14))
-        scan = tetris_sorted(tree, box, (1, 2, 0), descending=True)
-        out = list(scan)
-        keys = [(p[1], p[2], p[0]) for p, _ in out]
-        assert keys == sorted(keys, reverse=True)
-        # the reflection wrapper flips every sort dimension
-        assert isinstance(scan.tetris_curve, FlippedCurve)
-        assert scan.tetris_curve.flip_dims == frozenset({0, 1, 2})
-
-    def test_multi_flip_strategies_and_direction_agree(self):
-        tree = build_tree(bits=(3, 3, 3), count=200, seed=17, page_capacity=5)
-        box = QueryBox((1, 0, 0), (6, 7, 6))
-        eager = tetris_sorted(tree, box, (2, 1), descending=True, strategy="eager")
-        sweep = tetris_sorted(tree, box, (2, 1), descending=True, strategy="sweep")
-        down = list(eager)
-        assert down == list(sweep)
-        assert eager.page_access_order == sweep.page_access_order
-        ascending = list(tetris_sorted(tree, box, (2, 1)))
-        assert sorted(
-            ((p[2], p[1]) for p, _ in down), reverse=True
-        ) == [(p[2], p[1]) for p, _ in down]
-        assert len(down) == len(ascending)
 
 
 # ----------------------------------------------------------------------
@@ -550,26 +508,19 @@ def test_scan_block_parity(case):
 @needs_numpy
 def test_merge_sorted_keys_parity():
     rng = random.Random(4711)
-    for trial in range(30):
-        reverse = bool(trial % 2)
+    for _ in range(30):
         size_a, size_b = rng.randrange(0, 25), rng.randrange(0, 25)
-        keys_a = sorted(
-            (rng.randrange(50) for _ in range(size_a)), reverse=reverse
-        )
-        keys_b = sorted(
-            (rng.randrange(50) for _ in range(size_b)), reverse=reverse
-        )
+        keys_a = sorted(rng.randrange(50) for _ in range(size_a))
+        keys_b = sorted(rng.randrange(50) for _ in range(size_b))
         with kernels.use_backend("python"):
-            py_merge = kernels.get_backend().merge_sorted_keys(keys_a, keys_b, reverse=reverse)
+            py_merge = kernels.get_backend().merge_sorted_keys(keys_a, keys_b)
         with kernels.use_backend("numpy"):
-            np_merge = kernels.get_backend().merge_sorted_keys(keys_a, keys_b, reverse=reverse)
+            np_merge = kernels.get_backend().merge_sorted_keys(keys_a, keys_b)
         assert np_merge == py_merge
         combined = keys_a + keys_b
         # exactly the permutation a stable sort of the concatenation
         # would produce: sorted keys, ties won by keys_a / earlier index
-        expected = sorted(
-            range(len(combined)), key=combined.__getitem__, reverse=reverse
-        )
+        expected = sorted(range(len(combined)), key=combined.__getitem__)
         assert py_merge == expected
 
 

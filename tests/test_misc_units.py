@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.btree.bptree import BPlusTree
-from repro.core import Curve, QueryBox, UBTree, ZSpace, tetris_sorted
-from repro.core.curves import FlippedCurve
+from repro.core import QueryBox, UBTree, ZSpace, tetris_sorted
 from repro.core.tetris import TetrisStats
 from repro.relational.schema import DateEncoder, DecimalEncoder
 from repro.storage import BufferPool, SimulatedDisk
@@ -64,34 +63,6 @@ class TestSplitIndex:
 
     def test_two_distinct(self):
         assert BPlusTree._split_index([1, 2]) == 1
-
-
-class TestFlippedCurve:
-    def test_roundtrip(self):
-        base = Curve.tetris_curve([3, 3], 0)
-        flipped = FlippedCurve(base, frozenset({0}))
-        for x in range(8):
-            for y in range(8):
-                assert flipped.decode(flipped.encode((x, y))) == (x, y)
-
-    def test_reverses_sort_dimension(self):
-        base = Curve.tetris_curve([3, 3], 0)
-        flipped = FlippedCurve(base, frozenset({0}))
-        # larger x -> smaller flipped address (holding y fixed)
-        assert flipped.encode((7, 3)) < flipped.encode((0, 3))
-
-    def test_next_in_box_matches_brute_force(self):
-        base = Curve.tetris_curve([3, 3], 1)
-        flipped = FlippedCurve(base, frozenset({1}))
-        lo, hi = (1, 2), (6, 5)
-        for address in range(0, 64, 3):
-            got = flipped.next_in_box(address, lo, hi)
-            best = None
-            for candidate in range(address, 64):
-                if Curve.point_in_box(flipped.decode(candidate), lo, hi):
-                    best = candidate
-                    break
-            assert got == best
 
 
 class TestTetrisStats:

@@ -49,11 +49,8 @@ class TestPlumbing:
     def test_in_memory_sort(self):
         rows = [(3,), (1,), (2,)]
         assert list(InMemorySort(rows, key=lambda r: r[0])) == [(1,), (2,), (3,)]
-        assert list(InMemorySort(rows, key=lambda r: r[0], descending=True)) == [
-            (3,),
-            (2,),
-            (1,),
-        ]
+        # a descending order is a negated key, as in Q3's tail
+        assert list(InMemorySort(rows, key=lambda r: -r[0])) == [(3,), (2,), (1,)]
 
     def test_first_tuple_timer(self):
         disk = SimulatedDisk()
@@ -81,7 +78,7 @@ class TestPlumbing:
 # ----------------------------------------------------------------------
 # external merge sort
 # ----------------------------------------------------------------------
-def run_sort(rows, memory_pages=2, page_capacity=4, merge_degree=2, descending=False):
+def run_sort(rows, memory_pages=2, page_capacity=4, merge_degree=2):
     disk = SimulatedDisk(DiskParameters(t_pi=0.01, t_tau=0.001, prefetch=4))
     sort = ExternalMergeSort(
         rows,
@@ -90,7 +87,6 @@ def run_sort(rows, memory_pages=2, page_capacity=4, merge_degree=2, descending=F
         memory_pages=memory_pages,
         page_capacity=page_capacity,
         merge_degree=merge_degree,
-        descending=descending,
     )
     return list(sort), sort, disk
 
@@ -112,12 +108,6 @@ class TestExternalMergeSort:
         assert sort.stats.spilled
         assert sort.stats.runs_created == 13  # ceil(100 / 8)
         assert disk.stats.category("temp").pages_written > 0
-
-    def test_descending(self):
-        rows = [(i,) for i in range(50)]
-        random.Random(2).shuffle(rows)
-        out, _, _ = run_sort(rows, descending=True)
-        assert out == [(i,) for i in range(49, -1, -1)]
 
     def test_duplicates_preserved(self):
         rows = [(1,), (1,), (2,), (1,)]

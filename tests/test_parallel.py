@@ -106,15 +106,6 @@ class TestBitIdenticalStreams:
         result = parallel_tetris_scan(table, None, "a1", workers=WORKERS)
         assert result.rows == serial
 
-    def test_descending(self, table):
-        serial = list(
-            table.tetris_scan({"a1": (100, 900)}, "a2", descending=True)
-        )
-        result = parallel_tetris_scan(
-            table, {"a1": (100, 900)}, "a2", workers=WORKERS, descending=True
-        )
-        assert result.rows == serial
-
     def test_composite_sort_order(self, table):
         serial = list(table.tetris_scan({"a1": (100, 900)}, ("a2", "a1")))
         result = parallel_tetris_scan(
@@ -269,24 +260,6 @@ class TestExecutorParity:
             )
         assert result.rows == serial
         assert result.executor == executor
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_descending_sweep_parity_on_threads(self, table, backend):
-        with kernels.use_backend(backend):
-            serial = list(
-                table.tetris_scan(
-                    {"a1": (100, 900)}, "a2", descending=True, strategy="sweep"
-                )
-            )
-            result = parallel_tetris_scan(
-                table,
-                {"a1": (100, 900)},
-                "a2",
-                workers=WORKERS,
-                descending=True,
-                executor="threads",
-            )
-        assert result.rows == serial
 
     def test_executor_none_means_auto(self, table):
         expected, _ = select_executor("auto", kernels.get_backend().name, WORKERS)

@@ -159,7 +159,6 @@ def scan_cases(draw):
         "space": space,
         "pushdown": pushdown,
         "sort": tuple(sort),
-        "descending": draw(st.booleans()),
     }
 
 
@@ -190,13 +189,7 @@ def observed_run(case, *, scalar):
         use_scalar_walk(tree)
     seen = {}
     disk.arm()
-    scan = TetrisScan(
-        tree,
-        case["space"],
-        case["sort"],
-        descending=case["descending"],
-        pushdown=case["pushdown"],
-    )
+    scan = TetrisScan(tree, case["space"], case["sort"], pushdown=case["pushdown"])
     try:
         seen["schedule"] = scan._upcoming(ALL)
         seen["rows"] = list(scan)

@@ -42,14 +42,12 @@ def make_rows(count: int, seed: int = 99) -> list[tuple]:
     return [(rng.randrange(1024), rng.randrange(1024), i) for i in range(count)]
 
 
-def oracle_rows(rows, restrictions, sort_attr, *, descending=False):
+def oracle_rows(rows, restrictions, sort_attr):
     """The unsharded engine's stream, the coordinator's ground truth."""
     db = Database()
     table = db.create_ub_table("oracle", make_schema(), DIMS, 32)
     table.bulk_load(rows)
-    return list(
-        table.tetris_scan(restrictions, sort_attr, descending=descending)
-    )
+    return list(table.tetris_scan(restrictions, sort_attr))
 
 
 def make_sharded(rows, *, shards=4, copies=1, **kwargs) -> ShardedDatabase:
@@ -71,12 +69,6 @@ class TestBitIdentity:
         assert result.rows == oracle_rows(rows, QUERY, "a2")
         assert not result.degraded
         assert not result.partial
-
-    def test_descending(self):
-        rows = make_rows(600)
-        sdb = make_sharded(rows)
-        result = sdb.sorted_scan(QUERY, "a2", descending=True)
-        assert result.rows == oracle_rows(rows, QUERY, "a2", descending=True)
 
     def test_sort_on_shard_attribute(self):
         rows = make_rows(600)
@@ -226,13 +218,6 @@ class TestFailover:
         event = result.degradations[0]
         assert (event.shard, event.copy, event.fallback_copy) == (1, 0, 1)
         assert sdb.health()[1] == ("dead", "ok")
-
-    def test_mid_stream_death_descending(self):
-        rows = make_rows(600)
-        sdb = make_sharded(rows, copies=2)
-        sdb.kill_copy(2, 0, after_rows=25)
-        result = sdb.sorted_scan(QUERY, "a2", descending=True)
-        assert result.rows == oracle_rows(rows, QUERY, "a2", descending=True)
 
     def test_death_at_scan_start_emits_failover(self):
         rows = make_rows(400)

@@ -76,9 +76,7 @@ class RowAtATimeShardedDatabase(ShardedDatabase):
     merge and the join legs above it are the engine's own.
     """
 
-    def _stream_copy(
-        self, copy, shard_box, sort_attr, descending, resume, predicate=None
-    ):
+    def _stream_copy(self, copy, shard_box, sort_attr, resume, predicate=None):
         if not copy.alive:
             raise ShardCopyKilledError(
                 f"shard {copy.shard_index} copy {copy.copy_index} is dead"
@@ -95,14 +93,10 @@ class RowAtATimeShardedDatabase(ShardedDatabase):
                     break
                 skip_at_last += 1
             primary = self._sort_dims(sort_attr)[0]
-            resume_coord = emitted[-1][1][0][primary]
-            if descending:
-                box = box.restricted(primary, 0, resume_coord)
-            else:
-                box = box.restricted(
-                    primary, resume_coord, self.space.coord_max[primary]
-                )
-        scan = copy.table.tetris_scan(box, sort_attr, descending=descending)
+            box = box.restricted(
+                primary, emitted[-1][1][0][primary], self.space.coord_max[primary]
+            )
+        scan = copy.table.tetris_scan(box, sort_attr)
         encode = scan.tetris_curve.encode
         for point, payload in scan:
             note_row_served(copy)
@@ -203,7 +197,6 @@ class ScanCase:
     world: World
     restrictions: tuple[tuple[str, int, int], ...] = ()
     sort_attr: str | tuple[str, ...] = "a2"
-    descending: bool = False
     allow_partial: bool = False
     #: a second scan meets the copies the first one lost
     repeats: int = 1
@@ -217,10 +210,7 @@ def observe_scans(engine, case: ScanCase) -> dict:
         for _ in range(case.repeats):
             try:
                 result = sdb.sorted_scan(
-                    restrictions,
-                    case.sort_attr,
-                    descending=case.descending,
-                    allow_partial=case.allow_partial,
+                    restrictions, case.sort_attr, allow_partial=case.allow_partial
                 )
             except ShardFailedError as exc:
                 outcomes.append(("failed", exc.shard, exc.degradations))
@@ -372,7 +362,6 @@ def scan_cases(draw):
         draw(boxes()),
         draw(st.sampled_from(SORTS)),
         draw(st.booleans()),
-        draw(st.booleans()),
         draw(st.integers(1, 2)),
     )
 
@@ -471,7 +460,7 @@ def test_a_resume_skip_blind_to_multiplicity_fails(monkeypatch):
 # ----------------------------------------------------------------------
 # a kill that lands mid-slice
 # ----------------------------------------------------------------------
-def drain_shard(sdb, *, descending=False, predicate=None):
+def drain_shard(sdb, *, predicate=None):
     """Drain shard 0 through the ladder; returns ``(keys, rows, events,
     prefix)`` — ``prefix`` is how many rows were out before the first
     rung fired."""
@@ -481,7 +470,7 @@ def drain_shard(sdb, *, descending=False, predicate=None):
     keys, rows = [], []
     prefix = None
     for slice_keys, slice_rows in sdb._stream_shard(
-        shard, box, "a2", descending, False, events, failed, predicate
+        shard, box, "a2", False, events, failed, predicate
     ):
         if events and prefix is None:
             prefix = len(rows)
@@ -495,13 +484,11 @@ def drain_shard(sdb, *, descending=False, predicate=None):
 GRID_WORLD = World(dense_points(160, 9, spread=8), shards=1, copies=2)
 
 
-def wide_slice(descending):
+def wide_slice():
     """``(first, length)`` of a clean sweep's first later slice of at
     least three rows: its first row's stream index and its row count."""
     sdb = GRID_WORLD.build(ShardedDatabase)
-    scan = sdb.shards[0].copies[0].table.tetris_scan(
-        None, "a2", descending=descending
-    )
+    scan = sdb.shards[0].copies[0].table.tetris_scan(None, "a2")
     first = 0
     for number, (_, rows) in enumerate(scan.slices()):
         if number and len(rows) >= 3:
@@ -511,10 +498,9 @@ def wide_slice(descending):
 
 
 @pytest.mark.parametrize("predicate", ["all", "thirds"])
-@pytest.mark.parametrize("descending", [False, True])
 @pytest.mark.parametrize("where", ["first", "last", "past", "zero", "now"])
-def test_kill_lands_mid_slice(where, descending, predicate):
-    first, length = wide_slice(descending)
+def test_kill_lands_mid_slice(where, predicate):
+    first, length = wide_slice()
     # the row that reaches the count is the one that is never delivered
     after_rows = {
         "first": first + 1,
@@ -529,7 +515,7 @@ def test_kill_lands_mid_slice(where, descending, predicate):
         sdb.kill_copy(0, 0, after_rows=after_rows)
         with collected_scans() as scans:
             keys, rows, events, prefix = drain_shard(
-                sdb, descending=descending, predicate=PREDICATES[predicate]
+                sdb, predicate=PREDICATES[predicate]
             )
         observed.append(
             (keys, rows, events, prefix, rows_served([sdb]), engine_state([sdb], scans))
@@ -538,9 +524,7 @@ def test_kill_lands_mid_slice(where, descending, predicate):
     assert got == reference
     keys, rows, events, prefix, served, _ = got
     clean = drain_shard(
-        GRID_WORLD.build(ShardedDatabase),
-        descending=descending,
-        predicate=PREDICATES[predicate],
+        GRID_WORLD.build(ShardedDatabase), predicate=PREDICATES[predicate]
     )
     # nothing lost, nothing re-emitted, one failover
     assert (keys, rows) == clean[:2] and keys == sorted(keys)
@@ -567,7 +551,7 @@ class TestResumeLedger:
         sdb = self.big_leg()
         box = sdb._reference_table().build_query_box(None)
         stream = sdb._stream_shard(
-            sdb.shards[0], box, "a1", False, False, [], [], None
+            sdb.shards[0], box, "a1", False, [], [], None
         )
         delivered, widest = 0, 0
         for keys, rows in stream:
@@ -594,12 +578,9 @@ class TestResumeLedger:
         )
         assert held <= 2 * widest < 500
 
-    @pytest.mark.parametrize("descending", [False, True])
-    def test_resume_inside_a_run_of_duplicate_points(self, descending):
+    def test_resume_inside_a_run_of_duplicate_points(self):
         world = World(dense_points(400, 4), shards=1, copies=3)
-        clean_keys, clean_rows, _, _ = drain_shard(
-            world.build(ShardedDatabase), descending=descending
-        )
+        clean_keys, clean_rows, _, _ = drain_shard(world.build(ShardedDatabase))
         # a kill strictly inside a run of equal keys, then another one
         # inside the same run on the copy that took over
         inside = next(
@@ -610,7 +591,7 @@ class TestResumeLedger:
         sdb = world.build(ShardedDatabase)
         sdb.kill_copy(0, 0, after_rows=inside + 1)
         sdb.kill_copy(0, 1, after_rows=2)
-        keys, rows, events, prefix = drain_shard(sdb, descending=descending)
+        keys, rows, events, prefix = drain_shard(sdb)
         assert prefix == inside
         assert [event.action for event in events] == ["failover", "failover"]
         assert (keys, rows) == (clean_keys, clean_rows)

@@ -151,11 +151,3 @@ class TestUBTable:
         )
         out = sorted(table.range_query(space))
         assert out == sorted(r for r in rows if r[0] < r[1])
-
-    def test_descending_tetris(self):
-        db = Database()
-        table = db.create_ub_table("t", make_schema(), dims=("a", "b"), page_capacity=10)
-        table.load(make_rows(100))
-        out = [row for _, row in table.tetris_scan(None, "b", descending=True)]
-        values = [r[1] for r in out]
-        assert values == sorted(values, reverse=True)

@@ -31,9 +31,9 @@ def fill(ubtree, count, seed=0, bits=(4, 4)):
     return points
 
 
-def expected_sorted(points, box, dim, descending=False):
+def expected_sorted(points, box, dim):
     inside = [(p, i) for i, p in enumerate(points) if box.contains_point(p)]
-    inside.sort(key=lambda entry: entry[0][dim], reverse=descending)
+    inside.sort(key=lambda entry: entry[0][dim])
     return inside
 
 
@@ -58,17 +58,6 @@ class TestSortedOutput:
         assert sorted(map(repr, out)) == sorted(
             map(repr, expected_sorted(points, box, 1))
         )
-
-    def test_descending(self, strategy):
-        ubtree, _ = make_ubtree(page_capacity=3)
-        points = fill(ubtree, 100, seed=3)
-        box = QueryBox((1, 1), (14, 14))
-        out = list(
-            tetris_sorted(ubtree, box, 0, descending=True, strategy=strategy)
-        )
-        values = [p[0] for p, _ in out]
-        assert values == sorted(values, reverse=True)
-        assert len(out) == len(expected_sorted(points, box, 0))
 
     def test_empty_result(self, strategy):
         ubtree, _ = make_ubtree()
@@ -277,15 +266,6 @@ class TestStrategyEquivalence:
         assert list(sweep) == list(eager)
         assert sweep.page_access_order == eager.page_access_order
 
-    def test_equivalence_descending(self):
-        ubtree, _ = make_ubtree(page_capacity=3)
-        fill(ubtree, 120, seed=43)
-        box = QueryBox((1, 0), (13, 15))
-        sweep = tetris_sorted(ubtree, box, 0, descending=True, strategy="sweep")
-        eager = tetris_sorted(ubtree, box, 0, descending=True, strategy="eager")
-        assert list(sweep) == list(eager)
-        assert sweep.page_access_order == eager.page_access_order
-
 
 class TestNonRectangularSpaces:
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -354,25 +334,24 @@ def tetris_cases(draw):
     lo = tuple(draw(st.integers(0, (1 << b) - 1)) for b in bits)
     hi = tuple(draw(st.integers(low, (1 << b) - 1)) for low, b in zip(lo, bits))
     dim = draw(st.integers(0, dims - 1))
-    descending = draw(st.booleans())
-    return bits, count, seed, lo, hi, dim, descending
+    return bits, count, seed, lo, hi, dim
 
 
 @given(tetris_cases())
 @settings(max_examples=60, deadline=None)
 def test_tetris_property(case):
     """Both strategies produce the same, correctly sorted, complete stream."""
-    bits, count, seed, lo, hi, dim, descending = case
+    bits, count, seed, lo, hi, dim = case
     ubtree, _ = make_ubtree(bits=bits, page_capacity=3)
     points = fill(ubtree, count, seed=seed, bits=bits)
     box = QueryBox(lo, hi)
-    sweep = tetris_sorted(ubtree, box, dim, descending=descending, strategy="sweep")
-    eager = tetris_sorted(ubtree, box, dim, descending=descending, strategy="eager")
+    sweep = tetris_sorted(ubtree, box, dim, strategy="sweep")
+    eager = tetris_sorted(ubtree, box, dim, strategy="eager")
     sweep_out = list(sweep)
     assert sweep_out == list(eager)
     assert sweep.page_access_order == eager.page_access_order
     values = [p[dim] for p, _ in sweep_out]
-    assert values == sorted(values, reverse=descending)
-    expected = expected_sorted(points, box, dim, descending)
+    assert values == sorted(values)
+    expected = expected_sorted(points, box, dim)
     assert len(sweep_out) == len(expected)
     assert sorted(map(repr, sweep_out)) == sorted(map(repr, expected))

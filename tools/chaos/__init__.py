@@ -499,9 +499,7 @@ def _verify_result(
     ub = design.ub
     if ub is not None:
         space = ub.build_query_box(QUERY["restrictions"])
-        checker = StreamChecker(
-            (ub.dims.index(QUERY["sort_attr"]),), False, space
-        )
+        checker = StreamChecker((ub.dims.index(QUERY["sort_attr"]),), space)
         for row in rows:
             checker.observe(ub.point_of(row))
 
