@@ -22,7 +22,6 @@ from .core import (
     ComparisonSpace,
     Curve,
     IntersectionSpace,
-    PredicateSpace,
     QueryBox,
     QuerySpace,
     TetrisScan,
@@ -84,7 +83,6 @@ __all__ = [
     "MissingPageError",
     "NO_RETRY",
     "Page",
-    "PredicateSpace",
     "QuarantinedPageError",
     "QueryBox",
     "QuerySpace",

@@ -6,10 +6,9 @@
 """
 
 from .bptree import BPlusTree
-from .iot import BOTTOM, TOP, IndexOrganizedTable
+from .iot import TOP, IndexOrganizedTable
 
 __all__ = [
-    "BOTTOM",
     "BPlusTree",
     "IndexOrganizedTable",
     "TOP",

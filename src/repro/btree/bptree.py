@@ -27,7 +27,7 @@ read-only experiments.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from typing import Any, Iterator
 
 from .. import invariants
@@ -444,14 +444,6 @@ class BPlusTree:
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
-    def search(self, key: Any) -> list[Any]:
-        """All values stored under ``key`` (priced: one random leaf read)."""
-        leaf_id, _, _, _ = self._locate(key)
-        leaf = self._fetch(leaf_id, charge=True)
-        keys = [r[0] for r in leaf.records]
-        lo = bisect_left(keys, key)
-        hi = bisect_right(keys, key)
-        return [value for _, value in leaf.records[lo:hi]]
 
     def leaf_for(self, key: Any, *, charge: bool = True) -> tuple[Page, Any, Any]:
         """The leaf covering ``key`` and its separator bounds ``(low, high]``.
@@ -508,17 +500,6 @@ class BPlusTree:
                 if hi is not None and key > hi:
                     return
                 yield key, value
-            page_id = leaf.payload["next"]
-
-    def iterate_leaves(self, *, charge: bool = True) -> Iterator[Page]:
-        """Walk the leaf chain left to right (priced random per leaf)."""
-        page_id: int | None = self.first_leaf_id
-        while page_id is not None:
-            if charge:
-                leaf = self._fetch(page_id, charge=True)
-            else:
-                leaf = self.disk.peek(page_id)
-            yield leaf
             page_id = leaf.payload["next"]
 
     # ------------------------------------------------------------------

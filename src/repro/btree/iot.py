@@ -15,51 +15,16 @@ from ..storage.buffer import BufferPool
 from .bptree import BPlusTree
 
 
-class _Bottom:
-    """Compares below every other value (exclusive lower sentinel)."""
-
-    def __lt__(self, other: Any) -> bool:
-        return not isinstance(other, _Bottom)
-
-    def __gt__(self, other: Any) -> bool:
-        return False
-
-    def __le__(self, other: Any) -> bool:
-        return True
-
-    def __ge__(self, other: Any) -> bool:
-        return isinstance(other, _Bottom)
-
-    def __eq__(self, other: Any) -> bool:
-        return isinstance(other, _Bottom)
-
-    def __hash__(self) -> int:
-        return hash("_Bottom")
-
-
 class _Top:
     """Compares above every other value (inclusive upper sentinel)."""
 
     def __lt__(self, other: Any) -> bool:
         return False
 
-    def __gt__(self, other: Any) -> bool:
-        return not isinstance(other, _Top)
-
-    def __le__(self, other: Any) -> bool:
-        return isinstance(other, _Top)
-
-    def __ge__(self, other: Any) -> bool:
-        return True
-
     def __eq__(self, other: Any) -> bool:
         return isinstance(other, _Top)
 
-    def __hash__(self) -> int:
-        return hash("_Top")
 
-
-BOTTOM = _Bottom()
 TOP = _Top()
 
 
@@ -93,10 +58,6 @@ class IndexOrganizedTable:
     def insert(self, row: Any) -> None:
         self.tree.insert(self.key_of(row), row)
 
-    def load(self, rows: Sequence[Any]) -> None:
-        for row in rows:
-            self.insert(row)
-
     def bulk_load(self, rows: Sequence[Any], fill: float = 1.0) -> None:
         """Sort by the composite key and build the tree bottom-up.
 
@@ -122,22 +83,11 @@ class IndexOrganizedTable:
         """Tuples in key order, optionally restricted to ``lo <= key <= hi``.
 
         Following the cost model, every leaf visited costs one random
-        access.  Prefix ranges can be expressed by passing partial keys
-        padded with :meth:`prefix_range`.
+        access.  A prefix range is the bare prefix up to the prefix
+        padded with :data:`TOP`, as ``IOTTable.scan_leading`` builds it.
         """
         for _, row in self.tree.range_scan(lo, hi):
             yield row
-
-    @staticmethod
-    def prefix_range(prefix: tuple) -> tuple[tuple, tuple]:
-        """Key range covering all composite keys starting with ``prefix``.
-
-        The bare prefix is already the correct lower bound: tuples compare
-        lexicographically, so ``prefix <= prefix + anything`` while every
-        shorter/smaller key sorts below it.  The upper bound appends
-        :data:`TOP`, which compares above any attribute value.
-        """
-        return prefix, prefix + (TOP,)
 
     def check_invariants(self) -> None:
         self.tree.check_invariants()

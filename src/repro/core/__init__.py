@@ -16,7 +16,6 @@ from .intervals import IntervalSet
 from .query_space import (
     ComparisonSpace,
     IntersectionSpace,
-    PredicateSpace,
     QueryBox,
     QuerySpace,
     box_is_empty,
@@ -31,7 +30,6 @@ __all__ = [
     "Curve",
     "IntersectionSpace",
     "IntervalSet",
-    "PredicateSpace",
     "QueryBox",
     "QuerySpace",
     "TetrisScan",

@@ -241,13 +241,6 @@ class Curve:
         return tuple(self._decode_tables.decode(address))
 
     # ------------------------------------------------------------------
-    # box helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def point_in_box(point: Sequence[int], lo: Sequence[int], hi: Sequence[int]) -> bool:
-        return all(l <= x <= h for x, l, h in zip(point, lo, hi))
-
-    # ------------------------------------------------------------------
     # BIGMIN (Tropf & Herzog), generalized to any schedule
     # ------------------------------------------------------------------
     def next_in_box(

@@ -22,9 +22,6 @@ class IntervalSet:
     def __len__(self) -> int:
         return len(self._lows)
 
-    def __bool__(self) -> bool:
-        return bool(self._lows)
-
     def add(self, lo: int, hi: int) -> None:
         """Insert ``[lo, hi]``, merging with overlapping/adjacent intervals."""
         if lo > hi:
@@ -49,14 +46,3 @@ class IntervalSet:
         if idx >= 0 and self._highs[idx] >= value:
             return self._lows[idx], self._highs[idx]
         return None
-
-    def __contains__(self, value: int) -> bool:
-        return self.containing(value) is not None
-
-    def intervals(self) -> list[tuple[int, int]]:
-        """All intervals in ascending order (mainly for tests)."""
-        return list(zip(self._lows, self._highs))
-
-    def covered(self) -> int:
-        """Total number of integers covered."""
-        return sum(h - l + 1 for l, h in zip(self._lows, self._highs))

@@ -8,19 +8,21 @@ such as the triangular region ``COMMITDATE < RECEIPTDATE``.  The paper
 leaves that extension unimplemented ("has not been implemented yet");
 this module implements it.
 
-A :class:`QuerySpace` must provide three things:
-
-* a bounding :meth:`bounding_box` that drives BIGMIN-based enumeration,
-* an exact per-tuple membership test :meth:`contains_point`, and
-* a box-intersection test :meth:`intersects_box` used to prune whole
-  Z-regions without I/O.  The test may be conservative (report an
-  intersection that is actually empty — the page is then read and its
-  tuples filtered) but must never miss a real intersection.
+A :class:`QuerySpace` provides a :meth:`~QuerySpace.bounding_box` that
+drives BIGMIN-based enumeration.  What the space admits is evaluated by
+the kernels, which know the geometry of the four spaces defined here:
+point membership in batch (``filter_space_batch``) and, to prune whole
+Z-regions without I/O, box intersection (:func:`box_meets` and its
+vectorized twin in the NumPy backend).  A space the kernels do not know
+brings its own :meth:`~QuerySpace.contains_point` and
+:meth:`~QuerySpace.intersects_box`; the box test may be conservative
+(report an intersection that is actually empty — the page is then read
+and its tuples filtered) but must never miss a real intersection.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Callable, Sequence
 
 Box = tuple[tuple[int, ...], tuple[int, ...]]
@@ -46,11 +48,11 @@ class QuerySpace:
         raise NotImplementedError
 
     def contains_point(self, point: Sequence[int]) -> bool:
-        """Exact membership test, applied to every candidate tuple."""
+        """Exact membership test of a space the kernels do not know."""
         raise NotImplementedError
 
     def intersects_box(self, lo: Sequence[int], hi: Sequence[int]) -> bool:
-        """Exact-or-conservative intersection test against a box."""
+        """Exact-or-conservative box test of a space the kernels do not know."""
         raise NotImplementedError
 
     def intersect(self, other: "QuerySpace") -> "QuerySpace":
@@ -73,17 +75,6 @@ class QueryBox(QuerySpace):
         """The unrestricted base space ``Ω``."""
         return cls(tuple(0 for _ in coord_max), tuple(coord_max))
 
-    @classmethod
-    def with_range(
-        cls, coord_max: Sequence[int], dim: int, lo: int, hi: int
-    ) -> "QueryBox":
-        """A *cluster* in the paper's sense: one attribute restricted."""
-        los = [0] * len(coord_max)
-        his = list(coord_max)
-        los[dim] = lo
-        his[dim] = hi
-        return cls(los, his)
-
     @property
     def is_empty(self) -> bool:
         return any(l > h for l, h in zip(self.lo, self.hi))
@@ -94,18 +85,6 @@ class QueryBox(QuerySpace):
     def contains_point(self, point: Sequence[int]) -> bool:
         return all(l <= x <= h for x, l, h in zip(point, self.lo, self.hi))
 
-    def intersects_box(self, lo: Sequence[int], hi: Sequence[int]) -> bool:
-        return all(
-            box_lo <= self_hi and self_lo <= box_hi
-            for box_lo, box_hi, self_lo, self_hi in zip(lo, hi, self.lo, self.hi)
-        )
-
-    def clamp(self, other: "QueryBox") -> "QueryBox":
-        """Intersection of two boxes (may be empty)."""
-        lo = tuple(max(a, b) for a, b in zip(self.lo, other.lo))
-        hi = tuple(min(a, b) for a, b in zip(self.hi, other.hi))
-        return QueryBox(lo, hi)
-
     def restricted(self, dim: int, lo: int, hi: int) -> "QueryBox":
         """Copy with one attribute range tightened (sweep-plane slices)."""
         los = list(self.lo)
@@ -113,14 +92,6 @@ class QueryBox(QuerySpace):
         los[dim] = max(los[dim], lo)
         his[dim] = min(his[dim], hi)
         return QueryBox(los, his)
-
-    def volume(self) -> int:
-        if self.is_empty:
-            return 0
-        result = 1
-        for l, h in zip(self.lo, self.hi):
-            result *= h - l + 1
-        return result
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -173,14 +144,6 @@ class ComparisonSpace(QuerySpace):
 
     def contains_point(self, point: Sequence[int]) -> bool:
         return self._cmp(point[self.left_dim], point[self.right_dim])
-
-    def intersects_box(self, lo: Sequence[int], hi: Sequence[int]) -> bool:
-        # The most favourable corner decides: min of the left attribute
-        # against max of the right one (or vice versa for > / >=).
-        return self._cmp(
-            lo[self.left_dim] if self.op in ("<", "<=") else hi[self.left_dim],
-            hi[self.right_dim] if self.op in ("<", "<=") else lo[self.right_dim],
-        )
 
 
 class IntervalUnionSpace(QuerySpace):
@@ -235,10 +198,6 @@ class IntervalUnionSpace(QuerySpace):
         self.starts = tuple(lo for lo, _ in cleaned)
         self.ends = tuple(hi for _, hi in cleaned)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
     def bounding_box(self) -> Box | None:
         los = [0] * self.dims
         his = list(self.coord_max)
@@ -248,17 +207,6 @@ class IntervalUnionSpace(QuerySpace):
             los[self.dim] = self.starts[0]
             his[self.dim] = self.ends[-1]
         return tuple(los), tuple(his)
-
-    def contains_point(self, point: Sequence[int]) -> bool:
-        value = point[self.dim]
-        index = bisect_right(self.starts, value) - 1
-        return index >= 0 and value <= self.ends[index]
-
-    def intersects_box(self, lo: Sequence[int], hi: Sequence[int]) -> bool:
-        # exact: the first interval ending at or after the box's low end
-        # either starts within the box's range or nothing does
-        index = bisect_left(self.ends, lo[self.dim])
-        return index < len(self.starts) and self.starts[index] <= hi[self.dim]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -274,27 +222,6 @@ class IntervalUnionSpace(QuerySpace):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         ranges = ", ".join(f"[{lo}, {hi}]" for lo, hi in self.intervals)
         return f"IntervalUnionSpace(dim={self.dim}, {ranges})"
-
-
-class PredicateSpace(QuerySpace):
-    """An opaque predicate; box pruning is conservatively disabled.
-
-    Useful to push arbitrary residual predicates into the sweep without
-    claiming any geometric knowledge about them.
-    """
-
-    def __init__(self, dims: int, predicate: Callable[[Sequence[int]], bool]) -> None:
-        self.dims = dims
-        self.predicate = predicate
-
-    def bounding_box(self) -> Box | None:
-        return None
-
-    def contains_point(self, point: Sequence[int]) -> bool:
-        return self.predicate(point)
-
-    def intersects_box(self, lo: Sequence[int], hi: Sequence[int]) -> bool:
-        return True
 
 
 class IntersectionSpace(QuerySpace):
@@ -331,8 +258,31 @@ class IntersectionSpace(QuerySpace):
             return None
         return tuple(lo), tuple(hi)
 
-    def contains_point(self, point: Sequence[int]) -> bool:
-        return all(part.contains_point(point) for part in self.parts)
 
-    def intersects_box(self, lo: Sequence[int], hi: Sequence[int]) -> bool:
-        return all(part.intersects_box(lo, hi) for part in self.parts)
+def box_meets(space: QuerySpace, lo: Sequence[int], hi: Sequence[int]) -> bool:
+    """Does ``space`` meet the box ``[lo, hi]``?  The scalar pruning test.
+
+    Exact for the spaces defined here; any other space answers through
+    its own :meth:`~QuerySpace.intersects_box`.  A half-space is decided
+    by the box's most favourable corner (min of the left attribute
+    against max of the right one for ``<`` / ``<=``, the reverse for
+    ``>`` / ``>=``); an interval union by the first interval ending at or
+    after the box's low end, which starts within the box's range or
+    nothing does.
+    """
+    if isinstance(space, QueryBox):
+        return all(
+            box_lo <= space_hi and space_lo <= box_hi
+            for box_lo, box_hi, space_lo, space_hi in zip(lo, hi, space.lo, space.hi)
+        )
+    if isinstance(space, ComparisonSpace):
+        left, right = space.left_dim, space.right_dim
+        if space.op in ("<", "<="):
+            return space._cmp(lo[left], hi[right])
+        return space._cmp(hi[left], lo[right])
+    if isinstance(space, IntervalUnionSpace):
+        index = bisect_left(space.ends, lo[space.dim])
+        return index < len(space.starts) and space.starts[index] <= hi[space.dim]
+    if isinstance(space, IntersectionSpace):
+        return all(box_meets(part, lo, hi) for part in space.parts)
+    return space.intersects_box(lo, hi)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .query_space import QueryBox, QuerySpace
+from .query_space import QueryBox, QuerySpace, box_meets
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .curves import Curve
@@ -33,18 +33,6 @@ class ZRegion:
     def contains(self, z_address: int) -> bool:
         return self.first <= z_address <= self.last
 
-    def intersects(self, curve: "Curve", space: QuerySpace) -> bool:
-        """Exact-or-conservative test whether the region meets ``space``.
-
-        The Z-interval is decomposed into aligned boxes (each an axis-
-        aligned hyper-rectangle); the region intersects iff any box does.
-        For plain :class:`QueryBox` spaces the test is exact.
-        """
-        return any(
-            space.intersects_box(lo, hi)
-            for lo, hi in curve.interval_boxes(self.first, self.last)
-        )
-
     def classify(
         self, curve: "Curve", space: QuerySpace, pushdown: "QuerySpace | None"
     ) -> tuple[bool, bool]:
@@ -54,11 +42,19 @@ class ZRegion:
         ``in_space``: the local restriction wants this page (a plain box
         is its own bounding box, so the test is skipped).  ``in_cover``:
         it does, and a pushed-down join-key cover — if any — does not
-        rule the page out either.
+        rule the page out either.  A region meets a space iff one of the
+        aligned boxes its Z-interval decomposes into does (:func:`box_meets`).
         """
-        in_space = isinstance(space, QueryBox) or self.intersects(curve, space)
+        first, last = self.first, self.last
+        in_space = isinstance(space, QueryBox) or any(
+            box_meets(space, lo, hi) for lo, hi in curve.interval_boxes(first, last)
+        )
         in_cover = in_space and (
-            pushdown is None or self.intersects(curve, pushdown)
+            pushdown is None
+            or any(
+                box_meets(pushdown, lo, hi)
+                for lo, hi in curve.interval_boxes(first, last)
+            )
         )
         return in_space, in_cover
 

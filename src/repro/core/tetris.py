@@ -292,7 +292,7 @@ class TetrisScan:
         #: (point, payload) of every qualifying tuple, by arrival order
         arrivals: list[SortedTuple] = []
         # with REPRO_CHECKS=1: validate the emitted stream (membership +
-        # monotonicity, and every slice key against the scalar curve),
+        # monotonicity, and every slice key against the paper's T_j),
         # hold every page's run to the uncached scan_page entry for
         # entry, re-run it on the other backend and hold the sweep to
         # one fetch per page, read-ahead included
@@ -302,7 +302,9 @@ class TetrisScan:
             else None
         )
         slice_checker = (
-            invariants.SliceChecker(curve) if invariants.enabled() else None
+            invariants.SliceChecker(self.ubtree.space, self.sort_dims)
+            if invariants.enabled()
+            else None
         )
         fetch_checker = (
             invariants.FetchOnceChecker() if invariants.enabled() else None

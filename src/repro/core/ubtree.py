@@ -75,10 +75,6 @@ class UBTree:
             )
         self.tree.insert(z_address, (tuple(point), payload))
 
-    def load(self, rows: Iterable[tuple[Sequence[int], Any]]) -> None:
-        for point, payload in rows:
-            self.insert(point, payload)
-
     def bulk_load(
         self, rows: Iterable[tuple[Sequence[int], Any]], fill: float = 1.0
     ) -> None:
@@ -115,15 +111,6 @@ class UBTree:
         # recover() (the chaos harness does) rather than inline here
         if invariants.enabled() and active_wal(self.tree.disk) is None:
             invariants.validate_ubtree(self)
-
-    def point_query(self, point: Sequence[int]) -> list[Any]:
-        """Payloads of all tuples stored exactly at ``point``."""
-        z_address = self.space.z_address(point)
-        return [
-            payload
-            for stored, payload in self.tree.search(z_address)
-            if stored == tuple(point)
-        ]
 
     def delete(self, point: Sequence[int], payload: Any = None) -> bool:
         z_address = self.space.z_address(point)
@@ -284,20 +271,6 @@ class UBTree:
             if in_space:
                 yield region
 
-    def upcoming_regions(self, space: QuerySpace, count: int) -> list[ZRegion]:
-        """The first ``count`` Z-regions a range query over ``space`` reads.
-
-        Index-only projection (unpriced descents, no data pages) — the
-        same next-region list the range query's own sweep-ahead
-        prefetcher consumes.
-        """
-        projected: list[ZRegion] = []
-        for region in self.regions_overlapping(space):
-            projected.append(region)
-            if len(projected) >= count:
-                break
-        return projected
-
     # ------------------------------------------------------------------
     # the range query (Section 5.3 / standard UB-Tree algorithm)
     # ------------------------------------------------------------------
@@ -334,10 +307,6 @@ class UBTree:
         finally:
             if prefetcher is not None:
                 prefetcher.close()
-
-    def range_count(self, space: QuerySpace) -> int:
-        """Number of qualifying tuples (convenience for tests)."""
-        return sum(1 for _ in self.range_query(space))
 
     def check_invariants(self) -> None:
         """Structural validation plus region/page bijection.

@@ -5,13 +5,15 @@
 Sections 3.3 and 3.4:
 
 * ``z_address(x)`` — the ordinal of the tuple on the Z-curve,
-* ``extract(α, j)`` / ``reduce(α, j)`` — the decomposition of a Z-address
-  into one attribute value and the (d-1)-dimensional rest,
 * ``tetris_address(x, j)`` — ``T_j(x) = extract(Z(x), j) ∘ reduce(Z(x), j)``,
-* conversions between the two orders.
+  written as the paper's formula: the sort attribute's value followed
+  by the Z-address of the rest.
 
-All of it is implemented on top of :class:`~repro.core.curves.Curve`;
-``T_j`` is simply the curve whose bit schedule puts attribute ``j`` first.
+The sweep itself runs on :meth:`ZSpace.tetris`, the
+:class:`~repro.core.curves.Curve` whose bit schedule puts attribute
+``j`` first.  :meth:`ZSpace.tetris_address` never consults that
+schedule, which makes it the independent oracle
+:class:`~repro.invariants.SliceChecker` holds every slice key to.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class ZSpace:
         self.address_max = self.z.address_max
         self.coord_max = self.z.coord_max
         self._tetris: dict[tuple[int, ...], Curve] = {}
-        self._reduced: dict[int, Curve] = {}
+        self._reduced: dict[tuple[int, ...], Curve | None] = {}
 
     # ------------------------------------------------------------------
     # curves
@@ -53,14 +55,15 @@ class ZSpace:
             self._tetris[key] = Curve.tetris_curve(self.bit_lengths, key)
         return self._tetris[key]
 
-    def reduced(self, drop_dim: int) -> Curve:
-        """The (d-1)-dimensional Z-curve with ``drop_dim`` removed."""
-        if self.dims < 2:
-            raise ValueError("cannot reduce a one-dimensional space")
-        if drop_dim not in self._reduced:
-            lengths = [s for dim, s in enumerate(self.bit_lengths) if dim != drop_dim]
-            self._reduced[drop_dim] = Curve.z_curve(lengths)
-        return self._reduced[drop_dim]
+    def reduced(self, drop_dims: "int | Sequence[int]") -> Curve | None:
+        """The Z-curve of the dimensions left once ``drop_dims`` are
+        removed; ``None`` when none is left (the empty rest, whose
+        address has zero bits)."""
+        key = (drop_dims,) if isinstance(drop_dims, int) else tuple(drop_dims)
+        if key not in self._reduced:
+            lengths = [s for dim, s in enumerate(self.bit_lengths) if dim not in key]
+            self._reduced[key] = Curve.z_curve(lengths) if lengths else None
+        return self._reduced[key]
 
     # ------------------------------------------------------------------
     # addresses
@@ -69,38 +72,30 @@ class ZSpace:
         """``Z(x)``: the ordinal of ``point`` on the Z-curve."""
         return self.z.encode(point)
 
-    def point_of(self, z_address: int) -> tuple[int, ...]:
-        """``Z^{-1}(α)``."""
-        return self.z.decode(z_address)
+    def tetris_address(
+        self, point: Sequence[int], sort_dims: "int | Sequence[int]"
+    ) -> int:
+        """``T_j(x) = x_{j1} ∘ x_{j2} ∘ … ∘ Z_rest(x)``, from the point.
 
-    def extract(self, z_address: int, dim: int) -> int:
-        """``extract(α, j)``: attribute ``j``'s value packed in a Z-address."""
-        return self.z.decode(z_address)[dim]
-
-    def reduce(self, z_address: int, dim: int) -> int:
-        """``reduce(α, j)``: the (d-1)-dimensional Z-address of the rest."""
-        point = self.z.decode(z_address)
-        rest = [v for d, v in enumerate(point) if d != dim]
-        return self.reduced(dim).encode(rest)
-
-    def tetris_address(self, point: Sequence[int], sort_dim: int) -> int:
-        """``T_j(x)``: the Tetris ordinal of ``point`` for sort attribute ``j``."""
-        return self.tetris(sort_dim).encode(point)
-
-    def z_to_tetris(self, z_address: int, sort_dim: int) -> int:
-        """Re-address a point from Z order into Tetris order."""
-        return self.tetris(sort_dim).encode(self.z.decode(z_address))
-
-    def tetris_to_z(self, tetris_address: int, sort_dim: int) -> int:
-        """``Z(T_j^{-1}(t))``: back from Tetris order into Z order."""
-        return self.z.encode(self.tetris(sort_dim).decode(tetris_address))
-
-    # ------------------------------------------------------------------
-    # paper-model helpers
-    # ------------------------------------------------------------------
-    def hyperplane_contains(self, z_address: int, sort_dim: int, value: int) -> bool:
-        """Membership in the hyper-plane ``H_j(v) = {Z(x) | x_j = v}``."""
-        return self.extract(z_address, sort_dim) == value
+        The sort attributes' values are concatenated in order, then the
+        Z-address of the remaining attributes (:meth:`reduced`) follows;
+        a single ``j`` is the paper's ``extract(Z(x), j) ∘ reduce(Z(x), j)``.
+        """
+        key = (sort_dims,) if isinstance(sort_dims, int) else tuple(sort_dims)
+        address = 0
+        for dim in key:
+            value = point[dim]
+            if not 0 <= value <= self.coord_max[dim]:
+                raise ValueError(
+                    f"coordinate {value} of dimension {dim} exceeds "
+                    f"{self.bit_lengths[dim]} bits"
+                )
+            address = address << self.bit_lengths[dim] | value
+        rest = self.reduced(key)
+        if rest is None:
+            return address
+        others = [value for dim, value in enumerate(point) if dim not in key]
+        return address << rest.total_bits | rest.encode(others)
 
     def universe_box(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The full base space ``[λ_1, ν_1] × … × [λ_d, ν_d]``."""

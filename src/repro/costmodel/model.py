@@ -64,12 +64,6 @@ SECTION_5_PARAMS = CostParameters(t_pi=0.008, t_tau=0.0007)
 # ----------------------------------------------------------------------
 # Section 4.1: the basic access costs
 # ----------------------------------------------------------------------
-def c_scan(pages: int, params: CostParameters = SECTION_4_PARAMS) -> float:
-    """``c_scan(k) = ⌈k/C⌉·t_π + max(k, C)·t_τ`` — k consecutive pages."""
-    if pages <= 0:
-        return 0.0
-    seeks = math.ceil(pages / params.prefetch)
-    return seeks * params.t_pi + max(pages, params.prefetch) * params.t_tau
 
 
 def c_fts(pages: int, params: CostParameters = SECTION_4_PARAMS) -> float:
@@ -255,11 +249,3 @@ def tetris_first_response(
     return (params.t_pi + params.t_tau) * tetris_cache_pages(
         pages, ranges, sort_dim
     )
-
-
-def selectivity_to_range(selectivity: float, offset: float = 0.0) -> Range:
-    """A normalized range of width ``selectivity`` starting at ``offset``."""
-    if not 0.0 <= selectivity <= 1.0:
-        raise ValueError("selectivity must be within [0, 1]")
-    end = min(1.0, offset + selectivity)
-    return (offset, end)

@@ -18,9 +18,8 @@ Gate
     if invariants.enabled():
         invariants.validate_bptree(self)
 
-The flag is read once from the environment at import; tests flip it
-programmatically with :func:`set_enabled` or the :func:`checks` context
-manager.  Validators raise :class:`InvariantViolation` (a subclass of
+The flag is read once from the environment at import (tests flip the
+module's ``_enabled`` for a block).  Validators raise :class:`InvariantViolation` (a subclass of
 ``AssertionError`` for compatibility with older callers) and are *never*
 stripped by ``python -O`` — that is the point: ``reprolint`` rule R005
 bans bare ``assert`` for data-dependent invariants, and this layer is
@@ -52,8 +51,9 @@ Validators
   scalar BIGMIN walk, pruning tests and keys it replaces, without
   extra I/O (:mod:`repro.invariants.parity`).
 * :class:`SliceChecker` — the keys a sweep hands out with its slices
-  equal the scalar ``tetris_curve.encode(point)`` row for row and
-  ascend within and across slices (:mod:`repro.invariants.parity`).
+  equal the paper's ``T_j(x)`` (``ZSpace.tetris_address``, computed
+  without the sweep's bit schedule) row for row and ascend within and
+  across slices (:mod:`repro.invariants.parity`).
 * :func:`validate_wal` / :func:`validate_replicated_disk` — write-ahead
   log structure (dense LSNs, serial batches, mirror/device agreement)
   and replica-store consistency (:mod:`repro.invariants.durability`).
@@ -69,8 +69,7 @@ Validators
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Any, Iterator, TypeVar
+from typing import Any, TypeVar
 
 from . import sanitizer as sanitizer
 from .accounting import validate_buffer_pool
@@ -88,12 +87,9 @@ from .sanitizer import (
     LockOrderViolation,
     RaceViolation,
     TrackedLock,
-    actor,
     declare_lock_order,
-    declared_lock_order,
     guarded_by,
     note_access,
-    reset_sanitizer,
     tracked_lock,
 )
 from .sharding import validate_sharded_database
@@ -112,19 +108,14 @@ __all__ = [
     "SliceChecker",
     "StreamChecker",
     "TrackedLock",
-    "actor",
     "check",
     "check_page_run",
-    "checks",
     "declare_lock_order",
-    "declared_lock_order",
     "enabled",
     "guarded_by",
     "note_access",
     "require_instance",
-    "reset_sanitizer",
     "sanitizer",
-    "set_enabled",
     "spot_check_scan_page",
     "tracked_lock",
     "validate_bptree",
@@ -145,24 +136,6 @@ _enabled: bool = os.environ.get("REPRO_CHECKS", "").strip().lower() in _TRUTHY
 def enabled() -> bool:
     """Whether runtime invariant checking is on (``REPRO_CHECKS=1``)."""
     return _enabled
-
-
-def set_enabled(flag: bool) -> bool:
-    """Turn checking on/off programmatically; returns the previous state."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(flag)
-    return previous
-
-
-@contextmanager
-def checks(flag: bool = True) -> Iterator[None]:
-    """Temporarily enable (or disable) invariant checking."""
-    previous = set_enabled(flag)
-    try:
-        yield
-    finally:
-        set_enabled(previous)
 
 
 # The sanitizer consults the same gate as every other validator; it is

@@ -22,6 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..core.curves import Curve
     from ..core.query_space import QuerySpace
     from ..core.region import ZRegion
+    from ..core.zorder import ZSpace
     from ..kernels.base import KernelBackend
     from ..storage.page import Page
 
@@ -156,7 +157,7 @@ class ScheduleChecker:
         check(
             (bool(in_space), bool(in_cover)) == verdicts,
             f"region schedule classified {region!r} as (in_space, in_cover) = "
-            f"({in_space}, {in_cover}); ZRegion.intersects says {verdicts}",
+            f"({in_space}, {in_cover}); ZRegion.classify says {verdicts}",
         )
         reference = None
         if in_cover and self._sort_curve is not None:
@@ -184,18 +185,22 @@ class ScheduleChecker:
 
 
 class SliceChecker:
-    """The keys of one sweep's slices, held to the scalar curve.
+    """The keys of one sweep's slices, held to the paper's formula.
 
     ``TetrisScan.slices`` pairs every row with the key the page kernel
-    computed for it in batch; consumers (the shard coordinator's resume
-    skip and k-way merge) trust those keys instead of re-encoding each
-    point.  The checker keeps the per-row call they dropped: every key
-    must equal ``curve.encode(point)``, and keys must ascend within a
-    slice and from one slice to the next.
+    computed for it in batch on the sweep's Tetris curve; consumers
+    (the shard coordinator's resume skip and k-way merge) trust those
+    keys instead of re-encoding each point.  The checker recomputes
+    every key as ``T_j(x) = x_{j1} ∘ … ∘ Z_rest(x)`` with
+    :meth:`~repro.core.zorder.ZSpace.tetris_address`, which never reads
+    the bit schedule the curve was built from, so a schedule that
+    orders ties differently from the paper is caught.  Keys must also
+    ascend within a slice and from one slice to the next.
     """
 
-    def __init__(self, curve: "Curve") -> None:
-        self._encode = curve.encode
+    def __init__(self, space: "ZSpace", sort_dims: Sequence[int]) -> None:
+        self._address = space.tetris_address
+        self._sort_dims = tuple(sort_dims)
         self._previous: "int | None" = None
 
     def observe(self, keys: Sequence[int], rows: Sequence[Any]) -> None:
@@ -205,11 +210,11 @@ class SliceChecker:
         )
         previous = self._previous
         for key, (point, _) in zip(keys, rows):
-            reference = self._encode(point)
+            reference = self._address(point, self._sort_dims)
             check(
                 key == reference,
                 f"slice keyed the tuple at {tuple(point)} with {key}; the "
-                f"tetris curve encodes it to {reference}",
+                f"paper's T_j formula gives {reference}",
             )
             check(
                 previous is None or key >= previous,

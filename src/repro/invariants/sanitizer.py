@@ -20,9 +20,10 @@ rules R010–R013 enforce statically:
   tracking: two accesses to the same field by different actors must be
   ordered by the locks they held, otherwise :class:`RaceViolation`
   fires with both stacks and the simulated timestamps.
-* :func:`actor` — names the current logical thread of control.  Real
-  threads get a default identity, but tests drive *virtual* actors from
-  a single OS thread so a seeded schedule (the chaos-harness seed)
+* :func:`current_actor` — names the current logical thread of control.
+  Real threads get a default identity; tests push *virtual* actor names
+  onto the thread-local ``_tls.actors`` stack and drive them from a
+  single OS thread, so a seeded schedule (the chaos-harness seed)
   replays an interleaving — and its violation — deterministically.
 
 Everything is gated on the invariant layer's ``enabled()`` flag: with
@@ -35,10 +36,9 @@ from __future__ import annotations
 
 import sys
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from types import TracebackType
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, TypeVar
 
 from .errors import InvariantViolation
 
@@ -47,13 +47,10 @@ __all__ = [
     "LockOrderViolation",
     "RaceViolation",
     "TrackedLock",
-    "actor",
     "current_actor",
     "declare_lock_order",
-    "declared_lock_order",
     "guarded_by",
     "note_access",
-    "reset_sanitizer",
     "tracked_lock",
 ]
 
@@ -124,26 +121,6 @@ def current_actor() -> str:
     return name
 
 
-@contextmanager
-def actor(name: str) -> Iterator[str]:
-    """Run the body as the named virtual actor.
-
-    Tests use two (or more) virtual actors driven from one OS thread by
-    a seeded scheduler, so a racy interleaving — and the
-    :class:`RaceViolation` it provokes — replays deterministically from
-    the seed alone.
-    """
-    stack: list[str] | None = getattr(_tls, "actors", None)
-    if stack is None:
-        stack = []
-        _tls.actors = stack
-    stack.append(name)
-    try:
-        yield name
-    finally:
-        stack.pop()
-
-
 def _held_stack() -> list[TrackedLock]:
     held: list[TrackedLock] | None = getattr(_tls, "held", None)
     if held is None:
@@ -194,32 +171,6 @@ def declare_lock_order(*names: str) -> tuple[str, ...]:
     global _declared_order
     _declared_order = tuple(names)
     return _declared_order
-
-
-def declared_lock_order() -> tuple[str, ...]:
-    """The currently declared global lock order."""
-    return _declared_order
-
-
-def reset_sanitizer() -> None:
-    """Drop all recorded clocks, edges and accesses (test isolation)."""
-    with _state.mutex:
-        _state.actor_clocks.clear()
-        _state.lock_edges.clear()
-        _state.last_access.clear()
-        _state.order_checks = 0
-        _state.race_checks = 0
-
-
-def sanitizer_counters() -> dict[str, int]:
-    """How many order/race checks have run (overhead accounting)."""
-    with _state.mutex:
-        return {
-            "order_checks": _state.order_checks,
-            "race_checks": _state.race_checks,
-            "lock_edges": len(_state.lock_edges),
-            "tracked_fields": len(_state.last_access),
-        }
 
 
 def _dominates(left: dict[str, int], right: dict[str, int]) -> bool:

@@ -23,11 +23,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 class StreamChecker:
     """Validates one Tetris output stream tuple-by-tuple."""
 
-    __slots__ = ("sort_dims", "space", "_previous", "_count")
+    __slots__ = ("sort_dims", "space", "_admits", "_previous", "_count")
 
     def __init__(self, sort_dims: Sequence[int], space: "QuerySpace") -> None:
+        from .. import kernels
+
         self.sort_dims = tuple(sort_dims)
         self.space = space
+        # membership by the pure kernel, the reference for every space
+        self._admits = kernels.backend("python").filter_space_batch
         self._previous: tuple[int, ...] | None = None
         self._count = 0
 
@@ -35,7 +39,7 @@ class StreamChecker:
         """Check the next emitted tuple's point against the contract."""
         self._count += 1
         check(
-            self.space.contains_point(point),
+            bool(self._admits(self.space, (point,))),
             f"Tetris emitted tuple #{self._count} at {tuple(point)}, which "
             "is outside the query space",
         )

@@ -29,7 +29,6 @@ pickled pages) see exactly what the pure backend produces.
 from __future__ import annotations
 
 import weakref
-from bisect import bisect_right
 from typing import Any, Sequence
 
 import numpy as np
@@ -39,7 +38,6 @@ from ..core.query_space import (
     ComparisonSpace,
     IntersectionSpace,
     IntervalUnionSpace,
-    PredicateSpace,
     QueryBox,
     QuerySpace,
 )
@@ -60,46 +58,10 @@ _NP_COMPARATORS = {
 }
 
 
-class _PagePoints:
-    """Lazy point view of a Z-region page's records.
-
-    Vectorized space tests never touch it; only the per-point fallback
-    for opaque predicates indexes it, so the point list is not
-    materialized on the fast path.
-    """
-
-    __slots__ = ("_records",)
-
-    def __init__(self, records: Sequence[Any]) -> None:
-        self._records = records
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __getitem__(self, index: int) -> Any:
-        return self._records[index][1][0]
-
-
-class _BlockPoints:
-    """Lazy point view over a whole block of pages (global record index).
-
-    Only the per-point fallback for opaque predicates indexes it; the
-    vectorized space tests never materialize points.
-    """
-
-    __slots__ = ("_pages", "_offsets")
-
-    def __init__(self, pages: Sequence[Any], offsets: "list[int]") -> None:
-        self._pages = pages
-        self._offsets = offsets  # cumulative record counts, len(pages) + 1
-
-    def __len__(self) -> int:
-        return self._offsets[-1]
-
-    def __getitem__(self, index: int) -> Any:
-        position = bisect_right(self._offsets, index) - 1
-        record = self._pages[position].records[index - self._offsets[position]]
-        return record[1][0]
+class _NoGeometry(Exception):
+    """A space these kernels know no vectorized geometry for — an opaque
+    predicate, or bounds wider than 64 bits; the caller hands the whole
+    call to the pure reference, which tests it point by point."""
 
 
 def _int64_column(keys: Sequence[Any]) -> "np.ndarray | None":
@@ -199,9 +161,10 @@ class NumPySortRunBuffer(SortRunBuffer):
     tie-winning side and the result equals the pure buffer's total
     ``(key, order)`` sort bit for bit.
 
-    Keys that do not fit ``uint64`` (curves wider than 64 bits fall back
-    to pure list runs) degrade the whole buffer to
-    :class:`~repro.kernels.pure.PureSortRunBuffer` semantics wholesale.
+    A curve wider than 64 bits keys every page of its scan as a pure
+    list run (:meth:`NumPyBackend.scan_page_run`); the first such run
+    turns the buffer into a
+    :class:`~repro.kernels.pure.PureSortRunBuffer` for the whole scan.
     """
 
     def __init__(self) -> None:
@@ -209,32 +172,13 @@ class NumPySortRunBuffer(SortRunBuffer):
         self._count = 0
         self._fallback: PureSortRunBuffer | None = None
 
-    @staticmethod
-    def _as_entries(run: Any) -> "list[list[int]]":
-        if isinstance(run, tuple):
-            keys, orders = run
-            return [
-                [key, order]
-                for key, order in zip(keys.tolist(), orders.tolist())
-            ]
-        return run
-
-    def _degrade(self) -> PureSortRunBuffer:
-        fallback = PureSortRunBuffer()
-        for run in self._runs:
-            fallback.push(self._as_entries(run))
-        self._runs.clear()
-        self._count = 0
-        self._fallback = fallback
-        return fallback
-
     def push(self, run: Any) -> None:
+        if self._fallback is None and not isinstance(run, tuple):
+            if self._runs:
+                raise TypeError("a pure list run after uint64 runs in one scan")
+            self._fallback = PureSortRunBuffer()
         if self._fallback is not None:
-            self._fallback.push(self._as_entries(run))
-            return
-        if not isinstance(run, tuple):
-            # a pure-format run: this curve is not vectorizable, degrade
-            self._degrade().push(run)
+            self._fallback.push(run)
             return
         keys, orders = run
         if len(keys):
@@ -593,22 +537,21 @@ class NumPyBackend(PurePythonBackend):
         except (OverflowError, ValueError, TypeError):
             return super().filter_space_batch(space, points)
         mask = np.ones(len(points), dtype=bool)
-        self._mask_space(space, columns, points, mask)
+        try:
+            self._mask_space(space, columns, mask)
+        except _NoGeometry:
+            return super().filter_space_batch(space, points)
         return np.nonzero(mask)[0].tolist()
 
     def _mask_space(
-        self,
-        space: QuerySpace,
-        columns: "np.ndarray",
-        points: Any,
-        mask: "np.ndarray",
+        self, space: QuerySpace, columns: "np.ndarray", mask: "np.ndarray"
     ) -> None:
-        """AND ``space`` membership into ``mask`` (vectorized per part)."""
+        """AND ``space`` membership into ``mask`` (vectorized per part);
+        raises :class:`_NoGeometry` for a space it cannot vectorize."""
         if isinstance(space, QueryBox):
             arrays = self._box_arrays(space)
             if arrays is None:
-                self._mask_pointwise(space, points, mask)
-                return
+                raise _NoGeometry
             lo_arr, hi_arr = arrays
             mask &= ((columns >= lo_arr) & (columns <= hi_arr)).all(axis=1)
         elif isinstance(space, ComparisonSpace):
@@ -617,8 +560,7 @@ class NumPyBackend(PurePythonBackend):
         elif isinstance(space, IntervalUnionSpace):
             arrays = self._interval_arrays(space)
             if arrays is None:
-                self._mask_pointwise(space, points, mask)
-                return
+                raise _NoGeometry
             starts, ends = arrays
             if not starts.size:
                 mask[:] = False
@@ -634,18 +576,9 @@ class NumPyBackend(PurePythonBackend):
             for part in space.parts:
                 if not mask.any():
                     return
-                self._mask_space(part, columns, points, mask)
+                self._mask_space(part, columns, mask)
         else:
-            # opaque predicate (PredicateSpace etc.): per-point test, but
-            # only on the still-surviving candidates
-            self._mask_pointwise(space, points, mask)
-
-    @staticmethod
-    def _mask_pointwise(space: QuerySpace, points: Any, mask: "np.ndarray") -> None:
-        contains = space.contains_point
-        for index in np.nonzero(mask)[0]:
-            if not contains(points[index]):
-                mask[index] = False
+            raise _NoGeometry
 
     def filter_space_page(self, space: QuerySpace, page: Any) -> list[int]:
         """Page-level space filter over the memoized columnar view."""
@@ -655,9 +588,11 @@ class NumPyBackend(PurePythonBackend):
         columns = self._page_view(page).columns
         if columns is None:
             return super().filter_space_page(space, page)
-        points = _PagePoints(records)  # materialized only by opaque spaces
         mask = np.ones(len(columns), dtype=bool)
-        self._mask_space(space, columns, points, mask)
+        try:
+            self._mask_space(space, columns, mask)
+        except _NoGeometry:
+            return super().filter_space_page(space, page)
         return np.nonzero(mask)[0].tolist()
 
     # ------------------------------------------------------------------
@@ -700,14 +635,16 @@ class NumPyBackend(PurePythonBackend):
             columns = np.asarray(points, dtype=_U64)
         except (OverflowError, ValueError, TypeError):
             return super().page_entries(curve, space, points, base)
-        return self._entries_from_columns(tables, space, columns, points, base)
+        try:
+            return self._entries_from_columns(tables, space, columns, base)
+        except _NoGeometry:
+            return super().page_entries(curve, space, points, base)
 
     def _select_and_key(
         self,
         tables: _CurveTables,
         space: QuerySpace,
         columns: "np.ndarray",
-        points: Any,
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray] | None":
         """Filter + key + stable sort; ``(selected, keys, perm)`` arrays.
 
@@ -717,7 +654,7 @@ class NumPyBackend(PurePythonBackend):
         qualifies.
         """
         mask = np.ones(len(columns), dtype=bool)
-        self._mask_space(space, columns, points, mask)
+        self._mask_space(space, columns, mask)
         selected = np.nonzero(mask)[0]
         if not selected.size:
             return None
@@ -730,11 +667,10 @@ class NumPyBackend(PurePythonBackend):
         tables: _CurveTables,
         space: QuerySpace,
         columns: "np.ndarray",
-        points: Any,
         base: int,
     ) -> tuple[int, Sequence[int], Sequence[Sequence[int]]]:
         """Shared tail of :meth:`page_entries` / :meth:`scan_page`."""
-        keyed = self._select_and_key(tables, space, columns, points)
+        keyed = self._select_and_key(tables, space, columns)
         if keyed is None:
             return 0, [], []
         selected, keys, perm = keyed
@@ -781,8 +717,10 @@ class NumPyBackend(PurePythonBackend):
         columns = _page_matrix(records)
         if columns is None or columns.shape[1] != curve.dims:
             return super().scan_page(curve, space, page, base)
-        points = _PagePoints(records)  # materialized only by opaque spaces
-        return self._entries_from_columns(tables, space, columns, points, base)
+        try:
+            return self._entries_from_columns(tables, space, columns, base)
+        except _NoGeometry:
+            return super().scan_page(curve, space, page, base)
 
     def scan_page_run(
         self,
@@ -808,10 +746,17 @@ class NumPyBackend(PurePythonBackend):
             return super().scan_page_run(curve, space, page, base)
         view = self._page_view(page)
         columns = view.columns
-        if columns is None or columns.shape[1] != curve.dims:
-            return super().scan_page_run(curve, space, page, base)
-        mask = np.ones(len(columns), dtype=bool)
-        self._mask_space(space, columns, _PagePoints(records), mask)
+        try:
+            if columns is None or columns.shape[1] != curve.dims:
+                raise _NoGeometry
+            mask = np.ones(len(columns), dtype=bool)
+            self._mask_space(space, columns, mask)
+        except _NoGeometry:
+            # the pure reference; its keys fit uint64 (the curve does),
+            # so its entry list becomes this backend's array run
+            count, selected, entries = super().scan_page_run(curve, space, page, base)
+            keys, orders = np.asarray(entries, dtype=_U64).reshape(-1, 2).T
+            return count, selected, (keys.copy(), orders.copy())
         (selected,) = mask.nonzero()
         if not selected.size:
             return 0, [], _EMPTY_RUN
@@ -872,8 +817,10 @@ class NumPyBackend(PurePythonBackend):
             if len(page_columns) == 1
             else np.concatenate(page_columns, axis=0)
         )
-        points = _BlockPoints(pages, offsets)
-        keyed = self._select_and_key(tables, space, block, points)
+        try:
+            keyed = self._select_and_key(tables, space, block)
+        except _NoGeometry:
+            return super().scan_block(curve, space, pages)
         if keyed is None:
             return [[] for _ in pages], []
         selected, keys, perm = keyed
@@ -1017,8 +964,6 @@ class NumPyBackend(PurePythonBackend):
             for part in space.parts:
                 meeting &= self._boxes_meeting(part, los, his)
             return meeting
-        elif isinstance(space, PredicateSpace):
-            return np.ones(len(los), dtype=bool)
         # spaces this backend knows no geometry for: ask box by box
         return np.fromiter(
             (
@@ -1082,7 +1027,7 @@ class NumPyBackend(PurePythonBackend):
         )
         probes[0] = start
 
-        # pruning looks at whole (unclamped) blocks, like ZRegion.intersects
+        # pruning looks at whole (unclamped) blocks, like ZRegion.classify
         segments = arrays.offsets[head : tail + 1] - begin
         picked = chosen - head
         if isinstance(space, QueryBox):

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from .. import invariants, kernels, telemetry
 from ..core.query_space import QueryBox, QuerySpace, box_is_empty
@@ -83,10 +83,6 @@ class SweepSlab:
     index: int
     lo: int  #: inclusive encoded lower bound on the sort attribute
     hi: int  #: inclusive encoded upper bound on the sort attribute
-
-    @property
-    def width(self) -> int:
-        return self.hi - self.lo + 1
 
 
 @dataclass(frozen=True)
@@ -178,9 +174,6 @@ class ParallelScanResult:
     #: ``None`` when not measured
     serialized_bytes_per_slab: "list[int] | None" = None
 
-    def __iter__(self) -> Iterator[SortedTuple]:
-        return iter(self.rows)
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -254,7 +247,7 @@ def _slab_space(
     if isinstance(space, QueryBox):
         return space.restricted(sort_dim, slab.lo, slab.hi)
     return space.intersect(
-        QueryBox.with_range(coord_max, sort_dim, slab.lo, slab.hi)
+        QueryBox.full(coord_max).restricted(sort_dim, slab.lo, slab.hi)
     )
 
 

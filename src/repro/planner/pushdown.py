@@ -71,11 +71,6 @@ class KeyCover:
         """True when budgeting collapsed the cover to one interval."""
         return len(self.intervals) == 1 and self.natural_runs > 1
 
-    @property
-    def covered_values(self) -> int:
-        """Total width of the cover (>= key_count; slack = false keys)."""
-        return sum(hi - lo + 1 for lo, hi in self.intervals)
-
 
 def build_key_cover(keys: Iterable[int], budget: int) -> KeyCover:
     """Condense encoded key values into at most ``budget`` intervals.

@@ -3,7 +3,6 @@
 from .schema import (
     Attribute,
     DateEncoder,
-    DecimalEncoder,
     Encoder,
     IntEncoder,
     Schema,
@@ -16,7 +15,6 @@ __all__ = [
     "BaseTable",
     "Database",
     "DateEncoder",
-    "DecimalEncoder",
     "Encoder",
     "HeapTable",
     "IOTTable",

@@ -21,10 +21,6 @@ class Operator:
     def __iter__(self) -> Iterator[Row]:
         raise NotImplementedError
 
-    def execute(self) -> list[Row]:
-        """Materialize the full result (convenience for tests)."""
-        return list(self)
-
 
 class FirstTupleTimer(Operator):
     """Wraps a plan and records simulated clocks around its consumption."""

@@ -6,8 +6,6 @@ integer whose numeric order matches the attribute's order ``<_i``
 
 * :class:`IntEncoder` — bounded integers, offset to zero.
 * :class:`DateEncoder` — calendar dates as day numbers.
-* :class:`DecimalEncoder` — fixed-point decimals as scaled integers
-  (rounded, hence lossy below the scale).
 * :class:`StringEncoder` — strings by a packed prefix of their bytes;
   order-preserving but *lossy*, which is fine for clustering because
   residual predicates are always re-checked on the stored tuple.
@@ -84,34 +82,6 @@ class DateEncoder(Encoder):
         return self.lo + _dt.timedelta(days=code)
 
 
-class DecimalEncoder(Encoder):
-    """Fixed-point decimals in ``[lo, hi]`` at ``scale`` digits (lossy).
-
-    ``encode`` rounds to the nearest code, so values closer together
-    than ``10**-scale`` share one: 0.054 at ``scale=2`` lands in the code
-    of 0.05 and would pass an encoded box whose upper bound is 0.05.
-    """
-
-    lossless = False
-
-    def __init__(self, lo: float, hi: float, scale: int = 2) -> None:
-        if lo > hi:
-            raise ValueError("empty decimal domain")
-        self.factor = 10**scale
-        self.lo_scaled = round(lo * self.factor)
-        self.hi_scaled = round(hi * self.factor)
-        self.bits = max(1, (self.hi_scaled - self.lo_scaled).bit_length())
-
-    def encode(self, value: Any) -> int:
-        scaled = round(float(value) * self.factor)
-        if not self.lo_scaled <= scaled <= self.hi_scaled:
-            raise ValueError(f"{value} outside encoded decimal domain")
-        return scaled - self.lo_scaled
-
-    def decode(self, code: int) -> float:
-        return (code + self.lo_scaled) / self.factor
-
-
 class StringEncoder(Encoder):
     """Strings by an order-preserving packed prefix (lossy)."""
 
@@ -164,12 +134,6 @@ class Schema:
 
     def attribute(self, name: str) -> Attribute:
         return self.attributes[self._index[name]]
-
-    def value(self, row: Sequence[Any], name: str) -> Any:
-        return row[self._index[name]]
-
-    def project(self, row: Sequence[Any], names: Sequence[str]) -> tuple[Any, ...]:
-        return tuple(row[self._index[name]] for name in names)
 
     def encode_point(self, row: Sequence[Any], dims: Sequence[str]) -> tuple[int, ...]:
         """The index point of a row for the given index attributes."""

@@ -306,10 +306,6 @@ class IOTTable(BaseTable):
         """Initial load: sort by key and pack leaves bottom-up (empty table)."""
         self.iot.bulk_load(list(rows), fill)
 
-    def scan(self, lo: tuple | None = None, hi: tuple | None = None) -> Iterator[Row]:
-        """Key-ordered scan, one random access per leaf."""
-        return self.iot.scan(lo, hi)
-
     def scan_leading(self, lo: Any = None, hi: Any = None) -> Iterator[Row]:
         """Scan restricted on the *leading* key attribute's value range."""
         low_key = None if lo is None else (lo,)

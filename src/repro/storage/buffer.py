@@ -375,12 +375,6 @@ class BufferPool:
     def quarantined_pages(self) -> frozenset[int]:
         return frozenset(self._quarantined)
 
-    def is_quarantined(self, page_id: int) -> bool:
-        return page_id in self._quarantined
-
-    def failure_count(self, page_id: int) -> int:
-        return self._failures.get(page_id, 0)
-
     def lift_quarantine(self, page_id: int) -> bool:
         """Re-admit a quarantined page after its primary has been repaired.
 
@@ -433,11 +427,6 @@ class BufferPool:
             self._note_write("_frames")
             for page_id in dropped:
                 self._notify_evicted(page_id)
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def _validate(self) -> None:
         if invariants.enabled():

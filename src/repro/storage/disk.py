@@ -106,10 +106,6 @@ class SimulatedDisk:
         """Release a page (temporary sort runs are freed after merging)."""
         self._pages.pop(page_id, None)
 
-    @property
-    def allocated_pages(self) -> int:
-        return len(self._pages)
-
     def page_exists(self, page_id: int) -> bool:
         return page_id in self._pages
 
@@ -276,10 +272,6 @@ class _DelegatingDisk(SimulatedDisk):
     def wal(self, value: "WriteAheadLog | None") -> None:
         self.inner.wal = value
 
-    @property
-    def allocated_pages(self) -> int:
-        return self.inner.allocated_pages
-
     def allocate(self, capacity: int) -> Page:
         return self.inner.allocate(capacity)
 
@@ -312,15 +304,6 @@ class _DelegatingDisk(SimulatedDisk):
         return self.inner.read(
             page_id, sequential=sequential, category=category, charge=charge
         )
-
-    def write(
-        self,
-        page: Page,
-        *,
-        sequential: bool = False,
-        category: str = "data",
-    ) -> None:
-        self.inner.write(page, sequential=sequential, category=category)
 
 
 def disk_layers(disk: SimulatedDisk) -> list[SimulatedDisk]:

@@ -43,9 +43,7 @@ Fault semantics
 from __future__ import annotations
 
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 from .disk import DiskParameters, SimulatedDisk, _DelegatingDisk
 from .errors import TransientIOError
@@ -223,15 +221,6 @@ class FaultyDisk(_DelegatingDisk):
         """Stop injecting faults; delegation becomes pure again."""
         self.armed = False
         _ARMED.discard(self)
-
-    @contextmanager
-    def injecting(self) -> Iterator["FaultyDisk"]:
-        """``with disk.injecting():`` — arm for the duration of a block."""
-        self.arm()
-        try:
-            yield self
-        finally:
-            self.disarm()
 
     # ------------------------------------------------------------------
     # faulted I/O

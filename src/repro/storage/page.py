@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import is_, is_not
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from .. import invariants
 
@@ -142,9 +142,6 @@ class Page:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self.records)
-
     @property
     def is_full(self) -> bool:
         return len(self.records) >= self.capacity
@@ -170,10 +167,6 @@ class Page:
                 f"({len(self.records)}/{self.capacity} used)"
             )
         self.records.extend(records)
-        self.version += 1
-
-    def clear(self) -> None:
-        self.records.clear()
         self.version += 1
 
     def restore(self, records: Iterable[Any], checksum: int | None = None) -> None:

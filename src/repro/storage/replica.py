@@ -30,7 +30,6 @@ empty.
 
 from __future__ import annotations
 
-from dataclasses import replace
 
 from .. import invariants
 from .disk import DiskParameters, SimulatedDisk, _DelegatingDisk
@@ -95,8 +94,6 @@ class ReplicatedDisk(_DelegatingDisk):
     # ------------------------------------------------------------------
     # capture and repair
     # ------------------------------------------------------------------
-    def replicated_page_ids(self) -> frozenset[int]:
-        return frozenset(self._replicas)
 
     def capture_all(self) -> int:
         """Snapshot every record-bearing page into the replica store.
@@ -153,16 +150,6 @@ class ReplicatedDisk(_DelegatingDisk):
             self._validate()
             return True
         return False
-
-    def corrupt_replica(self, page_id: int, slot: int = 0) -> None:
-        """Test hook: rot one replica copy (its checksum stops matching)."""
-        slots = self._replicas.get(page_id)
-        if slots is None or not 0 <= slot < len(slots):
-            raise KeyError(f"no replica slot {slot} for page {page_id}")
-        old = slots[slot]
-        slots[slot] = replace(
-            old, records=(*old.records, ("__replica_rot__", page_id, slot))
-        )
 
     def _validate(self) -> None:
         if invariants.enabled():

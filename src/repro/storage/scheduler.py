@@ -103,26 +103,6 @@ class IOScheduler:
             _ARMED.add(self)
 
     # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def device_of(self, page_id: int) -> int:
-        """The device queue a page is striped onto."""
-        return page_id % self.devices
-
-    def pending(self, page_id: int) -> float | None:
-        """Ready time of an in-flight async read, or ``None``."""
-        entry = self._inflight.get(page_id)
-        return entry[0] if entry is not None else None
-
-    @property
-    def inflight_count(self) -> int:
-        return len(self._inflight)
-
-    def queue_free_times(self) -> list[float]:
-        """Per-device drain times (absolute simulated seconds)."""
-        return list(self._free_at)
-
-    # ------------------------------------------------------------------
     # disk-stack delegation — the scheduler is a drop-in page source for
     # the shared retry loop (read through the queues, everything else
     # straight to the wrapped stack)
@@ -265,17 +245,3 @@ class IOScheduler:
                 return False
             self.disk.stats.prefetch.prefetch_wasted += 1
             return True
-
-    def cancel_all(self) -> int:
-        """Cancel every in-flight read (end of a scan, cache drop)."""
-        cancelled = 0
-        for page_id in list(self._inflight):
-            if self.cancel(page_id):
-                cancelled += 1
-        return cancelled
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<IOScheduler devices={self.devices} "
-            f"depth={self.prefetch_depth} inflight={len(self._inflight)}>"
-        )

@@ -172,31 +172,3 @@ class IOStats(Counters):
     @property
     def pages_written(self) -> int:
         return sum(c.pages_written for c in self.categories.values())
-
-    @property
-    def read_seeks(self) -> int:
-        return sum(c.read_seeks for c in self.categories.values())
-
-    @property
-    def write_seeks(self) -> int:
-        return sum(c.write_seeks for c in self.categories.values())
-
-    @property
-    def seeks(self) -> int:
-        return self.read_seeks + self.write_seeks
-
-    def summary(self) -> str:
-        """One-line human-readable summary, handy in benchmark output."""
-        parts = [f"time={self.time:.3f}s", f"read={self.pages_read}p/{self.read_seeks}seeks"]
-        if self.pages_written:
-            parts.append(f"write={self.pages_written}p/{self.write_seeks}seeks")
-        if self.faults.total_injected:
-            parts.append(
-                f"faults={self.faults.total_injected}/{self.faults.retries}retries"
-            )
-        if self.prefetch.prefetch_issued:
-            parts.append(
-                f"prefetch={self.prefetch.prefetch_hits}hit/"
-                f"{self.prefetch.prefetch_wasted}wasted"
-            )
-        return " ".join(parts)

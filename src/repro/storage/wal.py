@@ -329,10 +329,6 @@ class AppendOnlyLog:
         """Append attempts so far (the crash grid's schedule index space)."""
         return self._next_lsn
 
-    @property
-    def log_page_count(self) -> int:
-        return len(self._log_pages)
-
     # ------------------------------------------------------------------
     # fault administration (log-device fault plan, if any)
     # ------------------------------------------------------------------
@@ -492,11 +488,6 @@ class WriteAheadLog(AppendOnlyLog):
     def prepared_gids(self) -> tuple[str, ...]:
         """Global transaction ids of batches currently held in-doubt."""
         return tuple(self._prepared)
-
-    def detach(self) -> None:
-        """Unregister from the disk; engine code stops journaling."""
-        if getattr(self.disk, "wal", None) is self:
-            self.disk.wal = None
 
     # ------------------------------------------------------------------
     # the append path (force time is mirrored onto the data disk clock)

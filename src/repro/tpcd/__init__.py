@@ -5,19 +5,13 @@ from .datagen import (
     TPCDConfig,
     TPCDData,
     generate,
-    in_batches,
     shuffled,
-    stream_customers,
     stream_lineitems,
-    stream_orders,
 )
 from .queries import (
     Q3Params,
     Q4Params,
     Q6Params,
-    q3_lineitem_selectivity,
-    q4_order_selectivity,
-    q6_selectivity,
     reference_q3,
     reference_q4,
     reference_q6,
@@ -31,15 +25,9 @@ __all__ = [
     "TPCDConfig",
     "TPCDData",
     "generate",
-    "in_batches",
-    "q3_lineitem_selectivity",
-    "q4_order_selectivity",
-    "q6_selectivity",
     "reference_q3",
     "reference_q4",
     "reference_q6",
     "shuffled",
-    "stream_customers",
     "stream_lineitems",
-    "stream_orders",
 ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import datetime as dt
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .schema import (
     ANYDATE_HI,
@@ -164,7 +164,6 @@ def shuffled(rows: list[tuple], seed: int = 7) -> list[tuple]:
 # function of (seed, key): the SF 0.01 stream is a literal prefix of the
 # SF 1 stream, and any suffix can be regenerated without its past.
 
-_CUSTOMER_TAG = 0x1099
 _ORDER_TAG = 0x2099
 _LINEITEM_TAG = 0x3099
 
@@ -184,15 +183,6 @@ def _mix(*parts: int) -> int:
 
 def _entity_rng(config: TPCDConfig, tag: int, key: int) -> random.Random:
     return random.Random(_mix(config.seed, tag, key))
-
-
-def stream_customers(config: TPCDConfig | None = None) -> Iterator[tuple]:
-    """CUSTOMER rows one at a time, prefix-stable across scale factors."""
-    config = config or TPCDConfig()
-    for custkey in range(1, config.customer_count + 1):
-        rng = _entity_rng(config, _CUSTOMER_TAG, custkey)
-        segment = MKTSEGMENTS[rng.randrange(len(MKTSEGMENTS))]
-        yield (custkey, segment)
 
 
 def _correlated_orderdate(
@@ -234,13 +224,6 @@ def _order_row(config: TPCDConfig, orderkey: int) -> tuple:
     return (orderkey, custkey, orderdate, priority, 0)
 
 
-def stream_orders(config: TPCDConfig | None = None) -> Iterator[tuple]:
-    """ORDER rows one at a time, prefix-stable across scale factors."""
-    config = config or TPCDConfig()
-    for orderkey in range(1, config.order_count + 1):
-        yield _order_row(config, orderkey)
-
-
 def stream_lineitems(config: TPCDConfig | None = None) -> Iterator[tuple]:
     """LINEITEM rows one at a time, prefix-stable across scale factors.
 
@@ -278,23 +261,3 @@ def stream_lineitems(config: TPCDConfig | None = None) -> Iterator[tuple]:
                 quantity,
                 extendedprice,
             )
-
-
-def in_batches(
-    rows: Iterable[tuple], batch_size: int = 1024
-) -> Iterator[list[tuple]]:
-    """Group a row stream into lists of ``batch_size`` (last one short).
-
-    The loader-facing shape: each batch is materialized, handed over,
-    and dropped, so peak memory is one batch regardless of scale.
-    """
-    if batch_size < 1:
-        raise ValueError("batch size must be >= 1")
-    batch: list[tuple] = []
-    for row in rows:
-        batch.append(row)
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch

@@ -116,15 +116,6 @@ def reference_q3(data: TPCDData, params: Q3Params | None = None) -> list[tuple]:
     return rows
 
 
-def q3_lineitem_selectivity(data: TPCDData, params: Q3Params | None = None) -> float:
-    """Fraction of LINEITEM passing the SHIPDATE restriction (paper: 50 %)."""
-    params = params or Q3Params()
-    matching = sum(
-        1 for item in data.lineitems if item[L_SHIPDATE] > params.shipdate_after
-    )
-    return matching / len(data.lineitems)
-
-
 # ----------------------------------------------------------------------
 # Q4: order priority checking (restriction + EXISTS semijoin + grouping)
 # ----------------------------------------------------------------------
@@ -154,16 +145,6 @@ def reference_q4(data: TPCDData, params: Q4Params | None = None) -> list[tuple]:
         if order[O_ORDERKEY] in late_orders:
             counts[order[O_ORDERPRIORITY]] += 1
     return sorted(counts.items())
-
-
-def q4_order_selectivity(data: TPCDData, params: Q4Params | None = None) -> float:
-    params = params or Q4Params()
-    matching = sum(
-        1
-        for order in data.orders
-        if params.orderdate_from <= order[O_ORDERDATE] < params.orderdate_until
-    )
-    return matching / len(data.orders)
 
 
 # ----------------------------------------------------------------------
@@ -207,9 +188,3 @@ def reference_q6(data: TPCDData, params: Q6Params | None = None) -> int:
         for item in data.lineitems
         if q6_matches(item, params)
     )
-
-
-def q6_selectivity(data: TPCDData, params: Q6Params | None = None) -> float:
-    params = params or Q6Params()
-    matching = sum(1 for item in data.lineitems if q6_matches(item, params))
-    return matching / len(data.lineitems)

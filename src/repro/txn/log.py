@@ -147,12 +147,6 @@ class DecisionLog(AppendOnlyLog):
                 return str(record.records[0])
         return None
 
-    def participants_for(self, gid: str) -> tuple[str, ...]:
-        """The participant roster the prepare record froze for ``gid``."""
-        for record in self._records_for(gid, D_PREPARE):
-            return tuple(record.records or ())
-        return ()
-
     def acked(self, gid: str) -> bool:
         return bool(self._records_for(gid, D_ACK))
 

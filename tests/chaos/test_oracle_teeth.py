@@ -21,6 +21,8 @@ from repro.shard import CoPartitionedJoin, ShardCopy, ShardedDatabase
 from repro.storage.faults import armed_disk_count
 from repro.txn import TransactionCoordinator
 from repro.txn.coordinator import TxnRecoveryReport
+
+from oracles import checks
 from tools.chaos import ChaosViolation, run_schedule
 from tools.crashgrid import CrashGridViolation, run_crash_grid
 
@@ -58,7 +60,7 @@ class TestOracleTeeth:
         """Engine-side ``REPRO_CHECKS`` validators off: they would catch
         some of these sabotages first, and it is the harness's own
         oracle that has to bite."""
-        with invariants.checks(False):
+        with checks(False):
             yield
 
     def test_read_sweep_catches_a_dropped_row(self, monkeypatch):

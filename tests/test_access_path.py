@@ -25,7 +25,7 @@ from repro.planner.executor import (
     compile_residual,
 )
 from repro.relational import Attribute, Database, IntEncoder, Schema
-from repro.relational.schema import DecimalEncoder, StringEncoder
+from repro.relational.schema import StringEncoder
 from repro.tpcd import Q3Params, Q4Params, Q6Params, TPCDConfig, generate, plans
 from repro.tpcd.queries import (
     C_MKTSEGMENT,
@@ -38,6 +38,8 @@ from repro.tpcd.queries import (
     q6_matches,
 )
 from repro.tpcd.schema import ANYDATE_HI, LINEITEM_COLUMNS
+
+from oracles import DecimalEncoder
 
 BACKENDS = tuple(kernels.available_backends())
 MEMORY_PAGES = 8

@@ -4,8 +4,9 @@ The package defines five functions: one the entry script calls, one
 called only in a subprocess the script spawns, one called only on a
 thread the script starts, one nobody calls and an abstract stub.  The
 census must list exactly the uncalled one, and ``--check`` must fail
-when a new uncalled function appears and pass when a listed one is
-deleted.  The tool's paths and entry points are module constants;
+when a new uncalled function appears or a listed one gives no reason,
+and pass when a listed one is deleted.  Regenerating the file keeps the
+reason of every line that survives.  The tool's paths and entry points are module constants;
 the fixture points them at the package under ``tmp_path``.
 """
 
@@ -81,6 +82,15 @@ def listed(census):
     return [line for line in lines if not line.startswith("#")]
 
 
+def give_reasons(census, reason="debug"):
+    """Append ``  # reason`` to every listed line without one."""
+    lines = [
+        line if line.startswith("#") or " # " in line else f"{line}  # {reason}"
+        for line in census.read_text().splitlines()
+    ]
+    census.write_text("".join(f"{line}\n" for line in lines))
+
+
 def test_lists_exactly_the_uncalled_function(fixture):
     _, census = fixture
     assert main([]) == 0
@@ -90,11 +100,49 @@ def test_lists_exactly_the_uncalled_function(fixture):
 def test_check_fails_on_a_new_uncalled_function(fixture):
     funcs, census = fixture
     assert main([]) == 0
+    give_reasons(census)
     assert main(["--check"]) == 0
     funcs.write_text(FUNCS + "\n\ndef also_never_called():\n    return 5\n")
     assert main(["--check"]) == 1
     # --check never rewrites the file
+    assert listed(census) == ["censuspkg/funcs.py:never_called  # debug"]
+
+
+def test_check_accepts_a_tagged_line(fixture):
+    _, census = fixture
+    assert main([]) == 0
+    census.write_text(
+        census_tool.HEADER + "censuspkg/funcs.py:never_called  # test-oracle\n"
+    )
+    assert main(["--check"]) == 0
+
+
+def test_check_fails_on_a_line_without_a_reason(fixture, capsys):
+    _, census = fixture
+    assert main([]) == 0
     assert listed(census) == ["censuspkg/funcs.py:never_called"]
+    assert main(["--check"]) == 1
+    assert "give no reason" in capsys.readouterr().err
+
+
+def test_rewrite_keeps_the_reason_of_a_surviving_line(fixture):
+    funcs, census = fixture
+    funcs.write_text(FUNCS + "\n\ndef also_never_called():\n    return 5\n")
+    assert main([]) == 0
+    census.write_text(
+        census_tool.HEADER
+        + "censuspkg/funcs.py:also_never_called  # item 7\n"
+        + "censuspkg/funcs.py:never_called  # debug\n"
+    )
+    funcs.write_text(FUNCS)  # also_never_called is deleted
+    assert main([]) == 0
+    assert listed(census) == ["censuspkg/funcs.py:never_called  # debug"]
+    funcs.write_text(FUNCS + "\n\ndef late():\n    return 6\n")
+    assert main([]) == 0
+    assert listed(census) == [
+        "censuspkg/funcs.py:late",
+        "censuspkg/funcs.py:never_called  # debug",
+    ]
 
 
 def test_check_passes_when_a_listed_function_is_deleted(fixture):

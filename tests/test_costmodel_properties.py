@@ -11,7 +11,6 @@ from repro.costmodel import (
     c_fts,
     c_fts_sort,
     c_iot,
-    c_scan,
     c_sort,
     c_tetris,
     l_splits,
@@ -21,6 +20,8 @@ from repro.costmodel import (
     tetris_cache_pages,
     tetris_regions,
 )
+
+from oracles import c_scan
 
 pages_strategy = st.integers(16, 2_000_000)
 dims_strategy = st.integers(1, 5)

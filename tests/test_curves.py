@@ -178,7 +178,7 @@ def test_monotonicity_property(curve_point, data):
 def brute_next_in_box(curve, address, lo, hi):
     best = None
     for candidate in range(address, curve.address_max + 1):
-        if curve.point_in_box(curve.decode(candidate), lo, hi):
+        if all(l <= x <= h for x, l, h in zip(curve.decode(candidate), lo, hi)):
             best = candidate
             break
     return best

@@ -11,17 +11,44 @@ from itertools import islice
 
 import pytest
 
-from repro.tpcd import (
-    TPCDConfig,
-    in_batches,
-    stream_customers,
-    stream_lineitems,
-    stream_orders,
-)
-from repro.tpcd.schema import ANYDATE_HI, ORDERDATE_LO
+from repro.tpcd import TPCDConfig, datagen, stream_lineitems
+from repro.tpcd.schema import ANYDATE_HI, MKTSEGMENTS, ORDERDATE_LO
 
 SMALL = TPCDConfig(scale_factor=0.01)
 LARGE = TPCDConfig(scale_factor=0.5)
+
+# The engine streams LINEITEM only (sharded loads); the order and
+# customer streams below are built the same way from its per-entity
+# RNG, so they hold that derivation to the same contract.
+CUSTOMER_TAG = 0x1099
+
+
+def stream_customers(config):
+    """CUSTOMER rows one at a time, prefix-stable across scale factors."""
+    for custkey in range(1, config.customer_count + 1):
+        rng = datagen._entity_rng(config, CUSTOMER_TAG, custkey)
+        yield (custkey, MKTSEGMENTS[rng.randrange(len(MKTSEGMENTS))])
+
+
+def stream_orders(config):
+    """ORDER rows one at a time: the rows ``stream_lineitems`` derives
+    its dates from."""
+    for orderkey in range(1, config.order_count + 1):
+        yield datagen._order_row(config, orderkey)
+
+
+def in_batches(rows, batch_size):
+    """Group a row stream into lists of ``batch_size`` (last one short)."""
+    if batch_size < 1:
+        raise ValueError("batch size must be >= 1")
+    batch = []
+    for row in rows:
+        batch.append(row)
+        if len(batch) >= batch_size:
+            yield batch
+            batch = []
+    if batch:
+        yield batch
 
 
 class TestDeterminism:

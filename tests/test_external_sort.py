@@ -46,6 +46,8 @@ from repro.storage import (
 from repro.storage.faults import CORRUPT
 from repro.storage.retry import DEFAULT_RETRY_POLICY, RetryPolicy, read_page_resilient
 
+from oracles import allocated_pages, checks, injecting
+
 BACKENDS = kernels.available_backends()
 
 
@@ -244,7 +246,7 @@ def observe(sort_class: type, case: Case) -> dict:
     rows: list[Row] = []
     clocks: list[float] = []
     error = None
-    with kernels.use_backend(case.backend), disk.injecting():
+    with kernels.use_backend(case.backend), injecting(disk):
         try:
             for row in sort:
                 rows.append(row)
@@ -262,7 +264,7 @@ def observe(sort_class: type, case: Case) -> dict:
         "end": disk.clock,
         # the reference leaks the runs of a sort that fails before its
         # final merge (tested below); the two agree on every finished one
-        "allocated": None if error else disk.allocated_pages,
+        "allocated": None if error else allocated_pages(disk),
         "live": None if error else sort._live_temp_pages,
     }
 
@@ -406,7 +408,7 @@ def test_ties_broken_by_key_alone_fail(monkeypatch):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_checks_catch_a_tie_out_of_run_order(monkeypatch, backend):
     _ties_by_key_alone(monkeypatch)
-    with invariants.checks(), pytest.raises(InvariantViolation, match="ties key"):
+    with checks(), pytest.raises(InvariantViolation, match="ties key"):
         observe(ExternalMergeSort, replace(TIES[0], backend=backend))
 
 
@@ -420,7 +422,7 @@ def test_checks_catch_a_stored_key_that_is_not_its_rows_key(monkeypatch, backend
 
     monkeypatch.setattr(ExternalMergeSort, "_spool", rotated)
     case = Case("int", tuple(range(60)), backend=backend)
-    with invariants.checks(), pytest.raises(InvariantViolation, match="stored"):
+    with checks(), pytest.raises(InvariantViolation, match="stored"):
         observe(ExternalMergeSort, case)
 
 
@@ -430,7 +432,7 @@ def case_id(case: Case) -> str:
 
 @pytest.mark.parametrize("case", TIES + PAIRS, ids=case_id)
 def test_checks_pass_on_an_honest_merge(case):
-    with invariants.checks():
+    with checks():
         assert_sorts_agree(case)
 
 
@@ -449,11 +451,11 @@ class TestAFailedSortFreesItsRuns:
         sort = ExternalMergeSort(
             rows(), key=itemgetter(0), disk=disk, memory_pages=2, page_capacity=4
         )
-        before = disk.allocated_pages
+        before = allocated_pages(disk)
         with pytest.raises(RuntimeError, match="after row 150"):
             list(sort)
         assert sort.stats.runs_created == 18
-        assert disk.allocated_pages == before
+        assert allocated_pages(disk) == before
         assert sort._live_temp_pages == 0
 
     def test_a_corrupt_temp_page_in_an_intermediate_pass(self):
@@ -464,11 +466,11 @@ class TestAFailedSortFreesItsRuns:
         sort = ExternalMergeSort(
             rows, key=itemgetter(0), disk=disk, memory_pages=1, page_capacity=4
         )
-        before = disk.allocated_pages
-        with disk.injecting(), pytest.raises(CorruptPageError):
+        before = allocated_pages(disk)
+        with injecting(disk), pytest.raises(CorruptPageError):
             list(sort)
         assert sort.stats.runs_created == 25 and sort.stats.merge_passes == 1
-        assert disk.allocated_pages == before
+        assert allocated_pages(disk) == before
         assert sort._live_temp_pages == 0
 
     def test_an_abandoned_stream(self):
@@ -480,5 +482,5 @@ class TestAFailedSortFreesItsRuns:
         stream = iter(sort)
         assert next(stream) == (0, 0)
         stream.close()
-        assert disk.allocated_pages == 0
+        assert allocated_pages(disk) == 0
         assert sort._live_temp_pages == 0

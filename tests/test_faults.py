@@ -24,6 +24,8 @@ from repro.storage import (
     read_page_resilient,
 )
 from repro.storage.faults import CORRUPT, LATENCY, TORN, TRANSIENT
+
+from oracles import injecting, set_enabled
 from tools.chaos import build_world
 
 
@@ -167,7 +169,7 @@ class TestFaultyDisk:
 
     def test_injecting_context_manager(self):
         disk = make_disk(FaultPlan(seed=0, transient_rate=1.0))
-        with disk.injecting():
+        with injecting(disk):
             assert disk.armed
             with pytest.raises(TransientIOError):
                 disk.read(0)
@@ -285,7 +287,7 @@ class TestBufferQuarantine:
         for _ in range(2):
             with pytest.raises(TransientIOError):
                 pool.get(0)
-        assert pool.is_quarantined(0)
+        assert 0 in pool._quarantined
         with pytest.raises(QuarantinedPageError):
             pool.get(0)  # no disk touch
         assert pool.rejected == 1
@@ -298,7 +300,7 @@ class TestBufferQuarantine:
         )
         with pytest.raises(CorruptPageError):
             pool.get(1)
-        assert pool.is_quarantined(1)
+        assert 1 in pool._quarantined
         assert 1 not in pool
         with pytest.raises(QuarantinedPageError):
             pool.get(1)
@@ -418,7 +420,7 @@ class TestBenchmarkGuard:
 
         bench_dir = str(Path(__file__).resolve().parent.parent / "benchmarks")
         was_enabled = invariants.enabled()
-        invariants.set_enabled(False)  # _support refuses import otherwise
+        set_enabled(False)  # _support refuses import otherwise
         sys.path.insert(0, bench_dir)
         disk = FaultyDisk(plan=FaultPlan(transient_rate=0.1))
         try:
@@ -434,4 +436,4 @@ class TestBenchmarkGuard:
         finally:
             disk.disarm()
             sys.path.remove(bench_dir)
-            invariants.set_enabled(was_enabled)
+            set_enabled(was_enabled)

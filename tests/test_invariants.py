@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro import invariants, kernels
-from repro.core import QueryBox, UBTree, ZSpace
+from repro.core import QueryBox, UBTree, ZSpace, curves
 from repro.core.tetris import TetrisScan
 from repro.invariants import (
     FetchOnceChecker,
@@ -26,15 +26,17 @@ from repro.invariants import (
 )
 from repro.storage import BufferPool, IOScheduler, SimulatedDisk, SweepPrefetcher
 
+from oracles import checks, leaves, set_enabled
+
 BITS = (4, 4)
 
 
 @pytest.fixture(autouse=True)
 def checks_off_between_tests():
     """Each test opts in explicitly; never leak the flag across tests."""
-    previous = invariants.set_enabled(False)
+    previous = set_enabled(False)
     yield
-    invariants.set_enabled(previous)
+    set_enabled(previous)
 
 
 def make_ubtree(count=80, page_capacity=4, seed=7, *, prefetch_depth=0):
@@ -54,7 +56,7 @@ def make_ubtree(count=80, page_capacity=4, seed=7, *, prefetch_depth=0):
 
 
 def leaf_pages(ubtree):
-    return list(ubtree.tree.iterate_leaves(charge=False))
+    return list(leaves(ubtree.tree))
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +194,7 @@ class TestBufferAccounting:
         first = leaf_pages(ubtree)[0].page_id
         pool.drop_all()
         pool.misses -= 1  # corrupt: one historical miss vanishes
-        with invariants.checks():
+        with checks():
             with pytest.raises(InvariantViolation):
                 pool.get(first)
 
@@ -230,9 +232,74 @@ class TestStreamChecker:
         ubtree, _ = make_ubtree()
         box = QueryBox((2, 1), (13, 12))
         expected = list(TetrisScan(ubtree, box, 0))
-        with invariants.checks():
+        with checks():
             observed = list(TetrisScan(ubtree, box, 0))
         assert observed == expected
+
+
+# ----------------------------------------------------------------------
+# slice keys against the paper's T_j formula
+# ----------------------------------------------------------------------
+class TestSliceOracle:
+    """``SliceChecker`` recomputes every slice key as ``T_j(x)`` from the
+    point, without the bit schedule the sweep runs on.  A schedule that
+    breaks ties in another (still monotone) order than ``Z_rest`` keeps
+    every stream contract — sorted on the sort attribute, inside the
+    space, keys ascending — so only the formula can tell."""
+
+    BITS = (3, 3, 3)
+    BOX = QueryBox((1, 0, 2), (6, 7, 7))
+
+    @staticmethod
+    def swap_tie_break(monkeypatch):
+        """Swap the first two non-sort bits of every Tetris schedule; they
+        belong to different dimensions, so each stays monotone."""
+        original = curves.tetris_schedule
+
+        def sabotaged(bit_lengths, sort_dims):
+            schedule = list(original(bit_lengths, sort_dims))
+            leading = {sort_dims} if isinstance(sort_dims, int) else set(sort_dims)
+            head = sum(bit_lengths[dim] for dim in leading)
+            assert schedule[head][0] != schedule[head + 1][0]
+            schedule[head], schedule[head + 1] = schedule[head + 1], schedule[head]
+            return tuple(schedule)
+
+        monkeypatch.setattr(curves, "tetris_schedule", sabotaged)
+
+    def make_tree(self):
+        pool = BufferPool(SimulatedDisk(), capacity=256)
+        ubtree = UBTree(pool, ZSpace(self.BITS), page_capacity=4)
+        rng = random.Random(11)
+        rows = [
+            (tuple(rng.randrange(1 << b) for b in self.BITS), index)
+            for index in range(240)
+        ]
+        ubtree.bulk_load(rows)
+        return ubtree
+
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    def test_swapped_tie_break_bits_are_caught(self, backend, monkeypatch):
+        paper = curves.Curve.tetris_curve(self.BITS, 0)
+        self.swap_tie_break(monkeypatch)
+        with kernels.use_backend(backend):
+            ubtree = self.make_tree()
+            rows = list(TetrisScan(ubtree, self.BOX, 0))
+            # the sabotage moved ties, and the stream contract misses it
+            points = [point for point, _ in rows]
+            assert points != sorted(points, key=paper.encode)
+            checker = StreamChecker((0,), self.BOX)
+            for point in points:
+                checker.observe(point)
+            with checks():
+                with pytest.raises(InvariantViolation, match="T_j formula"):
+                    list(TetrisScan(ubtree, self.BOX, 0))
+
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    def test_paper_schedule_passes(self, backend):
+        with kernels.use_backend(backend), checks():
+            ubtree = self.make_tree()
+            for sort_dims in ((0,), (2,), (1, 0), (0, 1, 2)):
+                list(TetrisScan(ubtree, self.BOX, sort_dims))
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +344,7 @@ class TestFetchOnce:
         expected = list(TetrisScan(ubtree, box, 0))
         assert pool.disk.stats.prefetch.prefetch_hits > 0  # read-ahead is live
         pool.drop_all()
-        with invariants.checks():
+        with checks():
             assert list(TetrisScan(ubtree, box, 0)) == expected
             pool.drop_all()
             scan = iter(TetrisScan(ubtree, box, 0))
@@ -321,7 +388,7 @@ class TestKernelParity:
             z_address, (point, payload) = leaf.records[0]
             other = tuple((c + 1) % (1 << b) for c, b in zip(point, BITS))
             leaf.records[0] = (z_address, (other, payload))  # no bump!
-            with invariants.checks():
+            with checks():
                 with pytest.raises(InvariantViolation, match="diverge"):
                     list(TetrisScan(ubtree, box, 0))
 
@@ -334,7 +401,7 @@ class TestKernelParity:
             z_address, (point, payload) = leaf.records[0]
             leaf.records[0] = (z_address, (point, "renamed"))
             leaf.version += 1  # honest mutation: cache invalidated
-            with invariants.checks():
+            with checks():
                 list(TetrisScan(ubtree, box, 0))
 
 
@@ -346,7 +413,7 @@ class TestRegionSchedule:
 
     def test_honest_schedule_passes(self):
         ubtree, _ = make_ubtree()
-        with invariants.checks():
+        with checks():
             assert list(TetrisScan(ubtree, self.BOX, 0))
 
     def test_sabotaged_directory_entry_fires(self):
@@ -358,7 +425,7 @@ class TestRegionSchedule:
         ubtree._directory = None  # a fresh snapshot no backend has seen yet
         directory = ubtree.region_directory()
         directory.page_ids[directory.firsts.index(region.first)] += 1000
-        with invariants.checks():
+        with checks():
             with pytest.raises(InvariantViolation, match="did not advance the epoch"):
                 list(TetrisScan(ubtree, self.BOX, 0))
         # checks off: the descent wins and the hint is rebuilt, silently
@@ -380,7 +447,7 @@ class TestRegionSchedule:
             rows = slice(arrays.offsets[victim], arrays.offsets[victim + 1])
             # every box of one examined region moves out of the query box
             arrays.los[rows] = arrays.his[rows] = 15
-            with invariants.checks():
+            with checks():
                 with pytest.raises(InvariantViolation, match="BIGMIN walk continues"):
                     list(TetrisScan(ubtree, self.BOX, 0))
 
@@ -396,7 +463,7 @@ class TestRegionSchedule:
             return rows
 
         monkeypatch.setattr(backend, "schedule_regions", off_by_one)
-        with invariants.checks():
+        with checks():
             with pytest.raises(InvariantViolation, match="scalar region_min_keys"):
                 list(TetrisScan(ubtree, self.BOX, 0))
 
@@ -412,8 +479,8 @@ class TestRegionSchedule:
             return rows
 
         monkeypatch.setattr(backend, "schedule_regions", pruned)
-        with invariants.checks():
-            with pytest.raises(InvariantViolation, match="ZRegion.intersects"):
+        with checks():
+            with pytest.raises(InvariantViolation, match="ZRegion.classify"):
                 list(TetrisScan(ubtree, self.BOX, 0))
 
 
@@ -432,15 +499,15 @@ class TestGate:
 
     def test_checks_context_manager_restores(self):
         assert not invariants.enabled()
-        with invariants.checks():
+        with checks():
             assert invariants.enabled()
-            with invariants.checks(False):
+            with checks(False):
                 assert not invariants.enabled()
             assert invariants.enabled()
         assert not invariants.enabled()
 
     def test_engine_mutations_validate_under_checks(self):
-        with invariants.checks():
+        with checks():
             ubtree, _ = make_ubtree(count=40)  # bulk_load validates
             ubtree.insert((3, 9), "late")
             assert ubtree.delete((3, 9), "late")

@@ -23,10 +23,11 @@ from repro.core.query_space import (
     ComparisonSpace,
     IntersectionSpace,
     IntervalUnionSpace,
-    PredicateSpace,
 )
 from repro.core.region import RegionDirectory
 from repro.storage import BufferPool, SimulatedDisk
+
+from oracles import PredicateSpace
 
 HAVE_NUMPY = "numpy" in kernels.available_backends()
 needs_numpy = pytest.mark.skipif(

@@ -26,6 +26,8 @@ from repro.relational.operators import (
 )
 from repro.storage import DiskParameters, SimulatedDisk
 
+from oracles import allocated_pages
+
 
 # ----------------------------------------------------------------------
 # plumbing
@@ -128,7 +130,7 @@ class TestExternalMergeSort:
         sort = ExternalMergeSort(
             rows, key=lambda r: r[0], disk=disk, memory_pages=1, page_capacity=4
         )
-        allocated_before = disk.allocated_pages
+        allocated_before = allocated_pages(disk)
         list(sort)
         # all temp pages are dropped again (only extent remainders differ)
         assert sort._live_temp_pages == 0

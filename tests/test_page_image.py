@@ -24,8 +24,7 @@ from repro.relational import Database
 from repro.storage import Page, PageImage
 from repro.storage.wal import IMAGE, UNDO
 
-#: payloads that are ``==`` but serialise differently: position- or
-#: equality-based reuse gives them each other's digest
+from oracles import checks
 PAYLOADS = st.sampled_from([1, 1.0, True, "1", (1,), None])
 
 STEPS = st.lists(
@@ -112,14 +111,14 @@ class TestChecksCompareEveryIncrementalBuild:
 
     def test_a_lying_hint_is_caught_at_build_time(self):
         records, hint = self.rotten_hint()
-        with invariants.checks(True), pytest.raises(InvariantViolation):
+        with checks(True), pytest.raises(InvariantViolation):
             PageImage.of([*records, (9, "new")], hint)
 
     def test_and_only_there(self):
         """Checks off, the builder trusts its hint — which is why replica
         verification never does (``intact`` recomputes from content)."""
         records, hint = self.rotten_hint()
-        with invariants.checks(False):
+        with checks(False):
             image = PageImage.of([*records, (9, "new")], hint)
         assert not image.intact
 
@@ -141,7 +140,7 @@ class TestOneImagePerJournaledInsert:
     @pytest.fixture(autouse=True)
     def checks_off(self):
         """``REPRO_CHECKS`` serialises every record again to compare."""
-        with invariants.checks(False):
+        with checks(False):
             yield
 
     @pytest.fixture

@@ -38,6 +38,7 @@ from repro.relational import Attribute, Database, IntEncoder, Schema
 from repro.storage import BufferPool, SimulatedDisk
 from repro.storage.faults import FaultPlan, FaultyDisk
 
+from oracles import checks, injecting, leaves
 pytestmark = pytest.mark.skipif(
     "numpy" not in kernels.available_backends(),
     reason="the page-key memo belongs to the NumPy backend",
@@ -48,7 +49,6 @@ if "numpy" in kernels.available_backends():
 
     from repro.kernels.numpy_backend import (
         NumPyBackend,
-        _PagePoints,
         _PageView,
         _page_matrix,
     )
@@ -73,7 +73,6 @@ def uncached(curve, space, page, base):
         numpy_backend._tables_for(curve),
         space,
         _page_matrix(records),
-        _PagePoints(records),
     )
     if keyed is None:
         return 0, [], [], []
@@ -209,7 +208,7 @@ def run_program(program):
             kept = rng.sample(page.records, rng.randrange(len(page.records) + 1))
             page.restore(sorted(kept))
         else:
-            with faulty.injecting():
+            with injecting(faulty):
                 faulty.write(page)  # acknowledged, but only half the records stay
 
 
@@ -284,7 +283,7 @@ def test_leaf_splits_rekey_the_split_leaves(seed, sort_dims):
     )
 
     def check_every_leaf():
-        for leaf in ubtree.tree.iterate_leaves(charge=False):
+        for leaf in leaves(ubtree.tree):
             base = rng.randrange(1000)
             assert cached(curve, space, leaf, base) == uncached(
                 curve, space, leaf, base
@@ -292,12 +291,12 @@ def test_leaf_splits_rekey_the_split_leaves(seed, sort_dims):
 
     insert(40, 0)
     check_every_leaf()  # every leaf now has a view in this order
-    leaves_before = len(list(ubtree.tree.iterate_leaves(charge=False)))
+    leaves_before = len(list(leaves(ubtree.tree)))
     insert(40, 100)
-    assert len(list(ubtree.tree.iterate_leaves(charge=False))) > leaves_before
+    assert len(list(leaves(ubtree.tree))) > leaves_before
     check_every_leaf()
     # end to end: the sweep's own check agrees on every page
-    with invariants.checks(), kernels.use_backend("numpy"):
+    with checks(), kernels.use_backend("numpy"):
         stream = list(TetrisScan(ubtree, space, sort_dims))
     with kernels.use_backend("python"):
         assert stream == list(TetrisScan(ubtree, space, sort_dims))
@@ -341,14 +340,14 @@ def test_the_sweep_catches_a_stale_memo_at_the_mutated_page(monkeypatch):
     box = QueryBox((0, 0), (15, 15))
     with kernels.use_backend("numpy"):
         list(TetrisScan(ubtree, box, 0))  # warm every leaf's view
-        leaf = next(p for p in ubtree.tree.iterate_leaves(charge=False) if p.records)
+        leaf = next(p for p in leaves(ubtree.tree) if p.records)
         # a mutation that bumps the version: same count and selection,
         # one new point, so only the run's keys can tell
         z_address, (point, payload) = leaf.records[0]
         moved = ((point[0] + 1) % 16, point[1])
         leaf.restore([(z_address, (moved, payload)), *leaf.records[1:]])
         stale_views(monkeypatch)
-        with invariants.checks():
+        with checks():
             with pytest.raises(
                 InvariantViolation,
                 match=rf"diverges from the uncached scan_page on page {leaf.page_id} "
@@ -356,7 +355,7 @@ def test_the_sweep_catches_a_stale_memo_at_the_mutated_page(monkeypatch):
             ):
                 list(TetrisScan(ubtree, box, 0))
         monkeypatch.undo()
-        with invariants.checks():
+        with checks():
             list(TetrisScan(ubtree, box, 0))  # the honest memo re-keys it
 
 

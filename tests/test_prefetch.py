@@ -143,7 +143,7 @@ class TestSweepEviction:
         pool.get(ids[4])  # forces an eviction; LRU victim is the oldest
         assert ids[0] not in pool  # the unclaimed prefetch was thrown away
         assert pool.prefetch_cancelled == 1
-        assert scheduler.stats.prefetch.prefetch_wasted == 1
+        assert scheduler.disk.stats.prefetch.prefetch_wasted == 1
 
     @pytest.mark.parametrize("seed", PINNED_SEEDS)
     def test_sweep_policy_never_evicts_ahead_of_plane(self, seed):
@@ -160,8 +160,8 @@ class TestSweepEviction:
         # the spared prefetches are then claimed as hits, not wasted
         pool.get(ids[0])
         pool.get(ids[1])
-        assert scheduler.stats.prefetch.prefetch_hits == 2
-        assert scheduler.stats.prefetch.prefetch_wasted == 0
+        assert scheduler.disk.stats.prefetch.prefetch_hits == 2
+        assert scheduler.disk.stats.prefetch.prefetch_wasted == 0
 
     def test_sweep_policy_degenerates_to_lru_without_pending(self):
         pool, _, ids = make_pool()
@@ -221,8 +221,8 @@ class TestSweepPrefetcher:
         prefetcher.close()
         assert pool.eviction_policy is None
         assert pool.prefetch_pending == frozenset()
-        assert scheduler.inflight_count == 0
-        assert scheduler.stats.prefetch.prefetch_wasted == 2
+        assert len(scheduler._inflight) == 0
+        assert scheduler.disk.stats.prefetch.prefetch_wasted == 2
         prefetcher.close()  # idempotent
 
     def test_close_keeps_a_caller_installed_policy(self):
@@ -253,7 +253,7 @@ class TestEndToEndIdentity:
         assert prefetch.prefetch_issued > 0
         # the ledger after a drained sweep: every issue was claimed as a
         # hit or cancelled as wasted, nothing is left in flight
-        assert db_pf.scheduler.inflight_count == 0
+        assert len(db_pf.scheduler._inflight) == 0
         assert prefetch.prefetch_issued == (
             prefetch.prefetch_hits + prefetch.prefetch_wasted
         )
@@ -282,6 +282,6 @@ class TestEndToEndIdentity:
         for _ in range(5):
             next(scan)
         scan.close()
-        assert db.scheduler.inflight_count == 0
+        assert len(db.scheduler._inflight) == 0
         assert db.buffer.prefetch_pending == frozenset()
         invariants.validate_buffer_pool(db.buffer)

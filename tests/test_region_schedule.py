@@ -28,7 +28,6 @@ from repro.core.query_space import (
     ComparisonSpace,
     IntersectionSpace,
     IntervalUnionSpace,
-    PredicateSpace,
 )
 from repro.relational.schema import Attribute, IntEncoder, Schema
 from repro.relational.table import Database
@@ -42,6 +41,8 @@ from repro.storage import (
     StorageError,
 )
 from repro.txn import TransactionCoordinator
+
+from oracles import PredicateSpace, checks, insert_all
 
 ALL = 1 << 30
 BACKENDS = kernels.available_backends()
@@ -89,7 +90,7 @@ def assert_matches_scalar_walk(tree, space=None, pushdown=None, sort_dim=0):
         space = QueryBox(*tree.space.universe_box())
     sort_curve = tree.space.tetris((sort_dim,))
     expected = list(scalar_schedule(tree, space, pushdown, sort_curve))
-    with invariants.checks():
+    with checks():
         assert list(tree.scheduled_regions(space, pushdown, sort_curve)) == expected
     directory = tree.region_directory()
     assert [directory.region(i) for i in range(len(directory))] == list(
@@ -177,7 +178,7 @@ def build_world(case):
     if case["bulk"]:
         tree.bulk_load(rows)
     else:
-        tree.load(rows)
+        insert_all(tree, rows)
     pool.drop_all()
     return tree, pool, disk
 
@@ -254,7 +255,7 @@ def test_restricted_scan_schedules_in_one_kernel_call(monkeypatch):
         raise AssertionError("scalar per-region primitive on the batched path")
 
     calls = {"schedule": 0, "descents": 0}
-    with kernels.use_backend("numpy") as backend, invariants.checks(False):
+    with kernels.use_backend("numpy") as backend, checks(False):
         tree.region_directory()
         backend._directory_arrays(tree.region_directory())  # built outside the guard
         monkeypatch.setattr(Curve, "next_in_box", forbidden)
@@ -293,7 +294,7 @@ def grown_tree(count=120, capacity=4, seed=5, bulk=False):
     rows = [
         (tuple(rng.randrange(1 << b) for b in BITS), index) for index in range(count)
     ]
-    tree.bulk_load(rows) if bulk else tree.load(rows)
+    tree.bulk_load(rows) if bulk else insert_all(tree, rows)
     return tree
 
 
@@ -371,7 +372,7 @@ class TestDirectoryFollowsTheTree:
         split_some_leaf(tree, seed=1)
         assert tree.region_directory() is stale  # the epoch did not notice
         sort_curve = tree.space.tetris((1,))
-        with kernels.use_backend(backend), invariants.checks(False):
+        with kernels.use_backend(backend), checks(False):
             expected = list(scalar_schedule(tree, FULL, None, sort_curve))
             assert list(tree.scheduled_regions(FULL, None, sort_curve)) == expected
             assert tree.region_directory() is not stale
@@ -515,7 +516,7 @@ def test_concurrent_first_touch_builds_valid_directories(backend):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with kernels.use_backend(backend), invariants.checks():
+        with kernels.use_backend(backend), checks():
             threads = [threading.Thread(target=first_touch) for _ in range(workers)]
             for thread in threads:
                 thread.start()

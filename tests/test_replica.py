@@ -24,6 +24,8 @@ from repro.storage import (
     SimulatedDisk,
     read_page_resilient,
 )
+
+from oracles import corrupt_replica, set_enabled
 from tools.chaos import run_schedule
 
 
@@ -84,7 +86,7 @@ class TestMirroring:
 
     def test_write_mirrors_record_pages(self):
         disk = make_replicated(copies=3, pages=2)
-        assert disk.replicated_page_ids() == {0, 1}
+        assert frozenset(disk._replicas) == {0, 1}
         assert disk.stats.faults.replica_writes == 6
         assert disk.stats.faults.replica_delay == pytest.approx(
             2 * 3 * disk.params.t_tau
@@ -95,23 +97,24 @@ class TestMirroring:
         inner_node = disk.allocate(0)
         inner_node.payload = object()
         disk.write(inner_node)
-        assert disk.replicated_page_ids() == frozenset()
+        assert frozenset(disk._replicas) == frozenset()
 
     def test_empty_write_drops_the_stale_slots(self):
         """An acknowledged write that emptied the page must not leave the
         old records behind for a later repair to resurrect."""
         disk = make_replicated(pages=1)
         page = disk.peek(0)
-        page.clear()
+        page.records.clear()
+        page.version += 1
         disk.write(page)
-        assert disk.replicated_page_ids() == frozenset()
+        assert frozenset(disk._replicas) == frozenset()
         assert not disk.repair_page(0)
         assert page.records == []
 
     def test_free_drops_the_replica_slot(self):
         disk = make_replicated(pages=1)
         disk.free(0)
-        assert disk.replicated_page_ids() == frozenset()
+        assert frozenset(disk._replicas) == frozenset()
 
     def test_shares_inner_clock_and_stats(self):
         inner = SimulatedDisk()
@@ -126,7 +129,7 @@ class TestMirroring:
         disk = ReplicatedDisk(inner, copies=2)
         before = disk.clock
         assert disk.capture_all() == 1
-        assert disk.replicated_page_ids() == {page.page_id}
+        assert frozenset(disk._replicas) == {page.page_id}
         assert disk.clock > before
 
 
@@ -150,15 +153,15 @@ class TestRepair:
 
     def test_repair_skips_rotten_slots(self):
         disk = make_replicated(copies=2)
-        disk.corrupt_replica(0, slot=0)
+        corrupt_replica(disk, 0, slot=0)
         corrupt(disk.peek(0))
         assert disk.repair_page(0)
         assert disk.stats.faults.repair_reads == 2  # slot 0 inspected, rejected
 
     def test_repair_fails_when_every_copy_rotted(self):
         disk = make_replicated(copies=2)
-        disk.corrupt_replica(0, slot=0)
-        disk.corrupt_replica(0, slot=1)
+        corrupt_replica(disk, 0, slot=0)
+        corrupt_replica(disk, 0, slot=1)
         corrupt(disk.peek(0))
         assert not disk.repair_page(0)
         assert disk.stats.faults.repaired_pages == 0
@@ -178,9 +181,9 @@ class TestRepair:
     def test_corrupt_replica_validates_slot(self):
         disk = make_replicated()
         with pytest.raises(KeyError):
-            disk.corrupt_replica(0, slot=9)
+            corrupt_replica(disk, 0, slot=9)
         with pytest.raises(KeyError):
-            disk.corrupt_replica(999)
+            corrupt_replica(disk, 999)
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +200,7 @@ class TestResilientReadRepair:
 
     def test_unrepairable_corruption_still_raises(self):
         disk = make_replicated(copies=1)
-        disk.corrupt_replica(1, slot=0)
+        corrupt_replica(disk, 1, slot=0)
         corrupt(disk.peek(1))
         with pytest.raises(CorruptPageError):
             read_page_resilient(disk, 1, policy=NO_RETRY)
@@ -213,17 +216,17 @@ class TestQuarantineLift:
         corrupt(disk.peek(0))
         page = pool.get(0)
         assert page.verify_checksum()
-        assert not pool.is_quarantined(0)
+        assert 0 not in pool._quarantined
         assert disk.stats.faults.quarantined_pages == 0
 
     def test_quarantine_lifts_once_replicas_recover(self):
         disk = make_replicated(copies=1)
         pool = BufferPool(disk, 8, quarantine_threshold=2)
-        disk.corrupt_replica(0, slot=0)
+        corrupt_replica(disk, 0, slot=0)
         corrupt(disk.peek(0))
         with pytest.raises(CorruptPageError):
             pool.get(0)  # repair fails (rotten replica): quarantined
-        assert pool.is_quarantined(0)
+        assert 0 in pool._quarantined
         with pytest.raises(QuarantinedPageError):
             pool.get(0)
         # the mirror device comes back (fresh, intact copy): the next
@@ -232,20 +235,20 @@ class TestQuarantineLift:
         disk._replicas[0] = [PageImage.of(truth)]
         page = pool.get(0)
         assert list(page.records) == truth
-        assert not pool.is_quarantined(0)
-        assert pool.failure_count(0) == 0  # clean slate for the accounting
+        assert 0 not in pool._quarantined
+        assert pool._failures.get(0, 0) == 0  # clean slate for the accounting
         assert disk.stats.faults.quarantine_lifted == 1
 
     def test_repair_quarantined_sweep(self):
         disk = make_replicated(copies=1, pages=2)
         pool = BufferPool(disk, 8, quarantine_threshold=2)
-        disk.corrupt_replica(0, slot=0)
+        corrupt_replica(disk, 0, slot=0)
         corrupt(disk.peek(0))
         with pytest.raises(CorruptPageError):
             pool.get(0)
         disk._replicas[0] = [PageImage.of([(0, slot) for slot in range(8)])]
         assert pool.repair_quarantined() == [0]
-        assert not pool.is_quarantined(0)
+        assert 0 not in pool._quarantined
         assert pool.get(0).verify_checksum()
 
     def test_lift_quarantine_is_a_noop_for_healthy_pages(self):
@@ -276,9 +279,9 @@ class TestDegradedToClean:
 class TestReplicaInvariants:
     @pytest.fixture(autouse=True)
     def checks_on(self):
-        previous = invariants.set_enabled(True)
+        previous = set_enabled(True)
         yield
-        invariants.set_enabled(previous)
+        set_enabled(previous)
 
     def test_healthy_store_validates(self):
         disk = make_replicated()

@@ -31,6 +31,8 @@ from repro.storage import (
 )
 from repro.storage.faults import CORRUPT, TRANSIENT
 
+from oracles import allocated_pages
+
 
 class FlakyDisk(SimulatedDisk):
     """Raises a set number of transient errors per page, then delegates.
@@ -119,7 +121,7 @@ class TestZeroAttempt:
             pool.get(0)
         assert disk.clock == 0.0
         assert pool.retry_attempts == 0
-        assert pool.failure_count(0) == 1  # the failure is still recorded
+        assert pool._failures.get(0, 0) == 1  # the failure is still recorded
 
 
 # ----------------------------------------------------------------------
@@ -356,8 +358,8 @@ class TestLadderParity:
         """What the pool adds *around* the shared ladder, per scenario."""
         world, _, _, _ = climb(entry, scenario)
         pool = world.pool
-        assert pool.is_quarantined(TARGET) is quarantined
-        assert pool.failure_count(TARGET) == failures
+        assert (TARGET in pool._quarantined) is quarantined
+        assert pool._failures.get(TARGET, 0) == failures
         assert pool.retry_attempts == retry_attempts
         assert pool.rejected == rejected
         assert world.disk.stats.faults.quarantined_pages == int(quarantined)
@@ -404,7 +406,7 @@ class TestDatabasePolicy:
         db, table = self._heap(policy)
         sort, _ = build_access_path(table, None, ("k",), memory_pages=1)
         # every page allocated from here on is a sort run: fail its first read
-        runs = range(db.disk.allocated_pages, db.disk.allocated_pages + 64)
+        runs = range(allocated_pages(db.disk), allocated_pages(db.disk) + 64)
         db.disk.plan = FaultPlan(
             scripted_reads=tuple((page, 0, TRANSIENT) for page in runs)
         )

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core import QueryBox, UBTree, ZSpace, tetris_sorted
-from repro.core.query_space import PredicateSpace
 from repro.relational import Attribute, Database, IntEncoder, Schema
 from repro.relational.operators import ExternalMergeSort, TetrisOperator
 from repro.storage import BufferPool, DiskParameters, SimulatedDisk
+
+from oracles import PredicateSpace
 
 
 class TestDegenerateShapes:
@@ -26,8 +27,8 @@ class TestDegenerateShapes:
         for point in [(0, 0), (0, 1), (1, 0), (1, 1), (1, 1)]:
             tree.insert(point, None)
         tree.check_invariants()
-        assert tree.range_count(QueryBox((0, 0), (1, 1))) == 5
-        assert tree.range_count(QueryBox((1, 1), (1, 1))) == 2
+        assert len(list(tree.range_query(QueryBox((0, 0), (1, 1))))) == 5
+        assert len(list(tree.range_query(QueryBox((1, 1), (1, 1))))) == 2
 
     def test_page_capacity_two(self):
         disk = SimulatedDisk()

@@ -15,22 +15,19 @@ import random
 
 import pytest
 
-from repro.invariants import checks
 from repro.invariants.sanitizer import (
     GLOBAL_LOCK_ORDER,
     LockOrderViolation,
     RaceViolation,
     TrackedLock,
-    actor,
     current_actor,
     declare_lock_order,
-    declared_lock_order,
     guarded_by,
     note_access,
-    reset_sanitizer,
-    sanitizer_counters,
     tracked_lock,
 )
+
+from oracles import actor, checks, declared_lock_order, reset_sanitizer, sanitizer_counters
 
 
 @pytest.fixture()

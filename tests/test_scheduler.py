@@ -77,7 +77,7 @@ class TestSingleDeviceParity:
         disk, ids = make_disk()
         scheduler = IOScheduler(disk, 2)
         scheduler.read(ids[0], charge=False)
-        assert scheduler.queue_free_times() == [0.0, 0.0]
+        assert scheduler._free_at == [0.0, 0.0]
         assert disk.stats.time == 0.0
 
 
@@ -88,7 +88,12 @@ class TestDeviceScaling:
     def test_striping_maps_pages_round_robin(self):
         disk, _ = make_disk()
         scheduler = IOScheduler(disk, 3)
-        assert [scheduler.device_of(p) for p in range(6)] == [0, 1, 2, 0, 1, 2]
+        for page_id in (0, 1, 2):
+            scheduler.submit(page_id)
+        # one read queued per device: pages 0, 1, 2 land on devices 0, 1, 2
+        assert len(set(scheduler._free_at)) == 1 and scheduler._free_at[0] > 0
+        scheduler.submit(3)
+        assert scheduler._free_at[0] > scheduler._free_at[1] == scheduler._free_at[2]
 
     def test_submitted_batch_elapses_as_max_not_sum(self):
         serial_disk, serial_ids = make_disk()
@@ -163,9 +168,10 @@ class TestQueueAccounting:
             scheduler.submit(page_id)
         for page_id in ids[:3]:
             scheduler.claim(page_id)
-        scheduler.cancel_all()
+        for page_id in list(scheduler._inflight):
+            scheduler.cancel(page_id)
         prefetch = disk.stats.prefetch
-        assert scheduler.inflight_count == 0
+        assert len(scheduler._inflight) == 0
         assert prefetch.prefetch_issued == 6
         assert prefetch.prefetch_hits == 3
         assert prefetch.prefetch_wasted == 3
@@ -203,7 +209,7 @@ class TestAsyncFaults:
             prefetch = disk.stats.prefetch
             assert prefetch.prefetch_issued == 1
             assert prefetch.prefetch_wasted == 1
-            assert scheduler.inflight_count == 0
+            assert len(scheduler._inflight) == 0
             # the queue spun for the failed attempt
             assert prefetch.queue_busy_time > 0
             # the demand path then reads normally (access 1 is clean)

@@ -23,6 +23,8 @@ from repro.shard.coordinator import MAX_DEGRADATIONS
 from repro.storage import FaultPlan
 from repro.telemetry import TelemetryEvent
 
+from oracles import checks
+
 DIMS = ("a1", "a2")
 QUERY = {"a1": (100, 900)}
 
@@ -167,7 +169,7 @@ class TestLoading:
 
     def test_scan_under_repro_checks(self):
         rows = make_rows(300)
-        with invariants.checks():
+        with checks():
             sdb = make_sharded(rows, copies=2)
             result = sdb.sorted_scan(QUERY, "a2")
         assert result.rows == oracle_rows(rows, QUERY, "a2")
@@ -179,7 +181,7 @@ class TestLoading:
         rows = make_rows(300)
 
         def observed(flag):
-            with invariants.checks(flag):
+            with checks(flag):
                 sdb = make_sharded(rows, copies=2)
                 after_load = self._storage_state(sdb)
                 streamed = sdb.sorted_scan(QUERY, "a2").rows

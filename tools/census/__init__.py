@@ -29,13 +29,17 @@ Usage (from the repository root, NumPy installed)::
     python -m tools.census --workload W  # what `run.py --quick --workload W` runs
 
 ``docs/CENSUS.txt`` holds the unexecuted functions as sorted
-``path:qualname`` lines.  A property's setter or deleter is named
-``qualname.setter`` / ``qualname.deleter``, apart from its getter; any
-other def that repeats a qualname in its file gets ``#2``, ``#3``, ...
-in file order.  ``--check`` fails only when a line would be
-*added*: a new function nothing runs, or an old one whose last caller
-went.  A listed function that was deleted, or that an entry point now
-runs, passes; regenerating the file drops its line.
+``path:qualname  # reason`` lines.  A property's setter or deleter is
+named ``qualname.setter`` / ``qualname.deleter``, apart from its
+getter; any other def that repeats a qualname in its file gets ``#2``,
+``#3``, ... in file order.  The reason after `` # `` says why the
+function stays although nothing runs it (the file's header lists the
+vocabulary); regenerating the file keeps the reason of every line that
+survives and writes a new line without one.  ``--check`` fails when a
+line would be *added* (a new function nothing runs, or an old one whose
+last caller went) and when a line that stays has no reason.  A listed
+function that was deleted, or that an entry point now runs, passes;
+regenerating the file drops its line.
 
 ``--workload W`` prints the functions one harness workload executes,
 set-up and oracle included.  That is a superset of its timed path,
@@ -85,7 +89,17 @@ HEADER = """\
 # Functions under src/repro that no entry point executes: the harness
 # (--quick, --quick --trace 1), the paper-shape benches, the three bench
 # scripts, chaos + crashgrid with checks off and on, and examples/*.py.
-# Written by `python -m tools.census`; CI fails if a line is added.
+# Written by `python -m tools.census`; CI fails if a line is added or a
+# line gives no reason.  Each line ends in `# reason`, why it stays:
+#   debug        a __repr__ / __str__ / describe / check_invariants /
+#                __len__ aid for a person at a prompt
+#   test-oracle  a reference the tests hold the engine to, or the report
+#                a check prints only on a provoked violation
+#   contract     a method of an interface its class implements
+#                (QuerySpace, Encoder, KernelBackend, the page source the
+#                retry loop reads through) that only tests, or a fault
+#                no CI schedule injects, call
+#   item N       kept until ROADMAP item N gives it a caller or deletes it
 """
 
 #: the generated ``sitecustomize.py``: one global trace function that
@@ -314,11 +328,20 @@ def unexecuted(defined: dict[Key, str], executed: set[Key]) -> list[str]:
     return sorted({name for key, name in defined.items() if key not in executed})
 
 
-def _read_census(path: Path) -> set[str]:
+def _read_census(path: Path) -> dict[str, str]:
+    """``path:qualname`` -> reason of every listed line (``""``: none)."""
     if not path.exists():
-        return set()
-    lines = path.read_text(encoding="utf-8").splitlines()
-    return {line for line in lines if line and not line.startswith("#")}
+        return {}
+    listed: dict[str, str] = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line and not line.startswith("#"):
+            name, _, reason = line.partition(" # ")
+            listed[name.strip()] = reason.strip()
+    return listed
+
+
+def _census_line(name: str, reason: str) -> str:
+    return f"{name}  # {reason}\n" if reason else f"{name}\n"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -363,13 +386,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         f"{PACKAGE.relative_to(REPO).as_posix()} are run by no entry point",
         file=sys.stderr,
     )
+    listed = _read_census(CENSUS_FILE)
     if not options.check:
-        lines = "".join(f"{name}\n" for name in current)
+        lines = "".join(_census_line(name, listed.get(name, "")) for name in current)
         CENSUS_FILE.write_text(HEADER + lines, encoding="utf-8")
         return 0
-    listed = _read_census(CENSUS_FILE)
     added = [name for name in current if name not in listed]
-    gone = listed.difference(current)
+    gone = set(listed).difference(current)
+    unexplained = [name for name in current if name in listed and not listed[name]]
     if gone:
         print(
             f"census: {len(gone)} listed function(s) were deleted or now run; "
@@ -389,5 +413,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             "workload or an invariant) or delete it.",
             file=sys.stderr,
         )
-        return 1
-    return 0
+    if unexplained:
+        print(
+            f"census: {len(unexplained)} line(s) of {CENSUS_FILE.name} give no "
+            "reason (`path:qualname  # reason`):",
+            file=sys.stderr,
+        )
+        for name in unexplained:
+            print(f"  {name}", file=sys.stderr)
+    return 1 if added or unexplained else 0
