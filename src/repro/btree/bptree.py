@@ -115,6 +115,14 @@ class BPlusTree:
             page_id, sequential=False, category=self.category, charge=charge
         )
 
+    def _inner(self, page_id: int, *, peek: bool) -> Page:
+        """An inner page: read through the pool (recorded, not priced),
+        or with ``peek`` straight off the disk — no pool lookup, no
+        accounting, no fault site."""
+        if peek:
+            return self.disk.peek(page_id)
+        return self._fetch(page_id, charge=False)
+
     def _is_leaf(self, page: Page) -> bool:
         return isinstance(page.payload, dict)
 
@@ -122,7 +130,7 @@ class BPlusTree:
     # descent
     # ------------------------------------------------------------------
     def _locate(
-        self, key: Any, *, want_path: bool = False
+        self, key: Any, *, want_path: bool = False, peek: bool = False
     ) -> tuple[int, Any, Any, list[tuple[Page, int]]]:
         """Descend the *inner* levels only; never touches the leaf page.
 
@@ -132,14 +140,16 @@ class BPlusTree:
         descent matters for accounting: the caller decides whether the
         leaf access is priced, and an unpriced bounds probe (a Tetris
         event-point computation) must not smuggle the data page into the
-        buffer pool for free.
+        buffer pool for free.  With ``peek`` the inner levels are read
+        like :meth:`leaf_bounds` reads them, invisibly to the storage
+        layer (what a checker needs to hold a snapshot to the tree).
         """
         low: Any = None
         high: Any = None
         path: list[tuple[Page, int]] = []
         page_id = self.root_id
         for _ in range(self.height - 1):
-            page = self._fetch(page_id, charge=False)
+            page = self._inner(page_id, peek=peek)
             node: _InnerNode = page.payload
             idx = bisect_left(node.keys, key)
             if want_path:
@@ -475,7 +485,7 @@ class BPlusTree:
             child_highs: list[Any] = []
             child_ids: list[int] = []
             for high, page_id in zip(highs, page_ids):
-                node: _InnerNode = self.disk.peek(page_id).payload
+                node: _InnerNode = self._inner(page_id, peek=True).payload
                 child_highs.extend(node.keys)
                 child_highs.append(high)
                 child_ids.extend(node.children)

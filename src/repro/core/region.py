@@ -72,8 +72,10 @@ class RegionDirectory:
     and not on a query, so one snapshot serves every scan until the
     tree's ``structure_epoch`` moves; batch kernels may memoize derived
     geometry (the aligned-block boxes of every region) against the
-    instance.  The tree stays the source of truth — a scan verifies each
-    entry it uses against its own descent.
+    instance.  A restricted scan takes its regions from here and reads
+    no index page; it trusts an entry while the tree's epoch is the
+    snapshot's, and under ``REPRO_CHECKS=1`` holds each one to a
+    ``disk.peek`` descent of the tree, which stays the source of truth.
     """
 
     __slots__ = ("curve", "firsts", "lasts", "page_ids", "epoch", "__weakref__")

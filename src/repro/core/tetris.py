@@ -71,7 +71,7 @@ _payload_of = itemgetter(1)
 class TetrisStats:
     """Instrumentation of one Tetris run (Tables 5-1 and 5-2 metrics)."""
 
-    regions_examined: int = 0  #: index descents performed
+    regions_examined: int = 0  #: regions the schedule examined
     regions_read: int = 0  #: data pages actually fetched (random accesses)
     regions_skipped: int = 0  #: pruned by non-rectangular geometry
     #: pruned *only* because of a pushed-down join-key cover — pages the

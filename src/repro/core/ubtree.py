@@ -189,20 +189,19 @@ class UBTree:
         """``(region, in_space, in_cover, key)`` for every Z-region that
         meets ``space``'s bounding box, in Z-order, lazily.
 
-        The verdicts and keys are
+        The regions, verdicts and keys are
         :meth:`~repro.kernels.base.KernelBackend.schedule_regions`'s,
         computed for the whole scan in one call over the region
-        directory.  Each region then costs the one unpriced descent the
-        BIGMIN walk makes for it, at the same address and only when the
-        consumer pulls it.  What is yielded is always the *descent's*
-        region: if it differs from the directory's entry the hint was
-        stale — the true region is classified by the scalar definitions,
-        the directory is dropped and the rest of the scan is
-        re-scheduled past it — so a stale directory can cost time but
-        never changes the answer (both partitionings tile the address
-        space, so an entry that meets the query is caught by its own
-        descent).  With ``REPRO_CHECKS=1`` every row is also held to the
-        scalar definitions, using only what the descents returned.
+        directory; the index levels are never read during the scan (the
+        paper's cached-index assumption, its cost model pricing data
+        pages only).  The directory is current iff its epoch is the
+        tree's, and that is compared before every row is handed out: if
+        the tree's structure changed since the schedule was taken, the
+        row's ``probe`` — the BIGMIN walk's next unread address — is
+        re-scheduled against a fresh directory, so a split between two
+        pulls never changes the answer.  With ``REPRO_CHECKS=1`` every
+        row is also held to the scalar definitions and to an inner-level
+        walk of the tree done with ``disk.peek``.
         """
         box = space.bounding_box()
         if box is None:
@@ -213,7 +212,7 @@ class UBTree:
         curve = self.space.z
         kernel = kernels.get_backend()
         checker = (
-            invariants.ScheduleChecker(curve, lo, hi, space, pushdown, sort_curve)
+            invariants.ScheduleChecker(self, lo, hi, space, pushdown, sort_curve)
             if invariants.enabled()
             else None
         )
@@ -226,35 +225,13 @@ class UBTree:
             )
             z_address = None
             for probe, first, last, page_id, in_space, in_cover, key in schedule:
-                region, _ = self.region_for(probe, charge=False)
-                stale = (
-                    region.first != first
-                    or region.last != last
-                    or region.page_id != page_id
-                )
-                if stale:
-                    if checker is not None:
-                        invariants.check(
-                            directory.epoch != self.tree.structure_epoch,
-                            f"region directory of epoch {directory.epoch} has "
-                            f"[{first}:{last}]@page{page_id} where the tree, "
-                            f"still at that epoch, has {region!r}: a "
-                            "structure change did not advance the epoch",
-                        )
-                    if self._directory is directory:  # keep a newer snapshot
-                        self._directory = None
-                    in_space, in_cover = region.classify(curve, space, pushdown)
-                    key = None
-                    if in_cover and sort_curve is not None:
-                        (key,) = kernel.region_min_keys(
-                            curve, sort_curve, [(region.first, region.last)], lo, hi
-                        )
+                if directory.epoch != self.tree.structure_epoch:
+                    z_address = probe
+                    break
+                region = ZRegion(first, last, page_id)
                 if checker is not None:
                     checker.observe(probe, region, in_space, in_cover, key)
                 yield region, in_space, in_cover, key
-                if stale:
-                    z_address = curve.next_in_box(region.last + 1, lo, hi)
-                    break
             else:
                 if checker is not None:
                     checker.finish()
@@ -262,8 +239,8 @@ class UBTree:
     def regions_overlapping(self, space: QuerySpace) -> Iterator[ZRegion]:
         """Z-regions intersecting ``space``, in Z-order.
 
-        Each region costs one unpriced descent (index levels only); data
-        pages are *not* read.  Regions inside the bounding box whose
+        The index levels come from the region directory and data pages
+        are *not* read.  Regions inside the bounding box whose
         geometry provably misses a non-rectangular ``space`` are
         filtered out.
         """

@@ -48,8 +48,9 @@ Validators
   :func:`spot_check_scan_page` re-runs the page kernel on the *other*
   backend and compares results (:mod:`repro.invariants.parity`).
 * :class:`ScheduleChecker` — holds a batched region schedule to the
-  scalar BIGMIN walk, pruning tests and keys it replaces, without
-  extra I/O (:mod:`repro.invariants.parity`).
+  scalar BIGMIN walk, the tree's own descent (read with ``disk.peek``),
+  pruning tests and keys it replaces, without extra I/O
+  (:mod:`repro.invariants.parity`).
 * :class:`SliceChecker` — the keys a sweep hands out with its slices
   equal the paper's ``T_j(x)`` (``ZSpace.tetris_address``, computed
   without the sweep's bit schedule) row for row and ascend within and

@@ -22,6 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..core.curves import Curve
     from ..core.query_space import QuerySpace
     from ..core.region import ZRegion
+    from ..core.ubtree import UBTree
     from ..core.zorder import ZSpace
     from ..kernels.base import KernelBackend
     from ..storage.page import Page
@@ -112,30 +113,34 @@ class ScheduleChecker:
     """One batched region schedule, held to the scalar walk row by row.
 
     ``UBTree.scheduled_regions`` reports every region it is about to
-    yield: the address it descended at, the region that descent
-    returned, and the verdicts and key the batch kernel assigned.  The
-    checker replays the definitions those replace — ``encode(lo)`` opens
-    the walk, ``next_in_box(previous.last + 1)`` continues it and
-    finally runs out, :meth:`~repro.core.region.ZRegion.classify` prunes,
-    the pure backend's ``region_min_keys`` keys — using only boundaries
-    the scan's own descents returned, so checking adds no I/O.
+    yield: the walk's address for it, the directory's entry, and the
+    verdicts and key the batch kernel assigned.  The checker replays the
+    definitions those replace — ``encode(lo)`` opens the walk,
+    ``next_in_box(previous.last + 1)`` continues it and finally runs
+    out, the tree's own descent at that address finds the region,
+    :meth:`~repro.core.region.ZRegion.classify` prunes, the pure
+    backend's ``region_min_keys`` keys.  The descent reads the inner
+    levels with ``disk.peek`` (``BPlusTree._locate(peek=True)``), so
+    checking adds no pool lookup, no accounting and no fault site.
     """
 
     def __init__(
         self,
-        curve: "Curve",
+        ubtree: "UBTree",
         lo: Sequence[int],
         hi: Sequence[int],
         space: "QuerySpace",
         pushdown: "QuerySpace | None",
         sort_curve: "Curve | None",
     ) -> None:
-        self._curve = curve
+        self._tree = ubtree.tree
+        self._address_max = ubtree.space.address_max
+        self._curve = ubtree.space.z
         self._box = (lo, hi)
         self._space = space
         self._pushdown = pushdown
         self._sort_curve = sort_curve
-        self._expected: "int | None" = curve.encode(lo)
+        self._expected: "int | None" = self._curve.encode(lo)
 
     def observe(
         self,
@@ -145,12 +150,22 @@ class ScheduleChecker:
         in_cover: bool,
         key: "int | None",
     ) -> None:
-        from .. import kernels
+        from ..kernels.pure import PurePythonBackend
 
         lo, hi = self._box
+        leaf_id, low, high, _ = self._tree._locate(probe, peek=True)
+        first = 0 if low is None else low + 1
+        last = self._address_max if high is None else high
+        check(
+            (region.first, region.last, region.page_id) == (first, last, leaf_id),
+            f"region directory of epoch {self._tree.structure_epoch} has "
+            f"{region!r} where the tree, still at that epoch, has "
+            f"[{first}:{last}]@page{leaf_id}: a structure change did not "
+            "advance the epoch",
+        )
         check(
             probe == self._expected and region.contains(probe),
-            f"region schedule descended at Z-address {probe} into {region!r}; "
+            f"region schedule has Z-address {probe} in {region!r}; "
             f"the BIGMIN walk continues at {self._expected}",
         )
         verdicts = region.classify(self._curve, self._space, self._pushdown)
@@ -161,7 +176,7 @@ class ScheduleChecker:
         )
         reference = None
         if in_cover and self._sort_curve is not None:
-            (reference,) = kernels.backend("python").region_min_keys(
+            (reference,) = PurePythonBackend().region_min_keys(
                 self._curve,
                 self._sort_curve,
                 [(region.first, region.last)],

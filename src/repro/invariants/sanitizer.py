@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import weakref
 from dataclasses import dataclass
 from types import TracebackType
 from typing import Any, Callable, TypeVar
@@ -139,6 +140,9 @@ class _Access:
     write: bool
     stack: tuple[tuple[str, int, str], ...]
     sim_time: float | None
+    #: the object accessed: once it dies its id may be handed to a new
+    #: object, whose accesses no order links to this one's
+    owner: "weakref.ReferenceType[Any]"
 
 
 class _State:
@@ -404,6 +408,7 @@ def note_access(
         last = _state.last_access.get(key)
         if (
             last is not None
+            and last.owner() is obj
             and last.actor != name
             and (write or last.write)
             and not _dominates(clock, last.clock)
@@ -422,7 +427,9 @@ def note_access(
                 f"  current {kind} by {name!r}:\n"
                 f"{_format_stack(stack)}"
             )
-        _state.last_access[key] = _Access(name, clock, write, stack, sim_time)
+        _state.last_access[key] = _Access(
+            name, clock, write, stack, sim_time, weakref.ref(obj)
+        )
 
 
 # The engine's single declared order.  Rationale, outermost first:

@@ -13,11 +13,9 @@ documents them all):
 * ``filter_box_batch`` / ``filter_space_batch`` / ``filter_space_page``
   — predicate evaluation over a page's worth of points,
 * ``argsort_keys`` — one stable slice-level sort permutation,
-* ``page_entries`` / ``scan_page`` / ``region_min_keys`` — fused
-  compound kernels: one call filters + keys + sorts a whole page
-  (``scan_page`` straight from the storage page, letting backends keep a
-  memoized columnar view), one call keys every candidate Z-region of a
-  scan,
+* ``page_entries`` / ``scan_page`` — fused compound kernels: one call
+  filters + keys + sorts a whole page (``scan_page`` straight from the
+  storage page, letting backends keep a memoized columnar view),
 * ``schedule_regions`` — a restricted scan's whole region schedule
   (BIGMIN walk, pruning verdicts, static Tetris keys) from the tree's
   region directory in one call,

@@ -285,28 +285,6 @@ class KernelBackend:
         what :class:`~repro.invariants.MergeChecker` compares."""
         raise NotImplementedError
 
-    def region_min_keys(
-        self,
-        z_curve: "Curve",
-        sort_curve: "Curve",
-        intervals: Sequence[tuple[int, int]],
-        lo: Sequence[int],
-        hi: Sequence[int],
-    ) -> "list[int | None]":
-        """``min sort_curve-address over (interval ∩ [lo, hi])`` per interval.
-
-        Each interval is a Z-address range ``(first, last)`` on
-        ``z_curve`` (a Z-region); the result entry is ``None`` when the
-        interval's geometry is disjoint from the box.  This is the eager
-        Tetris strategy's static region keying by its definition: every
-        interval decomposes into aligned boxes, each box is clamped to
-        ``[lo, hi]``, and the minimum ``sort_curve`` address of a
-        surviving box is attained at its low corner (monotonicity).  A scan
-        keys all its regions in :meth:`schedule_regions`; this is that
-        schedule's reference keying step and its checker's yardstick.
-        """
-        raise NotImplementedError
-
     def schedule_regions(
         self,
         directory: "RegionDirectory",
@@ -330,8 +308,8 @@ class KernelBackend:
 
         ``probe``
             the walk's ``z`` for the region — its smallest box address
-            (``start`` for the first row), where the caller's verifying
-            descent goes;
+            (``start`` for the first row), where the caller resumes if
+            the tree changes under the scan;
         ``first, last, page_id``
             the directory's entry;
         ``in_space, in_cover``
@@ -339,8 +317,8 @@ class KernelBackend:
             ``space`` and ``pushdown``;
         ``key``
             for ``in_cover`` rows when ``sort_curve`` is given, ``min
-            sort_curve-address over (region ∩ [lo, hi])`` as in
-            :meth:`region_min_keys`; ``None`` otherwise.
+            sort_curve-address over (region ∩ [lo, hi])`` as in the pure
+            backend's ``region_min_keys``; ``None`` otherwise.
         """
         raise NotImplementedError
 

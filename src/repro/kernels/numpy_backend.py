@@ -909,20 +909,6 @@ class NumPyBackend(PurePythonBackend):
             return super().concat_key_columns(lists)
         return np.concatenate(columns)
 
-    def region_min_keys(
-        self,
-        z_curve: Curve,
-        sort_curve: Curve,
-        intervals: Sequence[tuple[int, int]],
-        lo: Sequence[int],
-        hi: Sequence[int],
-    ) -> "list[int | None]":
-        # keying interval by interval survives only off the batched path
-        # (:meth:`schedule_regions` keys a whole scan): one region whose
-        # directory entry proved stale, and curves wider than 64 bits —
-        # the scalar reference serves both
-        return super().region_min_keys(z_curve, sort_curve, intervals, lo, hi)
-
     # ------------------------------------------------------------------
     # region scheduling
     # ------------------------------------------------------------------

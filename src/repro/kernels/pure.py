@@ -251,6 +251,19 @@ class PurePythonBackend(KernelBackend):
         lo: Sequence[int],
         hi: Sequence[int],
     ) -> "list[int | None]":
+        """``min sort_curve-address over (interval ∩ [lo, hi])`` per interval.
+
+        Each interval is a Z-address range ``(first, last)`` on
+        ``z_curve`` (a Z-region); the result entry is ``None`` when the
+        interval's geometry is disjoint from the box.  This is the eager
+        Tetris strategy's static region keying by its definition: every
+        interval decomposes into aligned boxes, each box is clamped to
+        ``[lo, hi]``, and the minimum ``sort_curve`` address of a
+        surviving box is attained at its low corner (monotonicity).  It
+        is :meth:`schedule_regions`'s reference keying step and its
+        checker's yardstick; the NumPy backend keys a whole scan in its
+        own ``schedule_regions`` and inherits this for wider curves.
+        """
         # per-interval corner collection is shared; encoding is batched
         corners: list[Sequence[int]] = []
         counts: list[int] = []

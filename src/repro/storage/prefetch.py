@@ -43,8 +43,8 @@ class LookaheadCursor(Generic[ItemT]):
     Wraps any iterator and buffers items pulled ahead of consumption, so
     a scan can ask "what are the next ``k`` items?" without disturbing
     its own iteration order.  Safe for the region generators because
-    they perform no priced data-page I/O — pulling the schedule forward
-    only moves (unpriced) index descents earlier.
+    they perform no data-page I/O — pulling the schedule forward only
+    reads further into a schedule that is already computed.
 
     ``position`` counts the items handed out by ``__next__`` — never the
     ones :meth:`peek` merely buffered — and only grows, so "has the

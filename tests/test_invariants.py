@@ -428,8 +428,12 @@ class TestRegionSchedule:
         with checks():
             with pytest.raises(InvariantViolation, match="did not advance the epoch"):
                 list(TetrisScan(ubtree, self.BOX, 0))
-        # checks off: the descent wins and the hint is rebuilt, silently
+        # checks off, a snapshot at the tree's epoch is trusted (as a
+        # page's key memo trusts Page.version) and only the check above
+        # stands between a missed bump and the answer; the next structure
+        # change replaces the snapshot
         ubtree._directory = directory
+        ubtree.tree.structure_changed()
         assert list(TetrisScan(ubtree, self.BOX, 0)) == expected
         assert ubtree.region_directory() is not directory
 

@@ -2,18 +2,23 @@
 
 ``UBTree.scheduled_regions`` decides a whole scan's regions, pruning
 verdicts and Tetris keys from the region directory in one kernel call
-and keeps one verifying descent per region.  The reference here is the
+and reads no index page while the scan runs.  The reference here is the
 walk as it stood before the directory existed — a descent, the pruning
 tests and a BIGMIN per region (:func:`scalar_schedule`) — run on a twin
-world, and the two must be indistinguishable from the storage layer:
-rows, schedule, statistics, pool counters and fault sites.  The second
-half stales the directory in every way the engine can and requires the
-answer not to move.
+world, and the two must be indistinguishable at the data level: rows,
+schedule, data-page fetches, priced statistics and fault sites.  The
+only difference allowed is the reference's own index traffic, and it is
+counted exactly.  The second half stales the directory in every way the
+engine can and requires the answer not to move.
 """
 
+import ast
+import inspect
 import random
 import sys
+import textwrap
 import threading
+from dataclasses import dataclass
 from functools import partial
 
 import pytest
@@ -29,6 +34,7 @@ from repro.core.query_space import (
     IntersectionSpace,
     IntervalUnionSpace,
 )
+from repro.invariants import InvariantViolation
 from repro.relational.schema import Attribute, IntEncoder, Schema
 from repro.relational.table import Database
 from repro.shard import ShardedDatabase
@@ -163,11 +169,22 @@ def scan_cases(draw):
     }
 
 
+@dataclass(frozen=True)
+class PagePlan(FaultPlan):
+    """The rate plan, fired on ``pages`` only."""
+
+    pages: frozenset = frozenset()
+
+    def read_fault(self, page_id, access):
+        if page_id not in self.pages:
+            return None
+        return super().read_fault(page_id, access)
+
+
 def build_world(case):
-    """A tree on a fault-injecting disk behind a small pool (so inner
-    pages are evicted and the descents' reads reach the fault plan)."""
-    plan = FaultPlan(seed=case["seed"], transient_rate=0.04, latency_rate=0.15)
-    disk = FaultyDisk(plan=plan)
+    """A tree on a fault-injecting disk behind a small pool (so the
+    reference's inner pages are evicted and its descents miss)."""
+    disk = FaultyDisk()
     pool = BufferPool(disk, case["pool"])
     tree = UBTree(pool, ZSpace(case["bits"]), page_capacity=case["capacity"], fanout=4)
     rng = random.Random(case["seed"])
@@ -180,7 +197,46 @@ def build_world(case):
     else:
         insert_all(tree, rows)
     pool.drop_all()
+    # on data pages only: a scan reads no inner page, so a fault there
+    # could fire in the reference alone (see TestInnerPageFaults)
+    disk.plan = PagePlan(
+        seed=case["seed"],
+        transient_rate=0.04,
+        latency_rate=0.15,
+        pages=frozenset(tree.region_directory().page_ids),
+    )
     return tree, pool, disk
+
+
+def record_fetches(tree, pool):
+    """Every page the pool reads from disk from now on, split into data
+    pages (in order) and inner pages (a count)."""
+    seen = {"data": [], "inner": 0}
+    fetch = pool._fetch
+
+    def recorded(page_id, **kwargs):
+        page = fetch(page_id, **kwargs)
+        if tree.tree._is_leaf(page):
+            seen["data"].append(page_id)
+        else:
+            seen["inner"] += 1
+        return page
+
+    pool._fetch = recorded
+    return seen
+
+
+def priced(stats):
+    """``repr`` of an ``IOStats`` without its unpriced (index) reads —
+    a category that only those touched is dropped — plus those reads."""
+    stats = stats.copy()
+    unpriced = 0
+    for name, category in list(stats.categories.items()):
+        unpriced += category.unpriced_reads
+        category.unpriced_reads = 0
+        if category == type(category)():
+            del stats.categories[name]
+    return repr(stats), unpriced
 
 
 def observed_run(case, *, scalar):
@@ -189,20 +245,25 @@ def observed_run(case, *, scalar):
     if scalar:
         use_scalar_walk(tree)
     seen = {}
+    fetched = record_fetches(tree, pool)
     disk.arm()
     scan = TetrisScan(tree, case["space"], case["sort"], pushdown=case["pushdown"])
     try:
         seen["schedule"] = scan._upcoming(ALL)
         seen["rows"] = list(scan)
+        # a pool without the reference's index pages keeps more data
+        # pages resident: each query starts cold, so residency cannot
+        # hide a difference in what a query itself reads
+        pool.drop_all()
         seen["range"] = list(tree.range_query(case["space"]))
     except StorageError as error:
         seen["error"] = repr(error)
     seen["page_access_order"] = list(scan.page_access_order)
     seen["tetris_stats"] = vars(scan.stats)
-    seen["io_stats"] = repr(disk.stats)
-    seen["pool"] = (pool.lookups, pool.hits, pool.misses, pool.disk_fetches)
+    seen["io_stats"], unpriced = priced(disk.stats)
+    seen["data_fetches"] = fetched["data"]
     seen["fault_log"] = list(disk.fault_log)
-    return seen
+    return seen, fetched["inner"], unpriced
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -210,28 +271,75 @@ def observed_run(case, *, scalar):
 @settings(max_examples=60, deadline=None)
 def test_batched_schedule_is_observationally_the_scalar_walk(backend, case):
     with kernels.use_backend(backend):
-        batched = observed_run(case, scalar=False)
-        scalar = observed_run(case, scalar=True)
+        batched, batched_inner, batched_unpriced = observed_run(case, scalar=False)
+        scalar, scalar_inner, scalar_unpriced = observed_run(case, scalar=True)
     assert batched == scalar
+    assert batched_inner == 0
+    assert scalar_unpriced - batched_unpriced == scalar_inner
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_lazy_interleaving_with_data_reads_is_kept(backend):
-    """``range_query`` descends for a region only when it is pulled, so
-    index and data reads alternate in the pool exactly as before."""
+    """``range_query`` takes a region only when it is pulled, so the data
+    reads land between pulls exactly as before."""
 
-    def lookups_per_pull(scalar):
+    def fetches_per_pull(scalar):
         tree = grown_tree(count=400, capacity=3)
         if scalar:
             use_scalar_walk(tree)
         pool = tree.tree.buffer
+        fetched = record_fetches(tree, pool)
         trace = []
         for _ in tree.range_query(QueryBox((2, 1), (13, 14))):
-            trace.append((pool.lookups, pool.disk_fetches))
+            trace.append(len(fetched["data"]))
         return trace
 
     with kernels.use_backend(backend):
-        assert lookups_per_pull(scalar=False) == lookups_per_pull(scalar=True)
+        assert fetches_per_pull(scalar=False) == fetches_per_pull(scalar=True)
+
+
+class TestInnerPageFaults:
+    """A restricted scan reads no index page, so a fault armed on an
+    inner page fires only where the tree is descended: inserts, point
+    queries and the paper's literal ``sweep`` strategy."""
+
+    def test_fires_on_inserts_and_point_queries_only(self):
+        disk = FaultyDisk()
+        pool = BufferPool(disk, 256)
+        tree = UBTree(pool, ZSpace((4, 4)), page_capacity=3, fanout=4)
+        rng = random.Random(2)
+        insert_all(
+            tree, [((rng.randrange(16), rng.randrange(16)), i) for i in range(200)]
+        )
+        assert tree.tree.height >= 3
+        inner = frozenset(
+            page.page_id for page in disk.iter_pages() if not tree.tree._is_leaf(page)
+        )
+        disk.plan = PagePlan(latency_rate=1.0, pages=inner)
+        disk.arm()
+
+        def faulted_pages(action):
+            pool.drop_all()
+            before = len(disk.fault_log)
+            action()
+            return {page_id for _, _, page_id, _ in disk.fault_log[before:]}
+
+        box = QueryBox((1, 2), (13, 11))
+        for scan in (
+            lambda: list(tree.range_query(box)),
+            lambda: list(tree.regions_overlapping(box)),
+            lambda: list(TetrisScan(tree, box, 1)),
+            lambda: list(TetrisScan(tree, box, (1, 0), pushdown=box)),
+        ):
+            assert faulted_pages(scan) == set()
+        point = tree.space.z_address((5, 5))
+        for descent in (
+            lambda: tree.region_for(point),
+            lambda: tree.insert((5, 5), "late"),
+            lambda: list(TetrisScan(tree, box, 1, strategy="sweep")),
+        ):
+            faulted = faulted_pages(descent)
+            assert tree.tree.root_id in faulted and faulted <= inner
 
 
 # ----------------------------------------------------------------------
@@ -254,31 +362,52 @@ def test_restricted_scan_schedules_in_one_kernel_call(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("scalar per-region primitive on the batched path")
 
-    calls = {"schedule": 0, "descents": 0}
+    calls = {"schedule": 0, "descents": 0, "inner_lookups": 0}
     with kernels.use_backend("numpy") as backend, checks(False):
         tree.region_directory()
         backend._directory_arrays(tree.region_directory())  # built outside the guard
         monkeypatch.setattr(Curve, "next_in_box", forbidden)
         monkeypatch.setattr(Curve, "interval_boxes", forbidden)
         schedule_regions = backend.schedule_regions
-        leaf_for = tree.tree.leaf_for
+        locate = tree.tree._locate
+        pool = tree.tree.buffer
+        get = pool.get
 
         def counted_schedule(*args):
             calls["schedule"] += 1
             return schedule_regions(*args)
 
-        def counted_leaf_for(key, *, charge=True):
-            calls["descents"] += not charge
-            return leaf_for(key, charge=charge)
+        def counted_locate(*args, **kwargs):
+            calls["descents"] += 1
+            return locate(*args, **kwargs)
+
+        def counted_get(page_id, **kwargs):
+            page = tree.tree.disk.peek(page_id)
+            calls["inner_lookups"] += not tree.tree._is_leaf(page)
+            return get(page_id, **kwargs)
 
         monkeypatch.setattr(backend, "schedule_regions", counted_schedule)
-        monkeypatch.setattr(tree.tree, "leaf_for", counted_leaf_for)
+        monkeypatch.setattr(tree.tree, "_locate", counted_locate)
+        monkeypatch.setattr(pool, "get", counted_get)
         scan = TetrisScan(tree, space, 2, pushdown=pushdown)
         rows = list(scan)
     assert rows
     assert scan.stats.pages_skipped_by_pushdown and scan.stats.regions_skipped
-    assert calls["schedule"] == 1
-    assert calls["descents"] == scan.stats.regions_examined >= 100
+    assert scan.stats.regions_examined >= 100
+    assert calls == {"schedule": 1, "descents": 0, "inner_lookups": 0}
+
+
+def test_scheduled_regions_makes_no_descent():
+    """The schedule is the directory: ``UBTree.scheduled_regions`` calls
+    no descent, so a scan's inner nodes never reach the buffer pool."""
+    source = textwrap.dedent(inspect.getsource(UBTree.scheduled_regions))
+    called = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))
+    }
+    assert "schedule_regions" in called  # the walk parsed is the real one
+    assert not called & {"region_for", "leaf_for", "_locate"}
 
 
 # ----------------------------------------------------------------------
@@ -337,9 +466,10 @@ class TestDirectoryFollowsTheTree:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_insert_between_pulls_of_a_live_range_query(self, backend):
-        """The schedule in hand predates the split; the descent of the
-        split region disagrees with it and the walk carries on from the
-        tree, exactly as the per-region walk does."""
+        """The schedule in hand predates the splits; the epoch has moved
+        at the next pull, and the walk carries on from its next unread
+        address against a fresh directory, exactly as the per-region
+        walk carries on from the tree."""
 
         def interleaved(scalar):
             tree = grown_tree(count=200, capacity=3, seed=8)
@@ -355,16 +485,18 @@ class TestDirectoryFollowsTheTree:
                 for other in (3, 9, 14):
                     tree.insert((value, other), "late")
             rows.extend(query)
-            return rows, pool.lookups, repr(pool.disk.stats)
+            return rows, priced(pool.disk.stats)[0]
 
         with kernels.use_backend(backend):
             assert interleaved(scalar=False) == interleaved(scalar=True)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_a_missed_epoch_bump_costs_time_not_answers(self, backend, monkeypatch):
+    def test_a_missed_epoch_bump_is_caught_under_checks(self, backend, monkeypatch):
         """(ii) without (i): with the epoch frozen the cached directory
-        is stale, every disagreeing descent wins, and the directory is
-        rebuilt from the tree on the spot."""
+        is stale.  A scan trusts a snapshot of the tree's epoch, as a
+        page's key memo trusts ``Page.version``, so the bump nobody made
+        is the checker's to find: it holds every entry to a ``disk.peek``
+        descent of the tree."""
         tree = grown_tree()
         stale = tree.region_directory()
         monkeypatch.setattr(BPlusTree, "structure_changed", lambda self: None)
@@ -372,11 +504,11 @@ class TestDirectoryFollowsTheTree:
         split_some_leaf(tree, seed=1)
         assert tree.region_directory() is stale  # the epoch did not notice
         sort_curve = tree.space.tetris((1,))
-        with kernels.use_backend(backend), checks(False):
-            expected = list(scalar_schedule(tree, FULL, None, sort_curve))
-            assert list(tree.scheduled_regions(FULL, None, sort_curve)) == expected
-            assert tree.region_directory() is not stale
-            assert sorted(TetrisScan(tree, FULL, 1)) == sorted(tree.range_query(FULL))
+        with kernels.use_backend(backend), checks():
+            with pytest.raises(InvariantViolation, match="did not advance the epoch"):
+                list(tree.scheduled_regions(FULL, None, sort_curve))
+            with pytest.raises(InvariantViolation, match="did not advance the epoch"):
+                list(tree.range_query(FULL))
 
 
 def make_schema():

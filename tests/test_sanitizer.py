@@ -250,6 +250,22 @@ class TestRaceDetection:
             note_access(shared, "not_guarded")  # no registry entry: no-op
         assert sanitizer_counters()["tracked_fields"] == 0
 
+    def test_a_dead_object_never_races_with_the_one_reusing_its_id(self, armed):
+        """Accesses are keyed by ``id(obj)``.  Once an object dies CPython
+        may hand its id to the next one, whose lock carries no order from
+        the dead object's critical sections."""
+        with actor("scan-worker"):
+            shared = SharedMap()
+            shared.put("page", 1)
+        stale = id(shared)
+        del shared
+        fresh = [SharedMap() for _ in range(64)]
+        reused = [one for one in fresh if id(one) == stale]
+        if not reused:
+            pytest.skip("the allocator did not reuse the id")
+        with actor("evict-worker"):
+            reused[0].put("page", 2)
+
     def test_seeded_race_is_deterministic(self, armed):
         first_step, first_message = _drive_race_schedule(seed=0xBADCAB)
         reset_sanitizer()
