@@ -251,7 +251,9 @@ class UBTree:
     # ------------------------------------------------------------------
     # the range query (Section 5.3 / standard UB-Tree algorithm)
     # ------------------------------------------------------------------
-    def range_query(self, space: QuerySpace) -> Iterator[tuple[tuple[int, ...], Any]]:
+    def range_query(
+        self, space: QuerySpace
+    ) -> Iterator[list[tuple[tuple[int, ...], Any]]]:
         """All tuples inside ``space``; each overlapping page read once.
 
         This is the multi-attribute restriction algorithm used for TPC-D
@@ -260,9 +262,12 @@ class UBTree:
         tuples against the exact predicate.  Filtering runs through the
         batch kernel layer (one ``filter_space_page`` call per page), so
         the vectorized backend evaluates the predicate over the whole
-        page at once instead of tuple at a time.  With an I/O scheduler
-        armed on the buffer pool, the projected next regions are
-        prefetched ahead of the cursor so their transfers overlap.
+        page at once instead of tuple at a time.  Each page with a
+        survivor is handed over as one list of ``(point, payload)``
+        pairs, taken before the generator suspends: an insert between
+        two pulls cannot shift a page that is half read.  With an I/O
+        scheduler armed on the buffer pool, the projected next regions
+        are prefetched ahead of the cursor so their transfers overlap.
         """
         buffer = self.tree.buffer
         kernel = kernels.get_backend()
@@ -278,9 +283,11 @@ class UBTree:
                 if prefetcher is not None:
                     prefetcher.mark_consumed(region.page_id)
                 records = page.records
-                for index in kernel.filter_space_page(space, page):
-                    point, payload = records[index][1]
-                    yield point, payload
+                pairs = [
+                    records[index][1] for index in kernel.filter_space_page(space, page)
+                ]
+                if pairs:
+                    yield pairs
         finally:
             if prefetcher is not None:
                 prefetcher.close()

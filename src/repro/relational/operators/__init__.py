@@ -1,30 +1,13 @@
 """Volcano-style relational operators over the simulated storage."""
 
-from .base import (
-    FirstTupleTimer,
-    InMemorySort,
-    Limit,
-    Operator,
-    Project,
-    Select,
-)
-from .group import (
-    Aggregate,
-    Avg,
-    Count,
-    Max,
-    Min,
-    ScalarAggregate,
-    SortedGroupBy,
-    Sum,
-)
+from .base import FirstTupleTimer, InMemorySort, Limit, Operator
+from .group import Aggregate, Count, ScalarAggregate, SortedGroupBy, Sum
 from .join import HashJoin, MergeJoin, MergeSemiJoin
 from .scan import FullTableScan, IOTScan, TetrisOperator, UBRangeScan
 from .sort import ExternalMergeSort, SortStats
 
 __all__ = [
     "Aggregate",
-    "Avg",
     "Count",
     "ExternalMergeSort",
     "FirstTupleTimer",
@@ -33,14 +16,10 @@ __all__ = [
     "IOTScan",
     "InMemorySort",
     "Limit",
-    "Max",
     "MergeJoin",
     "MergeSemiJoin",
-    "Min",
     "Operator",
-    "Project",
     "ScalarAggregate",
-    "Select",
     "SortStats",
     "SortedGroupBy",
     "Sum",

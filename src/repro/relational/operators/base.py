@@ -8,6 +8,7 @@ the time-to-first-result that Sections 4.4 and 5.1 highlight.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
 
 from ...storage.disk import SimulatedDisk
@@ -16,10 +17,20 @@ Row = tuple
 
 
 class Operator:
-    """Base class; subclasses implement ``__iter__``."""
+    """Base class; a subclass implements one of the two methods.
+
+    ``batches()`` yields the output in the operator's own unit (a UB
+    range scan: one list per data page), and ``__iter__`` is derived
+    from it.  A row-at-a-time operator implements ``__iter__`` instead,
+    and its unit is one row.
+    """
+
+    def batches(self) -> Iterator[list[Row]]:
+        return ([row] for row in self)
 
     def __iter__(self) -> Iterator[Row]:
-        raise NotImplementedError
+        for batch in self.batches():
+            yield from batch
 
 
 class FirstTupleTimer(Operator):
@@ -55,28 +66,6 @@ class FirstTupleTimer(Operator):
         return self.end_clock - self.start_clock
 
 
-class Select(Operator):
-    """Residual predicate filter (``σ``)."""
-
-    def __init__(self, child: Iterable[Row], predicate: Callable[[Row], bool]) -> None:
-        self.child = child
-        self.predicate = predicate
-
-    def __iter__(self) -> Iterator[Row]:
-        return (row for row in self.child if self.predicate(row))
-
-
-class Project(Operator):
-    """Row transformation (``π``); ``fn`` maps a row to an output row."""
-
-    def __init__(self, child: Iterable[Row], fn: Callable[[Row], Row]) -> None:
-        self.child = child
-        self.fn = fn
-
-    def __iter__(self) -> Iterator[Row]:
-        return (self.fn(row) for row in self.child)
-
-
 class Limit(Operator):
     """Stop after ``count`` rows — interactive first-page semantics."""
 
@@ -85,10 +74,9 @@ class Limit(Operator):
         self.count = count
 
     def __iter__(self) -> Iterator[Row]:
-        for position, row in enumerate(self.child):
-            if position >= self.count:
-                return
-            yield row
+        # islice pulls nothing past the last row wanted, which could
+        # cost a page read
+        return islice(self.child, self.count)
 
 
 class InMemorySort(Operator):

@@ -8,72 +8,35 @@ the SQL they implement.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import groupby
+from operator import add
 from typing import Any, Callable, Iterable, Iterator
 
 from .base import Operator, Row
 
 
 class Aggregate:
-    """One aggregate column: fold ``extract(row)`` over a group."""
+    """One aggregate column: a fold over a group, a list of rows at a
+    time, starting from zero."""
 
-    def __init__(self, extract: Callable[[Row], Any]) -> None:
-        self.extract = extract
-
-    def initial(self) -> Any:
+    def fold(self, acc: Any, rows: list[Row]) -> Any:
         raise NotImplementedError
-
-    def step(self, acc: Any, value: Any) -> Any:
-        raise NotImplementedError
-
-    def final(self, acc: Any) -> Any:
-        return acc
 
 
 class Sum(Aggregate):
-    def initial(self) -> Any:
-        return 0
+    def __init__(self, extract: Callable[[Row], Any]) -> None:
+        self.extract = extract
 
-    def step(self, acc: Any, value: Any) -> Any:
-        return acc + value
+    def fold(self, acc: Any, rows: list[Row]) -> Any:
+        # strictly left to right, as row at a time: builtin sum()
+        # compensates float additions on Python >= 3.12
+        return reduce(add, map(self.extract, rows), acc)
 
 
 class Count(Aggregate):
-    def __init__(self) -> None:
-        super().__init__(lambda row: 1)
-
-    def initial(self) -> int:
-        return 0
-
-    def step(self, acc: int, value: Any) -> int:
-        return acc + 1
-
-
-class Min(Aggregate):
-    def initial(self) -> Any:
-        return None
-
-    def step(self, acc: Any, value: Any) -> Any:
-        return value if acc is None or value < acc else acc
-
-
-class Max(Aggregate):
-    def initial(self) -> Any:
-        return None
-
-    def step(self, acc: Any, value: Any) -> Any:
-        return value if acc is None or value > acc else acc
-
-
-class Avg(Aggregate):
-    def initial(self) -> tuple[int, float]:
-        return (0, 0.0)
-
-    def step(self, acc: tuple[int, float], value: Any) -> tuple[int, float]:
-        return (acc[0] + 1, acc[1] + value)
-
-    def final(self, acc: tuple[int, float]) -> float | None:
-        return acc[1] / acc[0] if acc[0] else None
+    def fold(self, acc: int, rows: list[Row]) -> int:
+        return acc + len(rows)
 
 
 class SortedGroupBy(Operator):
@@ -94,33 +57,28 @@ class SortedGroupBy(Operator):
         self.aggregates = aggregates
 
     def __iter__(self) -> Iterator[Row]:
-        for group_key, rows in groupby(self.child, key=self.key):
-            accumulators = [agg.initial() for agg in self.aggregates]
-            for row in rows:
-                for position, agg in enumerate(self.aggregates):
-                    accumulators[position] = agg.step(
-                        accumulators[position], agg.extract(row)
-                    )
-            finals = tuple(
-                agg.final(acc) for agg, acc in zip(self.aggregates, accumulators)
-            )
-            yield tuple(group_key) + finals
+        aggregates = self.aggregates
+        for group_key, group in groupby(self.child, key=self.key):
+            rows = list(group)
+            yield tuple(group_key) + tuple(agg.fold(0, rows) for agg in aggregates)
 
 
 class ScalarAggregate(Operator):
-    """Aggregate the entire input to a single row (Q6's ``SUM``)."""
+    """Aggregate the entire input to a single row (Q6's ``SUM``), one
+    of the child's batches at a time; the row is its one batch."""
 
     def __init__(self, child: Iterable[Row], aggregates: list[Aggregate]) -> None:
         self.child = child
         self.aggregates = aggregates
 
-    def __iter__(self) -> Iterator[Row]:
-        accumulators = [agg.initial() for agg in self.aggregates]
-        for row in self.child:
+    def batches(self) -> Iterator[list[Row]]:
+        child = self.child
+        if isinstance(child, Operator):
+            batches = child.batches()
+        else:
+            batches = ([row] for row in child)
+        accumulators = [0] * len(self.aggregates)
+        for rows in batches:
             for position, agg in enumerate(self.aggregates):
-                accumulators[position] = agg.step(
-                    accumulators[position], agg.extract(row)
-                )
-        yield tuple(
-            agg.final(acc) for agg, acc in zip(self.aggregates, accumulators)
-        )
+                accumulators[position] = agg.fold(accumulators[position], rows)
+        yield [tuple(accumulators)]

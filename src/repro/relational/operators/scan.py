@@ -69,12 +69,17 @@ class UBRangeScan(Operator):
         self.space = space
         self.predicate = predicate
 
-    def __iter__(self) -> Iterator[Row]:
-        rows = self.table.range_query(self.space)
-        if self.predicate is None:
-            return rows
+    def batches(self) -> Iterator[list[Row]]:
+        """One list per data page that has a survivor, in Z-order."""
+        pages = self.table.range_query(self.space)
         predicate = self.predicate
-        return (row for row in rows if predicate(row))
+        if predicate is None:
+            yield from pages
+            return
+        for rows in pages:
+            kept = [row for row in rows if predicate(row)]
+            if kept:
+                yield kept
 
 
 class TetrisOperator(Operator):

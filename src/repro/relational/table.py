@@ -237,7 +237,7 @@ class BaseTable:
         ``restrictions`` maps attribute names to ``(lo, hi)`` value pairs;
         ``None`` on either side leaves that end unbounded.  Only
         index-dimension attributes may be restricted here — residual
-        predicates belong in a Select operator.
+        predicates are the access operator's ``predicate``.
         """
         raise NotImplementedError(f"{type(self).__name__} has no index dimensions")
 
@@ -419,9 +419,10 @@ class UBTable(BaseTable):
 
     def range_query(
         self, space: QuerySpace | dict[str, tuple[Any, Any]] | None
-    ) -> Iterator[Row]:
-        """Multi-attribute range query (Q6): each overlapping page once."""
+    ) -> Iterator[list[Row]]:
+        """Multi-attribute range query (Q6): each overlapping page read
+        once, its qualifying rows handed over as one list."""
         if space is None or isinstance(space, dict):
             space = self.build_query_box(space)
-        for _, row in self.ubtree.range_query(space):
-            yield row
+        for pairs in self.ubtree.range_query(space):
+            yield [row for _, row in pairs]

@@ -103,6 +103,11 @@ def point_query(ubtree, point):
     return [payload for at, payload in stored if at == tuple(point)]
 
 
+def rows_of(batches):
+    """The rows of a page-batched range query, in order, as one list."""
+    return [row for batch in batches for row in batch]
+
+
 def insert_all(tree, rows):
     """Insert ``(point, payload)`` rows one at a time (no bulk load)."""
     for point, payload in rows:

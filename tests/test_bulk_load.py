@@ -11,7 +11,7 @@ from repro.core import QueryBox, UBTree, ZSpace, tetris_sorted
 from repro.relational import Attribute, Database, IntEncoder, Schema
 from repro.storage import BufferPool, SimulatedDisk
 
-from oracles import point_query, search
+from oracles import point_query, rows_of, search
 
 
 def make_tree(leaf_capacity=4, fanout=4):
@@ -110,7 +110,7 @@ class TestUBTreeBulkLoad:
         for i, p in enumerate(points):
             grown.insert(p, i)
         box = QueryBox((3, 5), (27, 30))
-        assert sorted(bulk.range_query(box)) == sorted(grown.range_query(box))
+        assert sorted(rows_of(bulk.range_query(box))) == sorted(rows_of(grown.range_query(box)))
 
     def test_fewer_regions_than_insert_loading(self):
         rng = random.Random(4)
@@ -153,7 +153,7 @@ class TestTableBulkLoad:
         table = db.create_ub_table("u", schema, dims=("a", "b"), page_capacity=8)
         table.bulk_load(rows)
         assert len(table) == 300
-        assert sorted(table.range_query(None)) == sorted(rows)
+        assert sorted(rows_of(table.range_query(None))) == sorted(rows)
 
     def test_iot_table_bulk(self):
         db, schema, rows = self.make_db()

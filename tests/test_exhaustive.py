@@ -14,6 +14,8 @@ import pytest
 from repro.core import QueryBox, UBTree, ZSpace, tetris_sorted
 from repro.storage import BufferPool, SimulatedDisk
 
+from oracles import rows_of
+
 
 def full_universe_tree(bits, page_capacity=3):
     disk = SimulatedDisk()
@@ -41,7 +43,7 @@ class TestExhaustive2D:
         tree, points = world
         for lo, hi in all_boxes(4):
             box = QueryBox(lo, hi)
-            got = sorted(p for p, _ in tree.range_query(box))
+            got = sorted(p for p, _ in rows_of(tree.range_query(box)))
             expected = sorted(p for p in points if box.contains_point(p))
             assert got == expected, (lo, hi)
 
@@ -69,7 +71,7 @@ class TestExhaustiveUnequalBits:
                 for y_lo in range(2):
                     for y_hi in range(y_lo, 2):
                         box = QueryBox((x_lo, y_lo), (x_hi, y_hi))
-                        got = sorted(p for p, _ in tree.range_query(box))
+                        got = sorted(p for p, _ in rows_of(tree.range_query(box)))
                         expected = sorted(
                             p for p in points if box.contains_point(p)
                         )
@@ -92,7 +94,7 @@ class TestExhaustiveMultiset:
         tree.check_invariants()
         for lo, hi in all_boxes(4):
             box = QueryBox(lo, hi)
-            got = sorted(tree.range_query(box))
+            got = sorted(rows_of(tree.range_query(box)))
             expected = sorted(
                 (p, i) for i, p in enumerate(points) if box.contains_point(p)
             )
@@ -111,7 +113,7 @@ class TestExhaustive3D:
             lo = tuple(rng.randrange(4) for _ in range(3))
             hi = tuple(rng.randrange(l, 4) for l in lo)
             box = QueryBox(lo, hi)
-            got = sorted(p for p, _ in tree.range_query(box))
+            got = sorted(p for p, _ in rows_of(tree.range_query(box)))
             expected = sorted(p for p in points if box.contains_point(p))
             assert got == expected
             for dim in range(3):

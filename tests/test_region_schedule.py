@@ -18,8 +18,10 @@ import random
 import sys
 import textwrap
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -48,7 +50,7 @@ from repro.storage import (
 )
 from repro.txn import TransactionCoordinator
 
-from oracles import PredicateSpace, checks, insert_all
+from oracles import PredicateSpace, checks, insert_all, rows_of
 
 ALL = 1 << 30
 BACKENDS = kernels.available_backends()
@@ -281,7 +283,9 @@ def test_batched_schedule_is_observationally_the_scalar_walk(backend, case):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_lazy_interleaving_with_data_reads_is_kept(backend):
     """``range_query`` takes a region only when it is pulled, so the data
-    reads land between pulls exactly as before."""
+    reads land between batch pulls exactly as under the scalar walk, and
+    no pull reads more than the one page it hands over plus the pages
+    without a survivor before it."""
 
     def fetches_per_pull(scalar):
         tree = grown_tree(count=400, capacity=3)
@@ -295,7 +299,30 @@ def test_lazy_interleaving_with_data_reads_is_kept(backend):
         return trace
 
     with kernels.use_backend(backend):
-        assert fetches_per_pull(scalar=False) == fetches_per_pull(scalar=True)
+        batched = fetches_per_pull(scalar=False)
+        assert batched == fetches_per_pull(scalar=True)
+    assert len(batched) > 20 and batched == sorted(set(batched))
+
+
+def test_range_query_filters_a_page_without_suspending():
+    """The ``for`` over ``filter_space_page``'s survivors in
+    ``UBTree.range_query`` holds no ``yield``: a page's rows are taken
+    whole before the generator hands them over, so nothing a consumer
+    does between two pulls can shift the page being read."""
+    source = textwrap.dedent(inspect.getsource(UBTree.range_query))
+    loops = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.For, ast.comprehension))
+        and isinstance(node.iter, ast.Call)
+        and isinstance(node.iter.func, ast.Attribute)
+        and node.iter.func.attr == "filter_space_page"
+    ]
+    assert loops  # the function parsed is the real one
+    for loop in loops:
+        assert not any(
+            isinstance(inner, (ast.Yield, ast.YieldFrom)) for inner in ast.walk(loop)
+        )
 
 
 class TestInnerPageFaults:
@@ -462,7 +489,7 @@ class TestDirectoryFollowsTheTree:
         )
         assert len(tree.region_directory()) == tree.region_count > 1
         assert_matches_scalar_walk(tree)
-        assert len(list(tree.range_query(FULL))) == 90
+        assert len(rows_of(tree.range_query(FULL))) == 90
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_insert_between_pulls_of_a_live_range_query(self, backend):
@@ -479,8 +506,8 @@ class TestDirectoryFollowsTheTree:
             box = QueryBox((1, 0), (14, 15))
             rows = []
             query = tree.range_query(box)
-            for _ in range(20):
-                rows.append(next(query))
+            for _ in range(8):
+                rows.extend(next(query))
             for value in range(16):  # splits ahead of and behind the cursor
                 for other in (3, 9, 14):
                     tree.insert((value, other), "late")
@@ -489,6 +516,31 @@ class TestDirectoryFollowsTheTree:
 
         with kernels.use_backend(backend):
             assert interleaved(scalar=False) == interleaved(scalar=True)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("seed", [5, 8, 15, 33])
+    @pytest.mark.parametrize("cut", [1, 3, 5, 7, 11, 20])
+    def test_an_insert_mid_page_loses_and_repeats_no_row(self, backend, seed, cut):
+        """A consumer that stops ``cut`` rows in — mid-page — and inserts
+        (splitting pages ahead of and behind the cursor, the one being
+        read included) still gets every row that existed before exactly
+        once, and each late row at most once.  A page's rows are a
+        snapshot taken when it is pulled; holding the page's live record
+        list and survivor indices across pulls instead loses a row on
+        every one of these seeds (the inserts shift the indices)."""
+        with kernels.use_backend(backend):
+            tree = grown_tree(count=200, capacity=3, seed=seed)
+            box = QueryBox((1, 0), (14, 15))
+            existing = rows_of(tree.range_query(box))
+            rows = chain.from_iterable(tree.range_query(box))
+            seen = Counter(next(rows) for _ in range(cut))
+            late = [((value, other), "late") for value in range(16) for other in (3, 9, 14)]
+            for point, payload in late:
+                tree.insert(point, payload)
+            seen.update(rows)
+        assert [seen[row] for row in existing] == [1] * len(existing)
+        assert all(seen[row] <= 1 for row in late)
+        assert seen.total() == len(existing) + sum(seen[row] for row in late)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_a_missed_epoch_bump_is_caught_under_checks(self, backend, monkeypatch):

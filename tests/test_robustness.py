@@ -7,7 +7,7 @@ from repro.relational import Attribute, Database, IntEncoder, Schema
 from repro.relational.operators import ExternalMergeSort, TetrisOperator
 from repro.storage import BufferPool, DiskParameters, SimulatedDisk
 
-from oracles import PredicateSpace
+from oracles import PredicateSpace, rows_of
 
 
 class TestDegenerateShapes:
@@ -27,8 +27,8 @@ class TestDegenerateShapes:
         for point in [(0, 0), (0, 1), (1, 0), (1, 1), (1, 1)]:
             tree.insert(point, None)
         tree.check_invariants()
-        assert len(list(tree.range_query(QueryBox((0, 0), (1, 1))))) == 5
-        assert len(list(tree.range_query(QueryBox((1, 1), (1, 1))))) == 2
+        assert len(rows_of(tree.range_query(QueryBox((0, 0), (1, 1))))) == 5
+        assert len(rows_of(tree.range_query(QueryBox((1, 1), (1, 1))))) == 2
 
     def test_page_capacity_two(self):
         disk = SimulatedDisk()

@@ -12,6 +12,8 @@ from repro.relational import (
     Schema,
 )
 
+from oracles import rows_of
+
 
 def make_schema():
     return Schema(
@@ -135,7 +137,7 @@ class TestUBTable:
         table = db.create_ub_table("t", make_schema(), dims=("a", "b"), page_capacity=10)
         rows = make_rows(200)
         table.load(rows)
-        out = sorted(table.range_query({"a": (0, 15), "b": (16, 63)}))
+        out = sorted(rows_of(table.range_query({"a": (0, 15), "b": (16, 63)})))
         expected = sorted(r for r in rows if r[0] <= 15 and r[1] >= 16)
         assert out == expected
 
@@ -149,5 +151,5 @@ class TestUBTable:
         space = IntersectionSpace(
             [table.build_query_box(None), table.comparison_space("a", "<", "b")]
         )
-        out = sorted(table.range_query(space))
+        out = sorted(rows_of(table.range_query(space)))
         assert out == sorted(r for r in rows if r[0] < r[1])

@@ -230,9 +230,9 @@ class TestRowConsumerStopsMidSlice:
         operator = TetrisOperator(table, None, "a")
         start = db.disk.clock
         assert list(Limit(operator, first + 1)) == expected
-        # Limit looks one row ahead before it stops: both rows sit
-        # inside the wide slice
-        assert operator.stats.tuples_output == first + 2
+        # Limit stops at its last row without looking ahead: that row
+        # is the wide slice's first
+        assert operator.stats.tuples_output == first + 1
         assert operator.stats.slices == finished
         assert operator.stats.start_clock == start
         assert start < operator.stats.first_output_clock < operator.stats.end_clock

@@ -10,7 +10,7 @@ from repro.core import QueryBox, UBTree, ZSpace
 from repro.core.query_space import ComparisonSpace, IntersectionSpace
 from repro.storage import BufferPool, SimulatedDisk
 
-from oracles import point_query, read_seeks
+from oracles import point_query, read_seeks, rows_of
 
 
 def make_ubtree(bits=(4, 4), page_capacity=4, buffer_pages=256):
@@ -96,7 +96,7 @@ class TestRangeQuery:
             for index, point in enumerate(points)
             if box.contains_point(point)
         )
-        got = sorted(ubtree.range_query(box))
+        got = sorted(rows_of(ubtree.range_query(box)))
         assert got == expected
 
     def test_each_region_read_once(self):
@@ -121,14 +121,14 @@ class TestRangeQuery:
         ubtree, _ = make_ubtree(page_capacity=3)
         points = fill(ubtree, 80, seed=11)
         box = QueryBox.full(ubtree.space.coord_max)
-        assert len(list(ubtree.range_query(box))) == len(points)
+        assert len(rows_of(ubtree.range_query(box))) == len(points)
 
     def test_point_box(self):
         ubtree, _ = make_ubtree(page_capacity=3)
         points = fill(ubtree, 80, seed=13)
         target = points[17]
         box = QueryBox(target, target)
-        results = [payload for _, payload in ubtree.range_query(box)]
+        results = [payload for _, payload in rows_of(ubtree.range_query(box))]
         expected = [i for i, p in enumerate(points) if p == target]
         assert sorted(results) == expected
 
@@ -144,7 +144,7 @@ class TestRangeQuery:
         expected = sorted(
             (p, i) for i, p in enumerate(points) if p[0] < p[1]
         )
-        assert sorted(ubtree.range_query(triangle)) == expected
+        assert sorted(rows_of(ubtree.range_query(triangle))) == expected
         # pruning reads fewer pages than the full region count
         ubtree.tree.buffer.drop_all()
         before = disk.snapshot()
@@ -159,8 +159,8 @@ class TestRangeQuery:
         expected = sorted(
             (p, i) for i, p in enumerate(points) if box.contains_point(p)
         )
-        assert sorted(ubtree.range_query(box)) == expected
-        assert len(list(ubtree.range_query(box))) == len(expected)
+        assert sorted(rows_of(ubtree.range_query(box))) == expected
+        assert len(rows_of(ubtree.range_query(box))) == len(expected)
 
 
 @st.composite
@@ -187,4 +187,4 @@ def test_range_query_property(case):
     expected = sorted(
         (p, i) for i, p in enumerate(points) if box.contains_point(p)
     )
-    assert sorted(ubtree.range_query(box)) == expected
+    assert sorted(rows_of(ubtree.range_query(box))) == expected
