@@ -496,7 +496,11 @@ class BPlusTree:
         """Yield ``(key, value)`` pairs with ``lo <= key <= hi`` in key order.
 
         Every visited leaf costs one random page access (the IOT regime of
-        the paper's cost model).
+        the paper's cost model).  A leaf's records and its ``next`` link
+        are one snapshot taken when the leaf is read, so an insert
+        between two pulls — into that leaf, or splitting it — neither
+        shifts the rows under the scan nor re-serves them from the new
+        right sibling.
         """
         if lo is None:
             page_id: int | None = self.first_leaf_id
@@ -504,13 +508,13 @@ class BPlusTree:
             page_id, _, _, _ = self._locate(lo)
         while page_id is not None:
             leaf = self._fetch(page_id, charge=True)
-            for key, value in leaf.records:
+            records, page_id = list(leaf.records), leaf.payload["next"]
+            for key, value in records:
                 if lo is not None and key < lo:
                     continue
                 if hi is not None and key > hi:
                     return
                 yield key, value
-            page_id = leaf.payload["next"]
 
     # ------------------------------------------------------------------
     # diagnostics

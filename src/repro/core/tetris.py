@@ -77,7 +77,7 @@ class TetrisStats:
     #: pruned *only* because of a pushed-down join-key cover — pages the
     #: local restriction would have read but no join match can live on
     pages_skipped_by_pushdown: int = 0
-    #: rows a row consumer pulled, or rows of the slices handed out
+    #: rows of the slices handed out, whoever consumed them
     tuples_output: int = 0
     slices: int = 0  #: flush batches — completed processing ranges
     max_cache_tuples: int = 0  #: peak size of the Tetris cache
@@ -251,8 +251,9 @@ class TetrisScan:
         the keys the run buffer ordered them by, ascending within and
         across slices.  Every slice is non-empty.  A slice counts as
         output when it is handed over (``stats.tuples_output``, both
-        clocks); ``stats.slices`` ticks once the consumer asks for the
-        next one.
+        clocks), whether the consumer then takes all of its rows or
+        not; ``stats.slices`` ticks once the consumer asks for the next
+        one.
         """
         if box_is_empty(self._box):
             disk = self.ubtree.tree.buffer.disk
@@ -262,14 +263,8 @@ class TetrisScan:
         return self._run(self._ensure_cursor())
 
     def __iter__(self) -> Iterator[SortedTuple]:
-        stats = self.stats
         for _, rows in self.slices():
-            # a row consumer may stop inside a slice: it has received
-            # the rows it pulled, not the slice that was cut for it
-            stats.tuples_output -= len(rows)
-            for row in rows:
-                stats.tuples_output += 1
-                yield row
+            yield from rows
 
     # ------------------------------------------------------------------
     # shared driver: read regions in Tetris order, cache, flush slices

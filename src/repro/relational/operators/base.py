@@ -8,7 +8,7 @@ the time-to-first-result that Sections 4.4 and 5.1 highlight.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator
 
 from ...storage.disk import SimulatedDisk
@@ -31,6 +31,16 @@ class Operator:
     def __iter__(self) -> Iterator[Row]:
         for batch in self.batches():
             yield from batch
+
+
+def batches_of(source: Iterable[Row]) -> Iterator[list[Row]]:
+    """``source`` in its own unit: an operator's batches, a list as one
+    batch, anything else one row at a time."""
+    if isinstance(source, Operator):
+        return source.batches()
+    if isinstance(source, list):
+        return iter([source] if source else [])
+    return ([row] for row in source)
 
 
 class FirstTupleTimer(Operator):
@@ -80,11 +90,14 @@ class Limit(Operator):
 
 
 class InMemorySort(Operator):
-    """Plain in-memory sort for small (final) result sets (``ω``)."""
+    """Plain in-memory sort for small (final) result sets (``ω``); the
+    sorted list is its one batch."""
 
     def __init__(self, child: Iterable[Row], key: Callable[[Row], Any]) -> None:
         self.child = child
         self.key = key
 
-    def __iter__(self) -> Iterator[Row]:
-        return iter(sorted(self.child, key=self.key))
+    def batches(self) -> Iterator[list[Row]]:
+        rows = sorted(chain.from_iterable(batches_of(self.child)), key=self.key)
+        if rows:
+            yield rows

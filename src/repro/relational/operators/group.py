@@ -9,11 +9,11 @@ the SQL they implement.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import groupby
+from itertools import chain, groupby
 from operator import add
 from typing import Any, Callable, Iterable, Iterator
 
-from .base import Operator, Row
+from .base import Operator, Row, batches_of
 
 
 class Aggregate:
@@ -58,7 +58,8 @@ class SortedGroupBy(Operator):
 
     def __iter__(self) -> Iterator[Row]:
         aggregates = self.aggregates
-        for group_key, group in groupby(self.child, key=self.key):
+        rows_in = chain.from_iterable(batches_of(self.child))
+        for group_key, group in groupby(rows_in, key=self.key):
             rows = list(group)
             yield tuple(group_key) + tuple(agg.fold(0, rows) for agg in aggregates)
 
@@ -72,13 +73,8 @@ class ScalarAggregate(Operator):
         self.aggregates = aggregates
 
     def batches(self) -> Iterator[list[Row]]:
-        child = self.child
-        if isinstance(child, Operator):
-            batches = child.batches()
-        else:
-            batches = ([row] for row in child)
         accumulators = [0] * len(self.aggregates)
-        for rows in batches:
+        for rows in batches_of(self.child):
             for position, agg in enumerate(self.aggregates):
                 accumulators[position] = agg.fold(accumulators[position], rows)
         yield [tuple(accumulators)]

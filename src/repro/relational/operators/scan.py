@@ -9,6 +9,7 @@ selection and sorting (Figures 5-3/5-4).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from ...core.query_space import QuerySpace
@@ -16,9 +17,13 @@ from ...core.tetris import TetrisScan, TetrisStats
 from ..table import HeapTable, IOTTable, UBTable
 from .base import Operator, Row
 
+#: a sorted tuple ``(point, payload)`` to its row
+_payload = itemgetter(1)
+
 
 class FullTableScan(Operator):
-    """Sequential scan of a heap table."""
+    """Sequential scan of a heap table, one batch per page with a
+    survivor."""
 
     def __init__(
         self, table: HeapTable, predicate: Callable[[Row], bool] | None = None
@@ -26,11 +31,16 @@ class FullTableScan(Operator):
         self.table = table
         self.predicate = predicate
 
-    def __iter__(self) -> Iterator[Row]:
-        if self.predicate is None:
-            return self.table.scan()
+    def batches(self) -> Iterator[list[Row]]:
+        pages = self.table.scan()
         predicate = self.predicate
-        return (row for row in self.table.scan() if predicate(row))
+        if predicate is None:
+            yield from pages
+            return
+        for rows in pages:
+            kept = list(filter(predicate, rows))
+            if kept:
+                yield kept
 
 
 class IOTScan(Operator):
@@ -85,9 +95,10 @@ class UBRangeScan(Operator):
 class TetrisOperator(Operator):
     """``τ_{σ,ω}``: combined restriction + sort on a UB table.
 
-    After (or during) consumption, ``stats`` exposes the sweep's
-    instrumentation — regions read, cache peak, slices, first-output
-    time — which the Section 5 tables report.
+    One batch per slice of the sweep with a survivor.  After (or
+    during) consumption, ``stats`` exposes the sweep's instrumentation —
+    regions read, cache peak, slices, first-output time — which the
+    Section 5 tables report.
     """
 
     def __init__(
@@ -110,8 +121,10 @@ class TetrisOperator(Operator):
     def stats(self) -> TetrisStats:
         return self.scan.stats
 
-    def __iter__(self) -> Iterator[Row]:
-        if self.predicate is None:
-            return (row for _, row in self.scan)
+    def batches(self) -> Iterator[list[Row]]:
         predicate = self.predicate
-        return (row for _, row in self.scan if predicate(row))
+        for _, pairs in self.scan.slices():
+            rows = map(_payload, pairs)
+            kept = list(rows if predicate is None else filter(predicate, rows))
+            if kept:
+                yield kept

@@ -34,7 +34,7 @@ from ...invariants import MergeChecker
 from ...storage.disk import SimulatedDisk
 from ...storage.heap import HeapFile
 from ...storage.retry import DEFAULT_RETRY_POLICY, RetryPolicy, read_page_resilient
-from .base import Operator, Row
+from .base import Operator, Row, batches_of
 
 
 @dataclass
@@ -124,15 +124,18 @@ class ExternalMergeSort(Operator):
         return sum(self._live.values())
 
     # ------------------------------------------------------------------
-    def __iter__(self) -> Iterator[Row]:
+    def batches(self) -> Iterator[list[Row]]:
+        """One batch per merge step of the final merge (the whole sorted
+        input when it fit in work memory)."""
         self._backend = kernels.get_backend()
         memory_rows = self.memory_pages * self.page_capacity
-        source = iter(self.child)
+        source = chain.from_iterable(batches_of(self.child))
         rows = list(islice(source, memory_rows))
         self.stats.input_rows += len(rows)
         if len(rows) < memory_rows:
             # everything fit in memory: the merge factor drops to zero
-            yield from self._sort(rows)[0]
+            if rows:
+                yield self._sort(rows)[0]
             return
 
         # one finally owns every temp run from the first one spilled on:
@@ -162,7 +165,8 @@ class ExternalMergeSort(Operator):
 
             self.stats.merge_passes += 1
             for rows, _ in self._merge(runs):
-                yield from rows
+                if rows:
+                    yield rows
         finally:
             for run in list(self._live):
                 self._drop(run)

@@ -267,8 +267,9 @@ class HeapTable(BaseTable):
         """Initial load, WAL-protected when the database has a log armed."""
         self.heap.bulk_load(rows)
 
-    def scan(self) -> Iterator[Row]:
-        """Full table scan: sequential reads, prefetch-friendly."""
+    def scan(self) -> Iterator[list[Row]]:
+        """Full table scan, one list of rows per page: sequential reads,
+        prefetch-friendly."""
         return self.heap.scan()
 
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
@@ -56,6 +56,7 @@ from ..core.query_space import QueryBox, QuerySpace
 from ..core.tetris import SortedTuple
 from ..core.zorder import ZSpace
 from ..planner.parallel import SweepSlab, aligned_shard_slabs, plan_slabs
+from ..relational.operators.base import Operator
 from ..relational.operators.join import MergeJoin, MergeSemiJoin
 from ..relational.schema import Schema
 from ..relational.table import Database, Row, UBTable
@@ -978,6 +979,17 @@ class _LegClock:
         return sum(copy.db.clock for copy in self._copies)
 
 
+class _LegSide(Operator):
+    """One side of a join leg: a shard's stream, one batch per slice."""
+
+    def __init__(self, stream: Iterator[KeyedStream]) -> None:
+        self.stream = stream
+
+    def batches(self) -> Iterator[list[Row]]:
+        for _, pairs in self.stream:
+            yield list(map(_payload, pairs))
+
+
 @dataclass(frozen=True)
 class ShardedJoinResult(_ShardedResult):
     """A co-partitioned join's concatenated output plus its ledgers.
@@ -1083,18 +1095,19 @@ class CoPartitionedJoin:
             shard: Shard,
             slab_box: QueryBox,
             predicate: Callable[[Row], bool] | None,
-        ) -> Iterator[Row]:
+        ) -> _LegSide:
             """One side of a leg: the shard's rows in join-key order."""
-            for _, pairs in side._stream_shard(
-                shard,
-                slab_box,
-                side.shard_attr,
-                allow_partial,
-                events,
-                failed_ranges,
-                predicate,
-            ):
-                yield from map(_payload, pairs)
+            return _LegSide(
+                side._stream_shard(
+                    shard,
+                    slab_box,
+                    side.shard_attr,
+                    allow_partial,
+                    events,
+                    failed_ranges,
+                    predicate,
+                )
+            )
 
         try:
             for index, slab in enumerate(self.slabs):
@@ -1126,8 +1139,8 @@ class CoPartitionedJoin:
                     leg = MergeJoin(
                         left_rows,
                         right_rows,
-                        left_key=lambda row: row[left_pos],
-                        right_key=lambda row: row[right_pos],
+                        left_key=itemgetter(left_pos),
+                        right_key=itemgetter(right_pos),
                         combine=self.combine,
                         disk=leg_clock,  # duck-typed: only .clock is read
                         shard=index,
@@ -1136,12 +1149,12 @@ class CoPartitionedJoin:
                     leg = MergeSemiJoin(
                         left_rows,
                         right_rows,
-                        left_key=lambda row: row[left_pos],
-                        right_key=lambda row: row[right_pos],
+                        left_key=itemgetter(left_pos),
+                        right_key=itemgetter(right_pos),
                         disk=leg_clock,
                         shard=index,
                     )
-                leg_rows = list(leg)
+                leg_rows = list(chain.from_iterable(leg.batches()))
                 per_shard_elapsed.append(leg_clock.clock - clock_before)
                 if len(failed_ranges) > failed_before:
                     # a side was abandoned mid-leg: drop the leg's output

@@ -132,10 +132,12 @@ class HeapFile:
         pages, self._count, self._free = meta
         del self._pages[pages:]
 
-    def scan(self, *, category: str = "data") -> Iterator[Any]:
-        """Yield all records in physical order with sequential page reads."""
+    def scan(self, *, category: str = "data") -> Iterator[list[Any]]:
+        """Yield the records in physical order with sequential page reads,
+        one list per non-empty page (a snapshot taken when it is read)."""
         for page in self.scan_pages(category=category):
-            yield from page.records
+            if page.records:
+                yield list(page.records)
 
     def scan_pages(self, *, category: str = "data") -> Iterator[Page]:
         """Yield pages in physical order, priced as a sequential scan.

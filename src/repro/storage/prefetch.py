@@ -214,10 +214,12 @@ class DualCursorPrefetcher:
     back.  With pages striped across devices the elapsed time of the
     join approaches ``max`` of the two sweeps instead of their sum.
 
-    The join advises before every pull, but a reconcile runs only when
-    something it depends on has moved: a side's projection and window
-    (its sweep consumed a region) or pool residency (frames come and go
-    only around a disk fetch).  Sweep positions and the pools'
+    The join advises before every pull that could move a window (see
+    :class:`~repro.relational.operators.MergeSemiJoin`), but a reconcile
+    runs only when something it depends on has moved: a side's
+    projection and window (its sweep consumed a region) or pool
+    residency (frames come and go only around a disk fetch).  Sweep
+    positions and the pools'
     ``disk_fetches`` are monotone, so their sum — the *stamp* — moves
     exactly when any of them does, and :meth:`advise` returns at once
     while it equals the stamp taken when the last reconcile *began*.
@@ -291,23 +293,26 @@ class DualCursorPrefetcher:
             return None
         return cls.for_scans(*scans, depth=depth)
 
-    def advise(self, index: int) -> None:
-        """The merge cursor is about to pull from side ``index``.
+    def advise(self, index: int) -> bool:
+        """The merge cursor is about to pull from side ``index``; returns
+        whether this call reconciled.
 
         A no-op while the stamp is where the last reconcile found it;
         otherwise every side's window is topped to full depth from its
         projection — the demanded side first, so when windows compete
-        for queue slots the side about to be read wins.
+        for queue slots the side about to be read wins.  Once a call
+        returns ``False`` every further call is a no-op until a sweep
+        consumes a region or a pool fetches a page.
         """
         if self._closed:
-            return
+            return False
         stamp = 0
         for scan, _ in self._sides:
             stamp += scan.sweep_position
         for pool in self._pools:
             stamp += pool.disk_fetches
         if stamp == self._reconciled_at:
-            return
+            return False
         self._reconciled_at = stamp
         order = [index] + [
             side for side in range(len(self._sides)) if side != index
@@ -315,6 +320,7 @@ class DualCursorPrefetcher:
         for side_index in order:
             scan, prefetcher = self._sides[side_index]
             prefetcher.top_up(scan.upcoming_page_ids(prefetcher.depth))
+        return True
 
     def close(self) -> None:
         """Close both windows and hand the scans their solo policy back."""

@@ -16,6 +16,7 @@ model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from ..core.query_space import IntersectionSpace, QuerySpace
@@ -277,13 +278,12 @@ def _q3_customer_order_tetris(
     return MergeJoin(
         _sweep(customer, params.customer_restrictions, ("c_custkey",)),
         _sweep(order, params.order_restrictions, ("o_custkey",)),
-        left_key=lambda row: row[C_CUSTKEY],
-        right_key=lambda row: row[O_CUSTKEY],
+        left_key=itemgetter(C_CUSTKEY),
+        right_key=itemgetter(O_CUSTKEY),
     )
 
 
-def _customer_order_orderkey(row: tuple) -> Any:
-    return row[_CUSTOMER_WIDTH + O_ORDERKEY]
+_customer_order_orderkey = itemgetter(_CUSTOMER_WIDTH + O_ORDERKEY)
 
 
 def _q3_tail(
@@ -296,7 +296,7 @@ def _q3_tail(
         customer_order_by_orderkey,
         lineitem_plan,
         left_key=_customer_order_orderkey,
-        right_key=lambda row: row[L_ORDERKEY],
+        right_key=itemgetter(L_ORDERKEY),
         disk=disk,
     )
     grouped = SortedGroupBy(
@@ -339,8 +339,8 @@ def q3_full_plan(
         customer_order = HashJoin(
             _access("fts", customer, params.customer_restrictions)[0],
             _access("fts", order, params.order_restrictions)[0],
-            build_key=lambda row: row[C_CUSTKEY],
-            probe_key=lambda row: row[O_CUSTKEY],
+            build_key=itemgetter(C_CUSTKEY),
+            probe_key=itemgetter(O_CUSTKEY),
         )
 
     by_orderkey = InMemorySort(customer_order, key=_customer_order_orderkey)
@@ -420,12 +420,12 @@ def _q4_tail(
     semijoined = MergeSemiJoin(
         order_plan,
         lineitem_stream,
-        left_key=lambda row: row[O_ORDERKEY],
-        right_key=lambda row: row[L_ORDERKEY],
+        left_key=itemgetter(O_ORDERKEY),
+        right_key=itemgetter(L_ORDERKEY),
         disk=disk,
         prefetch=prefetch,
     )
-    by_priority = InMemorySort(semijoined, key=lambda row: row[O_ORDERPRIORITY])
+    by_priority = InMemorySort(semijoined, key=itemgetter(O_ORDERPRIORITY))
     return SortedGroupBy(
         by_priority,
         key=lambda row: (row[O_ORDERPRIORITY],),
@@ -578,7 +578,7 @@ def q4_pushdown_plan(
     return _pushdown_join(
         db,
         list(_q4_order_tetris(order_ub, params)),
-        lambda row: row[O_ORDERKEY],
+        itemgetter(O_ORDERKEY),
         lineitem_ub,
         lambda cover: _q4_late_lineitems(lineitem_ub, cover),
         _q4_tail,

@@ -3,8 +3,9 @@
 The engine keeps only what something outside ``tests/`` runs (see
 ``tools/census``).  What the tests alone need — an opaque predicate
 space, a lossy decimal encoder, the paper's scan cost formula, structure
-walks, the invariant switch and the sanitizer's virtual actors — lives
-here, reading engine state (private attributes included) directly.
+walks, the invariant switch, the sanitizer's virtual actors and the
+row-at-a-time joins the batched ones replay — lives here, reading engine
+state (private attributes included) directly.
 """
 
 from __future__ import annotations
@@ -12,13 +13,17 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import Callable, Sequence
+from itertools import groupby
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro import invariants
+from repro import invariants, telemetry
 from repro.core.query_space import Box, QuerySpace
 from repro.costmodel import SECTION_4_PARAMS, CostParameters
 from repro.invariants import sanitizer
+from repro.relational.operators.base import Operator
+from repro.relational.operators.join import _pushdown_pages_skipped
 from repro.relational.schema import Encoder
+from repro.telemetry import JoinEvent
 
 
 class PredicateSpace(QuerySpace):
@@ -104,7 +109,8 @@ def point_query(ubtree, point):
 
 
 def rows_of(batches):
-    """The rows of a page-batched range query, in order, as one list."""
+    """The rows of a batched stream (a range query's or a heap scan's
+    pages), in order, as one list."""
     return [row for batch in batches for row in batch]
 
 
@@ -211,3 +217,140 @@ def sanitizer_counters():
             "lock_edges": len(state.lock_edges),
             "tracked_fields": len(state.last_access),
         }
+
+
+# ----------------------------------------------------------------------
+# row-at-a-time joins: the reference the batched joins must replay
+# ----------------------------------------------------------------------
+def _advised(rows, prefetch, side):
+    """Yield ``rows``, telling the coordinator which side each pull demands."""
+    iterator = iter(rows)
+    while True:
+        prefetch.advise(side)
+        try:
+            row = next(iterator)
+        except StopIteration:
+            return
+        yield row
+
+
+class _RowJoin(Operator):
+    """The join wrapper as it was before joins took batches: one row per
+    pull from each input, the coordinator advised before every pull, and
+    one :class:`JoinEvent` on natural drain."""
+
+    kind = "join"
+
+    def __init__(self, *, disk=None, prefetch=None, shard=None):
+        self.disk = disk
+        self.prefetch = prefetch
+        self.shard = shard
+        self.last_event = None
+
+    def _side(self, rows: Iterable[Any], side: int) -> Iterable[Any]:
+        if self.prefetch is None:
+            return rows
+        return _advised(rows, self.prefetch, side)
+
+    def __iter__(self) -> Iterator[Any]:
+        disk = self.disk
+        start = disk.clock if disk is not None else None
+        first = None
+        rows = 0
+        try:
+            for row in self._join():
+                if rows == 0 and disk is not None:
+                    first = disk.clock
+                rows += 1
+                yield row
+        finally:
+            if self.prefetch is not None:
+                self.prefetch.close()
+        event = JoinEvent(
+            operator=self.kind,
+            rows=rows,
+            pages_skipped_by_pushdown=_pushdown_pages_skipped(self.left, self.right),
+            start_clock=start,
+            first_tuple_clock=first,
+            end_clock=disk.clock if disk is not None else None,
+            shard=self.shard,
+        )
+        self.last_event = event
+        telemetry.emit(event)
+
+
+class RowMergeJoin(_RowJoin):
+    """:class:`~repro.relational.operators.MergeJoin`, one row per pull
+    (``groupby`` reads each group to its end plus one row)."""
+
+    kind = "merge-join"
+
+    def __init__(self, left, right, left_key, right_key, combine=None, **options):
+        super().__init__(**options)
+        self.left, self.right = left, right
+        self.left_key, self.right_key = left_key, right_key
+        self.combine = combine or (lambda a, b: tuple(a) + tuple(b))
+
+    def _join(self):
+        left_groups = groupby(self._side(self.left, 0), key=self.left_key)
+        right_groups = groupby(self._side(self.right, 1), key=self.right_key)
+        left_entry = next(left_groups, None)
+        right_entry = next(right_groups, None)
+        while left_entry is not None and right_entry is not None:
+            left_key, left_rows = left_entry
+            right_key, right_rows = right_entry
+            if left_key < right_key:
+                left_entry = next(left_groups, None)
+            elif left_key > right_key:
+                right_entry = next(right_groups, None)
+            else:
+                buffered_right = list(right_rows)
+                for left_row in left_rows:
+                    for right_row in buffered_right:
+                        yield self.combine(left_row, right_row)
+                left_entry = next(left_groups, None)
+                right_entry = next(right_groups, None)
+
+
+class RowMergeSemiJoin(_RowJoin):
+    """:class:`~repro.relational.operators.MergeSemiJoin`, one row per
+    pull, advising the coordinator before every one."""
+
+    kind = "merge-semi-join"
+
+    def __init__(self, left, right, left_key, right_key, **options):
+        super().__init__(**options)
+        self.left, self.right = left, right
+        self.left_key, self.right_key = left_key, right_key
+
+    def _join(self):
+        right_iter = iter(self._side(self.right, 1))
+        right_row = next(right_iter, None)
+        for left_row in self._side(self.left, 0):
+            key = self.left_key(left_row)
+            while right_row is not None and self.right_key(right_row) < key:
+                right_row = next(right_iter, None)
+            if right_row is None:
+                return
+            if self.right_key(right_row) == key:
+                yield left_row
+
+
+class RowHashJoin(_RowJoin):
+    """:class:`~repro.relational.operators.HashJoin`, one row per pull."""
+
+    kind = "hash-join"
+
+    def __init__(self, build, probe, build_key, probe_key, combine=None, **options):
+        super().__init__(**options)
+        self.left, self.right = build, probe
+        self.build_key, self.probe_key = build_key, probe_key
+        self.combine = combine or (lambda a, b: tuple(a) + tuple(b))
+
+    def _join(self):
+        table = {}
+        for row in self.left:
+            table.setdefault(self.build_key(row), []).append(row)
+        for probe_row in self.right:
+            for build_row in table.get(self.probe_key(probe_row), ()):
+                yield self.combine(build_row, probe_row)

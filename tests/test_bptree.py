@@ -1,6 +1,8 @@
 """Tests for the B+-tree substrate: ordering, splits, accounting."""
 
 import random
+from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -215,6 +217,35 @@ class TestIOT:
         assert TOP == type(TOP)()
         assert not ((2, 10**9) > (2, TOP))
         assert (3, 0) > (2, TOP)
+
+    @pytest.mark.parametrize("cut", [1, 3, 5, 7, 11])
+    def test_inserts_between_pulls_repeat_and_lose_no_row(self, cut):
+        """A leaf's records and its ``next`` link are one snapshot taken
+        when the leaf is read: inserts between two pulls of a scan, into
+        the leaf being read or splitting it, neither shift its rows nor
+        re-serve them from the new right sibling."""
+        for seed in range(40):
+            rng = random.Random(seed)
+            iot = IndexOrganizedTable(
+                BufferPool(SimulatedDisk(), 64),
+                key_of=lambda row: (row[0],),
+                page_capacity=3,
+                fanout=4,
+            )
+            rows = [(rng.randrange(64), index) for index in range(150)]
+            for row in rows:
+                iot.insert(row)
+            scan = iot.scan((5,), (58, TOP))
+            pulled = list(islice(scan, cut))
+            late = [(rng.randrange(64), 150 + index) for index in range(30)]
+            for row in late:
+                iot.insert(row)
+            pulled += scan
+            seen = Counter(pulled)
+            before = [row for row in rows if 5 <= row[0] <= 58]
+            assert [seen[row] for row in before] == [1] * len(before), seed
+            assert all(seen[row] <= 1 for row in late), seed
+            assert set(seen) <= set(before) | set(late), seed
 
     def test_delete_row(self):
         disk = SimulatedDisk()

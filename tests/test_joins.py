@@ -10,17 +10,23 @@ properties the pipelined-join work relies on:
   first-tuple clocks, only on natural drain;
 * the full Q3/Q4 pushdown plans are bit-identical to the plain Tetris
   plans and to the reference evaluators, on every kernel backend;
+* the batched joins replay the row-at-a-time joins of ``oracles.py`` —
+  rows, events, the output handed over before every batch pull and a
+  coordinator's reconciles;
 * the dual-cursor prefetcher never changes join output, never loses to
-  the solo per-scan prefetchers, and restores the scans on close; its
-  event-driven ``advise`` is indistinguishable — rows, clocks, ledgers,
-  fault log — from reconciling before every pull, and projects per
-  consumed region, not per row;
+  the solo per-scan prefetchers, and restores the scans on close; the
+  batched semi-join with its event-driven ``advise`` is
+  indistinguishable — rows, clocks, ledgers, fault log — from the row
+  loop reconciling before every pull, and projects per consumed
+  region, not per row;
 * a co-partitioned sharded join equals the serial join bit-for-bit —
   clean, across failover, and ``allow_partial`` never silently drops
   rows outside its flagged key ranges.
 """
 
+import ast
 import datetime as dt
+import inspect
 import random
 
 import pytest
@@ -34,14 +40,20 @@ from repro.relational.operators import (
     HashJoin,
     MergeJoin,
     MergeSemiJoin,
+    Operator,
     TetrisOperator,
 )
+from repro.relational.operators import join as join_module
+from repro.relational.operators import scan as scan_module
 from repro.shard import CoPartitionedJoin, ShardedDatabase, ShardFailedError
 from repro.storage import ICDE99_TESTBED, FaultPlan, LookaheadCursor, StorageError
 from repro.storage.prefetch import DualCursorPrefetcher
 from repro.telemetry import JoinEvent
 from repro.tpcd import TPCDConfig, generate, plans, reference_q3, reference_q4
 from repro.tpcd.queries import Q3Params, Q4Params
+from repro.tpcd.schema import ORDERDATE_HI, ORDERDATE_LO
+
+from oracles import RowHashJoin, RowMergeJoin, RowMergeSemiJoin
 
 DIMS = ("a1", "a2")
 
@@ -289,6 +301,155 @@ class TestPushdownPlans:
 
 
 # ----------------------------------------------------------------------
+# batched joins replay the row-at-a-time loop
+# ----------------------------------------------------------------------
+class Ticks:
+    """A stand-in disk for the joins' telemetry: the clock ticks on every
+    batch pull, ``taken`` counts the output rows the consumer has taken
+    and ``stamp`` is what a read-ahead coordinator watches."""
+
+    def __init__(self):
+        self.clock = 0
+        self.taken = 0
+        self.stamp = 0
+
+
+class Cut(Operator):
+    """A sorted input handed over in the given batches; notes at every
+    batch pull how many output rows the consumer had taken by then."""
+
+    def __init__(self, ticks, cuts):
+        self.ticks = ticks
+        self.cuts = cuts
+        self.pulls = []
+
+    def batches(self):
+        ticks = self.ticks
+        for batch in [*self.cuts, None]:
+            self.pulls.append(ticks.taken)
+            ticks.clock += 1
+            ticks.stamp += 1
+            if batch is None:
+                return
+            yield list(batch)
+
+
+class ToyCoordinator:
+    """The event-driven coordinator's contract in miniature: a call
+    reconciles iff the stamp moved since the last reconcile began, and a
+    reconcile sometimes moves the stamp itself (a submitted read)."""
+
+    def __init__(self, ticks, seed):
+        self.ticks = ticks
+        self.rng = random.Random(seed)
+        self.reconciled_at = None
+        self.log = []
+        self.closed = False
+
+    def advise(self, side):
+        if self.closed or self.ticks.stamp == self.reconciled_at:
+            return False
+        self.reconciled_at = self.ticks.stamp
+        self.log.append((side, self.ticks.clock))
+        if self.rng.random() < 0.5:
+            self.ticks.stamp += 1
+        return True
+
+    def close(self):
+        self.closed = True
+
+
+@st.composite
+def cut_input(draw, side):
+    """Rows ``(key, side, position)`` ascending on a duplicate-heavy key,
+    cut into random non-empty batches."""
+    keys = sorted(draw(st.lists(st.integers(0, 9), max_size=30)))
+    rows = [(key, side, position) for position, key in enumerate(keys)]
+    cuts, at = [], 0
+    while at < len(rows):
+        size = draw(st.integers(1, 7))
+        cuts.append(rows[at : at + size])
+        at += size
+    return cuts
+
+
+def run_cut(join_cls, left_cuts, right_cuts, seed):
+    """Drain ``join_cls`` over two cut inputs row by row; everything the
+    run leaves behind that the two loops must agree on."""
+    ticks = Ticks()
+    left, right = Cut(ticks, left_cuts), Cut(ticks, right_cuts)
+    first = lambda row: row[0]  # noqa: E731
+    if join_cls in (MergeSemiJoin, RowMergeSemiJoin):
+        coordinator = ToyCoordinator(ticks, seed)
+        join = join_cls(left, right, first, first, disk=ticks, prefetch=coordinator)
+    else:
+        coordinator = None
+        join = join_cls(left, right, first, first, disk=ticks)
+    rows = []
+    for row in join:
+        ticks.taken += 1
+        rows.append(row)
+    return {
+        "rows": rows,
+        "event": join.last_event,
+        "pulls": (left.pulls, right.pulls),
+        "reconciles": None if coordinator is None else coordinator.log,
+    }
+
+
+class TestBatchedJoinsReplayTheRowLoop:
+    """Output rows, :class:`JoinEvent` fields, the output handed over
+    before every batch pull of either input and — for the semi-join —
+    every reconcile of the coordinator equal the row-at-a-time joins in
+    ``tests/oracles.py``."""
+
+    PAIRS = [
+        (MergeJoin, RowMergeJoin),
+        (MergeSemiJoin, RowMergeSemiJoin),
+        (HashJoin, RowHashJoin),
+    ]
+
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    @pytest.mark.parametrize(
+        "batched,reference", PAIRS, ids=[pair[0].__name__ for pair in PAIRS]
+    )
+    @settings(max_examples=150)
+    @given(
+        left=cut_input("l"),
+        right=cut_input("r"),
+        seed=st.integers(0, 2**16),
+    )
+    def test_same_rows_events_and_pulls(
+        self, backend, batched, reference, left, right, seed
+    ):
+        with kernels.use_backend(backend):
+            got = run_cut(batched, left, right, seed)
+            expected = run_cut(reference, left, right, seed)
+        assert got == expected
+        assert got["event"] is not None
+
+    def test_joins_define_no_row_loop(self):
+        """The Tetris operator and the three joins implement ``batches()``
+        only: no ``__iter__`` of their own beside the derived one."""
+        wanted = {"TetrisOperator", "MergeJoin", "MergeSemiJoin", "HashJoin"}
+        found = set()
+        for module in (join_module, scan_module):
+            tree = ast.parse(inspect.getsource(module))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef) and node.name in wanted | {
+                    "_InstrumentedJoin"
+                }:
+                    found.add(node.name)
+                    methods = {
+                        item.name
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                    }
+                    assert "__iter__" not in methods, node.name
+        assert wanted <= found
+
+
+# ----------------------------------------------------------------------
 # dual-cursor prefetching
 # ----------------------------------------------------------------------
 class PollingDualCursor(DualCursorPrefetcher):
@@ -418,13 +579,15 @@ class TestDualCursorPrefetch:
             ),
         }
 
-    def run_synthetic(self, coordinator, strategy, pool, depth, devices, **stack):
-        """A cold inner join, then a warm semi-join on the same pool."""
+    def run_synthetic(
+        self, coordinator, join_cls, strategy, pool, depth, devices, **stack
+    ):
+        """A cold semi-join, then a warm one on the same pool."""
         db, (left_table, right_table) = self.synthetic_world(
             pool, depth, devices, **stack
         )
         runs = []
-        for join_cls in (MergeJoin, MergeSemiJoin):
+        for _ in range(2):
             left = TetrisOperator(
                 left_table, {"a2": (100, 900)}, "a1", strategy=strategy
             )
@@ -451,10 +614,10 @@ class TestDualCursorPrefetch:
         strategies = ("eager", "sweep") if (depth, devices) == (8, 4) else ("eager",)
         for strategy in strategies:
             reference = self.run_synthetic(
-                PollingDualCursor, strategy, pool, depth, devices
+                PollingDualCursor, RowMergeSemiJoin, strategy, pool, depth, devices
             )
             got = self.run_synthetic(
-                DualCursorPrefetcher, strategy, pool, depth, devices
+                DualCursorPrefetcher, MergeSemiJoin, strategy, pool, depth, devices
             )
             assert got == reference, (strategy, pool, depth, devices)
             cold, warm = got
@@ -467,23 +630,37 @@ class TestDualCursorPrefetch:
         for pool, depth in ((16, 8), (64, 4)):
             stack = {"fault_plan": self.FAULTS[kind], "replicas": replicas}
             reference = self.run_synthetic(
-                PollingDualCursor, "eager", pool, depth, 4, **stack
+                PollingDualCursor, RowMergeSemiJoin, "eager", pool, depth, 4, **stack
             )
             got = self.run_synthetic(
-                DualCursorPrefetcher, "eager", pool, depth, 4, **stack
+                DualCursorPrefetcher, MergeSemiJoin, "eager", pool, depth, 4, **stack
             )
             assert got == reference, (kind, replicas, pool, depth)
             assert got[-1]["fault_log"], "the plan never fired: vacuous"
 
+    #: the harness's Q4 windows (30, 90 and 180 days) at four starts each
+    Q4_WINDOWS = [
+        Q4Params(start, start + dt.timedelta(days=days))
+        for days in (30, 90, 180)
+        for start in (
+            ORDERDATE_LO + (ORDERDATE_HI - ORDERDATE_LO - dt.timedelta(days)) * k / 3
+            for k in range(4)
+        )
+    ]
+
     def test_event_driven_advise_matches_polling_on_q4(self, data, monkeypatch):
-        """The real plan over its triangular space, cold then warm."""
+        """The real plan over its triangular space: the default window
+        cold then warm, then the harness's twelve windows on one pool.
+        Without the replay of the unsettled row steps after a batch pull
+        the 180-day window at the third start diverges."""
+        windows = [Q4Params(), Q4Params(), *self.Q4_WINDOWS]
 
         def run():
             db, order_ub, lineitem_ub = self.q4_world(data, pool=64)
             runs = []
-            for _ in range(2):
+            for params in windows:
                 pipelined = plans.q4_pipelined_plan(
-                    db, order_ub, lineitem_ub, Q4Params(), prefetch=True
+                    db, order_ub, lineitem_ub, params, prefetch=True
                 )
                 runs.append(
                     self.observe(
@@ -494,17 +671,21 @@ class TestDualCursorPrefetch:
 
         got, coordinator = run()
         assert coordinator is DualCursorPrefetcher
+        # the reference: the row loop, reconciling before every pull
         monkeypatch.setattr(plans, "DualCursorPrefetcher", PollingDualCursor)
+        monkeypatch.setattr(plans, "MergeSemiJoin", RowMergeSemiJoin)
         reference, coordinator = run()
         assert coordinator is PollingDualCursor
-        assert got == reference
+        for params, got_run, reference_run in zip(windows, got, reference):
+            assert got_run == reference_run, params
         assert got[0]["outcome"] == reference_q4(data, Q4Params())
 
     # -- and the poll must not creep back: count, don't time
 
     def test_projects_per_consumed_region_not_per_row(self, data, monkeypatch):
-        calls = {"project": 0, "peek": 0, "advise": 0}
+        calls = {"project": 0, "peek": 0, "advise": 0, "reconciles": 0, "pulls": 0}
         project, peek = TetrisScan.upcoming_page_ids, LookaheadCursor.peek
+        batches = TetrisOperator.batches
 
         def counting_project(scan, count):
             calls["project"] += 1
@@ -517,9 +698,19 @@ class TestDualCursorPrefetch:
         def no_regions(scan, count):
             raise AssertionError("advise must not build ZRegions")
 
+        def counting_batches(operator):
+            pulled = batches(operator)
+            while True:
+                calls["pulls"] += 1
+                batch = next(pulled, None)
+                if batch is None:
+                    return
+                yield batch
+
         monkeypatch.setattr(TetrisScan, "upcoming_page_ids", counting_project)
         monkeypatch.setattr(TetrisScan, "upcoming_regions", no_regions)
         monkeypatch.setattr(LookaheadCursor, "peek", counting_peek)
+        monkeypatch.setattr(TetrisOperator, "batches", counting_batches)
 
         db, order_ub, lineitem_ub = self.q4_world(data, pool=64)
         pipelined = plans.q4_pipelined_plan(
@@ -531,7 +722,9 @@ class TestDualCursorPrefetch:
 
         def counting_advise(side):
             calls["advise"] += 1
-            advise(side)
+            reconciled = advise(side)
+            calls["reconciles"] += reconciled
+            return reconciled
 
         pipelined.prefetch.advise = counting_advise
         assert list(pipelined.plan) == reference_q4(data, Q4Params())
@@ -539,16 +732,20 @@ class TestDualCursorPrefetch:
         regions = (
             pipelined.left.stats.regions_read + pipelined.right.stats.regions_read
         )
-        reconciles, odd = divmod(calls["project"], 2)  # one projection per side
-        assert not odd
+        reconciles = calls["reconciles"]
+        assert calls["project"] == 2 * reconciles  # one projection per side
         # a consumed region makes one reconcile that issues reads and one
-        # that finds nothing left to do; c covers the opening pair
+        # that finds nothing left to do; 4 covers the opening pair
         assert 0 < reconciles <= 2 * regions + 4
         # the only other peeks are the sweeps' own, one per region they
-        # read: a pull that skips the reconcile looks at no cursor
+        # read: an advise that skips the reconcile looks at no cursor
         assert calls["peek"] == calls["project"] + regions
-        # ... and nearly every pull does skip it
-        assert calls["advise"] > 10 * reconciles
+        # the join advises before each batch pull, then row by row until
+        # one call finds nothing to do: apart from the calls that
+        # reconciled, at most two per batch pull
+        assert calls["advise"] <= 2 * calls["pulls"] + reconciles
+        rows = pipelined.left.stats.tuples_output + pipelined.right.stats.tuples_output
+        assert calls["advise"] < rows / 4
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ from repro.storage import (
 )
 from repro.storage.faults import CORRUPT, TRANSIENT
 
-from oracles import allocated_pages
+from oracles import allocated_pages, rows_of
 
 
 class FlakyDisk(SimulatedDisk):
@@ -398,7 +398,7 @@ class TestDatabasePolicy:
             with pytest.raises(TransientIOError):
                 list(table.scan())
         else:
-            assert len(list(table.scan())) == 40
+            assert len(rows_of(table.scan())) == 40
         assert db.disk.stats.faults.retries == retries
 
     @pytest.mark.parametrize("policy", [NO_RETRY, None], ids=["no-retry", "default"])

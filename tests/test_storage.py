@@ -22,7 +22,15 @@ from repro.storage import (
 )
 from repro.storage.faults import CORRUPT
 
-from oracles import actor, allocated_pages, checks, read_seeks, reset_sanitizer, write_seeks
+from oracles import (
+    actor,
+    allocated_pages,
+    checks,
+    read_seeks,
+    reset_sanitizer,
+    rows_of,
+    write_seeks,
+)
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +333,7 @@ class TestHeapFile:
         heap.load(records)
         assert len(heap) == 10
         assert heap.page_count == 4
-        assert list(heap.scan()) == records
+        assert rows_of(heap.scan()) == records
 
     def test_pages_physically_consecutive(self):
         disk = SimulatedDisk()

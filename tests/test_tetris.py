@@ -164,12 +164,13 @@ class TestIOBehaviour:
 
 
 class TestRowConsumerStopsMidSlice:
-    """The row-level counters count rows *pulled*, never a whole slice.
+    """A slice is handed over whole, and counted so.
 
-    A slice is cut in one piece, but a row consumer may stop anywhere
-    inside it: ``tuples_output`` is then the rows it received,
-    ``slices`` the slices it finished, and both clocks are the disk
-    clock of the last page the sweep had to read to get that far.
+    A row consumer may stop anywhere inside a slice: ``tuples_output``
+    is then the rows of every slice it was handed, the one it stopped
+    in included, ``slices`` the slices it finished, and both clocks are
+    the disk clock of the last page the sweep had to read to get that
+    far.
     """
 
     def _table(self):
@@ -214,7 +215,8 @@ class TestRowConsumerStopsMidSlice:
         assert first_clock > start
         for _ in range(pulls - 1):
             next(rows)
-        assert stats.tuples_output == pulls
+        # stopping inside the wide slice counts all of it
+        assert stats.tuples_output == (first if offset == 0 else first + length)
         assert stats.slices == (finished - 1 if offset == 0 else finished)
         assert stats.start_clock == start
         assert stats.first_output_clock == first_clock
@@ -224,15 +226,15 @@ class TestRowConsumerStopsMidSlice:
 
     def test_limit_over_operator(self):
         db, table = self._table()
-        first, _, finished = self._wide_slice(db, table)
+        first, length, finished = self._wide_slice(db, table)
         expected = list(TetrisOperator(table, None, "a"))[: first + 1]
         db.reset_measurement()
         operator = TetrisOperator(table, None, "a")
         start = db.disk.clock
         assert list(Limit(operator, first + 1)) == expected
         # Limit stops at its last row without looking ahead: that row
-        # is the wide slice's first
-        assert operator.stats.tuples_output == first + 1
+        # is the wide slice's first, and the slice was handed over whole
+        assert operator.stats.tuples_output == first + length
         assert operator.stats.slices == finished
         assert operator.stats.start_clock == start
         assert start < operator.stats.first_output_clock < operator.stats.end_clock

@@ -25,7 +25,7 @@ from repro.storage import (
 from repro.storage.heap import HeapFile
 from repro.storage.wal import ABORT, ALLOC, BEGIN, COMMIT, FREE, IMAGE, UNDO
 
-from oracles import allocated_pages, search, set_enabled
+from oracles import allocated_pages, rows_of, search, set_enabled
 
 
 def make_wal(params=None):
@@ -410,7 +410,7 @@ class TestEnginePaths:
             tear(page)
         wal.recover()
         assert [list(page.records) for page in loaded] == committed
-        assert list(heap.scan()) == [(i,) for i in range(10)]
+        assert rows_of(heap.scan()) == [(i,) for i in range(10)]
 
     def test_heap_bulk_load_crash_rolls_back_cleanly(self):
         disk, wal = make_wal()
@@ -444,7 +444,7 @@ class TestEnginePaths:
                 tear(page)
         report = db.recover()
         assert report.healed_pages > 0
-        assert list(table.scan()) == rows
+        assert rows_of(table.scan()) == rows
 
 
 # ----------------------------------------------------------------------
@@ -651,7 +651,7 @@ class TestFaultedLogDevice:
             table.bulk_load(rows)
         finally:
             db.disarm_faults()
-        assert list(table.scan()) == rows
+        assert rows_of(table.scan()) == rows
         assert list(table.scan()) == list(oracle_table.scan())
         injected = db.wal.device.stats.faults.total_injected
         assert injected > 0, "pinned seed stopped injecting log faults"
@@ -669,7 +669,7 @@ class TestFaultedLogDevice:
         finally:
             db.disarm_faults()
         report = db.recover()
-        assert list(table.scan()) == rows
+        assert rows_of(table.scan()) == rows
         again = db.recover()
         assert again.healed_pages == 0
 
