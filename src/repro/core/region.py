@@ -10,8 +10,10 @@ truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
+from .intervals import IntervalSet
 from .query_space import QueryBox, QuerySpace, box_meets
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -98,3 +100,67 @@ class RegionDirectory:
 
     def region(self, index: int) -> ZRegion:
         return ZRegion(self.firsts[index], self.lasts[index], self.page_ids[index])
+
+
+#: one scheduled region: ``(first, last, page_id, barrier)``, the barrier
+#: being the emission bound that holds once the region is read
+ScheduledRegion = tuple[int, int, int, "int | None"]
+
+
+class RegionCursor:
+    """A restricted scan's region schedule: columns and a ``position``.
+
+    ``entries`` holds ``(first, last, page_id, barrier)`` in retrieval
+    order and ``page_ids`` the ids alone, so a read-ahead window is the
+    slice ``page_ids[position:position + k]``; the entries before
+    ``position`` are the scan's read set Φ.  ``schedule(read, resume)``
+    lists the regions to read, none inside ``read``, resuming at the
+    last barrier handed out.  Every pull and peek compares the tree's
+    ``structure_epoch`` with the schedule's; on a move the rest —
+    lookahead included — is scheduled again minus Φ, so a row present
+    when the scan starts comes out exactly once and a row inserted
+    during it at most once (``docs/ALGORITHM.md`` §3).
+    """
+
+    __slots__ = ("tree", "entries", "page_ids", "position", "epoch", "_schedule")
+
+    def __init__(
+        self,
+        tree: Any,
+        schedule: "Callable[[IntervalSet, int | None], Iterable[ScheduledRegion]]",
+    ) -> None:
+        self.tree = tree  #: anything with a ``structure_epoch``
+        self.entries: list[ScheduledRegion] = []
+        self.page_ids: list[int] = []
+        self.position = 0
+        self.epoch: int | None = None  #: the tree's, when last scheduled
+        self._schedule = schedule
+
+    def __iter__(self) -> "RegionCursor":
+        return self
+
+    def __next__(self) -> ScheduledRegion:
+        if self.epoch != self.tree.structure_epoch:
+            self._take_schedule()
+        position = self.position
+        if position == len(self.entries):
+            raise StopIteration
+        self.position = position + 1
+        return self.entries[position]
+
+    def upcoming_page_ids(self, count: int) -> list[int]:
+        """The next ``count`` page ids (fewer near the end), not consumed:
+        a slice of the column."""
+        if self.epoch != self.tree.structure_epoch:
+            self._take_schedule()
+        return self.page_ids[self.position : self.position + count]
+
+    def _take_schedule(self) -> None:
+        position, entries = self.position, self.entries
+        read = IntervalSet()
+        for first, last, _, _ in islice(entries, position):
+            read.add(first, last)
+        del entries[position:], self.page_ids[position:]
+        self.epoch = self.tree.structure_epoch
+        entries.extend(self._schedule(read, entries[-1][3] if position else None))
+        self.page_ids.extend(entry[2] for entry in islice(entries, position, None))

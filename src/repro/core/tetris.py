@@ -14,7 +14,7 @@ Two interchangeable strategies are provided:
 ``eager`` (default)
     Enumerate the overlapping regions (index-only), key each by
     ``min T_j over (region ∩ Q)`` — a static quantity because Z-regions
-    are disjoint — and process a min-heap.
+    are disjoint — and read them in the order of the sorted schedule.
 
 ``sweep``
     The paper's event-point formulation (Figure 3-7), kept as the
@@ -36,30 +36,26 @@ sweep per slice for the same reason).
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from typing import Any, Iterator, Sequence
 
 # module import (not ``from ..kernels import get_backend``): kernels and
 # core import each other, so the attribute must resolve at call time
 from .. import invariants, kernels
-from ..storage.prefetch import LookaheadCursor, SweepPrefetcher
+from ..storage.prefetch import SweepPrefetcher
 from .curves import Curve
 from .intervals import IntervalSet
 from .query_space import QuerySpace, box_is_empty
-from .region import ZRegion
+from .region import RegionCursor, ScheduledRegion, ZRegion
 from .ubtree import UBTree
 
 SortedTuple = tuple[tuple[int, ...], Any]
 #: one completed slice: the tetris-curve keys it was ordered by and its
 #: tuples, two parallel lists
 Slice = tuple[list[int], list[SortedTuple]]
-
-#: a region scheduled for reading plus the emission barrier that becomes
-#: valid once it has been read: (first, last, page_id, next_key_or_None)
-_ScheduledRegion = tuple[int, int, int, "int | None"]
 
 _MISSING = object()  # sentinel distinguishing "not cached" from "cached None"
 
@@ -120,7 +116,7 @@ class TetrisScan:
         for a composite (multi-column) sort order, lexicographic in the
         listed attributes.
     strategy:
-        ``"eager"`` (static region keys + heap, the default) or
+        ``"eager"`` (static region keys, sorted; the default) or
         ``"sweep"`` (event points, the paper's literal loop).
     pushdown:
         An optional extra restriction pushed down from the *other* side
@@ -184,10 +180,12 @@ class TetrisScan:
             box = ubtree.space.universe_box()
         self._box = box
         self._page_reads: list[int] = []  # page access order, for tests
-        #: lazily created lookahead cursor over the scheduled regions —
-        #: shared between iteration and :meth:`upcoming_regions`, so a
-        #: projection never disturbs the retrieval order
-        self._cursor: "LookaheadCursor[_ScheduledRegion] | None" = None
+        #: the region schedule, shared by iteration and every projection
+        #: (read-ahead windows), so none disturbs the retrieval order
+        self.cursor = RegionCursor(
+            ubtree.tree,
+            self._eager_schedule if strategy == "eager" else self._sweep_regions,
+        )
         # sweep-strategy memos: next event beyond a covered interval, and
         # the box decomposition of an interval's complement (see
         # _skip_interval for the monotonicity argument)
@@ -201,22 +199,6 @@ class TetrisScan:
         """Page ids in retrieval order (used by equivalence tests)."""
         return self._page_reads
 
-    def _ensure_cursor(self) -> "LookaheadCursor[_ScheduledRegion]":
-        if self._cursor is None:
-            source = (
-                self._eager_regions()
-                if self.strategy == "eager"
-                else self._sweep_regions()
-            )
-            self._cursor = LookaheadCursor(source)
-        return self._cursor
-
-    def _upcoming(self, count: int) -> "list[_ScheduledRegion]":
-        """The cursor's next ``count`` entries; nothing for an empty box."""
-        if box_is_empty(self._box):
-            return []
-        return self._ensure_cursor().peek(count)
-
     def upcoming_regions(self, count: int) -> list[ZRegion]:
         """The projected next ``count`` Z-regions in retrieval order.
 
@@ -226,21 +208,10 @@ class TetrisScan:
         projection shrinks as the sweep consumes regions and is empty
         once the scan is exhausted.
         """
-        return [
-            ZRegion(first, last, page_id)
-            for first, last, page_id, _ in self._upcoming(count)
-        ]
-
-    def upcoming_page_ids(self, count: int) -> list[int]:
-        """Page ids of :meth:`upcoming_regions`, without building regions
-        — all a read-ahead window needs.  Changes exactly when
-        :attr:`sweep_position` does."""
-        return [entry[2] for entry in self._upcoming(count)]
-
-    @property
-    def sweep_position(self) -> int:
-        """Regions the sweep has consumed so far; only ever grows."""
-        return 0 if self._cursor is None else self._cursor.position
+        cursor = self.cursor
+        cursor.upcoming_page_ids(0)  # takes the schedule, or re-takes a stale one
+        ahead = islice(cursor.entries, cursor.position, cursor.position + count)
+        return [ZRegion(first, last, page_id) for first, last, page_id, _ in ahead]
 
     def slices(self) -> Iterator[Slice]:
         """The sweep's output in its own unit: one ``(keys, rows)`` pair
@@ -255,12 +226,7 @@ class TetrisScan:
         not; ``stats.slices`` ticks once the consumer asks for the next
         one.
         """
-        if box_is_empty(self._box):
-            disk = self.ubtree.tree.buffer.disk
-            self.stats.start_clock = disk.clock
-            self.stats.end_clock = disk.clock
-            return iter(())
-        return self._run(self._ensure_cursor())
+        return self._run(self.cursor)
 
     def __iter__(self) -> Iterator[SortedTuple]:
         for _, rows in self.slices():
@@ -269,7 +235,7 @@ class TetrisScan:
     # ------------------------------------------------------------------
     # shared driver: read regions in Tetris order, cache, flush slices
     # ------------------------------------------------------------------
-    def _run(self, regions: "LookaheadCursor[_ScheduledRegion]") -> Iterator[Slice]:
+    def _run(self, cursor: RegionCursor) -> Iterator[Slice]:
         disk = self.ubtree.tree.buffer.disk
         buffer = self.ubtree.tree.buffer
         curve = self.tetris_curve
@@ -304,6 +270,9 @@ class TetrisScan:
         fetch_checker = (
             invariants.FetchOnceChecker() if invariants.enabled() else None
         )
+        coverage_checker = invariants.enabled() and invariants.CoverageChecker(
+            self.ubtree, self.space, self.pushdown
+        )
 
         def cut(barrier: "int | None") -> Slice:
             """Everything below ``barrier``, counted as output."""
@@ -337,13 +306,13 @@ class TetrisScan:
             owns_prefetcher = True
 
         try:
-            for first, last, page_id, barrier in regions:
+            for first, _, page_id, barrier in cursor:
                 if prefetcher is not None:
-                    prefetcher.top_up(
-                        entry[2] for entry in regions.peek(prefetcher.depth)
-                    )
+                    prefetcher.top_up(cursor)
                 if fetch_checker is not None:
                     fetch_checker.observe(page_id, prefetcher)
+                if coverage_checker:
+                    coverage_checker.observe(first, page_id)
                 page = buffer.get(page_id, category=self.ubtree.category)
                 if prefetcher is not None:
                     prefetcher.mark_consumed(page_id)
@@ -387,6 +356,8 @@ class TetrisScan:
             if completed[1]:
                 yield completed
             stats.end_clock = disk.clock
+            if coverage_checker:
+                coverage_checker.finish()
         finally:
             # leftover submissions (early termination, or a conservative
             # projection) are cancelled and accounted as wasted; the
@@ -397,42 +368,62 @@ class TetrisScan:
                 prefetcher.close()
 
     # ------------------------------------------------------------------
-    # eager strategy: static keys, min-heap
+    # eager strategy: static keys, the sorted schedule
     # ------------------------------------------------------------------
-    def _eager_regions(self) -> Iterator[_ScheduledRegion]:
+    def _eager_schedule(
+        self, read: IntervalSet, resume: "int | None"
+    ) -> list[ScheduledRegion]:
         # which regions the walk visits, which the local restriction and
         # the pushed-down cover prune (the tests are exact for the cover,
         # so every page it skips truly holds no joinable tuple), and each
         # survivor's static key — ``min T_j over (region ∩ bounding
         # box)``, static because Z-regions are disjoint — all come from
-        # one batched schedule over the tree's region directory
+        # one batched schedule over the tree's region directory.  Regions
+        # only split, so one is inside Φ iff its first address is.  The
+        # counters describe the latest schedule taken; no region left to
+        # read keys below ``resume``, the last barrier handed out.
         stats = self.stats
-        heap: list[tuple[int, int, int, int]] = []
+        stats.regions_examined = stats.regions_skipped = 0
+        stats.pages_skipped_by_pushdown = 0
+        keyed: list[tuple[int, int, int, int]] = []
+        fresh = not read
         for region, in_space, _, key in self.ubtree.scheduled_regions(
             self.space, self.pushdown, self.tetris_curve
         ):
             stats.regions_examined += 1
             if key is not None:  # keyed iff the cover (and so the space) wants it
-                heap.append((key, region.first, region.last, region.page_id))
+                if fresh or read.containing(region.first) is None:
+                    keyed.append((key, region.first, region.last, region.page_id))
             elif in_space:
                 stats.pages_skipped_by_pushdown += 1
             else:
                 stats.regions_skipped += 1
-        heapq.heapify(heap)
-        while heap:
-            _, first, last, page_id = heapq.heappop(heap)
-            yield first, last, page_id, heap[0][0] if heap else None
+        keyed.sort()
+        barriers = [entry[0] for entry in islice(keyed, 1, None)]
+        barriers.append(None)
+        return [
+            (first, last, page_id, barrier)
+            for (_, first, last, page_id), barrier in zip(keyed, barriers)
+        ]
 
     # ------------------------------------------------------------------
     # sweep strategy: the paper's event-point loop
     # ------------------------------------------------------------------
-    def _sweep_regions(self) -> Iterator[_ScheduledRegion]:
+    def _sweep_regions(
+        self, read: IntervalSet, resume: "int | None"
+    ) -> Iterator[ScheduledRegion]:
+        # a re-schedule seeds Φ with the regions read and resumes at the
+        # last barrier handed out: everything below it was read or pruned
+        if box_is_empty(self._box):
+            return
         lo, hi = self._box
         curve = self.tetris_curve
         z_space = self.ubtree.space
-        phi = IntervalSet()
+        phi = read
+        # the next-event memo holds only while events increase
+        self._skip_cache.clear()
 
-        event = curve.next_in_box(0, lo, hi)
+        event = resume if read else curve.next_in_box(0, lo, hi)
         while event is not None:
             point = curve.decode(event)
             z_address = z_space.z_address(point)

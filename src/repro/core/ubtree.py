@@ -20,11 +20,12 @@ from .. import invariants, kernels
 from ..btree.bptree import BPlusTree
 from ..storage.buffer import BufferPool
 from ..storage.page import Page
-from ..storage.prefetch import LookaheadCursor, SweepPrefetcher
+from ..storage.prefetch import SweepPrefetcher
 from ..storage.wal import active_wal
 from .curves import Curve
 from .query_space import QuerySpace, box_is_empty
-from .region import RegionDirectory, ZRegion
+from .intervals import IntervalSet
+from .region import RegionCursor, RegionDirectory, ScheduledRegion, ZRegion
 from .zorder import ZSpace
 
 
@@ -187,20 +188,17 @@ class UBTree:
         sort_curve: "Curve | None" = None,
     ) -> Iterator[tuple[ZRegion, bool, bool, "int | None"]]:
         """``(region, in_space, in_cover, key)`` for every Z-region that
-        meets ``space``'s bounding box, in Z-order, lazily.
+        meets ``space``'s bounding box, in Z-order.
 
         The regions, verdicts and keys are
         :meth:`~repro.kernels.base.KernelBackend.schedule_regions`'s,
         computed for the whole scan in one call over the region
-        directory; the index levels are never read during the scan (the
-        paper's cached-index assumption, its cost model pricing data
-        pages only).  The directory is current iff its epoch is the
-        tree's, and that is compared before every row is handed out: if
-        the tree's structure changed since the schedule was taken, the
-        row's ``probe`` — the BIGMIN walk's next unread address — is
-        re-scheduled against a fresh directory, so a split between two
-        pulls never changes the answer.  With ``REPRO_CHECKS=1`` every
-        row is also held to the scalar definitions and to an inner-level
+        directory as of the first pull; the index levels are never read
+        during the scan (the paper's cached-index assumption, its cost
+        model pricing data pages only).  A scan takes the rows at once
+        through a :class:`RegionCursor`, which re-takes them when the
+        tree's structure epoch moves.  With ``REPRO_CHECKS=1`` every row
+        is also held to the scalar definitions and to an inner-level
         walk of the tree done with ``disk.peek``.
         """
         box = space.bounding_box()
@@ -210,31 +208,24 @@ class UBTree:
             return
         lo, hi = box
         curve = self.space.z
-        kernel = kernels.get_backend()
         checker = (
             invariants.ScheduleChecker(self, lo, hi, space, pushdown, sort_curve)
             if invariants.enabled()
             else None
         )
-        z_address: int | None = curve.encode(lo)
+        start = curve.encode(lo)
         curve.encode(hi)  # the box is API input: validate both corners
-        while z_address is not None:
-            directory = self.region_directory()
-            schedule = kernel.schedule_regions(
-                directory, z_address, lo, hi, space, pushdown, sort_curve
+        for probe, first, last, page_id, in_space, in_cover, key in (
+            kernels.get_backend().schedule_regions(
+                self.region_directory(), start, lo, hi, space, pushdown, sort_curve
             )
-            z_address = None
-            for probe, first, last, page_id, in_space, in_cover, key in schedule:
-                if directory.epoch != self.tree.structure_epoch:
-                    z_address = probe
-                    break
-                region = ZRegion(first, last, page_id)
-                if checker is not None:
-                    checker.observe(probe, region, in_space, in_cover, key)
-                yield region, in_space, in_cover, key
-            else:
-                if checker is not None:
-                    checker.finish()
+        ):
+            region = ZRegion(first, last, page_id)
+            if checker is not None:
+                checker.observe(probe, region, in_space, in_cover, key)
+            yield region, in_space, in_cover, key
+        if checker is not None:
+            checker.finish()
 
     def regions_overlapping(self, space: QuerySpace) -> Iterator[ZRegion]:
         """Z-regions intersecting ``space``, in Z-order.
@@ -265,29 +256,43 @@ class UBTree:
         page at once instead of tuple at a time.  Each page with a
         survivor is handed over as one list of ``(point, payload)``
         pairs, taken before the generator suspends: an insert between
-        two pulls cannot shift a page that is half read.  With an I/O
-        scheduler armed on the buffer pool, the projected next regions
-        are prefetched ahead of the cursor so their transfers overlap.
+        two pulls cannot shift a page that is half read, nor (the
+        regions come from a :class:`RegionCursor`) lose one it split.
+        With an I/O scheduler armed on the buffer pool, the projected
+        next regions are prefetched ahead of the cursor so their
+        transfers overlap.
         """
         buffer = self.tree.buffer
         kernel = kernels.get_backend()
-        regions = LookaheadCursor(self.regions_overlapping(space))
+
+        def schedule(read: IntervalSet, _: "int | None") -> list[ScheduledRegion]:
+            fresh = not read
+            return [
+                (region.first, region.last, region.page_id, None)
+                for region in self.regions_overlapping(space)
+                if fresh or read.containing(region.first) is None
+            ]
+
+        cursor = RegionCursor(self.tree, schedule)
         prefetcher = SweepPrefetcher.for_pool(buffer, category=self.category)
+        coverage = invariants.enabled() and invariants.CoverageChecker(self, space)
         try:
-            for region in regions:
+            for first, _, page_id, _ in cursor:
                 if prefetcher is not None:
-                    prefetcher.top_up(
-                        ahead.page_id for ahead in regions.peek(prefetcher.depth)
-                    )
-                page = buffer.get(region.page_id, category=self.category)
+                    prefetcher.top_up(cursor)
+                if coverage:
+                    coverage.observe(first, page_id)
+                page = buffer.get(page_id, category=self.category)
                 if prefetcher is not None:
-                    prefetcher.mark_consumed(region.page_id)
+                    prefetcher.mark_consumed(page_id)
                 records = page.records
                 pairs = [
                     records[index][1] for index in kernel.filter_space_page(space, page)
                 ]
                 if pairs:
                     yield pairs
+            if coverage:
+                coverage.finish()
         finally:
             if prefetcher is not None:
                 prefetcher.close()

@@ -76,7 +76,7 @@ from . import sanitizer as sanitizer
 from .accounting import validate_buffer_pool
 from .durability import validate_replicated_disk, validate_wal
 from .errors import InvariantViolation, check
-from .paper import FetchOnceChecker
+from .paper import CoverageChecker, FetchOnceChecker
 from .parity import (
     ScheduleChecker,
     SliceChecker,
@@ -99,6 +99,7 @@ from .structural import validate_bptree, validate_leaf, validate_ubtree
 from .txn import validate_txn_log
 
 __all__ = [
+    "CoverageChecker",
     "FetchOnceChecker",
     "GLOBAL_LOCK_ORDER",
     "InvariantViolation",

@@ -109,6 +109,17 @@ def spot_check_scan_page(
     )
 
 
+def tree_region(ubtree: "UBTree", z_address: int) -> "ZRegion":
+    """The region holding ``z_address``, by a descent of the tree's inner
+    levels with ``disk.peek``: no pool lookup, no accounting, no fault
+    site."""
+    from ..core.region import ZRegion
+
+    leaf_id, low, high, _ = ubtree.tree._locate(z_address, peek=True)
+    last = ubtree.space.address_max if high is None else high
+    return ZRegion(0 if low is None else low + 1, last, leaf_id)
+
+
 class ScheduleChecker:
     """One batched region schedule, held to the scalar walk row by row.
 
@@ -133,8 +144,7 @@ class ScheduleChecker:
         pushdown: "QuerySpace | None",
         sort_curve: "Curve | None",
     ) -> None:
-        self._tree = ubtree.tree
-        self._address_max = ubtree.space.address_max
+        self._ubtree = ubtree
         self._curve = ubtree.space.z
         self._box = (lo, hi)
         self._space = space
@@ -153,15 +163,12 @@ class ScheduleChecker:
         from ..kernels.pure import PurePythonBackend
 
         lo, hi = self._box
-        leaf_id, low, high, _ = self._tree._locate(probe, peek=True)
-        first = 0 if low is None else low + 1
-        last = self._address_max if high is None else high
+        truth = tree_region(self._ubtree, probe)
         check(
-            (region.first, region.last, region.page_id) == (first, last, leaf_id),
-            f"region directory of epoch {self._tree.structure_epoch} has "
-            f"{region!r} where the tree, still at that epoch, has "
-            f"[{first}:{last}]@page{leaf_id}: a structure change did not "
-            "advance the epoch",
+            region == truth,
+            f"region directory of epoch {self._ubtree.tree.structure_epoch} "
+            f"has {region!r} where the tree, still at that epoch, has "
+            f"{truth!r}: a structure change did not advance the epoch",
         )
         check(
             probe == self._expected and region.contains(probe),

@@ -205,21 +205,24 @@ def _actor_clock(name: str) -> dict[str, int]:
 class TrackedLock:
     """A named reentrant lock wired into the sanitizer.
 
-    Checks off: one boolean test over a plain ``RLock``.  Checks on:
-    every *outermost* acquisition is validated against the declared
-    global order and the observed nesting graph **before** blocking (so
-    an inversion raises instead of deadlocking), and release publishes
-    the holder's vector clock to the lock, establishing the
-    happens-before edge the race detector consumes.
+    Checks off: one boolean test over a plain ``RLock``, per acquire and
+    per release.  Checks on: every *outermost* acquisition is validated
+    against the declared global order and the observed nesting graph
+    **before** blocking (so an inversion raises instead of deadlocking),
+    and release publishes the holder's vector clock to the lock,
+    establishing the happens-before edge the race detector consumes.
     """
 
-    __slots__ = ("name", "_lock", "_clock", "_acquire_stack")
+    __slots__ = ("name", "_lock", "_clock", "_acquire_stack", "_tracked")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._lock = threading.RLock()
         self._clock: dict[str, int] = {}
         self._acquire_stack: tuple[tuple[str, int, str], ...] = ()
+        #: checked acquisitions not yet released (this lock's entries on
+        #: the held stack); only the RLock's holder changes it
+        self._tracked = 0
 
     def __repr__(self) -> str:
         return f"TrackedLock({self.name!r})"
@@ -268,6 +271,7 @@ class TrackedLock:
     def _after_acquire(self) -> None:
         held = _held_stack()
         held.append(self)
+        self._tracked += 1
         self._acquire_stack = _capture_stack(skip=3, depth=_HOT_STACK_DEPTH)
         published = self._clock
         if not published:
@@ -283,12 +287,9 @@ class TrackedLock:
                 clock[key] = tick
 
     def _before_release(self) -> None:
-        held = _held_stack()
-        try:
-            held.remove(self)
-        except ValueError:
-            return  # acquired while checks were off; nothing tracked
-        if self in held:
+        _held_stack().remove(self)
+        self._tracked -= 1
+        if self._tracked:
             return  # still reentrantly held: publish on outermost release
         # snapshot-publish + bump touch only the current actor's own
         # clock and this lock's ``_clock`` reference (read by the next
@@ -309,14 +310,14 @@ class TrackedLock:
         return got
 
     def release(self) -> None:
-        # Also clean up tracking when the gate flipped off mid-section,
-        # so a stale "held" entry cannot outlive the critical section.
-        if _gate() or self in _held_stack():
+        # keyed on what was tracked, not on the gate, which may have
+        # flipped since the acquisition
+        if self._tracked:
             self._before_release()
         self._lock.release()
 
     def __enter__(self) -> TrackedLock:
-        self.acquire()
+        (self.acquire if _gate() else self._lock.acquire)()
         return self
 
     def __exit__(

@@ -71,8 +71,8 @@ __all__ = [
 
 _EXECUTORS = ("auto", "threads", "inline")
 
-#: "all of them" for region projections (LookaheadCursor.peek is lazy
-#: and stops at exhaustion, so an over-ask costs nothing)
+#: "all of them" for region projections (a slice of the schedule stops
+#: at its end, so an over-ask costs nothing)
 _ALL_REGIONS = 1 << 30
 
 

@@ -308,10 +308,6 @@ class BufferPool:
         """Resident pages whose async read has not been claimed yet."""
         return frozenset(self._prefetched)
 
-    def iter_frames_lru(self) -> "list[int]":
-        """Resident page ids from least- to most-recently used."""
-        return list(self._frames)
-
     def _fetch(
         self, page_id: int, *, sequential: bool, category: str, charge: bool
     ) -> Page:

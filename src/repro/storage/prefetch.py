@@ -3,11 +3,11 @@
 The Tetris sweep (and the UB-Tree range query, and a heap scan) knows
 which pages it will touch next *before* it needs them — the region
 schedule is computed from index levels alone.  :class:`SweepPrefetcher`
-consumes that projection (``TetrisScan.upcoming_page_ids``-style
-lookahead, generically exposed through :class:`LookaheadCursor`) and
-keeps a bounded number of async reads in flight through the buffer
-pool's prefetch gate, so transfers overlap across the scheduler's device
-queues instead of serializing behind the sweep.
+reads that projection off the scan's region cursor — a slice of the
+schedule's page-id column — and keeps a bounded number of async reads in
+flight through the buffer pool's prefetch gate, so transfers overlap
+across the scheduler's device queues instead of serializing behind the
+sweep.
 
 It also installs :class:`SweepEvictionPolicy` on the pool for the
 duration of the scan: plain LRU is actively wrong under prefetching —
@@ -21,68 +21,23 @@ frame is still pending.
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import islice
-from typing import Any, Generic, Iterable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Any
 
 from .buffer import BufferPool
 
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
+    from ..core.region import RegionCursor
+
 __all__ = [
     "DualCursorPrefetcher",
-    "LookaheadCursor",
     "SweepEvictionPolicy",
     "SweepPrefetcher",
 ]
 
-ItemT = TypeVar("ItemT")
 
-
-class LookaheadCursor(Generic[ItemT]):
-    """An iterator with bounded :meth:`peek` lookahead.
-
-    Wraps any iterator and buffers items pulled ahead of consumption, so
-    a scan can ask "what are the next ``k`` items?" without disturbing
-    its own iteration order.  Safe for the region generators because
-    they perform no data-page I/O — pulling the schedule forward only
-    reads further into a schedule that is already computed.
-
-    ``position`` counts the items handed out by ``__next__`` — never the
-    ones :meth:`peek` merely buffered — and only grows, so "has the
-    projection moved since I last looked?" is one integer comparison.
-    """
-
-    def __init__(self, source: Iterator[ItemT]) -> None:
-        self._source = source
-        self._buffer: deque[ItemT] = deque()
-        self._exhausted = False
-        self.position = 0
-
-    def __iter__(self) -> Iterator[ItemT]:
-        return self
-
-    def __next__(self) -> ItemT:
-        if self._buffer:
-            item = self._buffer.popleft()
-        elif self._exhausted:
-            raise StopIteration
-        else:
-            try:
-                item = next(self._source)
-            except StopIteration:
-                self._exhausted = True
-                raise
-        self.position += 1
-        return item
-
-    def peek(self, count: int) -> list[ItemT]:
-        """The next ``count`` items (fewer near the end), not consumed."""
-        buffer = self._buffer
-        while len(buffer) < count and not self._exhausted:
-            try:
-                buffer.append(next(self._source))
-            except StopIteration:
-                self._exhausted = True
-        return list(islice(buffer, count)) if count > 0 else []
+def _prefetching(pool: BufferPool) -> bool:
+    scheduler = pool.scheduler
+    return scheduler is not None and scheduler.prefetch_depth > 0
 
 
 class SweepEvictionPolicy:
@@ -92,14 +47,15 @@ class SweepEvictionPolicy:
     (unclaimed) prefetched page; everything else — index pages, consumed
     region pages — is behind the plane and fair game.  Victims are taken
     in LRU order among the behind-the-plane frames, so without any
-    pending prefetches the policy degenerates to plain LRU.
+    pending prefetches the policy degenerates to plain LRU.  The pool
+    consults it under its own lock, so it walks the frames in place.
     """
 
     def choose_victim(self, pool: BufferPool) -> int | None:
-        pending = pool.prefetch_pending
+        pending = pool._prefetched
         if not pending:
             return None  # plain LRU
-        for page_id in pool.iter_frames_lru():
+        for page_id in pool._frames:
             if page_id not in pending:
                 return page_id
         return None  # every frame is ahead of the plane; LRU must decide
@@ -109,11 +65,13 @@ class SweepPrefetcher:
     """Keeps a bounded window of async reads in flight for one sweep.
 
     Create via :meth:`for_pool` (returns ``None`` when the pool has no
-    scheduler or prefetching is disabled), feed it the projected next
-    page ids with :meth:`top_up`, report consumption with
+    scheduler or prefetching is disabled), top it up from the scan's
+    region cursor with :meth:`top_up`, report consumption with
     :meth:`mark_consumed`, and always :meth:`close` it — leftover
     submissions are cancelled (accounted as wasted) and the pool's
-    previous eviction policy is restored.
+    previous eviction policy is restored.  Every submission lies in the
+    window ``page_ids[position:position + depth]`` of the schedule it
+    was made from, or is the page the sweep is about to demand.
     """
 
     def __init__(
@@ -135,6 +93,8 @@ class SweepPrefetcher:
         self.category = category
         self.sequential = sequential
         self._outstanding: set[int] = set()
+        #: the schedule epoch the window was last checked against
+        self._epoch: int | None = None
         self._closed = False
         self._previous_policy = pool.eviction_policy
         if pool.eviction_policy is None:
@@ -150,8 +110,7 @@ class SweepPrefetcher:
         sequential: bool = False,
     ) -> "SweepPrefetcher | None":
         """A prefetcher when the pool can prefetch, else ``None``."""
-        scheduler = pool.scheduler
-        if scheduler is None or scheduler.prefetch_depth <= 0:
+        if not _prefetching(pool):
             return None
         return cls(pool, depth=depth, category=category, sequential=sequential)
 
@@ -159,28 +118,41 @@ class SweepPrefetcher:
     def outstanding(self) -> frozenset[int]:
         return frozenset(self._outstanding)
 
-    def top_up(self, upcoming: Iterable[int]) -> int:
-        """Submit async reads for projected pages until the window is full.
+    def top_up(self, cursor: "RegionCursor") -> int:
+        """Submit async reads for the cursor's window until it is full
+        (at once, if it is); returns the number issued.
 
-        ``upcoming`` is the sweep's projection in retrieval order; pages
-        already resident, in flight, or refused (quarantine, transient
-        fault) are skipped.  Returns the number of reads issued.
+        Pages resident, in flight or refused (quarantine, transient
+        fault) are skipped.  If the cursor re-took its schedule, the
+        submissions outside the new window bar the page about to be
+        demanded are cancelled first, as wasted.
         """
         if self._closed:
             return 0
+        outstanding = self._outstanding
+        epoch = cursor.epoch
+        if epoch != self._epoch or epoch != cursor.tree.structure_epoch:
+            cursor.upcoming_page_ids(0)  # re-takes a stale schedule
+            self._epoch, start = cursor.epoch, max(cursor.position - 1, 0)
+            window = cursor.page_ids[start : cursor.position + self.depth]
+            for page_id in sorted(outstanding.difference(window)):
+                outstanding.discard(page_id)
+                self.pool.cancel_prefetch(page_id)
+        if len(outstanding) >= self.depth:
+            return 0
         issued = 0
         pool = self.pool
-        for page_id in upcoming:
-            if len(self._outstanding) >= self.depth:
+        for page_id in cursor.upcoming_page_ids(self.depth):
+            if len(outstanding) >= self.depth:
                 break
-            if page_id in self._outstanding:
+            if page_id in outstanding:
                 continue
             if pool.prefetch(
                 page_id,
                 sequential=self.sequential,
                 category=self.category,
             ):
-                self._outstanding.add(page_id)
+                outstanding.add(page_id)
                 issued += 1
         return issued
 
@@ -214,31 +186,19 @@ class DualCursorPrefetcher:
     back.  With pages striped across devices the elapsed time of the
     join approaches ``max`` of the two sweeps instead of their sum.
 
-    The join advises before every pull that could move a window (see
-    :class:`~repro.relational.operators.MergeSemiJoin`), but a reconcile
-    runs only when something it depends on has moved: a side's
-    projection and window (its sweep consumed a region) or pool
-    residency (frames come and go only around a disk fetch).  Sweep
-    positions and the pools'
-    ``disk_fetches`` are monotone, so their sum — the *stamp* — moves
-    exactly when any of them does, and :meth:`advise` returns at once
-    while it equals the stamp taken when the last reconcile *began*.
-    Taken at the start, a reconcile that itself touched the pool (issued
-    a read, burned a transient fault) leaves the stamp stale and is
-    followed by another on the next pull, so skipping is exact: every
-    retry, every candidate an eviction exposed and the demanded-side-
-    first order land on the same pull as if every pull reconciled
-    (argument and differential test: ``docs/JOINS.md``).
+    A reconcile runs only when something it depends on has moved: a
+    side's cursor (a region consumed, a split re-taking the schedule) or
+    pool residency (frames come and go only around a disk fetch).  Cursor
+    positions, structure epochs and the pools' ``disk_fetches`` only
+    grow, so their sum — the *stamp* — moves exactly when one of them
+    does, and :meth:`advise` returns at once while it equals the stamp
+    taken when the last reconcile *began*; why that is exact, and the
+    differential test holding it to a poll, is in ``docs/JOINS.md``.
 
-    Sides are duck-typed: anything exposing ``.ubtree`` (with
-    ``.tree.buffer`` and ``.category``), ``.sweep_position``,
-    ``.upcoming_page_ids(count)`` and an ``.external_prefetch``
-    attribute — i.e. ``TetrisScan``.  Each side's ``external_prefetch``
-    is set to its *shared* window: the sweep tops it up and marks pages
-    consumed per region while it is the one being drained (a scan can
-    read many regions between two emitted rows, when the join's cursor
-    cannot advise), the join's cursor refreshes the idle side, and
-    ownership — closing, cancelling leftovers — stays here.
+    Sides are ``TetrisScan``s: each one's ``external_prefetch`` is set to
+    its *shared* window, which its sweep tops up and marks consumed per
+    region while it is the one drained; the join's cursor refreshes the
+    idle side, and closing stays here.
     """
 
     def __init__(
@@ -247,6 +207,7 @@ class DualCursorPrefetcher:
         if len(sides) < 2:
             raise ValueError("dual-cursor policy needs at least two sides")
         self._sides = sides
+        self._cursors = [scan.cursor for scan, _ in sides]
         self._pools = list(
             {id(prefetcher.pool): prefetcher.pool for _, prefetcher in sides}.values()
         )
@@ -257,41 +218,20 @@ class DualCursorPrefetcher:
             scan.external_prefetch = prefetcher
 
     @classmethod
-    def for_scans(
-        cls, *scans: Any, depth: int | None = None
-    ) -> "DualCursorPrefetcher | None":
-        """A dual policy when every side's pool can prefetch, else ``None``."""
-        sides: "list[tuple[Any, SweepPrefetcher]]" = []
-        for scan in scans:
-            prefetcher = (
-                None
-                if scan is None
-                else SweepPrefetcher.for_pool(
-                    scan.ubtree.tree.buffer,
-                    depth=depth,
-                    category=scan.ubtree.category,
-                )
-            )
-            if prefetcher is None:
-                for _, opened in sides:
-                    opened.close()
-                return None
-            sides.append((scan, prefetcher))
-        if len(sides) < 2:
-            for _, opened in sides:
-                opened.close()
-            return None
-        return cls(sides)
-
-    @classmethod
     def for_operators(
         cls, *operators: Any, depth: int | None = None
     ) -> "DualCursorPrefetcher | None":
-        """Adapt operators exposing a ``.scan`` (``TetrisOperator``)."""
+        """A dual policy over two or more operators exposing a ``.scan``
+        (``TetrisOperator``) whose pools can all prefetch, else ``None``."""
         scans = [getattr(operator, "scan", None) for operator in operators]
-        if any(scan is None for scan in scans):
+        pools = [scan.ubtree.tree.buffer for scan in scans if scan is not None]
+        if len(pools) < max(2, len(scans)) or not all(map(_prefetching, pools)):
             return None
-        return cls.for_scans(*scans, depth=depth)
+        sides = [
+            (scan, SweepPrefetcher(pool, depth=depth, category=scan.ubtree.category))
+            for scan, pool in zip(scans, pools)
+        ]
+        return cls(sides)
 
     def advise(self, index: int) -> bool:
         """The merge cursor is about to pull from side ``index``; returns
@@ -299,16 +239,16 @@ class DualCursorPrefetcher:
 
         A no-op while the stamp is where the last reconcile found it;
         otherwise every side's window is topped to full depth from its
-        projection — the demanded side first, so when windows compete
-        for queue slots the side about to be read wins.  Once a call
-        returns ``False`` every further call is a no-op until a sweep
-        consumes a region or a pool fetches a page.
+        cursor — the demanded side first, so when windows compete for
+        queue slots the side about to be read wins.  Once a call returns
+        ``False`` every further call is a no-op until a sweep consumes a
+        region, a tree splits or a pool fetches a page.
         """
         if self._closed:
             return False
         stamp = 0
-        for scan, _ in self._sides:
-            stamp += scan.sweep_position
+        for cursor in self._cursors:
+            stamp += cursor.position + cursor.tree.structure_epoch
         for pool in self._pools:
             stamp += pool.disk_fetches
         if stamp == self._reconciled_at:
@@ -318,8 +258,7 @@ class DualCursorPrefetcher:
             side for side in range(len(self._sides)) if side != index
         ]
         for side_index in order:
-            scan, prefetcher = self._sides[side_index]
-            prefetcher.top_up(scan.upcoming_page_ids(prefetcher.depth))
+            self._sides[side_index][1].top_up(self._cursors[side_index])
         return True
 
     def close(self) -> None:

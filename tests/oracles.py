@@ -18,6 +18,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro import invariants, telemetry
 from repro.core.query_space import Box, QuerySpace
+from repro.core.region import RegionCursor
 from repro.costmodel import SECTION_4_PARAMS, CostParameters
 from repro.invariants import sanitizer
 from repro.relational.operators.base import Operator
@@ -194,6 +195,33 @@ def actor(name):
 def declared_lock_order():
     """The currently declared global lock order."""
     return sanitizer._declared_order
+
+
+class _Tree:
+    """A tree whose structure moves only when a test says so."""
+
+    structure_epoch = 0
+
+
+def page_cursor(page_ids: Iterable[int]) -> "tuple[RegionCursor, list[Any]]":
+    """A :class:`RegionCursor` over one single-address region per page,
+    in the given order, and the log of its schedule calls: one
+    ``(read, resume)`` pair per schedule taken.  Moving
+    ``cursor.tree.structure_epoch`` makes the next pull or peek take it
+    again; the schedule leaves out the regions inside ``read``."""
+    entries = [
+        (index, index, page_id, index + 1)
+        for index, page_id in enumerate(page_ids)
+    ]
+    if entries:
+        entries[-1] = entries[-1][:3] + (None,)
+    calls: list[Any] = []
+
+    def schedule(read, resume):
+        calls.append((read, resume))
+        return [entry for entry in entries if not read.containing(entry[0])]
+
+    return RegionCursor(_Tree(), schedule), calls
 
 
 def reset_sanitizer():

@@ -16,6 +16,7 @@ from repro import invariants, kernels
 from repro.core import QueryBox, UBTree, ZSpace, curves
 from repro.core.tetris import TetrisScan
 from repro.invariants import (
+    CoverageChecker,
     FetchOnceChecker,
     InvariantViolation,
     StreamChecker,
@@ -26,7 +27,7 @@ from repro.invariants import (
 )
 from repro.storage import BufferPool, IOScheduler, SimulatedDisk, SweepPrefetcher
 
-from oracles import checks, leaves, set_enabled
+from oracles import checks, leaves, page_cursor, set_enabled
 
 BITS = (4, 4)
 
@@ -323,7 +324,7 @@ class TestFetchOnce:
         window = SweepPrefetcher(pool)
         page_id = leaf_pages(ubtree)[0].page_id
         pool.drop_all()
-        assert window.top_up([page_id]) == 1
+        assert window.top_up(page_cursor([page_id])[0]) == 1
         FetchOnceChecker().observe(page_id, window)  # still resident: a claim
         window.close()
 
@@ -332,7 +333,7 @@ class TestFetchOnce:
         window = SweepPrefetcher(pool)
         page_id = leaf_pages(ubtree)[0].page_id
         pool.drop_all()
-        assert window.top_up([page_id]) == 1
+        assert window.top_up(page_cursor([page_id])[0]) == 1
         pool.drop_all()  # the async transfer is thrown away ...
         with pytest.raises(InvariantViolation, match="second time"):
             FetchOnceChecker().observe(page_id, window)  # ... then re-read
@@ -362,6 +363,56 @@ class TestFetchOnce:
         first = next(scan)
         pool.drop_all()
         assert [first, *scan] == expected
+
+
+# ----------------------------------------------------------------------
+# each owed region read at least once per restricted scan
+# ----------------------------------------------------------------------
+class TestCoverage:
+    BOX = QueryBox((2, 1), (13, 12))
+
+    def owed(self, ubtree):
+        return [
+            region
+            for region, _, in_cover, _ in ubtree.scheduled_regions(self.BOX)
+            if in_cover
+        ]
+
+    def test_every_owed_region_read_passes(self):
+        ubtree, _ = make_ubtree()
+        checker = CoverageChecker(ubtree, self.BOX)
+        for region in self.owed(ubtree):
+            checker.observe(region.first, region.page_id)
+        checker.finish()
+
+    def test_an_unread_region_fires(self):
+        ubtree, _ = make_ubtree()
+        checker = CoverageChecker(ubtree, self.BOX)
+        for region in self.owed(ubtree)[1:]:
+            checker.observe(region.first, region.page_id)
+        with pytest.raises(InvariantViolation, match="without reading"):
+            checker.finish()
+
+    def test_a_stale_region_counts_only_what_its_page_holds_now(self):
+        # read a region's page after it split: the page covers only the
+        # lower half now, so the new right sibling is still owed
+        ubtree, _ = make_ubtree(page_capacity=3)
+        owed = self.owed(ubtree)
+        target = next(r for r in owed if r.last - r.first > 8)
+        lo = ubtree.space.z.decode(target.first)
+        for _ in range(4):
+            ubtree.insert(lo, "split")
+        checker = CoverageChecker(ubtree, self.BOX)
+        for region in owed:
+            checker.observe(region.first, region.page_id)
+        with pytest.raises(InvariantViolation, match="without reading"):
+            checker.finish()
+
+    def test_wired_into_both_scans(self):
+        ubtree, _ = make_ubtree()
+        with checks():
+            list(TetrisScan(ubtree, self.BOX, 0))
+            list(ubtree.range_query(self.BOX))
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,10 @@ properties the pipelined-join work relies on:
 
 import ast
 import datetime as dt
+import hashlib
 import inspect
+import json
+import pathlib
 import random
 
 import pytest
@@ -46,8 +49,9 @@ from repro.relational.operators import (
 from repro.relational.operators import join as join_module
 from repro.relational.operators import scan as scan_module
 from repro.shard import CoPartitionedJoin, ShardedDatabase, ShardFailedError
-from repro.storage import ICDE99_TESTBED, FaultPlan, LookaheadCursor, StorageError
-from repro.storage.prefetch import DualCursorPrefetcher
+from repro.core.region import RegionCursor
+from repro.storage import ICDE99_TESTBED, FaultPlan, IOScheduler, StorageError
+from repro.storage.prefetch import DualCursorPrefetcher, SweepPrefetcher
 from repro.telemetry import JoinEvent
 from repro.tpcd import TPCDConfig, generate, plans, reference_q3, reference_q4
 from repro.tpcd.queries import Q3Params, Q4Params
@@ -475,7 +479,7 @@ class PollingDualCursor(DualCursorPrefetcher):
             # marks every page consumed itself, so there never were any —
             # which is what licensed deleting retain().
             assert prefetcher.outstanding <= set(upcoming)
-            prefetcher.top_up(upcoming)
+            prefetcher.top_up(scan.cursor)
 
 
 class TestDualCursorPrefetch:
@@ -680,20 +684,96 @@ class TestDualCursorPrefetch:
             assert got_run == reference_run, params
         assert got[0]["outcome"] == reference_q4(data, Q4Params())
 
+    # -- the read-ahead's requests to the device queues, pinned
+
+    #: ``case -> [calls, sha256]`` of the scheduler's call sequence per
+    #: case below, recorded at the commit before the windows became
+    #: slices of the region cursor's schedule
+    IO_RECORDING = pathlib.Path(__file__).parent / "golden" / "dual_cursor_io.json"
+
+    def io_cases(self):
+        cases = {
+            f"grid-{pool}-{depth}-{devices}": (pool, depth, devices, {})
+            for pool, depth, devices in self.GRID
+        }
+        for kind, plan in self.FAULTS.items():
+            for replicas in (0, 2):
+                for pool, depth in ((16, 8), (64, 4)):
+                    stack = {"fault_plan": plan, "replicas": replicas}
+                    cases[f"{kind}-{replicas}-{pool}-{depth}"] = (pool, depth, 4, stack)
+        return cases
+
+    def io_sequence(self, case, data, monkeypatch):
+        """Every ``IOScheduler`` submit, claim, cancel and demand read of
+        one case, in order: page, outcome and the clock after it."""
+        calls = []
+        originals = {
+            name: getattr(IOScheduler, name)
+            for name in ("submit", "claim", "cancel", "read")
+        }
+        for name, original in originals.items():
+
+            def recorded(scheduler, page_id, *args, _name=name, _call=original, **kw):
+                outcome = None
+                try:
+                    result = _call(scheduler, page_id, *args, **kw)
+                    outcome = result if isinstance(result, bool) else result is not None
+                    return result
+                except StorageError as error:
+                    outcome = type(error).__name__
+                    raise
+                finally:
+                    calls.append((_name, page_id, outcome, repr(scheduler.stats.time)))
+
+            monkeypatch.setattr(IOScheduler, name, recorded)
+        if case == "q4":
+            db, order_ub, lineitem_ub = self.q4_world(data, pool=64)
+            for params in [Q4Params(), Q4Params(), *self.Q4_WINDOWS]:
+                pipelined = plans.q4_pipelined_plan(
+                    db, order_ub, lineitem_ub, params, prefetch=True
+                )
+                self.observe(db, pipelined.plan, (pipelined.left, pipelined.right))
+        else:
+            pool, depth, devices, stack = self.io_cases()[case]
+            self.run_synthetic(
+                DualCursorPrefetcher, MergeSemiJoin, "eager", pool, depth, devices,
+                **stack,
+            )
+        digest = hashlib.sha256(repr(calls).encode()).hexdigest()
+        return [len(calls), digest]
+
+    @pytest.mark.parametrize(
+        "case",
+        ["q4"]
+        + [f"grid-{pool}-{depth}-{devices}" for pool, depth, devices in GRID]
+        + [
+            f"{kind}-{replicas}-{pool}-{depth}"
+            for kind in sorted(FAULTS)
+            for replicas in (0, 2)
+            for pool, depth in ((16, 8), (64, 4))
+        ],
+    )
+    def test_scheduler_sees_the_recorded_sequence(self, case, data, monkeypatch):
+        recording = json.loads(self.IO_RECORDING.read_text())
+        assert self.io_sequence(case, data, monkeypatch) == recording[case]
+
     # -- and the poll must not creep back: count, don't time
 
     def test_projects_per_consumed_region_not_per_row(self, data, monkeypatch):
-        calls = {"project": 0, "peek": 0, "advise": 0, "reconciles": 0, "pulls": 0}
-        project, peek = TetrisScan.upcoming_page_ids, LookaheadCursor.peek
+        calls = dict.fromkeys(
+            ("project", "top_ups", "open", "advise", "reconciles", "pulls"), 0
+        )
+        project, top_up = RegionCursor.upcoming_page_ids, SweepPrefetcher.top_up
         batches = TetrisOperator.batches
 
-        def counting_project(scan, count):
+        def counting_project(cursor, count):
             calls["project"] += 1
-            return project(scan, count)
+            return project(cursor, count)
 
-        def counting_peek(cursor, count):
-            calls["peek"] += 1
-            return peek(cursor, count)
+        def counting_top_up(prefetcher, cursor):
+            calls["top_ups"] += 1
+            calls["open"] += len(prefetcher.outstanding) < prefetcher.depth
+            return top_up(prefetcher, cursor)
 
         def no_regions(scan, count):
             raise AssertionError("advise must not build ZRegions")
@@ -707,9 +787,9 @@ class TestDualCursorPrefetch:
                     return
                 yield batch
 
-        monkeypatch.setattr(TetrisScan, "upcoming_page_ids", counting_project)
+        monkeypatch.setattr(RegionCursor, "upcoming_page_ids", counting_project)
+        monkeypatch.setattr(SweepPrefetcher, "top_up", counting_top_up)
         monkeypatch.setattr(TetrisScan, "upcoming_regions", no_regions)
-        monkeypatch.setattr(LookaheadCursor, "peek", counting_peek)
         monkeypatch.setattr(TetrisOperator, "batches", counting_batches)
 
         db, order_ub, lineitem_ub = self.q4_world(data, pool=64)
@@ -733,13 +813,17 @@ class TestDualCursorPrefetch:
             pipelined.left.stats.regions_read + pipelined.right.stats.regions_read
         )
         reconciles = calls["reconciles"]
-        assert calls["project"] == 2 * reconciles  # one projection per side
+        # a reconcile tops both windows, a sweep its own once per region
+        assert calls["top_ups"] == 2 * reconciles + regions
         # a consumed region makes one reconcile that issues reads and one
         # that finds nothing left to do; 4 covers the opening pair
         assert 0 < reconciles <= 2 * regions + 4
-        # the only other peeks are the sweeps' own, one per region they
-        # read: an advise that skips the reconcile looks at no cursor
-        assert calls["peek"] == calls["project"] + regions
+        # a window is a slice of its cursor's schedule, projected only by
+        # a top-up that finds it open — plus, once per side, the first
+        # top-up checking the window against the schedule it came from.
+        # A full window projects nothing.
+        assert calls["project"] == calls["open"] + 2
+        assert calls["project"] < calls["top_ups"]
         # the join advises before each batch pull, then row by row until
         # one call finds nothing to do: apart from the calls that
         # reconciled, at most two per batch pull

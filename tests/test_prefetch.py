@@ -1,4 +1,4 @@
-"""Tests for the sweep-ahead prefetch layer: lookahead cursors, the
+"""Tests for the sweep-ahead prefetch layer: the region cursor, the
 evict-behind-the-plane policy (vs plain LRU's pathology), the prefetcher
 lifecycle, and end-to-end stream identity on both kernel backends."""
 
@@ -11,11 +11,12 @@ from repro.relational import Attribute, Database, IntEncoder, Schema
 from repro.storage import (
     BufferPool,
     IOScheduler,
-    LookaheadCursor,
     SimulatedDisk,
     SweepEvictionPolicy,
     SweepPrefetcher,
 )
+
+from oracles import page_cursor
 
 #: pinned data seeds — the eviction pathology and the end-to-end identity
 #: checks must hold for every one of them, on both kernel backends
@@ -55,69 +56,92 @@ def make_db(rows, seed, *, devices=1, prefetch_depth=0, buffer_pages=48):
 
 
 # ----------------------------------------------------------------------
-# LookaheadCursor
+# the region cursor's peek, position and exhaustion (the class keeps the
+# name of the lookahead wrapper the cursor replaced)
 # ----------------------------------------------------------------------
+def pages_of(entries):
+    return [entry[2] for entry in entries]
+
+
 class TestLookaheadCursor:
     def test_peek_does_not_consume(self):
-        cursor = LookaheadCursor(iter(range(5)))
-        assert cursor.peek(3) == [0, 1, 2]
-        assert list(cursor) == [0, 1, 2, 3, 4]
+        cursor, _ = page_cursor(range(5))
+        assert cursor.upcoming_page_ids(3) == [0, 1, 2]
+        assert cursor.upcoming_page_ids(3) == [0, 1, 2]
+        assert pages_of(cursor) == [0, 1, 2, 3, 4]
 
     def test_peek_past_the_end_returns_remainder(self):
-        cursor = LookaheadCursor(iter(range(2)))
-        assert cursor.peek(10) == [0, 1]
-        assert list(cursor) == [0, 1]
-        assert cursor.peek(1) == []
+        cursor, _ = page_cursor(range(2))
+        assert cursor.upcoming_page_ids(10) == [0, 1]
+        assert pages_of(cursor) == [0, 1]
+        assert cursor.upcoming_page_ids(1) == []
 
     def test_interleaved_peek_and_next(self):
-        cursor = LookaheadCursor(iter(range(6)))
-        assert next(cursor) == 0
-        assert cursor.peek(2) == [1, 2]
-        assert next(cursor) == 1
-        assert cursor.peek(2) == [2, 3]
-        assert list(cursor) == [2, 3, 4, 5]
+        cursor, _ = page_cursor(range(6))
+        assert next(cursor)[2] == 0
+        assert cursor.upcoming_page_ids(2) == [1, 2]
+        assert next(cursor)[2] == 1
+        assert cursor.upcoming_page_ids(2) == [2, 3]
+        assert pages_of(cursor) == [2, 3, 4, 5]
 
     def test_zero_peek_is_empty(self):
-        cursor = LookaheadCursor(iter(range(3)))
-        assert cursor.peek(0) == []
+        cursor, _ = page_cursor(range(3))
+        assert cursor.upcoming_page_ids(0) == []
+        assert cursor.position == 0
 
     def test_position_counts_next_only(self):
-        cursor = LookaheadCursor(iter(range(4)))
+        cursor, calls = page_cursor(range(4))
         assert cursor.position == 0
-        cursor.peek(3)
-        cursor.peek(10)  # buffers everything, exhausts the source
+        cursor.upcoming_page_ids(3)
+        cursor.upcoming_page_ids(10)  # the whole schedule, taken once
+        assert len(calls) == 1
         assert cursor.position == 0
-        assert [next(cursor), next(cursor)] == [0, 1]
+        assert [next(cursor)[2], next(cursor)[2]] == [0, 1]
         assert cursor.position == 2
-        assert cursor.peek(5) == [2, 3]
+        assert cursor.upcoming_page_ids(5) == [2, 3]
         assert cursor.position == 2
-        assert list(cursor) == [2, 3]
+        assert pages_of(cursor) == [2, 3]
         assert cursor.position == 4
         with pytest.raises(StopIteration):
             next(cursor)
         assert cursor.position == 4  # the exhausting pull hands out nothing
+        assert len(calls) == 1
 
     def test_position_counts_unbuffered_pulls_too(self):
-        cursor = LookaheadCursor(iter(range(3)))
-        assert next(cursor) == 0  # straight from the source, never peeked
+        cursor, calls = page_cursor(range(3))
+        assert next(cursor)[2] == 0  # the first pull takes the schedule
         assert cursor.position == 1
+        assert len(calls) == 1
 
     def test_peek_returns_a_fresh_list(self):
-        cursor = LookaheadCursor(iter(range(5)))
-        first = cursor.peek(3)
+        cursor, _ = page_cursor(range(5))
+        first = cursor.upcoming_page_ids(3)
         first.clear()
         first.append("mine")
-        assert cursor.peek(3) == [0, 1, 2]
-        assert cursor.peek(3) is not cursor.peek(3)
-        assert list(cursor) == [0, 1, 2, 3, 4]
+        assert cursor.upcoming_page_ids(3) == [0, 1, 2]
+        assert cursor.upcoming_page_ids(3) is not cursor.upcoming_page_ids(3)
+        assert pages_of(cursor) == [0, 1, 2, 3, 4]
 
     def test_short_peek_leaves_the_longer_lookahead_buffered(self):
-        cursor = LookaheadCursor(iter(range(6)))
-        assert cursor.peek(5) == [0, 1, 2, 3, 4]
-        assert cursor.peek(2) == [0, 1]  # a prefix, not the whole buffer
-        assert next(cursor) == 0
-        assert cursor.peek(2) == [1, 2]
-        assert list(cursor) == [1, 2, 3, 4, 5]
+        cursor, calls = page_cursor(range(6))
+        assert cursor.upcoming_page_ids(5) == [0, 1, 2, 3, 4]
+        assert cursor.upcoming_page_ids(2) == [0, 1]  # a prefix of the column
+        assert next(cursor)[2] == 0
+        assert cursor.upcoming_page_ids(2) == [1, 2]
+        assert pages_of(cursor) == [1, 2, 3, 4, 5]
+        assert len(calls) == 1
+
+    def test_an_epoch_move_reschedules_the_rest_minus_phi(self):
+        cursor, calls = page_cursor([10, 11, 12, 13])
+        assert [next(cursor)[2], next(cursor)[2]] == [10, 11]
+        assert cursor.upcoming_page_ids(1) == [12]
+        cursor.tree.structure_epoch += 1
+        assert cursor.upcoming_page_ids(9) == [12, 13]  # Φ left out
+        read, resume = calls[-1]
+        assert len(calls) == 2 and resume == 2  # the last barrier handed out
+        assert read.containing(1) == (0, 1) and read.containing(2) is None
+        assert pages_of(cursor) == [12, 13]
+        assert cursor.page_ids == [10, 11, 12, 13] and cursor.position == 4
 
 
 # ----------------------------------------------------------------------
@@ -206,18 +230,21 @@ class TestSweepPrefetcher:
     def test_top_up_respects_window_and_consumption(self):
         pool, _, ids = make_pool(capacity=8, depth=2)
         prefetcher = SweepPrefetcher.for_pool(pool)
-        assert prefetcher.top_up(ids[:6]) == 2
-        assert prefetcher.top_up(ids[:6]) == 0  # window full
+        cursor, _ = page_cursor(ids[:6])
+        assert prefetcher.top_up(cursor) == 2
+        assert prefetcher.top_up(cursor) == 0  # window full
+        assert next(cursor)[2] == ids[0]
         pool.get(ids[0])
         prefetcher.mark_consumed(ids[0])
-        assert prefetcher.top_up(ids[:6]) == 1  # slot freed
+        assert prefetcher.top_up(cursor) == 1  # slot freed
+        assert prefetcher.outstanding == {ids[1], ids[2]}
         prefetcher.close()
 
     def test_close_cancels_outstanding_and_restores_policy(self):
         pool, scheduler, ids = make_pool(capacity=8, depth=2)
         prefetcher = SweepPrefetcher.for_pool(pool)
         assert isinstance(pool.eviction_policy, SweepEvictionPolicy)
-        prefetcher.top_up(ids[:2])
+        prefetcher.top_up(page_cursor(ids[:2])[0])
         prefetcher.close()
         assert pool.eviction_policy is None
         assert pool.prefetch_pending == frozenset()

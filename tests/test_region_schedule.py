@@ -251,7 +251,8 @@ def observed_run(case, *, scalar):
     disk.arm()
     scan = TetrisScan(tree, case["space"], case["sort"], pushdown=case["pushdown"])
     try:
-        seen["schedule"] = scan._upcoming(ALL)
+        scan.cursor.upcoming_page_ids(0)  # takes the schedule
+        seen["schedule"] = list(scan.cursor.entries)
         seen["rows"] = list(scan)
         # a pool without the reference's index pages keeps more data
         # pages resident: each query starts cold, so residency cannot
@@ -494,9 +495,9 @@ class TestDirectoryFollowsTheTree:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_insert_between_pulls_of_a_live_range_query(self, backend):
         """The schedule in hand predates the splits; the epoch has moved
-        at the next pull, and the walk carries on from its next unread
-        address against a fresh directory, exactly as the per-region
-        walk carries on from the tree."""
+        at the next pull, and the region cursor takes the schedule again
+        from a fresh directory minus the regions already read, which
+        ends where the per-region walk carrying on from the tree does."""
 
         def interleaved(scalar):
             tree = grown_tree(count=200, capacity=3, seed=8)

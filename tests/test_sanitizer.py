@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.invariants import sanitizer
 from repro.invariants.sanitizer import (
     GLOBAL_LOCK_ORDER,
     LockOrderViolation,
@@ -346,3 +347,75 @@ class TestActorsAndGate:
         lock = tracked_lock("repr-check")
         assert isinstance(lock, TrackedLock)
         assert repr(lock) == "TrackedLock('repr-check')"
+
+
+class TestGateFlipsMidSection:
+    """A critical section entered with checks on and left with them off,
+    or the reverse, leaves no held entry behind, and the lock publishes
+    its holder's clock exactly when an armed acquisition is released —
+    at the first release after it, reentrant or not."""
+
+    STEPS = {
+        "acquire-on-release-off": [("acquire", True), ("release", False)],
+        "acquire-off-release-on": [("acquire", False), ("release", True)],
+        "on-then-off-inside": [
+            ("acquire", True), ("acquire", False),
+            ("release", False), ("release", False),
+        ],
+        "off-then-on-inside": [
+            ("acquire", False), ("acquire", True),
+            ("release", True), ("release", False),
+        ],
+        "on-twice-released-off": [
+            ("acquire", True), ("acquire", True),
+            ("release", False), ("release", False),
+        ],
+        "on-twice-mixed-release": [
+            ("acquire", True), ("acquire", True),
+            ("release", True), ("release", False),
+        ],
+    }
+    #: ticks of the actor's clock after each step: a publish bumps it
+    PUBLISHED_AFTER = {
+        "acquire-on-release-off": [0, 1],
+        "acquire-off-release-on": [0, 0],
+        "on-then-off-inside": [0, 0, 1, 1],
+        "off-then-on-inside": [0, 0, 1, 1],
+        "on-twice-released-off": [0, 0, 0, 1],
+        "on-twice-mixed-release": [0, 0, 0, 1],
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(STEPS))
+    def test_flip_leaves_nothing_held(self, scenario):
+        reset_sanitizer()
+        lock = tracked_lock("flip-lock")
+        ticks = []
+        with actor(f"flip-{scenario}") as name:
+            clock = sanitizer._actor_clock(name)
+            start = clock.get(name, 0)
+            for step, armed_now in self.STEPS[scenario]:
+                with checks(armed_now):
+                    getattr(lock, step)()
+                ticks.append(clock.get(name, 0) - start)
+            assert sanitizer._held_stack() == []
+        assert ticks == self.PUBLISHED_AFTER[scenario]
+        assert not lock._lock._is_owned()
+        with checks():
+            assert not lock.held_by_current_thread()
+        reset_sanitizer()
+
+    @pytest.mark.parametrize("entered_armed", [True, False])
+    def test_flip_inside_a_with_block(self, entered_armed):
+        reset_sanitizer()
+        lock = tracked_lock("flip-lock")
+        with actor(f"flip-with-{entered_armed}") as name:
+            clock = sanitizer._actor_clock(name)
+            start = clock.get(name, 0)
+            with checks(entered_armed):
+                lock.__enter__()
+            with checks(not entered_armed):
+                lock.__exit__(None, None, None)
+            assert sanitizer._held_stack() == []
+            assert clock.get(name, 0) - start == int(entered_armed)
+        assert not lock._lock._is_owned()
+        reset_sanitizer()

@@ -197,7 +197,7 @@ class TestLoading:
                 pool = copy.db.buffer
                 state.append(
                     (
-                        pool.iter_frames_lru(),
+                        list(pool._frames),
                         (pool.lookups, pool.hits, pool.misses, pool.disk_fetches),
                         repr(copy.db.disk.stats),
                     )
