@@ -93,14 +93,6 @@ class QueryBox(QuerySpace):
         his[dim] = min(his[dim], hi)
         return QueryBox(los, his)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, QueryBox) and self.lo == other.lo and self.hi == other.hi
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         ranges = ", ".join(f"[{l}, {h}]" for l, h in zip(self.lo, self.hi))
         return f"QueryBox({ranges})"

@@ -7,9 +7,10 @@ tuples are keyed by their Z-address, every leaf page is one Z-region, and
 the region boundaries ``[α : β]`` are the separator keys surrounding the
 leaf.  Insertion splits a full region at the median Z-address (the
 paper's ``γ`` with half the tuples on either side); point queries are one
-tree descent; the range query walks the regions overlapping a query box
-via the BIGMIN ("getNextZ") primitive, touching each qualifying page
-exactly once.
+tree descent; the range query reads the regions overlapping a query box
+— the ones the BIGMIN ("getNextZ") walk visits, scheduled from the
+region directory in one call — touching each qualifying page exactly
+once.
 """
 
 from __future__ import annotations
@@ -186,58 +187,60 @@ class UBTree:
         space: QuerySpace,
         pushdown: "QuerySpace | None" = None,
         sort_curve: "Curve | None" = None,
-    ) -> Iterator[tuple[ZRegion, bool, bool, "int | None"]]:
+    ) -> list[tuple[ZRegion, bool, bool, "int | None"]]:
         """``(region, in_space, in_cover, key)`` for every Z-region that
         meets ``space``'s bounding box, in Z-order.
 
         The regions, verdicts and keys are
         :meth:`~repro.kernels.base.KernelBackend.schedule_regions`'s,
         computed for the whole scan in one call over the region
-        directory as of the first pull; the index levels are never read
+        directory as of this call; the index levels are never read
         during the scan (the paper's cached-index assumption, its cost
-        model pricing data pages only).  A scan takes the rows at once
-        through a :class:`RegionCursor`, which re-takes them when the
-        tree's structure epoch moves.  With ``REPRO_CHECKS=1`` every row
-        is also held to the scalar definitions and to an inner-level
-        walk of the tree done with ``disk.peek``.
+        model pricing data pages only).  A scan takes the rows through a
+        :class:`RegionCursor`, which re-takes them when the tree's
+        structure epoch moves.  With ``REPRO_CHECKS=1`` every row is
+        held to the scalar definitions and to an inner-level walk of the
+        tree done with ``disk.peek`` before the list is returned.
         """
         box = space.bounding_box()
         if box is None:
             box = self.space.universe_box()
         if box_is_empty(box):
-            return
+            return []
         lo, hi = box
         curve = self.space.z
-        checker = (
-            invariants.ScheduleChecker(self, lo, hi, space, pushdown, sort_curve)
-            if invariants.enabled()
-            else None
-        )
         start = curve.encode(lo)
         curve.encode(hi)  # the box is API input: validate both corners
-        for probe, first, last, page_id, in_space, in_cover, key in (
-            kernels.get_backend().schedule_regions(
-                self.region_directory(), start, lo, hi, space, pushdown, sort_curve
+        rows = kernels.get_backend().schedule_regions(
+            self.region_directory(), start, lo, hi, space, pushdown, sort_curve
+        )
+        if invariants.enabled():
+            checker = invariants.ScheduleChecker(
+                self, lo, hi, space, pushdown, sort_curve
             )
-        ):
-            region = ZRegion(first, last, page_id)
-            if checker is not None:
-                checker.observe(probe, region, in_space, in_cover, key)
-            yield region, in_space, in_cover, key
-        if checker is not None:
+            for probe, first, last, page_id, in_space, in_cover, key in rows:
+                checker.observe(
+                    probe, ZRegion(first, last, page_id), in_space, in_cover, key
+                )
             checker.finish()
+        return [
+            (ZRegion(first, last, page_id), in_space, in_cover, key)
+            for _, first, last, page_id, in_space, in_cover, key in rows
+        ]
 
-    def regions_overlapping(self, space: QuerySpace) -> Iterator[ZRegion]:
-        """Z-regions intersecting ``space``, in Z-order.
+    def regions_overlapping(self, space: QuerySpace) -> list[ZRegion]:
+        """Z-regions intersecting ``space``, in Z-order, as of this call.
 
         The index levels come from the region directory and data pages
         are *not* read.  Regions inside the bounding box whose
         geometry provably misses a non-rectangular ``space`` are
         filtered out.
         """
-        for region, in_space, _, _ in self.scheduled_regions(space):
-            if in_space:
-                yield region
+        return [
+            region
+            for region, in_space, _, _ in self.scheduled_regions(space)
+            if in_space
+        ]
 
     # ------------------------------------------------------------------
     # the range query (Section 5.3 / standard UB-Tree algorithm)
@@ -248,16 +251,18 @@ class UBTree:
         """All tuples inside ``space``; each overlapping page read once.
 
         This is the multi-attribute restriction algorithm used for TPC-D
-        Q6: jump along the Z-curve with BIGMIN, read every overlapping
-        region page once (a random access each), and filter the page's
-        tuples against the exact predicate.  Filtering runs through the
-        batch kernel layer (one ``filter_space_page`` call per page), so
-        the vectorized backend evaluates the predicate over the whole
-        page at once instead of tuple at a time.  Each page with a
-        survivor is handed over as one list of ``(point, payload)``
-        pairs, taken before the generator suspends: an insert between
-        two pulls cannot shift a page that is half read, nor (the
-        regions come from a :class:`RegionCursor`) lose one it split.
+        Q6: walk the region schedule (:meth:`regions_overlapping`, the
+        regions the BIGMIN walk would visit, taken from the region
+        directory in one call), read every overlapping region page once
+        (a random access each), and filter the page's tuples against the
+        exact predicate.  Filtering runs through the batch kernel layer
+        (one ``filter_space_page`` call per page), so the vectorized
+        backend evaluates the predicate over the whole page at once
+        instead of tuple at a time.  Each page with a survivor is handed
+        over as one list of ``(point, payload)`` pairs, taken before the
+        generator suspends: an insert between two pulls cannot shift a
+        page that is half read, nor (the regions come from a
+        :class:`RegionCursor`) lose one it split.
         With an I/O scheduler armed on the buffer pool, the projected
         next regions are prefetched ahead of the cursor so their
         transfers overlap.

@@ -14,8 +14,8 @@ documents them all):
   — predicate evaluation over a page's worth of points,
 * ``argsort_keys`` — one stable slice-level sort permutation,
 * ``page_entries`` / ``scan_page`` — fused compound kernels: one call
-  filters + keys + sorts a whole page (``scan_page`` straight from the
-  storage page, letting backends keep a memoized columnar view),
+  filters + keys + sorts a whole page (``scan_page`` from a memoized
+  view: columns plus a zone that skips bounds no record can fail),
 * ``schedule_regions`` — a restricted scan's whole region schedule
   (BIGMIN walk, pruning verdicts, static Tetris keys) from the tree's
   region directory in one call,

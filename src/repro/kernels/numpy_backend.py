@@ -11,10 +11,11 @@ A page is keyed once per sort order, not once per scan.  A tuple's
 Tetris address is a fixed bit permutation of its point, so a page's
 keys on one curve change only when the page does: the backend keeps a
 view per page (:class:`_PageView`, stamped with ``Page.version``) that
-holds the coordinate matrix and, per sort curve, the page's keys
-ascending with their stable permutation.  A warm
-:meth:`NumPyBackend.scan_page_run` is then a mask over the columns and
-two takes through that permutation.  :meth:`NumPyBackend.scan_page` and
+holds the coordinate matrix, its per-dimension min and max (its *zone*)
+and, per sort curve, the page's keys ascending with their stable
+permutation.  A warm :meth:`NumPyBackend.scan_page_run` is then a mask
+of the bounds the zone straddles and two takes through that
+permutation.  :meth:`NumPyBackend.scan_page` and
 :meth:`NumPyBackend.page_entries` stay uncached: they are the reference
 ``REPRO_CHECKS=1`` holds the cached run to.
 
@@ -29,6 +30,7 @@ pickled pages) see exactly what the pure backend produces.
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_right
 from typing import Any, Sequence
 
 import numpy as np
@@ -263,10 +265,12 @@ class _DirectoryArrays:
     each an axis-aligned box.  Region ``i`` owns the block rows
     ``offsets[i]:offsets[i + 1]`` of ``los`` / ``his`` (the boxes' low
     and high corners, decoded once); ``owner`` maps a block row back to
-    its region.  O(regions x blocks x dims) memory, no query state.
+    its region; ``least_high`` / ``greatest_low`` are per dimension the
+    least high and greatest low corner.  O(regions x blocks x dims).
     """
 
-    __slots__ = ("firsts", "lasts", "page_ids", "offsets", "owner", "los", "his")
+    __slots__ = ("firsts", "lasts", "page_ids", "offsets", "owner", "los", "his",
+                 "least_high", "greatest_low")
 
     def __init__(self, directory: RegionDirectory, tables: "_CurveTables") -> None:
         self.firsts = np.asarray(directory.firsts, dtype=_U64)
@@ -280,6 +284,19 @@ class _DirectoryArrays:
         self.owner = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
         self.los = NumPyBackend._decode_addresses(tables, positions)
         self.his = self.los | tables.suffix_masks[levels]
+        self.least_high = self.his.min(axis=0).tolist()
+        self.greatest_low = self.los.max(axis=0).tolist()
+
+    def meeting(self, los: Any, his: Any, lo: Any, hi: Any) -> "np.ndarray":
+        """Per block ``[los[i], his[i]]``: whether it meets ``[lo, hi]``,
+        testing only the bounds some block of the directory can fail."""
+        meeting = np.ones(len(los), dtype=bool)
+        for dim, (low, high) in enumerate(zip(lo, hi)):
+            if low > self.least_high[dim]:
+                meeting &= his[:, dim] >= low
+            if high < self.greatest_low[dim]:
+                meeting &= los[:, dim] <= high
+        return meeting
 
 
 def _aligned_blocks(
@@ -351,22 +368,28 @@ def _page_matrix(records: Sequence[Any]) -> "np.ndarray | None":
     return flat.reshape(len(records), -1) if len(records) else None
 
 
+def _zone(columns: "np.ndarray") -> "tuple[list[int], list[int]]":
+    """A non-empty coordinate matrix's per-dimension min and max."""
+    return columns.min(axis=0).tolist(), columns.max(axis=0).tolist()
+
+
 class _PageView:
     """What the backend derives from one page, valid while the page's
     ``version`` equals :attr:`version`.
 
-    :attr:`columns` is the page's coordinate matrix (``None`` when it
-    does not convert).  :attr:`runs` maps a sort curve to the page's
-    keys on it in ascending order and their stable sort permutation (as
-    ``uint64`` record indexes), built by the first scan in that order.
-    Both arrays are read-only: runs handed to a run buffer share them.
+    :attr:`columns` is the page's coordinate matrix (``None`` when it does
+    not convert), :attr:`lows` / :attr:`highs` its zone.  :attr:`runs` maps
+    a sort curve to the page's keys on it ascending and their stable sort
+    permutation (``uint64`` record indexes), built by the first scan in
+    that order.  Both are read-only: runs in a run buffer share them.
     """
 
-    __slots__ = ("version", "columns", "runs")
+    __slots__ = ("version", "columns", "lows", "highs", "runs")
 
     def __init__(self, version: int, columns: "np.ndarray | None") -> None:
         self.version = version
         self.columns = columns
+        self.lows, self.highs = (None, None) if columns is None else _zone(columns)
         self.runs: "dict[Curve, tuple[np.ndarray, ...]]" = {}
 
     def keyed(
@@ -385,11 +408,31 @@ class _PageView:
         return run
 
 
-def _boxes_meeting_box(
-    los: "np.ndarray", his: "np.ndarray", lo: "np.ndarray", hi: "np.ndarray"
-) -> "np.ndarray":
-    """Per box ``[los[i], his[i]]``: whether it meets the box ``[lo, hi]``."""
-    return ((los <= hi) & (lo <= his)).all(axis=1)
+def _selection(mask: Any, count: int) -> "np.ndarray":
+    """The row indexes, ascending, a narrowing of ``count`` rows admits."""
+    return np.arange(count) if mask is True else np.flatnonzero(mask)
+
+
+def _both(mask: Any, test: Any) -> Any:
+    """Two narrowings that admit some row, ANDed (masks are fresh)."""
+    if mask is True:
+        return test
+    if test is not True:
+        mask &= test
+    return mask
+
+
+def _narrow_box(columns: Any, lows: Any, highs: Any, lo: Any, hi: Any) -> Any:
+    """:meth:`NumPyBackend._narrow` of the box ``[lo, hi]``."""
+    mask: Any = True
+    for dim, (low, high, floor, ceiling) in enumerate(zip(lo, hi, lows, highs)):
+        if low > ceiling or high < floor:
+            return False
+        if low > floor:
+            mask = _both(mask, columns[:, dim] >= low)
+        if high < ceiling:
+            mask = _both(mask, columns[:, dim] <= high)
+    return mask
 
 
 class NumPyBackend(PurePythonBackend):
@@ -401,20 +444,16 @@ class NumPyBackend(PurePythonBackend):
         self._tables: "weakref.WeakKeyDictionary[Curve, _CurveTables | None]" = (
             weakref.WeakKeyDictionary()
         )
-        # per-QueryBox bound arrays: a scan tests the same box against
-        # every page, so the conversion must not repeat per call
-        self._boxes: "weakref.WeakKeyDictionary[QueryBox, tuple | None]" = (
-            weakref.WeakKeyDictionary()
-        )
-        # per-pushdown-cover interval arrays, same reasoning as _boxes
+        # per-pushdown-cover interval arrays: a scan tests the same cover
+        # against every page, so the conversion must not repeat per call
         self._intervals: "weakref.WeakKeyDictionary[IntervalUnionSpace, tuple | None]" = (
             weakref.WeakKeyDictionary()
         )
         # one view per Z-region page, dying with the page and stamped
-        # with its mutation version: the coordinate matrix plus, per sort
-        # order, the page's sorted keys.  Repeated scans over the same
-        # relation (the common OLAP pattern) then skip both the
-        # Python-tuple → array conversion and the keying.
+        # with its mutation version: the coordinate matrix and its zone
+        # plus, per sort order, the page's sorted keys.  Repeated scans
+        # over the same relation (the common OLAP pattern) then skip both
+        # the Python-tuple → array conversion and the keying.
         self._views: "weakref.WeakKeyDictionary[Any, _PageView]" = (
             weakref.WeakKeyDictionary()
         )
@@ -423,19 +462,6 @@ class NumPyBackend(PurePythonBackend):
         self._directories: (
             "weakref.WeakKeyDictionary[RegionDirectory, _DirectoryArrays | None]"
         ) = weakref.WeakKeyDictionary()
-
-    def _box_arrays(self, space: QueryBox) -> "tuple | None":
-        arrays = self._boxes.get(space, False)
-        if arrays is False:
-            try:
-                arrays = (
-                    np.asarray(space.lo, dtype=_U64),
-                    np.asarray(space.hi, dtype=_U64),
-                )
-            except (OverflowError, ValueError, TypeError):
-                arrays = None
-            self._boxes[space] = arrays
-        return arrays
 
     def _interval_arrays(self, space: IntervalUnionSpace) -> "tuple | None":
         arrays = self._intervals.get(space, False)
@@ -520,12 +546,10 @@ class NumPyBackend(PurePythonBackend):
             return []
         try:
             columns = np.asarray(points, dtype=_U64)
-            lo_arr = np.asarray(lo, dtype=_U64)
-            hi_arr = np.asarray(hi, dtype=_U64)
         except (OverflowError, ValueError, TypeError):
             return super().filter_box_batch(lo, hi, points)
-        mask = ((columns >= lo_arr) & (columns <= hi_arr)).all(axis=1)
-        return np.nonzero(mask)[0].tolist()
+        mask = _narrow_box(columns, *_zone(columns), lo, hi)
+        return _selection(mask, len(columns)).tolist()
 
     def filter_space_batch(
         self, space: QuerySpace, points: Sequence[Sequence[int]]
@@ -536,64 +560,76 @@ class NumPyBackend(PurePythonBackend):
             columns = np.asarray(points, dtype=_U64)
         except (OverflowError, ValueError, TypeError):
             return super().filter_space_batch(space, points)
-        mask = np.ones(len(points), dtype=bool)
         try:
-            self._mask_space(space, columns, mask)
+            mask = self._narrow(space, columns, *_zone(columns))
         except _NoGeometry:
             return super().filter_space_batch(space, points)
-        return np.nonzero(mask)[0].tolist()
+        return _selection(mask, len(columns)).tolist()
 
-    def _mask_space(
-        self, space: QuerySpace, columns: "np.ndarray", mask: "np.ndarray"
-    ) -> None:
-        """AND ``space`` membership into ``mask`` (vectorized per part);
-        raises :class:`_NoGeometry` for a space it cannot vectorize."""
+    def _narrow(self, space: QuerySpace, columns: Any, lows: Any, highs: Any) -> Any:
+        """Which rows of ``columns`` (zone ``[lows, highs]``) lie in
+        ``space``: ``True`` when no bound can fail, ``False`` when none can
+        pass, else a fresh mask of only the one-sided tests the zone
+        straddles.  Raises :class:`_NoGeometry` for an unknown space."""
         if isinstance(space, QueryBox):
-            arrays = self._box_arrays(space)
-            if arrays is None:
-                raise _NoGeometry
-            lo_arr, hi_arr = arrays
-            mask &= ((columns >= lo_arr) & (columns <= hi_arr)).all(axis=1)
-        elif isinstance(space, ComparisonSpace):
-            compare = _NP_COMPARATORS[space.op]
-            mask &= compare(columns[:, space.left_dim], columns[:, space.right_dim])
-        elif isinstance(space, IntervalUnionSpace):
+            return _narrow_box(columns, lows, highs, space.lo, space.hi)
+        if isinstance(space, ComparisonSpace):
+            left, right, compare = space.left_dim, space.right_dim, space._cmp
+            # the most and the least favourable pairs of the two ranges
+            best, worst = (lows[left], highs[right]), (highs[left], lows[right])
+            if space.op in (">", ">="):
+                best, worst = worst, best
+            every, some = compare(*worst), compare(*best)
+            if every or not some:
+                return every
+            return _NP_COMPARATORS[space.op](columns[:, left], columns[:, right])
+        if isinstance(space, IntervalUnionSpace):
+            starts, ends, dim = space.starts, space.ends, space.dim
+            low, high = lows[dim], highs[dim]
+            # the last intervals starting at or below the zone's two ends
+            slot, last = bisect_right(starts, low) - 1, bisect_right(starts, high) - 1
+            if slot >= 0 and high <= ends[slot]:
+                return True  # the zone lies inside one interval
+            first = slot + 1 if slot < 0 or ends[slot] < low else slot
+            if first > last:
+                return False  # the zone lies inside one gap
+            if first == last:  # one interval meets the zone: a box on ``dim``
+                bounds = [starts[first]], [ends[first]]
+                return _narrow_box(columns[:, dim : dim + 1], [low], [high], *bounds)
             arrays = self._interval_arrays(space)
             if arrays is None:
                 raise _NoGeometry
-            starts, ends = arrays
-            if not starts.size:
-                mask[:] = False
-                return
-            column = columns[:, space.dim]
             # slot of the last interval starting at or below each value;
             # membership iff that interval also ends at or above it
-            slots = np.searchsorted(starts, column, side="right") - 1
+            column = columns[:, dim]
+            slots = np.searchsorted(arrays[0], column, side="right") - 1
             inside = slots >= 0
             np.clip(slots, 0, None, out=slots)
-            mask &= inside & (column <= ends[slots])
-        elif isinstance(space, IntersectionSpace):
+            inside &= column <= arrays[1][slots]
+            return inside
+        if isinstance(space, IntersectionSpace):
+            mask = True
             for part in space.parts:
-                if not mask.any():
-                    return
-                self._mask_space(part, columns, mask)
-        else:
-            raise _NoGeometry
+                narrowed = self._narrow(part, columns, lows, highs)
+                if narrowed is False:
+                    return False
+                mask = _both(mask, narrowed)
+            return mask
+        raise _NoGeometry
 
     def filter_space_page(self, space: QuerySpace, page: Any) -> list[int]:
         """Page-level space filter over the memoized columnar view."""
         records = page.records
         if not records:
             return []
-        columns = self._page_view(page).columns
-        if columns is None:
+        view = self._page_view(page)
+        if view.columns is None:
             return super().filter_space_page(space, page)
-        mask = np.ones(len(columns), dtype=bool)
         try:
-            self._mask_space(space, columns, mask)
+            mask = self._narrow(space, view.columns, view.lows, view.highs)
         except _NoGeometry:
             return super().filter_space_page(space, page)
-        return np.nonzero(mask)[0].tolist()
+        return _selection(mask, len(records)).tolist()
 
     # ------------------------------------------------------------------
     # sorting
@@ -648,14 +684,14 @@ class NumPyBackend(PurePythonBackend):
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray] | None":
         """Filter + key + stable sort; ``(selected, keys, perm)`` arrays.
 
+        The filter narrows against the zone of ``columns`` itself.
         ``selected`` holds the qualifying row indices ascending, ``keys``
         their curve addresses in arrival order, and ``perm``
         the stable sort permutation over ``keys``.  ``None`` when nothing
         qualifies.
         """
-        mask = np.ones(len(columns), dtype=bool)
-        self._mask_space(space, columns, mask)
-        selected = np.nonzero(mask)[0]
+        mask = self._narrow(space, columns, *_zone(columns))
+        selected = _selection(mask, len(columns))
         if not selected.size:
             return None
         keys = self._encode_columns(tables, columns[selected])
@@ -732,11 +768,12 @@ class NumPyBackend(PurePythonBackend):
         """:meth:`scan_page` whose entries stay ``uint64`` array pairs.
 
         The page is keyed once per sort order (:meth:`_PageView.keyed`);
-        a scan masks the columns against ``space`` and takes the
-        survivors through the cached permutation.  Keys still ascend and
-        arrival order (a survivor's rank, ``cumsum(mask) - 1``) still
-        breaks ties, because a stable sort of a subset is the subset of
-        the stable sort.
+        a scan narrows the columns against ``space`` within the page's
+        zone (:meth:`_narrow`) and takes the survivors through the cached
+        permutation, or all of it.  Keys still ascend and arrival order
+        (a survivor's rank, ``cumsum(mask) - 1``) still breaks ties,
+        because a stable sort of a subset is the subset of the stable
+        sort.
         """
         records = page.records
         if not records:
@@ -749,20 +786,20 @@ class NumPyBackend(PurePythonBackend):
         try:
             if columns is None or columns.shape[1] != curve.dims:
                 raise _NoGeometry
-            mask = np.ones(len(columns), dtype=bool)
-            self._mask_space(space, columns, mask)
+            mask = self._narrow(space, columns, view.lows, view.highs)
         except _NoGeometry:
             # the pure reference; its keys fit uint64 (the curve does),
             # so its entry list becomes this backend's array run
             count, selected, entries = super().scan_page_run(curve, space, page, base)
             keys, orders = np.asarray(entries, dtype=_U64).reshape(-1, 2).T
             return count, selected, (keys.copy(), orders.copy())
-        (selected,) = mask.nonzero()
+        if mask is True:  # the whole page: its cached run as it is
+            keys, order = view.keyed(tables, curve)
+            return len(records), list(range(len(records))), (keys, order + _U64(base))
+        selected = np.flatnonzero(mask)  # none for False
         if not selected.size:
             return 0, [], _EMPTY_RUN
         keys, order = view.keyed(tables, curve)
-        if selected.size == len(columns):
-            return int(selected.size), selected.tolist(), (keys, order + _U64(base))
         take = mask[order]
         orders = mask.cumsum(dtype=_U64)[order[take]]
         orders += _U64(base)
@@ -921,13 +958,16 @@ class NumPyBackend(PurePythonBackend):
         return arrays
 
     def _boxes_meeting(
-        self, space: QuerySpace, los: "np.ndarray", his: "np.ndarray"
+        self,
+        space: QuerySpace,
+        directory: _DirectoryArrays,
+        los: "np.ndarray",
+        his: "np.ndarray",
     ) -> "np.ndarray":
-        """Per box ``[los[i], his[i]]``: ``space.intersects_box`` of it."""
+        """Per block ``[los[i], his[i]]`` of ``directory``: ``box_meets``
+        of it."""
         if isinstance(space, QueryBox):
-            arrays = self._box_arrays(space)
-            if arrays is not None:
-                return _boxes_meeting_box(los, his, *arrays)
+            return directory.meeting(los, his, space.lo, space.hi)
         elif isinstance(space, ComparisonSpace):
             compare = _NP_COMPARATORS[space.op]
             if space.op in ("<", "<="):
@@ -948,7 +988,7 @@ class NumPyBackend(PurePythonBackend):
         elif isinstance(space, IntersectionSpace):
             meeting = np.ones(len(los), dtype=bool)
             for part in space.parts:
-                meeting &= self._boxes_meeting(part, los, his)
+                meeting &= self._boxes_meeting(part, directory, los, his)
             return meeting
         # spaces this backend knows no geometry for: ask box by box
         return np.fromiter(
@@ -985,8 +1025,6 @@ class NumPyBackend(PurePythonBackend):
             return super().schedule_regions(
                 directory, start, lo, hi, space, pushdown, sort_curve
             )
-        lo_arr = np.asarray(lo, dtype=_U64)
-        hi_arr = np.asarray(hi, dtype=_U64)
         # regions whose interval reaches into [start, encode(hi)]
         head, tail = np.searchsorted(
             arrays.lasts,
@@ -996,7 +1034,7 @@ class NumPyBackend(PurePythonBackend):
         begin, end = arrays.offsets[head], arrays.offsets[tail + 1]
         los = arrays.los[begin:end]
         his = arrays.his[begin:end]
-        inside = np.flatnonzero(_boxes_meeting_box(los, his, lo_arr, hi_arr))
+        inside = np.flatnonzero(arrays.meeting(los, his, lo, hi))
         if not inside.size:
             return []
         # blocks are grouped by region, so the surviving ones still are:
@@ -1006,7 +1044,7 @@ class NumPyBackend(PurePythonBackend):
             np.concatenate(([True], owners[1:] != owners[:-1]))
         )
         chosen = owners[groups]
-        clamped_lo = np.maximum(los[inside], lo_arr)
+        clamped_lo = np.maximum(los[inside], np.asarray(lo, dtype=_U64))
         # the smallest Z-address of a box is its low corner's
         probes = np.minimum.reduceat(
             self._encode_columns(z_tables, clamped_lo), groups
@@ -1020,12 +1058,12 @@ class NumPyBackend(PurePythonBackend):
             in_space = np.ones(len(chosen), dtype=bool)
         else:
             in_space = np.logical_or.reduceat(
-                self._boxes_meeting(space, los, his), segments
+                self._boxes_meeting(space, arrays, los, his), segments
             )[picked]
         in_cover = in_space
         if pushdown is not None:
             in_cover = in_space & np.logical_or.reduceat(
-                self._boxes_meeting(pushdown, los, his), segments
+                self._boxes_meeting(pushdown, arrays, los, his), segments
             )[picked]
 
         keys: "list[int | None]" = [None] * len(chosen)

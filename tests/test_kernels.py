@@ -553,3 +553,282 @@ def test_run_buffer_accepts_foreign_runs():
     buffer.push(pure_run)
     assert len(buffer) == len(points)
     assert buffer.cut(None) == expected_stream
+
+
+# ----------------------------------------------------------------------
+# zone narrowing: only the bounds a page's value range straddles
+# ----------------------------------------------------------------------
+# The NumPy page kernels test a bound only where a page's zone (its
+# per-dimension min and max) straddles it, and decide a page that no
+# bound can fail, or that no row can pass, without a mask.  The cases
+# below cluster each page's points so that its zone falls inside,
+# outside or across every bound: bounds are drawn at, just inside and
+# just outside the zones' edges, and some pages put every coordinate on
+# the diagonal, so a comparison's two ranges touch.
+def zone_edge(rng, zones, dim, top):
+    lows, highs = rng.choice(zones)
+    value = rng.choice((lows, highs))[dim] + rng.choice((-1, 0, 1))
+    return min(max(value, 0), top)
+
+
+def narrowing_space(rng, kind, zones, coord_max):
+    dims = len(coord_max)
+    if kind == "box":
+        lo, hi = [], []
+        for dim, top in enumerate(coord_max):
+            shape = rng.choice(("open", "lower", "upper", "both", "both"))
+            low = zone_edge(rng, zones, dim, top) if shape in ("lower", "both") else 0
+            high = (
+                zone_edge(rng, zones, dim, top)
+                if shape in ("upper", "both")
+                else rng.choice((top, top + 3))  # the full domain, or past it
+            )
+            if low > high and rng.random() < 0.8:
+                low, high = high, low  # now and then an inverted, empty range
+            lo.append(low)
+            hi.append(high)
+        return QueryBox(lo, hi)
+    if kind == "comparison":
+        left, right = rng.sample(range(dims), 2)
+        return ComparisonSpace(dims, left, rng.choice(("<", "<=", ">", ">=")), right)
+    if kind == "cover":
+        dim = rng.randrange(dims)
+        count = rng.choice((0, 1, 2, 2, 4, 5, 6))  # empty, single, gapped
+        top = coord_max[dim]
+        cuts = sorted({zone_edge(rng, zones, dim, top) for _ in range(count)})
+        intervals = list(zip(cuts[::2], cuts[1::2]))
+        if len(cuts) % 2:
+            intervals.append((cuts[-1], cuts[-1]))  # a one-value interval
+        return IntervalUnionSpace(coord_max, dim, intervals)
+    kinds = ["box", "cover"] + (["comparison"] if dims > 1 else [])
+    return IntersectionSpace(
+        [
+            narrowing_space(rng, rng.choice(kinds), zones, coord_max)
+            for _ in range(rng.randint(2, 3))
+        ]
+    )
+
+
+def narrowing_case(seed):
+    """``(sort curve, page point lists, spaces)``: clustered pages and
+    spaces of every kind, their bounds on the pages' zone edges."""
+    rng = random.Random(seed)
+    dims = rng.randint(1, 3)
+    bits = tuple(rng.randint(3, 6) for _ in range(dims))
+    coord_max = tuple((1 << b) - 1 for b in bits)
+    pages = []
+    for _ in range(rng.randint(1, 6)):
+        spread = rng.choice((0, 0, 1, 2, 5))
+        if rng.random() < 0.3:  # on the diagonal: every coordinate alike
+            center = (rng.randint(0, min(coord_max)),) * dims
+        else:
+            center = tuple(rng.randint(0, top) for top in coord_max)
+        pages.append(
+            [
+                tuple(
+                    min(max(value + rng.randint(-spread, spread), 0), top)
+                    for value, top in zip(center, coord_max)
+                )
+                for _ in range(rng.randint(1, 10))
+            ]
+        )
+    zones = [
+        (tuple(map(min, zip(*points))), tuple(map(max, zip(*points))))
+        for points in pages
+    ]
+    kinds = ["box", "box", "cover", "cover", "intersection", "intersection"]
+    if dims > 1:
+        kinds += ["comparison"] * 4
+    spaces = [narrowing_space(rng, kind, zones, coord_max) for kind in kinds]
+    order = rng.sample(range(dims), rng.randint(1, dims))
+    return Curve.tetris_curve(bits, tuple(order)), pages, spaces
+
+
+def entry_lists(result):
+    count, selected, entries = result
+    if isinstance(entries, tuple):  # a NumPy run: (keys, orders) arrays
+        entries = zip(entries[0].tolist(), entries[1].tolist())
+    return count, list(selected), [list(entry) for entry in entries]
+
+
+def hold_narrowing_to_pure(seed):
+    """Every NumPy page kernel on the case's pages equals the pure one."""
+    from repro.kernels.numpy_backend import NumPyBackend
+
+    curve, page_points, spaces = narrowing_case(seed)
+    pure = kernels.backend("python")
+    for space in spaces:
+        numpy_backend = NumPyBackend()  # no view yet: the first run is cold
+        pages = [
+            make_record_page(curve, points, page_id)
+            for page_id, points in enumerate(page_points)
+        ]
+        context = (seed, space)
+        base = 0
+        for page in pages:
+            expected = entry_lists(pure.scan_page(curve, space, page, base))
+            for memo in ("cold", "warm"):
+                run = numpy_backend.scan_page_run(curve, space, page, base)
+                assert entry_lists(run) == expected, (*context, memo)
+            uncached = numpy_backend.scan_page(curve, space, page, base)
+            assert entry_lists(uncached) == expected, context
+            assert numpy_backend.filter_space_page(space, page) == expected[1], context
+            points = [record[1][0] for record in page.records]
+            assert numpy_backend.filter_space_batch(space, points) == expected[1]
+            if isinstance(space, QueryBox):
+                assert (
+                    numpy_backend.filter_box_batch(space.lo, space.hi, points)
+                    == expected[1]
+                ), context
+            base += expected[0]
+        selected, order = numpy_backend.scan_block(curve, space, pages)
+        expected_block = pure.scan_block(curve, space, pages)
+        assert ([list(s) for s in selected], list(order)) == (
+            [list(s) for s in expected_block[0]],
+            list(expected_block[1]),
+        ), context
+
+
+NARROWING_SEEDS = range(240)
+
+
+@needs_numpy
+@pytest.mark.parametrize("chunk", range(4))
+def test_narrowing_matches_the_pure_kernels(chunk):
+    for seed in NARROWING_SEEDS[chunk::4]:
+        hold_narrowing_to_pure(seed)
+
+
+def schedule_case(seed):
+    """A random tiling of the address space standing in for a tree, a box
+    that leaves some dimensions open, and spaces and covers built on it."""
+    rng = random.Random(seed)
+    dims = rng.randint(1, 3)
+    bits = tuple(rng.randint(2, 5) for _ in range(dims))
+    z_curve = Curve.z_curve(bits)
+    top = z_curve.address_max
+    cuts = sorted({rng.randrange(top + 1) for _ in range(rng.randrange(40))} - {top})
+    directory = RegionDirectory(
+        z_curve, cuts + [top], list(range(len(cuts) + 1)), epoch=0
+    )
+    lo, hi = [], []
+    for bound in z_curve.coord_max:
+        if rng.random() < 0.4:
+            lo.append(0)
+            hi.append(bound)
+        else:
+            a, b = sorted((rng.randint(0, bound), rng.randint(0, bound)))
+            lo.append(a)
+            hi.append(b)
+    box = QueryBox(lo, hi)
+    zones = [(tuple(lo), tuple(hi))]
+    spaces = [box] + [
+        IntersectionSpace([box, narrowing_space(rng, kind, zones, z_curve.coord_max)])
+        for kind in ["box", "cover"] + (["comparison"] if dims > 1 else [])
+    ]
+    pushdowns = [None] + [
+        narrowing_space(rng, kind, zones, z_curve.coord_max)
+        for kind in ("box", "cover")
+    ]
+    sort_curve = Curve.tetris_curve(bits, tuple(rng.sample(range(dims), 1)))
+    return directory, box, spaces, pushdowns, sort_curve
+
+
+def hold_schedule_to_classify(seed):
+    directory, box, spaces, pushdowns, sort_curve = schedule_case(seed)
+    z_curve = directory.curve
+    start = z_curve.encode(box.lo)
+    for space in spaces:
+        for pushdown in pushdowns:
+            with kernels.use_backend("numpy"):
+                rows = kernels.get_backend().schedule_regions(
+                    directory, start, box.lo, box.hi, space, pushdown, sort_curve
+                )
+            with kernels.use_backend("python"):
+                expected = kernels.get_backend().schedule_regions(
+                    directory, start, box.lo, box.hi, space, pushdown, sort_curve
+                )
+            assert rows == expected, (seed, space, pushdown)
+            for _, first, last, _, in_space, in_cover, _ in rows:
+                region = directory.region(directory.lasts.index(last))
+                assert (first, last) == (region.first, region.last)
+                assert (in_space, in_cover) == region.classify(
+                    z_curve, space, pushdown
+                ), (seed, region)
+
+
+SCHEDULE_SEEDS = range(120)
+
+
+@needs_numpy
+def test_schedule_narrowing_matches_classify():
+    for seed in SCHEDULE_SEEDS:
+        hold_schedule_to_classify(seed)
+
+
+def mutate(monkeypatch, owner, name, old, new):
+    """Patch ``owner.name`` with its own source, ``old`` replaced by ``new``."""
+    import inspect
+    import textwrap
+
+    from repro.kernels import numpy_backend
+
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+    assert source.count(old) == 1, f"{name} no longer reads {old!r}"
+    namespace = dict(vars(numpy_backend))
+    exec(compile(source.replace(old, new), numpy_backend.__file__, "exec"), namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
+
+
+def narrowing_sabotages():
+    from repro.kernels import numpy_backend
+
+    return {
+        "<= decided by <'s rule": (
+            numpy_backend.NumPyBackend,
+            "_narrow",
+            "space.left_dim, space.right_dim, space._cmp",
+            "space.left_dim, space.right_dim, "
+            "((lambda a, b: a < b) if space.op == '<=' else space._cmp)",
+        ),
+        "off-by-one gap test": (
+            numpy_backend.NumPyBackend,
+            "_narrow",
+            "ends[slot] < low",
+            "ends[slot] <= low",
+        ),
+        "zone hi test against lows": (
+            numpy_backend,
+            "_narrow_box",
+            "if high < ceiling:",
+            "if high < floor:",
+        ),
+    }
+
+
+@needs_numpy
+@pytest.mark.parametrize(
+    "sabotage",
+    ["<= decided by <'s rule", "off-by-one gap test", "zone hi test against lows"],
+)
+def test_sabotaged_narrowing_fails_the_differential(monkeypatch, sabotage):
+    mutate(monkeypatch, *narrowing_sabotages()[sabotage])
+    with pytest.raises(AssertionError):
+        for seed in NARROWING_SEEDS:
+            hold_narrowing_to_pure(seed)
+
+
+@needs_numpy
+def test_sabotaged_block_test_fails_the_schedule_differential(monkeypatch):
+    from repro.kernels import numpy_backend
+
+    mutate(
+        monkeypatch,
+        numpy_backend._DirectoryArrays,
+        "meeting",
+        "if high < self.greatest_low[dim]:",
+        "if high < self.least_high[dim]:",
+    )
+    with pytest.raises(AssertionError):
+        for seed in SCHEDULE_SEEDS:
+            hold_schedule_to_classify(seed)

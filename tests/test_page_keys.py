@@ -16,6 +16,12 @@ one keyed by the leading sort dimension alone (``(0, 1)`` and ``(0, 2)``
 would share an entry).  With ``REPRO_CHECKS=1`` the sweep itself must
 catch the first at the page that was mutated.  And the memo must die
 with the pages it describes.
+
+The view also carries the page's zone (per-dimension min and max), from
+which the kernel decides a page whole, empty or masked.  Each of the
+four mutations moves a page's min or max across a query bound, and the
+decision must follow; a zone that ignores ``Page.version`` fails here
+and, under ``REPRO_CHECKS=1``, in the sweep's own ``check_page_run``.
 """
 
 import gc
@@ -51,6 +57,7 @@ if "numpy" in kernels.available_backends():
         NumPyBackend,
         _PageView,
         _page_matrix,
+        _zone,
     )
 
 CAPACITY = 64
@@ -357,6 +364,127 @@ def test_the_sweep_catches_a_stale_memo_at_the_mutated_page(monkeypatch):
         monkeypatch.undo()
         with checks():
             list(TetrisScan(ubtree, box, 0))  # the honest memo re-keys it
+
+
+# ----------------------------------------------------------------------
+# zones: a page's value range follows Page.version
+# ----------------------------------------------------------------------
+ZONE_BOX = QueryBox((4, 0), (11, 15))  # dimension 0 is bounded on both sides
+INSIDE = [(5, 1), (6, 0), (7, 2), (8, 1), (9, 3), (10, 0)]
+OUTSIDE = [(13, 15), (14, 15)]  # past ZONE_BOX's hi, and last in Z-order
+ZONE_KINDS = ["add", "restore", "torn", "split"]
+
+
+def zone_decisions(page):
+    """The narrowing's decision for ``ZONE_BOX`` from the page's view,
+    and from a zone taken off the page's records as they are now."""
+    numpy_backend = backend()
+    view = numpy_backend._page_view(page)
+    columns = _page_matrix(page.records)
+    decisions = []
+    for narrowed in (
+        numpy_backend._narrow(ZONE_BOX, view.columns, view.lows, view.highs),
+        numpy_backend._narrow(ZONE_BOX, columns, *_zone(columns)),
+    ):
+        decisions.append(narrowed if isinstance(narrowed, bool) else "mask")
+    return decisions
+
+
+def zone_scenario(kind):
+    """``(page, mutate, before, after)``: a page, a mutation of ``kind``
+    moving its min or max on dimension 0 across a bound of ``ZONE_BOX``,
+    and the narrowing's decision before and after it."""
+    zspace = ZSpace((4, 4))
+
+    def records(points):
+        return sorted((zspace.z_address(p), (p, i)) for i, p in enumerate(points))
+
+    if kind == "split":  # the split moves the records past hi to a sibling
+        tree = UBTree(BufferPool(SimulatedDisk(), 64), zspace, page_capacity=8)
+        for index, point in enumerate(INSIDE + OUTSIDE):
+            tree.insert(point, index)
+        (page,) = leaves(tree.tree)
+        return page, lambda: tree.insert((6, 3), 99), "mask", True
+    inner = SimulatedDisk()
+    page = inner.allocate(CAPACITY)
+    if kind == "add":  # the max crosses hi
+        page.extend(records(INSIDE))
+        outlier = records(OUTSIDE)[0]
+        return page, lambda: page.add(outlier), True, "mask"
+    if kind == "restore":  # the min crosses hi: no row passes
+        page.extend(records(INSIDE))
+        return page, lambda: page.restore(records(OUTSIDE)), True, False
+    # a torn write keeps the first half: the max falls back below hi
+    page.extend(records(INSIDE + OUTSIDE))
+    faulty = FaultyDisk(inner, FaultPlan(torn_write_rate=1.0))
+
+    def tear():
+        with injecting(faulty):
+            faulty.write(page)
+
+    return page, tear, "mask", True
+
+
+def run_zone_scenario(kind):
+    page, mutate, before, after = zone_scenario(kind)
+    curve = ZSpace((4, 4)).tetris(0)
+    assert zone_decisions(page) == [before, before], kind
+    assert cached(curve, ZONE_BOX, page, 3) == uncached(curve, ZONE_BOX, page, 3)
+    mutate()
+    assert zone_decisions(page) == [after, after], kind
+    assert cached(curve, ZONE_BOX, page, 3) == uncached(curve, ZONE_BOX, page, 3)
+
+
+def stale_zones(monkeypatch):
+    """Sabotage: a rebuilt view keeps the zone of the view it replaces."""
+    real = NumPyBackend._page_view
+
+    def page_view(self, page):
+        old = self._views.get(page)
+        view = real(self, page)
+        if old is not None and view is not old:
+            view.lows, view.highs = old.lows, old.highs
+        return view
+
+    monkeypatch.setattr(NumPyBackend, "_page_view", page_view)
+
+
+@pytest.mark.parametrize("kind", ZONE_KINDS)
+def test_zone_decisions_follow_the_page_version(kind):
+    run_zone_scenario(kind)
+
+
+@pytest.mark.parametrize("kind", ZONE_KINDS)
+def test_a_zone_that_ignores_the_version_fails(monkeypatch, kind):
+    stale_zones(monkeypatch)
+    with pytest.raises(AssertionError):
+        run_zone_scenario(kind)
+
+
+def test_the_sweep_catches_a_stale_zone_at_the_mutated_page(monkeypatch):
+    ubtree = UBTree(BufferPool(SimulatedDisk(), 256), ZSpace((4, 4)), page_capacity=6)
+    rng = random.Random(11)
+    for index in range(60):
+        ubtree.insert((rng.randrange(12), rng.randrange(16)), index)
+    box = QueryBox((0, 0), (11, 15))  # every leaf lies inside it whole
+    with kernels.use_backend("numpy"):
+        list(TetrisScan(ubtree, box, 0))  # warm every leaf's view
+        leaf = next(p for p in leaves(ubtree.tree) if p.records)
+        # one point moves past the bound: the page is no longer whole
+        z_address, (point, payload) = leaf.records[0]
+        leaf.restore([(z_address, ((14, point[1]), payload)), *leaf.records[1:]])
+        stale_zones(monkeypatch)
+        with checks():
+            with pytest.raises(
+                InvariantViolation,
+                match=rf"diverges from the uncached scan_page on page {leaf.page_id} "
+                r"\(count\)",
+            ):
+                list(TetrisScan(ubtree, box, 0))
+        monkeypatch.undo()
+        del backend()._views[leaf]  # the sabotage stored a poisoned view
+        with checks():
+            list(TetrisScan(ubtree, box, 0))  # the honest view zones it afresh
 
 
 # ----------------------------------------------------------------------

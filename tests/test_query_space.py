@@ -73,11 +73,6 @@ class TestQueryBox:
         assert box.lo == (0, 3)
         assert box.hi == (9, 5)
 
-    def test_equality_and_hash(self):
-        assert QueryBox((1, 1), (2, 2)) == QueryBox((1, 1), (2, 2))
-        assert hash(QueryBox((1, 1), (2, 2))) == hash(QueryBox((1, 1), (2, 2)))
-        assert QueryBox((1, 1), (2, 2)) != QueryBox((1, 1), (2, 3))
-
 
 # ----------------------------------------------------------------------
 # ComparisonSpace (the triangular Q4 space)

@@ -563,6 +563,26 @@ class TestDirectoryFollowsTheTree:
             with pytest.raises(InvariantViolation, match="did not advance the epoch"):
                 list(tree.range_query(FULL))
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_schedules_are_lists_checked_at_the_call(self, backend, monkeypatch):
+        """``scheduled_regions`` and ``regions_overlapping`` hand over a
+        list decided when they are called, not a generator that takes
+        its snapshot at the first pull: under checks a stale directory
+        is caught at the call, before anything is iterated."""
+        tree = grown_tree()
+        with kernels.use_backend(backend):
+            assert isinstance(tree.scheduled_regions(FULL), list)
+            assert isinstance(tree.regions_overlapping(FULL), list)
+            monkeypatch.setattr(BPlusTree, "structure_changed", lambda self: None)
+            split_some_leaf(tree)
+            split_some_leaf(tree, seed=1)
+            with checks():
+                for schedule in (tree.scheduled_regions, tree.regions_overlapping):
+                    with pytest.raises(
+                        InvariantViolation, match="did not advance the epoch"
+                    ):
+                        schedule(FULL)
+
 
 def make_schema():
     return Schema(
