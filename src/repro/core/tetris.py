@@ -254,9 +254,8 @@ class TetrisScan:
         arrivals: list[SortedTuple] = []
         # with REPRO_CHECKS=1: validate the emitted stream (membership +
         # monotonicity, and every slice key against the paper's T_j),
-        # hold every page's run to the uncached scan_page entry for
-        # entry, re-run it on the other backend and hold the sweep to
-        # one fetch per page, read-ahead included
+        # hold every page's run to the other backend's entry for entry
+        # and hold the sweep to one fetch per page, read-ahead included
         stream_checker = (
             invariants.StreamChecker(self.sort_dims, space)
             if invariants.enabled()
@@ -326,12 +325,8 @@ class TetrisScan:
                 base = len(arrivals)
                 count, selected, run = kernel.scan_page_run(curve, space, page, base)
                 if stream_checker is not None:
-                    reference = kernel.scan_page(curve, space, page, base)
                     invariants.check_page_run(
-                        page_id, (count, selected, run), reference
-                    )
-                    invariants.spot_check_scan_page(
-                        kernel, curve, space, page, base, reference
+                        kernel, curve, space, page, base, (count, selected, run)
                     )
                 if count:
                     arrivals.extend(

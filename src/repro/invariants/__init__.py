@@ -44,9 +44,8 @@ Validators
 * :class:`FetchOnceChecker` — each data page is fetched at most once
   per Tetris scan, read-ahead included (:mod:`repro.invariants.paper`).
 * :func:`check_page_run` — a sweep's ``scan_page_run`` equals the
-  uncached ``scan_page`` on count, selection, keys and arrival orders;
-  :func:`spot_check_scan_page` re-runs the page kernel on the *other*
-  backend and compares results (:mod:`repro.invariants.parity`).
+  *other* backend's on the same page, on count, selection, keys and
+  arrival orders (:mod:`repro.invariants.parity`).
 * :class:`ScheduleChecker` — holds a batched region schedule to the
   scalar BIGMIN walk, the tree's own descent (read with ``disk.peek``),
   pruning tests and keys it replaces, without extra I/O
@@ -81,7 +80,6 @@ from .parity import (
     ScheduleChecker,
     SliceChecker,
     check_page_run,
-    spot_check_scan_page,
 )
 from .sanitizer import (
     GLOBAL_LOCK_ORDER,
@@ -118,7 +116,6 @@ __all__ = [
     "note_access",
     "require_instance",
     "sanitizer",
-    "spot_check_scan_page",
     "tracked_lock",
     "validate_bptree",
     "validate_buffer_pool",

@@ -4,9 +4,10 @@ The kernel contract (:mod:`repro.kernels.base`) demands the NumPy and
 pure-Python backends be **observationally identical**.  The test suite
 asserts this over randomized workloads; with ``REPRO_CHECKS=1`` the
 engine additionally re-runs every page kernel it actually executes on
-the *other* backend and compares results in place — so a divergence
-(say, a stale columnar cache after a missed ``Page.version`` bump)
-raises at the exact page that produced it.  Batched region schedules
+the *other* backend and compares results in place
+(:func:`check_page_run`) — so a divergence (say, a stale columnar cache
+after a missed ``Page.version`` bump) raises at the exact page that
+produced it.  Batched region schedules
 get the same treatment against the scalar definitions they replace
 (:class:`ScheduleChecker`), and so do the keys a sweep hands out with
 its slices (:class:`SliceChecker`).
@@ -27,36 +28,47 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..kernels.base import KernelBackend
     from ..storage.page import Page
 
-_PageResult = tuple[int, Sequence[int], Sequence[Sequence[int]]]
 
-
-def _normalize(result: _PageResult) -> tuple[int, list[int], list[list[int]]]:
-    count, selected, entries = result
+def _entries(result: tuple[int, Sequence[int], Any]) -> tuple[int, list, list]:
+    """A ``scan_page_run`` result as plain ints: count, selection, and
+    the run's ``[key, order]`` entries."""
+    count, selected, run = result
+    if isinstance(run, tuple):  # a NumPy run: (keys, orders) arrays
+        run = zip(run[0].tolist(), run[1].tolist())
     return (
         int(count),
         [int(index) for index in selected],
-        [[int(value) for value in entry] for entry in entries],
+        [[int(key), int(order)] for key, order in run],
     )
 
 
 def check_page_run(
-    page_id: int, result: tuple[int, Sequence[int], Any], reference: _PageResult
+    active: "KernelBackend",
+    curve: "Curve",
+    space: "QuerySpace",
+    page: "Page",
+    base: int,
+    result: tuple[int, Sequence[int], Any],
 ) -> None:
-    """Hold one ``scan_page_run`` result to ``scan_page`` on the same
-    page and arrival base: count, selection, and every entry's key and
-    arrival order.
+    """Hold one ``scan_page_run`` result to the other registered
+    backend's ``scan_page_run`` on the same page and arrival base:
+    count, selection, and every entry's key and arrival order.
 
-    The run is backend-native — a ``(keys, orders)`` array pair, or the
-    entry list itself — and ``scan_page`` is the backend's uncached
-    kernel, so a memoized run that went stale differs here, at the page
-    that produced it, even where the stream would still ascend.
+    ``result`` is what ``active`` returned.  With NumPy active the
+    reference is the pure backend, which reads ``page.records`` afresh,
+    so a memoized view or zone gone stale (a missed ``Page.version``
+    bump) and a kernel that diverges both differ here, at the page that
+    produced them, even where the stream would still ascend.  No-op
+    when only one backend is available.
     """
-    count, selected, run = result
-    if isinstance(run, tuple):
-        keys, orders = run
-        run = list(zip(keys.tolist(), orders.tolist()))
-    got = _normalize((count, selected, run))
-    expected = _normalize(reference)
+    from .. import kernels
+
+    others = [name for name in kernels.available_backends() if name != active.name]
+    if not others:
+        return
+    reference = kernels.backend(others[0])
+    got = _entries(result)
+    expected = _entries(reference.scan_page_run(curve, space, page, base))
     if got == expected:
         return
     part = next(
@@ -66,46 +78,11 @@ def check_page_run(
     )
     check(
         False,
-        f"scan_page_run diverges from the uncached scan_page on page "
-        f"{page_id} ({part}): {got[0]} tuples, selected={got[1][:8]}, "
+        f"`{active.name}` scan_page_run diverges from `{reference.name}` on "
+        f"page {page.page_id} ({part}): {got[0]} tuples, selected={got[1][:8]}, "
         f"entries={got[2][:4]} vs {expected[0]} tuples, "
         f"selected={expected[1][:8]}, entries={expected[2][:4]}; if the page "
         "was mutated, check for a missing Page.version bump",
-    )
-
-
-def spot_check_scan_page(
-    active: "KernelBackend",
-    curve: Any,
-    space: "QuerySpace",
-    page: "Page",
-    base: int,
-    result: _PageResult,
-) -> None:
-    """Compare one ``scan_page`` result against the other backend.
-
-    ``result`` is what ``active`` returned; the reference value is
-    computed by the first *other* registered backend over the page's
-    materialized points (bypassing any per-page caches, so a stale
-    memoized view on the active backend cannot hide itself).  No-op when
-    only one backend is available.
-    """
-    from .. import kernels
-
-    others = [name for name in kernels.available_backends() if name != active.name]
-    if not others:
-        return
-    reference = kernels.backend(others[0])
-    points = [record[1][0] for record in page.records]
-    expected = _normalize(reference.page_entries(curve, space, points, base))
-    got = _normalize(result)
-    check(
-        got == expected,
-        f"kernel backends diverge on page {page.page_id}: "
-        f"`{active.name}`.scan_page returned {got[0]} tuples "
-        f"(selected={got[1][:8]}...), `{reference.name}` says {expected[0]} "
-        f"(selected={expected[1][:8]}...); if the page was mutated, check "
-        "for a missing Page.version bump",
     )
 
 

@@ -13,15 +13,15 @@ documents them all):
 * ``filter_box_batch`` / ``filter_space_batch`` / ``filter_space_page``
   — predicate evaluation over a page's worth of points,
 * ``argsort_keys`` — one stable slice-level sort permutation,
-* ``page_entries`` / ``scan_page`` — fused compound kernels: one call
-  filters + keys + sorts a whole page (``scan_page`` from a memoized
-  view: columns plus a zone that skips bounds no record can fail),
+* ``scan_page_run`` / ``make_run_buffer`` — the sweep's page kernel
+  and DPG-style run formation: one call filters + keys + sorts a whole
+  page (on NumPy from a memoized view: columns, a zone that skips
+  bounds no record can fail, and the page's sorted keys), and the
+  per-page sorted runs, in the backend's native representation, feed a
+  :class:`SortRunBuffer` that consolidates them hierarchically,
 * ``schedule_regions`` — a restricted scan's whole region schedule
   (BIGMIN walk, pruning verdicts, static Tetris keys) from the tree's
   region directory in one call,
-* ``scan_page_run`` / ``make_run_buffer`` — DPG-style run formation:
-  per-page sorted runs in the backend's native representation feed a
-  :class:`SortRunBuffer` that consolidates them hierarchically,
 * ``scan_block`` — the whole-slab fused kernel the parallel thread
   executor dispatches (one task per slab, not per scan step),
 * ``merge_sorted_keys`` — stable pairwise merge permutation over two
@@ -36,7 +36,9 @@ Two interchangeable backends implement them:
 
 ``numpy``
     Vectorized over NumPy arrays (:mod:`repro.kernels.numpy_backend`).
-    Selected automatically at import when NumPy is installed.
+    Selected automatically at import when NumPy is installed.  A call
+    that does not vectorize (a curve over 64 bits, an opaque space,
+    keys past ``int64``) runs the pure method in its place.
 
 ``python``
     Tuple-at-a-time standard-library loops (:mod:`repro.kernels.pure`).

@@ -10,9 +10,13 @@ space, and sorting key arrays.  Two implementations exist:
 
 Both must be **observationally identical**: same addresses, same
 selected indices in the same order, same (stable) sort permutations.
-The test suite asserts this for randomized curves and workloads, and the
-Tetris sweep relies on it to keep its emitted stream and page access
-order bit-identical regardless of the backend in use.
+The test suite asserts this for randomized curves and workloads; with
+``REPRO_CHECKS=1`` the Tetris sweep holds every page's
+:meth:`KernelBackend.scan_page_run` to the other backend's
+(:func:`repro.invariants.check_page_run`), and it relies on the parity
+to keep its emitted stream and page access order bit-identical
+regardless of the backend in use.  Every method is one the engine or
+the benchmark harness calls; none is kept only as a reference.
 
 All batch entry points assume *valid* inputs (coordinates within the
 curve's per-dimension bit lengths); validation stays at API boundaries
@@ -145,54 +149,31 @@ class KernelBackend:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # fused compound kernels (one call per page / per region batch)
+    # fused page kernels (one call per page / per region batch)
     # ------------------------------------------------------------------
-    def page_entries(
-        self,
-        curve: "Curve",
-        space: "QuerySpace",
-        points: Sequence[Sequence[int]],
-        base: int = 0,
-    ) -> tuple[int, Sequence[int], Sequence[Sequence[int]]]:
-        """Filter, key and sort one page's worth of points in one call.
-
-        Returns ``(count, selected, entries)``: ``selected`` holds the
-        qualifying point indices in ascending (arrival) order, and each
-        entry is a ``[key, order]`` pair — ``key`` the curve address of
-        the qualifying point, ``order = base + arrival_rank`` its global
-        arrival number.  Entries are sorted by ``(key, order)``, so the
-        Tetris sweep can splice them into its cache directly; orders are
-        unique across calls when ``base`` advances by ``count`` each
-        time, which makes the entry ordering total.  Vectorized backends
-        convert the page to an array exactly once.
-        """
-        raise NotImplementedError
-
-    def scan_page(
-        self, curve: "Curve", space: "QuerySpace", page: Any, base: int = 0
-    ) -> tuple[int, Sequence[int], Sequence[Sequence[int]]]:
-        """:meth:`page_entries` over a storage page's records.
-
-        ``page`` is a :class:`~repro.storage.page.Page` whose records are
-        ``(z_address, (point, payload))`` pairs — the UB-Tree Z-region
-        layout the Tetris sweep reads.  Backends may memoize derived
-        per-page state (e.g. a columnar array view) keyed on the page's
-        ``version`` counter, which the storage layer bumps on every
-        record mutation.
-        """
-        raise NotImplementedError
-
     def scan_page_run(
         self, curve: "Curve", space: "QuerySpace", page: Any, base: int = 0
     ) -> tuple[int, Sequence[int], Any]:
-        """:meth:`scan_page` returning the entries as a backend-native run.
+        """Filter, key and sort one storage page's records in one call.
 
-        ``(count, selected, run)`` where ``run`` feeds
-        :meth:`make_run_buffer`'s buffer from the *same* backend and is
-        otherwise opaque: the pure backend returns the ``[key, order]``
-        entry list, the NumPy backend a pair of ``uint64`` arrays that
-        never materialize per-entry Python objects.  ``count`` and
-        ``selected`` match :meth:`scan_page` exactly.
+        ``page`` is a :class:`~repro.storage.page.Page` whose records are
+        ``(z_address, (point, payload))`` pairs — the UB-Tree Z-region
+        layout the Tetris sweep reads.  Returns ``(count, selected,
+        run)``: ``selected`` holds the qualifying record indices in
+        ascending (arrival) order, and ``run`` their entries sorted by
+        ``(key, order)`` — ``key`` the curve address of a qualifying
+        point, ``order = base + arrival_rank`` its global arrival number.
+        Orders are unique across calls when ``base`` advances by
+        ``count`` each time, which makes the entry ordering total.
+
+        ``run`` is backend-native and feeds :meth:`make_run_buffer`'s
+        buffer from the *same* backend: the pure backend returns the
+        ``[key, order]`` entry list, the NumPy backend a pair of
+        ``uint64`` arrays that never materialize per-entry Python
+        objects.  Backends may memoize derived per-page state (e.g. a
+        columnar view and the page's sorted keys) keyed on the page's
+        ``version`` counter, which the storage layer bumps on every
+        record mutation.
         """
         raise NotImplementedError
 
@@ -209,7 +190,7 @@ class KernelBackend:
         ``pages`` is a sequence of storage pages in *arrival* (region
         retrieval) order.  Returns ``(selected_per_page, emit_order)``:
         ``selected_per_page[p]`` holds page ``p``'s qualifying record
-        indices in ascending order (exactly :meth:`scan_page`'s
+        indices in ascending order (exactly :meth:`scan_page_run`'s
         ``selected``), and ``emit_order`` is the sort permutation over
         the concatenation of all qualifying tuples in arrival order —
         indexing the concatenated arrivals with it reproduces, bit for

@@ -15,20 +15,23 @@ holds the coordinate matrix, its per-dimension min and max (its *zone*)
 and, per sort curve, the page's keys ascending with their stable
 permutation.  A warm :meth:`NumPyBackend.scan_page_run` is then a mask
 of the bounds the zone straddles and two takes through that
-permutation.  :meth:`NumPyBackend.scan_page` and
-:meth:`NumPyBackend.page_entries` stay uncached: they are the reference
-``REPRO_CHECKS=1`` holds the cached run to.
+permutation; ``REPRO_CHECKS=1`` holds it to the pure backend's
+``scan_page_run``, which reads the page's records afresh.
 
-Addresses are carried as ``uint64``, so curves wider than 64 bits (or
-key values outside the ``uint64`` / ``int64`` range) transparently fall
-back to the pure-Python backend for that call — correctness never
-depends on vectorizability.  All results are converted back to plain
-Python ints, so downstream consumers (heap barriers, B-tree keys,
-pickled pages) see exactly what the pure backend produces.
+Addresses are carried as ``uint64``, so not every call vectorizes: a
+curve wider than 64 bits, points or keys that do not convert to a
+``uint64`` / ``int64`` array, or a space with no vectorized geometry.
+Such a method raises :class:`_NoGeometry`, and :func:`_vectorized`, the
+backend's one fallback, hands the whole call to the pure backend's
+method of the same name — correctness never depends on
+vectorizability.  All results are converted back to plain Python ints,
+so downstream consumers (heap barriers, B-tree keys, pickled pages) see
+exactly what the pure backend produces.
 """
 
 from __future__ import annotations
 
+import functools
 import weakref
 from bisect import bisect_right
 from typing import Any, Sequence
@@ -61,26 +64,62 @@ _NP_COMPARATORS = {
 
 
 class _NoGeometry(Exception):
-    """A space these kernels know no vectorized geometry for — an opaque
-    predicate, or bounds wider than 64 bits; the caller hands the whole
-    call to the pure reference, which tests it point by point."""
+    """The call does not vectorize: a curve over 64 bits, values that do
+    not convert to an integer array, or a space these kernels know no
+    geometry for.  :func:`_vectorized` hands the whole call to the pure
+    backend; arguments given here replace the call's own (key columns
+    in the list form the pure methods read)."""
 
 
-def _int64_column(keys: Sequence[Any]) -> "np.ndarray | None":
-    """``keys`` as an ``int64`` key column, or ``None`` (the column then
-    stays a Python list).
+def _vectorized(method: Any) -> Any:
+    """``method``, handing the call to :class:`PurePythonBackend`'s method
+    of the same name where it raises :class:`_NoGeometry` — the one place
+    this backend falls back."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def dispatch(self: Any, *args: Any, **kwargs: Any) -> Any:
+        try:
+            return method(self, *args, **kwargs)
+        except _NoGeometry as fallback:
+            pure = getattr(PurePythonBackend, name)
+            return pure(self, *(fallback.args or args), **kwargs)
+
+    return dispatch
+
+
+def _array(values: Any, dtype: Any = None) -> "np.ndarray":
+    """``values`` as an array; :class:`_NoGeometry` when they do not
+    convert (say, an integer past ``uint64``)."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (OverflowError, ValueError, TypeError):
+        raise _NoGeometry from None
+
+
+def _key_array(keys: Sequence[Any]) -> "np.ndarray":
+    """Keys as an array.  Python ints on both sides of ``2**63``, which
+    NumPy would make ``float64``, become ``uint64``: 64-bit addresses."""
+    array = _array(keys)
+    if array.dtype == np.float64 and all(type(key) is int for key in keys):
+        return _array(keys, _U64)
+    return array
+
+
+def _int64_column(keys: Sequence[Any]) -> "np.ndarray":
+    """``keys`` as an ``int64`` key column, or :class:`_NoGeometry` (the
+    column then stays a Python list).
 
     Integer keys become a 1-D array and tuples of integers a 2-D one,
     one row per key, ordered lexicographically; anything else — or an
     integer that does not fit ``int64`` — keeps Python semantics.
     """
-    try:
-        array = np.asarray(keys)
-    except (OverflowError, ValueError, TypeError):
-        return None
-    if array.dtype != np.int64:
-        return None
-    return array if array.ndim == (2 if isinstance(keys[0], tuple) else 1) else None
+    array = _array(keys)
+    if array.dtype != np.int64 or array.ndim != (
+        2 if isinstance(keys[0], tuple) else 1
+    ):
+        raise _NoGeometry
+    return array
 
 
 def _key_values(column: Any) -> list[Any]:
@@ -123,33 +162,37 @@ def _count_before(column: "np.ndarray", key: "np.ndarray", ties: bool) -> int:
     return int(np.count_nonzero(ahead))
 
 
-def _merge_runs(
-    a: "tuple[np.ndarray, np.ndarray]", b: "tuple[np.ndarray, np.ndarray]"
+def _merge_slots(
+    keys_a: "np.ndarray", keys_b: "np.ndarray"
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Stable merge of two sorted ``(keys, orders)`` runs, ``a`` first.
+    """Where a stable merge of two ascending key arrays, ``keys_a`` first,
+    puts each element.
 
     ``searchsorted`` computes each element's target slot directly:
     ``a[i]`` lands at ``i + |{b < a[i]}|`` and ``b[j]`` at
     ``j + |{a <= b[j]}|`` — on key ties every ``a`` element precedes
-    every ``b`` element, which (with ``a`` the older run, holding the
-    smaller arrival orders) is exactly ``(key, order)`` order.  Two
-    scatters instead of a comparison loop: the DPG pairwise merge at
-    memory speed.
+    every ``b`` element.  Two scatters through these slots instead of a
+    comparison loop: a pairwise merge at memory speed.
     """
-    keys_a, orders_a = a
-    keys_b, orders_b = b
-    pos_a = np.arange(len(keys_a), dtype=np.intp) + np.searchsorted(
-        keys_b, keys_a, side="left"
-    )
-    pos_b = np.arange(len(keys_b), dtype=np.intp) + np.searchsorted(
-        keys_a, keys_b, side="right"
-    )
-    keys = np.empty(len(keys_a) + len(keys_b), dtype=_U64)
+    pos_a = np.arange(len(keys_a), dtype=np.intp)
+    pos_a += np.searchsorted(keys_b, keys_a, side="left")
+    pos_b = np.arange(len(keys_b), dtype=np.intp)
+    pos_b += np.searchsorted(keys_a, keys_b, side="right")
+    return pos_a, pos_b
+
+
+def _merge_runs(
+    a: "tuple[np.ndarray, np.ndarray]", b: "tuple[np.ndarray, np.ndarray]"
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Stable merge of two sorted ``(keys, orders)`` runs, ``a`` first:
+    with ``a`` the older run, holding the smaller arrival orders, the
+    tie rule of :func:`_merge_slots` is exactly ``(key, order)`` order —
+    the DPG pairwise merge."""
+    pos_a, pos_b = _merge_slots(a[0], b[0])
+    keys = np.empty(len(pos_a) + len(pos_b), dtype=_U64)
     orders = np.empty_like(keys)
-    keys[pos_a] = keys_a
-    keys[pos_b] = keys_b
-    orders[pos_a] = orders_a
-    orders[pos_b] = orders_b
+    keys[pos_a], orders[pos_a] = a
+    keys[pos_b], orders[pos_b] = b
     return keys, orders
 
 
@@ -436,7 +479,8 @@ def _narrow_box(columns: Any, lows: Any, highs: Any, lo: Any, hi: Any) -> Any:
 
 
 class NumPyBackend(PurePythonBackend):
-    """Vectorized batch primitives (inherits pure loops as fallbacks)."""
+    """Vectorized batch primitives; a call that does not vectorize runs
+    the inherited pure method (:func:`_vectorized`)."""
 
     name = "numpy"
 
@@ -446,7 +490,7 @@ class NumPyBackend(PurePythonBackend):
         )
         # per-pushdown-cover interval arrays: a scan tests the same cover
         # against every page, so the conversion must not repeat per call
-        self._intervals: "weakref.WeakKeyDictionary[IntervalUnionSpace, tuple | None]" = (
+        self._intervals: "weakref.WeakKeyDictionary[IntervalUnionSpace, tuple]" = (
             weakref.WeakKeyDictionary()
         )
         # one view per Z-region page, dying with the page and stamped
@@ -460,31 +504,29 @@ class NumPyBackend(PurePythonBackend):
         # per-tree region directory as arrays plus its block geometry;
         # dies with the directory when the tree's structure epoch moves
         self._directories: (
-            "weakref.WeakKeyDictionary[RegionDirectory, _DirectoryArrays | None]"
+            "weakref.WeakKeyDictionary[RegionDirectory, _DirectoryArrays]"
         ) = weakref.WeakKeyDictionary()
 
-    def _interval_arrays(self, space: IntervalUnionSpace) -> "tuple | None":
-        arrays = self._intervals.get(space, False)
-        if arrays is False:
-            try:
-                arrays = (
-                    np.asarray(space.starts, dtype=_U64),
-                    np.asarray(space.ends, dtype=_U64),
-                )
-            except (OverflowError, ValueError, TypeError):
-                arrays = None
+    def _interval_arrays(
+        self, space: IntervalUnionSpace
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        arrays = self._intervals.get(space)
+        if arrays is None:
+            arrays = _array(space.starts, _U64), _array(space.ends, _U64)
             self._intervals[space] = arrays
         return arrays
 
     # ------------------------------------------------------------------
     # per-curve table preparation
     # ------------------------------------------------------------------
-    def _tables_for(self, curve: Curve) -> _CurveTables | None:
+    def _tables_for(self, curve: Curve) -> _CurveTables:
         tables = self._tables.get(curve, False)
         if tables is False:
             # uint64 addresses cap the vectorizable width at 64 bits
             tables = _CurveTables(curve) if curve.total_bits <= 64 else None
             self._tables[curve] = tables
+        if tables is None:
+            raise _NoGeometry
         return tables
 
     # ------------------------------------------------------------------
@@ -510,32 +552,29 @@ class NumPyBackend(PurePythonBackend):
             coords |= tables.decode[chunk][(packed >> _U64(8 * chunk)) & _BYTE]
         return coords
 
+    @_vectorized
     def encode_batch(
         self, curve: Curve, points: Sequence[Sequence[int]]
     ) -> list[int]:
         if not len(points):
             return []
         tables = self._tables_for(curve)
-        if tables is None:
-            return super().encode_batch(curve, points)
-        columns = np.asarray(points, dtype=_U64)
-        return self._encode_columns(tables, columns).tolist()
+        return self._encode_columns(tables, _array(points, _U64)).tolist()
 
+    @_vectorized
     def decode_batch(
         self, curve: Curve, addresses: Sequence[int]
     ) -> list[tuple[int, ...]]:
         if not len(addresses):
             return []
         tables = self._tables_for(curve)
-        if tables is None:
-            return super().decode_batch(curve, addresses)
-        packed = np.asarray(addresses, dtype=_U64)
-        coords = self._decode_addresses(tables, packed)
+        coords = self._decode_addresses(tables, _array(addresses, _U64))
         return [tuple(row) for row in coords.tolist()]
 
     # ------------------------------------------------------------------
     # filtering
     # ------------------------------------------------------------------
+    @_vectorized
     def filter_box_batch(
         self,
         lo: Sequence[int],
@@ -544,26 +583,18 @@ class NumPyBackend(PurePythonBackend):
     ) -> list[int]:
         if not len(points):
             return []
-        try:
-            columns = np.asarray(points, dtype=_U64)
-        except (OverflowError, ValueError, TypeError):
-            return super().filter_box_batch(lo, hi, points)
+        columns = _array(points, _U64)
         mask = _narrow_box(columns, *_zone(columns), lo, hi)
         return _selection(mask, len(columns)).tolist()
 
+    @_vectorized
     def filter_space_batch(
         self, space: QuerySpace, points: Sequence[Sequence[int]]
     ) -> list[int]:
         if not len(points):
             return []
-        try:
-            columns = np.asarray(points, dtype=_U64)
-        except (OverflowError, ValueError, TypeError):
-            return super().filter_space_batch(space, points)
-        try:
-            mask = self._narrow(space, columns, *_zone(columns))
-        except _NoGeometry:
-            return super().filter_space_batch(space, points)
+        columns = _array(points, _U64)
+        mask = self._narrow(space, columns, *_zone(columns))
         return _selection(mask, len(columns)).tolist()
 
     def _narrow(self, space: QuerySpace, columns: Any, lows: Any, highs: Any) -> Any:
@@ -596,16 +627,14 @@ class NumPyBackend(PurePythonBackend):
             if first == last:  # one interval meets the zone: a box on ``dim``
                 bounds = [starts[first]], [ends[first]]
                 return _narrow_box(columns[:, dim : dim + 1], [low], [high], *bounds)
-            arrays = self._interval_arrays(space)
-            if arrays is None:
-                raise _NoGeometry
+            interval_starts, interval_ends = self._interval_arrays(space)
             # slot of the last interval starting at or below each value;
             # membership iff that interval also ends at or above it
             column = columns[:, dim]
-            slots = np.searchsorted(arrays[0], column, side="right") - 1
+            slots = np.searchsorted(interval_starts, column, side="right") - 1
             inside = slots >= 0
             np.clip(slots, 0, None, out=slots)
-            inside &= column <= arrays[1][slots]
+            inside &= column <= interval_ends[slots]
             return inside
         if isinstance(space, IntersectionSpace):
             mask = True
@@ -617,6 +646,7 @@ class NumPyBackend(PurePythonBackend):
             return mask
         raise _NoGeometry
 
+    @_vectorized
     def filter_space_page(self, space: QuerySpace, page: Any) -> list[int]:
         """Page-level space filter over the memoized columnar view."""
         records = page.records
@@ -624,97 +654,27 @@ class NumPyBackend(PurePythonBackend):
             return []
         view = self._page_view(page)
         if view.columns is None:
-            return super().filter_space_page(space, page)
-        try:
-            mask = self._narrow(space, view.columns, view.lows, view.highs)
-        except _NoGeometry:
-            return super().filter_space_page(space, page)
+            raise _NoGeometry
+        mask = self._narrow(space, view.columns, view.lows, view.highs)
         return _selection(mask, len(records)).tolist()
 
     # ------------------------------------------------------------------
     # sorting
     # ------------------------------------------------------------------
+    @_vectorized
     def argsort_keys(self, keys: Sequence[Any]) -> list[int]:
         if not len(keys):
             return []
-        try:
-            array = np.asarray(keys)
-        except (OverflowError, ValueError, TypeError):
-            return super().argsort_keys(keys)
-        if not np.issubdtype(array.dtype, np.integer):
+        array = _key_array(keys)
+        if not np.issubdtype(array.dtype, np.integer) or array.ndim > 2:
             # floats, strings, objects, mixed tuples: Python semantics win
-            return super().argsort_keys(keys)
-        if array.ndim == 1:
-            return np.argsort(array, kind="stable").tolist()
-        if array.ndim == 2:
-            # composite keys: lexsort is stable, last key is primary
-            return np.lexsort(array.T[::-1]).tolist()
-        return super().argsort_keys(keys)
+            raise _NoGeometry
+        # composite keys (2-D) sort lexicographically, row by row
+        return _stable_order(array).tolist()
 
     # ------------------------------------------------------------------
-    # fused compound kernels
+    # page kernels
     # ------------------------------------------------------------------
-    def page_entries(
-        self,
-        curve: Curve,
-        space: QuerySpace,
-        points: Sequence[Sequence[int]],
-        base: int = 0,
-    ) -> tuple[int, Sequence[int], Sequence[Sequence[int]]]:
-        """Filter + key + sort one page with a single array conversion."""
-        if not len(points):
-            return 0, [], []
-        tables = self._tables_for(curve)
-        if tables is None:
-            return super().page_entries(curve, space, points, base)
-        try:
-            columns = np.asarray(points, dtype=_U64)
-        except (OverflowError, ValueError, TypeError):
-            return super().page_entries(curve, space, points, base)
-        try:
-            return self._entries_from_columns(tables, space, columns, base)
-        except _NoGeometry:
-            return super().page_entries(curve, space, points, base)
-
-    def _select_and_key(
-        self,
-        tables: _CurveTables,
-        space: QuerySpace,
-        columns: "np.ndarray",
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray] | None":
-        """Filter + key + stable sort; ``(selected, keys, perm)`` arrays.
-
-        The filter narrows against the zone of ``columns`` itself.
-        ``selected`` holds the qualifying row indices ascending, ``keys``
-        their curve addresses in arrival order, and ``perm``
-        the stable sort permutation over ``keys``.  ``None`` when nothing
-        qualifies.
-        """
-        mask = self._narrow(space, columns, *_zone(columns))
-        selected = _selection(mask, len(columns))
-        if not selected.size:
-            return None
-        keys = self._encode_columns(tables, columns[selected])
-        perm = np.argsort(keys, kind="stable")
-        return selected, keys, perm
-
-    def _entries_from_columns(
-        self,
-        tables: _CurveTables,
-        space: QuerySpace,
-        columns: "np.ndarray",
-        base: int,
-    ) -> tuple[int, Sequence[int], Sequence[Sequence[int]]]:
-        """Shared tail of :meth:`page_entries` / :meth:`scan_page`."""
-        keyed = self._select_and_key(tables, space, columns)
-        if keyed is None:
-            return 0, [], []
-        selected, keys, perm = keyed
-        entries = np.stack(
-            (keys[perm], perm.astype(_U64) + _U64(base)), axis=1
-        ).tolist()
-        return int(selected.size), selected.tolist(), entries
-
     def _page_view(self, page: Any) -> _PageView:
         """The page's view, rebuilt whenever ``page.version`` moved on —
         a mutated page can never serve stale columns or keys."""
@@ -734,30 +694,7 @@ class NumPyBackend(PurePythonBackend):
         if page.records:
             self._page_view(page)
 
-    def scan_page(
-        self,
-        curve: Curve,
-        space: QuerySpace,
-        page: Any,
-        base: int = 0,
-    ) -> tuple[int, Sequence[int], Sequence[Sequence[int]]]:
-        """Fused page kernel, uncached: the page's columns are converted
-        and its survivors keyed on every call, so this is the reference
-        a memoized :meth:`scan_page_run` is checked against."""
-        records = page.records
-        if not records:
-            return 0, [], []
-        tables = self._tables_for(curve)
-        if tables is None:
-            return super().scan_page(curve, space, page, base)
-        columns = _page_matrix(records)
-        if columns is None or columns.shape[1] != curve.dims:
-            return super().scan_page(curve, space, page, base)
-        try:
-            return self._entries_from_columns(tables, space, columns, base)
-        except _NoGeometry:
-            return super().scan_page(curve, space, page, base)
-
+    @_vectorized
     def scan_page_run(
         self,
         curve: Curve,
@@ -765,7 +702,8 @@ class NumPyBackend(PurePythonBackend):
         page: Any,
         base: int = 0,
     ) -> tuple[int, Sequence[int], Any]:
-        """:meth:`scan_page` whose entries stay ``uint64`` array pairs.
+        """Filter, key and sort one page; the run is a ``uint64`` array
+        pair ``(keys, orders)``.
 
         The page is keyed once per sort order (:meth:`_PageView.keyed`);
         a scan narrows the columns against ``space`` within the page's
@@ -773,26 +711,25 @@ class NumPyBackend(PurePythonBackend):
         permutation, or all of it.  Keys still ascend and arrival order
         (a survivor's rank, ``cumsum(mask) - 1``) still breaks ties,
         because a stable sort of a subset is the subset of the stable
-        sort.
+        sort.  A space without vectorized geometry takes its rows from
+        :meth:`filter_space_page` and keeps the array run, so one scan
+        never mixes run types; only a curve over 64 bits (every page of
+        its scan) or a page whose points do not convert (invalid input)
+        gives the pure backend's list run.
         """
         records = page.records
         if not records:
             return 0, [], _EMPTY_RUN
         tables = self._tables_for(curve)
-        if tables is None:
-            return super().scan_page_run(curve, space, page, base)
         view = self._page_view(page)
         columns = view.columns
+        if columns is None or columns.shape[1] != curve.dims:
+            raise _NoGeometry
         try:
-            if columns is None or columns.shape[1] != curve.dims:
-                raise _NoGeometry
             mask = self._narrow(space, columns, view.lows, view.highs)
         except _NoGeometry:
-            # the pure reference; its keys fit uint64 (the curve does),
-            # so its entry list becomes this backend's array run
-            count, selected, entries = super().scan_page_run(curve, space, page, base)
-            keys, orders = np.asarray(entries, dtype=_U64).reshape(-1, 2).T
-            return count, selected, (keys.copy(), orders.copy())
+            mask = np.zeros(len(records), dtype=bool)
+            mask[self.filter_space_page(space, page)] = True
         if mask is True:  # the whole page: its cached run as it is
             keys, order = view.keyed(tables, curve)
             return len(records), list(range(len(records))), (keys, order + _U64(base))
@@ -809,6 +746,7 @@ class NumPyBackend(PurePythonBackend):
     def make_run_buffer(self) -> SortRunBuffer:
         return NumPySortRunBuffer()
 
+    @_vectorized
     def scan_block(
         self,
         curve: Curve,
@@ -827,8 +765,6 @@ class NumPyBackend(PurePythonBackend):
         without a current one on the spot.
         """
         tables = self._tables_for(curve)
-        if tables is None:
-            return super().scan_block(curve, space, pages)
         page_columns: "list[np.ndarray]" = []
         offsets = [0]
         views = self._views
@@ -844,7 +780,7 @@ class NumPyBackend(PurePythonBackend):
                 else _page_matrix(records)
             )
             if columns is None or columns.shape[1] != curve.dims:
-                return super().scan_block(curve, space, pages)
+                raise _NoGeometry
             page_columns.append(columns)
             offsets.append(offsets[-1] + len(columns))
         if not page_columns:
@@ -854,13 +790,10 @@ class NumPyBackend(PurePythonBackend):
             if len(page_columns) == 1
             else np.concatenate(page_columns, axis=0)
         )
-        try:
-            keyed = self._select_and_key(tables, space, block)
-        except _NoGeometry:
-            return super().scan_block(curve, space, pages)
-        if keyed is None:
+        selected = _selection(self._narrow(space, block, *_zone(block)), len(block))
+        if not selected.size:
             return [[] for _ in pages], []
-        selected, keys, perm = keyed
+        perm = np.argsort(self._encode_columns(tables, block[selected]), kind="stable")
         # split the ascending global selection back into per-page slices
         bounds = np.searchsorted(selected, np.asarray(offsets, dtype=np.intp))
         selected_per_page = [
@@ -869,53 +802,42 @@ class NumPyBackend(PurePythonBackend):
         ]
         return selected_per_page, perm.tolist()
 
+    @_vectorized
     def merge_sorted_keys(
         self, keys_a: Sequence[Any], keys_b: Sequence[Any]
     ) -> list[int]:
         if not len(keys_a) or not len(keys_b):
             return list(range(len(keys_a) + len(keys_b)))
-        try:
-            array_a = np.asarray(keys_a)
-            array_b = np.asarray(keys_b)
-        except (OverflowError, ValueError, TypeError):
-            return super().merge_sorted_keys(keys_a, keys_b)
+        array_a, array_b = _key_array(keys_a), _key_array(keys_b)
         if (
             array_a.ndim != 1
             or array_b.ndim != 1
             or not np.issubdtype(array_a.dtype, np.integer)
             or array_a.dtype != array_b.dtype
         ):
-            return super().merge_sorted_keys(keys_a, keys_b)
-        length_a = len(array_a)
-        pos_a = np.arange(length_a, dtype=np.intp) + np.searchsorted(
-            array_b, array_a, side="left"
-        )
-        pos_b = np.arange(len(array_b), dtype=np.intp) + np.searchsorted(
-            array_a, array_b, side="right"
-        )
-        permutation = np.empty(length_a + len(array_b), dtype=np.intp)
-        permutation[pos_a] = np.arange(length_a, dtype=np.intp)
-        permutation[pos_b] = np.arange(
-            length_a, length_a + len(array_b), dtype=np.intp
-        )
+            raise _NoGeometry
+        pos_a, pos_b = _merge_slots(array_a, array_b)
+        permutation = np.empty(len(pos_a) + len(pos_b), dtype=np.intp)
+        permutation[pos_a] = np.arange(len(pos_a), dtype=np.intp)
+        permutation[pos_b] = np.arange(len(pos_a), len(permutation), dtype=np.intp)
         return permutation.tolist()
 
     # ------------------------------------------------------------------
     # key columns: int64 arrays where every key fits, lists otherwise
     # ------------------------------------------------------------------
+    @_vectorized
     def sort_key_column(self, keys: Sequence[Any]) -> tuple[list[int], Any]:
         column = _int64_column(keys)
-        if column is None:
-            return super().sort_key_column(keys)
         order = _stable_order(column)
         return order.tolist(), column[order]
 
+    @_vectorized
     def merge_key_columns(
         self, columns: Sequence[Any], more: Sequence[bool]
     ) -> "tuple[int | None, list[int], list[int], Any]":
         lists = _as_lists(columns)
         if lists is not None:
-            return super().merge_key_columns(lists, more)
+            raise _NoGeometry(lists, more)
         lasts = [column[-1].tolist() if len(column) else None for column in columns]
         stop: "int | None" = None
         for index, (last, pending) in enumerate(zip(lasts, more)):
@@ -940,20 +862,20 @@ class NumPyBackend(PurePythonBackend):
     def list_key_column(self, column: Any) -> list[Any]:
         return _key_values(column)
 
+    @_vectorized
     def concat_key_columns(self, columns: Sequence[Any]) -> Any:
         lists = _as_lists(columns)
         if lists is not None:
-            return super().concat_key_columns(lists)
+            raise _NoGeometry(lists)
         return np.concatenate(columns)
 
     # ------------------------------------------------------------------
     # region scheduling
     # ------------------------------------------------------------------
-    def _directory_arrays(self, directory: RegionDirectory) -> "_DirectoryArrays | None":
-        arrays = self._directories.get(directory, False)
-        if arrays is False:
-            tables = self._tables_for(directory.curve)
-            arrays = None if tables is None else _DirectoryArrays(directory, tables)
+    def _directory_arrays(self, directory: RegionDirectory) -> _DirectoryArrays:
+        arrays = self._directories.get(directory)
+        if arrays is None:
+            arrays = _DirectoryArrays(directory, self._tables_for(directory.curve))
             self._directories[directory] = arrays
         return arrays
 
@@ -965,41 +887,32 @@ class NumPyBackend(PurePythonBackend):
         his: "np.ndarray",
     ) -> "np.ndarray":
         """Per block ``[los[i], his[i]]`` of ``directory``: ``box_meets``
-        of it."""
+        of it.  Raises :class:`_NoGeometry` for an unknown space."""
         if isinstance(space, QueryBox):
             return directory.meeting(los, his, space.lo, space.hi)
-        elif isinstance(space, ComparisonSpace):
+        if isinstance(space, ComparisonSpace):
             compare = _NP_COMPARATORS[space.op]
             if space.op in ("<", "<="):
                 return compare(los[:, space.left_dim], his[:, space.right_dim])
             return compare(his[:, space.left_dim], los[:, space.right_dim])
-        elif isinstance(space, IntervalUnionSpace):
-            arrays = self._interval_arrays(space)
-            if arrays is not None:
-                starts, ends = arrays
-                if not starts.size:
-                    return np.zeros(len(los), dtype=bool)
-                # the first interval ending at or after the box's low end
-                # either starts within the box's range or nothing does
-                slots = np.searchsorted(ends, los[:, space.dim], side="left")
-                found = slots < len(starts)
-                np.clip(slots, None, len(starts) - 1, out=slots)
-                return found & (starts[slots] <= his[:, space.dim])
-        elif isinstance(space, IntersectionSpace):
+        if isinstance(space, IntervalUnionSpace):
+            starts, ends = self._interval_arrays(space)
+            if not starts.size:
+                return np.zeros(len(los), dtype=bool)
+            # the first interval ending at or after the box's low end
+            # either starts within the box's range or nothing does
+            slots = np.searchsorted(ends, los[:, space.dim], side="left")
+            found = slots < len(starts)
+            np.clip(slots, None, len(starts) - 1, out=slots)
+            return found & (starts[slots] <= his[:, space.dim])
+        if isinstance(space, IntersectionSpace):
             meeting = np.ones(len(los), dtype=bool)
             for part in space.parts:
                 meeting &= self._boxes_meeting(part, directory, los, his)
             return meeting
-        # spaces this backend knows no geometry for: ask box by box
-        return np.fromiter(
-            (
-                space.intersects_box(tuple(lo), tuple(hi))
-                for lo, hi in zip(los.tolist(), his.tolist())
-            ),
-            dtype=bool,
-            count=len(los),
-        )
+        raise _NoGeometry
 
+    @_vectorized
     def schedule_regions(
         self,
         directory: RegionDirectory,
@@ -1016,15 +929,7 @@ class NumPyBackend(PurePythonBackend):
         curve = directory.curve
         arrays = self._directory_arrays(directory)
         z_tables = self._tables_for(curve)
-        sort_tables: "_CurveTables | None" = None
-        if sort_curve is not None:
-            sort_tables = self._tables_for(sort_curve)
-        if arrays is None or z_tables is None or (
-            sort_curve is not None and sort_tables is None
-        ):
-            return super().schedule_regions(
-                directory, start, lo, hi, space, pushdown, sort_curve
-            )
+        sort_tables = None if sort_curve is None else self._tables_for(sort_curve)
         # regions whose interval reaches into [start, encode(hi)]
         head, tail = np.searchsorted(
             arrays.lasts,

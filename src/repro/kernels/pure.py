@@ -154,36 +154,24 @@ class PurePythonBackend(KernelBackend):
         return sorted(range(len(keys)), key=keys.__getitem__)
 
     # ------------------------------------------------------------------
-    # fused compound kernels — the reference composition of the
-    # primitives above (see the interface docstrings in ``base``)
+    # page kernels — the reference composition of the primitives above
+    # (see the interface docstrings in ``base``)
     # ------------------------------------------------------------------
-    def page_entries(
-        self,
-        curve: "Curve",
-        space: QuerySpace,
-        points: Sequence[Sequence[int]],
-        base: int = 0,
-    ) -> tuple[int, Sequence[int], Sequence[Sequence[int]]]:
+    def scan_page_run(
+        self, curve: "Curve", space: QuerySpace, page: Any, base: int = 0
+    ) -> tuple[int, Sequence[int], Any]:
+        points = [record[1][0] for record in page.records]
         selected = self.filter_space_batch(space, points)
         if not selected:
             return 0, [], []
         keys = self.encode_batch(curve, [points[index] for index in selected])
-        entries = [
-            [keys[rank], base + rank] for rank in self.argsort_keys(keys)
-        ]
-        return len(selected), selected, entries
+        # the pure-native run *is* the sorted [key, order] entry list
+        run = [[keys[rank], base + rank] for rank in self.argsort_keys(keys)]
+        return len(selected), selected, run
 
-    def scan_page(
-        self, curve: "Curve", space: QuerySpace, page: Any, base: int = 0
-    ) -> tuple[int, Sequence[int], Sequence[Sequence[int]]]:
-        points = [record[1][0] for record in page.records]
-        return self.page_entries(curve, space, points, base)
-
-    def scan_page_run(
-        self, curve: "Curve", space: QuerySpace, page: Any, base: int = 0
-    ) -> tuple[int, Sequence[int], Any]:
-        # the pure-native run *is* the entry list
-        return self.scan_page(curve, space, page, base)
+    #: the name ``benchmarks/harness/layers.py`` still wraps; no engine or
+    #: check code calls it
+    scan_page = scan_page_run
 
     def make_run_buffer(self) -> SortRunBuffer:
         return PureSortRunBuffer()
@@ -194,10 +182,12 @@ class PurePythonBackend(KernelBackend):
         selected_per_page: list[Sequence[int]] = []
         entries: list[list[int]] = []
         base = 0
+        # the list run even where a NumPy backend hands its block here
+        run_of = PurePythonBackend.scan_page_run
         for page in pages:
-            count, selected, page_entries = self.scan_page(curve, space, page, base)
+            count, selected, run = run_of(self, curve, space, page, base)
             selected_per_page.append(selected)
-            entries.extend(page_entries)
+            entries.extend(run)
             base += count
         # per-page entries carry globally unique (key, arrival) pairs;
         # one total sort is the whole-slab slice order

@@ -9,6 +9,7 @@ checks the ``REPRO_CHECKS`` gate itself: corrupted structures must run
 """
 
 import random
+import re
 
 import pytest
 
@@ -454,6 +455,53 @@ class TestKernelParity:
             leaf.version += 1  # honest mutation: cache invalidated
             with checks():
                 list(TetrisScan(ubtree, box, 0))
+
+
+    @pytest.mark.skipif(
+        "numpy" not in kernels.available_backends(),
+        reason="the page check holds one backend to the other",
+    )
+    @pytest.mark.parametrize("active", ["numpy", "python"])
+    def test_a_kernel_that_drops_a_row_is_caught_at_its_page(self, monkeypatch, active):
+        """One sabotage per backend: NumPy's narrowing drops a box's lower
+        bound on dimension 0, or the pure space filter drops a page's last
+        qualifying row.  The other backend's run then differs, and the
+        sweep names a page the sabotage changed."""
+        from repro.kernels import PurePythonBackend
+        from repro.kernels.numpy_backend import NumPyBackend
+
+        ubtree, _ = make_ubtree()
+        box = QueryBox((3, 2), (13, 12))
+        if active == "numpy":
+            narrow = NumPyBackend._narrow
+
+            def dropped_bound(self, space, columns, lows, highs):
+                if isinstance(space, QueryBox):
+                    space = QueryBox((0, *space.lo[1:]), space.hi)
+                return narrow(self, space, columns, lows, highs)
+
+            monkeypatch.setattr(NumPyBackend, "_narrow", dropped_bound)
+
+            def changed(point):  # a row the dropped bound lets in
+                return point[0] < 3 and 2 <= point[1] <= 12
+
+        else:
+            keep = PurePythonBackend.filter_space_batch
+
+            def dropped_row(self, space, points):
+                return keep(self, space, points)[:-1]
+
+            monkeypatch.setattr(PurePythonBackend, "filter_space_batch", dropped_row)
+            changed = box.contains_point  # the page lost one of these
+        with kernels.use_backend(active), checks():
+            with pytest.raises(
+                InvariantViolation,
+                match=rf"`{active}` scan_page_run diverges from `\w+` on page",
+            ) as caught:
+                list(TetrisScan(ubtree, box, 0))
+        page_id = int(re.search(r"on page (\d+)", str(caught.value)).group(1))
+        (page,) = [leaf for leaf in leaf_pages(ubtree) if leaf.page_id == page_id]
+        assert any(changed(point) for _, (point, _) in page.records)
 
 
 # ----------------------------------------------------------------------

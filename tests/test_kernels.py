@@ -154,29 +154,6 @@ def test_filter_and_argsort_parity(case):
 
 @needs_numpy
 @given(curve_cases())
-@settings(max_examples=60, deadline=None)
-def test_page_entries_parity(case):
-    curve, bits, seed, count = case
-    points = random_points(bits, seed, count)
-    lo, hi = random_box(bits, seed)
-    box = QueryBox(lo, hi)
-    base = seed % 977
-    with kernels.use_backend("python"):
-        py_result = kernels.get_backend().page_entries(curve, box, points, base)
-    with kernels.use_backend("numpy"):
-        np_result = kernels.get_backend().page_entries(curve, box, points, base)
-    py_count, py_selected, py_entries = py_result
-    np_count, np_selected, np_entries = np_result
-    assert (np_count, list(np_selected), [list(e) for e in np_entries]) == (
-        py_count,
-        list(py_selected),
-        [list(e) for e in py_entries],
-    )
-    assert [e[0] for e in py_entries] == sorted(e[0] for e in py_entries)
-
-
-@needs_numpy
-@given(curve_cases())
 @settings(max_examples=40, deadline=None)
 def test_region_min_keys_parity(case):
     sort_curve, bits, seed, _ = case
@@ -403,7 +380,7 @@ def test_scan_page_run_and_buffer_parity(case):
     base = seed % 977
     page = make_record_page(curve, points)
     with kernels.use_backend("python"):
-        reference = kernels.get_backend().scan_page(curve, box, page, base)
+        reference = kernels.get_backend().scan_page_run(curve, box, page, base)
     streams = {}
     for backend in ("python", "numpy"):
         with kernels.use_backend(backend):
@@ -420,7 +397,7 @@ def test_scan_page_run_and_buffer_parity(case):
             assert len(buffer) == 0
             assert not buffer.has_key_below(None)
     assert streams["numpy"] == streams["python"]
-    # cut(None) drains in (key, order) order — scan_page's entry order —
+    # cut(None) drains in (key, order) order — the pure run's order —
     # and hands the keys it ordered by back next to the arrival orders
     assert streams["python"] == (
         [entry[0] for entry in reference[2]],
@@ -466,7 +443,8 @@ def test_run_buffer_interleaved_barrier_cuts_parity(case):
     # every qualifying arrival is emitted exactly once
     with kernels.use_backend("python"):
         expected = sum(
-            kernels.get_backend().scan_page(curve, box, page, 0)[0] for page in pages
+            kernels.get_backend().scan_page_run(curve, box, page, 0)[0]
+            for page in pages
         )
     assert len(streams["python"]) == expected
     assert len(set(streams["python"])) == expected
@@ -499,7 +477,7 @@ def test_scan_block_parity(case):
     arrivals = []
     for page, selected in zip(pages, selected_per_page):
         with kernels.use_backend("python"):
-            reference = kernels.get_backend().scan_page(curve, box, page, 0)
+            reference = kernels.get_backend().scan_page_run(curve, box, page, 0)
         assert selected == list(reference[1])
         arrivals.extend(page.records[index][0] for index in selected)
     expected = sorted(range(len(arrivals)), key=arrivals.__getitem__)
@@ -553,6 +531,168 @@ def test_run_buffer_accepts_foreign_runs():
     buffer.push(pure_run)
     assert len(buffer) == len(points)
     assert buffer.cut(None) == expected_stream
+
+
+# ----------------------------------------------------------------------
+# the one fallback: what the NumPy backend hands to the pure one
+# ----------------------------------------------------------------------
+# A NumPy method that cannot vectorize raises ``_NoGeometry`` and its
+# dispatch runs the pure method of the same name.  Each trigger below
+# drives every interface method on both backends; the last is the
+# control: 64-bit-or-smaller box inputs, where nothing is handed over.
+SMALL_RUNS = [[5, 2, 3, 2], [7, 1, 9], [4, 4, 0]]
+WIDE = 2**64 + 5  # past uint64: an object array
+
+
+def dispatch_triggers():
+    narrow = Curve.z_curve((4, 4))
+    # the cover's first dimension reaches past uint64; the points stay
+    # small, so a page inside one interval or one gap is zone-decided
+    # and a page across two intervals falls back
+    cover = IntervalUnionSpace((2**70, 15), 0, [(1, 3), (6, 9), (2**66, 2**67)])
+    cover_pages = [
+        [(6, 0), (7, 5), (9, 15), (8, 8)],  # inside (6, 9): whole
+        [(10, 1), (12, 4), (15, 15)],  # in the gap after 9: empty
+        [(0, 0), (2, 3), (5, 7), (6, 6), (11, 2), (15, 0)],  # falls back
+        [(1, 9), (3, 3), (2, 14)],  # inside (1, 3): whole
+        [(2, 2), (4, 4), (7, 7), (3, 12)],  # two intervals: falls back
+    ]
+    grid = [[(x, (x * 5 + y) % 16) for x in range(y, 16, 3)] for y in range(4)]
+    return {
+        "curve over 64 bits": (
+            Curve.z_curve((22, 22, 22)),
+            QueryBox((1 << 20, 0, 5), ((1 << 22) - 1, 1 << 21, 1 << 22)),
+            [
+                [(i * 104_729 % (1 << 22), i * 7_919 % (1 << 22), i % 97)
+                 for i in range(start, start + 9)]
+                for start in range(0, 36, 9)
+            ],
+            SMALL_RUNS,
+        ),
+        "opaque space": (
+            narrow,
+            PredicateSpace(2, lambda point: (point[0] ^ point[1]) % 3 == 0),
+            grid,
+            SMALL_RUNS,
+        ),
+        "cover past uint64": (narrow, cover, cover_pages, SMALL_RUNS),
+        "keys past int64": (
+            narrow,
+            QueryBox((2, 3), (13, 14)),
+            grid,
+            [[5, WIDE, 3, 2], [7, 1, 2**63 + 9], [4, 4, 0]],
+        ),
+        "64-bit box": (
+            Curve.z_curve((16, 16, 16, 16)),
+            QueryBox((100, 0, 7, 0), (60_000, 65_535, 50_000, 40_000)),
+            [
+                [(i * 7_919 % 65_536, i * 104_729 % 65_536, i * 31 % 65_536,
+                  i % 65_536) for i in range(start, start + 9)]
+                for start in range(0, 36, 9)
+            ],
+            SMALL_RUNS,
+        ),
+    }
+
+
+def exercise(backend, curve, space, page_points, runs):
+    """Every interface method on one case, results as plain values."""
+    pages = [
+        make_record_page(curve, points, page_id)
+        for page_id, points in enumerate(page_points)
+    ]
+    points = [point for points in page_points for point in points]
+    lo = [bound // 4 for bound in curve.coord_max]
+    hi = [3 * bound // 4 for bound in curve.coord_max]
+    addresses = backend.encode_batch(curve, points)
+    page_runs, buffer, base = [], backend.make_run_buffer(), 0
+    for page in pages:
+        count, selected, run = backend.scan_page_run(curve, space, page, base)
+        page_runs.append(entry_lists((count, selected, run)))
+        if count:
+            buffer.push(run)
+        base += count
+    columns = [backend.sort_key_column(run)[1] for run in runs]
+    stop, taken, order, merged = backend.merge_key_columns(
+        columns, [True, False, True]
+    )
+    top = curve.address_max
+    directory = RegionDirectory(
+        curve, [top // 5, top // 3, top // 2, top], [0, 1, 2, 3], epoch=0
+    )
+    universe = QueryBox.full(curve.coord_max)
+    return {
+        "encode_batch": addresses,
+        "decode_batch": backend.decode_batch(curve, addresses),
+        "filter_box_batch": backend.filter_box_batch(lo, hi, points),
+        "filter_space_batch": backend.filter_space_batch(space, points),
+        "filter_space_page": [backend.filter_space_page(space, p) for p in pages],
+        "argsort_keys": [
+            backend.argsort_keys(keys)
+            for keys in [addresses, *runs, [(key % 3, key) for key in runs[0]]]
+        ],
+        "scan_page_run": page_runs,
+        "run buffer": buffer.cut(None),
+        "scan_block": backend.scan_block(curve, space, pages),
+        "merge_sorted_keys": backend.merge_sorted_keys(
+            sorted(runs[0]), sorted(runs[1])
+        ),
+        "sort_key_column": [
+            (backend.sort_key_column(run)[0], backend.list_key_column(column))
+            for run, column in zip(runs, columns)
+        ],
+        "merge_key_columns": (stop, taken, order, backend.list_key_column(merged)),
+        "concat_key_columns": backend.list_key_column(
+            backend.concat_key_columns(columns)
+        ),
+        "schedule_regions": [
+            backend.schedule_regions(
+                directory, 0, universe.lo, universe.hi, universe, pushdown, curve
+            )
+            for pushdown in (None, space)
+        ]
+        + [
+            backend.schedule_regions(
+                directory, curve.encode(lo), lo, hi, space, None, curve
+            )
+        ],
+    }
+
+
+def handoffs(monkeypatch):
+    """The names of the pure methods a NumPy backend runs from here on."""
+    from repro.kernels.base import KernelBackend
+    from repro.kernels.numpy_backend import NumPyBackend
+
+    handed = []
+    for name, method in vars(kernels.PurePythonBackend).items():
+        if name.startswith("_") or not hasattr(KernelBackend, name):
+            continue
+
+        def spy(self, *args, _method=method, _name=name, **kwargs):
+            if isinstance(self, NumPyBackend):
+                handed.append(_name)
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(kernels.PurePythonBackend, name, spy)
+    return handed
+
+
+@needs_numpy
+@pytest.mark.parametrize("trigger", list(dispatch_triggers()))
+def test_the_dispatch_hands_pure_only_what_does_not_vectorize(monkeypatch, trigger):
+    from repro.kernels.numpy_backend import NumPyBackend
+
+    case = dispatch_triggers()[trigger]
+    expected = exercise(kernels.backend("python"), *case)
+    handed = handoffs(monkeypatch)
+    got = exercise(NumPyBackend(), *case)
+    for name, value in expected.items():
+        assert got[name] == value, (trigger, name)
+    if trigger == "64-bit box":
+        assert handed == []
+    else:
+        assert handed, trigger
 
 
 # ----------------------------------------------------------------------
@@ -666,12 +806,10 @@ def hold_narrowing_to_pure(seed):
         context = (seed, space)
         base = 0
         for page in pages:
-            expected = entry_lists(pure.scan_page(curve, space, page, base))
+            expected = entry_lists(pure.scan_page_run(curve, space, page, base))
             for memo in ("cold", "warm"):
                 run = numpy_backend.scan_page_run(curve, space, page, base)
                 assert entry_lists(run) == expected, (*context, memo)
-            uncached = numpy_backend.scan_page(curve, space, page, base)
-            assert entry_lists(uncached) == expected, context
             assert numpy_backend.filter_space_page(space, page) == expected[1], context
             points = [record[1][0] for record in page.records]
             assert numpy_backend.filter_space_batch(space, points) == expected[1]

@@ -3,8 +3,8 @@
 ``NumPyBackend.scan_page_run`` keeps, per page and sort curve, the
 page's keys in ascending order with their stable permutation, and serves
 a warm page from them with a mask and two takes.  The property here
-holds that memo to the uncached ``_select_and_key`` it replaced, element
-for element (count, selection, keys, arrival orders), on random pages in
+holds that memo to the pure backend's ``scan_page_run``, which keeps
+nothing between calls, element for element (count, selection, keys, arrival orders), on random pages in
 one to three dimensions, single and composite sort orders (among them
 orders that share a leading dimension, such as ``(0, 1)`` and ``(0,
 2)``), four kinds of query space and non-zero arrival bases — while the
@@ -68,28 +68,15 @@ def backend():
 
 
 # ----------------------------------------------------------------------
-# the reference: the uncached kernel on freshly converted columns
+# the reference: the pure kernel on the page's records as they are
 # ----------------------------------------------------------------------
 def uncached(curve, space, page, base):
-    """``(count, selected, keys, orders)`` straight from ``_select_and_key``."""
-    records = page.records
-    if not records:
-        return 0, [], [], []
-    numpy_backend = backend()
-    keyed = numpy_backend._select_and_key(
-        numpy_backend._tables_for(curve),
-        space,
-        _page_matrix(records),
+    """``(count, selected, keys, orders)`` from the pure backend's
+    ``scan_page_run``, which keeps nothing between calls."""
+    count, selected, run = kernels.backend("python").scan_page_run(
+        curve, space, page, base
     )
-    if keyed is None:
-        return 0, [], [], []
-    selected, keys, perm = keyed
-    return (
-        int(selected.size),
-        selected.tolist(),
-        keys[perm].tolist(),
-        (perm + base).tolist(),
-    )
+    return count, list(selected), [key for key, _ in run], [order for _, order in run]
 
 
 def cached(curve, space, page, base):
@@ -337,7 +324,7 @@ def test_a_warm_page_is_neither_encoded_nor_sorted(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# REPRO_CHECKS=1: the sweep holds every page's run to scan_page
+# REPRO_CHECKS=1: the sweep holds every page's run to the pure backend's
 # ----------------------------------------------------------------------
 def test_the_sweep_catches_a_stale_memo_at_the_mutated_page(monkeypatch):
     ubtree = UBTree(BufferPool(SimulatedDisk(), 256), ZSpace((4, 4)), page_capacity=6)
@@ -357,8 +344,7 @@ def test_the_sweep_catches_a_stale_memo_at_the_mutated_page(monkeypatch):
         with checks():
             with pytest.raises(
                 InvariantViolation,
-                match=rf"diverges from the uncached scan_page on page {leaf.page_id} "
-                r"\(entries\)",
+                match=rf"diverges from `python` on page {leaf.page_id} \(entries\)",
             ):
                 list(TetrisScan(ubtree, box, 0))
         monkeypatch.undo()
@@ -477,8 +463,7 @@ def test_the_sweep_catches_a_stale_zone_at_the_mutated_page(monkeypatch):
         with checks():
             with pytest.raises(
                 InvariantViolation,
-                match=rf"diverges from the uncached scan_page on page {leaf.page_id} "
-                r"\(count\)",
+                match=rf"diverges from `python` on page {leaf.page_id} \(count\)",
             ):
                 list(TetrisScan(ubtree, box, 0))
         monkeypatch.undo()

@@ -129,7 +129,7 @@ class TestR002HotPathLoops:
         found = lint(
             """
             def scan(kernel, curve, space, page):
-                return kernel.scan_page(curve, space, page, 0)
+                return kernel.scan_page_run(curve, space, page, 0)
             """,
             hot_path=True,
         )
@@ -252,7 +252,7 @@ class TestR004BackendParity:
             pass
     """
     PURE_COMPLETE = """
-    class PureBackend:
+    class PureBackend(KernelBackend):
         def encode_batch(self, curve, points):
             return []
 
@@ -260,7 +260,17 @@ class TestR004BackendParity:
             return []
     """
     NUMPY_PARTIAL = """
-    class FancyBackend:
+    class FancyBackend(KernelBackend):
+        def encode_batch(self, curve, points):
+            return []
+    """
+    # the missing method lives on a helper class, not on the backend
+    NUMPY_HELPER_ONLY = """
+    class NumPySortRunBuffer:
+        def brand_new_kernel(self, data):
+            return []
+
+    class FancyBackend(PurePythonBackend):
         def encode_batch(self, curve, points):
             return []
     """
@@ -275,6 +285,13 @@ class TestR004BackendParity:
 
     def test_missing_override_flagged(self, tmp_path):
         kernels = self.write_kernels(tmp_path, self.NUMPY_PARTIAL)
+        found = check_backend_parity(kernels)
+        assert rules_of(found) == {"R004"}
+        assert "brand_new_kernel" in found[0].message
+        assert "FancyBackend" in found[0].message
+
+    def test_a_method_on_a_helper_class_does_not_count(self, tmp_path):
+        kernels = self.write_kernels(tmp_path, self.NUMPY_HELPER_ONLY)
         found = check_backend_parity(kernels)
         assert rules_of(found) == {"R004"}
         assert "brand_new_kernel" in found[0].message

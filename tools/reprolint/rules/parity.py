@@ -20,38 +20,53 @@ from .base import ProjectRule, register
 __all__ = ["BackendParityRule", "check_backend_parity"]
 
 
+#: the classes a backend class derives from
+_BACKEND_BASES = frozenset({"KernelBackend", "PurePythonBackend"})
+
+
+def _methods(node: ast.ClassDef) -> dict[str, int]:
+    """Directly-defined method names (with line) of one class."""
+    return {
+        item.name: item.lineno
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
 def _class_methods(tree: ast.Module, class_name: str) -> dict[str, int]:
     """Directly-defined method names (with line) of ``class_name``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and node.name == class_name:
-            return {
-                item.name: item.lineno
-                for item in node.body
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
+            return _methods(node)
     return {}
 
 
-def _first_class_methods(tree: ast.Module) -> tuple[str | None, dict[str, int]]:
-    """Union of method names over every class in the module."""
-    methods: dict[str, int] = {}
-    name: str | None = None
+def _base_name(base: ast.expr) -> str:
+    if isinstance(base, ast.Attribute):
+        return base.attr
+    return base.id if isinstance(base, ast.Name) else ""
+
+
+def _backend_class(tree: ast.Module) -> ast.ClassDef | None:
+    """The module's backend class: the first deriving from
+    ``KernelBackend`` or ``PurePythonBackend``.  Helper classes (run
+    buffers, page views) are not backends, so a method they define
+    does not count."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            if name is None:
-                name = node.name
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    methods.setdefault(item.name, item.lineno)
-    return name, methods
+        if isinstance(node, ast.ClassDef) and any(
+            _base_name(base) in _BACKEND_BASES for base in node.bases
+        ):
+            return node
+    return None
 
 
 def check_backend_parity(kernels_dir: Path) -> list[Violation]:
     """R004 over one ``kernels/`` package directory.
 
     Public methods declared on ``KernelBackend`` in ``base.py`` must be
-    overridden (defined directly) by the classes in ``pure.py`` and in
-    ``numpy_backend.py``.
+    overridden (defined directly) by the backend class in ``pure.py``
+    and the one in ``numpy_backend.py`` — the class deriving from
+    ``KernelBackend`` or ``PurePythonBackend``, not a helper beside it.
     """
     base_path = kernels_dir / "base.py"
     if not base_path.is_file():
@@ -79,14 +94,26 @@ def check_backend_parity(kernels_dir: Path) -> list[Violation]:
                 )
             )
             continue
-        backend_tree = ast.parse(backend_path.read_text(encoding="utf-8"))
-        class_name, implemented = _first_class_methods(backend_tree)
+        backend = _backend_class(ast.parse(backend_path.read_text(encoding="utf-8")))
+        if backend is None:
+            violations.append(
+                Violation(
+                    str(backend_path),
+                    1,
+                    0,
+                    "R004",
+                    f"`{backend_file}` defines no class deriving from "
+                    "`KernelBackend` or `PurePythonBackend`",
+                )
+            )
+            continue
+        class_name, implemented = backend.name, _methods(backend)
         for method, line in sorted(interface.items()):
             if method not in implemented:
                 violations.append(
                     Violation(
                         str(backend_path),
-                        1,
+                        backend.lineno,
                         0,
                         "R004",
                         f"backend class `{class_name}` does not override "
