@@ -17,6 +17,7 @@ from .intervals import IntervalSet
 from .query_space import QueryBox, QuerySpace, box_meets
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    from ..storage.prefetch import SweepPrefetcher
     from .curves import Curve
 
 
@@ -119,10 +120,14 @@ class RegionCursor:
     ``structure_epoch`` with the schedule's; on a move the rest —
     lookahead included — is scheduled again minus Φ, so a row present
     when the scan starts comes out exactly once and a row inserted
-    during it at most once (``docs/ALGORITHM.md`` §3).
+    during it at most once (``docs/ALGORITHM.md`` §3).  ``window`` is a
+    read-ahead window a join coordinator lent the scan, which the scan's
+    page walk borrows instead of opening its own.
     """
 
-    __slots__ = ("tree", "entries", "page_ids", "position", "epoch", "_schedule")
+    __slots__ = (
+        "tree", "entries", "page_ids", "position", "epoch", "window", "_schedule"
+    )
 
     def __init__(
         self,
@@ -134,6 +139,7 @@ class RegionCursor:
         self.page_ids: list[int] = []
         self.position = 0
         self.epoch: int | None = None  #: the tree's, when last scheduled
+        self.window: "SweepPrefetcher | None" = None
         self._schedule = schedule
 
     def __iter__(self) -> "RegionCursor":

@@ -37,6 +37,7 @@ sweep per slice for the same reason).
 from __future__ import annotations
 
 from bisect import bisect_left
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
@@ -45,7 +46,6 @@ from typing import Any, Iterator, Sequence
 # module import (not ``from ..kernels import get_backend``): kernels and
 # core import each other, so the attribute must resolve at call time
 from .. import invariants, kernels
-from ..storage.prefetch import SweepPrefetcher
 from .curves import Curve
 from .intervals import IntervalSet
 from .query_space import QuerySpace, box_is_empty
@@ -165,13 +165,6 @@ class TetrisScan:
         self.sort_dim = sort_dims[0]
         self.strategy = strategy
         self.stats = TetrisStats()
-        #: set by a join-side coordinator (DualCursorPrefetcher): either
-        #: the coordinator-owned SweepPrefetcher this sweep should drive
-        #: its per-region top-ups through (but never close), or ``True``
-        #: to suppress read-ahead entirely.  Either way the scan skips
-        #: creating a prefetcher of its own, so the two policies never
-        #: fight over the window.
-        self.external_prefetch: "SweepPrefetcher | bool" = False
 
         self.tetris_curve: Curve = ubtree.space.tetris(sort_dims)
 
@@ -237,7 +230,6 @@ class TetrisScan:
     # ------------------------------------------------------------------
     def _run(self, cursor: RegionCursor) -> Iterator[Slice]:
         disk = self.ubtree.tree.buffer.disk
-        buffer = self.ubtree.tree.buffer
         curve = self.tetris_curve
         space = self.effective_space
         stats = self.stats
@@ -253,9 +245,9 @@ class TetrisScan:
         #: (point, payload) of every qualifying tuple, by arrival order
         arrivals: list[SortedTuple] = []
         # with REPRO_CHECKS=1: validate the emitted stream (membership +
-        # monotonicity, and every slice key against the paper's T_j),
-        # hold every page's run to the other backend's entry for entry
-        # and hold the sweep to one fetch per page, read-ahead included
+        # monotonicity, and every slice key against the paper's T_j) and
+        # hold every page's run to the other backend's entry for entry;
+        # the page walk holds the sweep to one fetch per page
         stream_checker = (
             invariants.StreamChecker(self.sort_dims, space)
             if invariants.enabled()
@@ -265,12 +257,6 @@ class TetrisScan:
             invariants.SliceChecker(self.ubtree.space, self.sort_dims)
             if invariants.enabled()
             else None
-        )
-        fetch_checker = (
-            invariants.FetchOnceChecker() if invariants.enabled() else None
-        )
-        coverage_checker = invariants.enabled() and invariants.CoverageChecker(
-            self.ubtree, self.space, self.pushdown
         )
 
         def cut(barrier: "int | None") -> Slice:
@@ -288,33 +274,13 @@ class TetrisScan:
                     stream_checker.observe(point)
             return keys, rows
 
-        # sweep-ahead prefetching: with a scheduler armed on the pool,
-        # keep a bounded window of async reads in flight for the regions
-        # the cursor projects next, so transfers overlap across device
-        # queues instead of serializing behind the sweep.  A join-side
-        # coordinator may hand the sweep a shared window to drive (and
-        # retain ownership of), or suppress read-ahead with ``True``.
-        external = self.external_prefetch
-        if external:
-            prefetcher = external if isinstance(external, SweepPrefetcher) else None
-            owns_prefetcher = False
-        else:
-            prefetcher = SweepPrefetcher.for_pool(
-                buffer, category=self.ubtree.category
-            )
-            owns_prefetcher = True
-
-        try:
-            for first, _, page_id, barrier in cursor:
-                if prefetcher is not None:
-                    prefetcher.top_up(cursor)
-                if fetch_checker is not None:
-                    fetch_checker.observe(page_id, prefetcher)
-                if coverage_checker:
-                    coverage_checker.observe(first, page_id)
-                page = buffer.get(page_id, category=self.ubtree.category)
-                if prefetcher is not None:
-                    prefetcher.mark_consumed(page_id)
+        # the page walk reads each scheduled region once, with sweep-ahead
+        # prefetching when the pool has a scheduler (or through the window
+        # a join coordinator lent the cursor); closing it — at the end, on
+        # early termination or on an error here — cancels leftovers
+        walk = self.ubtree.walk(cursor, self.space, self.pushdown)
+        with closing(walk):
+            for (_, _, page_id, barrier), page in walk:
                 stats.regions_read += 1
                 self._page_reads.append(page_id)
 
@@ -346,21 +312,11 @@ class TetrisScan:
                 yield completed
                 stats.slices += 1
 
-            # no regions at all, or a conservative final barrier
-            completed = cut(None)
-            if completed[1]:
-                yield completed
-            stats.end_clock = disk.clock
-            if coverage_checker:
-                coverage_checker.finish()
-        finally:
-            # leftover submissions (early termination, or a conservative
-            # projection) are cancelled and accounted as wasted; the
-            # pool's previous eviction policy comes back either way.  A
-            # coordinator-owned window outlives the sweep — the join
-            # closes it once *all* sides are drained.
-            if prefetcher is not None and owns_prefetcher:
-                prefetcher.close()
+        # no regions at all, or a conservative final barrier
+        completed = cut(None)
+        if completed[1]:
+            yield completed
+        stats.end_clock = disk.clock
 
     # ------------------------------------------------------------------
     # eager strategy: static keys, the sorted schedule

@@ -10,11 +10,14 @@ paper's ``γ`` with half the tuples on either side); point queries are one
 tree descent; the range query reads the regions overlapping a query box
 — the ones the BIGMIN ("getNextZ") walk visits, scheduled from the
 region directory in one call — touching each qualifying page exactly
-once.
+once.  Both restricted scans, the range query and the Tetris sweep, read
+their schedule through one page walk (:meth:`UBTree.walk`), which owns
+the read-ahead window and the read-once checks.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Any, Iterable, Iterator, Sequence
 
 from .. import invariants, kernels
@@ -243,8 +246,55 @@ class UBTree:
         ]
 
     # ------------------------------------------------------------------
-    # the range query (Section 5.3 / standard UB-Tree algorithm)
+    # the page walk and the range query (Section 5.3 / standard UB-Tree
+    # algorithm)
     # ------------------------------------------------------------------
+    def walk(
+        self,
+        cursor: RegionCursor,
+        space: QuerySpace,
+        pushdown: "QuerySpace | None" = None,
+    ) -> Iterator[tuple[ScheduledRegion, Page]]:
+        """Each scheduled region of ``cursor`` with its page, read once.
+
+        The one read path of a restricted scan (the Tetris sweep and
+        :meth:`range_query`): it pulls the cursor, demands each page
+        through the buffer pool and owns the read-ahead window.  It
+        borrows the window a join coordinator lent the cursor
+        (``cursor.window``), or else opens one when the pool can
+        prefetch and closes it when the walk ends or is closed; before
+        each demand the window is topped up from the cursor, after it
+        the page is marked consumed.  With ``REPRO_CHECKS=1`` every page
+        is held to one fetch, read-ahead included, and a walk that runs
+        to its end must have read every region ``space`` (and
+        ``pushdown``) wants.
+        """
+        buffer, category = self.tree.buffer, self.category
+        borrowed = cursor.window
+        window = borrowed or SweepPrefetcher.for_pool(buffer, category=category)
+        fetch_once = invariants.enabled() and invariants.FetchOnceChecker()
+        coverage = invariants.enabled() and invariants.CoverageChecker(
+            self, space, pushdown
+        )
+        try:
+            for entry in cursor:
+                page_id = entry[2]
+                if window is not None:
+                    window.top_up(cursor)
+                if fetch_once:
+                    fetch_once.observe(page_id, window)
+                if coverage:
+                    coverage.observe(entry[0], page_id)
+                page = buffer.get(page_id, category=category)
+                if window is not None:
+                    window.mark_consumed(page_id)
+                yield entry, page
+            if coverage:
+                coverage.finish()
+        finally:
+            if window is not None and window is not borrowed:
+                window.close()
+
     def range_query(
         self, space: QuerySpace
     ) -> Iterator[list[tuple[tuple[int, ...], Any]]]:
@@ -254,20 +304,18 @@ class UBTree:
         Q6: walk the region schedule (:meth:`regions_overlapping`, the
         regions the BIGMIN walk would visit, taken from the region
         directory in one call), read every overlapping region page once
-        (a random access each), and filter the page's tuples against the
-        exact predicate.  Filtering runs through the batch kernel layer
-        (one ``filter_space_page`` call per page), so the vectorized
-        backend evaluates the predicate over the whole page at once
-        instead of tuple at a time.  Each page with a survivor is handed
-        over as one list of ``(point, payload)`` pairs, taken before the
-        generator suspends: an insert between two pulls cannot shift a
-        page that is half read, nor (the regions come from a
-        :class:`RegionCursor`) lose one it split.
-        With an I/O scheduler armed on the buffer pool, the projected
-        next regions are prefetched ahead of the cursor so their
-        transfers overlap.
+        through :meth:`walk` (a random access each, prefetched ahead of
+        the cursor when the pool has an I/O scheduler), and filter the
+        page's tuples against the exact predicate.  Filtering runs
+        through the batch kernel layer (one ``filter_space_page`` call
+        per page), so the vectorized backend evaluates the predicate
+        over the whole page at once instead of tuple at a time.  Each
+        page with a survivor is handed over as one list of
+        ``(point, payload)`` pairs, taken before the generator suspends:
+        an insert between two pulls cannot shift a page that is half
+        read, nor (the regions come from a :class:`RegionCursor`) lose
+        one it split.
         """
-        buffer = self.tree.buffer
         kernel = kernels.get_backend()
 
         def schedule(read: IntervalSet, _: "int | None") -> list[ScheduledRegion]:
@@ -278,29 +326,14 @@ class UBTree:
                 if fresh or read.containing(region.first) is None
             ]
 
-        cursor = RegionCursor(self.tree, schedule)
-        prefetcher = SweepPrefetcher.for_pool(buffer, category=self.category)
-        coverage = invariants.enabled() and invariants.CoverageChecker(self, space)
-        try:
-            for first, _, page_id, _ in cursor:
-                if prefetcher is not None:
-                    prefetcher.top_up(cursor)
-                if coverage:
-                    coverage.observe(first, page_id)
-                page = buffer.get(page_id, category=self.category)
-                if prefetcher is not None:
-                    prefetcher.mark_consumed(page_id)
+        with closing(self.walk(RegionCursor(self.tree, schedule), space)) as pages:
+            for _, page in pages:
                 records = page.records
                 pairs = [
                     records[index][1] for index in kernel.filter_space_page(space, page)
                 ]
                 if pairs:
                     yield pairs
-            if coverage:
-                coverage.finish()
-        finally:
-            if prefetcher is not None:
-                prefetcher.close()
 
     def check_invariants(self) -> None:
         """Structural validation plus region/page bijection.

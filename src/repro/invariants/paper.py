@@ -21,11 +21,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 
 
 class FetchOnceChecker:
-    """Each data page reaches one Tetris scan through at most one fetch.
+    """Each data page reaches one restricted scan through at most one fetch.
 
-    The sweep reports every page right *before* it demands it.  A page
-    demanded twice breaks the guarantee outright (Z-regions are
-    disjoint, so the schedule never repeats one).  So does a page that
+    The scan's page walk reports every page right *before* it demands
+    it.  A page demanded twice breaks the guarantee outright (Z-regions
+    are disjoint, so the schedule never repeats one).  So does a page that
     sits in the scan's read-ahead window — an async read was issued on
     the scan's behalf and not consumed yet — but is no longer resident:
     that transfer was thrown away (the pending frame was evicted or
@@ -40,18 +40,18 @@ class FetchOnceChecker:
         self._demanded: set[int] = set()
 
     def observe(self, page_id: int, window: "SweepPrefetcher | None") -> None:
-        """The sweep is about to demand ``page_id`` through ``window``."""
+        """The scan is about to demand ``page_id`` through ``window``."""
         check(
             page_id not in self._demanded,
-            f"Tetris scan demanded page {page_id} twice",
+            f"restricted scan demanded page {page_id} twice",
         )
         self._demanded.add(page_id)
         if window is not None and page_id in window.outstanding:
             check(
                 page_id in window.pool,
-                f"page {page_id} was prefetched for this Tetris scan, lost "
-                "its frame before the sweep reached it and is being fetched "
-                "a second time",
+                f"page {page_id} was prefetched for this scan, lost its frame "
+                "before the scan reached it and is being fetched a second "
+                "time",
             )
 
 

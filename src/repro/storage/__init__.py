@@ -30,7 +30,7 @@ from .errors import (
 from .faults import FaultPlan, FaultyDisk, armed_disk_count
 from .heap import HeapFile
 from .page import Page, PageImage, PageOverflowError
-from .prefetch import SweepEvictionPolicy, SweepPrefetcher
+from .prefetch import SweepPrefetcher
 from .replica import ReplicatedDisk
 from .retry import DEFAULT_RETRY_POLICY, NO_RETRY, RetryPolicy, read_page_resilient
 from .scheduler import IOScheduler, armed_scheduler_count
@@ -77,7 +77,6 @@ __all__ = [
     "SimulatedCrashError",
     "SimulatedDisk",
     "StorageError",
-    "SweepEvictionPolicy",
     "SweepPrefetcher",
     "TransientIOError",
     "WALRecord",

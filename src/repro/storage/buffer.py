@@ -30,12 +30,14 @@ async read is still in flight, and the first demand lookup *claims* it —
 waiting out the remaining transfer time, then running exactly the same
 integrity/repair/quarantine ladder a demand fetch runs, so a corrupt
 prefetched page degrades identically to a corrupt demand-fetched one.
+Until it is claimed such a frame is spared by eviction, whichever scan
+submitted it (:meth:`_choose_victim`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Callable, Protocol
+from typing import TYPE_CHECKING, Any, Callable
 
 from .. import invariants
 from ..invariants.sanitizer import guarded_by, note_access, tracked_lock
@@ -51,14 +53,6 @@ from .retry import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from .scheduler import IOScheduler
-
-
-class EvictionPolicy(Protocol):
-    """Pluggable victim selection consulted before the LRU fallback."""
-
-    def choose_victim(self, pool: "BufferPool") -> int | None:
-        """Page id to evict, or ``None`` to defer to LRU order."""
-        ...  # pragma: no cover - protocol
 
 
 @guarded_by(
@@ -109,10 +103,6 @@ class BufferPool:
         self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
         self.quarantine_threshold = quarantine_threshold
         self.scheduler = scheduler
-        #: victim-selection hook; ``None`` means plain LRU.  The sweep
-        #: prefetcher installs an evict-behind-the-plane policy here for
-        #: the duration of a scan.
-        self.eviction_policy: EvictionPolicy | None = None
         self.hits = 0
         self.misses = 0
         #: shadow counters cross-checked by the invariant layer: total
@@ -214,14 +204,7 @@ class BufferPool:
     # ------------------------------------------------------------------
     # the prefetch gate
     # ------------------------------------------------------------------
-    def prefetch(
-        self,
-        page_id: int,
-        *,
-        sequential: bool = False,
-        category: str = "data",
-        charge: bool = True,
-    ) -> bool:
+    def prefetch(self, page_id: int, *, category: str = "data") -> bool:
         """Issue an async read for a page the sweep will demand soon.
 
         Returns ``True`` when the page is now resident-and-pending.  A
@@ -240,9 +223,7 @@ class BufferPool:
                 return False
             self.disk_fetches += 1
             self.prefetch_issued += 1
-            page = scheduler.submit(
-                page_id, sequential=sequential, category=category, charge=charge
-            )
+            page = scheduler.submit(page_id, category=category)
             if page is None:
                 # the async attempt hit a transient fault; account the issue
                 # as immediately cancelled so the lifecycle ledger stays
@@ -441,10 +422,19 @@ class BufferPool:
             self._notify_evicted(victim_id)
 
     def _choose_victim(self) -> int:
-        """The frame to evict: policy first, LRU order as the fallback."""
-        policy = self.eviction_policy
-        if policy is not None:
-            victim = policy.choose_victim(self)
-            if victim is not None and victim in self._frames:
-                return victim
+        """The least recently used frame that is not a pending prefetch.
+
+        A pending frame is *ahead of the sweep plane*: an async read
+        issued for a page a scan is about to demand.  Under plain LRU it
+        is, by construction, the least recently touched frame once a few
+        demand hits pass it by, so LRU would throw away exactly the
+        transfers a sweep is about to claim while consumed frames
+        ("behind the plane") sit idle.  Only when every frame is pending
+        does LRU order decide alone.
+        """
+        pending = self._prefetched
+        if pending:
+            for page_id in self._frames:
+                if page_id not in pending:
+                    return page_id
         return next(iter(self._frames))

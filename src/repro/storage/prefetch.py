@@ -1,22 +1,20 @@
 """Sweep-ahead prefetching: turn predicted page accesses into overlap.
 
-The Tetris sweep (and the UB-Tree range query, and a heap scan) knows
-which pages it will touch next *before* it needs them — the region
-schedule is computed from index levels alone.  :class:`SweepPrefetcher`
-reads that projection off the scan's region cursor — a slice of the
-schedule's page-id column — and keeps a bounded number of async reads in
-flight through the buffer pool's prefetch gate, so transfers overlap
-across the scheduler's device queues instead of serializing behind the
-sweep.
+The Tetris sweep and the UB-Tree range query know which pages they will
+touch next *before* they need them — the region schedule is computed
+from index levels alone.  :class:`SweepPrefetcher` reads that projection
+off the scan's region cursor — a slice of the schedule's page-id column
+— and keeps a bounded number of async reads in flight through the buffer
+pool's prefetch gate, so transfers overlap across the scheduler's device
+queues instead of serializing behind the sweep.
 
-It also installs :class:`SweepEvictionPolicy` on the pool for the
-duration of the scan: plain LRU is actively wrong under prefetching —
-an unclaimed prefetched page is, by construction, the *least* recently
-touched frame once a few demand hits pass it by, so LRU evicts exactly
-the pages the sweep is about to need ("ahead of the plane") while dozens
-of already-consumed frames ("behind the plane") sit idle.  The sweep
-policy prefers any consumed frame and only falls back to LRU when every
-frame is still pending.
+One page walk owns a scan's window (``UBTree.walk``): it opens one for
+the scan, tops it up before each demand, marks each page consumed and
+closes it at the end — or borrows the window a
+:class:`DualCursorPrefetcher` handed to the scan's cursor, which that
+coordinator closes.  The pool itself spares pending prefetches when it
+evicts (``BufferPool._choose_victim``), whichever window submitted
+them, so no window installs or restores anything on the pool.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 
 __all__ = [
     "DualCursorPrefetcher",
-    "SweepEvictionPolicy",
     "SweepPrefetcher",
 ]
 
@@ -40,27 +37,6 @@ def _prefetching(pool: BufferPool) -> bool:
     return scheduler is not None and scheduler.prefetch_depth > 0
 
 
-class SweepEvictionPolicy:
-    """Evict-behind-the-plane: spare the pages the sweep still needs.
-
-    A frame is *ahead of the plane* exactly when it is a pending
-    (unclaimed) prefetched page; everything else — index pages, consumed
-    region pages — is behind the plane and fair game.  Victims are taken
-    in LRU order among the behind-the-plane frames, so without any
-    pending prefetches the policy degenerates to plain LRU.  The pool
-    consults it under its own lock, so it walks the frames in place.
-    """
-
-    def choose_victim(self, pool: BufferPool) -> int | None:
-        pending = pool._prefetched
-        if not pending:
-            return None  # plain LRU
-        for page_id in pool._frames:
-            if page_id not in pending:
-                return page_id
-        return None  # every frame is ahead of the plane; LRU must decide
-
-
 class SweepPrefetcher:
     """Keeps a bounded window of async reads in flight for one sweep.
 
@@ -68,20 +44,13 @@ class SweepPrefetcher:
     scheduler or prefetching is disabled), top it up from the scan's
     region cursor with :meth:`top_up`, report consumption with
     :meth:`mark_consumed`, and always :meth:`close` it — leftover
-    submissions are cancelled (accounted as wasted) and the pool's
-    previous eviction policy is restored.  Every submission lies in the
-    window ``page_ids[position:position + depth]`` of the schedule it
-    was made from, or is the page the sweep is about to demand.
+    submissions are cancelled (accounted as wasted).  Every submission
+    lies in the window ``page_ids[position:position + depth]`` of the
+    schedule it was made from, or is the page the sweep is about to
+    demand.
     """
 
-    def __init__(
-        self,
-        pool: BufferPool,
-        *,
-        depth: int | None = None,
-        category: str = "data",
-        sequential: bool = False,
-    ) -> None:
+    def __init__(self, pool: BufferPool, *, category: str = "data") -> None:
         scheduler = pool.scheduler
         if scheduler is None or scheduler.prefetch_depth <= 0:
             raise ValueError("pool has no scheduler with prefetching enabled")
@@ -89,30 +58,21 @@ class SweepPrefetcher:
         # never let the prefetch window swallow the whole pool: the sweep
         # needs frames behind the plane for index pages and open slices
         limit = max(1, pool.capacity // 2)
-        self.depth = min(depth or scheduler.prefetch_depth, limit)
+        self.depth = min(scheduler.prefetch_depth, limit)
         self.category = category
-        self.sequential = sequential
         self._outstanding: set[int] = set()
         #: the schedule epoch the window was last checked against
         self._epoch: int | None = None
         self._closed = False
-        self._previous_policy = pool.eviction_policy
-        if pool.eviction_policy is None:
-            pool.eviction_policy = SweepEvictionPolicy()
 
     @classmethod
     def for_pool(
-        cls,
-        pool: BufferPool,
-        *,
-        depth: int | None = None,
-        category: str = "data",
-        sequential: bool = False,
+        cls, pool: BufferPool, *, category: str = "data"
     ) -> "SweepPrefetcher | None":
         """A prefetcher when the pool can prefetch, else ``None``."""
         if not _prefetching(pool):
             return None
-        return cls(pool, depth=depth, category=category, sequential=sequential)
+        return cls(pool, category=category)
 
     @property
     def outstanding(self) -> frozenset[int]:
@@ -147,11 +107,7 @@ class SweepPrefetcher:
                 break
             if page_id in outstanding:
                 continue
-            if pool.prefetch(
-                page_id,
-                sequential=self.sequential,
-                category=self.category,
-            ):
+            if pool.prefetch(page_id, category=self.category):
                 outstanding.add(page_id)
                 issued += 1
         return issued
@@ -161,15 +117,13 @@ class SweepPrefetcher:
         self._outstanding.discard(page_id)
 
     def close(self) -> None:
-        """Cancel leftover submissions and restore the eviction policy."""
+        """Cancel leftover submissions (accounted as wasted)."""
         if self._closed:
             return
         self._closed = True
         for page_id in list(self._outstanding):
             self.pool.cancel_prefetch(page_id)
         self._outstanding.clear()
-        if isinstance(self.pool.eviction_policy, SweepEvictionPolicy):
-            self.pool.eviction_policy = self._previous_policy
 
 
 class DualCursorPrefetcher:
@@ -195,10 +149,11 @@ class DualCursorPrefetcher:
     taken when the last reconcile *began*; why that is exact, and the
     differential test holding it to a poll, is in ``docs/JOINS.md``.
 
-    Sides are ``TetrisScan``s: each one's ``external_prefetch`` is set to
-    its *shared* window, which its sweep tops up and marks consumed per
-    region while it is the one drained; the join's cursor refreshes the
-    idle side, and closing stays here.
+    Sides are ``TetrisScan``s: each one's region cursor is handed its
+    side's window (``cursor.window``), which the scan's page walk
+    borrows — tops up and marks consumed per region while that side is
+    the one drained; the join's cursor refreshes the idle side, and
+    closing stays here.
     """
 
     def __init__(
@@ -214,13 +169,11 @@ class DualCursorPrefetcher:
         #: the stamp when the last reconcile began (``None``: never ran)
         self._reconciled_at: int | None = None
         self._closed = False
-        for scan, prefetcher in sides:
-            scan.external_prefetch = prefetcher
+        for cursor, (_, prefetcher) in zip(self._cursors, sides):
+            cursor.window = prefetcher
 
     @classmethod
-    def for_operators(
-        cls, *operators: Any, depth: int | None = None
-    ) -> "DualCursorPrefetcher | None":
+    def for_operators(cls, *operators: Any) -> "DualCursorPrefetcher | None":
         """A dual policy over two or more operators exposing a ``.scan``
         (``TetrisOperator``) whose pools can all prefetch, else ``None``."""
         scans = [getattr(operator, "scan", None) for operator in operators]
@@ -228,7 +181,7 @@ class DualCursorPrefetcher:
         if len(pools) < max(2, len(scans)) or not all(map(_prefetching, pools)):
             return None
         sides = [
-            (scan, SweepPrefetcher(pool, depth=depth, category=scan.ubtree.category))
+            (scan, SweepPrefetcher(pool, category=scan.ubtree.category))
             for scan, pool in zip(scans, pools)
         ]
         return cls(sides)
@@ -262,10 +215,10 @@ class DualCursorPrefetcher:
         return True
 
     def close(self) -> None:
-        """Close both windows and hand the scans their solo policy back."""
+        """Close every window and take it back from its scan's cursor."""
         if self._closed:
             return
         self._closed = True
-        for scan, prefetcher in self._sides:
+        for cursor, (_, prefetcher) in zip(self._cursors, self._sides):
             prefetcher.close()
-            scan.external_prefetch = False
+            cursor.window = None

@@ -305,7 +305,7 @@ class TestSliceOracle:
 
 
 # ----------------------------------------------------------------------
-# each page fetched at most once per Tetris scan
+# each page fetched at most once per restricted scan
 # ----------------------------------------------------------------------
 class TestFetchOnce:
     def make_prefetching_ubtree(self):
@@ -354,6 +354,19 @@ class TestFetchOnce:
             pool.drop_all()  # empties the sweep's read-ahead window under it
             with pytest.raises(InvariantViolation, match="second time"):
                 list(scan)
+
+    def test_wired_into_range_query(self):
+        box = QueryBox((0, 0), (15, 15))
+        ubtree, pool = self.make_prefetching_ubtree()
+        with checks():
+            pages = ubtree.range_query(box)
+            next(pages)
+            victim = min(pool.prefetch_pending)
+            assert pool.cancel_prefetch(victim)  # the transfer is thrown away
+            with pytest.raises(
+                InvariantViolation, match=rf"page {victim} was prefetched"
+            ):
+                list(pages)
 
     def test_silent_when_checks_off(self):
         box = QueryBox((0, 0), (15, 15))

@@ -516,8 +516,8 @@ class TestDualCursorPrefetch:
     def test_scans_restored_after_drain(self, data):
         _, _, pipelined = self.run_pipelined(data, prefetch=True)
         assert pipelined.prefetch is not None
-        assert pipelined.left.scan.external_prefetch is False
-        assert pipelined.right.scan.external_prefetch is False
+        assert pipelined.left.scan.cursor.window is None
+        assert pipelined.right.scan.cursor.window is None
 
     def test_no_prefetch_database_degrades_to_none(self, data):
         db, order_ub, lineitem_ub = self.q4_world(data, devices=1, prefetch_depth=0)

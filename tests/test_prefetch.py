@@ -1,6 +1,7 @@
 """Tests for the sweep-ahead prefetch layer: the region cursor, the
-evict-behind-the-plane policy (vs plain LRU's pathology), the prefetcher
-lifecycle, and end-to-end stream identity on both kernel backends."""
+pool's evict-behind-the-plane rule, the prefetcher lifecycle, two
+sweeps whose windows overlap on one pool, and end-to-end stream
+identity on both kernel backends."""
 
 import random
 
@@ -12,13 +13,12 @@ from repro.storage import (
     BufferPool,
     IOScheduler,
     SimulatedDisk,
-    SweepEvictionPolicy,
     SweepPrefetcher,
 )
 
-from oracles import page_cursor
+from oracles import checks, page_cursor
 
-#: pinned data seeds — the eviction pathology and the end-to-end identity
+#: pinned data seeds — the eviction rule and the end-to-end identity
 #: checks must hold for every one of them, on both kernel backends
 PINNED_SEEDS = (7, 21, 1999)
 
@@ -145,8 +145,8 @@ class TestLookaheadCursor:
 
 
 # ----------------------------------------------------------------------
-# the LRU pathology: plain LRU evicts the page the sweep needs next,
-# the sweep policy never does
+# the pool's victim rule: the least recently used frame that is not a
+# pending prefetch — plain LRU would evict the page the sweep needs next
 # ----------------------------------------------------------------------
 class TestSweepEviction:
     def _fill(self, pool, ids):
@@ -159,22 +159,10 @@ class TestSweepEviction:
         assert len(pool) == pool.capacity
 
     @pytest.mark.parametrize("seed", PINNED_SEEDS)
-    def test_plain_lru_evicts_ahead_of_plane(self, seed):
-        pool, scheduler, ids = make_pool()
-        rng = random.Random(seed)
-        rng.shuffle(ids)
-        self._fill(pool, ids)
-        pool.get(ids[4])  # forces an eviction; LRU victim is the oldest
-        assert ids[0] not in pool  # the unclaimed prefetch was thrown away
-        assert pool.prefetch_cancelled == 1
-        assert scheduler.disk.stats.prefetch.prefetch_wasted == 1
-
-    @pytest.mark.parametrize("seed", PINNED_SEEDS)
     def test_sweep_policy_never_evicts_ahead_of_plane(self, seed):
         pool, scheduler, ids = make_pool()
         rng = random.Random(seed)
         rng.shuffle(ids)
-        pool.eviction_policy = SweepEvictionPolicy()
         self._fill(pool, ids)
         pool.get(ids[4])
         # both pending prefetches survive; the LRU *consumed* frame went
@@ -189,7 +177,6 @@ class TestSweepEviction:
 
     def test_sweep_policy_degenerates_to_lru_without_pending(self):
         pool, _, ids = make_pool()
-        pool.eviction_policy = SweepEvictionPolicy()
         for page_id in ids[:5]:
             pool.get(page_id)
         assert ids[0] not in pool  # plain LRU victim
@@ -197,7 +184,6 @@ class TestSweepEviction:
 
     def test_all_pending_falls_back_to_lru(self):
         pool, _, ids = make_pool(capacity=4, depth=8)
-        pool.eviction_policy = SweepEvictionPolicy()
         for page_id in ids[:4]:
             assert pool.prefetch(page_id)
         pool.get(ids[4])
@@ -243,22 +229,59 @@ class TestSweepPrefetcher:
     def test_close_cancels_outstanding_and_restores_policy(self):
         pool, scheduler, ids = make_pool(capacity=8, depth=2)
         prefetcher = SweepPrefetcher.for_pool(pool)
-        assert isinstance(pool.eviction_policy, SweepEvictionPolicy)
         prefetcher.top_up(page_cursor(ids[:2])[0])
         prefetcher.close()
-        assert pool.eviction_policy is None
         assert pool.prefetch_pending == frozenset()
         assert len(scheduler._inflight) == 0
         assert scheduler.disk.stats.prefetch.prefetch_wasted == 2
         prefetcher.close()  # idempotent
 
-    def test_close_keeps_a_caller_installed_policy(self):
-        pool, _, _ = make_pool()
-        sentinel = SweepEvictionPolicy()
-        pool.eviction_policy = sentinel
-        prefetcher = SweepPrefetcher.for_pool(pool)
-        prefetcher.close()
-        assert pool.eviction_policy is sentinel
+
+# ----------------------------------------------------------------------
+# two sweeps whose windows overlap on one pool: the one opened first
+# finishing must leave the other's pending prefetches spared
+# ----------------------------------------------------------------------
+class TestOverlappingWindows:
+    SCHEMA = Schema(
+        [
+            Attribute("a", IntEncoder(0, 255)),
+            Attribute("b", IntEncoder(0, 255)),
+            Attribute("c", IntEncoder(0, 10**6)),
+        ]
+    )
+
+    def two_tables(self, buffer_pages):
+        rng = random.Random(7)
+        db = Database(buffer_pages=buffer_pages, devices=2, prefetch_depth=8)
+        tables = []
+        for name, rows in (("ta", 800), ("tb", 2000)):
+            table = db.create_ub_table(
+                name, self.SCHEMA, dims=("a", "b"), page_capacity=4
+            )
+            table.load(
+                [(rng.randrange(256), rng.randrange(256), i) for i in range(rows)]
+            )
+            tables.append(table)
+        db.reset_measurement()
+        return db, tables
+
+    @pytest.mark.parametrize("armed", [False, True], ids=["checks_off", "checks_on"])
+    @pytest.mark.parametrize("buffer_pages", [4, 6, 8])
+    def test_first_opened_sweep_closing_spares_the_other(self, buffer_pages, armed):
+        db, (ta, tb) = self.two_tables(buffer_pages)
+        prefetch = db.disk.stats.prefetch
+        with checks(armed):
+            first = iter(ta.tetris_scan({"a": (0, 40)}, "a"))
+            second = iter(tb.tetris_scan({"a": (0, 255)}, "b"))
+            next(first)
+            next(second)
+            for _ in first:
+                pass
+            wasted = prefetch.prefetch_wasted
+            for _ in second:
+                pass
+        assert prefetch.prefetch_wasted == wasted == 0
+        assert prefetch.prefetch_issued == prefetch.prefetch_hits > 0
 
 
 # ----------------------------------------------------------------------
