@@ -114,15 +114,14 @@ class RegionCursor:
     ``entries`` holds ``(first, last, page_id, barrier)`` in retrieval
     order and ``page_ids`` the ids alone, so a read-ahead window is the
     slice ``page_ids[position:position + k]``; the entries before
-    ``position`` are the scan's read set Φ.  ``schedule(read, resume)``
-    lists the regions to read, none inside ``read``, resuming at the
-    last barrier handed out.  Every pull and peek compares the tree's
-    ``structure_epoch`` with the schedule's; on a move the rest —
-    lookahead included — is scheduled again minus Φ, so a row present
-    when the scan starts comes out exactly once and a row inserted
-    during it at most once (``docs/ALGORITHM.md`` §3).  ``window`` is a
-    read-ahead window a join coordinator lent the scan, which the scan's
-    page walk borrows instead of opening its own.
+    ``position`` are the scan's read set Φ.  ``schedule(read)`` lists
+    the regions to read, none inside ``read``.  Every pull and peek
+    compares the tree's ``structure_epoch`` with the schedule's; on a
+    move the rest — lookahead included — is scheduled again minus Φ,
+    so a row present when the scan starts comes out exactly once and a
+    row inserted during it at most once (``docs/ALGORITHM.md`` §3).
+    ``window`` is a read-ahead window a join coordinator lent the scan,
+    which the scan's page walk borrows instead of opening its own.
     """
 
     __slots__ = (
@@ -132,7 +131,7 @@ class RegionCursor:
     def __init__(
         self,
         tree: Any,
-        schedule: "Callable[[IntervalSet, int | None], Iterable[ScheduledRegion]]",
+        schedule: "Callable[[IntervalSet], Iterable[ScheduledRegion]]",
     ) -> None:
         self.tree = tree  #: anything with a ``structure_epoch``
         self.entries: list[ScheduledRegion] = []
@@ -168,5 +167,5 @@ class RegionCursor:
             read.add(first, last)
         del entries[position:], self.page_ids[position:]
         self.epoch = self.tree.structure_epoch
-        entries.extend(self._schedule(read, entries[-1][3] if position else None))
+        entries.extend(self._schedule(read))
         self.page_ids.extend(entry[2] for entry in islice(entries, position, None))

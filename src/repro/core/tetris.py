@@ -9,34 +9,18 @@ order of ``A_j`` while
 * caching only the tuples of the currently open *slice* — the sub-linear
   Tetris cache of Section 4.4.
 
-Two interchangeable strategies are provided:
-
-``eager`` (default)
-    Enumerate the overlapping regions (index-only), key each by
-    ``min T_j over (region ∩ Q)`` — a static quantity because Z-regions
-    are disjoint — and read them in the order of the sorted schedule.
-
-``sweep``
-    The paper's event-point formulation (Figure 3-7), kept as the
-    literal reference implementation.  The retrieved space ``Φ`` is
-    maintained as a set of merged Z-intervals; the next event point
-    ``min { T_j(x) | x ∈ Q, x ∉ Φ }`` is advanced with the generic
-    BIGMIN primitive, skipping already-retrieved Z-intervals by
-    decomposing their complement into aligned boxes.
-
-Because the region partitioning is disjoint, the event point always lies
-in the unread region with the smallest static key, so both strategies
-provably retrieve pages in the same order and emit the same stream; the
-test suite asserts this equivalence property.  The two differ only in
-CPU: the sweep recomputes event points against ``Φ`` and its cost grows
-with the number of region/slice crossings, which is why the eager
-formulation is the default (real UB-Tree implementations organize the
-sweep per slice for the same reason).
+The paper's sweep (Figure 3-7) finds each next event point
+``min { T_j(x) | x ∈ Q, x ∉ Φ }`` with BIGMIN.  Z-regions are disjoint,
+so that point always lies in the unread region with the smallest static
+key ``min T_j over (region ∩ Q)``: the scan enumerates the overlapping
+regions (index-only), keys each one and reads them in the order of the
+sorted schedule, which is the page order of the event-point loop.  The
+tests keep that loop as the order oracle (``event_point_order`` in
+``tests/oracles.py``) and hold every scan's page order to it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
@@ -48,16 +32,14 @@ from typing import Any, Iterator, Sequence
 from .. import invariants, kernels
 from .curves import Curve
 from .intervals import IntervalSet
-from .query_space import QuerySpace, box_is_empty
-from .region import RegionCursor, ScheduledRegion, ZRegion
+from .query_space import QuerySpace
+from .region import RegionCursor, ScheduledRegion
 from .ubtree import UBTree
 
 SortedTuple = tuple[tuple[int, ...], Any]
 #: one completed slice: the tetris-curve keys it was ordered by and its
 #: tuples, two parallel lists
 Slice = tuple[list[int], list[SortedTuple]]
-
-_MISSING = object()  # sentinel distinguishing "not cached" from "cached None"
 
 #: a Z-region record ``(z_address, (point, payload))`` to the tuple it holds
 _payload_of = itemgetter(1)
@@ -115,9 +97,6 @@ class TetrisScan:
         Index of the sort attribute ``A_j`` — or a sequence of indexes
         for a composite (multi-column) sort order, lexicographic in the
         listed attributes.
-    strategy:
-        ``"eager"`` (static region keys, sorted; the default) or
-        ``"sweep"`` (event points, the paper's literal loop).
     pushdown:
         An optional extra restriction pushed down from the *other* side
         of a join — typically the
@@ -135,11 +114,8 @@ class TetrisScan:
         space: QuerySpace,
         sort_dim: "int | Sequence[int]",
         *,
-        strategy: str = "eager",
         pushdown: "QuerySpace | None" = None,
     ) -> None:
-        if strategy not in ("sweep", "eager"):
-            raise ValueError(f"unknown strategy {strategy!r}")
         sort_dims = (sort_dim,) if isinstance(sort_dim, int) else tuple(sort_dim)
         if not sort_dims:
             raise ValueError("at least one sort dimension required")
@@ -163,48 +139,20 @@ class TetrisScan:
         )
         self.sort_dims = sort_dims
         self.sort_dim = sort_dims[0]
-        self.strategy = strategy
         self.stats = TetrisStats()
 
         self.tetris_curve: Curve = ubtree.space.tetris(sort_dims)
 
-        box = space.bounding_box()
-        if box is None:
-            box = ubtree.space.universe_box()
-        self._box = box
         self._page_reads: list[int] = []  # page access order, for tests
         #: the region schedule, shared by iteration and every projection
         #: (read-ahead windows), so none disturbs the retrieval order
-        self.cursor = RegionCursor(
-            ubtree.tree,
-            self._eager_schedule if strategy == "eager" else self._sweep_regions,
-        )
-        # sweep-strategy memos: next event beyond a covered interval, and
-        # the box decomposition of an interval's complement (see
-        # _skip_interval for the monotonicity argument)
-        self._skip_cache: dict[tuple[int, int], int | None] = {}
-        self._complement_boxes: dict[
-            tuple[int, int], list[tuple[tuple[int, ...], tuple[int, ...]]]
-        ] = {}
+        self.cursor = RegionCursor(ubtree.tree, self._eager_schedule)
 
     @property
     def page_access_order(self) -> list[int]:
-        """Page ids in retrieval order (used by equivalence tests)."""
+        """Page ids in retrieval order (what the tests hold to the
+        event-point oracle)."""
         return self._page_reads
-
-    def upcoming_regions(self, count: int) -> list[ZRegion]:
-        """The projected next ``count`` Z-regions in retrieval order.
-
-        Index-only (no data-page I/O): the schedule is computed from
-        separator keys and BIGMIN alone, which is what makes sweep-ahead
-        prefetching possible.  Valid before and during iteration; the
-        projection shrinks as the sweep consumes regions and is empty
-        once the scan is exhausted.
-        """
-        cursor = self.cursor
-        cursor.upcoming_page_ids(0)  # takes the schedule, or re-takes a stale one
-        ahead = islice(cursor.entries, cursor.position, cursor.position + count)
-        return [ZRegion(first, last, page_id) for first, last, page_id, _ in ahead]
 
     def slices(self) -> Iterator[Slice]:
         """The sweep's output in its own unit: one ``(keys, rows)`` pair
@@ -319,11 +267,9 @@ class TetrisScan:
         stats.end_clock = disk.clock
 
     # ------------------------------------------------------------------
-    # eager strategy: static keys, the sorted schedule
+    # the eager schedule: static keys, sorted
     # ------------------------------------------------------------------
-    def _eager_schedule(
-        self, read: IntervalSet, resume: "int | None"
-    ) -> list[ScheduledRegion]:
+    def _eager_schedule(self, read: IntervalSet) -> list[ScheduledRegion]:
         # which regions the walk visits, which the local restriction and
         # the pushed-down cover prune (the tests are exact for the cover,
         # so every page it skips truly holds no joinable tuple), and each
@@ -331,8 +277,7 @@ class TetrisScan:
         # box)``, static because Z-regions are disjoint — all come from
         # one batched schedule over the tree's region directory.  Regions
         # only split, so one is inside Φ iff its first address is.  The
-        # counters describe the latest schedule taken; no region left to
-        # read keys below ``resume``, the last barrier handed out.
+        # counters describe the latest schedule taken.
         stats = self.stats
         stats.regions_examined = stats.regions_skipped = 0
         stats.pages_skipped_by_pushdown = 0
@@ -357,149 +302,12 @@ class TetrisScan:
             for (_, first, last, page_id), barrier in zip(keyed, barriers)
         ]
 
-    # ------------------------------------------------------------------
-    # sweep strategy: the paper's event-point loop
-    # ------------------------------------------------------------------
-    def _sweep_regions(
-        self, read: IntervalSet, resume: "int | None"
-    ) -> Iterator[ScheduledRegion]:
-        # a re-schedule seeds Φ with the regions read and resumes at the
-        # last barrier handed out: everything below it was read or pruned
-        if box_is_empty(self._box):
-            return
-        lo, hi = self._box
-        curve = self.tetris_curve
-        z_space = self.ubtree.space
-        phi = read
-        # the next-event memo holds only while events increase
-        self._skip_cache.clear()
-
-        event = resume if read else curve.next_in_box(0, lo, hi)
-        while event is not None:
-            point = curve.decode(event)
-            z_address = z_space.z_address(point)
-            covered = phi.containing(z_address)
-            if covered is None:
-                region, _ = self.ubtree.region_for(z_address, charge=False)
-                self.stats.regions_examined += 1
-                phi.add(region.first, region.last)
-                covered = (region.first, region.last)
-                in_space, in_cover = region.classify(
-                    z_space.z, self.space, self.pushdown
-                )
-                if in_cover:
-                    next_event = self._skip_interval(event, covered)
-                    yield region.first, region.last, region.page_id, next_event
-                    event = next_event
-                    continue
-                if in_space:
-                    self.stats.pages_skipped_by_pushdown += 1
-                else:
-                    self.stats.regions_skipped += 1
-            event = self._skip_interval(event, covered)
-
-    def _skip_interval(self, event: int, interval: tuple[int, int]) -> int | None:
-        """Smallest Tetris address ``> event`` in the box but outside
-        the covered Z-interval.
-
-        The complement of the interval decomposes into aligned boxes;
-        BIGMIN over each (intersected with the query bounding box) yields
-        candidates, and the minimum wins.  O(total_bits²) bit operations,
-        no I/O — the paper's "inexpensive bit operations".
-
-        The result may still lie inside *another* already-retrieved
-        interval; the sweep loop then skips again.  As an emission
-        barrier it is therefore a lower bound on the true next event
-        point, which only delays flushing, never corrupts order.
-
-        Two memos keep the whole sweep near-linear in the region count:
-
-        * the complement decomposition of an interval is cached, and
-        * so is the computed next event.  Events only increase, so a
-          cached answer ``c`` computed at some earlier event ``t0 <= t``
-          with ``c > t`` is still the minimum beyond ``t`` — nothing of
-          the complement lies in ``(t0, t]``.  When ``Φ`` merges the
-          interval into a larger one, its key changes and the stale
-          entries are simply never consulted again.
-        """
-        cached = self._skip_cache.get(interval, _MISSING)
-        if cached is not _MISSING and (cached is None or cached > event):
-            return cached
-
-        curve = self.tetris_curve
-        decomposition = self._complement_boxes.get(interval)
-        if decomposition is None:
-            decomposition = self._decompose_complement(interval)
-            self._complement_boxes[interval] = decomposition
-        ceilings, entries, suffix_min_floor = decomposition
-
-        # boxes whose entire Tetris range lies below the event can never
-        # supply a candidate: start at the first box with ceiling >= event
-        start = bisect_left(ceilings, event)
-        best: int | None = None
-        for position in range(start, len(entries)):
-            floor, clamped_lo, clamped_hi = entries[position]
-            if best is not None and best <= suffix_min_floor[position]:
-                break
-            if best is not None and best <= floor:
-                continue
-            candidate = curve.next_in_box(event, clamped_lo, clamped_hi)
-            if candidate is not None and (best is None or candidate < best):
-                best = candidate
-        self._skip_cache[interval] = best
-        return best
-
-    def _decompose_complement(self, interval: tuple[int, int]):
-        """Aligned boxes of the interval's complement, clamped to the
-        query bounding box, sorted by their *maximal* Tetris address.
-
-        Returns ``(ceilings, entries, suffix_min_floor)`` where
-        ``entries[i] = (floor_i, lo_i, hi_i)`` and ``suffix_min_floor[i]``
-        is the smallest floor among ``entries[i:]`` — the early-exit
-        bound for the candidate scan.
-        """
-        lo, hi = self._box
-        curve = self.tetris_curve
-        z_curve = self.ubtree.space.z
-        first, last = interval
-        pieces: list[tuple[int, int]] = []
-        if first > 0:
-            pieces.append((0, first - 1))
-        if last < z_curve.address_max:
-            pieces.append((last + 1, z_curve.address_max))
-        raw: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
-        for piece_first, piece_last in pieces:
-            for box_lo, box_hi in z_curve.interval_boxes(piece_first, piece_last):
-                clamped_lo = tuple(max(a, b) for a, b in zip(box_lo, lo))
-                clamped_hi = tuple(min(a, b) for a, b in zip(box_hi, hi))
-                if any(a > b for a, b in zip(clamped_lo, clamped_hi)):
-                    continue
-                raw.append(
-                    (
-                        curve.encode_unchecked(clamped_hi),
-                        curve.encode_unchecked(clamped_lo),
-                        clamped_lo,
-                        clamped_hi,
-                    )
-                )
-        raw.sort(key=lambda entry: entry[0])
-        ceilings = [entry[0] for entry in raw]
-        entries = [(floor, lo_c, hi_c) for _, floor, lo_c, hi_c in raw]
-        suffix_min_floor: list[int] = [0] * len(entries)
-        running = None
-        for position in range(len(entries) - 1, -1, -1):
-            floor = entries[position][0]
-            running = floor if running is None else min(running, floor)
-            suffix_min_floor[position] = running
-        return ceilings, entries, suffix_min_floor
-
 
 def tetris_sorted(
     ubtree: UBTree,
     space: QuerySpace,
     sort_dim: "int | Sequence[int]",
     *,
-    strategy: str = "eager",
     pushdown: "QuerySpace | None" = None,
 ) -> TetrisScan:
     """Convenience constructor for a :class:`TetrisScan`.
@@ -509,4 +317,4 @@ def tetris_sorted(
     lexicographic in the listed attributes with Z-order of the remaining
     ones as tiebreak (see :meth:`~repro.core.zorder.ZSpace.tetris`).
     """
-    return TetrisScan(ubtree, space, sort_dim, strategy=strategy, pushdown=pushdown)
+    return TetrisScan(ubtree, space, sort_dim, pushdown=pushdown)

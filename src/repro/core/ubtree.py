@@ -318,7 +318,7 @@ class UBTree:
         """
         kernel = kernels.get_backend()
 
-        def schedule(read: IntervalSet, _: "int | None") -> list[ScheduledRegion]:
+        def schedule(read: IntervalSet) -> list[ScheduledRegion]:
             fresh = not read
             return [
                 (region.first, region.last, region.page_id, None)

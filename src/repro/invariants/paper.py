@@ -27,11 +27,13 @@ class FetchOnceChecker:
     it.  A page demanded twice breaks the guarantee outright (Z-regions
     are disjoint, so the schedule never repeats one).  So does a page that
     sits in the scan's read-ahead window — an async read was issued on
-    the scan's behalf and not consumed yet — but is no longer resident:
-    that transfer was thrown away (the pending frame was evicted or
-    dropped) and the demand read about to happen is the page's second.
-    A submission that is still resident is claimed, not re-read, so the
-    claim counts as the one fetch.
+    the scan's behalf and not consumed yet — but is no longer resident
+    because the pool threw that transfer away (the pending frame was
+    evicted, dropped or cancelled): the demand read about to happen is
+    the page's second.  A submission that is still resident is claimed,
+    not re-read, so the claim counts as the one fetch; one that another
+    scan on the pool claimed was used, and a later demand after its
+    frame left is that page's first read for this scan.
     """
 
     __slots__ = ("_demanded",)
@@ -47,8 +49,9 @@ class FetchOnceChecker:
         )
         self._demanded.add(page_id)
         if window is not None and page_id in window.outstanding:
+            pool = window.pool
             check(
-                page_id in window.pool,
+                page_id in pool or page_id not in pool._discarded,
                 f"page {page_id} was prefetched for this scan, lost its frame "
                 "before the scan reached it and is being fetched a second "
                 "time",

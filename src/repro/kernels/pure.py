@@ -245,8 +245,8 @@ class PurePythonBackend(KernelBackend):
 
         Each interval is a Z-address range ``(first, last)`` on
         ``z_curve`` (a Z-region); the result entry is ``None`` when the
-        interval's geometry is disjoint from the box.  This is the eager
-        Tetris strategy's static region keying by its definition: every
+        interval's geometry is disjoint from the box.  This is the static
+        region keying of the Tetris scan's schedule, by its definition: every
         interval decomposes into aligned boxes, each box is clamped to
         ``[lo, hi]``, and the minimum ``sort_curve`` address of a
         surviving box is attained at its low corner (monotonicity).  It

@@ -71,11 +71,6 @@ __all__ = [
 
 _EXECUTORS = ("auto", "threads", "inline")
 
-#: "all of them" for region projections (a slice of the schedule stops
-#: at its end, so an over-ask costs nothing)
-_ALL_REGIONS = 1 << 30
-
-
 @dataclass(frozen=True)
 class SweepSlab:
     """One contiguous sort-value interval of a partitioned sweep."""
@@ -259,16 +254,16 @@ def _stage_slab(
 ) -> "tuple[TetrisScan, list[Any]]":
     """Fetch one slab's pages in retrieval order (coordinator-only).
 
-    Must run under the staging lock: the buffer pool, the region
-    cursor and the backend's column memoization are not thread-safe.
-    The returned pages are plain references — eviction cannot
-    invalidate them — so the compute phase needs no locking at all.
+    The pages come through the scan's page walk (``UBTree.walk``), the
+    one read path of a restricted scan — read-ahead and the
+    ``REPRO_CHECKS=1`` fetch-once and coverage checks included — drained
+    here, under the staging lock: the buffer pool, the region cursor and
+    the backend's column memoization are not thread-safe.  The returned
+    pages are plain references — eviction cannot invalidate them — so
+    the compute phase needs no locking at all.
     """
     scan = TetrisScan(table.ubtree, space, sort_dims)
-    regions = scan.upcoming_regions(_ALL_REGIONS)
-    buffer = table.ubtree.tree.buffer
-    category = table.ubtree.category
-    pages = [buffer.get(region.page_id, category=category) for region in regions]
+    pages = [page for _, page in table.ubtree.walk(scan.cursor, scan.space)]
     backend = kernels.get_backend()
     # the NumPy backend's column conversion is GIL-bound anyway, so
     # priming it here costs no parallelism and keeps the compute phase

@@ -107,14 +107,11 @@ class TetrisOperator(Operator):
         space: QuerySpace | dict[str, tuple[Any, Any]] | None,
         sort_attr: str,
         *,
-        strategy: str = "eager",
         predicate: Callable[[Row], bool] | None = None,
         pushdown: QuerySpace | None = None,
     ) -> None:
         self.table = table
-        self.scan: TetrisScan = table.tetris_scan(
-            space, sort_attr, strategy=strategy, pushdown=pushdown
-        )
+        self.scan: TetrisScan = table.tetris_scan(space, sort_attr, pushdown=pushdown)
         self.predicate = predicate
 
     @property

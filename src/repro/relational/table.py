@@ -397,7 +397,6 @@ class UBTable(BaseTable):
         space: QuerySpace | dict[str, tuple[Any, Any]] | None,
         sort_attr: str | Sequence[str],
         *,
-        strategy: str = "eager",
         pushdown: QuerySpace | None = None,
     ) -> TetrisScan:
         """A Tetris sweep delivering rows sorted by ``sort_attr``.
@@ -414,9 +413,7 @@ class UBTable(BaseTable):
             sort_dims: int | tuple[int, ...] = self.dims.index(sort_attr)
         else:
             sort_dims = tuple(self.dims.index(attr) for attr in sort_attr)
-        return TetrisScan(
-            self.ubtree, space, sort_dims, strategy=strategy, pushdown=pushdown
-        )
+        return TetrisScan(self.ubtree, space, sort_dims, pushdown=pushdown)
 
     def range_query(
         self, space: QuerySpace | dict[str, tuple[Any, Any]] | None

@@ -59,6 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     "_lock",
     "_frames",
     "_prefetched",
+    "_discarded",
     "_failures",
     "_quarantined",
     "_eviction_observers",
@@ -126,6 +127,11 @@ class BufferPool:
         #: resident frames whose async read has not been claimed yet —
         #: the pages *ahead* of the sweep plane
         self._prefetched: set[int] = set()
+        #: pages whose latest async read was cancelled unclaimed (evicted,
+        #: dropped, quarantined or cancelled while pending): that transfer
+        #: was thrown away.  A claimed one was used, by whichever scan
+        #: demanded it — the fetch-once check tells the two apart here
+        self._discarded: set[int] = set()
         #: cumulative I/O failures per page, across lookups
         self._failures: dict[int, int] = {}
         self._quarantined: set[int] = set()
@@ -232,6 +238,7 @@ class BufferPool:
                 self._validate()
                 return False
             self._prefetched.add(page_id)
+            self._discarded.discard(page_id)
             self._note_write("_prefetched")
             self._admit(page)
             self._validate()
@@ -279,6 +286,7 @@ class BufferPool:
     def _cancel_pending(self, page_id: int) -> None:
         """Retire a pending prefetch's bookkeeping (frame handled by caller)."""
         self._prefetched.discard(page_id)
+        self._discarded.add(page_id)
         self.prefetch_cancelled += 1
         self._note_write("_prefetched")
         if self.scheduler is not None:
@@ -429,8 +437,12 @@ class BufferPool:
         is, by construction, the least recently touched frame once a few
         demand hits pass it by, so LRU would throw away exactly the
         transfers a sweep is about to claim while consumed frames
-        ("behind the plane") sit idle.  Only when every frame is pending
-        does LRU order decide alone.
+        ("behind the plane") sit idle.  When every other frame is
+        pending, the victim is the page just demand-read: it leaves as
+        it is returned, and a second demand of it is a second disk read.
+        Evicting a pending frame instead would throw away a transfer a
+        scan is owed — exactly what fetch-once forbids.  Only when every
+        frame is pending does LRU order decide alone.
         """
         pending = self._prefetched
         if pending:

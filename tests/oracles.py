@@ -3,7 +3,8 @@
 The engine keeps only what something outside ``tests/`` runs (see
 ``tools/census``).  What the tests alone need — an opaque predicate
 space, a lossy decimal encoder, the paper's scan cost formula, structure
-walks, the invariant switch, the sanitizer's virtual actors and the
+walks, the invariant switch, the sanitizer's virtual actors, the paper's
+event-point sweep every Tetris scan's page order is held to and the
 row-at-a-time joins the batched ones replay — lives here, reading engine
 state (private attributes included) directly.
 """
@@ -11,16 +12,19 @@ state (private attributes included) directly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import replace
 from itertools import groupby
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro import invariants, telemetry
-from repro.core.query_space import Box, QuerySpace
+from repro.core.intervals import IntervalSet
+from repro.core.query_space import Box, QuerySpace, box_is_empty
 from repro.core.region import RegionCursor
 from repro.costmodel import SECTION_4_PARAMS, CostParameters
 from repro.invariants import sanitizer
+from repro.invariants.parity import tree_region
 from repro.relational.operators.base import Operator
 from repro.relational.operators.join import _pushdown_pages_skipped
 from repro.relational.schema import Encoder
@@ -205,8 +209,8 @@ class _Tree:
 
 def page_cursor(page_ids: Iterable[int]) -> "tuple[RegionCursor, list[Any]]":
     """A :class:`RegionCursor` over one single-address region per page,
-    in the given order, and the log of its schedule calls: one
-    ``(read, resume)`` pair per schedule taken.  Moving
+    in the given order, and the log of its schedule calls: the read
+    set Φ of each schedule taken.  Moving
     ``cursor.tree.structure_epoch`` makes the next pull or peek take it
     again; the schedule leaves out the regions inside ``read``."""
     entries = [
@@ -217,11 +221,149 @@ def page_cursor(page_ids: Iterable[int]) -> "tuple[RegionCursor, list[Any]]":
         entries[-1] = entries[-1][:3] + (None,)
     calls: list[Any] = []
 
-    def schedule(read, resume):
-        calls.append((read, resume))
+    def schedule(read):
+        calls.append(read)
         return [entry for entry in entries if not read.containing(entry[0])]
 
     return RegionCursor(_Tree(), schedule), calls
+
+
+def event_point_order(
+    ubtree, space: QuerySpace, sort_dims, pushdown: "QuerySpace | None" = None
+) -> list[int]:
+    """Page ids in the order the paper's event-point sweep (Figure 3-7)
+    retrieves them: the order every Tetris scan is held to.
+
+    Index-only: the retrieved space Φ is a set of merged Z-intervals,
+    and the next event point ``min { T_j(x) | x ∈ Q, x ∉ Φ }`` is
+    advanced with BIGMIN (``Curve.next_in_box``), skipping retrieved
+    intervals by decomposing their complement into aligned boxes.  The
+    region at an event point comes from a ``disk.peek`` descent, so the
+    oracle is invisible to the pool, the I/O statistics and fault
+    injection.  A region the space or the pushed-down cover rules out
+    (``ZRegion.classify``) joins Φ without being read.
+    """
+    sort_dims = (sort_dims,) if isinstance(sort_dims, int) else tuple(sort_dims)
+    return _EventPointSweep(ubtree, space, sort_dims, pushdown).page_ids()
+
+
+_MISSING = object()  # sentinel distinguishing "not cached" from "cached None"
+
+
+class _EventPointSweep:
+    """One run of the event-point loop, with its two memos."""
+
+    def __init__(self, ubtree, space, sort_dims, pushdown) -> None:
+        self.ubtree, self.space, self.pushdown = ubtree, space, pushdown
+        self.curve = ubtree.space.tetris(sort_dims)
+        box = space.bounding_box()
+        self.box = ubtree.space.universe_box() if box is None else box
+        # next event beyond a covered interval, and the box decomposition
+        # of an interval's complement (see _skip_interval)
+        self.skip_cache: dict[tuple[int, int], "int | None"] = {}
+        self.complement_boxes: dict[tuple[int, int], Any] = {}
+
+    def page_ids(self) -> list[int]:
+        if box_is_empty(self.box):
+            return []
+        lo, hi = self.box
+        z_space = self.ubtree.space
+        phi = IntervalSet()
+        order: list[int] = []
+        event = self.curve.next_in_box(0, lo, hi)
+        while event is not None:
+            z_address = z_space.z_address(self.curve.decode(event))
+            covered = phi.containing(z_address)
+            if covered is None:
+                region = tree_region(self.ubtree, z_address)
+                phi.add(region.first, region.last)
+                covered = (region.first, region.last)
+                if region.classify(z_space.z, self.space, self.pushdown)[1]:
+                    order.append(region.page_id)
+            event = self._skip_interval(event, covered)
+        return order
+
+    def _skip_interval(self, event: int, interval: tuple[int, int]) -> "int | None":
+        """Smallest Tetris address ``> event`` in the box but outside
+        the covered Z-interval.
+
+        The complement of the interval decomposes into aligned boxes;
+        BIGMIN over each (intersected with the query bounding box) yields
+        candidates, and the minimum wins.  The result may still lie
+        inside *another* retrieved interval; the loop then skips again.
+
+        Two memos keep the whole sweep near-linear in the region count:
+        the complement decomposition of an interval, and the computed
+        next event.  Events only increase, so a cached answer ``c``
+        computed at some earlier event ``t0 <= t`` with ``c > t`` is
+        still the minimum beyond ``t`` — nothing of the complement lies
+        in ``(t0, t]``.  When Φ merges the interval into a larger one,
+        its key changes and the stale entries are never consulted again.
+        """
+        cached = self.skip_cache.get(interval, _MISSING)
+        if cached is not _MISSING and (cached is None or cached > event):
+            return cached
+        decomposition = self.complement_boxes.get(interval)
+        if decomposition is None:
+            decomposition = self._decompose_complement(interval)
+            self.complement_boxes[interval] = decomposition
+        ceilings, entries, suffix_min_floor = decomposition
+        # boxes whose entire Tetris range lies below the event can never
+        # supply a candidate: start at the first box with ceiling >= event
+        best: "int | None" = None
+        for position in range(bisect_left(ceilings, event), len(entries)):
+            floor, clamped_lo, clamped_hi = entries[position]
+            if best is not None and best <= suffix_min_floor[position]:
+                break
+            if best is not None and best <= floor:
+                continue
+            candidate = self.curve.next_in_box(event, clamped_lo, clamped_hi)
+            if candidate is not None and (best is None or candidate < best):
+                best = candidate
+        self.skip_cache[interval] = best
+        return best
+
+    def _decompose_complement(self, interval: tuple[int, int]):
+        """Aligned boxes of the interval's complement, clamped to the
+        query bounding box, sorted by their *maximal* Tetris address:
+        ``(ceilings, entries, suffix_min_floor)`` with ``entries[i] =
+        (floor_i, lo_i, hi_i)`` and ``suffix_min_floor[i]`` the smallest
+        floor among ``entries[i:]``, the early exit of the candidate scan.
+        """
+        lo, hi = self.box
+        curve = self.curve
+        z_curve = self.ubtree.space.z
+        first, last = interval
+        pieces: list[tuple[int, int]] = []
+        if first > 0:
+            pieces.append((0, first - 1))
+        if last < z_curve.address_max:
+            pieces.append((last + 1, z_curve.address_max))
+        raw = []
+        for piece_first, piece_last in pieces:
+            for box_lo, box_hi in z_curve.interval_boxes(piece_first, piece_last):
+                clamped_lo = tuple(max(a, b) for a, b in zip(box_lo, lo))
+                clamped_hi = tuple(min(a, b) for a, b in zip(box_hi, hi))
+                if any(a > b for a, b in zip(clamped_lo, clamped_hi)):
+                    continue
+                raw.append(
+                    (
+                        curve.encode_unchecked(clamped_hi),
+                        curve.encode_unchecked(clamped_lo),
+                        clamped_lo,
+                        clamped_hi,
+                    )
+                )
+        raw.sort(key=lambda entry: entry[0])
+        ceilings = [entry[0] for entry in raw]
+        entries = [(floor, lo_c, hi_c) for _, floor, lo_c, hi_c in raw]
+        suffix_min_floor: list[int] = [0] * len(entries)
+        running = None
+        for position in range(len(entries) - 1, -1, -1):
+            floor = entries[position][0]
+            running = floor if running is None else min(running, floor)
+            suffix_min_floor[position] = running
+        return ceilings, entries, suffix_min_floor
 
 
 def reset_sanitizer():

@@ -37,7 +37,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels, telemetry
-from repro.core.tetris import TetrisScan
 from repro.relational import Attribute, Database, IntEncoder, Schema
 from repro.relational.operators import (
     HashJoin,
@@ -57,7 +56,7 @@ from repro.tpcd import TPCDConfig, generate, plans, reference_q3, reference_q4
 from repro.tpcd.queries import Q3Params, Q4Params
 from repro.tpcd.schema import ORDERDATE_HI, ORDERDATE_LO
 
-from oracles import RowHashJoin, RowMergeJoin, RowMergeSemiJoin
+from oracles import RowHashJoin, RowMergeJoin, RowMergeSemiJoin, event_point_order
 
 DIMS = ("a1", "a2")
 
@@ -470,10 +469,7 @@ class PollingDualCursor(DualCursorPrefetcher):
         ]
         for side_index in order:
             scan, prefetcher = self._sides[side_index]
-            upcoming = [
-                region.page_id
-                for region in scan.upcoming_regions(prefetcher.depth)
-            ]
+            upcoming = scan.cursor.upcoming_page_ids(prefetcher.depth)
             # the old body also called SweepPrefetcher.retain(upcoming) to
             # free window slots of pages no longer projected.  The sweep
             # marks every page consumed itself, so there never were any —
@@ -583,22 +579,17 @@ class TestDualCursorPrefetch:
             ),
         }
 
-    def run_synthetic(
-        self, coordinator, join_cls, strategy, pool, depth, devices, **stack
-    ):
-        """A cold semi-join, then a warm one on the same pool."""
+    def run_synthetic(self, coordinator, join_cls, pool, depth, devices, **stack):
+        """A cold semi-join, then a warm one on the same pool; each side
+        reads a prefix of the event-point loop's pages, in its order."""
         db, (left_table, right_table) = self.synthetic_world(
             pool, depth, devices, **stack
         )
         runs = []
         for _ in range(2):
-            left = TetrisOperator(
-                left_table, {"a2": (100, 900)}, "a1", strategy=strategy
-            )
+            left = TetrisOperator(left_table, {"a2": (100, 900)}, "a1")
             # the right side ends early, so windows are still loaded at close
-            right = TetrisOperator(
-                right_table, {"a1": (0, 800)}, "a1", strategy=strategy
-            )
+            right = TetrisOperator(right_table, {"a1": (0, 800)}, "a1")
             dual = coordinator.for_operators(left, right)
             assert type(dual) is coordinator
             join = join_cls(
@@ -610,23 +601,26 @@ class TestDualCursorPrefetch:
                 prefetch=dual,
             )
             runs.append(self.observe(db, join, (left, right)))
+            for side in (left, right):
+                scan = side.scan
+                order = scan.page_access_order
+                assert order == event_point_order(
+                    scan.ubtree, scan.space, scan.sort_dims
+                )[: len(order)]
         return runs
 
     @pytest.mark.parametrize("pool,depth,devices", GRID)
     def test_event_driven_advise_matches_polling(self, pool, depth, devices):
-        # the literal sweep strategy is slow: one row of the grid only
-        strategies = ("eager", "sweep") if (depth, devices) == (8, 4) else ("eager",)
-        for strategy in strategies:
-            reference = self.run_synthetic(
-                PollingDualCursor, RowMergeSemiJoin, strategy, pool, depth, devices
-            )
-            got = self.run_synthetic(
-                DualCursorPrefetcher, MergeSemiJoin, strategy, pool, depth, devices
-            )
-            assert got == reference, (strategy, pool, depth, devices)
-            cold, warm = got
-            assert cold["outcome"] and warm["outcome"]
-            assert cold["io"].prefetch.prefetch_issued > 0
+        reference = self.run_synthetic(
+            PollingDualCursor, RowMergeSemiJoin, pool, depth, devices
+        )
+        got = self.run_synthetic(
+            DualCursorPrefetcher, MergeSemiJoin, pool, depth, devices
+        )
+        assert got == reference, (pool, depth, devices)
+        cold, warm = got
+        assert cold["outcome"] and warm["outcome"]
+        assert cold["io"].prefetch.prefetch_issued > 0
 
     @pytest.mark.parametrize("replicas", [0, 2])
     @pytest.mark.parametrize("kind", sorted(FAULTS))
@@ -634,10 +628,10 @@ class TestDualCursorPrefetch:
         for pool, depth in ((16, 8), (64, 4)):
             stack = {"fault_plan": self.FAULTS[kind], "replicas": replicas}
             reference = self.run_synthetic(
-                PollingDualCursor, RowMergeSemiJoin, "eager", pool, depth, 4, **stack
+                PollingDualCursor, RowMergeSemiJoin, pool, depth, 4, **stack
             )
             got = self.run_synthetic(
-                DualCursorPrefetcher, MergeSemiJoin, "eager", pool, depth, 4, **stack
+                DualCursorPrefetcher, MergeSemiJoin, pool, depth, 4, **stack
             )
             assert got == reference, (kind, replicas, pool, depth)
             assert got[-1]["fault_log"], "the plan never fired: vacuous"
@@ -736,8 +730,7 @@ class TestDualCursorPrefetch:
         else:
             pool, depth, devices, stack = self.io_cases()[case]
             self.run_synthetic(
-                DualCursorPrefetcher, MergeSemiJoin, "eager", pool, depth, devices,
-                **stack,
+                DualCursorPrefetcher, MergeSemiJoin, pool, depth, devices, **stack
             )
         digest = hashlib.sha256(repr(calls).encode()).hexdigest()
         return [len(calls), digest]
@@ -775,9 +768,6 @@ class TestDualCursorPrefetch:
             calls["open"] += len(prefetcher.outstanding) < prefetcher.depth
             return top_up(prefetcher, cursor)
 
-        def no_regions(scan, count):
-            raise AssertionError("advise must not build ZRegions")
-
         def counting_batches(operator):
             pulled = batches(operator)
             while True:
@@ -789,7 +779,6 @@ class TestDualCursorPrefetch:
 
         monkeypatch.setattr(RegionCursor, "upcoming_page_ids", counting_project)
         monkeypatch.setattr(SweepPrefetcher, "top_up", counting_top_up)
-        monkeypatch.setattr(TetrisScan, "upcoming_regions", no_regions)
         monkeypatch.setattr(TetrisOperator, "batches", counting_batches)
 
         db, order_ub, lineitem_ub = self.q4_world(data, pool=64)

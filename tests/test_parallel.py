@@ -21,7 +21,10 @@ from repro.planner import (
     plan_slabs,
     select_executor,
 )
+from repro.core.ubtree import UBTree
 from repro.relational import Attribute, Database, IntEncoder, Schema
+
+from oracles import checks
 
 #: pool width under test — the CI matrix sweeps 2 and 4
 WORKERS = int(os.environ.get("REPRO_PARALLEL_WORKERS", "2"))
@@ -29,7 +32,7 @@ WORKERS = int(os.environ.get("REPRO_PARALLEL_WORKERS", "2"))
 SEED = 20260806
 
 
-def make_table(rows=800, seed=SEED):
+def make_table(rows=800, seed=SEED, **storage):
     schema = Schema(
         [
             Attribute("a1", IntEncoder(0, 1023)),
@@ -39,7 +42,7 @@ def make_table(rows=800, seed=SEED):
     )
     rng = random.Random(seed)
     data = [(rng.randrange(1024), rng.randrange(1024), i) for i in range(rows)]
-    db = Database(buffer_pages=64)
+    db = Database(buffer_pages=64, **storage)
     ub = db.create_ub_table("ub", schema, dims=("a1", "a2"), page_capacity=40)
     ub.load(data)
     db.reset_measurement()
@@ -113,16 +116,31 @@ class TestBitIdenticalStreams:
         )
         assert result.rows == serial
 
-    def test_sweep_strategy(self, table):
-        serial = list(
-            table.tetris_scan({"a1": (100, 900)}, "a2", strategy="sweep")
-        )
-        # the parallel layer always runs the eager schedule: its slabs
-        # must reproduce the paper's literal sweep loop, run serially
-        result = parallel_tetris_scan(
-            table, {"a1": (100, 900)}, "a2", workers=WORKERS
-        )
+    def test_slabs_read_through_the_page_walk(self, monkeypatch):
+        """Each slab's pages come through ``UBTree.walk``, read-ahead and
+        the fetch-once and coverage checks included, and a prefetching
+        pool leaves the stream as it is."""
+        table = make_table(devices=2, prefetch_depth=4)
+        serial = list(table.tetris_scan({"a1": (100, 900)}, "a2"))
+        walked = []
+        walk = UBTree.walk
+
+        def counting_walk(ubtree, cursor, space, pushdown=None):
+            walked.append(space)
+            return walk(ubtree, cursor, space, pushdown)
+
+        monkeypatch.setattr(UBTree, "walk", counting_walk)
+        table.db.buffer.drop_all()
+        prefetch = table.db.disk.stats.prefetch
+        issued = prefetch.prefetch_issued
+        with checks():
+            result = parallel_tetris_scan(
+                table, {"a1": (100, 900)}, "a2", workers=WORKERS
+            )
         assert result.rows == serial
+        assert len(walked) == len(result.slabs) > 1
+        assert prefetch.prefetch_issued > issued
+        assert prefetch.prefetch_wasted == 0
 
     def test_half_space_query(self, table):
         space = table.comparison_space("a1", "<", "a2")

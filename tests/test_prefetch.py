@@ -137,8 +137,8 @@ class TestLookaheadCursor:
         assert cursor.upcoming_page_ids(1) == [12]
         cursor.tree.structure_epoch += 1
         assert cursor.upcoming_page_ids(9) == [12, 13]  # Φ left out
-        read, resume = calls[-1]
-        assert len(calls) == 2 and resume == 2  # the last barrier handed out
+        read = calls[-1]
+        assert len(calls) == 2
         assert read.containing(1) == (0, 1) and read.containing(2) is None
         assert pages_of(cursor) == [12, 13]
         assert cursor.page_ids == [10, 11, 12, 13] and cursor.position == 4
@@ -186,9 +186,14 @@ class TestSweepEviction:
         pool, _, ids = make_pool(capacity=4, depth=8)
         for page_id in ids[:4]:
             assert pool.prefetch(page_id)
+        cancelled = pool.prefetch_cancelled
         pool.get(ids[4])
-        # every frame was ahead of the plane; LRU had to pick one anyway
+        # every other frame is ahead of the plane: the page just read is
+        # the victim, and no transfer a scan is owed is thrown away
         assert len(pool) == pool.capacity
+        assert ids[4] not in pool
+        assert pool.prefetch_pending == set(ids[:4])
+        assert pool.prefetch_cancelled == cancelled
 
 
 # ----------------------------------------------------------------------
@@ -282,6 +287,31 @@ class TestOverlappingWindows:
                 pass
         assert prefetch.prefetch_wasted == wasted == 0
         assert prefetch.prefetch_issued == prefetch.prefetch_hits > 0
+
+    def test_a_page_claimed_from_the_other_window_is_no_second_read(self):
+        """Two sweeps over one table: B claims pages A prefetched, and
+        the pool later evicts them as ordinary frames.  A's demand of
+        such a page is its first read for A, not a thrown-away transfer
+        re-read, so fetch-once holds and nothing is wasted."""
+        rng = random.Random(7)
+        db = Database(buffer_pages=10, devices=2, prefetch_depth=4)
+        table = db.create_ub_table("t", self.SCHEMA, dims=("a", "b"), page_capacity=4)
+        table.load([(rng.randrange(256), rng.randrange(256), i) for i in range(2000)])
+        db.reset_measurement()
+        expected = (
+            list(table.tetris_scan({"a": (0, 200)}, "a")),
+            list(table.tetris_scan(None, "b")),
+        )
+        db.buffer.drop_all()
+        db.reset_measurement()
+        with checks():
+            first = iter(table.tetris_scan({"a": (0, 200)}, "a"))
+            second = iter(table.tetris_scan(None, "b"))
+            got = ([next(first)], [next(second)])
+            got[0].extend(first)
+            got[1].extend(second)
+        assert got == expected
+        assert db.disk.stats.prefetch.prefetch_wasted == 0
 
 
 # ----------------------------------------------------------------------

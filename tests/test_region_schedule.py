@@ -328,8 +328,8 @@ def test_range_query_filters_a_page_without_suspending():
 
 class TestInnerPageFaults:
     """A restricted scan reads no index page, so a fault armed on an
-    inner page fires only where the tree is descended: inserts, point
-    queries and the paper's literal ``sweep`` strategy."""
+    inner page fires only where the tree is descended: inserts and point
+    queries."""
 
     def test_fires_on_inserts_and_point_queries_only(self):
         disk = FaultyDisk()
@@ -364,7 +364,6 @@ class TestInnerPageFaults:
         for descent in (
             lambda: tree.region_for(point),
             lambda: tree.insert((5, 5), "late"),
-            lambda: list(TetrisScan(tree, box, 1, strategy="sweep")),
         ):
             faulted = faulted_pages(descent)
             assert tree.tree.root_id in faulted and faulted <= inner

@@ -1,4 +1,5 @@
-"""Tests for the Tetris algorithm: order, single-access, equivalence, stats."""
+"""Tests for the Tetris algorithm: order, single-access, the event-point
+order oracle, stats."""
 
 import random
 
@@ -12,9 +13,25 @@ from repro.relational import Attribute, Database, IntEncoder, Schema
 from repro.relational.operators import Limit, TetrisOperator
 from repro.storage import BufferPool, DiskParameters, SimulatedDisk
 
-from oracles import PredicateSpace, read_seeks
+from oracles import PredicateSpace, event_point_order, read_seeks
 
-STRATEGIES = ("sweep", "eager")
+
+@pytest.fixture(params=["eager"])
+def sorted_scan(request):
+    """:func:`tetris_sorted` for the scan's one schedule, the eager one;
+    after the test, every scan it built has read a prefix of the pages
+    of the paper's event-point loop, in that loop's order."""
+    built = []
+
+    def build(ubtree, space, dim):
+        scan = tetris_sorted(ubtree, space, dim)
+        built.append((scan, ubtree, space, dim))
+        return scan
+
+    yield build
+    for scan, ubtree, space, dim in built:
+        order = scan.page_access_order
+        assert order == event_point_order(ubtree, space, dim)[: len(order)]
 
 
 def make_ubtree(bits=(4, 4), page_capacity=4, buffer_pages=512):
@@ -39,77 +56,75 @@ def expected_sorted(points, box, dim):
     return inside
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
 class TestSortedOutput:
-    def test_full_universe_sorted(self, strategy):
+    def test_full_universe_sorted(self, sorted_scan):
         ubtree, _ = make_ubtree(page_capacity=3)
         points = fill(ubtree, 120, seed=1)
         box = QueryBox.full(ubtree.space.coord_max)
         for dim in (0, 1):
-            out = list(tetris_sorted(ubtree, box, dim, strategy=strategy))
+            out = list(sorted_scan(ubtree, box, dim))
             values = [p[dim] for p, _ in out]
             assert values == sorted(values)
             assert len(out) == len(points)
 
-    def test_restricted_sorted(self, strategy):
+    def test_restricted_sorted(self, sorted_scan):
         ubtree, _ = make_ubtree(page_capacity=3)
         points = fill(ubtree, 150, seed=2)
         box = QueryBox((3, 2), (12, 13))
-        out = list(tetris_sorted(ubtree, box, 1, strategy=strategy))
+        out = list(sorted_scan(ubtree, box, 1))
         assert [p[1] for p, _ in out] == sorted(p[1] for p, _ in out)
         assert sorted(map(repr, out)) == sorted(
             map(repr, expected_sorted(points, box, 1))
         )
 
-    def test_empty_result(self, strategy):
+    def test_empty_result(self, sorted_scan):
         ubtree, _ = make_ubtree()
         fill(ubtree, 20, seed=4)
         empty = QueryBox((9, 9), (3, 3))
-        scan = tetris_sorted(ubtree, empty, 0, strategy=strategy)
+        scan = sorted_scan(ubtree, empty, 0)
         assert list(scan) == []
         assert scan.stats.regions_read == 0
 
-    def test_empty_table(self, strategy):
+    def test_empty_table(self, sorted_scan):
         ubtree, _ = make_ubtree()
         box = QueryBox.full(ubtree.space.coord_max)
-        out = list(tetris_sorted(ubtree, box, 1, strategy=strategy))
+        out = list(sorted_scan(ubtree, box, 1))
         assert out == []
 
-    def test_three_dimensions(self, strategy):
+    def test_three_dimensions(self, sorted_scan):
         ubtree, _ = make_ubtree(bits=(3, 3, 3), page_capacity=4)
         points = fill(ubtree, 150, seed=5, bits=(3, 3, 3))
         box = QueryBox((0, 2, 1), (7, 6, 5))
         for dim in range(3):
-            out = list(tetris_sorted(ubtree, box, dim, strategy=strategy))
+            out = list(sorted_scan(ubtree, box, dim))
             values = [p[dim] for p, _ in out]
             assert values == sorted(values)
             assert len(out) == len(expected_sorted(points, box, dim))
 
-    def test_unequal_bit_lengths(self, strategy):
+    def test_unequal_bit_lengths(self, sorted_scan):
         ubtree, _ = make_ubtree(bits=(2, 6), page_capacity=3)
         points = fill(ubtree, 120, seed=6, bits=(2, 6))
         box = QueryBox((0, 10), (3, 50))
-        out = list(tetris_sorted(ubtree, box, 1, strategy=strategy))
+        out = list(sorted_scan(ubtree, box, 1))
         assert [p[1] for p, _ in out] == sorted(p[1] for p, _ in out)
         assert len(out) == len(expected_sorted(points, box, 1))
 
-    def test_stable_payloads_preserved(self, strategy):
+    def test_stable_payloads_preserved(self, sorted_scan):
         ubtree, _ = make_ubtree(page_capacity=3)
         ubtree.insert((2, 2), "a")
         ubtree.insert((2, 2), "b")
         box = QueryBox.full(ubtree.space.coord_max)
-        out = list(tetris_sorted(ubtree, box, 0, strategy=strategy))
+        out = list(sorted_scan(ubtree, box, 0))
         assert sorted(payload for _, payload in out) == ["a", "b"]
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
 class TestIOBehaviour:
-    def test_each_page_read_exactly_once(self, strategy):
+    def test_each_page_read_exactly_once(self, sorted_scan):
         ubtree, disk = make_ubtree(page_capacity=3, buffer_pages=4)
         fill(ubtree, 200, seed=7)
         ubtree.tree.buffer.drop_all()
         box = QueryBox((2, 2), (13, 13))
-        scan = tetris_sorted(ubtree, box, 1, strategy=strategy)
+        scan = sorted_scan(ubtree, box, 1)
         before = disk.snapshot()
         list(scan)
         delta = disk.snapshot() - before
@@ -119,31 +134,31 @@ class TestIOBehaviour:
         assert read_seeks(delta) == delta.pages_read  # all random accesses
         assert delta.pages_written == 0  # no external sort
 
-    def test_reads_only_overlapping_regions(self, strategy):
+    def test_reads_only_overlapping_regions(self, sorted_scan):
         ubtree, _ = make_ubtree(page_capacity=2)
         fill(ubtree, 150, seed=8)
         box = QueryBox((0, 0), (3, 3))  # small corner
-        scan = tetris_sorted(ubtree, box, 0, strategy=strategy)
+        scan = sorted_scan(ubtree, box, 0)
         list(scan)
         overlapping = sum(1 for _ in ubtree.regions_overlapping(box))
         assert scan.stats.regions_read == overlapping
         assert scan.stats.regions_read < ubtree.region_count
 
-    def test_cache_smaller_than_result(self, strategy):
+    def test_cache_smaller_than_result(self, sorted_scan):
         ubtree, _ = make_ubtree(bits=(6, 6), page_capacity=4)
         points = fill(ubtree, 600, seed=9, bits=(6, 6))
         box = QueryBox.full(ubtree.space.coord_max)
-        scan = tetris_sorted(ubtree, box, 1, strategy=strategy)
+        scan = sorted_scan(ubtree, box, 1)
         out = list(scan)
         # the Tetris cache holds one slice, far less than the result
         assert scan.stats.max_cache_tuples < len(out)
 
-    def test_first_output_before_last_read(self, strategy):
+    def test_first_output_before_last_read(self, sorted_scan):
         ubtree, disk = make_ubtree(bits=(5, 5), page_capacity=3)
         fill(ubtree, 400, seed=10, bits=(5, 5))
         ubtree.tree.buffer.drop_all()
         box = QueryBox.full(ubtree.space.coord_max)
-        scan = tetris_sorted(ubtree, box, 0, strategy=strategy)
+        scan = sorted_scan(ubtree, box, 0)
         iterator = iter(scan)
         next(iterator)
         first_clock = disk.clock
@@ -153,11 +168,11 @@ class TestIOBehaviour:
         assert scan.stats.time_to_first is not None
         assert scan.stats.time_to_first < scan.stats.elapsed
 
-    def test_slices_counted(self, strategy):
+    def test_slices_counted(self, sorted_scan):
         ubtree, _ = make_ubtree(page_capacity=3)
         fill(ubtree, 120, seed=11)
         box = QueryBox.full(ubtree.space.coord_max)
-        scan = tetris_sorted(ubtree, box, 1, strategy=strategy)
+        scan = sorted_scan(ubtree, box, 1)
         list(scan)
         assert scan.stats.slices >= 2
         assert scan.stats.cache_pages(3) >= 1
@@ -242,22 +257,25 @@ class TestRowConsumerStopsMidSlice:
 
 
 class TestStrategyEquivalence:
+    """The scan reads the pages of the paper's event-point loop, in its
+    order (the class keeps the name of the two-strategy comparison the
+    oracle replaced)."""
+
     @pytest.mark.parametrize("seed", range(5))
     def test_same_pages_same_stream(self, seed):
         ubtree, _ = make_ubtree(page_capacity=3)
-        fill(ubtree, 150, seed=seed)
+        points = fill(ubtree, 150, seed=seed)
         rng = random.Random(seed + 100)
         lo = (rng.randrange(8), rng.randrange(8))
         hi = tuple(rng.randrange(l, 16) for l in lo)
         box = QueryBox(lo, hi)
         for dim in (0, 1):
-            sweep = tetris_sorted(ubtree, box, dim, strategy="sweep")
-            eager = tetris_sorted(ubtree, box, dim, strategy="eager")
-            sweep_out = list(sweep)
-            eager_out = list(eager)
-            assert sweep_out == eager_out
-            assert sweep.page_access_order == eager.page_access_order
-            assert sweep.stats.regions_read == eager.stats.regions_read
+            scan = tetris_sorted(ubtree, box, dim)
+            out = list(scan)
+            assert scan.page_access_order == event_point_order(ubtree, box, dim)
+            assert scan.stats.regions_read == len(scan.page_access_order)
+            assert [p[dim] for p, _ in out] == sorted(p[dim] for p, _ in out)
+            assert sorted(out) == sorted(expected_sorted(points, box, dim))
 
     def test_equivalence_on_triangular_space(self):
         ubtree, _ = make_ubtree(page_capacity=3)
@@ -265,39 +283,48 @@ class TestStrategyEquivalence:
         space = IntersectionSpace(
             [QueryBox.full(ubtree.space.coord_max), ComparisonSpace(2, 0, "<", 1)]
         )
-        sweep = tetris_sorted(ubtree, space, 1, strategy="sweep")
-        eager = tetris_sorted(ubtree, space, 1, strategy="eager")
-        assert list(sweep) == list(eager)
-        assert sweep.page_access_order == eager.page_access_order
+        scan = tetris_sorted(ubtree, space, 1)
+        list(scan)
+        assert scan.page_access_order == event_point_order(ubtree, space, 1)
+        assert scan.stats.regions_skipped > 0
+
+    def test_event_point_order_at_scale(self):
+        """15,000 rows on a 256x256 grid: the eager schedule reads all
+        773 pages the event-point loop reads, in its order."""
+        ubtree, _ = make_ubtree(bits=(8, 8), page_capacity=16, buffer_pages=256)
+        fill(ubtree, 15_000, seed=3, bits=(8, 8))
+        box = QueryBox((0, 32), (191, 223))
+        scan = tetris_sorted(ubtree, box, 1)
+        rows = sum(1 for _ in scan)
+        assert len(scan.page_access_order) == 773
+        assert scan.page_access_order == event_point_order(ubtree, box, 1)
+        assert rows == 8492
 
 
 class TestNonRectangularSpaces:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_triangular_output(self, strategy):
+    def test_triangular_output(self, sorted_scan):
         ubtree, _ = make_ubtree(page_capacity=3)
         points = fill(ubtree, 200, seed=12)
         space = IntersectionSpace(
             [QueryBox.full(ubtree.space.coord_max), ComparisonSpace(2, 0, "<", 1)]
         )
-        out = list(tetris_sorted(ubtree, space, 1, strategy=strategy))
+        out = list(sorted_scan(ubtree, space, 1))
         assert [p[1] for p, _ in out] == sorted(p[1] for p, _ in out)
         expected = sorted((p, i) for i, p in enumerate(points) if p[0] < p[1])
         assert sorted(out) == expected
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_triangular_skips_regions(self, strategy):
+    def test_triangular_skips_regions(self, sorted_scan):
         ubtree, _ = make_ubtree(page_capacity=3)
         fill(ubtree, 300, seed=13)
         space = IntersectionSpace(
             [QueryBox.full(ubtree.space.coord_max), ComparisonSpace(2, 0, ">", 1)]
         )
-        scan = tetris_sorted(ubtree, space, 0, strategy=strategy)
+        scan = sorted_scan(ubtree, space, 0)
         list(scan)
         assert scan.stats.regions_skipped > 0
         assert scan.stats.regions_read < ubtree.region_count
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_predicate_space_no_pruning_but_correct(self, strategy):
+    def test_predicate_space_no_pruning_but_correct(self, sorted_scan):
         ubtree, _ = make_ubtree(page_capacity=3)
         points = fill(ubtree, 100, seed=14)
         space = IntersectionSpace(
@@ -306,7 +333,7 @@ class TestNonRectangularSpaces:
                 PredicateSpace(2, lambda p: (p[0] + p[1]) % 3 == 0),
             ]
         )
-        out = list(tetris_sorted(ubtree, space, 0, strategy=strategy))
+        out = list(sorted_scan(ubtree, space, 0))
         expected = sorted(
             ((p, i) for i, p in enumerate(points) if (p[0] + p[1]) % 3 == 0),
             key=lambda e: e[0][0],
@@ -316,12 +343,6 @@ class TestNonRectangularSpaces:
 
 
 class TestValidation:
-    def test_rejects_unknown_strategy(self):
-        ubtree, _ = make_ubtree()
-        box = QueryBox.full(ubtree.space.coord_max)
-        with pytest.raises(ValueError):
-            TetrisScan(ubtree, box, 0, strategy="magic")
-
     def test_rejects_bad_sort_dim(self):
         ubtree, _ = make_ubtree()
         box = QueryBox.full(ubtree.space.coord_max)
@@ -344,18 +365,17 @@ def tetris_cases(draw):
 @given(tetris_cases())
 @settings(max_examples=60, deadline=None)
 def test_tetris_property(case):
-    """Both strategies produce the same, correctly sorted, complete stream."""
+    """The scan reads the event-point loop's pages in its order and
+    produces a correctly sorted, complete stream."""
     bits, count, seed, lo, hi, dim = case
     ubtree, _ = make_ubtree(bits=bits, page_capacity=3)
     points = fill(ubtree, count, seed=seed, bits=bits)
     box = QueryBox(lo, hi)
-    sweep = tetris_sorted(ubtree, box, dim, strategy="sweep")
-    eager = tetris_sorted(ubtree, box, dim, strategy="eager")
-    sweep_out = list(sweep)
-    assert sweep_out == list(eager)
-    assert sweep.page_access_order == eager.page_access_order
-    values = [p[dim] for p, _ in sweep_out]
+    scan = tetris_sorted(ubtree, box, dim)
+    out = list(scan)
+    assert scan.page_access_order == event_point_order(ubtree, box, dim)
+    values = [p[dim] for p, _ in out]
     assert values == sorted(values)
     expected = expected_sorted(points, box, dim)
-    assert len(sweep_out) == len(expected)
-    assert sorted(map(repr, sweep_out)) == sorted(map(repr, expected))
+    assert len(out) == len(expected)
+    assert sorted(map(repr, out)) == sorted(map(repr, expected))
