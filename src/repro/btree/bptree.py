@@ -27,13 +27,32 @@ read-only experiments.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
+from operator import itemgetter
 from typing import Any, Iterator
 
 from .. import invariants
 from ..storage.buffer import BufferPool
 from ..storage.page import Page
 from ..storage.wal import WriteAheadLog, active_wal
+
+
+class _Top:
+    """Compares above every other value (inclusive upper sentinel)."""
+
+    def __lt__(self, other: Any) -> bool:
+        return False
+
+    def __eq__(self, other: Any) -> bool:
+        return isinstance(other, _Top)
+
+
+#: pads a key prefix to the last key it starts: ``(hi, TOP)`` is the
+#: inclusive upper bound of the keys that begin with ``hi``
+TOP = _Top()
+
+#: a leaf record ``(key, value)`` to its key
+_key = itemgetter(0)
 
 
 class _InnerNode:
@@ -492,15 +511,18 @@ class BPlusTree:
             highs, page_ids = child_highs, child_ids
         return highs, page_ids
 
-    def range_scan(self, lo: Any = None, hi: Any = None) -> Iterator[tuple[Any, Any]]:
-        """Yield ``(key, value)`` pairs with ``lo <= key <= hi`` in key order.
+    def range_scan(
+        self, lo: Any = None, hi: Any = None
+    ) -> Iterator[list[tuple[Any, Any]]]:
+        """Yield the ``(key, value)`` pairs with ``lo <= key <= hi`` in key
+        order, one list per leaf read that holds one.
 
         Every visited leaf costs one random page access (the IOT regime of
-        the paper's cost model).  A leaf's records and its ``next`` link
-        are one snapshot taken when the leaf is read, so an insert
-        between two pulls — into that leaf, or splitting it — neither
-        shifts the rows under the scan nor re-serves them from the new
-        right sibling.
+        the paper's cost model).  A leaf's list — its records cut to
+        ``[lo, hi]`` by bisection — and its ``next`` link are one snapshot
+        taken when the leaf is read, so an insert between two pulls, into
+        that leaf or splitting it, neither shifts the rows under the scan
+        nor re-serves them from the new right sibling.
         """
         if lo is None:
             page_id: int | None = self.first_leaf_id
@@ -508,13 +530,14 @@ class BPlusTree:
             page_id, _, _, _ = self._locate(lo)
         while page_id is not None:
             leaf = self._fetch(page_id, charge=True)
-            records, page_id = list(leaf.records), leaf.payload["next"]
-            for key, value in records:
-                if lo is not None and key < lo:
-                    continue
-                if hi is not None and key > hi:
-                    return
-                yield key, value
+            records, page_id = leaf.records, leaf.payload["next"]
+            start = 0 if lo is None else bisect_left(records, lo, key=_key)
+            end = len(records) if hi is None else bisect_right(records, hi, key=_key)
+            pairs, past_hi = records[start:end], max(start, end) < len(records)
+            if pairs:
+                yield pairs
+            if past_hi:
+                return
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -1,14 +1,14 @@
-"""Volcano-style operators: composable iterators over rows.
+"""Volcano-style operators: composable iterators over batches of rows.
 
-Operators are plain Python iterables — ``next()`` is the paper's
-pipelined "continuous flow of operation".  Because all I/O flows through
-the simulated disk, wrapping a plan in :class:`FirstTupleTimer` measures
-the time-to-first-result that Sections 4.4 and 5.1 highlight.
+``next()`` on an operator's batches is the paper's pipelined "continuous
+flow of operation".  Because all I/O flows through the simulated disk,
+wrapping a plan in :class:`FirstTupleTimer` measures the
+time-to-first-result that Sections 4.4 and 5.1 highlight.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator
 
 from ...storage.disk import SimulatedDisk
@@ -17,16 +17,16 @@ Row = tuple
 
 
 class Operator:
-    """Base class; a subclass implements one of the two methods.
+    """Base class; a subclass implements ``batches()``.
 
     ``batches()`` yields the output in the operator's own unit (a UB
-    range scan: one list per data page), and ``__iter__`` is derived
-    from it.  A row-at-a-time operator implements ``__iter__`` instead,
-    and its unit is one row.
+    range scan: one list per data page), never an empty list, and pulls
+    its next input batch exactly where a row-at-a-time loop would have
+    pulled that batch's first row.  ``__iter__`` is derived from it.
     """
 
     def batches(self) -> Iterator[list[Row]]:
-        return ([row] for row in self)
+        raise NotImplementedError
 
     def __iter__(self) -> Iterator[Row]:
         for batch in self.batches():
@@ -35,7 +35,8 @@ class Operator:
 
 def batches_of(source: Iterable[Row]) -> Iterator[list[Row]]:
     """``source`` in its own unit: an operator's batches, a list as one
-    batch, anything else one row at a time."""
+    batch, anything else (a row-at-a-time proxy between two operators)
+    one row at a time."""
     if isinstance(source, Operator):
         return source.batches()
     if isinstance(source, list):
@@ -44,7 +45,11 @@ def batches_of(source: Iterable[Row]) -> Iterator[list[Row]]:
 
 
 class FirstTupleTimer(Operator):
-    """Wraps a plan and records simulated clocks around its consumption."""
+    """Wraps a plan and records simulated clocks around its consumption.
+
+    ``row_count`` counts the rows handed over, a whole batch at a time:
+    a consumer that stops inside a batch has been counted to its end.
+    """
 
     def __init__(self, child: Iterable[Row], disk: SimulatedDisk) -> None:
         self.child = child
@@ -54,14 +59,15 @@ class FirstTupleTimer(Operator):
         self.end_clock: float | None = None
         self.row_count = 0
 
-    def __iter__(self) -> Iterator[Row]:
-        self.start_clock = self.disk.clock
-        for row in self.child:
-            if self.first_clock is None:
-                self.first_clock = self.disk.clock
-            self.row_count += 1
-            yield row
-        self.end_clock = self.disk.clock
+    def batches(self) -> Iterator[list[Row]]:
+        disk = self.disk
+        self.start_clock = disk.clock
+        for rows in batches_of(self.child):
+            if self.first_clock is None and rows:
+                self.first_clock = disk.clock
+            self.row_count += len(rows)
+            yield rows
+        self.end_clock = disk.clock
 
     @property
     def time_to_first(self) -> float | None:
@@ -83,10 +89,16 @@ class Limit(Operator):
         self.child = child
         self.count = count
 
-    def __iter__(self) -> Iterator[Row]:
-        # islice pulls nothing past the last row wanted, which could
-        # cost a page read
-        return islice(self.child, self.count)
+    def batches(self) -> Iterator[list[Row]]:
+        # no pull past the batch holding the last row wanted, which
+        # could cost a page read
+        left = self.count
+        if left > 0:
+            for rows in batches_of(self.child):
+                yield rows[:left]
+                left -= len(rows)
+                if left <= 0:
+                    return
 
 
 class InMemorySort(Operator):

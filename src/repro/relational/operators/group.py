@@ -9,7 +9,7 @@ the SQL they implement.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain, groupby
+from itertools import groupby
 from operator import add
 from typing import Any, Callable, Iterable, Iterator
 
@@ -56,12 +56,27 @@ class SortedGroupBy(Operator):
         self.key = key
         self.aggregates = aggregates
 
-    def __iter__(self) -> Iterator[Row]:
-        aggregates = self.aggregates
-        rows_in = chain.from_iterable(batches_of(self.child))
-        for group_key, group in groupby(rows_in, key=self.key):
-            rows = list(group)
-            yield tuple(group_key) + tuple(agg.fold(0, rows) for agg in aggregates)
+    def batches(self) -> Iterator[list[Row]]:
+        """One list per input batch: the groups it closed.  The rows of
+        the group open at a batch's end wait for the next batch; the last
+        group goes out alone once the input is used up."""
+        open_key: Any = None
+        open_rows: list[Row] = []
+        for rows in batches_of(self.child):
+            closed: list[Row] = []
+            for group_key, group in groupby(rows, key=self.key):
+                if not open_rows or open_key != group_key:
+                    if open_rows:
+                        closed.append(self._output(open_key, open_rows))
+                    open_key, open_rows = group_key, []
+                open_rows.extend(group)
+            if closed:
+                yield closed
+        if open_rows:
+            yield [self._output(open_key, open_rows)]
+
+    def _output(self, group_key: tuple, rows: list[Row]) -> Row:
+        return tuple(group_key) + tuple(agg.fold(0, rows) for agg in self.aggregates)
 
 
 class ScalarAggregate(Operator):

@@ -44,7 +44,8 @@ class FullTableScan(Operator):
 
 
 class IOTScan(Operator):
-    """Clustered-index scan, optionally restricted on the leading key."""
+    """Clustered-index scan, optionally restricted on the leading key,
+    one batch per leaf with a survivor."""
 
     def __init__(
         self,
@@ -58,12 +59,16 @@ class IOTScan(Operator):
         self.leading_hi = leading_hi
         self.predicate = predicate
 
-    def __iter__(self) -> Iterator[Row]:
-        rows = self.table.scan_leading(self.leading_lo, self.leading_hi)
-        if self.predicate is None:
-            return rows
+    def batches(self) -> Iterator[list[Row]]:
+        leaves = self.table.scan_leading(self.leading_lo, self.leading_hi)
         predicate = self.predicate
-        return (row for row in rows if predicate(row))
+        if predicate is None:
+            yield from leaves
+            return
+        for rows in leaves:
+            kept = list(filter(predicate, rows))
+            if kept:
+                yield kept
 
 
 class UBRangeScan(Operator):

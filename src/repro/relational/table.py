@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from ..btree.iot import TOP, IndexOrganizedTable
+from .. import kernels
+from ..btree.bptree import TOP, BPlusTree
 from ..core.query_space import QueryBox, QuerySpace
 from ..core.tetris import TetrisScan
 from ..core.ubtree import UBTree
@@ -274,7 +275,9 @@ class HeapTable(BaseTable):
 
 
 class IOTTable(BaseTable):
-    """Index-organized table: clustered by a composite key."""
+    """Index-organized table: clustered by a composite key in the leaves
+    of its B+-tree (Section 4.2), restricted on the leading attribute and
+    presorted by the key at one random page access per leaf."""
 
     def __init__(
         self,
@@ -287,31 +290,34 @@ class IOTTable(BaseTable):
         super().__init__(db, name, schema, page_capacity)
         self.key_attrs = tuple(key)
         positions = tuple(schema.position(attr) for attr in self.key_attrs)
-        self.iot = IndexOrganizedTable(
-            db.buffer,
-            lambda row: tuple(row[p] for p in positions),
-            page_capacity,
-        )
+        self.key_of = lambda row: tuple(row[p] for p in positions)
+        self.tree = BPlusTree(db.buffer, leaf_capacity=page_capacity)
 
     def __len__(self) -> int:
-        return len(self.iot)
+        return self.tree.record_count
 
     @property
     def page_count(self) -> int:
-        return self.iot.page_count
+        return self.tree.leaf_count
 
     def insert(self, row: Row) -> None:
-        self.iot.insert(row)
+        self.tree.insert(self.key_of(row), row)
 
     def bulk_load(self, rows: Sequence[Row], fill: float = 1.0) -> None:
-        """Initial load: sort by key and pack leaves bottom-up (empty table)."""
-        self.iot.bulk_load(list(rows), fill)
+        """Initial load: sort by key (the kernel layer's permutation, as
+        the UB-Tree load batches its encoding) and pack leaves bottom-up."""
+        rows = list(rows)
+        keys = list(map(self.key_of, rows))
+        order = kernels.get_backend().argsort_keys(keys)
+        self.tree.bulk_load([(keys[i], rows[i]) for i in order], fill=fill)
 
-    def scan_leading(self, lo: Any = None, hi: Any = None) -> Iterator[Row]:
-        """Scan restricted on the *leading* key attribute's value range."""
+    def scan_leading(self, lo: Any = None, hi: Any = None) -> Iterator[list[Row]]:
+        """The rows whose *leading* key attribute lies in ``[lo, hi]`` in
+        key order, one list per leaf read that holds one."""
         low_key = None if lo is None else (lo,)
         high_key = None if hi is None else (hi, TOP)
-        return self.iot.scan(low_key, high_key)
+        for pairs in self.tree.range_scan(low_key, high_key):
+            yield [row for _, row in pairs]
 
 
 class UBTable(BaseTable):

@@ -69,7 +69,7 @@ from ..storage.errors import (
     ensure_page_integrity,
 )
 from ..storage.faults import FaultPlan, FaultyDisk
-from ..storage.retry import DEFAULT_RETRY_POLICY, RetryPolicy
+from ..storage.retry import DEFAULT_RETRY_POLICY, RetryPolicy, charge_backoff
 from ..storage.wal import RecoveryReport, WALRecord, WriteAheadLog
 from .errors import ShardCopyKilledError, ShardFailedError
 from .events import ShardDegradationEvent
@@ -835,7 +835,7 @@ class ShardedDatabase:
             )
             delay = next(budget, None)
             if delay is not None:
-                copy.db.disk.advance_clock(delay)
+                charge_backoff(copy.db.disk, delay)
                 log_rung("retry")
                 return copy
         copy.healthy = False

@@ -98,10 +98,6 @@ class SimulatedDisk:
         self._next_address += 1
         return page
 
-    def allocate_extent(self, count: int, capacity: int) -> list[Page]:
-        """Allocate ``count`` physically consecutive pages (a heap extent)."""
-        return [self.allocate(capacity) for _ in range(count)]
-
     def free(self, page_id: int) -> None:
         """Release a page (temporary sort runs are freed after merging)."""
         self._pages.pop(page_id, None)
@@ -274,9 +270,6 @@ class _DelegatingDisk(SimulatedDisk):
 
     def allocate(self, capacity: int) -> Page:
         return self.inner.allocate(capacity)
-
-    def allocate_extent(self, count: int, capacity: int) -> list[Page]:
-        return self.inner.allocate_extent(count, capacity)
 
     def free(self, page_id: int) -> None:
         self.inner.free(page_id)

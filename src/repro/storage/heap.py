@@ -103,20 +103,7 @@ class HeapFile:
         with wal.journaled("heap.bulk_load", self):
             if tail is not None:
                 wal.touch(tail)
-            for record in records:
-                if not self._pages or self._pages[-1].is_full:
-                    if not self._free:
-                        extent = []
-                        for _ in range(self.extent_pages):
-                            page = self.disk.allocate(self.page_capacity)
-                            wal.log_alloc(page)
-                            extent.append(page)
-                        self._free = extent
-                    page = self._free.pop(0)
-                    wal.touch(page)  # no-op for batch-allocated pages
-                    self._pages.append(page)
-                self._pages[-1].add(record)
-                self._count += 1
+            self.load(records)
             first_written = pre_pages - (1 if tail is not None else 0)
             for page in self._pages[first_written:]:
                 wal.log_image(page)
@@ -201,6 +188,18 @@ class HeapFile:
         self._count = 0
 
     def _extend(self) -> None:
+        """Hand out the next page of the extent, allocating one when it is
+        used up; with a log armed, journal each allocation as it happens
+        and touch the page (no-ops outside a batch)."""
+        wal = active_wal(self.disk)
         if not self._free:
-            self._free = self.disk.allocate_extent(self.extent_pages, self.page_capacity)
-        self._pages.append(self._free.pop(0))
+            # page by page: a crash on an ALLOC record leaks no page
+            for _ in range(self.extent_pages):
+                page = self.disk.allocate(self.page_capacity)
+                self._free.append(page)
+                if wal is not None:
+                    wal.log_alloc(page)
+        page = self._free.pop(0)
+        if wal is not None:
+            wal.touch(page)
+        self._pages.append(page)

@@ -25,7 +25,6 @@ from repro.core.region import RegionCursor
 from repro.costmodel import SECTION_4_PARAMS, CostParameters
 from repro.invariants import sanitizer
 from repro.invariants.parity import tree_region
-from repro.relational.operators.base import Operator
 from repro.relational.operators.join import _pushdown_pages_skipped
 from repro.relational.schema import Encoder
 from repro.telemetry import JoinEvent
@@ -404,10 +403,11 @@ def _advised(rows, prefetch, side):
         yield row
 
 
-class _RowJoin(Operator):
+class _RowJoin:
     """The join wrapper as it was before joins took batches: one row per
     pull from each input, the coordinator advised before every pull, and
-    one :class:`JoinEvent` on natural drain."""
+    one :class:`JoinEvent` on natural drain.  Not an operator: a consumer
+    reads it as a plain iterable, one row at a time."""
 
     kind = "join"
 

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.btree import BPlusTree, IndexOrganizedTable, TOP
+from repro.btree import BPlusTree, TOP
+from repro.relational import Attribute, Database, IntEncoder, Schema
 from repro.storage import BufferPool, SimulatedDisk
 
-from oracles import read_seeks, search
+from oracles import read_seeks, rows_of, search
 
 
 def make_tree(leaf_capacity=4, fanout=4, buffer_pages=256):
@@ -25,7 +26,7 @@ class TestBPlusTree:
         tree, _ = make_tree()
         assert tree.record_count == 0
         assert search(tree, 5) == []
-        assert list(tree.range_scan()) == []
+        assert rows_of(tree.range_scan()) == []
 
     def test_insert_and_search(self):
         tree, _ = make_tree()
@@ -49,7 +50,7 @@ class TestBPlusTree:
         assert tree.height > 2
         assert tree.leaf_count > 10
         tree.check_invariants()
-        assert [k for k, _ in tree.range_scan()] == list(range(50))
+        assert [k for k, _ in rows_of(tree.range_scan())] == list(range(50))
 
     def test_random_insert_order(self):
         tree, _ = make_tree(leaf_capacity=5, fanout=5)
@@ -58,7 +59,7 @@ class TestBPlusTree:
         for key in keys:
             tree.insert(key, key * 2)
         tree.check_invariants()
-        scanned = list(tree.range_scan())
+        scanned = rows_of(tree.range_scan())
         assert [k for k, _ in scanned] == list(range(300))
         assert all(v == k * 2 for k, v in scanned)
 
@@ -66,10 +67,10 @@ class TestBPlusTree:
         tree, _ = make_tree()
         for key in range(0, 100, 2):  # even keys
             tree.insert(key, key)
-        assert [k for k, _ in tree.range_scan(10, 20)] == [10, 12, 14, 16, 18, 20]
-        assert [k for k, _ in tree.range_scan(9, 21)] == [10, 12, 14, 16, 18, 20]
-        assert [k for k, _ in tree.range_scan(90)] == [90, 92, 94, 96, 98]
-        assert [k for k, _ in tree.range_scan(None, 4)] == [0, 2, 4]
+        assert [k for k, _ in rows_of(tree.range_scan(10, 20))] == [10, 12, 14, 16, 18, 20]
+        assert [k for k, _ in rows_of(tree.range_scan(9, 21))] == [10, 12, 14, 16, 18, 20]
+        assert [k for k, _ in rows_of(tree.range_scan(90))] == [90, 92, 94, 96, 98]
+        assert [k for k, _ in rows_of(tree.range_scan(None, 4))] == [0, 2, 4]
 
     def test_delete(self):
         tree, _ = make_tree()
@@ -122,7 +123,7 @@ class TestBPlusTree:
         for key in range(40):
             tree.insert(key, key)
         before = disk.snapshot()
-        list(tree.range_scan())
+        rows_of(tree.range_scan())
         delta = disk.snapshot() - before
         assert delta.pages_read == tree.leaf_count
         assert read_seeks(delta) == tree.leaf_count  # one seek per leaf
@@ -158,7 +159,7 @@ def test_bptree_matches_sorted_list_model(keys, lo, hi):
     tree.check_invariants()
     lo, hi = min(lo, hi), max(lo, hi)
     expected = sorted(k for k in keys if lo <= k <= hi)
-    assert [k for k, _ in tree.range_scan(lo, hi)] == expected
+    assert [k for k, _ in rows_of(tree.range_scan(lo, hi))] == expected
 
 
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 50)), max_size=120))
@@ -179,36 +180,38 @@ def test_bptree_insert_delete_model(operations):
                 model[key] -= 1
     tree.check_invariants()
     expected = sorted(model.elements())
-    assert [k for k, _ in tree.range_scan()] == expected
+    assert [k for k, _ in rows_of(tree.range_scan())] == expected
+
+
+def make_iot(key, page_capacity=4):
+    """An empty index-organized table over two small integer columns."""
+    schema = Schema([Attribute("a", IntEncoder(0, 63)), Attribute("b", IntEncoder(0, 63))])
+    return Database(buffer_pages=64).create_iot("t", schema, key, page_capacity)
 
 
 class TestIOT:
     def test_composite_key_order(self):
-        disk = SimulatedDisk()
-        pool = BufferPool(disk, 64)
-        iot = IndexOrganizedTable(
-            pool, key_of=lambda row: (row[1], row[0]), page_capacity=4
-        )
+        iot = make_iot(key=("b", "a"))
         rows = [(i, i % 3) for i in range(30)]
         random.Random(1).shuffle(rows)
         for row in rows:
             iot.insert(row)
-        iot.check_invariants()
-        out = list(iot.scan())
+        iot.tree.check_invariants()
+        out = rows_of(iot.scan_leading())
         assert out == sorted(rows, key=lambda r: (r[1], r[0]))
         assert len(iot) == 30
 
     def test_prefix_range_with_sentinels(self):
-        disk = SimulatedDisk()
-        pool = BufferPool(disk, 64)
-        iot = IndexOrganizedTable(
-            pool, key_of=lambda row: (row[0], row[1]), page_capacity=4
-        )
+        iot = make_iot(key=("a", "b"))
         rows = [(a, b) for a in range(5) for b in range(5)]
         for row in rows:
             iot.insert(row)
-        out = list(iot.scan((2,), (2, TOP)))
+        # the leading range [2, 2] is the keys from (2,) up to (2, TOP)
+        out = rows_of(iot.scan_leading(2, 2))
         assert out == [(2, b) for b in range(5)]
+        assert rows_of(iot.tree.range_scan((2,), (2, TOP))) == [
+            ((2, b), (2, b)) for b in range(5)
+        ]
 
     def test_sentinel_ordering(self):
         # what a key comparison against ``(hi, TOP)`` reaches: no value
@@ -226,20 +229,17 @@ class TestIOT:
         re-serve them from the new right sibling."""
         for seed in range(40):
             rng = random.Random(seed)
-            iot = IndexOrganizedTable(
-                BufferPool(SimulatedDisk(), 64),
-                key_of=lambda row: (row[0],),
-                page_capacity=3,
-                fanout=4,
+            tree = BPlusTree(
+                BufferPool(SimulatedDisk(), 64), leaf_capacity=3, fanout=4
             )
             rows = [(rng.randrange(64), index) for index in range(150)]
             for row in rows:
-                iot.insert(row)
-            scan = iot.scan((5,), (58, TOP))
+                tree.insert((row[0],), row)
+            scan = (row for leaf in tree.range_scan((5,), (58, TOP)) for _, row in leaf)
             pulled = list(islice(scan, cut))
             late = [(rng.randrange(64), 150 + index) for index in range(30)]
             for row in late:
-                iot.insert(row)
+                tree.insert((row[0],), row)
             pulled += scan
             seen = Counter(pulled)
             before = [row for row in rows if 5 <= row[0] <= 58]
@@ -248,11 +248,10 @@ class TestIOT:
             assert set(seen) <= set(before) | set(late), seed
 
     def test_delete_row(self):
-        disk = SimulatedDisk()
-        pool = BufferPool(disk, 64)
-        iot = IndexOrganizedTable(pool, key_of=lambda row: (row[0],), page_capacity=4)
-        for row in [(1, "a"), (2, "b")]:
+        iot = make_iot(key=("a",))
+        for row in [(1, 2), (2, 3)]:
             iot.insert(row)
-        assert iot.delete((1, "a"))
-        assert not iot.delete((1, "a"))
-        assert list(iot.scan()) == [(2, "b")]
+        assert iot.tree.delete(iot.key_of((1, 2)), (1, 2))
+        assert not iot.tree.delete(iot.key_of((1, 2)), (1, 2))
+        assert rows_of(iot.scan_leading()) == [(2, 3)]
+        assert len(iot) == 1

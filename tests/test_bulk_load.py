@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.btree import BPlusTree, IndexOrganizedTable
+from repro.btree import BPlusTree
 from repro.core import QueryBox, UBTree, ZSpace, tetris_sorted
 from repro.relational import Attribute, Database, IntEncoder, Schema
 from repro.storage import BufferPool, SimulatedDisk
@@ -25,14 +25,14 @@ class TestBPlusTreeBulkLoad:
         pairs = [(k, k * 2) for k in range(100)]
         tree.bulk_load(pairs)
         tree.check_invariants()
-        assert list(tree.range_scan()) == pairs
+        assert rows_of(tree.range_scan()) == pairs
         assert tree.record_count == 100
 
     def test_empty_input(self):
         tree, _ = make_tree()
         tree.bulk_load([])
         assert tree.record_count == 0
-        assert list(tree.range_scan()) == []
+        assert rows_of(tree.range_scan()) == []
 
     def test_single_record(self):
         tree, _ = make_tree()
@@ -79,14 +79,14 @@ class TestBPlusTreeBulkLoad:
         for k in range(1, 100, 2):
             tree.insert(k, k)
         tree.check_invariants()
-        assert [k for k, _ in tree.range_scan()] == list(range(100))
+        assert [k for k, _ in rows_of(tree.range_scan())] == list(range(100))
 
     def test_deep_tree(self):
         tree, _ = make_tree(leaf_capacity=2, fanout=3)
         tree.bulk_load([(k, k) for k in range(500)])
         tree.check_invariants()
         assert tree.height >= 4
-        assert [k for k, _ in tree.range_scan(100, 110)] == list(range(100, 111))
+        assert [k for k, _ in rows_of(tree.range_scan(100, 110))] == list(range(100, 111))
 
 
 @given(st.lists(st.integers(0, 300), max_size=300), st.floats(0.3, 1.0))
@@ -96,7 +96,7 @@ def test_bulk_load_matches_model(keys, fill):
     pairs = sorted((k, k) for k in keys)
     tree.bulk_load(pairs, fill=fill)
     tree.check_invariants()
-    assert list(tree.range_scan()) == pairs
+    assert rows_of(tree.range_scan()) == pairs
 
 
 class TestUBTreeBulkLoad:
@@ -159,5 +159,5 @@ class TestTableBulkLoad:
         db, schema, rows = self.make_db()
         table = db.create_iot("i", schema, key=("a", "b"), page_capacity=8)
         table.bulk_load(rows)
-        assert list(table.scan_leading()) == sorted(rows)
-        table.iot.check_invariants()
+        assert rows_of(table.scan_leading()) == sorted(rows)
+        table.tree.check_invariants()

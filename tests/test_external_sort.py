@@ -32,7 +32,7 @@ from repro import invariants, kernels
 from repro.invariants import InvariantViolation
 from repro.kernels import pure
 from repro.relational.operators import ExternalMergeSort
-from repro.relational.operators.base import Operator, Row
+from repro.relational.operators.base import Row
 from repro.relational.operators.sort import SortStats
 from repro.storage import (
     CorruptPageError,
@@ -54,8 +54,10 @@ BACKENDS = kernels.available_backends()
 # ----------------------------------------------------------------------
 # the reference: per-row spooling, heapq.merge over chunked readers
 # ----------------------------------------------------------------------
-class HeapqMergeSort(Operator):
-    """``ExternalMergeSort`` as it was before key columns."""
+class HeapqMergeSort:
+    """``ExternalMergeSort`` as it was before key columns.  Not an
+    operator: a consumer reads it as a plain iterable, one row at a
+    time."""
 
     def __init__(
         self,

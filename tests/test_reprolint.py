@@ -107,6 +107,16 @@ class TestR002HotPathLoops:
         )
         assert rules_of(found) == {"R002"}
 
+    def test_operator_modules_are_hot_paths(self):
+        """A records loop planted in any relational operator module is
+        flagged; a module beside the operators is not policed."""
+        for module in ("scan.py", "group.py", "future_operator.py"):
+            found = lint_source(
+                textwrap.dedent(self.LOOP), f"src/repro/relational/operators/{module}"
+            )
+            assert rules_of(found) == {"R002"}, module
+        assert lint_source(textwrap.dedent(self.LOOP), "src/repro/relational/table.py") == []
+
     def test_comprehension_flagged(self):
         found = lint(
             "def points(page):\n    return [r[1][0] for r in page.records]\n",
@@ -510,7 +520,7 @@ class TestR007WalBypass:
         found = lint(
             """
             def grow(self):
-                return self.disk.allocate_extent(64, 80)
+                return [self.disk.allocate(80) for _ in range(64)]
             """
         )
         assert rules_of(found) == {"R007"}

@@ -255,14 +255,19 @@ class TestRaceDetection:
         """Accesses are keyed by ``id(obj)``.  Once an object dies CPython
         may hand its id to the next one, whose lock carries no order from
         the dead object's critical sections."""
-        with actor("scan-worker"):
-            shared = SharedMap()
-            shared.put("page", 1)
-        stale = id(shared)
-        del shared
-        fresh = [SharedMap() for _ in range(64)]
-        reused = [one for one in fresh if id(one) == stale]
-        if not reused:
+        kept = []  # every fresh object stays alive, so each round is new
+        for _ in range(16):  # whether a round reuses depends on the hash seed
+            with actor("scan-worker"):
+                shared = SharedMap()
+                shared.put("page", 1)
+            stale = id(shared)
+            del shared
+            fresh = [SharedMap() for _ in range(64)]
+            kept.append(fresh)
+            reused = [one for one in fresh if id(one) == stale]
+            if reused:
+                break
+        else:
             pytest.skip("the allocator did not reuse the id")
         with actor("evict-worker"):
             reused[0].put("page", 2)

@@ -21,6 +21,7 @@ from repro.shard import (
 )
 from repro.shard.coordinator import MAX_DEGRADATIONS
 from repro.storage import FaultPlan
+from repro.storage.faults import CORRUPT
 from repro.telemetry import TelemetryEvent
 
 from oracles import checks
@@ -348,6 +349,29 @@ class TestFailover:
         assert all(
             event.shard == 2 for event in result.degradations
         )
+
+    def test_retry_rung_counts_its_wait_as_a_retry(self):
+        """A one-copy shard whose unreplicated page reads corrupt climbs
+        the retry rung: the rung's wait is a counted retry of that copy,
+        as every other backoff is, not clock time alone."""
+        rows = make_rows(600)
+        clean = make_sharded(rows, shards=1)
+        page_id = next(
+            page.page_id
+            for page in clean.shards[0].copies[0].db.disk.iter_pages()
+            if page.records
+        )
+        plan = FaultPlan(scripted_reads=((page_id, 0, CORRUPT),))
+        sdb = make_sharded(rows, shards=1, fault_plans={(0, 0): plan})
+        faults = sdb.shards[0].copies[0].db.disk.stats.faults
+        before = faults.copy()
+        sdb.arm_faults()
+        result = sdb.sorted_scan(None, "a2", allow_partial=True)
+        assert [e.action for e in result.degradations] == ["retry", "abandoned"]
+        wait = next(iter(sdb.retry_policy.delays()))
+        delta = faults - before
+        assert (delta.retries, delta.retry_delay) == (1, wait)
+        assert sdb.fault_totals()["retries"] == 1
 
     def test_slow_shard_still_bit_identical(self):
         rows = make_rows(600)

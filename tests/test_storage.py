@@ -90,8 +90,10 @@ class TestSimulatedDisk:
     def test_extent_is_contiguous(self):
         disk = SimulatedDisk()
         disk.allocate(4)
-        extent = disk.allocate_extent(4, capacity=4)
-        assert [p.page_id for p in extent] == [1, 2, 3, 4]
+        heap = HeapFile(disk, page_capacity=4, extent_pages=4)
+        heap.load(range(16))
+        assert heap.page_ids == [1, 2, 3, 4]
+        assert allocated_pages(disk) == 5
 
     def test_read_missing_page_raises(self):
         disk = SimulatedDisk()
@@ -110,7 +112,8 @@ class TestSimulatedDisk:
     def test_sequential_scan_amortizes_seeks(self):
         params = DiskParameters(t_pi=0.01, t_tau=0.001, prefetch=4)
         disk = SimulatedDisk(params)
-        disk.allocate_extent(8, capacity=4)
+        for _ in range(8):
+            disk.allocate(4)
         for page_id in range(8):
             disk.read(page_id, sequential=True)
         # 8 pages, prefetch 4 -> 2 seeks + 8 transfers
@@ -119,7 +122,8 @@ class TestSimulatedDisk:
 
     def test_sequential_flag_with_gap_still_seeks(self):
         disk = SimulatedDisk(DiskParameters(t_pi=0.01, t_tau=0.001, prefetch=16))
-        disk.allocate_extent(10, capacity=4)
+        for _ in range(10):
+            disk.allocate(4)
         disk.read(0, sequential=True)
         disk.read(5, sequential=True)  # gap breaks the run
         assert read_seeks(disk.stats) == 2
@@ -134,7 +138,7 @@ class TestSimulatedDisk:
 
     def test_write_accounting(self):
         disk = SimulatedDisk(DiskParameters(t_pi=0.01, t_tau=0.001, prefetch=4))
-        pages = disk.allocate_extent(4, capacity=4)
+        pages = [disk.allocate(4) for _ in range(4)]
         for page in pages:
             disk.write(page, sequential=True, category="temp")
         assert disk.stats.category("temp").pages_written == 4
@@ -143,7 +147,7 @@ class TestSimulatedDisk:
 
     def test_read_breaks_write_run_and_vice_versa(self):
         disk = SimulatedDisk(DiskParameters(t_pi=0.01, t_tau=0.001, prefetch=16))
-        pages = disk.allocate_extent(4, capacity=4)
+        pages = [disk.allocate(4) for _ in range(4)]
         disk.write(pages[0], sequential=True)
         disk.read(2, sequential=True)
         disk.write(pages[1], sequential=True)  # head moved: must seek again
@@ -151,7 +155,8 @@ class TestSimulatedDisk:
 
     def test_snapshot_differencing(self):
         disk = SimulatedDisk()
-        disk.allocate_extent(4, capacity=4)
+        for _ in range(4):
+            disk.allocate(4)
         disk.read(0)
         before = disk.snapshot()
         disk.read(1)
@@ -186,7 +191,8 @@ class TestBufferPool:
 
     def test_lru_eviction(self):
         disk = SimulatedDisk()
-        disk.allocate_extent(3, capacity=4)
+        for _ in range(3):
+            disk.allocate(4)
         pool = BufferPool(disk, capacity=2)
         pool.get(0)
         pool.get(1)

@@ -83,7 +83,7 @@ class TestIOTTable:
         table = db.create_iot("t", make_schema(), key=("b", "a"), page_capacity=10)
         rows = make_rows(150)
         table.load(rows)
-        out = list(table.scan_leading())
+        out = rows_of(table.scan_leading())
         assert out == sorted(rows, key=lambda r: (r[1], r[0]))
 
     def test_scan_leading_range(self):
@@ -91,7 +91,7 @@ class TestIOTTable:
         table = db.create_iot("t", make_schema(), key=("a", "c"), page_capacity=10)
         rows = make_rows(150)
         table.load(rows)
-        out = list(table.scan_leading(10, 20))
+        out = rows_of(table.scan_leading(10, 20))
         expected = sorted(
             (r for r in rows if 10 <= r[0] <= 20), key=lambda r: (r[0], r[2])
         )
@@ -102,10 +102,10 @@ class TestIOTTable:
         table = db.create_iot("t", make_schema(), key=("a",), page_capacity=10)
         rows = make_rows(60)
         table.load(rows)
-        assert len(list(table.scan_leading(None, 31))) == sum(
+        assert len(rows_of(table.scan_leading(None, 31))) == sum(
             1 for r in rows if r[0] <= 31
         )
-        assert len(list(table.scan_leading(32, None))) == sum(
+        assert len(rows_of(table.scan_leading(32, None))) == sum(
             1 for r in rows if r[0] >= 32
         )
 

@@ -474,14 +474,14 @@ class TestJournaledDelete:
         tear(db.disk.peek(tree.root_id))
         assert db.disk.repair_page(tree.root_id)
         assert search(tree, 3) == []
-        assert [key for key, _ in tree.range_scan()] == [0, 1, 2, 4, 5]
+        assert [key for key, _ in rows_of(tree.range_scan())] == [0, 1, 2, 4, 5]
 
     def test_recovery_after_delete_keeps_the_row_gone(self):
         db, tree = self.make_tree()
         assert tree.delete(3)
         tear(db.disk.peek(tree.root_id))
         db.wal.recover()
-        assert [key for key, _ in tree.range_scan()] == [0, 1, 2, 4, 5]
+        assert [key for key, _ in rows_of(tree.range_scan())] == [0, 1, 2, 4, 5]
 
     @pytest.mark.parametrize("appends", [1, 2, 3, 4])
     def test_crash_mid_delete_rolls_back_to_the_row_present(self, appends):

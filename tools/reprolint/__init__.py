@@ -51,7 +51,7 @@ from .rules import (
     file_rules,
     project_rules,
 )
-from .rules.hotloops import HOT_PATH_FILES
+from .rules.hotloops import HOT_PATH_FILES, is_hot_path
 from .violations import Violation, suppressed as _suppressed
 
 __all__ = [
@@ -65,11 +65,6 @@ __all__ = [
 
 #: rule id -> one-line summary, R001 first
 ALL_RULES: dict[str, str] = dict(sorted(all_rule_summaries().items()))
-
-
-def _is_hot_path(path: Path) -> bool:
-    posix = path.as_posix()
-    return any(posix.endswith(suffix) for suffix in HOT_PATH_FILES)
 
 
 def _run_file_rules(tree: ast.Module, path: str, hot_path: bool) -> list[Violation]:
@@ -87,7 +82,7 @@ def lint_source(
 ) -> list[Violation]:
     """Lint one file's source with the per-file rules (R001/2/3/5-9)."""
     if hot_path is None:
-        hot_path = _is_hot_path(Path(path))
+        hot_path = is_hot_path(Path(path).as_posix())
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as error:
@@ -145,7 +140,7 @@ def lint_paths(paths: Iterable[str | Path]) -> list[Violation]:
             lines = source.splitlines()
             violations.extend(
                 v
-                for v in _run_file_rules(tree, name, _is_hot_path(path))
+                for v in _run_file_rules(tree, name, is_hot_path(path.as_posix()))
                 if not _suppressed(lines, v)
             )
             modules.append(build_module(name, source, tree))

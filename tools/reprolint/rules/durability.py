@@ -28,7 +28,7 @@ from .base import FileContext, FileRule, register
 __all__ = ["DiskMutationRule", "DiskReadRule"]
 
 #: disk methods that mutate durable state (R007)
-DISK_MUTATORS = frozenset({"write", "free", "allocate", "allocate_extent"})
+DISK_MUTATORS = frozenset({"write", "free", "allocate"})
 
 #: names whose presence in a function marks it as WAL-participating (R007)
 WAL_NAME_MARKERS = frozenset({"active_wal", "WriteAheadLog"})

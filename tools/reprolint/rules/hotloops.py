@@ -1,11 +1,11 @@
 """R002 — no per-tuple Python loops over page records in hot paths.
 
-``core/tetris.py`` and ``core/ubtree.py`` must route batch work over
-``page.records`` through the :mod:`repro.kernels` API so the NumPy
-backend can vectorize it; a per-tuple loop reintroduces the exact
-slowdown the kernel layer exists to remove.  Only files listed in
-``HOT_PATH_FILES`` are policed — everywhere else a records loop is an
-idiom, not a regression.
+``core/tetris.py``, ``core/ubtree.py`` and the relational operators
+must route batch work over ``page.records`` through the
+:mod:`repro.kernels` API so the NumPy backend can vectorize it; a
+per-tuple loop reintroduces the exact slowdown the kernel layer exists
+to remove.  Only paths listed in ``HOT_PATH_FILES`` are policed —
+everywhere else a records loop is an idiom, not a regression.
 """
 
 from __future__ import annotations
@@ -14,10 +14,26 @@ import ast
 
 from .base import FileRule, register
 
-__all__ = ["HOT_PATH_FILES", "HotLoopRule", "records_owner"]
+__all__ = ["HOT_PATH_FILES", "HotLoopRule", "is_hot_path", "records_owner"]
 
-#: files (path suffixes, ``/``-separated) subject to the hot-path rule R002
-HOT_PATH_FILES: tuple[str, ...] = ("core/tetris.py", "core/ubtree.py")
+#: files (path suffixes, ``/``-separated) subject to the hot-path rule
+#: R002; a suffix ending in ``/`` names every file under that directory
+HOT_PATH_FILES: tuple[str, ...] = (
+    "core/tetris.py",
+    "core/ubtree.py",
+    "relational/operators/",
+)
+
+
+def is_hot_path(posix: str) -> bool:
+    """Whether the ``/``-separated ``posix`` path falls under R002."""
+    rooted = "/" + posix
+    return any(
+        f"/{suffix}" in rooted
+        if suffix.endswith("/")
+        else rooted.endswith(f"/{suffix}")
+        for suffix in HOT_PATH_FILES
+    )
 
 
 def records_owner(node: ast.expr) -> str | None:
