@@ -10,12 +10,12 @@ Run:  python examples/tpcd_analytics.py [scale_factor]
 
 import sys
 
-from repro.relational.operators import FirstTupleTimer
+from repro.relational.operators import Count, FirstTupleTimer, ScalarAggregate, Sum
 from repro.relational.table import Database
 from repro.storage import ICDE99_TESTBED
 from repro.tpcd import TPCDConfig, generate, reference_q3, reference_q4, reference_q6
 from repro.tpcd import plans
-from repro.tpcd.queries import Q3Params, Q4Params, Q6Params
+from repro.tpcd.queries import Q3Params, Q4Params, Q6Params, discounted_numerator
 
 
 def run_timed(db, plan):
@@ -97,7 +97,18 @@ def main() -> None:
         rows6, _, io6 = run_timed(db, plan)
         assert rows6[0][0] == expected6
         print(f"  {method:8s}: {io6.time:8.2f} s simulated")
-    print(f"  revenue numerator: {expected6} (cent-percent units)")
+    # SUM and COUNT over the UB range query: each page is folded where the
+    # query filters it, from the page's product column, no row built
+    restricted = plans.q6_restriction_plan("tetris", db, lineitem_range, params6)
+    ((revenue, count),) = ScalarAggregate(
+        restricted, [Sum(discounted_numerator), Count()]
+    )
+    assert revenue == expected6
+    print(f"  revenue numerator: {revenue} (cent-percent units) over {count} lineitems")
+    # the restriction alone streams the qualifying rows, a page at a time
+    rows6, timer6, _ = run_timed(db, restricted)
+    assert len(rows6) == count
+    print(f"  restriction: first row after {timer6.time_to_first:.3f} s simulated")
 
 
 if __name__ == "__main__":

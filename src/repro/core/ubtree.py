@@ -18,7 +18,7 @@ the read-ahead window and the read-once checks.
 from __future__ import annotations
 
 from contextlib import closing
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .. import invariants, kernels
 from ..btree.bptree import BPlusTree
@@ -31,6 +31,18 @@ from .query_space import QuerySpace, box_is_empty
 from .intervals import IntervalSet
 from .region import RegionCursor, RegionDirectory, ScheduledRegion, ZRegion
 from .zorder import ZSpace
+
+#: what :meth:`UBTree.range_query` makes of one page: ``step(page,
+#: selection)``, ``selection`` the ascending indexes of the page's
+#: records inside the query space (never empty)
+PageStep = Callable[[Page, list[int]], Any]
+
+
+def page_pairs(page: Page, selection: list[int]) -> list[tuple[tuple[int, ...], Any]]:
+    """The default :data:`PageStep`: the selected records' ``(point,
+    payload)`` pairs."""
+    records = page.records
+    return [records[index][1] for index in selection]
 
 
 class UBTree:
@@ -296,8 +308,8 @@ class UBTree:
                 window.close()
 
     def range_query(
-        self, space: QuerySpace
-    ) -> Iterator[list[tuple[tuple[int, ...], Any]]]:
+        self, space: QuerySpace, step: "PageStep | None" = None
+    ) -> Iterator[Any]:
         """All tuples inside ``space``; each overlapping page read once.
 
         This is the multi-attribute restriction algorithm used for TPC-D
@@ -309,14 +321,20 @@ class UBTree:
         page's tuples against the exact predicate.  Filtering runs
         through the batch kernel layer (one ``filter_space_page`` call
         per page), so the vectorized backend evaluates the predicate
-        over the whole page at once instead of tuple at a time.  Each
-        page with a survivor is handed over as one list of
-        ``(point, payload)`` pairs, taken before the generator suspends:
-        an insert between two pulls cannot shift a page that is half
-        read, nor (the regions come from a :class:`RegionCursor`) lose
-        one it split.
+        over the whole page at once instead of tuple at a time.
+
+        Each page with a survivor yields ``step(page, selection)``, the
+        selection being the survivors' record indexes; the default step
+        (:func:`page_pairs`) hands the page over as one list of
+        ``(point, payload)`` pairs, and an aggregate's step folds it
+        without building a row.  The step runs before the generator
+        suspends: an insert between two pulls cannot shift a page that
+        is half read, nor (the regions come from a :class:`RegionCursor`)
+        lose one it split.
         """
         kernel = kernels.get_backend()
+        if step is None:
+            step = page_pairs
 
         def schedule(read: IntervalSet) -> list[ScheduledRegion]:
             fresh = not read
@@ -328,12 +346,9 @@ class UBTree:
 
         with closing(self.walk(RegionCursor(self.tree, schedule), space)) as pages:
             for _, page in pages:
-                records = page.records
-                pairs = [
-                    records[index][1] for index in kernel.filter_space_page(space, page)
-                ]
-                if pairs:
-                    yield pairs
+                selection = kernel.filter_space_page(space, page)
+                if selection:
+                    yield step(page, selection)
 
     def check_invariants(self) -> None:
         """Structural validation plus region/page bijection.

@@ -46,6 +46,9 @@ Validators
 * :func:`check_page_run` — a sweep's ``scan_page_run`` equals the
   *other* backend's on the same page, on count, selection, keys and
   arrival orders (:mod:`repro.invariants.parity`).
+* :func:`check_page_fold` — an aggregate's ``sum_products`` over a range
+  query's page equals the *other* backend's on the same page and
+  selection (:mod:`repro.invariants.parity`).
 * :class:`ScheduleChecker` — holds a batched region schedule to the
   scalar BIGMIN walk, the tree's own descent (read with ``disk.peek``),
   pruning tests and keys it replaces, without extra I/O
@@ -79,6 +82,7 @@ from .paper import CoverageChecker, FetchOnceChecker
 from .parity import (
     ScheduleChecker,
     SliceChecker,
+    check_page_fold,
     check_page_run,
 )
 from .sanitizer import (
@@ -109,6 +113,7 @@ __all__ = [
     "StreamChecker",
     "TrackedLock",
     "check",
+    "check_page_fold",
     "check_page_run",
     "declare_lock_order",
     "enabled",

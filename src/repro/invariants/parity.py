@@ -5,7 +5,8 @@ pure-Python backends be **observationally identical**.  The test suite
 asserts this over randomized workloads; with ``REPRO_CHECKS=1`` the
 engine additionally re-runs every page kernel it actually executes on
 the *other* backend and compares results in place
-(:func:`check_page_run`) — so a divergence (say, a stale columnar cache
+(:func:`check_page_run`), and every page fold an aggregate makes
+(:func:`check_page_fold`) — so a divergence (say, a stale columnar cache
 after a missed ``Page.version`` bump) raises at the exact page that
 produced it.  Batched region schedules
 get the same treatment against the scalar definitions they replace
@@ -83,6 +84,38 @@ def check_page_run(
         f"entries={got[2][:4]} vs {expected[0]} tuples, "
         f"selected={expected[1][:8]}, entries={expected[2][:4]}; if the page "
         "was mutated, check for a missing Page.version bump",
+    )
+
+
+def check_page_fold(
+    active: "KernelBackend",
+    page: "Page",
+    selection: Sequence[int],
+    positions: tuple[int, ...],
+    total: "int | None",
+) -> None:
+    """Hold one ``sum_products`` result to the other registered
+    backend's on the same page, selection and payload positions.
+
+    ``total`` is what ``active`` returned.  With NumPy active the
+    reference is the pure backend, which folds ``page.records`` afresh,
+    so a product column gone stale (a missed ``Page.version`` bump, a
+    memo not keyed on it) differs here, at the page that produced it.
+    No-op when only one backend is available.
+    """
+    from .. import kernels
+
+    others = [name for name in kernels.available_backends() if name != active.name]
+    if not others:
+        return
+    reference = kernels.backend(others[0])
+    expected = reference.sum_products(page, selection, positions)
+    check(
+        total == expected and type(total) is type(expected),
+        f"`{active.name}` sum_products diverges from `{reference.name}` on "
+        f"page {page.page_id} (positions {positions}, {len(selection)} "
+        f"selected): {total!r} vs {expected!r}; if the page was mutated, "
+        "check for a missing Page.version bump",
     )
 
 

@@ -138,6 +138,20 @@ class KernelBackend:
         """
         raise NotImplementedError
 
+    def sum_products(
+        self, page: Any, selection: Sequence[int], positions: tuple[int, ...]
+    ) -> "int | None":
+        """Σ over the selected records of the product of their payload's
+        values at ``positions`` — the page fold of Q6's summand.
+
+        ``selection`` indexes ``page.records`` (what
+        :meth:`filter_space_page` returned).  The sum is exact, or
+        ``None`` when a value is not a Python ``int`` (a float, a bool):
+        then the caller folds the rows itself, left to right.  Backends
+        may memoize a per-page product column keyed on ``version``.
+        """
+        raise NotImplementedError
+
     def argsort_keys(self, keys: Sequence[Any]) -> list[int]:
         """Stable sort permutation of ``keys``.
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import weakref
 from bisect import bisect_right
+from operator import mul
 from typing import Any, Sequence
 
 import numpy as np
@@ -51,6 +52,8 @@ from .base import ScheduledRegion, SortRunBuffer
 from .pure import PurePythonBackend, PureSortRunBuffer
 
 _U64 = np.uint64
+#: no sum of an ``int64`` product column may reach this
+_INT64_LIMIT = 1 << 63
 _BYTE = _U64(0xFF)
 
 _EMPTY_RUN = (np.empty(0, dtype=_U64), np.empty(0, dtype=_U64))
@@ -424,16 +427,42 @@ class _PageView:
     not convert), :attr:`lows` / :attr:`highs` its zone.  :attr:`runs` maps
     a sort curve to the page's keys on it ascending and their stable sort
     permutation (``uint64`` record indexes), built by the first scan in
-    that order.  Both are read-only: runs in a run buffer share them.
+    that order.  :attr:`products` pairs a tuple of payload positions with
+    the ``int64`` column of their product per record, built by the first
+    fold over them (:meth:`product`; a fold over other positions replaces
+    it).  All are read-only: runs in a run buffer share them.
     """
 
-    __slots__ = ("version", "columns", "lows", "highs", "runs")
+    __slots__ = ("version", "columns", "lows", "highs", "runs", "products")
 
     def __init__(self, version: int, columns: "np.ndarray | None") -> None:
         self.version = version
         self.columns = columns
         self.lows, self.highs = (None, None) if columns is None else _zone(columns)
         self.runs: "dict[Curve, tuple[np.ndarray, ...]]" = {}
+        self.products: "tuple[tuple[int, ...], np.ndarray | None] | None" = None
+
+    def product(
+        self, records: Sequence[Any], positions: tuple[int, ...]
+    ) -> "np.ndarray | None":
+        """The page's product column over payload ``positions``, or
+        ``None`` when a value is not a Python ``int`` or a sum of the
+        column could leave ``int64`` (``len · max|product| >= 2**63``)."""
+        memo = self.products
+        if memo is not None and memo[0] == positions:
+            return memo[1]
+        column = None
+        rows = [payload for _, (_, payload) in records]
+        factors = [[row[position] for row in rows] for position in positions]
+        if all(type(value) is int for factor in factors for value in factor):
+            values = factors[0]
+            for factor in factors[1:]:
+                values = list(map(mul, values, factor))
+            if len(values) * max(map(abs, values), default=0) < _INT64_LIMIT:
+                column = np.array(values, dtype=np.int64)
+                column.flags.writeable = False
+        self.products = (positions, column)
+        return column
 
     def keyed(
         self, tables: "_CurveTables", curve: Curve
@@ -657,6 +686,20 @@ class NumPyBackend(PurePythonBackend):
             raise _NoGeometry
         mask = self._narrow(space, view.columns, view.lows, view.highs)
         return _selection(mask, len(records)).tolist()
+
+    @_vectorized
+    def sum_products(
+        self, page: Any, selection: Sequence[int], positions: tuple[int, ...]
+    ) -> "int | None":
+        """The selection's sum over the page view's memoized product
+        column; a page without one (non-``int`` values, a sum that could
+        leave ``int64``) is the pure backend's."""
+        if not selection:
+            return 0
+        column = self._page_view(page).product(page.records, positions)
+        if column is None:
+            raise _NoGeometry
+        return int(column.take(selection).sum())
 
     # ------------------------------------------------------------------
     # sorting

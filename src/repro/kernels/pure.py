@@ -150,6 +150,22 @@ class PurePythonBackend(KernelBackend):
         points = [record[1][0] for record in page.records]
         return self.filter_space_batch(space, points)
 
+    def sum_products(
+        self, page: Any, selection: Sequence[int], positions: tuple[int, ...]
+    ) -> "int | None":
+        records = page.records
+        total = 0
+        for index in selection:
+            row = records[index][1][1]
+            product = 1
+            for position in positions:
+                value = row[position]
+                if type(value) is not int:
+                    return None
+                product *= value
+            total += product
+        return total
+
     def argsort_keys(self, keys: Sequence[Any]) -> list[int]:
         return sorted(range(len(keys)), key=keys.__getitem__)
 

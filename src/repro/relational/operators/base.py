@@ -9,7 +9,7 @@ time-to-first-result that Sections 4.4 and 5.1 highlight.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ...storage.disk import SimulatedDisk
 
@@ -31,6 +31,21 @@ class Operator:
     def __iter__(self) -> Iterator[Row]:
         for batch in self.batches():
             yield from batch
+
+    def fold(self, aggregates: Sequence[Any]) -> list[Any]:
+        """Each of ``aggregates`` folded over the whole output, from zero
+        (``ScalarAggregate``'s input): a batch at a time, unless the
+        operator can fold without building its rows."""
+        return fold_batches(self.batches(), aggregates)
+
+
+def fold_batches(batches: Iterable[list[Row]], aggregates: Sequence[Any]) -> list[Any]:
+    """Each aggregate's fold over ``batches``, from zero, left to right."""
+    totals = [0] * len(aggregates)
+    for rows in batches:
+        for position, agg in enumerate(aggregates):
+            totals[position] = agg.fold(totals[position], rows)
+    return totals
 
 
 def batches_of(source: Iterable[Row]) -> Iterator[list[Row]]:

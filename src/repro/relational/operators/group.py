@@ -11,32 +11,89 @@ from __future__ import annotations
 from functools import reduce
 from itertools import groupby
 from operator import add
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
-from .base import Operator, Row, batches_of
+from ... import invariants
+from .base import Operator, Row, batches_of, fold_batches
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ...kernels.base import KernelBackend
+    from ...storage.page import Page
+
+
+class ColumnProduct:
+    """A summand that names its columns: the product of a row's values
+    at ``positions``.  Callable on a row like any summand; a page of a
+    UB range scan sums it through :meth:`KernelBackend.sum_products`
+    without building the rows."""
+
+    __slots__ = ("positions",)
+
+    def __init__(self, position: int, *positions: int) -> None:
+        self.positions = (position, *positions)
+
+    def __call__(self, row: Row) -> Any:
+        positions = self.positions
+        product = row[positions[0]]
+        for position in positions[1:]:
+            product *= row[position]
+        return product
 
 
 class Aggregate:
     """One aggregate column: a fold over a group, a list of rows at a
     time, starting from zero."""
 
+    #: whether :meth:`fold_page` can fold a UB range scan's page
+    folds_pages = False
+
     def fold(self, acc: Any, rows: list[Row]) -> Any:
+        raise NotImplementedError
+
+    def fold_page(
+        self, acc: Any, page: Page, selection: list[int], kernel: KernelBackend
+    ) -> Any:
+        """:meth:`fold` of the selected records' payloads of a Z-region
+        page, equal to folding those rows left to right."""
         raise NotImplementedError
 
 
 class Sum(Aggregate):
     def __init__(self, extract: Callable[[Row], Any]) -> None:
         self.extract = extract
+        self.folds_pages = isinstance(extract, ColumnProduct)
 
     def fold(self, acc: Any, rows: list[Row]) -> Any:
         # strictly left to right, as row at a time: builtin sum()
         # compensates float additions on Python >= 3.12
         return reduce(add, map(self.extract, rows), acc)
 
+    def fold_page(
+        self, acc: Any, page: Page, selection: list[int], kernel: KernelBackend
+    ) -> Any:
+        # an exact integer sum adds to an int total in any order; a float
+        # total or a value that is not an int folds the rows left to right
+        if type(acc) is int:
+            positions = self.extract.positions
+            total = kernel.sum_products(page, selection, positions)
+            if invariants.enabled():
+                invariants.check_page_fold(kernel, page, selection, positions, total)
+            if total is not None:
+                return acc + total
+        records = page.records
+        return self.fold(acc, [records[index][1][1] for index in selection])
+
 
 class Count(Aggregate):
+    folds_pages = True
+
     def fold(self, acc: int, rows: list[Row]) -> int:
         return acc + len(rows)
+
+    def fold_page(
+        self, acc: int, page: Page, selection: list[int], kernel: KernelBackend
+    ) -> int:
+        return acc + len(selection)
 
 
 class SortedGroupBy(Operator):
@@ -88,8 +145,9 @@ class ScalarAggregate(Operator):
         self.aggregates = aggregates
 
     def batches(self) -> Iterator[list[Row]]:
-        accumulators = [0] * len(self.aggregates)
-        for rows in batches_of(self.child):
-            for position, agg in enumerate(self.aggregates):
-                accumulators[position] = agg.fold(accumulators[position], rows)
-        yield [tuple(accumulators)]
+        child, aggregates = self.child, self.aggregates
+        if isinstance(child, Operator):
+            totals = child.fold(aggregates)
+        else:
+            totals = fold_batches(batches_of(child), aggregates)
+        yield [tuple(totals)]

@@ -10,12 +10,15 @@ selection and sorting (Figures 5-3/5-4).
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
+from ... import kernels
 from ...core.query_space import QuerySpace
 from ...core.tetris import TetrisScan, TetrisStats
 from ..table import HeapTable, IOTTable, UBTable
+from ...storage.page import Page
 from .base import Operator, Row
+from .group import Aggregate
 
 #: a sorted tuple ``(point, payload)`` to its row
 _payload = itemgetter(1)
@@ -95,6 +98,29 @@ class UBRangeScan(Operator):
             kept = [row for row in rows if predicate(row)]
             if kept:
                 yield kept
+
+    def fold(self, aggregates: Sequence[Aggregate]) -> list[Any]:
+        """Without a residual predicate, and when every aggregate can
+        (``Count``, a ``Sum`` of a ``ColumnProduct``), each page is folded
+        where the range query filters it, its rows never built; else the
+        batches are."""
+        if self.predicate is not None or not all(
+            agg.folds_pages for agg in aggregates
+        ):
+            return super().fold(aggregates)
+        kernel = kernels.get_backend()
+        totals = [0] * len(aggregates)
+
+        def fold_page(page: Page, selection: list[int]) -> None:
+            for position, agg in enumerate(aggregates):
+                totals[position] = agg.fold_page(
+                    totals[position], page, selection, kernel
+                )
+
+        table = self.table
+        for _ in table.ubtree.range_query(table.query_space(self.space), fold_page):
+            pass
+        return totals
 
 
 class TetrisOperator(Operator):

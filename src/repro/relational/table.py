@@ -390,6 +390,14 @@ class UBTable(BaseTable):
                     hi[pos] = encoder.encode(high_value)
         return QueryBox(lo, hi)
 
+    def query_space(
+        self, space: QuerySpace | dict[str, tuple[Any, Any]] | None
+    ) -> QuerySpace:
+        """``space``, a restriction dict (``None``: none) as its box."""
+        if space is None or isinstance(space, dict):
+            return self.build_query_box(space)
+        return space
+
     def comparison_space(self, left: str, op: str, right: str) -> QuerySpace:
         """Half-space between two index attributes (Q4's triangle)."""
         from ..core.query_space import ComparisonSpace
@@ -426,7 +434,5 @@ class UBTable(BaseTable):
     ) -> Iterator[list[Row]]:
         """Multi-attribute range query (Q6): each overlapping page read
         once, its qualifying rows handed over as one list."""
-        if space is None or isinstance(space, dict):
-            space = self.build_query_box(space)
-        for pairs in self.ubtree.range_query(space):
+        for pairs in self.ubtree.range_query(self.query_space(space)):
             yield [row for _, row in pairs]

@@ -829,7 +829,19 @@ class ShardedDatabase:
                 if healed:
                     log_rung("repaired", repaired_pages=tuple(healed))
                     return copy
-        if copy.available and isinstance(exc, (TransientIOError, CorruptPageError)):
+        # a corrupt page the pool quarantined stays so unless a replica
+        # layer heals it on the next lookup: no peer did, so a retry of a
+        # copy without one waits out its backoff for nothing
+        healable = not (
+            isinstance(exc, CorruptPageError)
+            and quarantined
+            and copy.db.replicated_disk is None
+        )
+        if (
+            copy.available
+            and healable
+            and isinstance(exc, (TransientIOError, CorruptPageError))
+        ):
             budget = retry_budgets.setdefault(
                 copy.copy_index, iter(self.retry_policy.delays())
             )

@@ -18,6 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any
 
+from ..relational.operators.group import ColumnProduct
 from .datagen import TPCDData
 from .schema import LINEITEM_COLUMNS, ORDER_COLUMNS
 
@@ -49,9 +50,9 @@ def revenue_numerator(lineitem: tuple) -> int:
     return lineitem[L_EXTENDEDPRICE] * (100 - lineitem[L_DISCOUNT])
 
 
-def discounted_numerator(lineitem: tuple) -> int:
-    """``extendedprice · discount`` (Q6's summand), cent-percent units."""
-    return lineitem[L_EXTENDEDPRICE] * lineitem[L_DISCOUNT]
+#: ``extendedprice · discount`` (Q6's summand), cent-percent units; it
+#: names its columns, so a UB range scan sums it a page at a time
+discounted_numerator = ColumnProduct(L_EXTENDEDPRICE, L_DISCOUNT)
 
 
 # ----------------------------------------------------------------------

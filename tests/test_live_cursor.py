@@ -30,7 +30,13 @@ from repro import kernels
 from repro.core import QueryBox, UBTree, ZSpace
 from repro.core.tetris import TetrisScan
 from repro.relational import Attribute, Database, IntEncoder, Schema
-from repro.relational.operators import ExternalMergeSort, FullTableScan
+from repro.relational.operators import (
+    ColumnProduct,
+    Count,
+    ExternalMergeSort,
+    FullTableScan,
+    Sum,
+)
 from repro.shard import ShardedDatabase, coordinator
 from repro.storage import BufferPool, IOScheduler, SimulatedDisk
 
@@ -46,8 +52,9 @@ DEPTHS = (0, 2, 4)
 BACKENDS = kernels.available_backends()
 
 
-def world(seed, depth):
-    """200 bulk-loaded rows on full 3-row pages, and 30 rows to insert."""
+def world(seed, depth, payload=int):
+    """200 bulk-loaded rows on full 3-row pages, and 30 rows to insert;
+    ``payload`` makes a row's payload of its index."""
     disk = SimulatedDisk()
     scheduler = IOScheduler(disk, 2, prefetch_depth=depth) if depth else None
     pool = BufferPool(disk, capacity=64, scheduler=scheduler)
@@ -57,9 +64,9 @@ def world(seed, depth):
     def point():
         return tuple(rng.randrange(1 << bits) for bits in BITS)
 
-    rows = [(point(), index) for index in range(ROWS)]
+    rows = [(point(), payload(index)) for index in range(ROWS)]
     tree.bulk_load(rows)
-    inserts = [(point(), ROWS + index) for index in range(INSERTS)]
+    inserts = [(point(), payload(ROWS + index)) for index in range(INSERTS)]
     return tree, rows, inserts
 
 
@@ -131,6 +138,50 @@ def test_range_query_under_inserts(backend, depth):
                 for page in pages:
                     stream.extend(page)
                 assert_contract(stream, rows, inserts, BOX)
+
+
+def weighted(index):
+    """A payload an aggregate can fold by its columns."""
+    return (index, index % 7 - 3)
+
+
+#: an aggregate over those payloads that folds a page at a time
+FOLD = (Sum(ColumnProduct(0, 1)), Count())
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_folding_range_query_under_inserts(backend, depth):
+    """A folding step runs before the query suspends: each partial it
+    yields is the fold of that page's survivors as the page was when
+    pulled, and those survivors keep the range query's contract.  An
+    earlier query has left every page's memo warm, so a page the
+    inserts change must not be folded from what it held before."""
+    with kernels.use_backend(backend) as kernel:
+
+        def step(page, selection):
+            records = page.records
+            folded = tuple(agg.fold_page(0, page, selection, kernel) for agg in FOLD)
+            return folded, [records[index][1] for index in selection]
+
+        for seed in SEEDS:
+            for cut in CUTS:
+                tree, rows, inserts = world(seed, depth, weighted)
+                for _ in tree.range_query(BOX, step):
+                    pass
+                pages = tree.range_query(BOX, step)
+                pulled = []
+                while sum(len(pairs) for _, pairs in pulled) < cut:
+                    pulled.append(next(pages))
+                for point, payload in inserts:
+                    tree.insert(point, payload)
+                pulled.extend(pages)
+                for folded, pairs in pulled:
+                    payloads = [payload for _, payload in pairs]
+                    assert folded == (sum(i * w for i, w in payloads), len(pairs))
+                stream = [(point, i) for _, pairs in pulled for point, (i, _) in pairs]
+                index_of = [(point, payload[0]) for point, payload in rows + inserts]
+                assert_contract(stream, index_of[:ROWS], index_of[ROWS:], BOX)
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from repro import invariants, kernels
 from repro.btree.bptree import BPlusTree
 from repro.core import QueryBox, TetrisScan, UBTree, ZSpace
+from repro.core import ubtree as ubtree_module
 from repro.core.curves import Curve
 from repro.core.query_space import (
     ComparisonSpace,
@@ -306,24 +307,30 @@ def test_lazy_interleaving_with_data_reads_is_kept(backend):
 
 
 def test_range_query_filters_a_page_without_suspending():
-    """The ``for`` over ``filter_space_page``'s survivors in
-    ``UBTree.range_query`` holds no ``yield``: a page's rows are taken
-    whole before the generator hands them over, so nothing a consumer
-    does between two pulls can shift the page being read."""
+    """``UBTree.range_query`` hands each page and ``filter_space_page``'s
+    survivors to its step before it suspends: its one ``yield`` hands
+    over the step's value, and the default step (``page_pairs``) takes
+    the page's pairs whole, so nothing a consumer does between two pulls
+    can shift the page being read."""
     source = textwrap.dedent(inspect.getsource(UBTree.range_query))
-    loops = [
-        node
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, (ast.For, ast.comprehension))
-        and isinstance(node.iter, ast.Call)
-        and isinstance(node.iter.func, ast.Attribute)
-        and node.iter.func.attr == "filter_space_page"
+    tree = ast.parse(source)
+    calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert any(
+        isinstance(func, ast.Attribute) and func.attr == "filter_space_page"
+        for func in calls
+    )  # the function parsed is the real one
+    yields = [
+        node for node in ast.walk(tree) if isinstance(node, (ast.Yield, ast.YieldFrom))
     ]
-    assert loops  # the function parsed is the real one
-    for loop in loops:
-        assert not any(
-            isinstance(inner, (ast.Yield, ast.YieldFrom)) for inner in ast.walk(loop)
-        )
+    assert len(yields) == 1
+    (handed,) = yields
+    assert isinstance(handed, ast.Yield)
+    assert isinstance(handed.value, ast.Call)
+    assert isinstance(handed.value.func, ast.Name) and handed.value.func.id == "step"
+    pairs = ast.parse(textwrap.dedent(inspect.getsource(ubtree_module.page_pairs)))
+    assert not any(
+        isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(pairs)
+    )
 
 
 class TestInnerPageFaults:

@@ -21,7 +21,8 @@ from repro.shard import (
 )
 from repro.shard.coordinator import MAX_DEGRADATIONS
 from repro.storage import FaultPlan
-from repro.storage.faults import CORRUPT
+from repro.storage.faults import CORRUPT, TRANSIENT
+from repro.storage.retry import DEFAULT_RETRY_POLICY
 from repro.telemetry import TelemetryEvent
 
 from oracles import checks
@@ -51,6 +52,15 @@ def oracle_rows(rows, restrictions, sort_attr):
     table = db.create_ub_table("oracle", make_schema(), DIMS, 32)
     table.bulk_load(rows)
     return list(table.tetris_scan(restrictions, sort_attr))
+
+
+def first_data_page(sdb: ShardedDatabase) -> int:
+    """The first record-bearing page of shard 0's first copy."""
+    return next(
+        page.page_id
+        for page in sdb.shards[0].copies[0].db.disk.iter_pages()
+        if page.records
+    )
 
 
 def make_sharded(rows, *, shards=4, copies=1, **kwargs) -> ShardedDatabase:
@@ -351,27 +361,57 @@ class TestFailover:
         )
 
     def test_retry_rung_counts_its_wait_as_a_retry(self):
-        """A one-copy shard whose unreplicated page reads corrupt climbs
-        the retry rung: the rung's wait is a counted retry of that copy,
-        as every other backoff is, not clock time alone."""
+        """A one-copy shard whose page read fails transiently past the
+        pool's own retries climbs the retry rung: the rung's wait is a
+        counted retry of that copy, as every other backoff is, not clock
+        time alone, and the retried read serves the page."""
         rows = make_rows(600)
-        clean = make_sharded(rows, shards=1)
-        page_id = next(
-            page.page_id
-            for page in clean.shards[0].copies[0].db.disk.iter_pages()
-            if page.records
+        page_id = first_data_page(make_sharded(rows, shards=1))
+        pool_attempts = 1 + DEFAULT_RETRY_POLICY.max_retries
+        plan = FaultPlan(
+            scripted_reads=tuple(
+                (page_id, access, TRANSIENT) for access in range(pool_attempts)
+            )
         )
+        # a threshold past the pool's attempts: the page stays unquarantined
+        sdb = make_sharded(
+            rows,
+            shards=1,
+            fault_plans={(0, 0): plan},
+            quarantine_threshold=pool_attempts + 1,
+        )
+        faults = sdb.shards[0].copies[0].db.disk.stats.faults
+        before = faults.copy()
+        sdb.arm_faults()
+        result = sdb.sorted_scan(None, "a2", allow_partial=True)
+        assert [e.action for e in result.degradations] == ["retry"]
+        assert result.degradations[0].error_type == "TransientIOError"
+        assert result.rows == oracle_rows(rows, None, "a2")
+        pool_delays = list(DEFAULT_RETRY_POLICY.delays())
+        wait = next(iter(sdb.retry_policy.delays()))
+        delta = faults - before
+        assert delta.retries == len(pool_delays) + 1
+        assert delta.retry_delay == pytest.approx(sum(pool_delays) + wait)
+        assert sdb.fault_totals()["retries"] == len(pool_delays) + 1
+
+    def test_corrupt_page_with_no_healer_skips_the_retry_rung(self):
+        """A one-copy shard without replicas whose page reads corrupt:
+        the pool quarantines the page, no peer or replica can heal it,
+        so the ladder abandons the shard at once — no retry rung, no
+        backoff charged."""
+        rows = make_rows(600)
+        page_id = first_data_page(make_sharded(rows, shards=1))
         plan = FaultPlan(scripted_reads=((page_id, 0, CORRUPT),))
         sdb = make_sharded(rows, shards=1, fault_plans={(0, 0): plan})
         faults = sdb.shards[0].copies[0].db.disk.stats.faults
         before = faults.copy()
         sdb.arm_faults()
         result = sdb.sorted_scan(None, "a2", allow_partial=True)
-        assert [e.action for e in result.degradations] == ["retry", "abandoned"]
-        wait = next(iter(sdb.retry_policy.delays()))
+        assert [e.action for e in result.degradations] == ["abandoned"]
+        assert result.degradations[0].error_type == "CorruptPageError"
         delta = faults - before
-        assert (delta.retries, delta.retry_delay) == (1, wait)
-        assert sdb.fault_totals()["retries"] == 1
+        assert (delta.retries, delta.retry_delay) == (0, 0.0)
+        assert sdb.fault_totals()["retries"] == 0
 
     def test_slow_shard_still_bit_identical(self):
         rows = make_rows(600)
