@@ -49,6 +49,9 @@ Validators
 * :func:`check_page_fold` — an aggregate's ``sum_products`` over a range
   query's page equals the *other* backend's on the same page and
   selection (:mod:`repro.invariants.parity`).
+* :func:`check_block` — a parallel scan's ``scan_block`` stream for one
+  slab equals the *other* backend's on the same pages, pair for pair
+  (:mod:`repro.invariants.parity`).
 * :class:`ScheduleChecker` — holds a batched region schedule to the
   scalar BIGMIN walk, the tree's own descent (read with ``disk.peek``),
   pruning tests and keys it replaces, without extra I/O
@@ -82,6 +85,7 @@ from .paper import CoverageChecker, FetchOnceChecker
 from .parity import (
     ScheduleChecker,
     SliceChecker,
+    check_block,
     check_page_fold,
     check_page_run,
 )
@@ -113,6 +117,7 @@ __all__ = [
     "StreamChecker",
     "TrackedLock",
     "check",
+    "check_block",
     "check_page_fold",
     "check_page_run",
     "declare_lock_order",

@@ -5,10 +5,11 @@ pure-Python backends be **observationally identical**.  The test suite
 asserts this over randomized workloads; with ``REPRO_CHECKS=1`` the
 engine additionally re-runs every page kernel it actually executes on
 the *other* backend and compares results in place
-(:func:`check_page_run`), and every page fold an aggregate makes
-(:func:`check_page_fold`) — so a divergence (say, a stale columnar cache
-after a missed ``Page.version`` bump) raises at the exact page that
-produced it.  Batched region schedules
+(:func:`check_page_run`), every page fold an aggregate makes
+(:func:`check_page_fold`) and every slab stream a parallel scan computes
+(:func:`check_block`) — so a divergence (say, a stale columnar cache
+after a missed ``Page.version`` bump) raises at the exact page or slab
+that produced it.  Batched region schedules
 get the same treatment against the scalar definitions they replace
 (:class:`ScheduleChecker`), and so do the keys a sweep hands out with
 its slices (:class:`SliceChecker`).
@@ -116,6 +117,46 @@ def check_page_fold(
         f"page {page.page_id} (positions {positions}, {len(selection)} "
         f"selected): {total!r} vs {expected!r}; if the page was mutated, "
         "check for a missing Page.version bump",
+    )
+
+
+def check_block(
+    active: "KernelBackend",
+    curve: "Curve",
+    space: "QuerySpace",
+    pages: Sequence["Page"],
+    rows: Sequence[Any],
+) -> None:
+    """Hold one slab's ``scan_block`` stream to the other registered
+    backend's on the same pages: every ``(point, payload)`` pair, in order.
+
+    ``rows`` is what ``active`` returned.  With NumPy active the reference
+    is the pure backend, which sorts the pages' entries and gathers from
+    ``page.records`` afresh, so a memoized run or pair column gone stale
+    (a missed ``Page.version`` bump, a memo not keyed on it) and a merge
+    that breaks ties differently both differ here, at the slab.  No-op
+    when only one backend is available.
+    """
+    from .. import kernels
+
+    others = [name for name in kernels.available_backends() if name != active.name]
+    if not others:
+        return
+    reference = kernels.backend(others[0])
+    expected = reference.scan_block(curve, space, pages)
+    if list(rows) == expected:
+        return
+    at = next(
+        (at for at, (mine, theirs) in enumerate(zip(rows, expected)) if mine != theirs),
+        min(len(rows), len(expected)),
+    )
+    check(
+        False,
+        f"`{active.name}` scan_block diverges from `{reference.name}` on a "
+        f"block of {len(pages)} pages at row {at}: {len(rows)} rows, "
+        f"{list(rows[at : at + 2])} vs {len(expected)} rows, "
+        f"{expected[at : at + 2]}; if a page was mutated, check for a "
+        "missing Page.version bump",
     )
 
 

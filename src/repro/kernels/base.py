@@ -198,20 +198,17 @@ class KernelBackend:
 
     def scan_block(
         self, curve: "Curve", space: "QuerySpace", pages: Sequence[Any]
-    ) -> tuple[list[Sequence[int]], Sequence[int]]:
-        """Filter, key and sort a whole block of pages in one call.
+    ) -> list[Any]:
+        """One slab's ``(point, payload)`` stream from a block of pages.
 
-        ``pages`` is a sequence of storage pages in *arrival* (region
-        retrieval) order.  Returns ``(selected_per_page, emit_order)``:
-        ``selected_per_page[p]`` holds page ``p``'s qualifying record
-        indices in ascending order (exactly :meth:`scan_page_run`'s
-        ``selected``), and ``emit_order`` is the sort permutation over
-        the concatenation of all qualifying tuples in arrival order —
-        indexing the concatenated arrivals with it reproduces, bit for
-        bit, the stream a page-at-a-time Tetris sweep over the same
-        region order emits (keys ascend; arrival order breaks ties).
-        One task per slab, not per scan step: this is the whole-slab
-        kernel the thread executor dispatches.
+        ``pages`` are in *arrival* (region retrieval) order.  The result
+        holds the qualifying records' pairs with keys on ``curve``
+        ascending and ties by arrival (record order within a page, page
+        order across pages) — bit for bit the stream a page-at-a-time
+        Tetris sweep over the same region order emits.  One task per
+        slab: the whole-slab kernel the thread executor dispatches, held
+        to the other backend's under ``REPRO_CHECKS=1``
+        (:func:`repro.invariants.check_block`).
         """
         raise NotImplementedError
 

@@ -31,6 +31,7 @@ exactly what the pure backend produces.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import weakref
 from bisect import bisect_right
@@ -430,10 +431,12 @@ class _PageView:
     that order.  :attr:`products` pairs a tuple of payload positions with
     the ``int64`` column of their product per record, built by the first
     fold over them (:meth:`product`; a fold over other positions replaces
-    it).  All are read-only: runs in a run buffer share them.
+    it).  :attr:`pairs` holds the records' ``(point, payload)`` pairs as an
+    object array, built by the first slab staged over the page
+    (:meth:`paired`).  All are read-only: runs in a run buffer share them.
     """
 
-    __slots__ = ("version", "columns", "lows", "highs", "runs", "products")
+    __slots__ = ("version", "columns", "lows", "highs", "runs", "products", "pairs")
 
     def __init__(self, version: int, columns: "np.ndarray | None") -> None:
         self.version = version
@@ -441,6 +444,7 @@ class _PageView:
         self.lows, self.highs = (None, None) if columns is None else _zone(columns)
         self.runs: "dict[Curve, tuple[np.ndarray, ...]]" = {}
         self.products: "tuple[tuple[int, ...], np.ndarray | None] | None" = None
+        self.pairs: "np.ndarray | None" = None
 
     def product(
         self, records: Sequence[Any], positions: tuple[int, ...]
@@ -478,6 +482,18 @@ class _PageView:
                 array.flags.writeable = False
             self.runs[curve] = run
         return run
+
+    def primed(self, version: int, curve: Curve) -> bool:
+        """Whether the view is current and staging primed it for ``curve``."""
+        return self.version == version and self.pairs is not None and curve in self.runs
+
+    def paired(self, records: Sequence[Any]) -> "np.ndarray":
+        """The records' ``(point, payload)`` pairs, an object array
+        (``fromiter``: a list assigned to a slice would unpack them)."""
+        if self.pairs is None:
+            pairs = (pair for _, pair in records)
+            self.pairs = np.fromiter(pairs, object, len(records))
+        return self.pairs
 
 
 def _selection(mask: Any, count: int) -> "np.ndarray":
@@ -731,11 +747,15 @@ class NumPyBackend(PurePythonBackend):
                 pass
         return view
 
-    def prime_page_columns(self, page: Any) -> None:
-        """Build the page's view ahead of use — the coordinator's staging
-        step before handing a slab to workers."""
+    def prime_page_columns(self, page: Any, curve: Curve) -> None:
+        """Build the page's view, its pairs and its run on ``curve`` — the
+        staging step that leaves :meth:`scan_block` nothing to memoize."""
         if page.records:
-            self._page_view(page)
+            view = self._page_view(page)
+            view.paired(page.records)
+            if view.columns is not None and curve not in view.runs:
+                with contextlib.suppress(_NoGeometry):  # a curve over 64 bits
+                    view.keyed(self._tables_for(curve), curve)
 
     @_vectorized
     def scan_page_run(
@@ -791,59 +811,44 @@ class NumPyBackend(PurePythonBackend):
 
     @_vectorized
     def scan_block(
-        self,
-        curve: Curve,
-        space: QuerySpace,
-        pages: Sequence[Any],
-    ) -> tuple[list[Sequence[int]], Sequence[int]]:
-        """Whole-slab fused kernel: one concatenate + filter + key +
-        stable argsort over every page of the block.
-
-        The big-array calls here (compare, gather, table lookups,
-        argsort) release the GIL, which is what lets the thread executor
-        scale; per-page kernels never get arrays large enough for the
-        release to beat the dispatch overhead.  Worker threads run it,
-        so it only reads page views (:meth:`prime_page_columns` builds
-        them under the staging lock) and converts a page it finds
-        without a current one on the spot.
-        """
+        self, curve: Curve, space: QuerySpace, pages: Sequence[Any]
+    ) -> list[Any]:
+        """The pages' sorted runs merged: the block zone is the union of
+        the page zones, the survivors its mask taken through the runs'
+        record indexes, one stable argsort over the concatenated runs the
+        emit order (ties by page, then arrival), one take the gather.
+        Worker threads run it: it reads views :meth:`prime_page_columns`
+        primed, converting a page without one on the spot, uncached."""
         tables = self._tables_for(curve)
-        page_columns: "list[np.ndarray]" = []
-        offsets = [0]
-        views = self._views
+        views, runs = [], []
         for page in pages:
-            records = page.records
+            records, view = page.records, self._views.get(page)
             if not records:
-                offsets.append(offsets[-1])
                 continue
-            view = views.get(page)
-            columns = (
-                view.columns
-                if view is not None and view.version == page.version
-                else _page_matrix(records)
-            )
-            if columns is None or columns.shape[1] != curve.dims:
+            if view is None or not view.primed(page.version, curve):
+                view = _PageView(page.version, _page_matrix(records))  # not cached
+                view.paired(records)
+            if view.columns is None or view.columns.shape[1] != curve.dims:
                 raise _NoGeometry
-            page_columns.append(columns)
-            offsets.append(offsets[-1] + len(columns))
-        if not page_columns:
-            return [[] for _ in pages], []
-        block = (
-            page_columns[0]
-            if len(page_columns) == 1
-            else np.concatenate(page_columns, axis=0)
-        )
-        selected = _selection(self._narrow(space, block, *_zone(block)), len(block))
-        if not selected.size:
-            return [[] for _ in pages], []
-        perm = np.argsort(self._encode_columns(tables, block[selected]), kind="stable")
-        # split the ascending global selection back into per-page slices
-        bounds = np.searchsorted(selected, np.asarray(offsets, dtype=np.intp))
-        selected_per_page = [
-            (selected[bounds[i] : bounds[i + 1]] - offsets[i]).tolist()
-            for i in range(len(pages))
-        ]
-        return selected_per_page, perm.tolist()
+            views.append(view)
+            runs.append(view.keyed(tables, curve))
+        if not views:
+            return []
+        lows = list(map(min, zip(*(view.lows for view in views))))
+        highs = list(map(max, zip(*(view.highs for view in views))))
+        block = np.concatenate([view.columns for view in views])
+        mask = self._narrow(space, block, lows, highs)
+        if mask is False:
+            return []
+        sizes = [len(order) for _, order in runs]
+        indexes = np.concatenate([order for _, order in runs]).astype(np.intp)
+        indexes += np.repeat(np.cumsum(sizes) - sizes, sizes)
+        keys = np.concatenate([keys for keys, _ in runs])
+        if mask is not True:
+            survives = mask[indexes]
+            keys, indexes = keys[survives], indexes[survives]
+        emit = indexes[np.argsort(keys, kind="stable")]
+        return np.concatenate([view.pairs for view in views]).take(emit).tolist()
 
     @_vectorized
     def merge_sorted_keys(

@@ -194,21 +194,19 @@ class PurePythonBackend(KernelBackend):
 
     def scan_block(
         self, curve: "Curve", space: QuerySpace, pages: Sequence[Any]
-    ) -> tuple[list[Sequence[int]], Sequence[int]]:
-        selected_per_page: list[Sequence[int]] = []
+    ) -> list[Any]:
+        arrivals: list[Any] = []
         entries: list[list[int]] = []
-        base = 0
         # the list run even where a NumPy backend hands its block here
         run_of = PurePythonBackend.scan_page_run
         for page in pages:
-            count, selected, run = run_of(self, curve, space, page, base)
-            selected_per_page.append(selected)
+            _, selected, run = run_of(self, curve, space, page, len(arrivals))
+            arrivals.extend(page.records[index][1] for index in selected)
             entries.extend(run)
-            base += count
         # per-page entries carry globally unique (key, arrival) pairs;
         # one total sort is the whole-slab slice order
         entries.sort()
-        return selected_per_page, [order for _, order in entries]
+        return [arrivals[order] for _, order in entries]
 
     def merge_sorted_keys(
         self, keys_a: Sequence[Any], keys_b: Sequence[Any]

@@ -24,12 +24,13 @@ Two ways to run the slabs, selected by :func:`select_executor` (policy
 
 ``threads``
     One ``ThreadPoolExecutor`` task per slab, *whole-slab batched*: the
-    coordinator stages a slab's pages under a lock (the buffer pool is
-    not thread-safe), then the worker runs one
-    :func:`repro.kernels.scan_block` call over the entire slab.  The
-    NumPy backend's big-array kernels release the GIL, so slabs overlap
-    on real cores with zero serialization and zero data copies.  The
-    default for the ``numpy`` backend.
+    coordinator stages a slab's pages under a lock (the buffer pool and
+    the page memos are not thread-safe), then the worker runs one
+    ``scan_block`` call over the entire slab, which returns the slab's
+    ``(point, payload)`` stream.  On NumPy that call merges the pages'
+    memoized sorted runs and gathers their memoized pairs in big-array
+    steps that release the GIL, so slabs overlap on real cores with zero
+    serialization.  The default for the ``numpy`` backend.
 
 ``inline``
     The slabs run sequentially in the caller (still whole-slab batched).
@@ -43,7 +44,11 @@ Two ways to run the slabs, selected by :func:`select_executor` (policy
     falls back silently.
 
 Whichever executor runs, the concatenated stream is bit-identical; only
-wall-clock time and observability differ.
+wall-clock time and observability differ.  With ``REPRO_CHECKS=1`` each
+slab's stream is held to the other kernel backend's
+(:func:`repro.invariants.check_block`) and the concatenation is observed
+by one :class:`~repro.invariants.StreamChecker` over the whole query
+space, so slab chunks out of order fail too.
 """
 
 from __future__ import annotations
@@ -258,45 +263,38 @@ def _stage_slab(
     one read path of a restricted scan — read-ahead and the
     ``REPRO_CHECKS=1`` fetch-once and coverage checks included — drained
     here, under the staging lock: the buffer pool, the region cursor and
-    the backend's column memoization are not thread-safe.  The returned
-    pages are plain references — eviction cannot invalidate them — so
-    the compute phase needs no locking at all.
+    the backend's page memos are not thread-safe.  The NumPy backend's
+    memos — each page's columns, its sorted run on the scan's curve and
+    its ``(point, payload)`` pairs — are primed here
+    (``prime_page_columns``), so the compute phase writes none.  The
+    returned pages are plain references — eviction cannot invalidate
+    them — so the compute phase needs no locking at all.
     """
     scan = TetrisScan(table.ubtree, space, sort_dims)
     pages = [page for _, page in table.ubtree.walk(scan.cursor, scan.space)]
-    backend = kernels.get_backend()
-    # the NumPy backend's column conversion is GIL-bound anyway, so
-    # priming it here costs no parallelism and keeps the compute phase
-    # free of cache writes
-    prime = getattr(backend, "prime_page_columns", None)
+    # the memos are built GIL-bound anyway, so priming them here costs
+    # no parallelism
+    prime = getattr(kernels.get_backend(), "prime_page_columns", None)
     if prime is not None:
         for page in pages:
-            prime(page)
+            prime(page, scan.tetris_curve)
     return scan, pages
 
 
 def _scan_block_rows(scan: TetrisScan, pages: "list[Any]") -> list[SortedTuple]:
-    """One slab's stream from one whole-slab kernel call.
+    """One slab's stream: one whole-slab ``scan_block`` call.
 
-    ``scan_block`` returns the sort permutation over the concatenated
-    qualifying arrivals; gathering the arrival-ordered ``(point,
-    payload)`` pairs through it reproduces the page-at-a-time sweep's
-    stream bit for bit (keys ascend, arrival order breaks ties — the
-    same total order the serial run buffer emits).
+    The kernel returns the slab's ``(point, payload)`` pairs in the
+    page-at-a-time sweep's order, bit for bit (keys ascend, arrival
+    order breaks ties — the same total order the serial run buffer
+    emits); with ``REPRO_CHECKS=1`` they are held to the other backend's
+    (:func:`repro.invariants.check_block`).
     """
     kernel = kernels.get_backend()
-    selected_per_page, emit_order = kernel.scan_block(
-        scan.tetris_curve, scan.space, pages
-    )
-    arrivals: list[SortedTuple] = []
-    for page, selected in zip(pages, selected_per_page):
-        records = page.records
-        arrivals.extend(records[index][1] for index in selected)
-    rows = [arrivals[index] for index in emit_order]
+    curve, space = scan.tetris_curve, scan.space
+    rows = kernel.scan_block(curve, space, pages)
     if invariants.enabled():
-        checker = invariants.StreamChecker(scan.sort_dims, scan.space)
-        for point, _payload in rows:
-            checker.observe(point)
+        invariants.check_block(kernel, curve, space, pages, rows)
     return rows
 
 
@@ -367,7 +365,9 @@ def parallel_tetris_scan(
         fallbacks = (fallback,)
         telemetry.emit(fallback)
 
-    planned = plan_slabs(space, primary, coord_max, slabs or workers)
+    planned = plan_slabs(
+        space, primary, coord_max, slabs if slabs is not None else workers
+    )
     if not planned:
         return ParallelScanResult(
             [], [], [], workers=1, executor="inline", fallbacks=fallbacks
@@ -397,6 +397,11 @@ def parallel_tetris_scan(
     rows: list[SortedTuple] = []
     for chunk in per_slab:
         rows.extend(chunk)
+    if invariants.enabled():
+        # one checker across the slabs: chunks out of order fail here
+        checker = invariants.StreamChecker(sort_dims, space)
+        for point, _payload in rows:
+            checker.observe(point)
     return ParallelScanResult(
         slabs=planned,
         per_slab_counts=[len(chunk) for chunk in per_slab],

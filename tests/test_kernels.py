@@ -12,6 +12,7 @@ All parity tests are skipped when NumPy is absent; the rest of the file
 """
 
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -460,26 +461,26 @@ def test_scan_block_parity(case):
         make_record_page(curve, points[start : start + 7], page_id=start)
         for start in range(0, len(points), 7)
     ]
-    results = {}
-    for backend in ("python", "numpy"):
-        with kernels.use_backend(backend):
-            selected_per_page, emit_order = kernels.get_backend().scan_block(curve, box, pages)
-            results[backend] = (
-                [list(sel) for sel in selected_per_page],
-                list(emit_order),
-            )
-    assert results["numpy"] == results["python"]
-    selected_per_page, emit_order = results["python"]
-    # reference: concatenate qualifying entries in arrival order, then
-    # stable-sort by key — the per-tuple sweep's emission order
-    arrivals = []
-    for page, selected in zip(pages, selected_per_page):
-        with kernels.use_backend("python"):
-            reference = kernels.get_backend().scan_page_run(curve, box, page, 0)
-        assert selected == list(reference[1])
-        arrivals.extend(page.records[index][0] for index in selected)
-    expected = sorted(range(len(arrivals)), key=arrivals.__getitem__)
-    assert emit_order == expected
+    numpy_backend = kernels.backend("numpy")
+    streams = {
+        "python": kernels.backend("python").scan_block(curve, box, pages),
+        # no view is primed yet: converted on the spot
+        "numpy cold": numpy_backend.scan_block(curve, box, pages),
+    }
+    for page in pages:
+        numpy_backend.prime_page_columns(page, curve)
+    streams["numpy primed"] = numpy_backend.scan_block(curve, box, pages)
+    # reference: the qualifying records in arrival order, stable-sorted by
+    # key (records carry their address on ``curve``) — the per-tuple
+    # sweep's emission order
+    arrivals = [
+        record
+        for page in pages
+        for record in page.records
+        if box.contains_point(record[1][0])
+    ]
+    expected = [pair for _, pair in sorted(arrivals, key=itemgetter(0))]
+    assert streams == dict.fromkeys(streams, expected)
 
 
 @needs_numpy
@@ -817,12 +818,14 @@ def hold_narrowing_to_pure(seed):
                     == expected[1]
                 ), context
             base += expected[0]
-        selected, order = numpy_backend.scan_block(curve, space, pages)
         expected_block = pure.scan_block(curve, space, pages)
-        assert ([list(s) for s in selected], list(order)) == (
-            [list(s) for s in expected_block[0]],
-            list(expected_block[1]),
-        ), context
+        for memo in ("cold", "primed"):
+            assert numpy_backend.scan_block(curve, space, pages) == expected_block, (
+                *context,
+                memo,
+            )
+            for page in pages:
+                numpy_backend.prime_page_columns(page, curve)
 
 
 NARROWING_SEEDS = range(240)

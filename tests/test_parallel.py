@@ -22,6 +22,7 @@ from repro.planner import (
     select_executor,
 )
 from repro.core.ubtree import UBTree
+from repro.invariants import InvariantViolation
 from repro.relational import Attribute, Database, IntEncoder, Schema
 
 from oracles import checks
@@ -201,6 +202,12 @@ class TestResultSurface:
         table = make_table(rows=50)
         with pytest.raises(ValueError):
             parallel_tetris_scan(table, None, (), workers=2)
+
+    def test_zero_slabs_rejected(self):
+        # ``slabs=0`` is a slab count, not "one per worker"
+        table = make_table(rows=50)
+        with pytest.raises(ValueError, match="slab count must be >= 1"):
+            parallel_tetris_scan(table, None, "a1", workers=2, slabs=0)
 
 
 # ----------------------------------------------------------------------
@@ -449,3 +456,141 @@ class TestExecutorAccountingMatrix:
         default = "threads" if backend == "numpy" else "inline"
         assert result.executor == (executor or default)
         assert (stats, pool) == reference
+
+
+# ----------------------------------------------------------------------
+# slab streams from page runs: the checks and the NumPy page memos
+# ----------------------------------------------------------------------
+needs_numpy = pytest.mark.skipif(
+    "numpy" not in kernels.available_backends(),
+    reason="the page memos and the other backend need NumPy",
+)
+
+
+def staged_pages(monkeypatch):
+    """The pages every slab scan from here on stages, in staging order."""
+    from repro.planner import parallel
+
+    staged = []
+    stage = parallel._stage_slab
+
+    def recording_stage(*args):
+        scan, pages = stage(*args)
+        staged.extend(pages)
+        return scan, pages
+
+    monkeypatch.setattr(parallel, "_stage_slab", recording_stage)
+    return staged
+
+
+class TestSlabStreamChecks:
+    @pytest.mark.parametrize("backend", ("python", "numpy"))
+    def test_swapped_slab_chunks_fail_the_cross_slab_check(self, monkeypatch, backend):
+        """Each slab's stream is in order on its own; only one checker over
+        the concatenation sees two chunks swapped."""
+        if backend not in kernels.available_backends():
+            pytest.skip("NumPy is not installed")
+        from repro.planner import parallel
+
+        table = make_table()
+        run = parallel._run_batched
+        monkeypatch.setattr(parallel, "_run_batched", lambda *args: run(*args)[::-1])
+        with kernels.use_backend(backend):
+            with checks(False):
+                swapped = parallel_tetris_scan(table, QUERY, "a2", workers=2, slabs=2)
+            assert swapped.rows != list(table.tetris_scan(QUERY, "a2"))
+            with checks(), pytest.raises(InvariantViolation, match="nondecreasing"):
+                parallel_tetris_scan(table, QUERY, "a2", workers=2, slabs=2)
+
+    @needs_numpy
+    @pytest.mark.parametrize("active", ("python", "numpy"))
+    def test_a_block_kernel_that_drops_a_row_is_caught(self, monkeypatch, active):
+        from repro.kernels import PurePythonBackend
+        from repro.kernels.numpy_backend import NumPyBackend
+
+        owner = NumPyBackend if active == "numpy" else PurePythonBackend
+        scan_block = owner.scan_block
+
+        def dropped_row(self, curve, space, pages):
+            return scan_block(self, curve, space, pages)[:-1]
+
+        monkeypatch.setattr(owner, "scan_block", dropped_row)
+        table = make_table()
+        with kernels.use_backend(active), checks():
+            with pytest.raises(
+                InvariantViolation, match=rf"`{active}` scan_block diverges"
+            ):
+                parallel_tetris_scan(table, QUERY, "a2", workers=2)
+
+    @needs_numpy
+    def test_missed_version_bump_is_caught_at_the_slab(self, monkeypatch):
+        table = make_table()
+        staged = staged_pages(monkeypatch)
+        with kernels.use_backend("numpy"):
+            parallel_tetris_scan(table, QUERY, "a2", workers=2)  # primes
+            page, slot = next(
+                (page, slot)
+                for page in staged
+                for slot, (_, (point, _)) in enumerate(page.records)
+                if 100 <= point[0] <= 900
+            )
+            z_address, ((a1, a2), payload) = page.records[slot]
+            page.records[slot] = (z_address, ((a1, a2 ^ 1), payload))  # no bump!
+            with checks(), pytest.raises(InvariantViolation, match="diverges"):
+                parallel_tetris_scan(table, QUERY, "a2", workers=2)
+
+
+@needs_numpy
+class TestSlabPageMemos:
+    def test_an_insert_into_a_staged_page_is_seen(self, monkeypatch):
+        """The keyed run and the pairs memo follow ``Page.version``."""
+        table = make_table()
+        staged = staged_pages(monkeypatch)
+        with kernels.use_backend("numpy") as backend:
+            first = parallel_tetris_scan(table, QUERY, "a2", workers=2)
+            primed = {page: page.version for page in staged if page.records}
+            assert all(
+                backend._views[page].pairs is not None and backend._views[page].runs
+                for page in primed
+            )
+            table.insert((500, 512, 10**9))
+            assert any(page.version != version for page, version in primed.items())
+            second = parallel_tetris_scan(table, QUERY, "a2", workers=2)
+            serial = list(table.tetris_scan(QUERY, "a2"))
+        assert second.rows == serial
+        assert len(second.rows) == len(first.rows) + 1
+
+    def test_a_warm_slab_scan_encodes_nothing(self, monkeypatch):
+        """The compute phase reads each page's memoized run: no key is
+        encoded inside ``scan_block`` once the pages are staged."""
+        from repro.kernels.numpy_backend import NumPyBackend
+
+        table = make_table()
+        encode = NumPyBackend._encode_columns
+        encoded, per_block = [], []
+
+        def counted_encode(tables, columns):
+            encoded.append(len(columns))
+            return encode(tables, columns)
+
+        with kernels.use_backend("numpy") as backend:
+            serial = list(table.tetris_scan(QUERY, "a2"))
+            parallel_tetris_scan(table, QUERY, "a2", workers=2)  # warm
+            scan_block = backend.scan_block
+
+            def counted_block(*args):
+                before = len(encoded)
+                rows = scan_block(*args)
+                per_block.append(len(encoded) - before)
+                return rows
+
+            monkeypatch.setattr(
+                NumPyBackend, "_encode_columns", staticmethod(counted_encode)
+            )
+            monkeypatch.setattr(backend, "scan_block", counted_block)
+            result = parallel_tetris_scan(
+                table, QUERY, "a2", workers=2, executor="inline"
+            )
+        assert result.rows == serial
+        assert encoded  # the staging walk still keys its region schedule
+        assert per_block == [0] * len(result.slabs)

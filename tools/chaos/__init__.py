@@ -50,6 +50,7 @@ from repro.planner import (
     PlanExhaustedError,
     QueryResult,
     execute_sorted_query,
+    parallel_tetris_scan,
 )
 from repro.relational import Attribute, Database, IntEncoder, Schema
 from repro.relational.operators import MergeJoin, MergeSemiJoin
@@ -843,10 +844,21 @@ def join_scenario(seed: int) -> tuple[str, str, str]:
 def _serial_stream(
     data: "list[tuple]", restrictions: "dict | None", sort_attr: str
 ) -> "list[tuple]":
-    """The unsharded fault-free engine's exact keyed stream."""
+    """The unsharded fault-free engine's exact keyed stream.
+
+    The slab-parallel sweep over the same table must reproduce it; with
+    ``REPRO_CHECKS=1`` each of its slabs is also held to the other
+    kernel backend's (``invariants.check_block``).
+    """
     table = Database().create_ub_table("oracle", chaos_schema(), SHARD_DIMS, 32)
     table.bulk_load(data)
-    return list(table.tetris_scan(restrictions, sort_attr))
+    stream = list(table.tetris_scan(restrictions, sort_attr))
+    if parallel_tetris_scan(table, restrictions, sort_attr, workers=2).rows != stream:
+        raise ChaosViolation(
+            "the slab-parallel sweep differs from the serial one on the "
+            "fault-free oracle; shard-chaos results are meaningless"
+        )
+    return stream
 
 
 def _sharded_schedule(
