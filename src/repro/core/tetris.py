@@ -24,7 +24,6 @@ from __future__ import annotations
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
-from operator import itemgetter
 from typing import Any, Iterator, Sequence
 
 # module import (not ``from ..kernels import get_backend``): kernels and
@@ -40,9 +39,6 @@ SortedTuple = tuple[tuple[int, ...], Any]
 #: one completed slice: the tetris-curve keys it was ordered by and its
 #: tuples, two parallel lists
 Slice = tuple[list[int], list[SortedTuple]]
-
-#: a Z-region record ``(z_address, (point, payload))`` to the tuple it holds
-_payload_of = itemgetter(1)
 
 
 @dataclass
@@ -184,14 +180,12 @@ class TetrisScan:
         kernel = kernels.get_backend()
         stats.start_clock = disk.clock
         # the Tetris cache as DPG-style run formation: each page
-        # contributes one already-sorted run in the backend's native
-        # representation, and the buffer consolidates them with
-        # hierarchical merges only when a slice actually completes —
-        # pages that merely widen the open slice cost O(page) work, and
-        # the NumPy buffer never round-trips entries through Python.
+        # contributes one already-sorted run of keys and rows in the
+        # backend's native representation, and the buffer consolidates
+        # them only when a slice actually completes — pages that merely
+        # widen the open slice cost O(page) work, and the NumPy buffer
+        # never round-trips entries through Python.
         run_buffer = kernel.make_run_buffer()
-        #: (point, payload) of every qualifying tuple, by arrival order
-        arrivals: list[SortedTuple] = []
         # with REPRO_CHECKS=1: validate the emitted stream (membership +
         # monotonicity, and every slice key against the paper's T_j) and
         # hold every page's run to the other backend's entry for entry;
@@ -209,8 +203,7 @@ class TetrisScan:
 
         def cut(barrier: "int | None") -> Slice:
             """Everything below ``barrier``, counted as output."""
-            keys, orders = run_buffer.cut(barrier)
-            rows = list(map(arrivals.__getitem__, orders))
+            keys, rows = run_buffer.cut(barrier)
             if rows:
                 if stats.first_output_clock is None:
                     stats.first_output_clock = disk.clock
@@ -234,18 +227,13 @@ class TetrisScan:
 
                 # the whole page in one kernel call: filter the points
                 # against the query space, key the survivors on the Tetris
-                # curve, and sort the batch — arrival order breaks key ties
+                # curve and sort them with their rows — record order breaks
+                # key ties, and the buffer keeps older runs first on ties,
                 # exactly like the per-tuple heap pushes used to
-                base = len(arrivals)
-                count, selected, run = kernel.scan_page_run(curve, space, page, base)
+                count, run = kernel.scan_page_run(curve, space, page)
                 if stream_checker is not None:
-                    invariants.check_page_run(
-                        kernel, curve, space, page, base, (count, selected, run)
-                    )
+                    invariants.check_page_run(kernel, curve, space, page, (count, run))
                 if count:
-                    arrivals.extend(
-                        map(_payload_of, map(page.records.__getitem__, selected))
-                    )
                     run_buffer.push(run)
                 if len(run_buffer) > stats.max_cache_tuples:
                     stats.max_cache_tuples = len(run_buffer)

@@ -44,8 +44,8 @@ Validators
 * :class:`FetchOnceChecker` — each data page is fetched at most once
   per Tetris scan, read-ahead included (:mod:`repro.invariants.paper`).
 * :func:`check_page_run` — a sweep's ``scan_page_run`` equals the
-  *other* backend's on the same page, on count, selection, keys and
-  arrival orders (:mod:`repro.invariants.parity`).
+  *other* backend's on the same page, on count, keys and rows, in run
+  order (:mod:`repro.invariants.parity`).
 * :func:`check_page_fold` — an aggregate's ``sum_products`` over a range
   query's page equals the *other* backend's on the same page and
   selection (:mod:`repro.invariants.parity`).

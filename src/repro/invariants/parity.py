@@ -31,17 +31,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..storage.page import Page
 
 
-def _entries(result: tuple[int, Sequence[int], Any]) -> tuple[int, list, list]:
-    """A ``scan_page_run`` result as plain ints: count, selection, and
-    the run's ``[key, order]`` entries."""
-    count, selected, run = result
-    if isinstance(run, tuple):  # a NumPy run: (keys, orders) arrays
+def _entries(result: tuple[int, Any]) -> tuple[int, list]:
+    """A ``scan_page_run`` result as plain values: the count and the
+    run's ``[key, row]`` entries."""
+    count, run = result
+    if isinstance(run, tuple):  # a NumPy run: (keys, rows) arrays
         run = zip(run[0].tolist(), run[1].tolist())
-    return (
-        int(count),
-        [int(index) for index in selected],
-        [[int(key), int(order)] for key, order in run],
-    )
+    return int(count), [[int(key), row] for key, row in run]
 
 
 def check_page_run(
@@ -49,19 +45,19 @@ def check_page_run(
     curve: "Curve",
     space: "QuerySpace",
     page: "Page",
-    base: int,
-    result: tuple[int, Sequence[int], Any],
+    result: tuple[int, Any],
 ) -> None:
     """Hold one ``scan_page_run`` result to the other registered
-    backend's ``scan_page_run`` on the same page and arrival base:
-    count, selection, and every entry's key and arrival order.
+    backend's ``scan_page_run`` on the same page: the count, and every
+    entry's key and ``(point, payload)`` row, in run order.
 
     ``result`` is what ``active`` returned.  With NumPy active the
     reference is the pure backend, which reads ``page.records`` afresh,
-    so a memoized view or zone gone stale (a missed ``Page.version``
-    bump) and a kernel that diverges both differ here, at the page that
-    produced them, even where the stream would still ascend.  No-op
-    when only one backend is available.
+    so a memoized view, zone or row column gone stale (a missed
+    ``Page.version`` bump, a memo carried over one) and a kernel that
+    diverges both differ here, at the page that produced them, even
+    where the stream would still ascend.  No-op when only one backend
+    is available.
     """
     from .. import kernels
 
@@ -70,21 +66,17 @@ def check_page_run(
         return
     reference = kernels.backend(others[0])
     got = _entries(result)
-    expected = _entries(reference.scan_page_run(curve, space, page, base))
+    expected = _entries(reference.scan_page_run(curve, space, page))
     if got == expected:
         return
-    part = next(
-        name
-        for name, mine, theirs in zip(("count", "selected", "entries"), got, expected)
-        if mine != theirs
-    )
+    part = "count" if got[0] != expected[0] else "entries"
     check(
         False,
         f"`{active.name}` scan_page_run diverges from `{reference.name}` on "
-        f"page {page.page_id} ({part}): {got[0]} tuples, selected={got[1][:8]}, "
-        f"entries={got[2][:4]} vs {expected[0]} tuples, "
-        f"selected={expected[1][:8]}, entries={expected[2][:4]}; if the page "
-        "was mutated, check for a missing Page.version bump",
+        f"page {page.page_id} ({part}): {got[0]} tuples, "
+        f"entries={got[1][:4]} vs {expected[0]} tuples, "
+        f"entries={expected[1][:4]}; if the page was mutated, check for a "
+        "missing Page.version bump",
     )
 
 

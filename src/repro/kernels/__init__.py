@@ -16,14 +16,17 @@ documents them all):
 * ``scan_page_run`` / ``make_run_buffer`` — the sweep's page kernel
   and DPG-style run formation: one call filters + keys + sorts a whole
   page (on NumPy from a memoized view: columns, a zone that skips
-  bounds no record can fail, and the page's sorted keys), and the
-  per-page sorted runs, in the backend's native representation, feed a
-  :class:`SortRunBuffer` that consolidates them hierarchically,
+  bounds no record can fail, and per sort curve the page's run — its
+  sorted keys with its rows in that order), and the per-page sorted
+  runs, keys and ``(point, payload)`` rows in the backend's native
+  representation, feed a :class:`SortRunBuffer` whose cut is one stable
+  sort over the pending runs and hands a slice's keys and rows out,
 * ``schedule_regions`` — a restricted scan's whole region schedule
   (BIGMIN walk, pruning verdicts, static Tetris keys) from the tree's
   region directory in one call,
 * ``scan_block`` — a slab's ``(point, payload)`` stream, one thread
-  executor task per slab (on NumPy: the pages' memoized runs, merged),
+  executor task per slab (on NumPy: the pages' memoized runs, keys and
+  rows, merged by one stable argsort),
 * ``merge_sorted_keys`` — stable pairwise merge permutation over two
   sorted runs (the sharded scan's k-way merge step),
 * ``sort_key_column`` / ``merge_key_columns`` / ``concat_key_columns``

@@ -38,27 +38,29 @@ ScheduledRegion = tuple[int, int, int, int, bool, bool, "int | None"]
 
 
 class SortRunBuffer:
-    """DPG-style accumulator of per-page sorted ``(key, order)`` runs.
+    """DPG-style accumulator of per-page sorted runs of keys and rows.
 
-    The Tetris cache of Section 4.4, restated as cache-efficient run
-    formation (Cooperman et al.'s DPG): each page contributes one
-    already-sorted run (:meth:`KernelBackend.scan_page_run`), runs are
-    kept separate while a slice is open, and a flush consolidates them
-    with hierarchical pairwise merges — every merge step streams two
-    sorted runs, so the working set per step is two runs, not the whole
-    cache.  Backends keep runs in their native representation (Python
-    lists of ``[key, order]`` pairs, or ``uint64`` array pairs), which
-    is where the vectorized backend's win comes from: the cache never
-    round-trips through per-entry Python objects.
+    The Tetris cache of Section 4.4, restated as run formation
+    (Cooperman et al.'s DPG): each page contributes one already-sorted
+    run (:meth:`KernelBackend.scan_page_run`) that carries the page's
+    qualifying ``(point, payload)`` rows next to their keys, runs are
+    kept separate while a slice is open, and a cut consolidates them
+    with one stable sort by key over the runs in push order — a merge of
+    presorted runs.  Backends keep runs in their native representation
+    (Python lists of ``[key, row]`` entries, or a ``uint64`` key array
+    with an object array of rows), which is where the vectorized
+    backend's win comes from: the cache never round-trips through
+    per-entry Python objects until a slice is handed out.
 
-    Entries are unique ``(key, order)`` pairs — ``order`` is the global
-    arrival counter — so the induced order is total and identical to the
-    key-then-arrival order of a per-tuple heap.
+    Runs arrive in arrival order and each ascends with ties in record
+    order, so a stable sort that keeps older runs first on equal keys
+    gives exactly the key-then-arrival order of a per-tuple heap.
     """
 
     def push(self, run: Any) -> None:
         """Add one page's sorted run (the backend-native ``run`` of
-        :meth:`KernelBackend.scan_page_run`)."""
+        :meth:`KernelBackend.scan_page_run`); runs must be pushed in
+        arrival order."""
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -74,11 +76,12 @@ class SortRunBuffer:
         """
         raise NotImplementedError
 
-    def cut(self, barrier: "int | None") -> "tuple[list[int], list[int]]":
+    def cut(self, barrier: "int | None") -> "tuple[list[int], list[Any]]":
         """Remove all entries with ``key < barrier`` (all entries when
         ``barrier`` is ``None``) and return them as two parallel lists
-        in ``(key, order)`` order: the keys the slice was ordered by and
-        the arrival orders.  Consolidates the pending runs first.
+        in key order, ties in arrival order: the keys the slice was
+        ordered by and its ``(point, payload)`` rows — the very objects
+        the pages hold, not copies.  Consolidates the pending runs first.
         """
         raise NotImplementedError
 
@@ -166,28 +169,27 @@ class KernelBackend:
     # fused page kernels (one call per page / per region batch)
     # ------------------------------------------------------------------
     def scan_page_run(
-        self, curve: "Curve", space: "QuerySpace", page: Any, base: int = 0
-    ) -> tuple[int, Sequence[int], Any]:
+        self, curve: "Curve", space: "QuerySpace", page: Any
+    ) -> tuple[int, Any]:
         """Filter, key and sort one storage page's records in one call.
 
         ``page`` is a :class:`~repro.storage.page.Page` whose records are
         ``(z_address, (point, payload))`` pairs — the UB-Tree Z-region
-        layout the Tetris sweep reads.  Returns ``(count, selected,
-        run)``: ``selected`` holds the qualifying record indices in
-        ascending (arrival) order, and ``run`` their entries sorted by
-        ``(key, order)`` — ``key`` the curve address of a qualifying
-        point, ``order = base + arrival_rank`` its global arrival number.
-        Orders are unique across calls when ``base`` advances by
-        ``count`` each time, which makes the entry ordering total.
+        layout the Tetris sweep reads.  Returns ``(count, run)``:
+        ``count`` qualifying records, and ``run`` their entries sorted
+        stably by ``key``, the curve address of a qualifying point —
+        equal keys keep record order.  Each entry carries the record's
+        ``(point, payload)`` pair itself, so the run is the rows the
+        sweep hands out, in sort order.
 
         ``run`` is backend-native and feeds :meth:`make_run_buffer`'s
         buffer from the *same* backend: the pure backend returns the
-        ``[key, order]`` entry list, the NumPy backend a pair of
-        ``uint64`` arrays that never materialize per-entry Python
-        objects.  Backends may memoize derived per-page state (e.g. a
-        columnar view and the page's sorted keys) keyed on the page's
-        ``version`` counter, which the storage layer bumps on every
-        record mutation.
+        ``[key, (point, payload)]`` entry list, the NumPy backend a
+        ``(keys, rows)`` pair — a ``uint64`` array and an object array —
+        that never materializes per-entry Python objects.  Backends may
+        memoize derived per-page state (e.g. a columnar view and the
+        page's run per sort curve) keyed on the page's ``version``
+        counter, which the storage layer bumps on every record mutation.
         """
         raise NotImplementedError
 

@@ -13,10 +13,14 @@ keys on one curve change only when the page does: the backend keeps a
 view per page (:class:`_PageView`, stamped with ``Page.version``) that
 holds the coordinate matrix, its per-dimension min and max (its *zone*)
 and, per sort curve, the page's keys ascending with their stable
-permutation.  A warm :meth:`NumPyBackend.scan_page_run` is then a mask
-of the bounds the zone straddles and two takes through that
-permutation; ``REPRO_CHECKS=1`` holds it to the pure backend's
-``scan_page_run``, which reads the page's records afresh.
+permutation and its ``(point, payload)`` rows in that order.  A warm
+:meth:`NumPyBackend.scan_page_run` is then a mask of the bounds the
+zone straddles and two takes of that run (the memo as it is for a
+page the space holds whole), and the run buffer
+(:class:`NumPySortRunBuffer`) carries keys and rows together until a
+slice hands both out with ``tolist``; ``REPRO_CHECKS=1`` holds every
+run to the pure backend's ``scan_page_run``, which reads the page's
+records afresh.
 
 Addresses are carried as ``uint64``, so not every call vectorizes: a
 curve wider than 64 bits, points or keys that do not convert to a
@@ -57,7 +61,7 @@ _U64 = np.uint64
 _INT64_LIMIT = 1 << 63
 _BYTE = _U64(0xFF)
 
-_EMPTY_RUN = (np.empty(0, dtype=_U64), np.empty(0, dtype=_U64))
+_EMPTY_RUN = (np.empty(0, dtype=_U64), np.empty(0, dtype=object))
 
 _NP_COMPARATORS = {
     "<": np.less,
@@ -185,30 +189,16 @@ def _merge_slots(
     return pos_a, pos_b
 
 
-def _merge_runs(
-    a: "tuple[np.ndarray, np.ndarray]", b: "tuple[np.ndarray, np.ndarray]"
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Stable merge of two sorted ``(keys, orders)`` runs, ``a`` first:
-    with ``a`` the older run, holding the smaller arrival orders, the
-    tie rule of :func:`_merge_slots` is exactly ``(key, order)`` order —
-    the DPG pairwise merge."""
-    pos_a, pos_b = _merge_slots(a[0], b[0])
-    keys = np.empty(len(pos_a) + len(pos_b), dtype=_U64)
-    orders = np.empty_like(keys)
-    keys[pos_a], orders[pos_a] = a
-    keys[pos_b], orders[pos_b] = b
-    return keys, orders
-
-
 class NumPySortRunBuffer(SortRunBuffer):
-    """Array-native Tetris cache: ``uint64`` runs, hierarchical merges.
+    """Array-native Tetris cache: each run a ``(keys, rows)`` pair, a
+    ``uint64`` key array and the object array of its ``(point, payload)``
+    pairs.
 
-    Runs stay contiguous ``(keys, orders)`` array pairs from push to
-    cut — no per-entry Python objects — and a flush consolidates them
-    by pairwise :func:`_merge_runs` reduction.  Runs are pushed in
-    arrival order, so pairwise-adjacent merging keeps older runs on the
-    tie-winning side and the result equals the pure buffer's total
-    ``(key, order)`` sort bit for bit.
+    Runs stay arrays from push to cut — a whole page's run is its view's
+    memo as it is — and a cut consolidates the pending ones with one
+    concatenation in push order and one stable argsort: keys ascend and
+    a tie goes to the older run, which is arrival order.  The rows ride
+    the same permutation, so a slice is two ``tolist`` calls.
 
     A curve wider than 64 bits keys every page of its scan as a pure
     list run (:meth:`NumPyBackend.scan_page_run`); the first such run
@@ -229,9 +219,9 @@ class NumPySortRunBuffer(SortRunBuffer):
         if self._fallback is not None:
             self._fallback.push(run)
             return
-        keys, orders = run
+        keys, rows = run
         if len(keys):
-            self._runs.append((keys, orders))
+            self._runs.append((keys, rows))
             self._count += len(keys)
 
     def __len__(self) -> int:
@@ -249,14 +239,18 @@ class NumPySortRunBuffer(SortRunBuffer):
         limit = _U64(barrier)
         return any(keys[0] < limit for keys, _ in self._runs)
 
-    def cut(self, barrier: "int | None") -> "tuple[list[int], list[int]]":
+    def cut(self, barrier: "int | None") -> "tuple[list[int], list[Any]]":
         if self._fallback is not None:
             return self._fallback.cut(barrier)
-        if not self._runs:
+        runs = self._runs
+        if not runs:
             return [], []
-        if len(self._runs) > 1:
-            self._consolidate()
-        keys, orders = self._runs[0]
+        if len(runs) > 1:
+            keys = np.concatenate([keys for keys, _ in runs])
+            order = np.argsort(keys, kind="stable")
+            rows = np.concatenate([rows for _, rows in runs])
+            runs[:] = [(keys[order], rows[order])]
+        keys, rows = runs[0]
         split = (
             len(keys)
             if barrier is None
@@ -264,25 +258,13 @@ class NumPySortRunBuffer(SortRunBuffer):
         )
         if split == 0:
             return [], []
-        emitted = keys[:split].tolist(), orders[:split].tolist()
+        emitted = keys[:split].tolist(), rows[:split].tolist()
         if split == len(keys):
-            self._runs.clear()
+            runs.clear()
         else:
-            self._runs[0] = (keys[split:], orders[split:])
+            runs[0] = (keys[split:], rows[split:])
         self._count -= split
         return emitted
-
-    def _consolidate(self) -> None:
-        runs = self._runs
-        while len(runs) > 1:
-            merged = [
-                _merge_runs(runs[index], runs[index + 1])
-                for index in range(0, len(runs) - 1, 2)
-            ]
-            if len(runs) % 2:
-                merged.append(runs[-1])
-            runs = merged
-        self._runs = runs
 
 
 class _CurveTables:
@@ -426,17 +408,15 @@ class _PageView:
 
     :attr:`columns` is the page's coordinate matrix (``None`` when it does
     not convert), :attr:`lows` / :attr:`highs` its zone.  :attr:`runs` maps
-    a sort curve to the page's keys on it ascending and their stable sort
-    permutation (``uint64`` record indexes), built by the first scan in
-    that order.  :attr:`products` pairs a tuple of payload positions with
-    the ``int64`` column of their product per record, built by the first
-    fold over them (:meth:`product`; a fold over other positions replaces
-    it).  :attr:`pairs` holds the records' ``(point, payload)`` pairs as an
-    object array, built by the first slab staged over the page
-    (:meth:`paired`).  All are read-only: runs in a run buffer share them.
+    a sort curve to the page's run on it, built by the first scan in that
+    order (:meth:`keyed`).  :attr:`products` pairs a tuple of payload
+    positions with the ``int64`` column of their product per record, built
+    by the first fold over them (:meth:`product`; a fold over other
+    positions replaces it).  All are read-only: runs in a run buffer share
+    them.
     """
 
-    __slots__ = ("version", "columns", "lows", "highs", "runs", "products", "pairs")
+    __slots__ = ("version", "columns", "lows", "highs", "runs", "products")
 
     def __init__(self, version: int, columns: "np.ndarray | None") -> None:
         self.version = version
@@ -444,7 +424,6 @@ class _PageView:
         self.lows, self.highs = (None, None) if columns is None else _zone(columns)
         self.runs: "dict[Curve, tuple[np.ndarray, ...]]" = {}
         self.products: "tuple[tuple[int, ...], np.ndarray | None] | None" = None
-        self.pairs: "np.ndarray | None" = None
 
     def product(
         self, records: Sequence[Any], positions: tuple[int, ...]
@@ -469,15 +448,18 @@ class _PageView:
         return column
 
     def keyed(
-        self, tables: "_CurveTables", curve: Curve
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """The page's ``(ascending keys, stable permutation)`` on
-        ``curve``; ``columns`` must be present."""
+        self, tables: "_CurveTables", curve: Curve, records: Sequence[Any]
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """The page's run on ``curve``: its keys ascending, their stable
+        permutation (record indexes) and the records' ``(point, payload)``
+        pairs in that order, an object array; ``columns`` must be present."""
         run = self.runs.get(curve)
         if run is None:
             keys = NumPyBackend._encode_columns(tables, self.columns)
             order = np.argsort(keys, kind="stable")
-            run = (keys[order], order.astype(_U64))
+            # fromiter: a list assigned to an object array would unpack them
+            pairs = np.fromiter((pair for _, pair in records), object, len(records))
+            run = (keys[order], order, pairs[order])
             for array in run:
                 array.flags.writeable = False
             self.runs[curve] = run
@@ -485,15 +467,7 @@ class _PageView:
 
     def primed(self, version: int, curve: Curve) -> bool:
         """Whether the view is current and staging primed it for ``curve``."""
-        return self.version == version and self.pairs is not None and curve in self.runs
-
-    def paired(self, records: Sequence[Any]) -> "np.ndarray":
-        """The records' ``(point, payload)`` pairs, an object array
-        (``fromiter``: a list assigned to a slice would unpack them)."""
-        if self.pairs is None:
-            pairs = (pair for _, pair in records)
-            self.pairs = np.fromiter(pairs, object, len(records))
-        return self.pairs
+        return self.version == version and curve in self.runs
 
 
 def _selection(mask: Any, count: int) -> "np.ndarray":
@@ -748,41 +722,36 @@ class NumPyBackend(PurePythonBackend):
         return view
 
     def prime_page_columns(self, page: Any, curve: Curve) -> None:
-        """Build the page's view, its pairs and its run on ``curve`` — the
-        staging step that leaves :meth:`scan_block` nothing to memoize."""
+        """Build the page's view and its run on ``curve`` — the staging
+        step that leaves :meth:`scan_block` nothing to memoize."""
         if page.records:
             view = self._page_view(page)
-            view.paired(page.records)
             if view.columns is not None and curve not in view.runs:
                 with contextlib.suppress(_NoGeometry):  # a curve over 64 bits
-                    view.keyed(self._tables_for(curve), curve)
+                    view.keyed(self._tables_for(curve), curve, page.records)
 
     @_vectorized
     def scan_page_run(
-        self,
-        curve: Curve,
-        space: QuerySpace,
-        page: Any,
-        base: int = 0,
-    ) -> tuple[int, Sequence[int], Any]:
-        """Filter, key and sort one page; the run is a ``uint64`` array
-        pair ``(keys, orders)``.
+        self, curve: Curve, space: QuerySpace, page: Any
+    ) -> tuple[int, Any]:
+        """Filter, key and sort one page; the run is a ``(keys, rows)``
+        pair, a ``uint64`` array and an object array of the rows.
 
-        The page is keyed once per sort order (:meth:`_PageView.keyed`);
-        a scan narrows the columns against ``space`` within the page's
-        zone (:meth:`_narrow`) and takes the survivors through the cached
-        permutation, or all of it.  Keys still ascend and arrival order
-        (a survivor's rank, ``cumsum(mask) - 1``) still breaks ties,
-        because a stable sort of a subset is the subset of the stable
-        sort.  A space without vectorized geometry takes its rows from
-        :meth:`filter_space_page` and keeps the array run, so one scan
-        never mixes run types; only a curve over 64 bits (every page of
-        its scan) or a page whose points do not convert (invalid input)
-        gives the pure backend's list run.
+        The page is keyed once per sort order (:meth:`_PageView.keyed`,
+        which keeps the rows in run order next to the keys); a scan
+        narrows the columns against ``space`` within the page's zone
+        (:meth:`_narrow`) and takes the survivors of both through the
+        mask in run order, or hands over the memo as it is.  A stable
+        sort of a subset is the subset of the stable sort, so ties still
+        keep record order.  A space without vectorized geometry takes its
+        rows from :meth:`filter_space_page` and keeps the array run, so
+        one scan never mixes run types; only a curve over 64 bits (every
+        page of its scan) or a page whose points do not convert (invalid
+        input) gives the pure backend's list run.
         """
         records = page.records
         if not records:
-            return 0, [], _EMPTY_RUN
+            return 0, _EMPTY_RUN
         tables = self._tables_for(curve)
         view = self._page_view(page)
         columns = view.columns
@@ -793,18 +762,14 @@ class NumPyBackend(PurePythonBackend):
         except _NoGeometry:
             mask = np.zeros(len(records), dtype=bool)
             mask[self.filter_space_page(space, page)] = True
-        if mask is True:  # the whole page: its cached run as it is
-            keys, order = view.keyed(tables, curve)
-            return len(records), list(range(len(records))), (keys, order + _U64(base))
-        selected = np.flatnonzero(mask)  # none for False
-        if not selected.size:
-            return 0, [], _EMPTY_RUN
-        keys, order = view.keyed(tables, curve)
+        if mask is False or (mask is not True and not mask.any()):
+            return 0, _EMPTY_RUN
+        keys, order, rows = view.keyed(tables, curve, records)
+        if mask is True:  # the whole page: its memoized run as it is
+            return len(keys), (keys, rows)
         take = mask[order]
-        orders = mask.cumsum(dtype=_U64)[order[take]]
-        orders += _U64(base)
-        orders -= _U64(1)
-        return int(selected.size), selected.tolist(), (keys[take], orders)
+        keys = keys[take]
+        return len(keys), (keys, rows[take])
 
     def make_run_buffer(self) -> SortRunBuffer:
         return NumPySortRunBuffer()
@@ -815,10 +780,11 @@ class NumPyBackend(PurePythonBackend):
     ) -> list[Any]:
         """The pages' sorted runs merged: the block zone is the union of
         the page zones, the survivors its mask taken through the runs'
-        record indexes, one stable argsort over the concatenated runs the
-        emit order (ties by page, then arrival), one take the gather.
-        Worker threads run it: it reads views :meth:`prime_page_columns`
-        primed, converting a page without one on the spot, uncached."""
+        record indexes, one stable argsort over the concatenated keys the
+        emit order (ties by page, then record), one take of the
+        concatenated rows the gather.  Worker threads run it: it reads
+        views :meth:`prime_page_columns` primed, converting a page without
+        one on the spot, uncached."""
         tables = self._tables_for(curve)
         views, runs = [], []
         for page in pages:
@@ -827,11 +793,10 @@ class NumPyBackend(PurePythonBackend):
                 continue
             if view is None or not view.primed(page.version, curve):
                 view = _PageView(page.version, _page_matrix(records))  # not cached
-                view.paired(records)
             if view.columns is None or view.columns.shape[1] != curve.dims:
                 raise _NoGeometry
             views.append(view)
-            runs.append(view.keyed(tables, curve))
+            runs.append(view.keyed(tables, curve, records))
         if not views:
             return []
         lows = list(map(min, zip(*(view.lows for view in views))))
@@ -840,15 +805,17 @@ class NumPyBackend(PurePythonBackend):
         mask = self._narrow(space, block, lows, highs)
         if mask is False:
             return []
-        sizes = [len(order) for _, order in runs]
-        indexes = np.concatenate([order for _, order in runs]).astype(np.intp)
-        indexes += np.repeat(np.cumsum(sizes) - sizes, sizes)
-        keys = np.concatenate([keys for keys, _ in runs])
-        if mask is not True:
-            survives = mask[indexes]
-            keys, indexes = keys[survives], indexes[survives]
-        emit = indexes[np.argsort(keys, kind="stable")]
-        return np.concatenate([view.pairs for view in views]).take(emit).tolist()
+        keys = np.concatenate([keys for keys, _, _ in runs])
+        if mask is True:
+            emit = np.argsort(keys, kind="stable")
+        else:
+            sizes = [len(order) for _, order, _ in runs]
+            indexes = np.concatenate([order for _, order, _ in runs])
+            indexes += np.repeat(np.cumsum(sizes) - sizes, sizes)
+            survives = np.flatnonzero(mask[indexes])
+            emit = survives[np.argsort(keys[survives], kind="stable")]
+        # one take of the object column: each row is referenced once
+        return np.concatenate([rows for _, _, rows in runs]).take(emit).tolist()
 
     @_vectorized
     def merge_sorted_keys(

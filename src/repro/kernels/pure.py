@@ -33,17 +33,18 @@ _entry_key = itemgetter(0)
 class PureSortRunBuffer(SortRunBuffer):
     """Reference run buffer: list runs, timsort consolidation.
 
-    ``_cache`` is one consolidated ``(key, order)``-sorted run and
-    ``_pending`` the per-page sorted runs that arrived since the last
-    flush.  Consolidation extends and re-sorts — timsort detects the
-    pre-sorted runs and performs exactly the galloping hierarchical
-    merge DPG prescribes, at C speed.  This is the semantics the NumPy
-    buffer must reproduce bit for bit.
+    ``_cache`` is one consolidated key-sorted run of ``[key, row]``
+    entries and ``_pending`` the per-page sorted runs that arrived since
+    the last cut.  Consolidation extends and re-sorts by key — timsort
+    detects the pre-sorted runs and performs exactly the galloping
+    hierarchical merge DPG prescribes, at C speed, and its stability
+    keeps equal keys in push order, which is arrival order.  This is the
+    semantics the NumPy buffer must reproduce bit for bit.
     """
 
     def __init__(self) -> None:
-        self._cache: list[list[int]] = []
-        self._pending: list[list[list[int]]] = []
+        self._cache: list[list[Any]] = []
+        self._pending: list[list[list[Any]]] = []
         self._pending_count = 0
 
     def push(self, run: Any) -> None:
@@ -62,13 +63,11 @@ class PureSortRunBuffer(SortRunBuffer):
             return True
         return any(batch[0][0] < barrier for batch in self._pending)
 
-    def cut(self, barrier: "int | None") -> "tuple[list[int], list[int]]":
+    def cut(self, barrier: "int | None") -> "tuple[list[int], list[Any]]":
         if self._pending:
             for batch in self._pending:
                 self._cache.extend(batch)
-            # (key, order) pairs are unique, so their order is total and
-            # equals the key-then-arrival order of a per-tuple heap
-            self._cache.sort()
+            self._cache.sort(key=_entry_key)
             self._pending.clear()
             self._pending_count = 0
         cache = self._cache
@@ -79,7 +78,7 @@ class PureSortRunBuffer(SortRunBuffer):
         )
         head = cache[:cut]
         del cache[:cut]
-        return [key for key, _ in head], [order for _, order in head]
+        return [key for key, _ in head], [row for _, row in head]
 
 
 class PurePythonBackend(KernelBackend):
@@ -174,16 +173,21 @@ class PurePythonBackend(KernelBackend):
     # (see the interface docstrings in ``base``)
     # ------------------------------------------------------------------
     def scan_page_run(
-        self, curve: "Curve", space: QuerySpace, page: Any, base: int = 0
-    ) -> tuple[int, Sequence[int], Any]:
-        points = [record[1][0] for record in page.records]
+        self, curve: "Curve", space: QuerySpace, page: Any
+    ) -> tuple[int, Any]:
+        records = page.records
+        points = [record[1][0] for record in records]
         selected = self.filter_space_batch(space, points)
         if not selected:
-            return 0, [], []
+            return 0, []
         keys = self.encode_batch(curve, [points[index] for index in selected])
-        # the pure-native run *is* the sorted [key, order] entry list
-        run = [[keys[rank], base + rank] for rank in self.argsort_keys(keys)]
-        return len(selected), selected, run
+        # the pure-native run *is* the [key, (point, payload)] entry list,
+        # stably sorted by key: ties keep record order
+        run = [
+            [keys[rank], records[selected[rank]][1]]
+            for rank in self.argsort_keys(keys)
+        ]
+        return len(selected), run
 
     #: the name ``benchmarks/harness/layers.py`` still wraps; no engine or
     #: check code calls it
@@ -195,18 +199,15 @@ class PurePythonBackend(KernelBackend):
     def scan_block(
         self, curve: "Curve", space: QuerySpace, pages: Sequence[Any]
     ) -> list[Any]:
-        arrivals: list[Any] = []
-        entries: list[list[int]] = []
+        entries: list[list[Any]] = []
         # the list run even where a NumPy backend hands its block here
         run_of = PurePythonBackend.scan_page_run
         for page in pages:
-            _, selected, run = run_of(self, curve, space, page, len(arrivals))
-            arrivals.extend(page.records[index][1] for index in selected)
-            entries.extend(run)
-        # per-page entries carry globally unique (key, arrival) pairs;
-        # one total sort is the whole-slab slice order
-        entries.sort()
-        return [arrivals[order] for _, order in entries]
+            entries.extend(run_of(self, curve, space, page)[1])
+        # the pages come in arrival order and each run keeps record order
+        # on ties: one stable sort by key is the whole-slab slice order
+        entries.sort(key=_entry_key)
+        return [row for _, row in entries]
 
     def merge_sorted_keys(
         self, keys_a: Sequence[Any], keys_b: Sequence[Any]

@@ -264,8 +264,8 @@ def _stage_slab(
     ``REPRO_CHECKS=1`` fetch-once and coverage checks included — drained
     here, under the staging lock: the buffer pool, the region cursor and
     the backend's page memos are not thread-safe.  The NumPy backend's
-    memos — each page's columns, its sorted run on the scan's curve and
-    its ``(point, payload)`` pairs — are primed here
+    memos — each page's columns and its sorted run on the scan's curve,
+    keys and ``(point, payload)`` rows — are primed here
     (``prime_page_columns``), so the compute phase writes none.  The
     returned pages are plain references — eviction cannot invalidate
     them — so the compute phase needs no locking at all.

@@ -112,6 +112,15 @@ def point_query(ubtree, point):
     return [payload for at, payload in stored if at == tuple(point)]
 
 
+def run_entries(result):
+    """A ``scan_page_run`` result as ``(count, [[key, row], ...])``,
+    whichever backend's run it holds."""
+    count, run = result
+    if isinstance(run, tuple):  # a NumPy run: (keys, rows) arrays
+        run = zip(run[0].tolist(), run[1].tolist())
+    return count, [list(entry) for entry in run]
+
+
 def rows_of(batches):
     """The rows of a batched stream (a range query's or a heap scan's
     pages), in order, as one list."""

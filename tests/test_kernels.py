@@ -12,7 +12,7 @@ All parity tests are skipped when NumPy is absent; the rest of the file
 """
 
 import random
-from operator import itemgetter
+from operator import is_ as operator_is, itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +28,7 @@ from repro.core.query_space import (
 from repro.core.region import RegionDirectory
 from repro.storage import BufferPool, SimulatedDisk
 
-from oracles import PredicateSpace, event_point_order
+from oracles import PredicateSpace, event_point_order, run_entries
 
 HAVE_NUMPY = "numpy" in kernels.available_backends()
 needs_numpy = pytest.mark.skipif(
@@ -355,53 +355,82 @@ def test_scan_identical_after_mutations():
 # ----------------------------------------------------------------------
 # whole-slab kernels: run formation, block scans, run merging
 # ----------------------------------------------------------------------
-def make_record_page(curve, points, page_id=0):
-    """A synthetic Z-region page: records are (z_address, (point, payload))."""
+def make_record_page(curve, points, page_id=0, first_payload=0):
+    """A synthetic Z-region page: records are (z_address, (point, payload)),
+    payloads numbered from ``first_payload``."""
     from repro.storage.page import Page
 
     page = Page(page_id, max(len(points), 1))
     entries = sorted(
-        (curve.encode(point), (point, index))
+        (curve.encode(point), (point, first_payload + index))
         for index, point in enumerate(points)
     )
     page.extend(entries)
     return page
 
 
+def qualifying_in_arrival_order(pages, space):
+    """The pages' records whose point lies in ``space``, page by page and
+    in record order — records carry their address on the pages' curve."""
+    return [
+        record
+        for page in pages
+        for record in page.records
+        if space.contains_point(record[1][0])
+    ]
+
+
+def key_ordered(records):
+    """``(keys, rows)`` of ``records`` stably sorted by key: key order,
+    ties in arrival order — what a sweep over them hands out."""
+    ordered = sorted(records, key=itemgetter(0))
+    return [key for key, _ in ordered], [row for _, row in ordered]
+
+
+def tied_pages(curve, points, size):
+    """Pages of ``size`` points over ``points`` and then over ``points``
+    again, reversed: every point of the second half ties with one of the
+    first, so equal keys meet across runs, and payloads are unique."""
+    points = points + points[::-1]
+    return [
+        make_record_page(curve, points[start : start + size], start, start)
+        for start in range(0, len(points), size)
+    ]
+
+
 @needs_numpy
 @given(curve_cases())
 @settings(max_examples=40, deadline=None)
 def test_scan_page_run_and_buffer_parity(case):
+    """Per page, both backends give the same count and run — keys and
+    rows, in key order with ties in record order — and the pages' runs
+    pushed into a buffer drain in key order with ties in push order."""
     curve, bits, seed, count = case
     points = random_points(bits, seed, count)
     lo, hi = random_box(bits, seed)
     box = QueryBox(lo, hi)
-    base = seed % 977
-    page = make_record_page(curve, points)
-    with kernels.use_backend("python"):
-        reference = kernels.get_backend().scan_page_run(curve, box, page, base)
-    streams = {}
+    pages = tied_pages(curve, points, max(count, 1))
+    reference = [
+        run_entries(kernels.backend("python").scan_page_run(curve, box, page))
+        for page in pages
+    ]
+    for page, (qualifying, entries) in zip(pages, reference):
+        keys, rows = key_ordered(qualifying_in_arrival_order([page], box))
+        assert entries == list(map(list, zip(keys, rows)))
+        assert qualifying == len(entries)
+    expected = key_ordered(qualifying_in_arrival_order(pages, box))
     for backend in ("python", "numpy"):
-        with kernels.use_backend(backend):
-            qualifying, selected, run = kernels.get_backend().scan_page_run(
-                curve, box, page, base
-            )
-            assert qualifying == reference[0]
-            assert list(selected) == list(reference[1])
-            buffer = kernels.get_backend().make_run_buffer()
-            if qualifying:
-                buffer.push(run)
-            assert len(buffer) == qualifying
-            streams[backend] = buffer.cut(None)
+        with kernels.use_backend(backend) as kernel:
+            buffer = kernel.make_run_buffer()
+            for page, entries in zip(pages, reference):
+                qualifying, run = kernel.scan_page_run(curve, box, page)
+                assert run_entries((qualifying, run)) == entries, backend
+                if qualifying:
+                    buffer.push(run)
+            assert len(buffer) == len(expected[0])
+            assert buffer.cut(None) == expected, backend
             assert len(buffer) == 0
             assert not buffer.has_key_below(None)
-    assert streams["numpy"] == streams["python"]
-    # cut(None) drains in (key, order) order — the pure run's order —
-    # and hands the keys it ordered by back next to the arrival orders
-    assert streams["python"] == (
-        [entry[0] for entry in reference[2]],
-        [entry[1] for entry in reference[2]],
-    )
 
 
 @needs_numpy
@@ -414,39 +443,81 @@ def test_run_buffer_interleaved_barrier_cuts_parity(case):
     box = QueryBox(lo, hi)
     rng = random.Random(seed ^ 0xBA55)
     top = 1 << curve.total_bits
-    pages = [
-        make_record_page(curve, points[start : start + 7], page_id=start)
-        for start in range(0, len(points), 7)
-    ]
+    pages = tied_pages(curve, points, 7)
     barriers = [rng.randrange(top) for _ in pages]
     streams = {}
     for backend in ("python", "numpy"):
-        with kernels.use_backend(backend):
-            buffer = kernels.get_backend().make_run_buffer()
-            stream, base = [], 0
+        with kernels.use_backend(backend) as kernel:
+            buffer = kernel.make_run_buffer()
+            stream = []
             for page, barrier in zip(pages, barriers):
-                qualifying, _, run = kernels.get_backend().scan_page_run(
-                    curve, box, page, base
-                )
-                base += len(page.records)
+                qualifying, run = kernel.scan_page_run(curve, box, page)
                 if qualifying:
                     buffer.push(run)
                 if buffer.has_key_below(barrier):
-                    keys, orders = buffer.cut(barrier)
+                    keys, rows = buffer.cut(barrier)
                     assert keys == sorted(keys) and keys[-1] < barrier
-                    stream.extend(zip(keys, orders))
+                    stream.extend(zip(keys, rows))
                     assert not buffer.has_key_below(barrier)
             stream.extend(zip(*buffer.cut(None)))
             streams[backend] = stream
     assert streams["numpy"] == streams["python"]
-    # every qualifying arrival is emitted exactly once
-    with kernels.use_backend("python"):
-        expected = sum(
-            kernels.get_backend().scan_page_run(curve, box, page, 0)[0]
-            for page in pages
-        )
-    assert len(streams["python"]) == expected
-    assert len(set(streams["python"])) == expected
+    # every qualifying record is emitted exactly once, as itself
+    expected = qualifying_in_arrival_order(pages, box)
+    assert sorted(streams["python"]) == sorted(expected)
+    row_of = {row[1]: row for _, row in expected}  # payloads are unique
+    assert all(row is row_of[row[1]] for _, row in streams["numpy"])
+
+
+#: one run-buffer operation: push a run of keys, cut at a barrier, or cut
+#: everything
+BUFFER_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.lists(st.integers(0, 40), max_size=12)),
+        st.tuples(st.just("cut"), st.integers(0, 45)),
+        st.tuples(st.just("cut"), st.none()),
+    ),
+    max_size=25,
+)
+
+
+@needs_numpy
+@given(BUFFER_STEPS)
+@settings(max_examples=200, deadline=None)
+def test_run_buffers_cut_what_a_stable_sort_orders(steps):
+    """Both run buffers against ``sorted(..., key=key)`` over random runs
+    and barriers: a cut hands out, key-ordered with ties in arrival
+    order, exactly the waiting entries below its barrier — the very row
+    objects pushed — and ``len`` / ``has_key_below`` follow the model."""
+    import numpy as np
+
+    from repro.kernels.numpy_backend import NumPySortRunBuffer
+    from repro.kernels.pure import PureSortRunBuffer
+
+    buffers = [PureSortRunBuffer(), NumPySortRunBuffer()]
+    waiting = []  # the model: entries not yet cut, in arrival order
+    pushed = 0
+    for kind, value in steps:
+        if kind == "push":
+            rows = [(("row", pushed + rank),) for rank in range(len(value))]
+            pushed += len(value)
+            run = sorted(zip(value, rows), key=itemgetter(0))
+            waiting.extend(run)
+            buffers[0].push([list(entry) for entry in run])
+            keys = np.array([key for key, _ in run], dtype=np.uint64)
+            column = np.fromiter((row for _, row in run), object, len(run))
+            buffers[1].push((keys, column))
+        else:
+            below = [entry for entry in waiting if value is None or entry[0] < value]
+            waiting = [entry for entry in waiting if entry not in below]
+            expected = key_ordered(below)
+            for buffer in buffers:
+                assert buffer.has_key_below(value) == bool(below)
+                keys, rows = buffer.cut(value)
+                assert (keys, rows) == expected
+                assert all(map(operator_is, rows, expected[1]))
+        for buffer in buffers:
+            assert len(buffer) == len(waiting)
 
 
 @needs_numpy
@@ -471,15 +542,8 @@ def test_scan_block_parity(case):
         numpy_backend.prime_page_columns(page, curve)
     streams["numpy primed"] = numpy_backend.scan_block(curve, box, pages)
     # reference: the qualifying records in arrival order, stable-sorted by
-    # key (records carry their address on ``curve``) — the per-tuple
-    # sweep's emission order
-    arrivals = [
-        record
-        for page in pages
-        for record in page.records
-        if box.contains_point(record[1][0])
-    ]
-    expected = [pair for _, pair in sorted(arrivals, key=itemgetter(0))]
+    # key — the per-tuple sweep's emission order
+    _, expected = key_ordered(qualifying_in_arrival_order(pages, box))
     assert streams == dict.fromkeys(streams, expected)
 
 
@@ -521,7 +585,7 @@ def test_run_buffer_accepts_foreign_runs():
     points = [(i % 16, (i * 7) % 16) for i in range(40)]
     page = make_record_page(curve, points)
     with kernels.use_backend("python"):
-        _, _, pure_run = kernels.get_backend().scan_page_run(curve, box, page, 0)
+        _, pure_run = kernels.get_backend().scan_page_run(curve, box, page)
         expected = kernels.get_backend().make_run_buffer()
         expected.push(pure_run)
         expected_stream = expected.cut(None)
@@ -604,13 +668,12 @@ def exercise(backend, curve, space, page_points, runs):
     lo = [bound // 4 for bound in curve.coord_max]
     hi = [3 * bound // 4 for bound in curve.coord_max]
     addresses = backend.encode_batch(curve, points)
-    page_runs, buffer, base = [], backend.make_run_buffer(), 0
+    page_runs, buffer = [], backend.make_run_buffer()
     for page in pages:
-        count, selected, run = backend.scan_page_run(curve, space, page, base)
-        page_runs.append(entry_lists((count, selected, run)))
+        count, run = backend.scan_page_run(curve, space, page)
+        page_runs.append(run_entries((count, run)))
         if count:
             buffer.push(run)
-        base += count
     columns = [backend.sort_key_column(run)[1] for run in runs]
     stop, taken, order, merged = backend.merge_key_columns(
         columns, [True, False, True]
@@ -783,13 +846,6 @@ def narrowing_case(seed):
     return Curve.tetris_curve(bits, tuple(order)), pages, spaces
 
 
-def entry_lists(result):
-    count, selected, entries = result
-    if isinstance(entries, tuple):  # a NumPy run: (keys, orders) arrays
-        entries = zip(entries[0].tolist(), entries[1].tolist())
-    return count, list(selected), [list(entry) for entry in entries]
-
-
 def hold_narrowing_to_pure(seed):
     """Every NumPy page kernel on the case's pages equals the pure one."""
     from repro.kernels.numpy_backend import NumPyBackend
@@ -803,21 +859,20 @@ def hold_narrowing_to_pure(seed):
             for page_id, points in enumerate(page_points)
         ]
         context = (seed, space)
-        base = 0
         for page in pages:
-            expected = entry_lists(pure.scan_page_run(curve, space, page, base))
+            expected = run_entries(pure.scan_page_run(curve, space, page))
             for memo in ("cold", "warm"):
-                run = numpy_backend.scan_page_run(curve, space, page, base)
-                assert entry_lists(run) == expected, (*context, memo)
-            assert numpy_backend.filter_space_page(space, page) == expected[1], context
+                run = numpy_backend.scan_page_run(curve, space, page)
+                assert run_entries(run) == expected, (*context, memo)
             points = [record[1][0] for record in page.records]
-            assert numpy_backend.filter_space_batch(space, points) == expected[1]
+            selected = pure.filter_space_batch(space, points)
+            assert numpy_backend.filter_space_page(space, page) == selected, context
+            assert numpy_backend.filter_space_batch(space, points) == selected
             if isinstance(space, QueryBox):
                 assert (
                     numpy_backend.filter_box_batch(space.lo, space.hi, points)
-                    == expected[1]
+                    == selected
                 ), context
-            base += expected[0]
         expected_block = pure.scan_block(curve, space, pages)
         for memo in ("cold", "primed"):
             assert numpy_backend.scan_block(curve, space, pages) == expected_block, (

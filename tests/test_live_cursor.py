@@ -40,6 +40,8 @@ from repro.relational.operators import (
 from repro.shard import ShardedDatabase, coordinator
 from repro.storage import BufferPool, IOScheduler, SimulatedDisk
 
+from oracles import leaves, run_entries
+
 BITS = (4, 4)
 #: shared by every world: it memoizes its curves
 SPACE = ZSpace(BITS)
@@ -120,6 +122,41 @@ def test_sorted_scan_under_inserts(backend, depth, schedule, sort_dim):
                 got = sorted_scan(seed, depth, sort_dim, cut)
                 reference = reference_scan(seed, sort_dim)
                 assert got == reference, (seed, cut)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_sorted_scan_under_inserts_into_warm_runs(backend, depth):
+    """An earlier sweep has memoized every page's run, rows included,
+    when the inserts land between two pulls: a page they change hands
+    out its rows as they are now — its run equals the pure kernel's on
+    the records afresh — and the sweep keeps the contract."""
+    pure = kernels.backend("python")
+    with kernels.use_backend(backend) as kernel:
+        for seed in SEEDS[::4]:
+            for cut in CUTS:
+                tree, rows, inserts = world(seed, depth)
+                list(TetrisScan(tree, BOX, 0))  # every page's run is warm
+                scan = TetrisScan(tree, BOX, 0)
+                stream = iter(scan)
+                taken = [next(stream) for _ in range(cut)]
+                for point, payload in inserts:
+                    tree.insert(point, payload)
+                curve = scan.tetris_curve
+                for leaf in leaves(tree.tree):
+                    assert run_entries(
+                        kernel.scan_page_run(curve, BOX, leaf)
+                    ) == run_entries(pure.scan_page_run(curve, BOX, leaf)), (
+                        seed,
+                        cut,
+                        leaf.page_id,
+                    )
+                stream = taken + list(stream)
+                assert_contract(stream, rows, inserts, BOX)
+                keys = [curve.encode(point) for point, _ in stream]
+                assert keys == sorted(keys), "sort order broken"
+                present = [row for row in stream if row[1] < ROWS]
+                assert present == reference_scan(seed, 0), (seed, cut)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -543,16 +543,13 @@ class TestSlabStreamChecks:
 @needs_numpy
 class TestSlabPageMemos:
     def test_an_insert_into_a_staged_page_is_seen(self, monkeypatch):
-        """The keyed run and the pairs memo follow ``Page.version``."""
+        """The keyed run, rows included, follows ``Page.version``."""
         table = make_table()
         staged = staged_pages(monkeypatch)
         with kernels.use_backend("numpy") as backend:
             first = parallel_tetris_scan(table, QUERY, "a2", workers=2)
             primed = {page: page.version for page in staged if page.records}
-            assert all(
-                backend._views[page].pairs is not None and backend._views[page].runs
-                for page in primed
-            )
+            assert all(backend._views[page].runs for page in primed)
             table.insert((500, 512, 10**9))
             assert any(page.version != version for page, version in primed.items())
             second = parallel_tetris_scan(table, QUERY, "a2", workers=2)
