@@ -11,20 +11,20 @@ Two measurements back the PR's performance claims, written to
   overlap across queues) while the emitted stream stays bit-identical
   to the single-disk engine's.
 
-* **slab-parallel speedup** (wall clock): the same sweep executed
+* **slab-batched speedup** (wall clock): the same sweep executed
   serially and through
   :func:`~repro.planner.parallel.parallel_tetris_scan` with 2 and 4
-  workers on a ~100k-tuple LINEITEM instance, under both kernel
-  backends.  The serial baseline is reported twice — *cold* (first
-  touch: buffer-pool misses, column builds) and *warm* (best of the
-  repeats) — and every speedup is computed against the **warm** number,
-  the honest one.  Each worker entry records the executor that ran
-  (``threads`` on the NumPy backend, ``inline`` on the pure one), any
+  slabs (``workers=``) on a ~100k-tuple LINEITEM instance, under both
+  kernel backends.  The slabs run in the caller, one whole-slab
+  ``scan_block`` call each, so the speedup measures whole-slab batching
+  against the page-at-a-time sweep.  The serial baseline is reported
+  twice — *cold* (first touch: buffer-pool misses, column builds) and
+  *warm* (best of the repeats) — and every speedup is computed against
+  the **warm** number, the honest one.  Each worker entry records any
   :class:`~repro.planner.parallel.ExecutorFallbackEvent`, the bytes
-  serialized per slab (zero: both executors are zero-copy), and
+  serialized per slab (zero: nothing leaves the caller's memory), and
   ``underprovisioned: true`` whenever the host has fewer cores than
-  workers — on such a host the numbers cannot show a speedup and say so
-  instead of hiding it.
+  workers.
 
 Run it directly::
 
@@ -36,7 +36,7 @@ CI gate mode (used by the ``speedup`` workflow leg)::
     PYTHONPATH=src python benchmarks/bench_parallel.py \\
         --assert-speedup 1.5 --workers 4
 
-which exits non-zero when the measured 4-worker speedup on the NumPy
+which exits non-zero when the measured 4-slab speedup on the NumPy
 backend falls below the threshold — or skips with an annotation (exit
 0) when the host has fewer than 4 cores, so laptop checkouts and
 throttled runners do not fail spuriously.
@@ -197,8 +197,6 @@ def bench_parallel_speedup(
             entry["workers"][str(workers)] = {
                 "seconds": round(best, 4),
                 "speedup": round(serial_warm / best, 3) if best > 0 else None,
-                "pool_workers": result.workers,
-                "executor": result.executor,
                 "fallbacks": [event.describe() for event in result.fallbacks],
                 "serialized_bytes_per_slab": serialized,
                 "serialized_bytes_total": sum(serialized),
@@ -206,8 +204,8 @@ def bench_parallel_speedup(
                 "underprovisioned": cpu_count < workers,
             }
             print(
-                f"[{backend}] workers={workers} {best:.3f}s via "
-                f"{result.executor} (warm serial {serial_warm:.3f}s, "
+                f"[{backend}] workers={workers} {best:.3f}s "
+                f"(warm serial {serial_warm:.3f}s, "
                 f"speedup {serial_warm / best:.2f}x, "
                 f"{sum(serialized)} bytes serialized"
                 f"{', UNDERPROVISIONED' if cpu_count < workers else ''})"

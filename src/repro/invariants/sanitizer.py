@@ -1,7 +1,7 @@
 """Deterministic concurrency sanitizer: lock-order + happens-before checks.
 
 The engine's shared mutable structures (buffer-pool frame maps, I/O
-scheduler queues, executor observer lists) are each guarded by one
+scheduler queues, the telemetry subscriber list) are each guarded by one
 *declared* lock.  This module provides
 the runtime half of the concurrency contract that ``tools/reprolint``
 rules R010–R013 enforce statically:
@@ -433,13 +433,11 @@ def note_access(
         )
 
 
-# The engine's single declared order.  Rationale, outermost first:
-# the thread executor's staging lock is held while faulting pages in
-# (staging -> buffer-pool); the pool issues scheduler reads while
-# holding its own lock (buffer-pool -> io-scheduler); the telemetry
-# bus's subscriber list never nests inside anything else.
+# The engine's single declared order.  Rationale, outermost first: the
+# telemetry bus's subscriber list never nests inside anything else; the
+# pool issues scheduler reads while holding its own lock (buffer-pool ->
+# io-scheduler).
 GLOBAL_LOCK_ORDER = declare_lock_order(
-    "executor-staging",
     "telemetry-observers",
     "buffer-pool",
     "io-scheduler",

@@ -24,9 +24,9 @@ documents them all):
 * ``schedule_regions`` — a restricted scan's whole region schedule
   (BIGMIN walk, pruning verdicts, static Tetris keys) from the tree's
   region directory in one call,
-* ``scan_block`` — a slab's ``(point, payload)`` stream, one thread
-  executor task per slab (on NumPy: the pages' memoized runs, keys and
-  rows, merged by one stable argsort),
+* ``scan_block`` — a slab's ``(point, payload)`` stream, one call per
+  slab of the slab-parallel scan (on NumPy: the pages' memoized runs,
+  keys and rows, merged by one stable argsort),
 * ``merge_sorted_keys`` — stable pairwise merge permutation over two
   sorted runs (the sharded scan's k-way merge step),
 * ``sort_key_column`` / ``merge_key_columns`` / ``concat_key_columns``

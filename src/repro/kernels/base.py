@@ -207,8 +207,8 @@ class KernelBackend:
         holds the qualifying records' pairs with keys on ``curve``
         ascending and ties by arrival (record order within a page, page
         order across pages) — bit for bit the stream a page-at-a-time
-        Tetris sweep over the same region order emits.  One task per
-        slab: the whole-slab kernel the thread executor dispatches, held
+        Tetris sweep over the same region order emits.  One call per
+        slab of :func:`repro.planner.parallel.parallel_tetris_scan`, held
         to the other backend's under ``REPRO_CHECKS=1``
         (:func:`repro.invariants.check_block`).
         """

@@ -35,7 +35,6 @@ exactly what the pure backend produces.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import weakref
 from bisect import bisect_right
@@ -209,6 +208,8 @@ class NumPySortRunBuffer(SortRunBuffer):
     def __init__(self) -> None:
         self._runs: "list[tuple[np.ndarray, np.ndarray]]" = []
         self._count = 0
+        #: the least buffered key (the least run head), ``None`` when empty
+        self._least: "int | None" = None
         self._fallback: PureSortRunBuffer | None = None
 
     def push(self, run: Any) -> None:
@@ -223,6 +224,9 @@ class NumPySortRunBuffer(SortRunBuffer):
         if len(keys):
             self._runs.append((keys, rows))
             self._count += len(keys)
+            head = int(keys[0])
+            if self._least is None or head < self._least:
+                self._least = head
 
     def __len__(self) -> int:
         if self._fallback is not None:
@@ -232,12 +236,8 @@ class NumPySortRunBuffer(SortRunBuffer):
     def has_key_below(self, barrier: "int | None") -> bool:
         if self._fallback is not None:
             return self._fallback.has_key_below(barrier)
-        if not self._runs:
-            return False
-        if barrier is None:
-            return True
-        limit = _U64(barrier)
-        return any(keys[0] < limit for keys, _ in self._runs)
+        least = self._least
+        return least is not None and (barrier is None or least < barrier)
 
     def cut(self, barrier: "int | None") -> "tuple[list[int], list[Any]]":
         if self._fallback is not None:
@@ -261,8 +261,10 @@ class NumPySortRunBuffer(SortRunBuffer):
         emitted = keys[:split].tolist(), rows[:split].tolist()
         if split == len(keys):
             runs.clear()
+            self._least = None
         else:
             runs[0] = (keys[split:], rows[split:])
+            self._least = int(keys[split])
         self._count -= split
         return emitted
 
@@ -464,10 +466,6 @@ class _PageView:
                 array.flags.writeable = False
             self.runs[curve] = run
         return run
-
-    def primed(self, version: int, curve: Curve) -> bool:
-        """Whether the view is current and staging primed it for ``curve``."""
-        return self.version == version and curve in self.runs
 
 
 def _selection(mask: Any, count: int) -> "np.ndarray":
@@ -721,15 +719,6 @@ class NumPyBackend(PurePythonBackend):
                 pass
         return view
 
-    def prime_page_columns(self, page: Any, curve: Curve) -> None:
-        """Build the page's view and its run on ``curve`` — the staging
-        step that leaves :meth:`scan_block` nothing to memoize."""
-        if page.records:
-            view = self._page_view(page)
-            if view.columns is not None and curve not in view.runs:
-                with contextlib.suppress(_NoGeometry):  # a curve over 64 bits
-                    view.keyed(self._tables_for(curve), curve, page.records)
-
     @_vectorized
     def scan_page_run(
         self, curve: Curve, space: QuerySpace, page: Any
@@ -782,17 +771,15 @@ class NumPyBackend(PurePythonBackend):
         the page zones, the survivors its mask taken through the runs'
         record indexes, one stable argsort over the concatenated keys the
         emit order (ties by page, then record), one take of the
-        concatenated rows the gather.  Worker threads run it: it reads
-        views :meth:`prime_page_columns` primed, converting a page without
-        one on the spot, uncached."""
+        concatenated rows the gather.  Each page's view and run are
+        memoized as :meth:`scan_page_run` memoizes them."""
         tables = self._tables_for(curve)
         views, runs = [], []
         for page in pages:
-            records, view = page.records, self._views.get(page)
+            records = page.records
             if not records:
                 continue
-            if view is None or not view.primed(page.version, curve):
-                view = _PageView(page.version, _page_matrix(records))  # not cached
+            view = self._page_view(page)
             if view.columns is None or view.columns.shape[1] != curve.dims:
                 raise _NoGeometry
             views.append(view)

@@ -46,22 +46,23 @@ class PureSortRunBuffer(SortRunBuffer):
         self._cache: list[list[Any]] = []
         self._pending: list[list[list[Any]]] = []
         self._pending_count = 0
+        #: the least buffered key (the least run head), ``None`` when empty
+        self._least: "int | None" = None
 
     def push(self, run: Any) -> None:
         if run:
             self._pending.append(run)
             self._pending_count += len(run)
+            head = run[0][0]
+            if self._least is None or head < self._least:
+                self._least = head
 
     def __len__(self) -> int:
         return len(self._cache) + self._pending_count
 
     def has_key_below(self, barrier: "int | None") -> bool:
-        if barrier is None:
-            return len(self) > 0
-        # sorted-run heads witness whether anything flushes at all
-        if self._cache and self._cache[0][0] < barrier:
-            return True
-        return any(batch[0][0] < barrier for batch in self._pending)
+        least = self._least
+        return least is not None and (barrier is None or least < barrier)
 
     def cut(self, barrier: "int | None") -> "tuple[list[int], list[Any]]":
         if self._pending:
@@ -78,6 +79,7 @@ class PureSortRunBuffer(SortRunBuffer):
         )
         head = cache[:cut]
         del cache[:cut]
+        self._least = cache[0][0] if cache else None
         return [key for key, _ in head], [row for _, row in head]
 
 

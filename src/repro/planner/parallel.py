@@ -17,50 +17,39 @@ order therefore reproduces the serial stream **bit for bit**:
   duplicates of one point live on one Z-region page, so even the
   arrival-order tiebreak is preserved.
 
-Executors
+Execution
 ---------
-Two ways to run the slabs, selected by :func:`select_executor` (policy
-``auto``, overridable via the ``executor=`` argument):
+Every slab runs in the caller, one after another, *whole-slab batched*:
+the slab's :class:`~repro.core.tetris.TetrisScan` drains the scan's page
+walk (``UBTree.walk``, the one read path of a restricted scan —
+read-ahead and the ``REPRO_CHECKS=1`` fetch-once and coverage checks
+included), then one ``scan_block`` call returns the slab's
+``(point, payload)`` stream.  On NumPy that call merges the pages'
+memoized sorted runs and gathers their memoized rows in big-array steps.
+``workers=`` only sets the default slab count (one slab per worker).
 
-``threads``
-    One ``ThreadPoolExecutor`` task per slab, *whole-slab batched*: the
-    coordinator stages a slab's pages under a lock (the buffer pool and
-    the page memos are not thread-safe), then the worker runs one
-    ``scan_block`` call over the entire slab, which returns the slab's
-    ``(point, payload)`` stream.  On NumPy that call merges the pages'
-    memoized sorted runs and gathers their memoized pairs in big-array
-    steps that release the GIL, so slabs overlap on real cores with zero
-    serialization.  The default for the ``numpy`` backend.
+:func:`select_executor` resolves the ``executor=`` argument: ``auto``
+and ``inline`` both run the slabs in the caller, a request for the
+removed ``"fork"`` executor is answered with a structured
+:class:`ExecutorFallbackEvent` on the result and on the
+:mod:`repro.telemetry` bus (never silently), and any other string is
+rejected.
 
-``inline``
-    The slabs run sequentially in the caller (still whole-slab batched).
-    Selected by ``auto`` for ``workers <= 1`` and on the pure backend
-    (its bytecode holds the GIL, so threads buy nothing there), and as
-    the fallback when a requested parallel executor cannot run (fewer
-    than two workers, a single planned slab) — every downgrade is
-    recorded as a structured :class:`ExecutorFallbackEvent` on the
-    result and emitted on the :mod:`repro.telemetry` bus, mirroring the
-    plan-degradation events of :mod:`repro.planner.executor`; nothing
-    falls back silently.
-
-Whichever executor runs, the concatenated stream is bit-identical; only
-wall-clock time and observability differ.  With ``REPRO_CHECKS=1`` each
-slab's stream is held to the other kernel backend's
-(:func:`repro.invariants.check_block`) and the concatenation is observed
-by one :class:`~repro.invariants.StreamChecker` over the whole query
-space, so slab chunks out of order fail too.
+The concatenated stream is bit-identical to the serial scan's.  With
+``REPRO_CHECKS=1`` each slab's stream is held to the other kernel
+backend's (:func:`repro.invariants.check_block`) and the concatenation
+is observed by one :class:`~repro.invariants.StreamChecker` over the
+whole query space, so slab chunks out of order fail too.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .. import invariants, kernels, telemetry
 from ..core.query_space import QueryBox, QuerySpace, box_is_empty
 from ..core.tetris import SortedTuple, TetrisScan
-from ..invariants.sanitizer import tracked_lock
 from ..relational.table import UBTable
 from ..telemetry import TelemetryEvent, compat_aliases
 
@@ -74,7 +63,7 @@ __all__ = [
     "select_executor",
 ]
 
-_EXECUTORS = ("auto", "threads", "inline")
+_EXECUTORS = ("auto", "inline")
 
 @dataclass(frozen=True)
 class SweepSlab:
@@ -96,7 +85,7 @@ class ExecutorFallbackEvent(TelemetryEvent):
     bus — never a silent downgrade.
     """
 
-    requested: str  #: executor asked for ("threads", "auto", ...)
+    requested: str  #: executor asked for ("fork")
     selected: str  #: executor actually used
     reason: str  #: why the requested one was not honoured
     backend: str  #: kernel backend name at selection time
@@ -121,14 +110,10 @@ def select_executor(
 ) -> "tuple[str, ExecutorFallbackEvent | None]":
     """Resolve the executor policy to a concrete executor.
 
-    ``auto`` picks ``threads`` for the NumPy backend (vectorized kernels
-    release the GIL) and ``inline`` for the pure backend (its bytecode
-    holds the GIL, so threads would only take turns).  An explicit
-    ``threads`` request with fewer than two workers degrades to
-    ``inline`` and returns the :class:`ExecutorFallbackEvent` describing
-    the downgrade, as does a request for the removed ``"fork"`` executor.
-    ``auto`` selecting ``inline`` is silent (that is the policy deciding,
-    not a fallback; explicit requests are never downgraded silently).
+    ``auto`` and ``inline`` both run the slabs in the caller.  A request
+    for the removed ``"fork"`` executor also runs inline and returns the
+    :class:`ExecutorFallbackEvent` describing the downgrade; any other
+    string raises :class:`ValueError`.
     """
     if requested == "fork":
         # not an executor any more: answered, not rejected, only because
@@ -145,18 +130,6 @@ def select_executor(
             f"unknown executor {requested!r}; expected one of "
             f"{', '.join(_EXECUTORS)}"
         )
-    if requested == "inline" or (requested == "auto" and workers <= 1):
-        return "inline", None
-    if workers <= 1:
-        return "inline", ExecutorFallbackEvent(
-            requested=requested,
-            selected="inline",
-            reason="parallel execution needs at least 2 workers",
-            backend=backend_name,
-            workers=workers,
-        )
-    if requested == "threads" or backend_name == "numpy":
-        return "threads", None
     return "inline", None
 
 
@@ -167,11 +140,9 @@ class ParallelScanResult:
     slabs: list[SweepSlab]
     per_slab_counts: list[int]
     rows: list[SortedTuple]
-    workers: int  #: workers actually used (1 = ran inline)
-    executor: str = "inline"  #: executor that ran ("threads" or "inline")
     fallbacks: tuple[ExecutorFallbackEvent, ...] = ()
-    #: bytes serialized per slab: zero, both executors being zero-copy;
-    #: ``None`` when not measured
+    #: bytes serialized per slab: zero, the slabs running in the
+    #: caller's memory; ``None`` when not measured
     serialized_bytes_per_slab: "list[int] | None" = None
 
     def __len__(self) -> int:
@@ -252,73 +223,6 @@ def _slab_space(
 
 
 # ----------------------------------------------------------------------
-# whole-slab batched execution (threads / inline)
-# ----------------------------------------------------------------------
-def _stage_slab(
-    table: UBTable, space: QuerySpace, sort_dims: "tuple[int, ...]"
-) -> "tuple[TetrisScan, list[Any]]":
-    """Fetch one slab's pages in retrieval order (coordinator-only).
-
-    The pages come through the scan's page walk (``UBTree.walk``), the
-    one read path of a restricted scan — read-ahead and the
-    ``REPRO_CHECKS=1`` fetch-once and coverage checks included — drained
-    here, under the staging lock: the buffer pool, the region cursor and
-    the backend's page memos are not thread-safe.  The NumPy backend's
-    memos — each page's columns and its sorted run on the scan's curve,
-    keys and ``(point, payload)`` rows — are primed here
-    (``prime_page_columns``), so the compute phase writes none.  The
-    returned pages are plain references — eviction cannot invalidate
-    them — so the compute phase needs no locking at all.
-    """
-    scan = TetrisScan(table.ubtree, space, sort_dims)
-    pages = [page for _, page in table.ubtree.walk(scan.cursor, scan.space)]
-    # the memos are built GIL-bound anyway, so priming them here costs
-    # no parallelism
-    prime = getattr(kernels.get_backend(), "prime_page_columns", None)
-    if prime is not None:
-        for page in pages:
-            prime(page, scan.tetris_curve)
-    return scan, pages
-
-
-def _scan_block_rows(scan: TetrisScan, pages: "list[Any]") -> list[SortedTuple]:
-    """One slab's stream: one whole-slab ``scan_block`` call.
-
-    The kernel returns the slab's ``(point, payload)`` pairs in the
-    page-at-a-time sweep's order, bit for bit (keys ascend, arrival
-    order breaks ties — the same total order the serial run buffer
-    emits); with ``REPRO_CHECKS=1`` they are held to the other backend's
-    (:func:`repro.invariants.check_block`).
-    """
-    kernel = kernels.get_backend()
-    curve, space = scan.tetris_curve, scan.space
-    rows = kernel.scan_block(curve, space, pages)
-    if invariants.enabled():
-        invariants.check_block(kernel, curve, space, pages, rows)
-    return rows
-
-
-def _run_batched(
-    table: UBTable,
-    spaces: "list[QuerySpace]",
-    sort_dims: "tuple[int, ...]",
-    pool_size: int,
-) -> "list[list[SortedTuple]]":
-    """Threaded (or inline, ``pool_size == 1``) whole-slab execution."""
-    staging_lock = tracked_lock("executor-staging")
-
-    def run_one(index: int) -> list[SortedTuple]:
-        with staging_lock:
-            scan, pages = _stage_slab(table, spaces[index], sort_dims)
-        return _scan_block_rows(scan, pages)
-
-    if pool_size <= 1:
-        return [run_one(index) for index in range(len(spaces))]
-    with ThreadPoolExecutor(max_workers=pool_size) as executor:
-        return list(executor.map(run_one, range(len(spaces))))
-
-
-# ----------------------------------------------------------------------
 # the entry point
 # ----------------------------------------------------------------------
 def parallel_tetris_scan(
@@ -334,17 +238,15 @@ def parallel_tetris_scan(
     """Run a Tetris sweep as ``slabs`` independent slab sweeps.
 
     Parameters mirror :meth:`~repro.relational.table.UBTable.tetris_scan`
-    plus the parallel knobs: ``workers`` workers execute ``slabs`` sweep
-    slabs (default: one per worker) and the per-slab streams are
-    concatenated in slab order.  The result is bit-identical to the
-    serial scan's stream on every executor.
+    plus ``slabs`` sweep slabs (default: ``workers``, one per worker),
+    run in the caller one after another; the per-slab streams are
+    concatenated in slab order, bit-identical to the serial scan's.
 
-    ``executor`` picks the execution mode (``"auto"``, ``"threads"``,
-    ``"inline"``); ``None`` means ``auto`` — see
-    :func:`select_executor`.  Downgrades are recorded as
-    :class:`ExecutorFallbackEvent`\\ s on the result.
+    ``executor`` is resolved by :func:`select_executor` (``None`` means
+    ``auto``); a downgrade is recorded as an
+    :class:`ExecutorFallbackEvent` on the result.
     ``measure_serialization`` additionally reports the bytes serialized
-    per slab (always zero: both executors are zero-copy).
+    per slab (always zero: nothing leaves the caller's memory).
     """
     if workers < 1:
         raise ValueError("worker count must be >= 1")
@@ -357,9 +259,8 @@ def parallel_tetris_scan(
     primary = sort_dims[0]
     coord_max = table.space.coord_max
 
-    requested = executor or "auto"
-    backend_name = kernels.get_backend().name
-    selected, fallback = select_executor(requested, backend_name, workers)
+    kernel = kernels.get_backend()
+    _, fallback = select_executor(executor or "auto", kernel.name, workers)
     fallbacks: "tuple[ExecutorFallbackEvent, ...]" = ()
     if fallback is not None:
         fallbacks = (fallback,)
@@ -368,31 +269,17 @@ def parallel_tetris_scan(
     planned = plan_slabs(
         space, primary, coord_max, slabs if slabs is not None else workers
     )
-    if not planned:
-        return ParallelScanResult(
-            [], [], [], workers=1, executor="inline", fallbacks=fallbacks
+    per_slab: list[list[SortedTuple]] = []
+    for slab in planned:
+        scan = TetrisScan(
+            table.ubtree, _slab_space(space, slab, primary, coord_max), sort_dims
         )
-    spaces = [_slab_space(space, slab, primary, coord_max) for slab in planned]
-    if selected != "inline" and len(planned) == 1:
-        # one slab cannot overlap with anything; an explicitly requested
-        # parallel executor reports the downgrade, auto decides silently
-        if requested == "threads":
-            event = ExecutorFallbackEvent(
-                requested=requested,
-                selected="inline",
-                reason="the query planned a single sweep slab",
-                backend=backend_name,
-                workers=workers,
-            )
-            fallbacks = fallbacks + (event,)
-            telemetry.emit(event)
-        selected = "inline"
-
-    serialized: "list[int] | None" = None
-    pool_size = min(workers, len(planned)) if selected == "threads" else 1
-    per_slab = _run_batched(table, spaces, sort_dims, pool_size)
-    if measure_serialization:
-        serialized = [0] * len(per_slab)  # zero-copy transports
+        pages = [page for _, page in table.ubtree.walk(scan.cursor, scan.space)]
+        curve = scan.tetris_curve
+        chunk = kernel.scan_block(curve, scan.space, pages)
+        if invariants.enabled():
+            invariants.check_block(kernel, curve, scan.space, pages, chunk)
+        per_slab.append(chunk)
 
     rows: list[SortedTuple] = []
     for chunk in per_slab:
@@ -406,8 +293,8 @@ def parallel_tetris_scan(
         slabs=planned,
         per_slab_counts=[len(chunk) for chunk in per_slab],
         rows=rows,
-        workers=pool_size,
-        executor=selected,
         fallbacks=fallbacks,
-        serialized_bytes_per_slab=serialized,
+        serialized_bytes_per_slab=[0] * len(per_slab)
+        if measure_serialization
+        else None,
     )

@@ -488,7 +488,9 @@ def test_run_buffers_cut_what_a_stable_sort_orders(steps):
     """Both run buffers against ``sorted(..., key=key)`` over random runs
     and barriers: a cut hands out, key-ordered with ties in arrival
     order, exactly the waiting entries below its barrier — the very row
-    objects pushed — and ``len`` / ``has_key_below`` follow the model."""
+    objects pushed — and ``len`` / ``has_key_below`` follow the model
+    after every push and cut, ``has_key_below`` at every barrier that
+    can tell two answers apart."""
     import numpy as np
 
     from repro.kernels.numpy_backend import NumPySortRunBuffer
@@ -516,6 +518,11 @@ def test_run_buffers_cut_what_a_stable_sort_orders(steps):
                 keys, rows = buffer.cut(value)
                 assert (keys, rows) == expected
                 assert all(map(operator_is, rows, expected[1]))
+        keys = {key for key, _ in waiting}
+        for barrier in {None, 0, *keys, *(key + 1 for key in keys)}:
+            brute = any(barrier is None or key < barrier for key in keys)
+            for buffer in buffers:
+                assert buffer.has_key_below(barrier) == brute, barrier
         for buffer in buffers:
             assert len(buffer) == len(waiting)
 
@@ -535,12 +542,10 @@ def test_scan_block_parity(case):
     numpy_backend = kernels.backend("numpy")
     streams = {
         "python": kernels.backend("python").scan_block(curve, box, pages),
-        # no view is primed yet: converted on the spot
+        # the first call builds the pages' views and runs, the second reads them
         "numpy cold": numpy_backend.scan_block(curve, box, pages),
+        "numpy warm": numpy_backend.scan_block(curve, box, pages),
     }
-    for page in pages:
-        numpy_backend.prime_page_columns(page, curve)
-    streams["numpy primed"] = numpy_backend.scan_block(curve, box, pages)
     # reference: the qualifying records in arrival order, stable-sorted by
     # key — the per-tuple sweep's emission order
     _, expected = key_ordered(qualifying_in_arrival_order(pages, box))
@@ -874,13 +879,11 @@ def hold_narrowing_to_pure(seed):
                     == selected
                 ), context
         expected_block = pure.scan_block(curve, space, pages)
-        for memo in ("cold", "primed"):
+        for memo in ("cold", "warm"):
             assert numpy_backend.scan_block(curve, space, pages) == expected_block, (
                 *context,
                 memo,
             )
-            for page in pages:
-                numpy_backend.prime_page_columns(page, curve)
 
 
 NARROWING_SEEDS = range(240)

@@ -1,13 +1,14 @@
 """Tests for slab-parallel Tetris execution: slab planning and the
-bit-identical-stream contract across worker counts, sort directions,
+bit-identical-stream contract across slab counts, sort directions,
 composite orders and non-box query spaces.
 
 The CI parallel matrix sets ``REPRO_PARALLEL_WORKERS`` (2 and 4); the
-identity tests honour it so both pool widths are exercised.
+identity tests honour it, so both default slab counts are exercised.
 """
 
 import os
 import random
+import threading
 
 import pytest
 
@@ -27,7 +28,7 @@ from repro.relational import Attribute, Database, IntEncoder, Schema
 
 from oracles import checks
 
-#: pool width under test — the CI matrix sweeps 2 and 4
+#: default slab count under test — the CI matrix sweeps 2 and 4
 WORKERS = int(os.environ.get("REPRO_PARALLEL_WORKERS", "2"))
 
 SEED = 20260806
@@ -161,7 +162,7 @@ class TestBitIdenticalStreams:
         serial = list(table.tetris_scan({"a1": (100, 900)}, "a2"))
         result = parallel_tetris_scan(table, {"a1": (100, 900)}, "a2", workers=1)
         assert result.rows == serial
-        assert result.workers == 1
+        assert len(result.slabs) == 1
 
     def test_empty_query_yields_empty_result(self, table):
         result = parallel_tetris_scan(
@@ -189,7 +190,6 @@ class TestResultSurface:
             slabs=[SweepSlab(0, 0, 10)],
             per_slab_counts=[2],
             rows=[((1,), "x"), ((2,), "y")],
-            workers=1,
         )
         assert len(result) == 2
 
@@ -222,27 +222,27 @@ class TestSelectExecutor:
         # auto deciding on inline for one worker is policy, not a fallback
         assert select_executor("auto", "numpy", 1) == ("inline", None)
 
-    @pytest.mark.parametrize("requested", ("threads", "fork"))
+    @pytest.mark.parametrize("requested", ("fork",))
     def test_single_worker_explicit_request_emits_event(self, requested):
         selected, event = select_executor(requested, "python", 1)
         assert selected == "inline"
         assert event is not None
         assert (event.requested, event.selected) == (requested, "inline")
-        expected = {"threads": "2 workers", "fork": "process execution was removed"}
-        assert expected[requested] in event.reason
+        assert "process execution was removed" in event.reason
 
     def test_explicit_inline(self):
         assert select_executor("inline", "numpy", 4) == ("inline", None)
 
-    def test_threads_always_honoured(self):
-        assert select_executor("threads", "python", 4) == ("threads", None)
-
-    def test_auto_picks_threads_for_numpy(self):
-        assert select_executor("auto", "numpy", 4) == ("threads", None)
-
     def test_auto_picks_inline_for_pure_python(self):
-        # the pure backend's bytecode holds the GIL: policy, not a fallback
         assert select_executor("auto", "python", 4) == ("inline", None)
+
+    def test_auto_picks_inline_for_numpy(self):
+        assert select_executor("auto", "numpy", 4) == ("inline", None)
+
+    def test_threads_is_an_unknown_executor(self):
+        table = make_table(rows=50)
+        with pytest.raises(ValueError, match="unknown executor 'threads'"):
+            parallel_tetris_scan(table, None, "a1", workers=2, executor="threads")
 
     def test_fork_unavailable_degrades_with_event(self):
         # on every platform: process execution was removed, and a request
@@ -256,9 +256,9 @@ class TestSelectExecutor:
 
 
 # ----------------------------------------------------------------------
-# the parity contract: every executor yields the serial stream
+# the parity contract: every executor request yields the serial stream
 # ----------------------------------------------------------------------
-EXECUTORS = ("inline", "threads")
+EXECUTORS = ("inline",)
 BACKENDS = tuple(kernels.available_backends())
 
 
@@ -280,25 +280,37 @@ class TestExecutorParity:
                 executor=executor,
             )
         assert result.rows == serial
-        assert result.executor == executor
+        assert result.fallbacks == ()
 
     def test_executor_none_means_auto(self, table):
-        expected, _ = select_executor("auto", kernels.get_backend().name, WORKERS)
         result = parallel_tetris_scan(
             table, {"a1": (100, 900)}, "a2", workers=WORKERS, executor=None
         )
-        assert result.executor == expected
-
-    def test_single_slab_downgrades_to_inline(self, table):
-        result = parallel_tetris_scan(
-            table, {"a1": (100, 900)}, "a2", workers=4, slabs=1, executor="threads"
+        auto = parallel_tetris_scan(
+            table, {"a1": (100, 900)}, "a2", workers=WORKERS, executor="auto"
         )
-        assert result.executor == "inline"
-        assert len(result.slabs) == 1
+        assert result.rows == auto.rows
+        assert result.fallbacks == auto.fallbacks == ()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_scan_starts_no_thread(self, table, backend, monkeypatch):
+        """Every slab runs in the caller: no worker thread is started."""
+
+        def no_thread(thread):
+            raise AssertionError(f"the scan started thread {thread.name!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        with kernels.use_backend(backend):
+            serial = list(table.tetris_scan({"a1": (100, 900)}, "a2"))
+            result = parallel_tetris_scan(
+                table, {"a1": (100, 900)}, "a2", workers=4, slabs=4
+            )
+        assert result.rows == serial
+        assert len(result.slabs) == 4
 
 
 # ----------------------------------------------------------------------
-# serialization accounting: zero-copy means zero bytes
+# serialization accounting: slabs in the caller's memory ship zero bytes
 # ----------------------------------------------------------------------
 class TestSerializationAccounting:
     @pytest.fixture(scope="class")
@@ -311,7 +323,7 @@ class TestSerializationAccounting:
         )
         assert result.serialized_bytes_per_slab is None
 
-    @pytest.mark.parametrize("executor", ("inline", "threads"))
+    @pytest.mark.parametrize("executor", ("inline",))
     def test_zero_copy_executors_ship_zero_bytes(self, table, executor):
         result = parallel_tetris_scan(
             table,
@@ -338,7 +350,6 @@ class TestFallbackEvents:
             )
         finally:
             telemetry.unsubscribe(seen.append, ExecutorFallbackEvent)
-        assert result.executor == "inline"
         assert len(result.fallbacks) == 1
         event = result.fallbacks[0]
         assert isinstance(event, ExecutorFallbackEvent)
@@ -348,23 +359,23 @@ class TestFallbackEvents:
         assert result.rows == list(table.tetris_scan({"a1": (100, 900)}, "a2"))
 
     def test_single_worker_explicit_request_emits_one_event(self):
+        """One worker adds no event of its own to a downgraded request."""
         table = make_table(rows=200)
         seen = []
         telemetry.subscribe(seen.append, ExecutorFallbackEvent)
         try:
             result = parallel_tetris_scan(
-                table, {"a1": (100, 900)}, "a2", workers=1, executor="threads"
+                table, {"a1": (100, 900)}, "a2", workers=1, executor="fork"
             )
         finally:
             telemetry.unsubscribe(seen.append, ExecutorFallbackEvent)
-        assert result.executor == "inline"
         assert len(result.fallbacks) == 1
         event = result.fallbacks[0]
-        assert (event.requested, event.selected) == ("threads", "inline")
-        assert "at least 2 workers" in event.reason
+        assert (event.requested, event.selected, event.workers) == ("fork", "inline", 1)
         assert seen == [event]
 
     def test_single_slab_explicit_request_emits_one_event(self):
+        """One planned slab adds no event of its own to a downgraded request."""
         table = make_table(rows=200)
         seen = []
         telemetry.subscribe(seen.append, ExecutorFallbackEvent)
@@ -375,34 +386,30 @@ class TestFallbackEvents:
                 "a2",
                 workers=WORKERS,
                 slabs=1,
-                executor="threads",
+                executor="fork",
             )
         finally:
             telemetry.unsubscribe(seen.append, ExecutorFallbackEvent)
-        assert result.executor == "inline"
+        assert len(result.slabs) == 1
         assert len(result.fallbacks) == 1
-        event = result.fallbacks[0]
-        assert event.reason == "the query planned a single sweep slab"
-        assert seen == [event]
+        assert result.fallbacks[0].reason == (
+            "process execution was removed from the engine"
+        )
+        assert seen == list(result.fallbacks)
 
     def test_observer_exceptions_after_unregister_cannot_fire(self):
         # unregister removes by identity-equality of the bound method
         events = []
         telemetry.subscribe(events.append, ExecutorFallbackEvent)
         telemetry.unsubscribe(events.append, ExecutorFallbackEvent)
-        telemetry.emit(
-            ExecutorFallbackEvent("threads", "inline", "test", "pure", 1)
-        )
+        telemetry.emit(ExecutorFallbackEvent("fork", "inline", "test", "pure", 1))
         assert events == []
 
     def test_unregister_unknown_observer_is_noop(self):
         telemetry.unsubscribe(lambda event: None, ExecutorFallbackEvent)
 
     def test_result_surface_defaults(self):
-        result = ParallelScanResult(
-            slabs=[], per_slab_counts=[], rows=[], workers=1
-        )
-        assert result.executor == "inline"
+        result = ParallelScanResult(slabs=[], per_slab_counts=[], rows=[])
         assert result.fallbacks == ()
         assert result.serialized_bytes_per_slab is None
 
@@ -435,11 +442,8 @@ def cold_scan(executor):
 
 
 class TestExecutorAccountingMatrix:
-    """Every executor on every backend charges the caller the same I/O.
-
-    ``None`` is what a caller who says nothing gets: ``threads`` on the
-    NumPy backend, ``inline`` on the pure one.
-    """
+    """Every executor request on every backend charges the caller the
+    same I/O; ``None`` is what a caller who says nothing gets."""
 
     @pytest.fixture(scope="class")
     def reference(self):
@@ -453,8 +457,7 @@ class TestExecutorAccountingMatrix:
     def test_caller_is_charged_identically(self, reference, backend, executor):
         with kernels.use_backend(backend):
             result, stats, pool = cold_scan(executor)
-        default = "threads" if backend == "numpy" else "inline"
-        assert result.executor == (executor or default)
+        assert result.fallbacks == ()
         assert (stats, pool) == reference
 
 
@@ -468,18 +471,16 @@ needs_numpy = pytest.mark.skipif(
 
 
 def staged_pages(monkeypatch):
-    """The pages every slab scan from here on stages, in staging order."""
-    from repro.planner import parallel
-
+    """The pages every scan from here on walks, in walk order."""
     staged = []
-    stage = parallel._stage_slab
+    walk = UBTree.walk
 
-    def recording_stage(*args):
-        scan, pages = stage(*args)
-        staged.extend(pages)
-        return scan, pages
+    def recording_walk(ubtree, cursor, space, pushdown=None):
+        for region, page in walk(ubtree, cursor, space, pushdown):
+            staged.append(page)
+            yield region, page
 
-    monkeypatch.setattr(parallel, "_stage_slab", recording_stage)
+    monkeypatch.setattr(UBTree, "walk", recording_walk)
     return staged
 
 
@@ -493,8 +494,9 @@ class TestSlabStreamChecks:
         from repro.planner import parallel
 
         table = make_table()
-        run = parallel._run_batched
-        monkeypatch.setattr(parallel, "_run_batched", lambda *args: run(*args)[::-1])
+        monkeypatch.setattr(
+            parallel, "plan_slabs", lambda *args: plan_slabs(*args)[::-1]
+        )
         with kernels.use_backend(backend):
             with checks(False):
                 swapped = parallel_tetris_scan(table, QUERY, "a2", workers=2, slabs=2)
@@ -527,7 +529,7 @@ class TestSlabStreamChecks:
         table = make_table()
         staged = staged_pages(monkeypatch)
         with kernels.use_backend("numpy"):
-            parallel_tetris_scan(table, QUERY, "a2", workers=2)  # primes
+            parallel_tetris_scan(table, QUERY, "a2", workers=2)  # memoizes
             page, slot = next(
                 (page, slot)
                 for page in staged
@@ -548,18 +550,18 @@ class TestSlabPageMemos:
         staged = staged_pages(monkeypatch)
         with kernels.use_backend("numpy") as backend:
             first = parallel_tetris_scan(table, QUERY, "a2", workers=2)
-            primed = {page: page.version for page in staged if page.records}
-            assert all(backend._views[page].runs for page in primed)
+            keyed = {page: page.version for page in staged if page.records}
+            assert all(backend._views[page].runs for page in keyed)
             table.insert((500, 512, 10**9))
-            assert any(page.version != version for page, version in primed.items())
+            assert any(page.version != version for page, version in keyed.items())
             second = parallel_tetris_scan(table, QUERY, "a2", workers=2)
             serial = list(table.tetris_scan(QUERY, "a2"))
         assert second.rows == serial
         assert len(second.rows) == len(first.rows) + 1
 
     def test_a_warm_slab_scan_encodes_nothing(self, monkeypatch):
-        """The compute phase reads each page's memoized run: no key is
-        encoded inside ``scan_block`` once the pages are staged."""
+        """A warm slab reads each page's memoized run: no key is encoded
+        inside ``scan_block`` once a scan has walked the pages."""
         from repro.kernels.numpy_backend import NumPyBackend
 
         table = make_table()
@@ -591,3 +593,43 @@ class TestSlabPageMemos:
         assert result.rows == serial
         assert encoded  # the staging walk still keys its region schedule
         assert per_block == [0] * len(result.slabs)
+
+    def test_a_direct_block_call_memoizes_its_runs(self, monkeypatch):
+        """``scan_block`` on cold pages keeps the views and runs it builds:
+        a second call over the same pages encodes nothing."""
+        from repro.kernels import PurePythonBackend
+        from repro.kernels.numpy_backend import NumPyBackend
+
+        table = make_table()
+        blocks = []
+        pure_block = PurePythonBackend.scan_block
+
+        def recorded_block(self, curve, space, pages):
+            rows = pure_block(self, curve, space, pages)
+            blocks.append((curve, space, pages, rows))
+            return rows
+
+        monkeypatch.setattr(PurePythonBackend, "scan_block", recorded_block)
+        with kernels.use_backend("python"):
+            parallel_tetris_scan(table, QUERY, "a2", workers=2)
+        monkeypatch.undo()
+        assert len(blocks) == 2
+
+        encode = NumPyBackend._encode_columns
+        encoded = []
+
+        def counted_encode(tables, columns):
+            encoded.append(len(columns))
+            return encode(tables, columns)
+
+        monkeypatch.setattr(
+            NumPyBackend, "_encode_columns", staticmethod(counted_encode)
+        )
+        backend = NumPyBackend()  # no page has a view on it yet
+        for curve, space, pages, rows in blocks:
+            assert backend.scan_block(curve, space, pages) == rows
+        assert encoded
+        encoded.clear()
+        for curve, space, pages, rows in blocks:
+            assert backend.scan_block(curve, space, pages) == rows
+        assert encoded == []

@@ -342,7 +342,6 @@ class TestActorsAndGate:
     def test_engine_order_is_declared_on_import(self):
         assert declared_lock_order() == GLOBAL_LOCK_ORDER
         assert GLOBAL_LOCK_ORDER == (
-            "executor-staging",
             "telemetry-observers",
             "buffer-pool",
             "io-scheduler",

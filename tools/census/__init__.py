@@ -15,8 +15,8 @@ it.  This tool measures that.  It runs every entry point CI runs:
 Each runs in its own process with ``sys.settrace`` and
 ``threading.settrace`` installed by a generated ``sitecustomize.py`` on
 ``PYTHONPATH``, so the subprocesses an entry point spawns (the
-harness's one-per-workload runs) and the threads it starts (the slab
-executor's) are counted too.  The tracer records the first line of
+harness's one-per-workload runs) and any thread it starts are counted
+too.  The tracer records the first line of
 every code object it sees under the package; a function defined in the
 package whose first line no run recorded is *unexecuted*.  Functions
 whose body is only ``raise NotImplementedError`` or ``...`` are

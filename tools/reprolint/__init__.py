@@ -12,7 +12,7 @@ Python ASTs under ``src/repro`` and mechanically enforces them:
 ``R006`` — no silent error swallowing; retries go through the policy.
 ``R007`` — engine code must not mutate the disk behind an armed WAL.
 ``R008`` — engine code must read data pages through the pool/scheduler.
-``R009`` — no process/serialization machinery; thread pools only in the executor.
+``R009`` — no process, serialization or thread-pool machinery in the engine.
 ``R010`` — guarded shared state is only mutated with its lock reachable.
 ``R011`` — lock acquisitions respect the single declared global order.
 ``R012``, ``R013`` — retired with the process executor (fork discipline).
@@ -45,7 +45,6 @@ from .engine import ModuleInfo, build_module, build_project
 from .rules import (
     Dispatcher,
     FileContext,
-    R009_SANCTIONED_MODULES,
     all_rule_summaries,
     check_backend_parity,
     file_rules,

@@ -5,9 +5,9 @@ graph only contains edges it could prove, so each analysis is shaped so
 an unresolved call can at worst hide a finding, never fabricate one.
 
 * :func:`transitive_acquisitions` — per-function set of lock labels
-  acquired on any call path, used by R011 to turn "calls ``pool.get``
-  while holding the staging lock" into the order pair
-  ``(executor-staging, buffer-pool)``.
+  acquired on any call path, used by R011 to turn "calls
+  ``scheduler.submit`` while holding the pool lock" into the order pair
+  ``(buffer-pool, io-scheduler)``.
 * :func:`protected_methods` — the greatest-fixpoint reachability check
   behind R010: a method is *protected* when every resolved call site
   either lexically holds the class guard lock or comes from another

@@ -39,7 +39,6 @@ from .base import (
     file_rules,
     project_rules,
 )
-from .ipc import R009_SANCTIONED_MODULES
 from .parity import check_backend_parity
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "FileContext",
     "FileRule",
     "ProjectRule",
-    "R009_SANCTIONED_MODULES",
     "all_rule_summaries",
     "check_backend_parity",
     "file_rules",

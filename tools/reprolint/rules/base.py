@@ -79,22 +79,12 @@ class FileContext:
         #: WAL/durability rules only police engine code, not the storage
         #: layer that implements the WAL itself
         self.wal_scope = "storage/" not in posix
-        #: R009 lets only the sanctioned executor module import thread pools
-        self.ipc_scope = not any(
-            posix.endswith(allowed) for allowed in _sanctioned_ipc_modules()
-        )
         self.violations: list[Violation] = []
 
     def emit(self, node: ast.AST, rule: str, message: str) -> None:
         self.violations.append(
             Violation(self.path, node.lineno, node.col_offset, rule, message)
         )
-
-
-def _sanctioned_ipc_modules() -> tuple[str, ...]:
-    from .ipc import R009_SANCTIONED_MODULES
-
-    return R009_SANCTIONED_MODULES
 
 
 class FileRule:
