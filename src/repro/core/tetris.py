@@ -29,6 +29,7 @@ from typing import Any, Iterator, Sequence
 # module import (not ``from ..kernels import get_backend``): kernels and
 # core import each other, so the attribute must resolve at call time
 from .. import invariants, kernels
+from ..storage.errors import StorageError
 from .curves import Curve
 from .intervals import IntervalSet
 from .query_space import QuerySpace
@@ -53,8 +54,14 @@ class TetrisStats:
     pages_skipped_by_pushdown: int = 0
     #: rows of the slices handed out, whoever consumed them
     tuples_output: int = 0
-    slices: int = 0  #: flush batches — completed processing ranges
-    max_cache_tuples: int = 0  #: peak size of the Tetris cache
+    #: cuts handed out, each counted once the consumer asks for the next:
+    #: one per completed slice by default, while one cut of a held sweep
+    #: (:meth:`TetrisScan.slices`) spans many of the paper's slices
+    slices: int = 0
+    #: peak count of tuples the run buffer held — the Tetris cache by
+    #: default, about the whole result on a held sweep, which keeps
+    #: everything after its first slice
+    max_cache_tuples: int = 0
     first_output_clock: float | None = None  #: simulated time of first tuple
     start_clock: float = 0.0
     end_clock: float = 0.0  #: simulated time the last slice was completed
@@ -150,7 +157,7 @@ class TetrisScan:
         event-point oracle)."""
         return self._page_reads
 
-    def slices(self) -> Iterator[Slice]:
+    def slices(self, *, held: bool = False) -> Iterator[Slice]:
         """The sweep's output in its own unit: one ``(keys, rows)`` pair
         per completed slice.
 
@@ -162,8 +169,20 @@ class TetrisScan:
         clocks), whether the consumer then takes all of its rows or
         not; ``stats.slices`` ticks once the consumer asks for the next
         one.
+
+        By default the run buffer is cut at every barrier that has a
+        key below it, as the paper flushes its cache at every event
+        point.  ``held=True`` is for a consumer that keeps every row:
+        the first completed slice is still cut at once, then the buffer
+        is cut only at the end of the walk and — before a
+        :class:`StorageError` from the page walk propagates — below the
+        last barrier passed.  So a consumer that drains the sweep, or
+        is stopped by a fault, holds exactly the rows the every-barrier
+        sweep had handed it after the same pages; only fewer, larger
+        cuts are made.  A consumer that may stop on its own after some
+        row count must not hold.
         """
-        return self._run(self.cursor)
+        return self._run(self.cursor, held)
 
     def __iter__(self) -> Iterator[SortedTuple]:
         for _, rows in self.slices():
@@ -172,7 +191,7 @@ class TetrisScan:
     # ------------------------------------------------------------------
     # shared driver: read regions in Tetris order, cache, flush slices
     # ------------------------------------------------------------------
-    def _run(self, cursor: RegionCursor) -> Iterator[Slice]:
+    def _run(self, cursor: RegionCursor, held: bool) -> Iterator[Slice]:
         disk = self.ubtree.tree.buffer.disk
         curve = self.tetris_curve
         space = self.effective_space
@@ -220,33 +239,52 @@ class TetrisScan:
         # a join coordinator lent the cursor); closing it — at the end, on
         # early termination or on an error here — cancels leftovers
         walk = self.ubtree.walk(cursor, self.space, self.pushdown)
+        barrier: "int | None" = None  # the last barrier passed
         with closing(walk):
-            for (_, _, page_id, barrier), page in walk:
-                stats.regions_read += 1
-                self._page_reads.append(page_id)
+            try:
+                for (_, _, page_id, barrier), page in walk:
+                    stats.regions_read += 1
+                    self._page_reads.append(page_id)
 
-                # the whole page in one kernel call: filter the points
-                # against the query space, key the survivors on the Tetris
-                # curve and sort them with their rows — record order breaks
-                # key ties, and the buffer keeps older runs first on ties,
-                # exactly like the per-tuple heap pushes used to
-                count, run = kernel.scan_page_run(curve, space, page)
-                if stream_checker is not None:
-                    invariants.check_page_run(kernel, curve, space, page, (count, run))
-                if count:
-                    run_buffer.push(run)
-                if len(run_buffer) > stats.max_cache_tuples:
-                    stats.max_cache_tuples = len(run_buffer)
+                    # the whole page in one kernel call: filter the points
+                    # against the query space, key the survivors on the Tetris
+                    # curve and sort them with their rows — record order breaks
+                    # key ties, and the buffer keeps older runs first on ties,
+                    # exactly like the per-tuple heap pushes used to
+                    count, run = kernel.scan_page_run(curve, space, page)
+                    if stream_checker is not None:
+                        invariants.check_page_run(
+                            kernel, curve, space, page, (count, run)
+                        )
+                    if count:
+                        run_buffer.push(run)
+                    if len(run_buffer) > stats.max_cache_tuples:
+                        stats.max_cache_tuples = len(run_buffer)
 
-                # everything below the next event point can never be beaten by
-                # a tuple from an unread region: the slice is complete.  The
-                # sorted-run heads witness whether anything flushes at all.
-                if not run_buffer.has_key_below(barrier):
-                    continue
-                completed = cut(barrier)
-                stats.end_clock = disk.clock
-                yield completed
-                stats.slices += 1
+                    # everything below the next event point can never be beaten by
+                    # a tuple from an unread region: the slice is complete.  The
+                    # sorted-run heads witness whether anything flushes at all.
+                    if not run_buffer.has_key_below(barrier):
+                        continue
+                    # a held sweep cuts again only when the walk ends:
+                    # every key a later page adds lies at or above this
+                    # barrier and ties go to the older run, so the later
+                    # cut is these cuts concatenated
+                    if held and barrier is not None and stats.tuples_output:
+                        continue
+                    completed = cut(barrier)
+                    stats.end_clock = disk.clock
+                    yield completed
+                    stats.slices += 1
+            except StorageError:
+                # hand a held consumer what the every-barrier sweep had
+                # handed it before the fault, then let the fault through
+                if held and run_buffer.has_key_below(barrier):
+                    completed = cut(barrier)
+                    stats.end_clock = disk.clock
+                    yield completed
+                    stats.slices += 1
+                raise
 
         # no regions at all, or a conservative final barrier
         completed = cut(None)

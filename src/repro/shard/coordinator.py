@@ -168,10 +168,19 @@ class ShardCopy:
             raise ShardCopyKilledError(
                 f"shard {self.shard_index} copy {self.copy_index} is dead"
             )
-        if self._kill_at is not None:
-            count = min(count, max(self._kill_at - self.rows_served, 1) - 1)
+        remaining = self.rows_before_kill()
+        if remaining is not None:
+            count = min(count, remaining)
         self.rows_served += count
         return count
+
+    def rows_before_kill(self) -> int | None:
+        """How many more rows this copy may serve before a scheduled kill
+        falls due (``None`` when none is scheduled): the row that reaches
+        the kill count is accounted but never delivered."""
+        if self._kill_at is None:
+            return None
+        return max(self._kill_at - self.rows_served, 1) - 1
 
     def expire(self) -> ShardCopyKilledError:
         """Die on the pull that reaches the kill count: that row is
@@ -627,6 +636,7 @@ class ShardedDatabase:
                     allow_partial,
                     events,
                     failed_ranges,
+                    held=True,
                 ):
                     stream[0].extend(keys)
                     stream[1].extend(slice_rows)
@@ -686,6 +696,7 @@ class ShardedDatabase:
         events: list[ShardDegradationEvent],
         failed_ranges: list[tuple[int, int]],
         predicate: Callable[[Row], bool] | None = None,
+        held: bool = False,
     ) -> Iterator[KeyedStream]:
         """Stream one shard's tuples, climbing the ladder between pulls.
 
@@ -702,7 +713,9 @@ class ShardedDatabase:
         caller must treat the *whole* range as missing and flag its
         result partial.  Without ``allow_partial`` the terminal rung
         raises :class:`~repro.shard.errors.ShardFailedError` through the
-        generator.
+        generator.  ``held`` asks each copy's sweep for held slices
+        (:meth:`~repro.core.tetris.TetrisScan.slices`): a consumer that
+        drains the shard whole gets the same rows in fewer, larger cuts.
         """
         resume = _ResumePoint()
         retry_budgets: dict[int, Iterator[float]] = {}
@@ -768,7 +781,7 @@ class ShardedDatabase:
         while True:
             try:
                 yield from self._stream_copy(
-                    copy, shard_box, sort_attr, resume, predicate
+                    copy, shard_box, sort_attr, resume, predicate, held
                 )
                 return
             except StorageError as exc:
@@ -874,6 +887,7 @@ class ShardedDatabase:
         sort_attr: str | Sequence[str],
         resume: _ResumePoint,
         predicate: Callable[[Row], bool] | None = None,
+        held: bool = False,
     ) -> Iterator[KeyedStream]:
         """Yield the shard's residual tuples via ``copy``, slice by slice.
 
@@ -894,6 +908,11 @@ class ShardedDatabase:
         dimension in the most significant bits, so no owed row can sit
         below it — letting the restarted sweep skip the served prefix's
         pages instead of re-reading them.
+
+        With ``held`` the sweep cuts its run buffer only at the end and
+        before a fault, so a fault stops it on the page, and with the
+        rows, of the every-barrier sweep.  A copy with a kill scheduled
+        stops after a row count instead, so its sweep does not hold.
         """
         if not copy.alive:
             raise ShardCopyKilledError(
@@ -908,7 +927,10 @@ class ShardedDatabase:
                 primary, resume.point[primary], self.space.coord_max[primary]
             )
         scan = copy.table.tetris_scan(box, sort_attr)
-        for keys, rows in scan.slices():
+        # a scheduled kill stops this consumer after some row count, so
+        # that copy's sweep cuts at every barrier, as the kill expects
+        held = held and copy.rows_before_kill() is None
+        for keys, rows in scan.slices(held=held):
             pulled = len(rows)
             served = copy.serve(pulled)
             if served < pulled:

@@ -161,6 +161,31 @@ def test_sorted_scan_under_inserts_into_warm_runs(backend, depth):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("depth", DEPTHS)
+def test_held_sweep_under_inserts(backend, depth):
+    """The inserts land between a held sweep's first and second pull:
+    its first slice is out, the rest of the walk is still ahead and is
+    then read in one pull.  The rows present at the start come out
+    exactly once, as the scan with nothing inserted hands them out."""
+    with kernels.use_backend(backend):
+        for seed in SEEDS[::2]:
+            for sort_dim in (0, 1):
+                tree, rows, inserts = world(seed, depth)
+                scan = TetrisScan(tree, BOX, sort_dim)
+                slices = scan.slices(held=True)
+                _, stream = next(slices)
+                for point, payload in inserts:
+                    tree.insert(point, payload)
+                stream += [row for _, held in slices for row in held]
+                assert scan.stats.slices <= 2, "the sweep did not hold"
+                assert_contract(stream, rows, inserts, BOX)
+                keys = [scan.tetris_curve.encode(point) for point, _ in stream]
+                assert keys == sorted(keys), "sort order broken"
+                present = [row for row in stream if row[1] < ROWS]
+                assert present == reference_scan(seed, sort_dim), (seed, sort_dim)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("depth", DEPTHS)
 def test_range_query_under_inserts(backend, depth):
     with kernels.use_backend(backend):
         for seed in SEEDS:

@@ -76,7 +76,11 @@ class RowAtATimeShardedDatabase(ShardedDatabase):
     merge and the join legs above it are the engine's own.
     """
 
-    def _stream_copy(self, copy, shard_box, sort_attr, resume, predicate=None):
+    def _stream_copy(
+        self, copy, shard_box, sort_attr, resume, predicate=None, held=False
+    ):
+        # ``held`` is ignored: it changes only how the sweep cuts, and
+        # this drain pulls one row at a time
         if not copy.alive:
             raise ShardCopyKilledError(
                 f"shard {copy.shard_index} copy {copy.copy_index} is dead"
